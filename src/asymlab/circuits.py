@@ -2,8 +2,9 @@
 
 Gates act on explicit site tuples; a two-site gate matrix is indexed with the
 first listed site as the more significant bit, so rows/columns run over
-(00, 01, 10, 11).  Statevector updates gather the four amplitude strides of a
-gate with precomputed bit masks and apply one 4xM matrix product.
+(00, 01, 10, 11).  Every gate, Kraus operator and Heisenberg step is applied
+through ``states.apply_site_matrix``, which contracts the gate into the
+(2,)*N view of the array.
 """
 from __future__ import annotations
 
@@ -83,30 +84,10 @@ class BrickworkCircuit:
                     raise ValidationError(f"gate sites {gate.sites} are not nearest neighbors")
 
 
-def _two_site_indices(n_qubits: int, a: int, b: int):
-    pa, pb = n_qubits - 1 - a, n_qubits - 1 - b
-    idx = np.arange(2**n_qubits)
-    base = idx[((idx >> pa) & 1 == 0) & ((idx >> pb) & 1 == 0)]
-    return base, base | (1 << pb), base | (1 << pa), base | (1 << pa) | (1 << pb)
-
-
-def _apply_matrix(arr: np.ndarray, matrix: np.ndarray, sites: tuple[int, ...], n: int) -> np.ndarray:
-    """Left-multiply a local operator into axis 0 of an amplitude array."""
-    if len(sites) == 1:
-        return apply_site_matrix(arr, matrix, sites[0], n)
-    rows = _two_site_indices(n, *sites)
-    stacked = np.stack([arr[r] for r in rows])
-    new = np.tensordot(matrix, stacked, axes=(1, 0))
-    out = np.array(arr)
-    for r, vals in zip(rows, new):
-        out[r] = vals
-    return out
-
-
 def _sandwich(mat: np.ndarray, op: np.ndarray, sites: tuple[int, ...], n: int) -> np.ndarray:
     """Return op mat op^dagger for a local operator acting on the given sites."""
-    left = _apply_matrix(mat, op, sites, n)
-    return _apply_matrix(left.conj().T, op, sites, n).conj().T
+    left = apply_site_matrix(mat, op, sites, n)
+    return apply_site_matrix(left.T, op.conj(), sites, n).T
 
 
 def apply_circuit(state: State, circuit: BrickworkCircuit) -> State:
@@ -120,7 +101,7 @@ def apply_circuit(state: State, circuit: BrickworkCircuit) -> State:
         amps = np.array(state.amplitudes)
         for layer in circuit.layers:
             for gate in layer:
-                amps = _apply_matrix(amps, gate.matrix, gate.sites, n)
+                amps = apply_site_matrix(amps, gate.matrix, gate.sites, n)
         return StateVector(n, amps)
     mat = np.array(state.matrix)
     for layer in circuit.layers:
@@ -367,8 +348,11 @@ def circuit_from_dict(data: dict) -> BrickworkCircuit:
     for layer_raw in layers_raw:
         gates = []
         for g in layer_raw:
-            sites = tuple(int(s) for s in g["sites"])
-            matrix = _pairs_to_matrix(g["unitary"], len(sites))
+            try:
+                sites = tuple(int(s) for s in g["sites"])
+                matrix = _pairs_to_matrix(g["unitary"], len(sites))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValidationError(f"circuit gate is malformed: {exc!r}") from exc
             gates.append(Gate(sites, matrix))
             max_site = max(max_site, *sites)
         layers.append(tuple(gates))

@@ -16,7 +16,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +23,10 @@ import numpy as np
 from . import closedforms, clustering, lattice, su2, suite, u1
 from .config import (
     ExperimentConfig,
+    _bernoulli_vector,
     build_state,
     circuit_depth_range,
+    dicke_excitations,
     load_config,
     validate_config,
 )
@@ -111,17 +112,10 @@ def _sweep_distribution(cfg: ExperimentConfig, n: int) -> u1.ChargeDistribution:
     if cfg.experiment == "kink-sweep":
         return closedforms.kink_distribution(n)
     if cfg.experiment == "product-sweep":
-        x = spec.get("x", 0.5)
-        vec = np.full(n, float(x)) if isinstance(x, (int, float)) else np.asarray(x)
-        if vec.size != n:
-            vec = np.full(n, float(np.asarray(x).ravel()[0]))
-        return closedforms.poisson_binomial(vec)
-    if "k" in spec:
-        return closedforms.dicke_x_distribution(n, int(spec["k"]))
-    ratio = float(spec.get("ratio", 0.5))
-    if ratio == 0.5:
+        return closedforms.poisson_binomial(_bernoulli_vector(spec["x"], n))
+    if "k" not in spec and float(spec.get("ratio", 0.5)) == 0.5:
         return closedforms.dicke_half_distribution(n // 2)
-    return closedforms.dicke_x_distribution(n, int(round(ratio * n)))
+    return closedforms.dicke_x_distribution(n, dicke_excitations(spec, n))
 
 
 def _run_sweep(cfg: ExperimentConfig) -> int:
@@ -142,8 +136,7 @@ def _run_sweep(cfg: ExperimentConfig) -> int:
             "linearized": math.exp(rep.delta_s),
         }
 
-    with ThreadPoolExecutor(max_workers=min(8, len(ns))) as pool:
-        rows = list(pool.map(compute, ns))
+    rows = list(map(compute, ns))
 
     points = [(row["n"], row["delta_s_nats"]) for row in rows]
     fit = closedforms.asymptotic_fit(points) if len(points) >= 3 else None

@@ -117,18 +117,11 @@ def _check_sweep_envelope(experiment: str, state_spec: dict, sweep) -> None:
         raise ResourceError(
             f"sweep value {worst} exceeds {name} = {cap} for {experiment}"
         )
-    if experiment == "dicke-sweep":
-        for n in sweep:
-            k = state_spec.get("k")
-            if k is None:
-                k_eff = state_spec.get("ratio", 0.5) * n
-                if abs(k_eff - round(k_eff)) > 1e-12:
-                    raise ConfigError(
-                        f"dicke ratio {state_spec.get('ratio', 0.5)} gives "
-                        f"non-integer excitation count at N = {n}"
-                    )
-            elif not 0 <= k <= n:
-                raise ConfigError(f"dicke k = {k} outside [0, {n}]")
+    for n in sweep:
+        if experiment == "dicke-sweep":
+            dicke_excitations(state_spec, n)
+        elif experiment == "product-sweep":
+            _bernoulli_vector(state_spec["x"], n)
 
 
 def validate_config(data: dict) -> ExperimentConfig:
@@ -241,12 +234,28 @@ def _product_from_amplitudes(amplitudes, n: int) -> states.StateVector:
 
 
 def _bernoulli_vector(x, n: int) -> np.ndarray:
+    """Per-site probabilities of a bernoulli spec on n sites; a list must have length n."""
     if isinstance(x, (int, float)):
         return np.full(n, float(x))
     arr = np.asarray(x, dtype=float)
     if arr.size != n:
-        raise ConfigError(f"bernoulli x lists {arr.size} sites, geometry has {n}")
+        raise ConfigError(f"bernoulli x lists {arr.size} sites, state has {n}")
     return arr
+
+
+def dicke_excitations(spec: dict, n: int) -> int:
+    """Excitation count k of a dicke spec on n sites: its 'k', else 'ratio' * n."""
+    if "k" in spec:
+        k = int(spec["k"])
+    else:
+        ratio = float(spec.get("ratio", 0.5))
+        k_eff = ratio * n
+        if abs(k_eff - round(k_eff)) > 1e-12:
+            raise ConfigError(f"dicke ratio {ratio} gives non-integer excitation count at N = {n}")
+        k = int(round(k_eff))
+    if not 0 <= k <= n:
+        raise ConfigError(f"dicke k = {k} outside [0, {n}]")
+    return k
 
 
 def _load_vector(path, n: int) -> states.StateVector:
@@ -281,17 +290,7 @@ def build_state(spec: dict, n: int, seed: int, geometry: LatticeGeometry | None 
     if kind == "bernoulli":
         return closedforms.product_charge_state(_bernoulli_vector(spec["x"], n)), None
     if kind == "dicke":
-        if "k" in spec:
-            k = int(spec["k"])
-        else:
-            ratio = float(spec.get("ratio", 0.5))
-            k_eff = ratio * n
-            if abs(k_eff - round(k_eff)) > 1e-12:
-                raise ConfigError(f"dicke ratio {ratio} gives non-integer k at N = {n}")
-            k = int(round(k_eff))
-        if not 0 <= k <= n:
-            raise ConfigError(f"dicke k = {k} outside [0, {n}]")
-        return closedforms.dicke_state(n, k, axis="x"), None
+        return closedforms.dicke_state(n, dicke_excitations(spec, n), axis="x"), None
     if kind == "kink":
         return closedforms.kink_state(n), None
     if kind == "ghz":
@@ -308,6 +307,8 @@ def build_state(spec: dict, n: int, seed: int, geometry: LatticeGeometry | None 
             circuit = load_circuit(spec["path"])
         except OSError as exc:
             raise ConfigError(f"cannot read circuit {spec['path']}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"circuit {spec['path']} is not valid JSON: {exc}") from exc
         if circuit.n_qubits != n:
             raise ConfigError(
                 f"circuit acts on {circuit.n_qubits} qubits, geometry has {n} sites"
@@ -335,6 +336,7 @@ __all__ = [
     "canonical_json",
     "circuit_depth_range",
     "config_hash",
+    "dicke_excitations",
     "load_config",
     "schema",
     "validate_config",

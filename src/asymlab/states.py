@@ -3,8 +3,11 @@
 Basis convention: the flat amplitude index encodes site 0 as the most
 significant bit, so basis index ``i`` assigns bit ``(i >> (N-1-j)) & 1`` to
 site ``j``.  Equivalently ``product_state`` is a plain Kronecker product in
-site order.  States are immutable from the caller's point of view; every
-operation returns a new object.
+site order.  Local operators follow the same order: ``apply_site_matrix``
+reads a k-site operator with its first listed site as the most significant
+bit, so ``kron(op_a, op_b)`` on sites ``(a, b)`` puts ``op_a`` on site a
+whether a < b or a > b.  States are immutable from the caller's point of
+view; every operation returns a new object.
 """
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ResourceError, ValidationError
+from .errors import ConfigError, ResourceError, ValidationError
 
 DEFAULT_STATEVECTOR_QUBITS = 24
 DEFAULT_DENSITY_QUBITS = 12
@@ -31,16 +34,24 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULI = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
 
 
+def _env_cap(default: int) -> int:
+    env = os.environ.get("ASYMLAB_MAX_QUBITS")
+    if not env:
+        return default
+    try:
+        return int(env)
+    except ValueError:
+        raise ConfigError(f"ASYMLAB_MAX_QUBITS={env!r} is not an integer") from None
+
+
 def statevector_cap() -> int:
     """Largest N admitted on the statevector path (env ASYMLAB_MAX_QUBITS overrides)."""
-    env = os.environ.get("ASYMLAB_MAX_QUBITS")
-    return int(env) if env else DEFAULT_STATEVECTOR_QUBITS
+    return _env_cap(DEFAULT_STATEVECTOR_QUBITS)
 
 
 def density_matrix_cap() -> int:
     """Largest N admitted on the density-matrix path (env ASYMLAB_MAX_QUBITS overrides)."""
-    env = os.environ.get("ASYMLAB_MAX_QUBITS")
-    return int(env) if env else DEFAULT_DENSITY_QUBITS
+    return _env_cap(DEFAULT_DENSITY_QUBITS)
 
 
 def _check_cap(n_qubits: int, cap: int, name: str):
@@ -243,23 +254,33 @@ def von_neumann_entropy(state: State) -> float:
     return entropy_of_probabilities(np.clip(evals, 0.0, None))
 
 
-def _reshape_site_axis(arr: np.ndarray, site: int, n_qubits: int) -> np.ndarray:
-    """View with the site's bit isolated: shape (left, 2, right * trailing)."""
-    return arr.reshape(2**site, 2, -1)
+def apply_site_matrix(arr: np.ndarray, op: np.ndarray, sites, n_qubits: int) -> np.ndarray:
+    """Apply a local operator on ``sites`` to axis 0 of an amplitude array.
 
-
-def apply_site_matrix(arr: np.ndarray, op: np.ndarray, site: int, n_qubits: int) -> np.ndarray:
-    """Apply a 2x2 matrix to one site of an amplitude array.
-
-    ``arr`` has leading axis of length 2**n_qubits; extra trailing axes ride
-    along, which lets the same primitive transform density-matrix rows.
+    ``sites`` is one site or a tuple of k distinct sites, and ``op`` is a
+    2**k x 2**k matrix whose row and column index takes the first listed site
+    as its most significant bit.  ``arr`` has leading axis of length
+    2**n_qubits; extra trailing axes ride along, which lets the same
+    primitive transform density-matrix rows.  This is the only routine that
+    contracts a local operator into an array.
     """
-    if not 0 <= site < n_qubits:
-        raise ValidationError(f"site {site} outside [0, {n_qubits})")
-    trailing = arr.shape[1:]
-    view = _reshape_site_axis(arr, site, n_qubits)
-    out = np.einsum("rc,acb->arb", op, view)
-    return out.reshape((2**n_qubits,) + trailing)
+    sites = (sites,) if isinstance(sites, (int, np.integer)) else tuple(sites)
+    op = np.asarray(op)
+    k = len(sites)
+    for site in sites:
+        if not 0 <= site < n_qubits:
+            raise ValidationError(f"site {site} outside [0, {n_qubits})")
+    if len(set(sites)) != k:
+        raise ValidationError(f"sites must be distinct, got {sites}")
+    if op.shape != (2**k, 2**k):
+        raise ValidationError(f"operator on {k} site(s) needs shape {(2**k, 2**k)}, got {op.shape}")
+    if k == 1:
+        # einsum, not tensordot: BLAS would spend threads on a memory-bound 2x2 product
+        out = np.einsum("rc,acb->arb", op, arr.reshape(2 ** sites[0], 2, -1))
+        return out.reshape(arr.shape)
+    view = arr.reshape((2,) * n_qubits + arr.shape[1:])
+    out = np.tensordot(op.reshape((2,) * (2 * k)), view, axes=(range(k, 2 * k), sites))
+    return np.moveaxis(out, range(k), sites).reshape(arr.shape)
 
 
 def apply_pauli(arr: np.ndarray, site: int, axis: str, n_qubits: int) -> np.ndarray:

@@ -341,14 +341,19 @@ def _euler_unitary(alpha: float, beta: float, gamma: float) -> np.ndarray:
     return za @ ry @ zc
 
 
-def _apply_global_rotation(mat: np.ndarray, u: np.ndarray, n: int) -> np.ndarray:
-    out = mat
+def global_rotation(arr: np.ndarray, u: np.ndarray, n: int) -> np.ndarray:
+    """Apply u^{(x) N}: to amplitudes, or as u^{(x) N} M u^{(x) N dagger} to a matrix.
+
+    A matrix has u applied to all of its rows, then to all of its columns.
+    """
     for site in range(n):
-        out = apply_site_matrix(out, u, site, n)
-    out = out.conj().T
+        arr = apply_site_matrix(arr, u, site, n)
+    if arr.ndim == 1:
+        return arr
+    arr = arr.T
     for site in range(n):
-        out = apply_site_matrix(out, u, site, n)
-    return out.conj().T
+        arr = apply_site_matrix(arr, u.conj(), site, n)
+    return arr.T
 
 
 def su2_twirl_haar(state: State, tol: float = 1e-8, max_refinements: int = 6) -> DensityMatrix:
@@ -373,7 +378,7 @@ def su2_twirl_haar(state: State, tol: float = 1e-8, max_refinements: int = 6) ->
             for alpha in alphas:
                 for gamma in gammas:
                     u = _euler_unitary(alpha, beta, gamma)
-                    acc += (w / 2.0 / k / k) * _apply_global_rotation(state.matrix, u, n)
+                    acc += (w / 2.0 / k / k) * global_rotation(state.matrix, u, n)
         if previous is not None and float(np.max(np.abs(acc - previous))) <= tol:
             return DensityMatrix(n, acc)
         previous = acc
@@ -444,13 +449,9 @@ def zero_transverse_rotation(state: State):
     u = np.cos(angle / 2.0) * np.eye(2) - 1j * np.sin(angle / 2.0) * gen
     n = state.n_qubits
     if isinstance(state, StateVector):
-        amps = np.array(state.amplitudes)
-        for site in range(n):
-            amps = apply_site_matrix(amps, u, site, n)
-        rotated: State = StateVector(n, amps)
+        rotated: State = StateVector(n, global_rotation(state.amplitudes, u, n))
     else:
-        mat = _apply_global_rotation(state.matrix, u, n)
-        rotated = DensityMatrix(n, mat)
+        rotated = DensityMatrix(n, global_rotation(state.matrix, u, n))
     check = spin_moments(rotated)
     if max(abs(check["sx"]), abs(check["sy"])) > TRANSVERSE_TOL or check["sz"] < -TRANSVERSE_TOL:
         raise ValidationError("gauge rotation failed to null the transverse spin")

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import circuits, closedforms, clustering, lattice, states, su2, u1
 from .errors import ValidationError
-from .states import DensityMatrix, StateVector, apply_site_matrix
+from .states import DensityMatrix, StateVector
 
 
 @dataclass(frozen=True)
@@ -43,23 +43,6 @@ def all_passed(results) -> bool:
 
 def _count(base: int, scale: float) -> int:
     return max(1, int(round(base * scale)))
-
-
-def _rotate_state(state, site_unitary: np.ndarray):
-    """Apply the same single-qubit unitary to every site."""
-    n = state.n_qubits
-    if isinstance(state, StateVector):
-        arr = state.amplitudes
-        for k in range(n):
-            arr = apply_site_matrix(arr, site_unitary, k, n)
-        return StateVector(n, arr)
-    mat = state.matrix
-    for k in range(n):
-        mat = apply_site_matrix(mat, site_unitary, k, n)
-    mat = mat.conj().T
-    for k in range(n):
-        mat = apply_site_matrix(mat, site_unitary, k, n)
-    return DensityMatrix(n, mat.conj().T)
 
 
 def _random_product_input(n: int, rng) -> StateVector:
@@ -409,8 +392,10 @@ class _SuiteRunner:
             for _ in range(_count(5, self.samples)):
                 rho = states.random_density_matrix(n, rng)
                 umat = circuits.haar_unitary(2, rng)
-                left = su2.su2_twirl(_rotate_state(rho, umat), basis)
-                right = _rotate_state(su2.su2_twirl(rho, basis), umat)
+                rotated = DensityMatrix(n, su2.global_rotation(rho.matrix, umat, n))
+                left = su2.su2_twirl(rotated, basis)
+                twirled = su2.su2_twirl(rho, basis).matrix
+                right = DensityMatrix(n, su2.global_rotation(twirled, umat, n))
                 worst = max(worst, float(np.abs(left.matrix - right.matrix).max()))
         return CheckResult(
             "rotation-twirl-covariance", worst <= tol, tol - worst, "global rotations"
@@ -518,7 +503,8 @@ class _SuiteRunner:
                 rho = states.random_density_matrix(n, rng)
                 base = su2.su2_asymmetry(rho, basis).delta_s
                 umat = circuits.haar_unitary(2, rng)
-                rotated = su2.su2_asymmetry(_rotate_state(rho, umat), basis).delta_s
+                moved = DensityMatrix(n, su2.global_rotation(rho.matrix, umat, n))
+                rotated = su2.su2_asymmetry(moved, basis).delta_s
                 worst = max(worst, abs(rotated - base))
         return CheckResult(
             "global-rotation-invariance", worst <= tol, tol - worst, "asymmetry is gauge-blind"

@@ -250,6 +250,66 @@ def test_su2_command_rejects_odd_n(tmp_path, capsys):
     assert "even" in capsys.readouterr().err
 
 
+def _circuit_with_gate(tmp_path, gate):
+    gate["unitary"] = [[float(i == j), 0.0] for i in range(4) for j in range(4)]
+    circuit = {"n_qubits": 4, "depth": 1, "layers": [[gate]]}
+    path = _write(tmp_path / "circ.json", circuit)
+    return ["clustering", "--circuit", path, "--linear-size", "4",
+            "--output", str(tmp_path / "out")]
+
+
+def _gate_without_sites(tmp_path, monkeypatch):
+    return _circuit_with_gate(tmp_path, {})
+
+
+def _gate_with_non_integer_site(tmp_path, monkeypatch):
+    return _circuit_with_gate(tmp_path, {"sites": ["a", 1]})
+
+
+def _circuit_not_json(tmp_path, monkeypatch):
+    path = tmp_path / "circ.json"
+    path.write_text("{not json")
+    return ["clustering", "--circuit", str(path), "--linear-size", "4",
+            "--output", str(tmp_path / "out")]
+
+
+def _max_qubits_not_int(tmp_path, monkeypatch):
+    monkeypatch.setenv("ASYMLAB_MAX_QUBITS", "abc")
+    cfg = {
+        "experiment": "u1-asymmetry",
+        "geometry": {"dimension": 1, "linear_size": 4},
+        "state_spec": {"kind": "ghz"},
+        "output": str(tmp_path / "out"),
+    }
+    return ["run", _write(tmp_path / "cfg.json", cfg)]
+
+
+def _product_x_length_mismatch(tmp_path, monkeypatch):
+    cfg = {
+        "experiment": "product-sweep",
+        "sweep": [10, 20],
+        "state_spec": {"kind": "bernoulli", "x": [0.1, 0.9]},
+        "output": str(tmp_path / "out"),
+    }
+    return ["run", _write(tmp_path / "cfg.json", cfg)]
+
+
+@pytest.mark.parametrize(
+    "make_argv",
+    [
+        _gate_without_sites,
+        _gate_with_non_integer_site,
+        _circuit_not_json,
+        _max_qubits_not_int,
+        _product_x_length_mismatch,
+    ],
+)
+def test_malformed_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, make_argv):
+    assert main(make_argv(tmp_path, monkeypatch)) == 2
+    err = capsys.readouterr().err
+    assert err.endswith("\n") and err.count("\n") == 1
+
+
 def test_verify_oracle_suite_passes(capsys):
     assert main(["verify", "oracle-suite", "--seed", "0"]) == 0
     text = capsys.readouterr().out

@@ -115,17 +115,45 @@ def test_apply_pauli_on_sites():
     assert np.flatnonzero(flipped).tolist() == [1]
 
 
+def _dense_local(op, sites, n):
+    """Dense 2^n x 2^n matrix of ``op`` on ``sites``: kron with the identity, then permute."""
+    rest = [s for s in range(n) if s not in sites]
+    in_gate_order = np.kron(op, np.eye(2 ** len(rest)))
+    # position m in (sites, rest) bit order holds the basis index idx[m] in site order
+    idx = np.arange(2**n).reshape((2,) * n).transpose(list(sites) + rest).reshape(-1)
+    dense = np.empty_like(in_gate_order)
+    dense[np.ix_(idx, idx)] = in_gate_order
+    return dense
+
+
 def test_apply_site_matrix_agrees_with_kron():
+    n = 5
     rng = np.random.default_rng(3)
-    psi = random_state(3, rng)
+    psi = random_state(n, rng).amplitudes
+    mat = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
+    site_tuples = [(a,) for a in range(n)]
+    site_tuples += [(a, b) for a in range(n) for b in range(n) if a != b]
+    for sites in site_tuples:
+        d = 2 ** len(sites)
+        op = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        dense = _dense_local(op, sites, n)
+        assert_allclose(apply_site_matrix(psi, op, sites, n), dense @ psi, atol=1e-12)
+        assert_allclose(apply_site_matrix(mat, op, sites, n), dense @ mat, atol=1e-12)
+
+
+def test_apply_site_matrix_site_forms_and_rejections():
+    n = 5
+    rng = np.random.default_rng(4)
+    mat = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
     u = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    for site, ops in [(0, (u, np.eye(2), np.eye(2))), (2, (np.eye(2), np.eye(2), u))]:
-        full = np.kron(np.kron(ops[0], ops[1]), ops[2])
-        assert_allclose(
-            apply_site_matrix(psi.amplitudes, u, site, 3),
-            full @ psi.amplitudes,
-            atol=1e-12,
+    for site in range(n):
+        assert np.array_equal(
+            apply_site_matrix(mat, u, site, n), apply_site_matrix(mat, u, (site,), n)
         )
+    gate = np.eye(4)
+    for sites, op in [(5, u), (-1, u), ((0, 5), gate), ((2, 2), gate), ((0, 1), u), (0, gate)]:
+        with pytest.raises(ValidationError):
+            apply_site_matrix(mat, op, sites, n)
 
 
 def test_expectation_of_pauli_strings():
