@@ -123,6 +123,36 @@ def heisenberg_conjugate(operator: np.ndarray, circuit: BrickworkCircuit) -> np.
     return out
 
 
+def backward_light_cone(
+    circuit: BrickworkCircuit, site: int
+) -> tuple[tuple[int, ...], BrickworkCircuit]:
+    """Sites and gates that U^dagger P U can depend on, for P acting on ``site``.
+
+    Walks the layers from last to first, keeping every gate that touches the
+    support grown so far; every other gate meets the evolved operator as the
+    identity and cancels exactly.  Returns the sorted cone sites and the kept
+    gates as a circuit on len(sites) qubits, cone site ``sites[i]`` relabelled
+    to qubit i.
+    """
+    if not 0 <= site < circuit.n_qubits:
+        raise ValidationError(f"site {site} outside [0, {circuit.n_qubits})")
+    support = {site}
+    kept = []
+    for layer in reversed(circuit.layers):
+        touching = [gate for gate in layer if support.intersection(gate.sites)]
+        for gate in touching:
+            support.update(gate.sites)
+        kept.append(touching)
+    sites = tuple(sorted(support))
+    index = {s: i for i, s in enumerate(sites)}
+    layers = tuple(
+        tuple(Gate(tuple(index[s] for s in gate.sites), gate.matrix) for gate in layer)
+        for layer in reversed(kept)
+        if layer
+    )
+    return sites, BrickworkCircuit(len(sites), layers)
+
+
 @dataclass(frozen=True)
 class KrausChannel:
     """Completely positive trace-preserving map on a fixed site tuple."""

@@ -27,6 +27,7 @@ from .config import (
     build_state,
     circuit_depth_range,
     dicke_excitations,
+    dicke_half_filling,
     load_config,
     validate_config,
 )
@@ -113,7 +114,7 @@ def _sweep_distribution(cfg: ExperimentConfig, n: int) -> u1.ChargeDistribution:
         return closedforms.kink_distribution(n)
     if cfg.experiment == "product-sweep":
         return closedforms.poisson_binomial(_bernoulli_vector(spec["x"], n))
-    if "k" not in spec and float(spec.get("ratio", 0.5)) == 0.5:
+    if dicke_half_filling(spec):
         return closedforms.dicke_half_distribution(n // 2)
     return closedforms.dicke_x_distribution(n, dicke_excitations(spec, n))
 
@@ -447,11 +448,20 @@ _NAMED_STATES = {
 }
 
 
+def _random_spec_from_arg(arg: str) -> dict:
+    """Spec of ``random:SEED``; a seed that is not an integer is a config error."""
+    text = arg.split(":", 1)[1]
+    try:
+        return {"kind": "random", "seed": int(text)}
+    except ValueError:
+        raise ConfigError(f"seed {text!r} in {arg!r} is not an integer") from None
+
+
 def _state_spec_from_arg(arg: str) -> dict:
     if arg in _NAMED_STATES:
         return dict(_NAMED_STATES[arg])
     if arg.startswith("random:"):
-        return {"kind": "random", "seed": int(arg.split(":", 1)[1])}
+        return _random_spec_from_arg(arg)
     return {"kind": "vector", "path": arg}
 
 
@@ -463,7 +473,7 @@ def _input_spec_from_arg(arg: str | None):
     if arg == "random":
         return {"kind": "random"}
     if arg.startswith("random:"):
-        return {"kind": "random", "seed": int(arg.split(":", 1)[1])}
+        return _random_spec_from_arg(arg)
     try:
         with open(arg) as handle:
             return json.load(handle)

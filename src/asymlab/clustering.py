@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceError, ValidationError
-from .circuits import BrickworkCircuit, heisenberg_conjugate
+from .circuits import BrickworkCircuit, backward_light_cone, heisenberg_conjugate
 from .lattice import LatticeGeometry, distance
 from .states import (
     PAULI,
@@ -167,6 +167,40 @@ def _support_mass_fractions(operator: np.ndarray, n: int) -> np.ndarray:
     return fractions
 
 
+def _check_spreading_inputs(circuit: BrickworkCircuit, geometry: LatticeGeometry) -> int:
+    n = circuit.n_qubits
+    if geometry.n_sites != n:
+        raise ValidationError(f"geometry has {geometry.n_sites} sites, circuit has {n}")
+    cap = density_matrix_cap()
+    if n > cap:
+        raise ResourceError(
+            f"N={n} exceeds the density-matrix cap of {cap} qubits for operator conjugation"
+        )
+    return n
+
+
+def _seed_spread(
+    geometry: LatticeGeometry,
+    seed: int,
+    sites: tuple[int, ...],
+    circuit: BrickworkCircuit,
+    threshold: float,
+) -> int:
+    """Spread of the three Paulis on ``seed``, conjugated through a circuit on ``sites``.
+
+    Qubit i of ``circuit`` is lattice site ``sites[i]``.
+    """
+    k = len(sites)
+    eye = np.eye(2**k, dtype=complex)
+    spread = 0
+    for axis in ("x", "y", "z"):
+        op = apply_pauli(eye, sites.index(seed), axis, k)
+        fractions = _support_mass_fractions(heisenberg_conjugate(op, circuit), k)
+        for i in np.flatnonzero(fractions > threshold):
+            spread = max(spread, distance(geometry, seed, sites[i]))
+    return spread
+
+
 def operator_spreading_range(
     circuit: BrickworkCircuit,
     geometry: LatticeGeometry,
@@ -176,27 +210,29 @@ def operator_spreading_range(
 
     Conjugates every single-site Pauli through the circuit and reports the
     largest graph distance from the seed site to any site still carrying
-    squared Pauli weight above ``threshold``.  Needs a dense 2^N x 2^N
-    operator, so N is limited by the density-matrix cap.
+    squared Pauli weight above ``threshold``.  Each seed's Paulis are evolved
+    on its backward light cone alone (``circuits.backward_light_cone``): sites
+    outside the cone carry exactly zero weight, and the work is 4^k per seed
+    for a cone of k sites.  N is still limited by the density-matrix cap.
     """
-    n = circuit.n_qubits
-    if geometry.n_sites != n:
-        raise ValidationError(f"geometry has {geometry.n_sites} sites, circuit has {n}")
-    cap = density_matrix_cap()
-    if n > cap:
-        raise ResourceError(
-            f"N={n} exceeds the density-matrix cap of {cap} qubits for operator conjugation"
-        )
+    n = _check_spreading_inputs(circuit, geometry)
     spread = 0
-    eye = np.eye(2**n, dtype=complex)
     for seed in range(n):
-        for axis in ("x", "y", "z"):
-            op = apply_pauli(eye, seed, axis, n)
-            evolved = heisenberg_conjugate(op, circuit)
-            fractions = _support_mass_fractions(evolved, n)
-            support = np.flatnonzero(fractions > threshold)
-            for site in support:
-                spread = max(spread, distance(geometry, seed, int(site)))
+        sites, cone = backward_light_cone(circuit, seed)
+        spread = max(spread, _seed_spread(geometry, seed, sites, cone, threshold))
+    return spread
+
+
+def _dense_spreading_range(
+    circuit: BrickworkCircuit,
+    geometry: LatticeGeometry,
+    threshold: float = SPREAD_THRESHOLD,
+) -> int:
+    """Reference route of ``operator_spreading_range``: every Pauli on all N qubits."""
+    n = _check_spreading_inputs(circuit, geometry)
+    spread = 0
+    for seed in range(n):
+        spread = max(spread, _seed_spread(geometry, seed, tuple(range(n)), circuit, threshold))
     return spread
 
 

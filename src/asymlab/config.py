@@ -106,7 +106,7 @@ def _check_sweep_envelope(experiment: str, state_spec: dict, sweep) -> None:
     elif experiment == "product-sweep":
         cap = PRODUCT_SWEEP_MAX
         name = "PRODUCT_SWEEP_MAX"
-    elif state_spec.get("ratio") == 0.5 and "k" not in state_spec:
+    elif dicke_half_filling(state_spec):
         cap = DICKE_HALF_SWEEP_MAX
         name = "DICKE_HALF_SWEEP_MAX"
     else:
@@ -241,6 +241,11 @@ def _bernoulli_vector(x, n: int) -> np.ndarray:
     if arr.size != n:
         raise ConfigError(f"bernoulli x lists {arr.size} sites, state has {n}")
     return arr
+
+
+def dicke_half_filling(spec: dict) -> bool:
+    """Whether a dicke spec takes the half-filling closed form: no 'k', ratio 0.5 or unset."""
+    return "k" not in spec and float(spec.get("ratio", 0.5)) == 0.5
 
 
 def dicke_excitations(spec: dict, n: int) -> int:

@@ -871,20 +871,26 @@ def _oracle_charge_correlators(rng) -> CheckResult:
 
 
 def _oracle_spreading(rng) -> CheckResult:
-    worst = 0
-    geo = lattice.LatticeGeometry(1, 6)
-    identity = circuits.BrickworkCircuit(6, ())
-    worst = max(worst, clustering.operator_spreading_range(identity, geo) - 0)
+    """Known spreads; each circuit also goes through the dense reference route."""
+    geo6 = lattice.LatticeGeometry(1, 6)
+    geo8 = lattice.LatticeGeometry(1, 8)
     swap_layer = circuits.BrickworkCircuit(
         6,
         (tuple(circuits.Gate((2 * i, 2 * i + 1), circuits.swap_gate()) for i in range(3)),),
     )
-    worst = max(worst, abs(clustering.operator_spreading_range(swap_layer, geo) - 1))
-    geo8 = lattice.LatticeGeometry(1, 8)
-    circ = circuits.random_brickwork(geo8, 2, rng)
-    spread = clustering.operator_spreading_range(circ, geo8)
-    if spread > 2:
-        worst = max(worst, spread - 2)
+    cases = (
+        (circuits.BrickworkCircuit(6, ()), geo6, 0),
+        (swap_layer, geo6, 1),
+        (circuits.random_brickwork(geo8, 2, rng), geo8, None),
+    )
+    worst = 0
+    mismatches = 0
+    for circ, geo, exact in cases:
+        spread = clustering.operator_spreading_range(circ, geo)
+        mismatches += spread != clustering._dense_spreading_range(circ, geo)
+        excess = spread - 2 if exact is None else abs(spread - exact)
+        worst = max(worst, excess)
+    worst += mismatches
     return CheckResult(
         "spreading-examples", worst == 0, 0.5 - worst, "identity, swap layer, depth-2"
     )

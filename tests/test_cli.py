@@ -154,6 +154,18 @@ def test_env_override_lifts_the_cap(tmp_path, monkeypatch):
     assert main(["run", cfg]) == 0
 
 
+def test_dicke_sweep_cap_follows_the_route_taken(tmp_path, capsys):
+    """No ratio means half filling, so the half-filling cap applies; ratio 0.25 keeps 2048."""
+    spec = {"kind": "dicke"}
+    cfg = {"experiment": "dicke-sweep", "sweep": [100, 4000], "state_spec": spec,
+           "output": str(tmp_path / "out")}
+    assert main(["run", _write(tmp_path / "half.json", cfg)]) == 0
+    assert (tmp_path / "out" / "results.csv").exists()
+    spec["ratio"] = 0.25
+    assert main(["run", _write(tmp_path / "quarter.json", cfg)]) == 3
+    assert "DICKE_GENERAL_SWEEP_MAX" in capsys.readouterr().err
+
+
 def test_failed_invariant_exits_4(tmp_path):
     rng = np.random.default_rng(3)
     geo = LatticeGeometry(1, 8)
@@ -284,6 +296,17 @@ def _max_qubits_not_int(tmp_path, monkeypatch):
     return ["run", _write(tmp_path / "cfg.json", cfg)]
 
 
+def _su2_random_seed_not_int(tmp_path, monkeypatch):
+    return ["su2", "--state", "random:x", "--n", "4", "--output", str(tmp_path / "out")]
+
+
+def _clustering_input_random_seed_not_int(tmp_path, monkeypatch):
+    path = tmp_path / "circ.json"
+    save_circuit(random_brickwork(LatticeGeometry(1, 4), 1, 0), path)
+    return ["clustering", "--circuit", str(path), "--input", "random:x",
+            "--linear-size", "4", "--output", str(tmp_path / "out")]
+
+
 def _product_x_length_mismatch(tmp_path, monkeypatch):
     cfg = {
         "experiment": "product-sweep",
@@ -302,6 +325,8 @@ def _product_x_length_mismatch(tmp_path, monkeypatch):
         _circuit_not_json,
         _max_qubits_not_int,
         _product_x_length_mismatch,
+        _su2_random_seed_not_int,
+        _clustering_input_random_seed_not_int,
     ],
 )
 def test_malformed_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, make_argv):

@@ -5,10 +5,14 @@ from numpy.testing import assert_allclose
 from asymlab.circuits import (
     BrickworkCircuit,
     Gate,
+    backward_light_cone,
+    heisenberg_conjugate,
     random_brickwork,
+    random_charge_conserving_brickwork,
     swap_gate,
 )
 from asymlab.clustering import (
+    _dense_spreading_range,
     connected_correlator,
     operator_spreading_range,
     variance_bound_check,
@@ -16,7 +20,14 @@ from asymlab.clustering import (
 )
 from asymlab.errors import ResourceError, ValidationError
 from asymlab.lattice import LatticeGeometry, lightcone_range
-from asymlab.states import PAULI, ghz_state, plus_state, product_state, random_state
+from asymlab.states import (
+    PAULI,
+    apply_pauli,
+    ghz_state,
+    plus_state,
+    product_state,
+    random_state,
+)
 from asymlab.u1 import charge_distribution
 
 
@@ -109,6 +120,62 @@ def test_operator_spreading_bounded_by_lightcone():
         geo = LatticeGeometry(1, 8)
         circ = random_brickwork(geo, depth, rng)
         assert operator_spreading_range(circ, geo) <= lightcone_range(depth)
+
+
+def _spreading_cases():
+    rng = np.random.default_rng(11)
+    for n in range(4, 10):
+        geo = LatticeGeometry(1, n)
+        for depth in range(5):
+            yield random_brickwork(geo, depth, rng), geo
+    torus = LatticeGeometry(2, 3)
+    for depth in (1, 2, 3):
+        yield random_brickwork(torus, depth, rng), torus
+    for geo in (LatticeGeometry(1, 7), torus):
+        yield random_charge_conserving_brickwork(geo, 3, rng), geo
+    ring = LatticeGeometry(1, 6)
+    yield BrickworkCircuit(6, ()), ring
+    swaps = tuple(Gate((2 * i, 2 * i + 1), swap_gate()) for i in range(3))
+    shifted = tuple(Gate((2 * i + 1, (2 * i + 2) % 6), swap_gate()) for i in range(3))
+    yield BrickworkCircuit(6, (swaps,)), ring
+    yield BrickworkCircuit(6, (swaps, shifted)), ring
+
+
+def test_light_cone_spreading_equals_dense_spreading():
+    for circ, geo in _spreading_cases():
+        cone = operator_spreading_range(circ, geo)
+        dense = _dense_spreading_range(circ, geo)
+        assert type(cone) is int and cone == dense, (geo, circ.depth)
+
+
+def _embedded_cone_conjugate(sites, cone, seed, axis, n):
+    """Cone-route U^dagger P U tensored with identity off the cone, in lattice order."""
+    k = len(sites)
+    pauli = apply_pauli(np.eye(2**k, dtype=complex), sites.index(seed), axis, k)
+    local = heisenberg_conjugate(pauli, cone)
+    order = list(sites) + [s for s in range(n) if s not in sites]
+    full = np.kron(local, np.eye(2 ** (n - k))).reshape((2,) * (2 * n))
+    back = np.argsort(order)
+    return full.transpose(list(back) + [n + b for b in back]).reshape(2**n, 2**n)
+
+
+def test_light_cone_operator_matches_dense_conjugation():
+    n = 7
+    geo = LatticeGeometry(1, n)
+    for seed in range(3):
+        circ = random_brickwork(geo, 3, np.random.default_rng(seed))
+        for site in (0, 3, n - 1):
+            sites, cone = backward_light_cone(circ, site)
+            assert site in sites and len(sites) <= 2 * circ.depth + 1
+            dropped = BrickworkCircuit(cone.n_qubits, (cone.layers[0][1:],) + cone.layers[1:])
+            for axis in "xyz":
+                dense = heisenberg_conjugate(
+                    apply_pauli(np.eye(2**n, dtype=complex), site, axis, n), circ
+                )
+                embedded = _embedded_cone_conjugate(sites, cone, site, axis, n)
+                assert np.max(np.abs(embedded - dense)) < 1e-12
+                mutant = _embedded_cone_conjugate(sites, dropped, site, axis, n)
+                assert np.max(np.abs(mutant - dense)) > 1e-6
 
 
 def test_operator_spreading_rejects_large_systems(monkeypatch):
