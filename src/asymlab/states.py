@@ -6,8 +6,8 @@ site ``j``.  Equivalently ``product_state`` is a plain Kronecker product in
 site order.  Local operators follow the same order: ``apply_site_matrix``
 reads a k-site operator with its first listed site as the most significant
 bit, so ``kron(op_a, op_b)`` on sites ``(a, b)`` puts ``op_a`` on site a
-whether a < b or a > b.  States are immutable from the caller's point of
-view; every operation returns a new object.
+whether a < b or a > b.  States are frozen dataclasses over read-only arrays;
+every operation returns a new object.
 """
 from __future__ import annotations
 
@@ -66,7 +66,7 @@ def _infer_n_qubits(dim: int) -> int:
     return n
 
 
-@dataclass
+@dataclass(frozen=True)
 class StateVector:
     """Normalized pure state of ``n_qubits`` qubits."""
 
@@ -98,7 +98,7 @@ class StateVector:
         return DensityMatrix(self.n_qubits, np.outer(a, a.conj()))
 
 
-@dataclass
+@dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, unit-trace operator on ``n_qubits`` qubits."""
 

@@ -197,7 +197,9 @@ class SectorTable:
 
 
 def _schur_coefficients(state: StateVector, basis: SchurBasis) -> np.ndarray:
-    return basis.matrix.T @ state.amplitudes
+    # the basis is real: two real products avoid a complex copy of the 2^N x 2^N matrix
+    amps = state.amplitudes
+    return basis.matrix.T @ amps.real + 1j * (basis.matrix.T @ amps.imag)
 
 
 def _check_basis(state: State, basis: SchurBasis):
@@ -353,7 +355,7 @@ def global_rotation(arr: np.ndarray, u: np.ndarray, n: int) -> np.ndarray:
     arr = arr.T
     for site in range(n):
         arr = apply_site_matrix(arr, u.conj(), site, n)
-    return arr.T
+    return np.ascontiguousarray(arr.T)
 
 
 def su2_twirl_haar(state: State, tol: float = 1e-8, max_refinements: int = 6) -> DensityMatrix:
@@ -388,15 +390,27 @@ def su2_twirl_haar(state: State, tol: float = 1e-8, max_refinements: int = 6) ->
 
 
 def spin_moments(state: State) -> dict:
-    """First and second moments of the collective spin S = sum_j sigma_j / 2."""
+    """First and second moments of the collective spin S = sum_j sigma_j / 2.
+
+    <Sz> and <Sz^2> are read off the computational-basis weights.  A pure
+    state gets its x and y moments from Sum_j sigma^a_j applied to psi, one
+    Pauli per site: O(N 2^N).  A density matrix is never multiplied: each
+    <sigma^a_j> and <sigma^a_i sigma^a_j> is a signed sum of the entries
+    rho[l, l ^ mask] over one or two flipped sites, gathered for all masks at
+    once: O(N^2 2^N) reads of rho.
+    """
     n = state.n_qubits
+    m_values = (n - 2.0 * bit_weights(n)) / 2.0
+    if isinstance(state, StateVector):
+        probs = state.probabilities()
+    else:
+        probs = state.diagonal()
+    out = {
+        "sz": float(np.sum(probs * m_values)),
+        "sz2": float(np.sum(probs * m_values**2)),
+    }
     if isinstance(state, StateVector):
         psi = state.amplitudes
-        m_values = (n - 2.0 * bit_weights(n)) / 2.0
-        out = {
-            "sz": float(np.sum(state.probabilities() * m_values)),
-            "sz2": float(np.sum(state.probabilities() * m_values**2)),
-        }
         for axis in ("x", "y"):
             phi = np.zeros_like(psi)
             for site in range(n):
@@ -405,20 +419,37 @@ def spin_moments(state: State) -> dict:
             out[f"s{axis}"] = float(np.real(np.vdot(psi, phi)))
             out[f"s{axis}2"] = float(np.real(np.vdot(phi, phi)))
     else:
-        out = {}
-        for axis in ("x", "y", "z"):
-            collect = np.zeros_like(state.matrix)
-            for site in range(n):
-                collect += apply_pauli(state.matrix, site, axis, n)
-            collect /= 2.0
-            out[f"s{axis}"] = float(np.real(np.trace(collect)))
-            second = np.zeros_like(state.matrix)
-            for site in range(n):
-                second += apply_pauli(collect, site, axis, n)
-            second /= 2.0
-            out[f"s{axis}2"] = float(np.real(np.trace(second)))
+        out.update(_transverse_moments(state.matrix, n, float(np.sum(probs))))
     out["s2"] = out["sx2"] + out["sy2"] + out["sz2"]
     return out
+
+
+def _transverse_moments(rho: np.ndarray, n: int, trace: float) -> dict:
+    """<Sx>, <Sy>, <Sx^2>, <Sy^2> of a density matrix by gathering its entries.
+
+    With b_j = 1 << (n-1-j) the flip mask of site j:
+    <sigma^x_j> = sum_l rho[l, l^b_j] and <sigma^y_j> = i sum_l (-1)^{l_j} rho[l, l^b_j];
+    for i < j, <sigma^x_i sigma^x_j> = sum_l rho[l, l^b_i^b_j] and
+    <sigma^y_i sigma^y_j> = -sum_l (-1)^{l_i + l_j} rho[l, l^b_i^b_j].
+    Then <S_a> = sum_j <sigma^a_j> / 2 and <S_a^2> = (N tr rho + 2 sum_{i<j} <sigma^a_i sigma^a_j>) / 4.
+    """
+    rows = np.arange(2**n)
+    shifts = np.arange(n - 1, -1, -1)
+    masks = 1 << shifts
+    bits = (rows >> shifts[:, None]) & 1
+    first, second = np.triu_indices(n, k=1)
+
+    single = rho[rows, rows ^ masks[:, None]]
+    pair = rho[rows, rows ^ (masks[first] | masks[second])[:, None]]
+    single_sign = 1 - 2 * bits
+    pair_sign = 1 - 2 * (bits[first] ^ bits[second])
+
+    return {
+        "sx": float(np.real(np.sum(single))) / 2.0,
+        "sy": float(np.real(1j * np.sum(single_sign * single))) / 2.0,
+        "sx2": (n * trace + 2.0 * float(np.real(np.sum(pair)))) / 4.0,
+        "sy2": (n * trace - 2.0 * float(np.real(np.sum(pair_sign * pair)))) / 4.0,
+    }
 
 
 def zero_transverse_rotation(state: State):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -41,6 +42,17 @@ def test_density_matrix_validation():
         DensityMatrix(1, np.array([[0.7, 0.0], [0.0, 0.7]]))
     rho = DensityMatrix(1, np.eye(2) / 2.0)
     assert_allclose(rho.purity(), 0.5)
+
+
+def test_states_are_frozen():
+    psi = zero_state(2)
+    rho = psi.to_density_matrix()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        psi.amplitudes = np.zeros(4, dtype=complex)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rho.matrix = np.eye(4) / 4
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rho.n_qubits = 3
 
 
 def test_negative_spectrum_rejected_at_entropy_time():

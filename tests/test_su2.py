@@ -9,9 +9,11 @@ from asymlab.closedforms import dicke_state
 from asymlab.errors import PreconditionError, ValidationError
 from asymlab.lattice import LatticeGeometry
 from asymlab.states import (
+    DensityMatrix,
     StateVector,
     apply_site_matrix,
     ghz_state,
+    product_state,
     random_density_matrix,
     random_state,
     von_neumann_entropy,
@@ -20,6 +22,7 @@ from asymlab.states import (
 from asymlab.su2 import (
     build_schur_basis,
     casimir_constraint_check,
+    global_rotation,
     load_schur_basis,
     multiplicity,
     save_schur_basis,
@@ -208,6 +211,68 @@ def test_spin_moments_density_matrix_route_agrees():
     b = spin_moments(psi.to_density_matrix())
     for key in a:
         assert_allclose(a[key], b[key], atol=1e-10)
+
+
+def _eigen_mixture_moments(rho: DensityMatrix) -> dict:
+    """Sum_k p_k spin_moments(psi_k) over the eigenvectors of rho, via the pure route."""
+    evals, evecs = np.linalg.eigh(rho.matrix)
+    total: dict = {}
+    for p, vec in zip(evals, evecs.T):
+        for key, value in spin_moments(StateVector(rho.n_qubits, vec)).items():
+            total[key] = total.get(key, 0.0) + p * value
+    return total
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_spin_moments_of_density_matrix_match_eigen_mixture(n):
+    rng = np.random.default_rng(100 + n)
+    for rank in (1, 3, 2**n):
+        rho = random_density_matrix(n, rng, rank=min(rank, 2**n))
+        expected = _eigen_mixture_moments(rho)
+        got = spin_moments(rho)
+        fortran = spin_moments(DensityMatrix(n, np.asfortranarray(rho.matrix)))
+        assert set(got) == set(expected)
+        for key in expected:
+            assert_allclose(got[key], expected[key], atol=1e-12, err_msg=f"{key} rank {rank}")
+            assert_allclose(fortran[key], expected[key], atol=1e-12, err_msg=f"{key} F order")
+
+
+@pytest.mark.parametrize("n", [3, 4, 7])
+def test_spin_moments_of_density_matrix_closed_forms(n):
+    ghz = spin_moments(ghz_state(n).to_density_matrix())
+    assert_allclose(
+        [ghz[k] for k in ("sx", "sy", "sz", "sx2", "sy2", "sz2")],
+        [0.0, 0.0, 0.0, n / 4, n / 4, n**2 / 4],
+        atol=1e-12,
+    )
+    mixed = spin_moments(DensityMatrix(n, np.eye(2**n) / 2**n))
+    assert_allclose(
+        [mixed[k] for k in ("sx", "sy", "sz", "sx2", "sy2", "sz2", "s2")],
+        [0.0, 0.0, 0.0, n / 4, n / 4, n / 4, 3 * n / 4],
+        atol=1e-12,
+    )
+    plus_x = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    plus_y = np.array([1.0, 1.0j]) / np.sqrt(2.0)
+    for axis, local in (("x", plus_x), ("y", plus_y)):
+        rho = product_state([np.outer(local, local.conj())] * n)
+        assert isinstance(rho, DensityMatrix)
+        mom = spin_moments(rho)
+        for other in {"x", "y", "z"} - {axis}:
+            assert_allclose(mom[f"s{other}"], 0.0, atol=1e-12)
+            assert_allclose(mom[f"s{other}2"], n / 4, atol=1e-12)
+        assert_allclose(mom[f"s{axis}"], n / 2, atol=1e-12)
+        assert_allclose(mom[f"s{axis}2"], n**2 / 4, atol=1e-12)
+
+
+def test_rotated_density_matrix_is_c_contiguous():
+    rng = np.random.default_rng(53)
+    rho = random_density_matrix(4, rng, rank=2)
+    u = haar_unitary(2, rng)
+    assert global_rotation(rho.matrix, u, 4).flags.c_contiguous
+    plus_x = np.array([[0.5, 0.5], [0.5, 0.5]])
+    gauged, _ = zero_transverse_rotation(product_state([plus_x] * 4))
+    assert isinstance(gauged, DensityMatrix)
+    assert gauged.matrix.flags.c_contiguous
 
 
 def test_zero_transverse_rotation_aligns_mean_spin():
