@@ -4,17 +4,19 @@ Everything here avoids statevectors, so sweeps can run far beyond the
 simulation caps.  Binomial coefficients use exact integers up to n = 20 and
 log-gamma beyond; oscillatory Krawtchouk values come from a three-term
 recurrence, with the alternating sum kept only as an exact-rational oracle.
+scipy is imported inside the two functions that use it (log-gamma and
+quadrature), so ``import asymlab`` loads no scipy module and a process pays
+for one only when it first calls them.
 """
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammaln
 
 from .errors import ValidationError
 from .states import StateVector, _check_cap, bit_weights, statevector_cap
@@ -25,6 +27,8 @@ EXACT_BINOMIAL_LIMIT = 20
 
 def log_binomial(n: int, k) -> np.ndarray | float:
     """ln C(n, k) via log-gamma; k may be an array."""
+    from scipy.special import gammaln
+
     k = np.asarray(k, dtype=float)
     out = gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
     return out if out.ndim else float(out)
@@ -44,6 +48,19 @@ def _check_kraw_args(i: int, k: int, n: int):
         raise ValidationError(f"need 0 <= i,k <= n, got i={i}, k={k}, n={n}")
 
 
+def _krawtchouk_steps(x, d_max: int, n: int):
+    """Yield K_0(x), ..., K_{d_max}(x) of the degree recurrence; x is an int or int array."""
+    prev, cur = 1.0, 1.0
+    yield cur
+    for d in range(d_max):
+        if d == 0:
+            nxt = (n - 2.0 * x) / n
+        else:
+            nxt = ((n - 2.0 * x) * cur - d * prev) / (n - d)
+        prev, cur = cur, nxt
+        yield cur
+
+
 def krawtchouk(i: int, k: int, n: int) -> float:
     """Symmetric Krawtchouk polynomial K_i(k; 1/2, n), K_0 = 1.
 
@@ -53,14 +70,7 @@ def krawtchouk(i: int, k: int, n: int) -> float:
     """
     _check_kraw_args(i, k, n)
     d_max, x = (i, k) if i <= k else (k, i)
-    prev, cur = 1.0, 1.0
-    for d in range(d_max):
-        if d == 0:
-            nxt = (n - 2.0 * x) / n
-        else:
-            nxt = ((n - 2.0 * x) * cur - d * prev) / (n - d)
-        prev, cur = cur, nxt
-    return cur
+    return deque(_krawtchouk_steps(x, d_max, n), maxlen=1)[0]
 
 
 def krawtchouk_exact(i: int, k: int, n: int) -> Fraction:
@@ -98,15 +108,20 @@ def dicke_x_coefficients(n: int, k: int) -> np.ndarray:
     """Coefficients of H^{(x) n}|D_k^z> in the z Dicke basis, index i = 0..n.
 
     c_i = 2^{-n/2} sqrt(C(n,i) C(n,k)) K_i(k; 1/2, n), assembled in log space.
+    K_i(k) is ``krawtchouk(i, k, n)`` step for step: for i <= k every step of
+    one recurrence at x = k, and for i > k the degree-k recurrence run once
+    over the vector x = k+1..n.
     """
     if not 0 <= k <= n:
         raise ValidationError(f"excitation number k={k} outside [0, {n}]")
-    out = np.empty(n + 1)
-    log_ck = log_binomial(n, k)
-    for i in range(n + 1):
-        kr = krawtchouk(i, k, n)
-        log_mag = -0.5 * n * np.log(2.0) + 0.5 * (log_binomial(n, i) + log_ck)
-        out[i] = np.sign(kr) * np.exp(log_mag + np.log(abs(kr))) if kr != 0.0 else 0.0
+    kr = np.empty(n + 1)
+    kr[: k + 1] = list(_krawtchouk_steps(k, k, n))
+    kr[k + 1 :] = deque(_krawtchouk_steps(np.arange(k + 1, n + 1), k, n), maxlen=1)[0]
+    log_ci = log_binomial(n, np.arange(n + 1))
+    log_mag = -0.5 * n * np.log(2.0) + 0.5 * (log_ci + log_binomial(n, k))
+    out = np.zeros(n + 1)
+    nz = kr != 0.0
+    out[nz] = np.sign(kr[nz]) * np.exp(log_mag[nz] + np.log(np.abs(kr[nz])))
     return out
 
 
@@ -172,16 +187,36 @@ def kink_distribution(n: int) -> ChargeDistribution:
     return ChargeDistribution.from_probs(probs)
 
 
-def poisson_binomial(x) -> ChargeDistribution:
-    """Distribution of a sum of independent Bernoulli(x_j) charges.
-
-    Direct O(N^2) convolution; feasible to N ~ 10^4.
-    """
+def _bernoulli_means(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 1:
         raise ValidationError("x must be a non-empty 1-d array")
     if np.any((x < 0.0) | (x > 1.0)):
         raise ValidationError("Bernoulli means must lie in [0, 1]")
+    return x
+
+
+def poisson_binomial(x) -> ChargeDistribution:
+    """Distribution of a sum of independent Bernoulli(x_j) charges.
+
+    The generating polynomial prod_j (1 - x_j + x_j t) is multiplied out as a
+    balanced tree: neighbouring factors are convolved pairwise (``np.convolve``,
+    direct sums of nonnegative terms) level by level until one polynomial is
+    left: the same sums of nonnegative products as the one-factor-at-a-time
+    dynamic program that ``_poisson_binomial_dp`` keeps as the reference, with
+    N - 1 calls into C instead of N Python steps over the whole array.
+    """
+    x = _bernoulli_means(x)
+    polys = list(np.stack([1.0 - x, x], axis=1))
+    while len(polys) > 1:
+        paired = [np.convolve(a, b) for a, b in zip(polys[::2], polys[1::2])]
+        polys = paired + polys[len(paired) * 2 :]
+    return ChargeDistribution.from_probs(polys[0])
+
+
+def _poisson_binomial_dp(x) -> ChargeDistribution:
+    """Reference route of ``poisson_binomial``: fold in one factor at a time, O(N^2)."""
+    x = _bernoulli_means(x)
     probs = np.array([1.0])
     for xj in x:
         nxt = np.zeros(probs.size + 1)
@@ -218,6 +253,8 @@ class ContinuousChargeDensity:
 
     def _quad_pair(self) -> tuple[float, float]:
         """(integral of p, integral of p ln p) by quadrature."""
+        from scipy.integrate import quad
+
         if self.descriptor == "arcsine":
             def mass(theta):
                 return 2.0 / np.pi

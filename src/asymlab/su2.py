@@ -217,8 +217,8 @@ def sector_distribution(state: State, basis: SchurBasis) -> SectorTable:
     if isinstance(state, StateVector):
         weights = np.abs(_schur_coefficients(state, basis)) ** 2
     else:
-        rot = basis.matrix.T @ state.matrix @ basis.matrix
-        weights = np.real(np.diag(rot))
+        # diag(B^T rho B) with B real; Im rho is antisymmetric, so it adds nothing
+        weights = np.einsum("ij,ij->j", basis.matrix, state.matrix.real @ basis.matrix)
     p_sm = np.zeros((half + 1, n + 1))
     for col, (s, m, _alpha) in enumerate(basis.labels):
         p_sm[s, m + half] += weights[col]

@@ -799,18 +799,21 @@ def _oracle_bernoulli_sum(rng) -> CheckResult:
     pmix = closedforms.poisson_binomial([0.2, 0.7]).probs
     worst = max(worst, float(np.abs(pmix - np.array([0.24, 0.62, 0.14])).max()))
     x = rng.random(9)
-    dp = closedforms.poisson_binomial(x)
+    tree = closedforms.poisson_binomial(x)
+    dp = closedforms._poisson_binomial_dp(x)
+    worst = max(worst, float(np.abs(tree.probs - dp.probs).max()))
     k = x.size + 1
     alphas = 2 * math.pi * np.arange(k) / k
     values = np.array(
         [np.prod(np.exp(1j * a) * x + 1.0 - x) for a in alphas]
     )
     fourier = u1.distribution_from_generating_function(values, x.size + 1)
-    fworst = float(np.abs(dp.probs - fourier.probs).max())
+    fworst = float(np.abs(tree.probs - fourier.probs).max())
     tol = 1e-10
     worst = max(worst, fworst)
     return CheckResult(
-        "bernoulli-sum-worked-examples", worst <= tol, tol - worst, "dp vs fourier inversion"
+        "bernoulli-sum-worked-examples", worst <= tol, tol - worst,
+        "tree vs dp and fourier inversion",
     )
 
 

@@ -41,7 +41,7 @@ class ChargeDistribution:
         low = float(p.min())
         if low < NEGATIVE_PROBABILITY_TOL:
             raise ValidationError(f"charge probability {low:.3e} below {NEGATIVE_PROBABILITY_TOL}")
-        p = np.clip(p, 0.0, None)
+        np.clip(p, 0.0, None, out=p)
         total = float(p.sum())
         if abs(total - 1.0) > SUM_TOL:
             raise ValidationError(f"charge probabilities sum to {total!r}, not 1 within {SUM_TOL}")

@@ -1,11 +1,17 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import asymlab
 from asymlab.closedforms import (
+    _poisson_binomial_dp,
     arcsine_density,
     asymptotic_fit,
     binomial,
@@ -94,6 +100,22 @@ def test_dicke_x_coefficients_match_statevector():
             assert abs(overlap.imag) < 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 257])
+def test_dicke_x_coefficients_repeat_the_per_index_recurrence(n):
+    # the loop dicke_x_coefficients replaced: one krawtchouk call per index
+    def per_index(n, k):
+        out = np.empty(n + 1)
+        log_ck = log_binomial(n, k)
+        for i in range(n + 1):
+            kr = krawtchouk(i, k, n)
+            log_mag = -0.5 * n * np.log(2.0) + 0.5 * (log_binomial(n, i) + log_ck)
+            out[i] = np.sign(kr) * np.exp(log_mag + np.log(abs(kr))) if kr != 0.0 else 0.0
+        return out
+
+    for k in sorted({0, 1, n // 4, n // 2, n - 1, n}):
+        assert np.array_equal(dicke_x_coefficients(n, k), per_index(n, k)), (n, k)
+
+
 def test_dicke_n3_k1_worked_coefficients():
     got = dicke_x_coefficients(3, 1)
     want = np.array(
@@ -157,6 +179,71 @@ def test_poisson_binomial_homogeneous_is_binomial():
 def test_poisson_binomial_heterogeneous_worked_example():
     d = poisson_binomial([0.2, 0.7])
     assert_allclose(d.probs, [0.8 * 0.3, 0.2 * 0.3 + 0.8 * 0.7, 0.2 * 0.7], atol=1e-15)
+
+
+def _exact_bernoulli_sum(x) -> np.ndarray:
+    """Exact probabilities of prod_j (1 - x_j + x_j t), rounded once at the end.
+
+    The factors are the floats the code multiplies (1.0 - x_j and x_j), whose
+    denominators are powers of two, so one common denominator turns the
+    product into integer arithmetic.
+    """
+    factors = [(Fraction(1.0 - xj), Fraction(xj)) for xj in map(float, x)]
+    den = max(f.denominator for pair in factors for f in pair)
+    poly = [1]
+    for a, b in factors:
+        a, b = int(a * den), int(b * den)
+        nxt = [c * a for c in poly] + [0]
+        for i, c in enumerate(poly):
+            nxt[i + 1] += c * b
+        poly = nxt
+    total = den ** len(factors)
+    return np.array([float(Fraction(c, total)) for c in poly])
+
+
+@pytest.mark.parametrize(
+    "x",
+    [np.full(300, 0.3), np.random.default_rng(5).random(257), np.random.default_rng(6).random(600)],
+    ids=["homogeneous-300", "random-257", "random-600"],
+)
+def test_poisson_binomial_matches_exact_products(x):
+    exact = _exact_bernoulli_sum(x)
+    got = poisson_binomial(x).probs
+    big = exact >= 1e-14
+    assert np.max(np.abs(got[big] - exact[big]) / exact[big]) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 255, 1000, 1001, 4095, 4096])
+def test_poisson_binomial_tree_matches_dp(n):
+    x = np.random.default_rng(n).random(n)
+    x[:: max(n // 7, 2)] = 0.0
+    x[1 :: max(n // 5, 3)] = 1.0
+    tree = poisson_binomial(x).probs
+    dp = _poisson_binomial_dp(x).probs
+    assert tree.shape == dp.shape == (n + 1,)
+    # both are direct sums of nonnegative products: each entry carries at
+    # most ~2n roundings, so 4 n eps bounds the relative gap a priori
+    normal = dp >= 1e-280
+    rel = np.abs(tree[normal] - dp[normal]) / dp[normal]
+    assert rel.max() <= 4 * n * np.finfo(float).eps
+    assert np.all(tree[~normal] <= 1e-270)
+
+
+def test_poisson_binomial_edge_cases():
+    assert np.array_equal(poisson_binomial([0.3]).probs, [1.0 - 0.3, 0.3])
+    assert np.array_equal(poisson_binomial([0.0]).probs, [1.0, 0.0])
+    assert np.array_equal(poisson_binomial([1.0]).probs, [0.0, 1.0])
+    assert np.array_equal(poisson_binomial([0, 1, 1, 0, 1]).probs, [0, 0, 0, 1.0, 0, 0])
+    assert np.array_equal(poisson_binomial(np.zeros(7)).probs, np.eye(8)[0])
+    assert np.array_equal(poisson_binomial(np.ones(7)).probs, np.eye(8)[7])
+    x = [0.1, 0.25, 0.5, 0.9, 0.0]
+    for route in (poisson_binomial, _poisson_binomial_dp):
+        assert np.array_equal(route(x).probs, route(np.array(x)).probs)
+        assert np.array_equal(route(tuple(x)).probs, route(np.array(x)).probs)
+    for bad in ([], [[0.1, 0.2]], [1.2], [-0.1, 0.5]):
+        for route in (poisson_binomial, _poisson_binomial_dp):
+            with pytest.raises(ValidationError):
+                route(bad)
 
 
 def test_product_charge_state_matches_poisson_binomial():
@@ -224,3 +311,34 @@ def test_asymptotic_fit_validation():
         asymptotic_fit([(10.0, 1.0), (10.0, 2.0), (10.0, 3.0)])
     with pytest.raises(ValidationError):
         asymptotic_fit([(10.0, 1.0), (20.0, 2.0), (30.0, 3.0)], correction_power=0.5)
+
+
+def _run_fresh(code: str) -> str:
+    """Run ``code`` in a new interpreter that imports this checkout's asymlab."""
+    src = str(Path(asymlab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_asymlab_loads_no_scipy_integrate_or_special():
+    out = _run_fresh(
+        "import sys, asymlab\n"
+        "print(sorted(m for m in sys.modules"
+        " if m.startswith(('scipy.integrate', 'scipy.special'))))"
+    )
+    assert out.strip() == "[]"
+
+
+def test_arcsine_oracle_passes_with_lazy_quadrature():
+    out = _run_fresh(
+        "import sys, numpy as np\n"
+        "from asymlab import suite\n"
+        "r = suite._oracle_arcsine(np.random.default_rng(0))\n"
+        "print(r.name, r.passed, 'scipy.integrate' in sys.modules)"
+    )
+    assert out.split() == ["arcsine-and-table-integrals", "True", "True"]

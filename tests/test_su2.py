@@ -189,6 +189,21 @@ def test_sector_entropy_bound_and_support_bound_hold():
             assert_allclose(rep.bound_sector_entropy, su2_shannon_rhs(table), atol=1e-12)
 
 
+def test_sector_distribution_of_density_matrix_reads_the_rotated_diagonal():
+    rng = np.random.default_rng(47)
+    for n in (2, 4, 6):
+        basis = build_schur_basis(n)
+        for rank in (1, 3, None):
+            rho = random_density_matrix(n, rng, rank=rank)
+            assert np.abs(rho.matrix.imag).max() > 1e-3
+            full = np.real(np.diag(basis.matrix.T @ rho.matrix @ basis.matrix))
+            expected = np.zeros((n // 2 + 1, n + 1))
+            for col, (s, m, _alpha) in enumerate(basis.labels):
+                expected[s, m + n // 2] += full[col]
+            table = sector_distribution(rho, basis)
+            assert_allclose(table.p_sm, np.clip(expected, 0.0, None), rtol=0, atol=1e-14)
+
+
 def test_support_bound_value():
     # N=2: sum over s of (2s+1) min(n_s, 2s+1) = 1*1 + 3*1 = 4
     assert_allclose(su2_support_bound(2), math.log(4.0), atol=1e-14)
