@@ -59,13 +59,6 @@ def _check_cap(n_qubits: int, cap: int, name: str):
         raise ResourceError(f"N={n_qubits} exceeds the {name} cap of {cap} qubits")
 
 
-def _infer_n_qubits(dim: int) -> int:
-    n = int(dim).bit_length() - 1
-    if dim <= 0 or 2**n != dim:
-        raise ValidationError(f"dimension {dim} is not a power of two")
-    return n
-
-
 @dataclass(frozen=True)
 class StateVector:
     """Normalized pure state of ``n_qubits`` qubits."""
@@ -239,19 +232,22 @@ def entropy_of_probabilities(probs: np.ndarray) -> float:
     return float(-np.sum(p * np.log(p)))
 
 
-def von_neumann_entropy(state: State) -> float:
-    """Entropy -Tr[rho ln rho] in nats.
+def floored_spectrum(evals: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a density matrix with those in [EIGENVALUE_FLOOR, 0) clamped to 0.
 
-    Eigenvalues in [EIGENVALUE_FLOOR, 0) are clamped to 0; anything below the
-    floor raises ValidationError.
+    Anything below the floor raises ValidationError.
     """
-    if isinstance(state, StateVector):
-        return 0.0
-    evals = np.linalg.eigvalsh(state.matrix)
     low = float(evals.min(initial=0.0))
     if low < EIGENVALUE_FLOOR:
         raise ValidationError(f"density matrix has eigenvalue {low:.3e} below {EIGENVALUE_FLOOR}")
-    return entropy_of_probabilities(np.clip(evals, 0.0, None))
+    return np.clip(evals, 0.0, None)
+
+
+def von_neumann_entropy(state: State) -> float:
+    """Entropy -Tr[rho ln rho] in nats, of the ``floored_spectrum`` of rho."""
+    if isinstance(state, StateVector):
+        return 0.0
+    return entropy_of_probabilities(floored_spectrum(np.linalg.eigvalsh(state.matrix)))
 
 
 def apply_site_matrix(arr: np.ndarray, op: np.ndarray, sites, n_qubits: int) -> np.ndarray:

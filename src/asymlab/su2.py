@@ -2,16 +2,24 @@
 
 The Schur basis is built by coupling one site at a time with Clebsch-Gordan
 coefficients (Condon-Shortley signs), giving a real orthogonal change of basis
-that block-diagonalizes every u^{(x) N}.  Columns are grouped by total spin s
-in decreasing order; within a sector the coupling path (multiplicity) index is
-the outer label and m runs from +s down to -s inside each path.  Only even N
-is supported so all spins are integers.
+that block-diagonalizes every u^{(x) N}.  Only even N is supported so all
+spins are integers.
+
+Every basis vector has a definite S_z = m, so it lies inside one Hamming-weight
+subspace w = N/2 - m.  The basis is stored that way: for each w, the sorted
+basis indices ``rows[w]`` of weight w and one real orthogonal
+C(N, w) x C(N, w) block ``blocks[w]`` whose columns are the (s, alpha) with
+s >= |m|, s decreasing, alpha (the coupling path) increasing.  At N = 12 the
+blocks hold 22 MB against 134 MB for the 2^N x 2^N matrix.  The coupling, the
+coefficient transform, the sector weights and the twirl all run one weight
+block at a time; ``SchurBasis.dense()`` assembles the full matrix for tests
+and oracles only.  Its columns are grouped by total spin s in decreasing
+order; within a sector the coupling path index is the outer label and m runs
+from +s down to -s inside each path.
 """
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,12 +37,21 @@ from .states import (
     bit_weights,
     density_matrix_cap,
     entropy_of_probabilities,
+    floored_spectrum,
     von_neumann_entropy,
 )
 
 TRANSVERSE_TOL = 1e-9
 CASIMIR_PRECONDITION_TOL = 1e-6
 C_LAMBDA_PREFACTOR = 1.5
+# a pure state's sector whose total weight is below this contributes no entropy
+EMPTY_SECTOR_WEIGHT = 1e-14
+# squared singular values below this are dropped from a pure sector's spectrum
+SINGULAR_VALUE_FLOOR = 1e-18
+# the (s, m) weights must sum to 1 within this
+SECTOR_SUM_TOL = 1e-10
+# a rotation asymmetry below -NEGATIVE_ASYMMETRY_TOL is an error, not rounding
+NEGATIVE_ASYMMETRY_TOL = 1e-9
 
 
 def multiplicity(n_qubits: int, s: int) -> int:
@@ -50,16 +67,20 @@ def multiplicity(n_qubits: int, s: int) -> int:
 
 @dataclass(frozen=True)
 class SchurBasis:
-    """Orthogonal basis adapted to the total-spin decomposition.
+    """Orthogonal basis adapted to the total-spin decomposition, by S_z block.
 
-    ``matrix`` columns are the basis vectors in the computational basis;
-    ``labels[c] = (s, m, alpha)`` names column c.  ``sectors`` lists
+    ``rows[w]`` holds the sorted basis indices with w one-bits (m = N/2 - w)
+    and ``blocks[w]`` the real orthogonal block whose column j is the basis
+    vector restricted to those rows; ``segments(w)`` names its columns.
+    ``labels`` and ``sectors`` describe the columns of ``dense()``:
+    ``labels[c] = (s, m, alpha)`` names column c, and ``sectors`` lists
     (s, start_column, multiplicity) with s decreasing; within a sector the
     column index is start + alpha * (2s + 1) + (s - m).
     """
 
     n_qubits: int
-    matrix: np.ndarray
+    rows: tuple[np.ndarray, ...]
+    blocks: tuple[np.ndarray, ...]
     labels: tuple[tuple[int, int, int], ...]
     sectors: tuple[tuple[int, int, int], ...]
 
@@ -71,6 +92,37 @@ class SchurBasis:
                 return start + alpha * (2 * s + 1) + (s - m)
         raise ValidationError(f"no spin-{s} sector for N={self.n_qubits}")
 
+    def segments(self, w: int) -> list[tuple[int, int, int]]:
+        """(s, first_column, multiplicity) of each spin in ``blocks[w]``, s decreasing.
+
+        Spin s starts at the same column, sum of the multiplicities above s,
+        in every block that holds it.
+        """
+        m = self.n_qubits // 2 - w
+        out = []
+        offset = 0
+        for s, _start, mult in self.sectors:
+            if s < abs(m):
+                break
+            out.append((s, offset, mult))
+            offset += mult
+        return out
+
+    def dense(self) -> np.ndarray:
+        """The 2^N x 2^N basis matrix in ``labels`` column order (tests and oracles only)."""
+        dim = 2**self.n_qubits
+        half = self.n_qubits // 2
+        starts = {s: start for s, start, _mult in self.sectors}
+        matrix = np.zeros((dim, dim))
+        for w, (rows, block) in enumerate(zip(self.rows, self.blocks)):
+            m = half - w
+            cols = np.concatenate([
+                starts[s] + np.arange(mult) * (2 * s + 1) + (s - m)
+                for s, _offset, mult in self.segments(w)
+            ])
+            matrix[np.ix_(rows, cols)] = block
+        return matrix
+
 
 def _lift(block: np.ndarray, bit: int) -> np.ndarray:
     """Tensor a new trailing site in |bit> onto every column."""
@@ -80,8 +132,8 @@ def _lift(block: np.ndarray, bit: int) -> np.ndarray:
     return out
 
 
-def build_schur_basis(n_qubits: int) -> SchurBasis:
-    """Construct the full 2^N x 2^N spin-adapted basis (even N only)."""
+def _dense_schur_basis(n_qubits: int) -> np.ndarray:
+    """Reference: the 2^N x 2^N basis built column by column on all 2^N rows."""
     if n_qubits % 2 != 0 or n_qubits < 2:
         raise ValidationError(f"only even N >= 2 is supported, got {n_qubits}")
     _check_cap(n_qubits, density_matrix_cap(), "density-matrix")
@@ -115,8 +167,6 @@ def build_schur_basis(n_qubits: int) -> SchurBasis:
 
     dim = 2**n_qubits
     matrix = np.empty((dim, dim))
-    labels: list[tuple[int, int, int]] = []
-    sectors: list[tuple[int, int, int]] = []
     col = 0
     for two_j in sorted(by_two_j, reverse=True):
         if two_j % 2 != 0:
@@ -127,48 +177,116 @@ def build_schur_basis(n_qubits: int) -> SchurBasis:
             raise ValidationError(
                 f"sector s={s} has {len(paths)} paths, expected {multiplicity(n_qubits, s)}"
             )
-        sectors.append((s, col, len(paths)))
-        for alpha, block in enumerate(paths):
+        for block in paths:
             for m_col in range(two_j + 1):
                 matrix[:, col] = block[:, m_col]
-                labels.append((s, s - m_col, alpha))
                 col += 1
     if col != dim:
         raise ValidationError(f"assembled {col} columns, expected {dim}")
     matrix.flags.writeable = False
-    return SchurBasis(n_qubits, matrix, tuple(labels), tuple(sectors))
+    return matrix
 
 
-def save_schur_basis(basis: SchurBasis, directory):
-    """Cache the basis as a .npy matrix plus a JSON label sidecar, keyed by N."""
-    os.makedirs(directory, exist_ok=True)
-    stem = os.path.join(directory, f"schur_n{basis.n_qubits}")
-    np.save(stem + ".npy", basis.matrix)
-    with open(stem + ".json", "w") as fh:
-        json.dump(
-            {
-                "n_qubits": basis.n_qubits,
-                "labels": [list(l) for l in basis.labels],
-                "sectors": [list(sec) for sec in basis.sectors],
-            },
-            fh,
+def _couple_site(paths: dict, pos0: list, pos1: list, sizes: list) -> dict:
+    """Couple one more spin-1/2 onto every path, all paths of one spin at once.
+
+    ``paths[two_j] = (keys, cols)``: ``cols[c]`` holds, one column per path,
+    the m = j - c vector restricted to its weight subspace, and ``keys``
+    orders the paths.  Weight-w rows of k sites move to rows ``pos0[w]``
+    (new bit 0) and ``pos1[w + 1]`` (new bit 1) of the k + 1 site weight
+    sets, whose sizes are ``sizes``.  The children of the path with key p
+    get keys 2p (j + 1/2) and 2p + 1 (j - 1/2), which keeps the order of
+    coupling every path in turn.
+    """
+    k = len(sizes) - 2
+    nxt: dict = {}
+    for two_j_new in sorted({t + 1 for t in paths} | {t - 1 for t in paths if t >= 1}):
+        keys, parts = [], []
+        up = paths.get(two_j_new - 1)
+        if up is not None:
+            two_j, (old_keys, old) = two_j_new - 1, up
+            base = (k - two_j) // 2
+            cols = []
+            for c in range(two_j + 2):
+                w = base + c
+                col = np.zeros((sizes[w], len(old_keys)))
+                if c <= two_j:
+                    col[pos0[w]] = np.sqrt((two_j + 1 - c) / (two_j + 1)) * old[c]
+                if c >= 1:
+                    col[pos1[w]] = np.sqrt(c / (two_j + 1)) * old[c - 1]
+                cols.append(col)
+            keys.append(2 * old_keys)
+            parts.append(cols)
+        dn = paths.get(two_j_new + 1)
+        if dn is not None:
+            two_j, (old_keys, old) = two_j_new + 1, dn
+            base = (k - two_j) // 2
+            cols = []
+            for c in range(two_j):
+                w = base + c + 1
+                col = np.zeros((sizes[w], len(old_keys)))
+                col[pos0[w]] = -np.sqrt((c + 1) / (two_j + 1)) * old[c + 1]
+                col[pos1[w]] = np.sqrt((two_j - c) / (two_j + 1)) * old[c]
+                cols.append(col)
+            keys.append(2 * old_keys + 1)
+            parts.append(cols)
+        all_keys = np.concatenate(keys)
+        order = np.argsort(all_keys, kind="stable")
+        merged = [np.concatenate(cs, axis=1)[:, order] for cs in zip(*parts)]
+        nxt[two_j_new] = (all_keys[order], merged)
+    return nxt
+
+
+def build_schur_basis(n_qubits: int) -> SchurBasis:
+    """Construct the spin-adapted basis, one S_z block per weight (even N only).
+
+    Couples one site at a time like ``_dense_schur_basis``, but each basis
+    vector is carried only on the rows of its own weight, and every path of
+    one spin is coupled at once; the blocks equal the reference's columns
+    bit for bit.
+    """
+    if n_qubits % 2 != 0 or n_qubits < 2:
+        raise ValidationError(f"only even N >= 2 is supported, got {n_qubits}")
+    _check_cap(n_qubits, density_matrix_cap(), "density-matrix")
+    rows = [np.array([0]), np.array([1])]
+    paths = {1: (np.array([0]), [np.ones((1, 1)), np.ones((1, 1))])}
+    for k in range(1, n_qubits):
+        zeros = [2 * r for r in rows] + [np.array([], dtype=int)]
+        ones = [np.array([], dtype=int)] + [2 * r + 1 for r in rows]
+        new_rows = [np.union1d(a, b) for a, b in zip(zeros, ones)]
+        pos0 = [np.searchsorted(r, a) for r, a in zip(new_rows, zeros)]
+        pos1 = [np.searchsorted(r, b) for r, b in zip(new_rows, ones)]
+        paths = _couple_site(paths, pos0, pos1, [len(r) for r in new_rows])
+        rows = new_rows
+
+    half = n_qubits // 2
+    sectors: list[tuple[int, int, int]] = []
+    labels: list[tuple[int, int, int]] = []
+    col = 0
+    for two_j in sorted(paths, reverse=True):
+        if two_j % 2 != 0:
+            raise ValidationError(f"half-integer sector {two_j}/2 appeared for even N")
+        s = two_j // 2
+        n_paths = len(paths[two_j][0])
+        if n_paths != multiplicity(n_qubits, s):
+            raise ValidationError(
+                f"sector s={s} has {n_paths} paths, expected {multiplicity(n_qubits, s)}"
+            )
+        sectors.append((s, col, n_paths))
+        labels.extend((s, s - c, alpha) for alpha in range(n_paths) for c in range(two_j + 1))
+        col += n_paths * (two_j + 1)
+    if col != 2**n_qubits:
+        raise ValidationError(f"assembled {col} columns, expected {2**n_qubits}")
+    blocks = []
+    for w in range(n_qubits + 1):
+        m = half - w
+        block = np.concatenate(
+            [paths[2 * s][1][s - m] for s, _start, _mult in sectors if s >= abs(m)], axis=1
         )
-
-
-def load_schur_basis(directory, n_qubits: int) -> SchurBasis:
-    stem = os.path.join(directory, f"schur_n{n_qubits}")
-    matrix = np.load(stem + ".npy")
-    with open(stem + ".json") as fh:
-        meta = json.load(fh)
-    if meta["n_qubits"] != n_qubits or matrix.shape != (2**n_qubits, 2**n_qubits):
-        raise ValidationError(f"cached basis at {stem} does not match N={n_qubits}")
-    matrix.flags.writeable = False
-    return SchurBasis(
-        n_qubits,
-        matrix,
-        tuple(tuple(l) for l in meta["labels"]),
-        tuple(tuple(sec) for sec in meta["sectors"]),
-    )
+        block.flags.writeable = False
+        rows[w].flags.writeable = False
+        blocks.append(block)
+    return SchurBasis(n_qubits, tuple(rows), tuple(blocks), tuple(labels), tuple(sectors))
 
 
 @dataclass(frozen=True)
@@ -196,10 +314,15 @@ class SectorTable:
         return self.p_sm.sum(axis=0)
 
 
-def _schur_coefficients(state: StateVector, basis: SchurBasis) -> np.ndarray:
-    # the basis is real: two real products avoid a complex copy of the 2^N x 2^N matrix
+def _schur_coefficients(state: StateVector, basis: SchurBasis) -> list[np.ndarray]:
+    """Coefficients c_w = B_w^T psi[rows_w] of a pure state, one array per weight."""
     amps = state.amplitudes
-    return basis.matrix.T @ amps.real + 1j * (basis.matrix.T @ amps.imag)
+    out = []
+    for rows, block in zip(basis.rows, basis.blocks):
+        # the blocks are real: two real products avoid a complex copy of each block
+        part = amps[rows]
+        out.append(block.T @ part.real + 1j * (block.T @ part.imag))
+    return out
 
 
 def _check_basis(state: State, basis: SchurBasis):
@@ -215,19 +338,39 @@ def sector_distribution(state: State, basis: SchurBasis) -> SectorTable:
     n = basis.n_qubits
     half = n // 2
     if isinstance(state, StateVector):
-        weights = np.abs(_schur_coefficients(state, basis)) ** 2
+        weights = [np.abs(c) ** 2 for c in _schur_coefficients(state, basis)]
     else:
-        # diag(B^T rho B) with B real; Im rho is antisymmetric, so it adds nothing
-        weights = np.einsum("ij,ij->j", basis.matrix, state.matrix.real @ basis.matrix)
+        # diag(B_w^T rho_ww B_w) with B_w real; Im rho is antisymmetric, so it adds nothing
+        weights = [
+            np.einsum("ij,ij->j", block, state.matrix.real[np.ix_(rows, rows)] @ block)
+            for rows, block in zip(basis.rows, basis.blocks)
+        ]
     p_sm = np.zeros((half + 1, n + 1))
-    for col, (s, m, _alpha) in enumerate(basis.labels):
-        p_sm[s, m + half] += weights[col]
+    for w, weight in enumerate(weights):
+        for s, first, mult in basis.segments(w):
+            p_sm[s, n - w] = weight[first : first + mult].sum()
     p_sm = np.clip(p_sm, 0.0, None)
     total = float(p_sm.sum())
-    if abs(total - 1.0) > 1e-10:
-        raise ValidationError(f"sector weights sum to {total!r}, not 1 within 1e-10")
+    if abs(total - 1.0) > SECTOR_SUM_TOL:
+        raise ValidationError(f"sector weights sum to {total!r}, not 1 within {SECTOR_SUM_TOL}")
     mults = np.array([multiplicity(n, s) for s in range(half + 1)])
     return SectorTable(n, p_sm, mults)
+
+
+def _sector_averages(rho: np.ndarray, basis: SchurBasis) -> dict[int, np.ndarray]:
+    """The twirled multiplicity blocks avg_s = sum_m R_w[(s, .), (s, .)] / (2s + 1).
+
+    R_w = B_w^T rho_ww B_w is rho in the Schur basis on weight w; the twirl
+    keeps only these weight-diagonal blocks.
+    """
+    sums: dict[int, np.ndarray] = {}
+    for w, (rows, block) in enumerate(zip(basis.rows, basis.blocks)):
+        sub = rho[np.ix_(rows, rows)]
+        rot = block.T @ sub.real @ block + 1j * (block.T @ sub.imag @ block)
+        for s, first, mult in basis.segments(w):
+            part = rot[first : first + mult, first : first + mult]
+            sums[s] = part if s not in sums else sums[s] + part
+    return {s: total / (2 * s + 1) for s, total in sums.items()}
 
 
 def su2_twirl(state: State, basis: SchurBasis) -> DensityMatrix:
@@ -235,23 +378,22 @@ def su2_twirl(state: State, basis: SchurBasis) -> DensityMatrix:
 
     In the Schur basis this zeroes inter-sector blocks and replaces each
     sector block by delta_{m m'} times the m-averaged multiplicity block.
+    The result is assembled as B_w D_w B_w^T on each weight-diagonal block;
+    blocks between different weights are zero.
     """
     _check_basis(state, basis)
     if isinstance(state, StateVector):
         state = state.to_density_matrix()
-    rot = basis.matrix.T @ state.matrix @ basis.matrix
-    out = np.zeros_like(rot)
-    for s, start, mult in basis.sectors:
-        width = 2 * s + 1
-        size = mult * width
-        block = rot[start : start + size, start : start + size]
-        r = block.reshape(mult, width, mult, width)
-        avg = np.einsum("ambm->ab", r) / width
-        out[start : start + size, start : start + size] = np.einsum(
-            "ab,mn->ambn", avg, np.eye(width)
-        ).reshape(size, size)
-    back = basis.matrix @ out @ basis.matrix.T
-    return DensityMatrix(state.n_qubits, back)
+    avgs = _sector_averages(state.matrix, basis)
+    out = np.zeros((2**basis.n_qubits,) * 2, dtype=complex)
+    for w, (rows, block) in enumerate(zip(basis.rows, basis.blocks)):
+        twirled = np.zeros((len(rows),) * 2, dtype=complex)
+        for s, first, mult in basis.segments(w):
+            twirled[first : first + mult, first : first + mult] = avgs[s]
+        out[np.ix_(rows, rows)] = (
+            block @ twirled.real @ block.T + 1j * (block @ twirled.imag @ block.T)
+        )
+    return DensityMatrix(state.n_qubits, out)
 
 
 def su2_shannon_rhs(table: SectorTable) -> float:
@@ -305,23 +447,33 @@ def su2_asymmetry(state: State, basis: SchurBasis) -> Su2AsymmetryReport:
 
     Pure states avoid any 2^N x 2^N density matrix: per sector the twirled
     spectrum is p_s / (2s+1) times the squared singular values of the
-    (multiplicity x m) coefficient block.
+    (multiplicity x m) coefficient block.  A density matrix is twirled
+    without forming the twirl: S(twirl rho) = sum_s (2s+1) H(eig avg_s) over
+    the multiplicity blocks of ``_sector_averages``.
     """
     _check_basis(state, basis)
     if isinstance(state, StateVector):
         coeffs = _schur_coefficients(state, basis)
+        half = basis.n_qubits // 2
         delta = 0.0
-        for s, start, mult in basis.sectors:
+        for s, first, mult in basis.segments(half):
             width = 2 * s + 1
-            block = coeffs[start : start + mult * width].reshape(mult, width)
-            if float(np.sum(np.abs(block) ** 2)) < 1e-14:
+            # column c is m = s - c, which lives in block w = half - s + c
+            block = np.stack(
+                [coeffs[half - s + c][first : first + mult] for c in range(width)], axis=1
+            )
+            if float(np.sum(np.abs(block) ** 2)) < EMPTY_SECTOR_WEIGHT:
                 continue
             sing_sq = np.linalg.svd(block, compute_uv=False) ** 2
-            lam = sing_sq[sing_sq > 1e-18]
+            lam = sing_sq[sing_sq > SINGULAR_VALUE_FLOOR]
             # width copies of lam/width each: entropy = sum lam (ln width - ln lam)
             delta += float(np.sum(lam * (np.log(width) - np.log(lam))))
     else:
-        delta = von_neumann_entropy(su2_twirl(state, basis)) - von_neumann_entropy(state)
+        twirled = sum(
+            (2 * s + 1) * entropy_of_probabilities(floored_spectrum(np.linalg.eigvalsh(avg)))
+            for s, avg in _sector_averages(state.matrix, basis).items()
+        )
+        delta = twirled - von_neumann_entropy(state)
     table = sector_distribution(state, basis)
     report = Su2AsymmetryReport(
         n_sites=state.n_qubits,
@@ -329,7 +481,7 @@ def su2_asymmetry(state: State, basis: SchurBasis) -> Su2AsymmetryReport:
         bound_sector_entropy=su2_shannon_rhs(table),
         bound_support_dim=su2_support_bound(state.n_qubits),
     )
-    if report.delta_s < -1e-9:
+    if report.delta_s < -NEGATIVE_ASYMMETRY_TOL:
         raise ValidationError(f"asymmetry {report.delta_s!r} is negative beyond tolerance")
     return report
 

@@ -62,6 +62,45 @@ def _chain_geometries():
     return grid
 
 
+def _schur_block_defect(basis: su2.SchurBasis) -> float:
+    """Largest deviation of the S_z blocks from an orthogonal Schur transform.
+
+    The rows must partition 0..2^N-1 by weight and every block be square
+    (exact; a failure counts as 1).  Each block must have B_w^T B_w = I, and
+    the lowering operator S_- = sum_j sigma^-_j must take column (s, m, alpha)
+    of block w to sqrt((s+m)(s-m+1)) times column (s, m-1, alpha) of block
+    w+1, the Condon-Shortley ladder that fixes every column's sign.
+    """
+    n = basis.n_qubits
+    weights = states.bit_weights(n)
+    rows_ok = np.array_equal(np.sort(np.concatenate(basis.rows)), np.arange(2**n)) and all(
+        np.all(weights[rows] == w) and block.shape == (rows.size, rows.size)
+        for w, (rows, block) in enumerate(zip(basis.rows, basis.blocks))
+    )
+    if not rows_ok:
+        return 1.0
+    worst = 0.0
+    for block in basis.blocks:
+        gram = block.T @ block
+        worst = max(worst, float(np.abs(gram - np.eye(gram.shape[0])).max()))
+    masks = 1 << np.arange(n)
+    for w in range(n):
+        rows, block = basis.rows[w], basis.blocks[w]
+        lowered = np.zeros((basis.rows[w + 1].size, block.shape[1]))
+        for mask in masks:
+            free = (rows & mask) == 0
+            lowered[np.searchsorted(basis.rows[w + 1], rows[free] | mask)] += block[free]
+        m = n // 2 - w
+        coef = np.concatenate([
+            np.full(mult, math.sqrt((s + m) * (s - m + 1))) for s, _first, mult in basis.segments(w)
+        ])
+        common = min(block.shape[1], lowered.shape[0])
+        expected = np.zeros_like(lowered)
+        expected[:, :common] = basis.blocks[w + 1][:, :common] * coef[:common]
+        worst = max(worst, float(np.abs(lowered - expected).max()))
+    return worst
+
+
 class _SuiteRunner:
     def __init__(self, seed: int, samples: float):
         self.seed = int(seed)
@@ -348,9 +387,7 @@ class _SuiteRunner:
         tol = 1e-10
         worst = 0.0
         for n in (2, 4, 6, 8, 10, 12):
-            umat = self.basis(n).matrix
-            gram = umat.conj().T @ umat
-            worst = max(worst, float(np.abs(gram - np.eye(gram.shape[0])).max()))
+            worst = max(worst, _schur_block_defect(self.basis(n)))
         return CheckResult("schur-unitarity", worst <= tol, tol - worst, "n=2..12")
 
     def sector_dimension_identity(self) -> CheckResult:
@@ -906,12 +943,20 @@ def _oracle_polarized(rng) -> CheckResult:
         rep = su2.su2_asymmetry(states.zero_state(n), basis)
         worst = max(worst, abs(rep.delta_s - math.log(n + 1)))
         worst = max(worst, abs(rep.bound_sector_entropy - rep.delta_s))
+        # the S_z blocks against the column-by-column reference build
+        worst = max(worst, float(np.abs(basis.dense() - su2._dense_schur_basis(n)).max()))
+        if n >= 4:
+            # block-route twirled entropy against the eigensolve of the assembled twirl
+            rho = states.random_density_matrix(n, rng)
+            dense = states.von_neumann_entropy(su2.su2_twirl(rho, basis))
+            dense -= states.von_neumann_entropy(rho)
+            worst = max(worst, abs(su2.su2_asymmetry(rho, basis).delta_s - dense))
     tol = 1e-12
     return CheckResult(
         "polarized-rotation-asymmetry",
         worst <= tol,
         tol - worst,
-        "fully polarized state saturates the sector bound",
+        "fully polarized state saturates the sector bound; blocks vs dense basis and twirl",
     )
 
 

@@ -141,7 +141,7 @@ def test_criterion_6_non_abelian_suite(record_criterion):
     for n in (2, 4, 6, 8):
         total = sum((2 * s + 1) * su2.multiplicity(n, s) for s in range(n // 2 + 1))
         ok &= total == 2**n
-        umat = runner.basis(n).matrix
+        umat = runner.basis(n).dense()
         unit_dev = max(
             unit_dev, float(np.abs(umat.conj().T @ umat - np.eye(2**n)).max())
         )

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from asymlab.errors import ResourceError, ValidationError
 from asymlab.states import (
+    EIGENVALUE_FLOOR,
     PAULI,
     DensityMatrix,
     StateVector,
@@ -16,6 +17,7 @@ from asymlab.states import (
     bit_weights,
     entropy_of_probabilities,
     expectation,
+    floored_spectrum,
     ghz_state,
     plus_state,
     product_state,
@@ -204,3 +206,10 @@ def test_statevector_cap_enforced(monkeypatch):
         zero_state(5)
     monkeypatch.setenv("ASYMLAB_MAX_QUBITS", "6")
     assert zero_state(5).n_qubits == 5
+
+
+def test_floored_spectrum_clamps_only_above_the_floor():
+    evals = np.array([-0.5 * abs(EIGENVALUE_FLOOR), 0.25, 0.75])
+    assert np.array_equal(floored_spectrum(evals), [0.0, 0.25, 0.75])
+    with pytest.raises(ValidationError):
+        floored_spectrum(np.array([2.0 * EIGENVALUE_FLOOR, 1.0]))

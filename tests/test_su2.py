@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,12 +21,11 @@ from asymlab.states import (
     zero_state,
 )
 from asymlab.su2 import (
+    _dense_schur_basis,
     build_schur_basis,
     casimir_constraint_check,
     global_rotation,
-    load_schur_basis,
     multiplicity,
-    save_schur_basis,
     sector_distribution,
     spin_moments,
     su2_asymmetry,
@@ -64,20 +64,21 @@ def test_sector_dimensions_tile_the_hilbert_space(n):
 
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_schur_basis_is_orthonormal(n):
-    basis = build_schur_basis(n)
-    gram = basis.matrix.conj().T @ basis.matrix
+    matrix = build_schur_basis(n).dense()
+    gram = matrix.conj().T @ matrix
     assert_allclose(gram, np.eye(2**n), atol=1e-12)
 
 
 def test_schur_basis_two_qubits_is_triplet_singlet():
     basis = build_schur_basis(2)
+    matrix = basis.dense()
     singlet_col = basis.column_of(0, 0, 0)
-    v = basis.matrix[:, singlet_col]
+    v = matrix[:, singlet_col]
     expected = np.zeros(4)
     expected[1], expected[2] = 1.0, -1.0
     expected /= np.sqrt(2.0)
     assert_allclose(np.abs(np.vdot(expected, v)), 1.0, atol=1e-12)
-    trip_top = basis.matrix[:, basis.column_of(1, 1, 0)]
+    trip_top = matrix[:, basis.column_of(1, 1, 0)]
     assert_allclose(np.abs(trip_top), [1.0, 0.0, 0.0, 0.0], atol=1e-12)
 
 
@@ -95,19 +96,116 @@ def test_schur_columns_diagonalize_the_casimir():
             acc += apply_site_matrix(np.eye(d, dtype=complex), PAULI[axis], site, n)
         s_ops.append(acc / 2.0)
     s2 = sum(op @ op for op in s_ops)
+    matrix = basis.dense()
     for col, (s, m, _alpha) in enumerate(basis.labels):
-        v = basis.matrix[:, col]
+        v = matrix[:, col]
         assert_allclose(s2 @ v, s * (s + 1.0) * v, atol=1e-10)
         assert_allclose(s_ops[2] @ v, m * v, atol=1e-10)
 
 
-def test_schur_basis_round_trips_through_disk(tmp_path):
-    basis = build_schur_basis(4)
-    save_schur_basis(basis, tmp_path)
-    loaded = load_schur_basis(tmp_path, 4)
-    assert_allclose(loaded.matrix, basis.matrix, atol=0)
-    assert loaded.labels == basis.labels
-    assert loaded.sectors == basis.sectors
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+def test_block_basis_equals_dense_reference(n):
+    basis = build_schur_basis(n)
+    assert np.array_equal(basis.dense(), _dense_schur_basis(n))
+    assert np.array_equal(np.sort(np.concatenate(basis.rows)), np.arange(2**n))
+    weights = [bin(int(r)).count("1") for r in np.concatenate(basis.rows)]
+    assert weights == sorted(weights)
+    for w, (rows, block) in enumerate(zip(basis.rows, basis.blocks)):
+        assert rows.size == math.comb(n, w)
+        assert block.shape == (rows.size, rows.size)
+        assert [s for s, _first, mult in basis.segments(w) for _ in range(mult)] == sorted(
+            (s for s, m, _alpha in basis.labels if m == n // 2 - w), reverse=True
+        )
+
+
+def test_block_basis_rejects_odd_n():
+    for n in (1, 3):
+        with pytest.raises(ValidationError):
+            build_schur_basis(n)
+
+
+def _dense_twirl(rho: np.ndarray, basis) -> np.ndarray:
+    """Reference twirl: rotate by the full dense basis, m-average each sector, rotate back."""
+    matrix = basis.dense()
+    rot = matrix.T @ rho @ matrix
+    out = np.zeros_like(rot)
+    for s, start, mult in basis.sectors:
+        width = 2 * s + 1
+        size = mult * width
+        r = rot[start : start + size, start : start + size].reshape(mult, width, mult, width)
+        avg = np.einsum("ambm->ab", r) / width
+        out[start : start + size, start : start + size] = np.kron(avg, np.eye(width))
+    return matrix @ out @ matrix.T
+
+
+def _dense_sector_table(rho: np.ndarray, basis) -> np.ndarray:
+    n = basis.n_qubits
+    matrix = basis.dense()
+    diag = np.real(np.diag(matrix.T @ rho @ matrix))
+    expected = np.zeros((n // 2 + 1, n + 1))
+    for col, (s, m, _alpha) in enumerate(basis.labels):
+        expected[s, m + n // 2] += diag[col]
+    return np.clip(expected, 0.0, None)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_block_routes_match_dense_reference_for_density_matrices(n):
+    rng = np.random.default_rng(200 + n)
+    basis = build_schur_basis(n)
+    for rank in (1, 3, 2**n):
+        rho = random_density_matrix(n, rng, rank=min(rank, 2**n))
+        assert np.abs(rho.matrix.imag).max() > 1e-2 * np.abs(rho.matrix).max()
+        twirl = _dense_twirl(rho.matrix, basis)
+        delta = von_neumann_entropy(DensityMatrix(n, twirl)) - von_neumann_entropy(rho)
+        table = _dense_sector_table(rho.matrix, basis)
+        for state in (rho, DensityMatrix(n, np.asfortranarray(rho.matrix))):
+            assert_allclose(su2_asymmetry(state, basis).delta_s, delta, rtol=0, atol=1e-12)
+            assert_allclose(sector_distribution(state, basis).p_sm, table, rtol=0, atol=1e-12)
+            assert_allclose(su2_twirl(state, basis).matrix, twirl, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+def test_block_routes_match_dense_reference_for_pure_states(n):
+    rng = np.random.default_rng(300 + n)
+    basis = build_schur_basis(n)
+    psi = random_state(n, rng)
+    rho = psi.to_density_matrix().matrix
+    twirl = _dense_twirl(rho, basis)
+    delta = von_neumann_entropy(DensityMatrix(n, twirl))
+    assert_allclose(su2_asymmetry(psi, basis).delta_s, delta, rtol=0, atol=1e-12)
+    assert_allclose(
+        sector_distribution(psi, basis).p_sm, _dense_sector_table(rho, basis), rtol=0, atol=1e-12
+    )
+    assert_allclose(su2_twirl(psi, basis).matrix, twirl, rtol=0, atol=1e-12)
+
+
+def test_asymmetry_of_non_psd_matrix_raises():
+    # Hermitian and unit trace, but 1.2 |singlet><singlet| - 0.2 |00><00| has eigenvalue -0.2
+    singlet = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
+    mat = 1.2 * np.outer(singlet, singlet)
+    mat[0, 0] -= 0.2
+    rho = DensityMatrix(2, mat)
+    with pytest.raises(ValidationError):
+        su2_asymmetry(rho, build_schur_basis(2))
+
+
+def test_pure_routes_at_n12_stay_far_below_the_dense_basis():
+    # the dense 2^12 x 2^12 basis alone is 134 MB
+    tracemalloc.start()
+    try:
+        basis = build_schur_basis(12)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        psi = random_state(12, np.random.default_rng(12))
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        rep = su2_asymmetry(psi, basis)
+        sector_distribution(psi, basis)
+        route_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert build_peak < 64e6
+    assert route_peak < 64e6
+    assert 0.0 <= rep.delta_s <= rep.bound_sector_entropy + 1e-9
 
 
 def test_sector_distribution_of_known_states():
@@ -196,12 +294,8 @@ def test_sector_distribution_of_density_matrix_reads_the_rotated_diagonal():
         for rank in (1, 3, None):
             rho = random_density_matrix(n, rng, rank=rank)
             assert np.abs(rho.matrix.imag).max() > 1e-3
-            full = np.real(np.diag(basis.matrix.T @ rho.matrix @ basis.matrix))
-            expected = np.zeros((n // 2 + 1, n + 1))
-            for col, (s, m, _alpha) in enumerate(basis.labels):
-                expected[s, m + n // 2] += full[col]
             table = sector_distribution(rho, basis)
-            assert_allclose(table.p_sm, np.clip(expected, 0.0, None), rtol=0, atol=1e-14)
+            assert_allclose(table.p_sm, _dense_sector_table(rho.matrix, basis), rtol=0, atol=1e-14)
 
 
 def test_support_bound_value():

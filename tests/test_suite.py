@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -97,4 +99,39 @@ def test_mutated_lightcone_is_caught(monkeypatch):
     # halving the certified spread makes depth-2 circuits look range-1
     monkeypatch.setattr(suite.lattice, "lightcone_range", lambda d: max(0, d - 1))
     results = bound_suite(seed=0, samples=0.2, names=["circuit-bound-chain"])
+    assert not all_passed(results)
+
+
+def _mutated_basis_builder(monkeypatch, mutate):
+    original = suite.su2.build_schur_basis
+
+    def build(n):
+        basis = original(n)
+        rows, blocks = list(basis.rows), list(basis.blocks)
+        mutate(rows, blocks, n // 2)
+        return dataclasses.replace(basis, rows=tuple(rows), blocks=tuple(blocks))
+
+    monkeypatch.setattr(suite.su2, "build_schur_basis", build)
+
+
+def test_schur_unitarity_catches_a_flipped_column(monkeypatch):
+    # still orthogonal: only the S_- ladder sees the sign
+    def flip(rows, blocks, half):
+        block = blocks[half].copy()
+        block[:, 0] *= -1.0  # the s = N/2, m = 0 column
+        blocks[half] = block
+
+    _mutated_basis_builder(monkeypatch, flip)
+    assert not all_passed(bound_suite(names=["schur-unitarity"]))
+    oracles = {r.name: r for r in oracle_suite(seed=0)}
+    assert not oracles["polarized-rotation-asymmetry"].passed
+
+
+def test_schur_unitarity_catches_a_dropped_row(monkeypatch):
+    def drop(rows, blocks, half):
+        rows[half] = rows[half][1:]
+        blocks[half] = blocks[half][1:]
+
+    _mutated_basis_builder(monkeypatch, drop)
+    results = bound_suite(names=["schur-unitarity"])
     assert not all_passed(results)
