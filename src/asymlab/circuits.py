@@ -398,19 +398,3 @@ def save_circuit(circuit: BrickworkCircuit, path):
 def load_circuit(path) -> BrickworkCircuit:
     with open(path) as fh:
         return circuit_from_dict(json.load(fh))
-
-
-def channel_to_dict(channel: KrausChannel) -> dict:
-    return {
-        "support": list(channel.support),
-        "operators": [_complex_to_pairs(op) for op in channel.operators],
-    }
-
-
-def channel_from_dict(data: dict) -> KrausChannel:
-    try:
-        support = tuple(int(s) for s in data["support"])
-        ops = tuple(_pairs_to_matrix(op, len(support)) for op in data["operators"])
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"channel JSON missing key: {exc}") from exc
-    return KrausChannel(support, ops)

@@ -22,13 +22,15 @@ import numpy as np
 
 from . import closedforms, clustering, lattice, su2, suite, u1
 from .config import (
+    NAMED_STATES,
+    SWEEP_EXPERIMENTS,
     ExperimentConfig,
-    _bernoulli_vector,
     build_state,
     circuit_depth_range,
-    dicke_excitations,
     dicke_half_filling,
     load_config,
+    state_spec_from_name,
+    sweep_distribution,
     validate_config,
 )
 from .errors import (
@@ -45,6 +47,9 @@ EXIT_RESOURCE = 3
 EXIT_INVARIANT = 4
 
 LN2 = math.log(2.0)
+
+# slack, in nats, that a non-strict cap's margin may fall below zero by and still hold
+MARGIN_TOL = 1e-9
 
 
 # ---------------- value formatting and artifact writers ----------------
@@ -105,29 +110,27 @@ def _outdir(cfg: ExperimentConfig) -> Path:
     return out
 
 
+def _bounds_hold(margins: dict) -> bool:
+    """Pass rule over nats margins: Massey's cap is strict, every other cap allows MARGIN_TOL."""
+    return all(
+        v is None or (v > 0.0 if key == "massey" else v >= -MARGIN_TOL)
+        for key, v in margins.items()
+    )
+
+
 # ---------------- sweep experiments ----------------
-
-
-def _sweep_distribution(cfg: ExperimentConfig, n: int) -> u1.ChargeDistribution:
-    spec = cfg.state_spec
-    if cfg.experiment == "kink-sweep":
-        return closedforms.kink_distribution(n)
-    if cfg.experiment == "product-sweep":
-        return closedforms.poisson_binomial(_bernoulli_vector(spec["x"], n))
-    if dicke_half_filling(spec):
-        return closedforms.dicke_half_distribution(n // 2)
-    return closedforms.dicke_x_distribution(n, dicke_excitations(spec, n))
 
 
 def _run_sweep(cfg: ExperimentConfig) -> int:
     out = _outdir(cfg)
     ns = sorted(set(cfg.sweep))
+    reports = [u1.report_from_distribution(sweep_distribution(cfg, n), n) for n in ns]
+    bounds_ok = all(_bounds_hold(rep.margins()) for rep in reports)
 
-    def compute(n: int) -> dict:
-        rep = u1.report_from_distribution(_sweep_distribution(cfg, n), n)
+    def compute(rep: u1.AsymmetryReport) -> dict:
         margins = rep.margins()
         return {
-            "n": n,
+            "n": rep.n_sites,
             "delta_s_nats": rep.delta_s,
             "variance": rep.variance,
             "bound_log_n_plus_1": rep.bound_log_n_plus_1,
@@ -137,7 +140,7 @@ def _run_sweep(cfg: ExperimentConfig) -> int:
             "linearized": math.exp(rep.delta_s),
         }
 
-    rows = list(map(compute, ns))
+    rows = list(map(compute, reports))
 
     points = [(row["n"], row["delta_s_nats"]) for row in rows]
     fit = closedforms.asymptotic_fit(points) if len(points) >= 3 else None
@@ -176,11 +179,6 @@ def _run_sweep(cfg: ExperimentConfig) -> int:
             block["correction_coefficient"] = f.correction
         return block
 
-    bounds_ok = all(
-        row["margin_log_n_plus_1"] >= -1e-9
-        and (row["margin_massey"] is None or row["margin_massey"] > 0.0)
-        for row in rows
-    )
     payload = {
         "experiment": cfg.experiment,
         "config_hash": cfg.hash,
@@ -214,7 +212,7 @@ def _run_sweep(cfg: ExperimentConfig) -> int:
 def _run_u1(cfg: ExperimentConfig) -> int:
     out = _outdir(cfg)
     n = cfg.geometry.n_sites
-    state, circuit = build_state(cfg.state_spec, n, cfg.seed, cfg.geometry)
+    state, circuit = build_state(cfg.state_spec, n, cfg.seed)
     crange = cfg.clustering_range
     if crange is None and circuit is not None:
         crange = circuit_depth_range(circuit)
@@ -237,7 +235,7 @@ def _run_u1(cfg: ExperimentConfig) -> int:
     header = list(row.keys())
     _write_csv(out / "results.csv", header, [row])
 
-    ok = all(v is None or v >= -1e-9 for v in margins.values())
+    ok = _bounds_hold(margins)
     payload = {
         "experiment": cfg.experiment,
         "config_hash": cfg.hash,
@@ -270,7 +268,7 @@ def _scale_report_dict(data: dict, log_base: str) -> dict:
 def _run_su2(cfg: ExperimentConfig) -> int:
     out = _outdir(cfg)
     n = cfg.geometry.n_sites
-    state, circuit = build_state(cfg.state_spec, n, cfg.seed, cfg.geometry)
+    state, circuit = build_state(cfg.state_spec, n, cfg.seed)
     basis = su2.build_schur_basis(n)
     rep = su2.su2_asymmetry(state, basis)
     margins = rep.margins()
@@ -299,7 +297,7 @@ def _run_su2(cfg: ExperimentConfig) -> int:
     header = list(row.keys())
     _write_csv(out / "results.csv", header, [row])
 
-    ok = all(v >= -1e-9 for v in margins.values())
+    ok = _bounds_hold(margins)
     if casimir is not None:
         ok = ok and casimir.passed
     payload = {
@@ -319,7 +317,7 @@ def _run_su2(cfg: ExperimentConfig) -> int:
 def _run_clustering(cfg: ExperimentConfig) -> int:
     out = _outdir(cfg)
     n = cfg.geometry.n_sites
-    state, circuit = build_state(cfg.state_spec, n, cfg.seed, cfg.geometry)
+    state, circuit = build_state(cfg.state_spec, n, cfg.seed)
     circuit.assert_nearest_neighbor(cfg.geometry)
     claimed = cfg.clustering_range
     if claimed is None:
@@ -411,7 +409,7 @@ def _run_suite(cfg: ExperimentConfig, which: str = "bound-suite",
 
 
 def run_experiment(cfg: ExperimentConfig) -> int:
-    if cfg.experiment in ("dicke-sweep", "kink-sweep", "product-sweep"):
+    if cfg.experiment in SWEEP_EXPERIMENTS:
         return _run_sweep(cfg)
     if cfg.experiment == "u1-asymmetry":
         return _run_u1(cfg)
@@ -438,49 +436,15 @@ def _log_spaced(n_min: int, n_max: int, points: int, even: bool) -> list[int]:
     return [int(v) for v in raw]
 
 
-_NAMED_STATES = {
-    "zero": {"kind": "bernoulli", "x": 1.0},
-    "plus": {"kind": "bernoulli", "x": 0.5},
-    "ghz": {"kind": "ghz"},
-    "dicke": {"kind": "dicke", "ratio": 0.5},
-    "kink": {"kind": "kink"},
-    "random": {"kind": "random"},
-}
-
-
-def _random_spec_from_arg(arg: str) -> dict:
-    """Spec of ``random:SEED``; a seed that is not an integer is a config error."""
-    text = arg.split(":", 1)[1]
+def _read_input_spec(path: str):
+    """State spec of a circuit input read from a JSON file."""
     try:
-        return {"kind": "random", "seed": int(text)}
-    except ValueError:
-        raise ConfigError(f"seed {text!r} in {arg!r} is not an integer") from None
-
-
-def _state_spec_from_arg(arg: str) -> dict:
-    if arg in _NAMED_STATES:
-        return dict(_NAMED_STATES[arg])
-    if arg.startswith("random:"):
-        return _random_spec_from_arg(arg)
-    return {"kind": "vector", "path": arg}
-
-
-def _input_spec_from_arg(arg: str | None):
-    if arg is None or arg == "zero":
-        return None
-    if arg == "plus":
-        return {"kind": "bernoulli", "x": 0.5}
-    if arg == "random":
-        return {"kind": "random"}
-    if arg.startswith("random:"):
-        return _random_spec_from_arg(arg)
-    try:
-        with open(arg) as handle:
+        with open(path) as handle:
             return json.load(handle)
     except OSError as exc:
-        raise ConfigError(f"cannot read input spec {arg}: {exc}") from exc
+        raise ConfigError(f"cannot read input spec {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"input spec {arg} is not valid JSON: {exc}") from exc
+        raise ConfigError(f"input spec {path} is not valid JSON: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -517,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_su2 = sub.add_parser("su2", help="rotation-group asymmetry of one state")
     p_su2.add_argument("--state", required=True,
                        help="statevector file (.npy or .json) or a named state: "
-                            + ", ".join(sorted(_NAMED_STATES)))
+                            + ", ".join(sorted(NAMED_STATES)))
     p_su2.add_argument("--n", type=int, required=True, help="number of sites (even)")
     p_su2.add_argument("--dimension", type=int, default=1)
     p_su2.add_argument("--clustering-range", type=int, default=None)
@@ -528,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cl = sub.add_parser("clustering", help="certify clustering of a circuit state")
     p_cl.add_argument("--circuit", required=True, help="circuit JSON file")
     p_cl.add_argument("--input", default="zero",
-                      help="zero | plus | random[:seed] | state-spec JSON file")
+                      help="zero | plus | ghz | random | random:SEED | state-spec JSON file")
     p_cl.add_argument("--dimension", type=int, default=1)
     p_cl.add_argument("--linear-size", type=int, required=True)
     p_cl.add_argument("--claimed-range", type=int, default=None,
@@ -549,12 +513,8 @@ def _config_from_args(args) -> ExperimentConfig:
             data["output"] = args.output
         return validate_config(data)
     if args.command in ("dicke", "kink", "product"):
-        experiment = f"{args.command}-sweep"
-        even = args.command == "dicke" and abs(args.ratio - 0.5) < 1e-12
-        sweep = _log_spaced(args.n_min, args.n_max, args.points, even)
         data = {
-            "experiment": experiment,
-            "sweep": sweep,
+            "experiment": f"{args.command}-sweep",
             "output": args.output,
             "log_base": args.log_base,
             "seed": args.seed,
@@ -563,6 +523,8 @@ def _config_from_args(args) -> ExperimentConfig:
             data["state_spec"] = {"kind": "dicke", "ratio": args.ratio}
         if args.command == "product":
             data["state_spec"] = {"kind": "bernoulli", "x": args.x}
+        even = args.command == "dicke" and dicke_half_filling(data["state_spec"])
+        data["sweep"] = _log_spaced(args.n_min, args.n_max, args.points, even)
         return validate_config(data)
     if args.command == "su2":
         linear = round(args.n ** (1.0 / args.dimension))
@@ -573,7 +535,9 @@ def _config_from_args(args) -> ExperimentConfig:
         data = {
             "experiment": "su2-asymmetry",
             "geometry": {"dimension": args.dimension, "linear_size": linear},
-            "state_spec": _state_spec_from_arg(args.state),
+            "state_spec": state_spec_from_name(
+                args.state, lambda path: {"kind": "vector", "path": path}
+            ),
             "output": args.output,
             "log_base": args.log_base,
             "seed": args.seed,
@@ -583,9 +547,8 @@ def _config_from_args(args) -> ExperimentConfig:
         return validate_config(data)
     if args.command == "clustering":
         spec = {"kind": "circuit", "path": args.circuit}
-        inner = _input_spec_from_arg(args.input)
-        if inner is not None:
-            spec["input"] = inner
+        if args.input != "zero":
+            spec["input"] = state_spec_from_name(args.input, _read_input_spec)
         data = {
             "experiment": "circuit-clustering",
             "geometry": {"dimension": args.dimension,

@@ -21,16 +21,6 @@ from .circuits import BrickworkCircuit, apply_circuit, load_circuit
 from .errors import ConfigError, ResourceError
 from .lattice import LatticeGeometry
 
-EXPERIMENTS = (
-    "u1-asymmetry",
-    "su2-asymmetry",
-    "dicke-sweep",
-    "kink-sweep",
-    "product-sweep",
-    "circuit-clustering",
-    "bound-suite",
-)
-
 SWEEP_EXPERIMENTS = ("dicke-sweep", "kink-sweep", "product-sweep")
 STATE_EXPERIMENTS = ("u1-asymmetry", "su2-asymmetry", "circuit-clustering")
 
@@ -73,21 +63,38 @@ class ExperimentConfig:
     log_base: str
     clustering_range: int | None
     tolerance: float
-    raw: dict
     hash: str
 
 
+# the state a sweep runs when its config names none; its kind is the one the sweep requires
 _DEFAULT_SPECS = {
     "dicke-sweep": {"kind": "dicke", "ratio": 0.5},
     "kink-sweep": {"kind": "kink"},
     "product-sweep": {"kind": "bernoulli", "x": 0.5},
 }
 
-_SWEEP_KINDS = {
-    "dicke-sweep": "dicke",
-    "kink-sweep": "kink",
-    "product-sweep": "bernoulli",
+# command-line state names; any other name is resolved by the caller's fallback
+NAMED_STATES = {
+    "zero": {"kind": "bernoulli", "x": 1.0},
+    "plus": {"kind": "bernoulli", "x": 0.5},
+    "ghz": {"kind": "ghz"},
+    "dicke": {"kind": "dicke", "ratio": 0.5},
+    "kink": {"kind": "kink"},
+    "random": {"kind": "random"},
 }
+
+
+def state_spec_from_name(name: str, fallback) -> dict:
+    """Spec of a command-line state name: an alias, ``random:SEED``, else ``fallback(name)``."""
+    if name in NAMED_STATES:
+        return dict(NAMED_STATES[name])
+    if name.startswith("random:"):
+        text = name.split(":", 1)[1]
+        try:
+            return {"kind": "random", "seed": int(text)}
+        except ValueError:
+            raise ConfigError(f"seed {text!r} in {name!r} is not an integer") from None
+    return fallback(name)
 
 
 def _check_schema(data: dict):
@@ -99,19 +106,30 @@ def _check_schema(data: dict):
         raise ConfigError(f"config invalid at {where}: {first.message}")
 
 
-def _check_sweep_envelope(experiment: str, state_spec: dict, sweep) -> None:
+def _sweep_route(experiment: str, spec: dict):
+    """The closed form a sweep takes: (cap name, cap, n -> ChargeDistribution)."""
     if experiment == "kink-sweep":
-        cap = KINK_SWEEP_MAX
-        name = "KINK_SWEEP_MAX"
-    elif experiment == "product-sweep":
-        cap = PRODUCT_SWEEP_MAX
-        name = "PRODUCT_SWEEP_MAX"
-    elif dicke_half_filling(state_spec):
-        cap = DICKE_HALF_SWEEP_MAX
-        name = "DICKE_HALF_SWEEP_MAX"
-    else:
-        cap = DICKE_GENERAL_SWEEP_MAX
-        name = "DICKE_GENERAL_SWEEP_MAX"
+        return "KINK_SWEEP_MAX", KINK_SWEEP_MAX, closedforms.kink_distribution
+    if experiment == "product-sweep":
+        return "PRODUCT_SWEEP_MAX", PRODUCT_SWEEP_MAX, (
+            lambda n: closedforms.poisson_binomial(_bernoulli_vector(spec["x"], n))
+        )
+    if dicke_half_filling(spec):
+        return "DICKE_HALF_SWEEP_MAX", DICKE_HALF_SWEEP_MAX, (
+            lambda n: closedforms.dicke_half_distribution(n // 2)
+        )
+    return "DICKE_GENERAL_SWEEP_MAX", DICKE_GENERAL_SWEEP_MAX, (
+        lambda n: closedforms.dicke_x_distribution(n, dicke_excitations(spec, n))
+    )
+
+
+def sweep_distribution(cfg: ExperimentConfig, n: int):
+    """Closed-form charge distribution of a sweep config's state on n sites."""
+    return _sweep_route(cfg.experiment, cfg.state_spec)[2](n)
+
+
+def _check_sweep_envelope(experiment: str, state_spec: dict, sweep) -> None:
+    name, cap, _ = _sweep_route(experiment, state_spec)
     worst = max(sweep)
     if worst > cap:
         raise ResourceError(
@@ -154,14 +172,13 @@ def validate_config(data: dict) -> ExperimentConfig:
         log_base=data.get("log_base", "e"),
         clustering_range=data.get("clustering_range"),
         tolerance=float(data.get("tolerance", 1e-10)),
-        raw=data,
         hash=config_hash(data),
     )
 
     if experiment in SWEEP_EXPERIMENTS:
         if cfg.sweep is None:
             raise ConfigError(f"{experiment} requires a 'sweep' list of N values")
-        wanted = _SWEEP_KINDS[experiment]
+        wanted = _DEFAULT_SPECS[experiment]["kind"]
         if cfg.state_spec.get("kind") != wanted:
             raise ConfigError(
                 f"{experiment} needs a state_spec of kind '{wanted}', "
@@ -195,12 +212,8 @@ def validate_config(data: dict) -> ExperimentConfig:
                 raise ConfigError(
                     "circuit-clustering requires a state_spec of kind 'circuit'"
                 )
-    if experiment != "circuit-clustering" and cfg.state_spec is not None:
-        if cfg.state_spec.get("kind") == "circuit" and experiment not in (
-            "u1-asymmetry",
-            "su2-asymmetry",
-        ):
-            raise ConfigError(f"circuit state_spec is not valid for {experiment}")
+    if experiment not in SWEEP_EXPERIMENTS + STATE_EXPERIMENTS and cfg.state_spec is not None:
+        raise ConfigError(f"{experiment} takes no state_spec")
 
     if cfg.clustering_range is not None and cfg.geometry is None:
         raise ConfigError("clustering_range requires 'geometry'")
@@ -287,7 +300,7 @@ def _load_vector(path, n: int) -> states.StateVector:
     return states.StateVector(n, vec / norm)
 
 
-def build_state(spec: dict, n: int, seed: int, geometry: LatticeGeometry | None = None):
+def build_state(spec: dict, n: int, seed: int):
     """Materialize a state_spec on n sites; returns (state, circuit-or-None)."""
     kind = spec.get("kind")
     if kind == "product":
@@ -322,7 +335,7 @@ def build_state(spec: dict, n: int, seed: int, geometry: LatticeGeometry | None 
         if inner is None:
             base = states.zero_state(n)
         else:
-            base, nested = build_state(inner, n, seed, geometry)
+            base, nested = build_state(inner, n, seed)
             if nested is not None:
                 raise ConfigError("circuit input cannot itself be a circuit")
         return apply_circuit(base, circuit), circuit
@@ -335,14 +348,17 @@ def circuit_depth_range(circuit: BrickworkCircuit) -> int:
 
 
 __all__ = [
-    "EXPERIMENTS",
+    "NAMED_STATES",
     "ExperimentConfig",
     "build_state",
     "canonical_json",
     "circuit_depth_range",
     "config_hash",
     "dicke_excitations",
+    "dicke_half_filling",
     "load_config",
     "schema",
+    "state_spec_from_name",
+    "sweep_distribution",
     "validate_config",
 ]

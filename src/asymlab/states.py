@@ -286,30 +286,6 @@ def apply_pauli(arr: np.ndarray, site: int, axis: str, n_qubits: int) -> np.ndar
     return apply_site_matrix(arr, PAULI[axis], site, n_qubits)
 
 
-def expectation(state: State, terms) -> complex:
-    """Expectation value of a weighted sum of Pauli strings.
-
-    ``terms`` is an iterable of ``(coeff, {site: axis})`` with axis in
-    {'x','y','z'}; an empty dict is the identity string.
-    """
-    total = 0.0 + 0.0j
-    n = state.n_qubits
-    if isinstance(state, StateVector):
-        psi = state.amplitudes
-        for coeff, sites in terms:
-            phi = np.array(psi)
-            for site, axis in sites.items():
-                phi = apply_pauli(phi, site, axis, n)
-            total += coeff * np.vdot(psi, phi)
-        return complex(total)
-    for coeff, sites in terms:
-        work = np.array(state.matrix)
-        for site, axis in sites.items():
-            work = apply_pauli(work, site, axis, n)
-        total += coeff * np.trace(work)
-    return complex(total)
-
-
 def reduced_density_matrix(state: State, sites) -> np.ndarray:
     """Reduced density matrix on ``sites`` (kept in the given order)."""
     sites = list(sites)

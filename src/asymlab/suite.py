@@ -237,9 +237,9 @@ class _SuiteRunner:
                     p = float(np.trace(block).real)
                     if p < 1e-14:
                         continue
-                    w = np.linalg.eigvalsh(block / p)
-                    w = w[w > 1e-14]
-                    avg += p * float(-(w * np.log(w)).sum())
+                    avg += p * states.entropy_of_probabilities(
+                        states.floored_spectrum(np.linalg.eigvalsh(block / p))
+                    )
                 margin = min(margin, s0 - avg + tol)
         return CheckResult(
             "measurement-entropy-monotone", margin >= 0, margin, "sector projections"

@@ -55,10 +55,6 @@ class ChargeDistribution:
     def n_charges(self) -> int:
         return self.probs.size
 
-    @property
-    def max_charge(self) -> int:
-        return self.probs.size - 1
-
 
 def charge_values(n_qubits: int) -> np.ndarray:
     """Charge of every basis index: the number of 0-bits."""

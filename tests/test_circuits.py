@@ -9,8 +9,6 @@ from asymlab.circuits import (
     apply_channel,
     apply_circuit,
     brickwork_layer_pairs,
-    channel_from_dict,
-    channel_to_dict,
     charge_conserving_gate,
     charge_conserving_unitary,
     circuit_from_dict,
@@ -197,11 +195,3 @@ def test_circuit_dict_round_trip_rejects_bad_depth():
     data["depth"] = 5
     with pytest.raises(ValidationError):
         circuit_from_dict(data)
-
-
-def test_channel_json_round_trip():
-    chan = depolarizing_channel(1, 0.4)
-    loaded = channel_from_dict(channel_to_dict(chan))
-    assert loaded.support == chan.support
-    for a, b in zip(chan.operators, loaded.operators):
-        assert_allclose(a, b, atol=1e-15)

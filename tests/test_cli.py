@@ -1,14 +1,19 @@
 import json
 import math
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from asymlab.circuits import random_brickwork, save_circuit
+from asymlab import cli
+from asymlab.circuits import apply_circuit, random_brickwork, save_circuit
 from asymlab.cli import main
+from asymlab.config import NAMED_STATES, build_state
 from asymlab.lattice import LatticeGeometry
+from asymlab.states import ghz_state
 
 LN2 = math.log(2.0)
 
@@ -300,11 +305,35 @@ def _su2_random_seed_not_int(tmp_path, monkeypatch):
     return ["su2", "--state", "random:x", "--n", "4", "--output", str(tmp_path / "out")]
 
 
-def _clustering_input_random_seed_not_int(tmp_path, monkeypatch):
+def _clustering_with_input(tmp_path, name):
     path = tmp_path / "circ.json"
     save_circuit(random_brickwork(LatticeGeometry(1, 4), 1, 0), path)
-    return ["clustering", "--circuit", str(path), "--input", "random:x",
+    return ["clustering", "--circuit", str(path), "--input", name,
             "--linear-size", "4", "--output", str(tmp_path / "out")]
+
+
+def _clustering_input_random_seed_not_int(tmp_path, monkeypatch):
+    return _clustering_with_input(tmp_path, "random:x")
+
+
+def _clustering_input_dicke(tmp_path, monkeypatch):
+    return _clustering_with_input(tmp_path, "dicke")
+
+
+def _clustering_input_kink(tmp_path, monkeypatch):
+    return _clustering_with_input(tmp_path, "kink")
+
+
+def _dicke_ratio_just_above_half(tmp_path, monkeypatch):
+    """Only a ratio of exactly 0.5 rounds N to even, so N = 101 has no integer k."""
+    return ["dicke", "--ratio", "0.5000000000000001", "--n-min", "101", "--n-max", "1001",
+            "--points", "3", "--output", str(tmp_path / "out")]
+
+
+def _bound_suite_with_state_spec(tmp_path, monkeypatch):
+    cfg = {"experiment": "bound-suite", "state_spec": {"kind": "ghz"},
+           "output": str(tmp_path / "out")}
+    return ["run", _write(tmp_path / "cfg.json", cfg)]
 
 
 def _product_x_length_mismatch(tmp_path, monkeypatch):
@@ -327,12 +356,106 @@ def _product_x_length_mismatch(tmp_path, monkeypatch):
         _product_x_length_mismatch,
         _su2_random_seed_not_int,
         _clustering_input_random_seed_not_int,
+        _clustering_input_dicke,
+        _clustering_input_kink,
+        _dicke_ratio_just_above_half,
+        _bound_suite_with_state_spec,
     ],
 )
 def test_malformed_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, make_argv):
     assert main(make_argv(tmp_path, monkeypatch)) == 2
     err = capsys.readouterr().err
     assert err.endswith("\n") and err.count("\n") == 1
+
+
+def _built_config(monkeypatch, argv):
+    """The dict that the CLI hands to validate_config for ``argv``."""
+    seen = []
+    validate = cli.validate_config
+
+    def capture(data):
+        seen.append(data)
+        return validate(data)
+
+    monkeypatch.setattr(cli, "validate_config", capture)
+    cli._config_from_args(cli.build_parser().parse_args(argv))
+    (data,) = seen
+    return data
+
+
+_CLUSTERING_ARGV = ["clustering", "--circuit", "circ.json", "--linear-size", "4", "--input"]
+_CLUSTERING_DATA = {
+    "experiment": "circuit-clustering",
+    "geometry": {"dimension": 1, "linear_size": 4},
+    "output": "clustering-out",
+    "tolerance": 1e-10,
+    "seed": 0,
+}
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (_CLUSTERING_ARGV + ["zero"],
+         dict(_CLUSTERING_DATA, state_spec={"kind": "circuit", "path": "circ.json"})),
+        (_CLUSTERING_ARGV + ["plus"],
+         dict(_CLUSTERING_DATA, state_spec={"kind": "circuit", "path": "circ.json",
+                                            "input": {"kind": "bernoulli", "x": 0.5}})),
+        (_CLUSTERING_ARGV + ["random:3"],
+         dict(_CLUSTERING_DATA, state_spec={"kind": "circuit", "path": "circ.json",
+                                            "input": {"kind": "random", "seed": 3}})),
+        (["su2", "--state", "dicke", "--n", "4"],
+         {"experiment": "su2-asymmetry", "geometry": {"dimension": 1, "linear_size": 4},
+          "state_spec": {"kind": "dicke", "ratio": 0.5}, "output": "su2-out",
+          "log_base": "e", "seed": 0}),
+        (["dicke", "--ratio", "0.25", "--n-min", "16", "--n-max", "2048", "--points", "8"],
+         {"experiment": "dicke-sweep", "sweep": [16, 32, 64, 128, 256, 512, 1024, 2048],
+          "state_spec": {"kind": "dicke", "ratio": 0.25}, "output": "dicke-sweep-out",
+          "log_base": "e", "seed": 0}),
+        (["dicke"],
+         {"experiment": "dicke-sweep", "sweep": [100, 1000, 10000, 100000],
+          "state_spec": {"kind": "dicke", "ratio": 0.5}, "output": "dicke-sweep-out",
+          "log_base": "e", "seed": 0}),
+    ],
+    ids=["clustering-zero", "clustering-plus", "clustering-random3", "su2-dicke",
+         "dicke-quarter", "dicke-half"],
+)
+def test_cli_config_dicts_are_pinned(monkeypatch, argv, expected):
+    """The config dict, and so the config hash of every artifact, stays as it is."""
+    assert _built_config(monkeypatch, argv) == expected
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_STATES))
+def test_every_named_state_is_a_valid_su2_state(name):
+    args = cli.build_parser().parse_args(["su2", "--state", name, "--n", "4"])
+    cfg = cli._config_from_args(args)
+    assert cfg.state_spec == NAMED_STATES[name]
+
+
+def test_clustering_input_ghz_builds_a_circuit_state(tmp_path, monkeypatch):
+    circ = random_brickwork(LatticeGeometry(1, 4), 2, np.random.default_rng(1))
+    path = tmp_path / "circ.json"
+    save_circuit(circ, path)
+    argv = ["clustering", "--circuit", str(path), "--input", "ghz", "--linear-size", "4"]
+    cfg = cli._config_from_args(cli.build_parser().parse_args(argv))
+    assert cfg.state_spec["input"] == {"kind": "ghz"}
+    state, loaded = build_state(cfg.state_spec, 4, cfg.seed)
+    assert loaded is not None
+    assert_allclose(state.amplitudes, apply_circuit(ghz_state(4), circ).amplitudes, atol=1e-15)
+
+
+def test_pass_rule_is_strict_for_massey_only():
+    assert not cli._bounds_hold({"log_n_plus_1": 1.0, "massey": 0.0, "clustering": None})
+    assert cli._bounds_hold({"log_n_plus_1": -5e-10, "massey": 1e-12, "clustering": None})
+    assert not cli._bounds_hold({"log_n_plus_1": -2 * cli.MARGIN_TOL, "massey": 1.0})
+    assert cli._bounds_hold({"sector_entropy": -5e-10, "support_dim": 0.0})
+
+
+def test_readme_lists_the_named_states():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.search(r"`--state` accepts a named family \(([^)]*)\)", readme).group(1)
+    names = [n for n in re.findall(r"`([^`]+)`", listed) if n != "random:SEED"]
+    assert names == sorted(NAMED_STATES)
 
 
 def test_verify_oracle_suite_passes(capsys):

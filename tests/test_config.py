@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from asymlab import closedforms
 from asymlab.circuits import random_brickwork, save_circuit
 from asymlab.config import (
     build_state,
     circuit_depth_range,
     config_hash,
     load_config,
+    sweep_distribution,
     validate_config,
 )
 from asymlab.errors import ConfigError, ResourceError
@@ -195,17 +197,17 @@ def test_build_state_circuit_applies_to_input(tmp_path):
     path = tmp_path / "circ.json"
     save_circuit(circ, path)
     spec = {"kind": "circuit", "path": str(path)}
-    state, loaded = build_state(spec, 4, 0, geometry=geo)
+    state, loaded = build_state(spec, 4, 0)
     assert loaded is not None
     assert loaded.depth == 2
     assert circuit_depth_range(loaded) == 4
     # wrong system size is a config error
     with pytest.raises(ConfigError):
-        build_state(spec, 6, 0, geometry=LatticeGeometry(1, 6))
+        build_state(spec, 6, 0)
     # nested circuits are rejected
     bad = {"kind": "circuit", "path": str(path), "input": {"kind": "circuit", "path": str(path)}}
     with pytest.raises(ConfigError):
-        build_state(bad, 4, 0, geometry=geo)
+        build_state(bad, 4, 0)
 
 
 def test_circuit_clustering_config_requires_circuit_kind():
@@ -233,3 +235,21 @@ def test_circuit_kind_rejected_for_sweeps(tmp_path):
 def test_clustering_range_requires_geometry():
     with pytest.raises(ConfigError):
         validate_config(_sweep_cfg(clustering_range=2))
+
+
+@pytest.mark.parametrize(
+    "data, direct",
+    [
+        ({"experiment": "kink-sweep", "sweep": [10]}, closedforms.kink_distribution(10)),
+        ({"experiment": "product-sweep", "sweep": [10],
+          "state_spec": {"kind": "bernoulli", "x": 0.3}},
+         closedforms.poisson_binomial(np.full(10, 0.3))),
+        ({"experiment": "dicke-sweep", "sweep": [10]}, closedforms.dicke_half_distribution(5)),
+        ({"experiment": "dicke-sweep", "sweep": [10],
+          "state_spec": {"kind": "dicke", "ratio": 0.2}},
+         closedforms.dicke_x_distribution(10, 2)),
+    ],
+)
+def test_sweep_distribution_takes_each_closed_form(data, direct):
+    dist = sweep_distribution(validate_config(data), 10)
+    assert np.array_equal(dist.probs, direct.probs)

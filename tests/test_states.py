@@ -16,7 +16,6 @@ from asymlab.states import (
     basis_state,
     bit_weights,
     entropy_of_probabilities,
-    expectation,
     floored_spectrum,
     ghz_state,
     plus_state,
@@ -168,17 +167,6 @@ def test_apply_site_matrix_site_forms_and_rejections():
     for sites, op in [(5, u), (-1, u), ((0, 5), gate), ((2, 2), gate), ((0, 1), u), (0, gate)]:
         with pytest.raises(ValidationError):
             apply_site_matrix(mat, op, sites, n)
-
-
-def test_expectation_of_pauli_strings():
-    psi = ghz_state(2)
-    assert_allclose(expectation(psi, [(1.0, {0: "z", 1: "z"})]).real, 1.0, atol=1e-12)
-    assert_allclose(expectation(psi, [(1.0, {0: "z"})]).real, 0.0, atol=1e-12)
-    assert_allclose(expectation(psi, [(1.0, {0: "x", 1: "x"})]).real, 1.0, atol=1e-12)
-    combo = [(2.0, {}), (0.5, {0: "x", 1: "x"})]
-    assert_allclose(expectation(psi, combo).real, 2.5, atol=1e-12)
-    rho = psi.to_density_matrix()
-    assert_allclose(expectation(rho, [(1.0, {0: "x", 1: "x"})]).real, 1.0, atol=1e-12)
 
 
 def test_reduced_density_matrix_of_ghz():
