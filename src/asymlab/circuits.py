@@ -16,14 +16,12 @@ import numpy as np
 from .errors import ValidationError
 from .lattice import LatticeGeometry, distance
 from .states import DensityMatrix, State, StateVector, apply_site_matrix
-
-UNITARITY_TOL = 1e-12
-COMPLETENESS_TOL = 1e-10
+from .tolerances import COMPLETENESS_TOL, UNITARITY_TOL
 
 
-def _is_unitary(mat: np.ndarray, tol: float = UNITARITY_TOL) -> bool:
+def _is_unitary(mat: np.ndarray) -> bool:
     d = mat.shape[0]
-    return float(np.max(np.abs(mat.conj().T @ mat - np.eye(d)))) <= tol
+    return float(np.max(np.abs(mat.conj().T @ mat - np.eye(d)))) <= UNITARITY_TOL
 
 
 @dataclass(frozen=True)
@@ -43,7 +41,7 @@ class Gate:
         if mat.shape != (d, d):
             raise ValidationError(f"gate on {len(sites)} site(s) needs a {d}x{d} matrix")
         if not _is_unitary(mat):
-            raise ValidationError("gate matrix is not unitary within 1e-12")
+            raise ValidationError(f"gate matrix is not unitary within {UNITARITY_TOL}")
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
 

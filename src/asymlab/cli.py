@@ -40,6 +40,7 @@ from .errors import (
     ResourceError,
     ValidationError,
 )
+from .tolerances import CORRELATOR_TOL, MARGIN_TOL, holds
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -47,9 +48,6 @@ EXIT_RESOURCE = 3
 EXIT_INVARIANT = 4
 
 LN2 = math.log(2.0)
-
-# slack, in nats, that a non-strict cap's margin may fall below zero by and still hold
-MARGIN_TOL = 1e-9
 
 
 # ---------------- value formatting and artifact writers ----------------
@@ -113,7 +111,7 @@ def _outdir(cfg: ExperimentConfig) -> Path:
 def _bounds_hold(margins: dict) -> bool:
     """Pass rule over nats margins: Massey's cap is strict, every other cap allows MARGIN_TOL."""
     return all(
-        v is None or (v > 0.0 if key == "massey" else v >= -MARGIN_TOL)
+        v is None or (holds(v, strict=True) if key == "massey" else holds(v + MARGIN_TOL))
         for key, v in margins.items()
     )
 
@@ -497,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cl.add_argument("--linear-size", type=int, required=True)
     p_cl.add_argument("--claimed-range", type=int, default=None,
                       help="override the default claim of twice the depth")
-    p_cl.add_argument("--tolerance", type=float, default=1e-10)
+    p_cl.add_argument("--tolerance", type=float, default=CORRELATOR_TOL)
     p_cl.add_argument("--output", default="clustering-out")
     p_cl.add_argument("--seed", type=int, default=0)
     return parser

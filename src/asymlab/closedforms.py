@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .states import StateVector, _check_cap, bit_weights, statevector_cap
+from .tolerances import FIT_SPAN_FLOOR, NORMALIZATION_TOL
 from .u1 import ChargeDistribution
 
 EXACT_BINOMIAL_LIMIT = 20
@@ -248,7 +249,6 @@ class ContinuousChargeDensity:
 
     descriptor: str
     pdf: Callable[[float], float] | None = None
-    grid: np.ndarray | None = None
     values: np.ndarray | None = None
 
     def _quad_pair(self) -> tuple[float, float]:
@@ -300,39 +300,32 @@ def arcsine_density() -> ContinuousChargeDensity:
     )
 
 
-def table_density(values, normalize: bool = True) -> ContinuousChargeDensity:
-    """Histogram density from K values on the midpoint grid u_j = (j + 1/2)/K."""
+def table_density(values) -> ContinuousChargeDensity:
+    """Normalized histogram density from K values on the midpoint grid u_j = (j + 1/2)/K."""
     values = np.array(values, dtype=float)
     if values.ndim != 1 or values.size < 2:
         raise ValidationError("table needs at least two density values")
     if np.any(values < 0.0):
         raise ValidationError("density values must be nonnegative")
-    k = values.size
-    grid = (np.arange(k) + 0.5) / k
-    if normalize:
-        total = float(np.sum(values)) / k
-        if total <= 0.0:
-            raise ValidationError("table has zero total mass")
-        values = values / total
+    total = float(np.sum(values)) / values.size
+    if total <= 0.0:
+        raise ValidationError("table has zero total mass")
+    values = values / total
     values.flags.writeable = False
-    grid.flags.writeable = False
-    return ContinuousChargeDensity("custom-table", grid=grid, values=values)
+    return ContinuousChargeDensity("custom-table", values=values)
 
 
 def density_from_distribution(probs) -> ContinuousChargeDensity:
     """Histogram density of measured support probabilities (scaled by the cell count)."""
     probs = np.asarray(probs, dtype=float)
-    return table_density(probs * probs.size, normalize=True)
-
-
-NORMALIZATION_TOL = 1e-8
+    return table_density(probs * probs.size)
 
 
 def continuous_asymmetry_estimate(density: ContinuousChargeDensity, n: int) -> float:
     """Large-N estimate ln(n) - integral of p ln p for a charge density.
 
     ``n`` is the number of charge values carrying the distribution; the
-    density must be normalized within 1e-8.
+    density must be normalized within NORMALIZATION_TOL.
     """
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
@@ -368,7 +361,7 @@ def asymptotic_fit(points, correction_power: float | None = None) -> FitResult:
     if np.any(ns <= 0.0):
         raise ValidationError("N values must be positive")
     logs = np.log(ns)
-    if np.ptp(logs) < 1e-9:
+    if np.ptp(logs) < FIT_SPAN_FLOOR:
         raise ValidationError("N values are degenerate; cannot fit a slope")
     if correction_power is None:
         slope, intercept = np.polyfit(logs, vals, 1)

@@ -21,11 +21,10 @@ from .states import (
     density_matrix_cap,
     reduced_density_matrix,
 )
+from .tolerances import CORRELATOR_TOL, IMAGINARY_TOL, MARGIN_TOL, SPREAD_THRESHOLD, holds
 from .u1 import charge_distribution, clustering_variance_bound
 
 CHARGE_OP = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-DEFAULT_TOL = 1e-10
-SPREAD_THRESHOLD = 1e-12
 
 
 def _pair_tensor(state: State, i: int, j: int) -> np.ndarray:
@@ -40,7 +39,7 @@ def _correlator_from_tensor(t: np.ndarray, op_i: np.ndarray, op_j: np.ndarray) -
     rho_j = np.einsum("rarb->ab", t)
     solo = np.einsum("ab,ba->", rho_i, op_i) * np.einsum("ab,ba->", rho_j, op_j)
     value = joint - solo
-    if abs(value.imag) > 1e-9:
+    if abs(value.imag) > IMAGINARY_TOL:
         raise ValidationError(f"connected correlator has imaginary part {value.imag:.3e}")
     return float(value.real)
 
@@ -66,7 +65,7 @@ def connected_correlator(
     t = _pair_tensor(state, site_i, site_j)
     value = _correlator_from_tensor(t, op_i, op_j)
     cap = 2.0 * np.linalg.norm(op_i, 2) * np.linalg.norm(op_j, 2)
-    if abs(value) > cap + 1e-9:
+    if abs(value) > cap + MARGIN_TOL:
         raise ValidationError(f"correlator {value!r} exceeds the operator-norm cap {cap!r}")
     return value
 
@@ -77,8 +76,7 @@ class ClusterReport:
 
     ``max_violation`` is the largest connected correlator found beyond the
     claimed range; ``effective_range`` is the largest distance at which any
-    correlator exceeds the tolerance (0 when uncorrelated).  ``pair_table``
-    lists (i, j, distance, charge-charge connected correlator) for every pair.
+    correlator exceeds the tolerance (0 when uncorrelated).
     """
 
     n_sites: int
@@ -87,11 +85,10 @@ class ClusterReport:
     max_violation: float
     effective_range: int
     distance_profile: tuple[tuple[int, float], ...]
-    pair_table: tuple[tuple[int, int, int, float], ...]
 
     @property
     def passed(self) -> bool:
-        return self.max_violation <= self.tolerance
+        return holds(self.tolerance - self.max_violation)
 
     def to_dict(self) -> dict:
         return {
@@ -109,7 +106,7 @@ def verify_cluster_property(
     state: State,
     geometry: LatticeGeometry,
     claimed_range: int,
-    tol: float = DEFAULT_TOL,
+    tol: float = CORRELATOR_TOL,
 ) -> ClusterReport:
     """Scan all site pairs and all nine Pauli pairs against a claimed range."""
     if geometry.n_sites != state.n_qubits:
@@ -121,7 +118,6 @@ def verify_cluster_property(
     n = state.n_qubits
     paulis = list(PAULI.values())
     by_distance: dict[int, float] = {}
-    pair_rows = []
     for i in range(n):
         for j in range(i + 1, n):
             d = distance(geometry, i, j)
@@ -131,7 +127,6 @@ def verify_cluster_property(
                 for op_j in paulis:
                     worst = max(worst, abs(_correlator_from_tensor(t, op_i, op_j)))
             by_distance[d] = max(by_distance.get(d, 0.0), worst)
-            pair_rows.append((i, j, d, _correlator_from_tensor(t, CHARGE_OP, CHARGE_OP)))
     max_violation = max(
         (v for d, v in by_distance.items() if d > claimed_range), default=0.0
     )
@@ -144,7 +139,6 @@ def verify_cluster_property(
         max_violation=max_violation,
         effective_range=effective,
         distance_profile=profile,
-        pair_table=tuple(pair_rows),
     )
 
 
@@ -184,7 +178,6 @@ def _seed_spread(
     seed: int,
     sites: tuple[int, ...],
     circuit: BrickworkCircuit,
-    threshold: float,
 ) -> int:
     """Spread of the three Paulis on ``seed``, conjugated through a circuit on ``sites``.
 
@@ -196,21 +189,17 @@ def _seed_spread(
     for axis in ("x", "y", "z"):
         op = apply_pauli(eye, sites.index(seed), axis, k)
         fractions = _support_mass_fractions(heisenberg_conjugate(op, circuit), k)
-        for i in np.flatnonzero(fractions > threshold):
+        for i in np.flatnonzero(fractions > SPREAD_THRESHOLD):
             spread = max(spread, distance(geometry, seed, sites[i]))
     return spread
 
 
-def operator_spreading_range(
-    circuit: BrickworkCircuit,
-    geometry: LatticeGeometry,
-    threshold: float = SPREAD_THRESHOLD,
-) -> int:
+def operator_spreading_range(circuit: BrickworkCircuit, geometry: LatticeGeometry) -> int:
     """Measured Heisenberg spreading radius of the circuit.
 
     Conjugates every single-site Pauli through the circuit and reports the
     largest graph distance from the seed site to any site still carrying
-    squared Pauli weight above ``threshold``.  Each seed's Paulis are evolved
+    squared Pauli weight above SPREAD_THRESHOLD.  Each seed's Paulis are evolved
     on its backward light cone alone (``circuits.backward_light_cone``): sites
     outside the cone carry exactly zero weight, and the work is 4^k per seed
     for a cone of k sites.  N is still limited by the density-matrix cap.
@@ -219,20 +208,16 @@ def operator_spreading_range(
     spread = 0
     for seed in range(n):
         sites, cone = backward_light_cone(circuit, seed)
-        spread = max(spread, _seed_spread(geometry, seed, sites, cone, threshold))
+        spread = max(spread, _seed_spread(geometry, seed, sites, cone))
     return spread
 
 
-def _dense_spreading_range(
-    circuit: BrickworkCircuit,
-    geometry: LatticeGeometry,
-    threshold: float = SPREAD_THRESHOLD,
-) -> int:
+def _dense_spreading_range(circuit: BrickworkCircuit, geometry: LatticeGeometry) -> int:
     """Reference route of ``operator_spreading_range``: every Pauli on all N qubits."""
     n = _check_spreading_inputs(circuit, geometry)
     spread = 0
     for seed in range(n):
-        spread = max(spread, _seed_spread(geometry, seed, tuple(range(n)), circuit, threshold))
+        spread = max(spread, _seed_spread(geometry, seed, tuple(range(n)), circuit))
     return spread
 
 
@@ -247,7 +232,7 @@ class VarianceCheck:
 
     @property
     def passed(self) -> bool:
-        return self.variance <= self.bound + 1e-9
+        return holds(self.margin + MARGIN_TOL)
 
     @property
     def margin(self) -> float:

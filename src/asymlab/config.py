@@ -20,6 +20,7 @@ from . import closedforms, states
 from .circuits import BrickworkCircuit, apply_circuit, load_circuit
 from .errors import ConfigError, ResourceError
 from .lattice import LatticeGeometry
+from .tolerances import CORRELATOR_TOL, RATIO_INTEGER_TOL, ZERO_NORM
 
 SWEEP_EXPERIMENTS = ("dicke-sweep", "kink-sweep", "product-sweep")
 STATE_EXPERIMENTS = ("u1-asymmetry", "su2-asymmetry", "circuit-clustering")
@@ -171,7 +172,7 @@ def validate_config(data: dict) -> ExperimentConfig:
         output=data.get("output", "."),
         log_base=data.get("log_base", "e"),
         clustering_range=data.get("clustering_range"),
-        tolerance=float(data.get("tolerance", 1e-10)),
+        tolerance=float(data.get("tolerance", CORRELATOR_TOL)),
         hash=config_hash(data),
     )
 
@@ -240,7 +241,7 @@ def _product_from_amplitudes(amplitudes, n: int) -> states.StateVector:
     for pair in amplitudes:
         vec = np.array([complex(re, im) for re, im in pair])
         norm = np.linalg.norm(vec)
-        if norm < 1e-12:
+        if norm < ZERO_NORM:
             raise ConfigError("product state has a zero local vector")
         locals_.append(vec / norm)
     return states.product_state(locals_)
@@ -268,7 +269,7 @@ def dicke_excitations(spec: dict, n: int) -> int:
     else:
         ratio = float(spec.get("ratio", 0.5))
         k_eff = ratio * n
-        if abs(k_eff - round(k_eff)) > 1e-12:
+        if abs(k_eff - round(k_eff)) > RATIO_INTEGER_TOL:
             raise ConfigError(f"dicke ratio {ratio} gives non-integer excitation count at N = {n}")
         k = int(round(k_eff))
     if not 0 <= k <= n:
@@ -295,7 +296,7 @@ def _load_vector(path, n: int) -> states.StateVector:
             f"state file {path} holds {vec.size} amplitudes, need {2**n} for {n} sites"
         )
     norm = np.linalg.norm(vec)
-    if norm < 1e-12:
+    if norm < ZERO_NORM:
         raise ConfigError(f"state file {path} holds a zero vector")
     return states.StateVector(n, vec / norm)
 

@@ -18,15 +18,10 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, ResourceError, ValidationError
+from .tolerances import EIGENVALUE_FLOOR, HERMITICITY_TOL, NORM_TOL, PROBABILITY_FLOOR, UNIT_SUM_TOL
 
 DEFAULT_STATEVECTOR_QUBITS = 24
 DEFAULT_DENSITY_QUBITS = 12
-
-NORM_TOL = 1e-12
-HERMITICITY_TOL = 1e-10
-TRACE_TOL = 1e-10
-EIGENVALUE_FLOOR = -1e-10
-PROBABILITY_FLOOR = 1e-14
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -108,8 +103,8 @@ class DensityMatrix:
         if herm > HERMITICITY_TOL:
             raise ValidationError(f"matrix deviates from Hermitian by {herm:.3e}")
         tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValidationError(f"trace = {tr!r}, not 1 within {TRACE_TOL}")
+        if abs(tr - 1.0) > UNIT_SUM_TOL:
+            raise ValidationError(f"trace = {tr!r}, not 1 within {UNIT_SUM_TOL}")
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
 

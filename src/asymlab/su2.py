@@ -40,18 +40,22 @@ from .states import (
     floored_spectrum,
     von_neumann_entropy,
 )
+from .tolerances import (
+    CASIMIR_PRECONDITION_TOL,
+    EMPTY_SECTOR_WEIGHT,
+    HAAR_QUADRATURE_TOL,
+    MARGIN_TOL,
+    NEGATIVE_ASYMMETRY_TOL,
+    SINGULAR_VALUE_FLOOR,
+    TRANSVERSE_TOL,
+    UNIT_SUM_TOL,
+    ZERO_NORM,
+    holds,
+)
 
-TRANSVERSE_TOL = 1e-9
-CASIMIR_PRECONDITION_TOL = 1e-6
 C_LAMBDA_PREFACTOR = 1.5
-# a pure state's sector whose total weight is below this contributes no entropy
-EMPTY_SECTOR_WEIGHT = 1e-14
-# squared singular values below this are dropped from a pure sector's spectrum
-SINGULAR_VALUE_FLOOR = 1e-18
-# the (s, m) weights must sum to 1 within this
-SECTOR_SUM_TOL = 1e-10
-# a rotation asymmetry below -NEGATIVE_ASYMMETRY_TOL is an error, not rounding
-NEGATIVE_ASYMMETRY_TOL = 1e-9
+# grid doublings the Haar quadrature may take to reach HAAR_QUADRATURE_TOL
+HAAR_MAX_REFINEMENTS = 6
 
 
 def multiplicity(n_qubits: int, s: int) -> int:
@@ -351,8 +355,8 @@ def sector_distribution(state: State, basis: SchurBasis) -> SectorTable:
             p_sm[s, n - w] = weight[first : first + mult].sum()
     p_sm = np.clip(p_sm, 0.0, None)
     total = float(p_sm.sum())
-    if abs(total - 1.0) > SECTOR_SUM_TOL:
-        raise ValidationError(f"sector weights sum to {total!r}, not 1 within {SECTOR_SUM_TOL}")
+    if abs(total - 1.0) > UNIT_SUM_TOL:
+        raise ValidationError(f"sector weights sum to {total!r}, not 1 within {UNIT_SUM_TOL}")
     mults = np.array([multiplicity(n, s) for s in range(half + 1)])
     return SectorTable(n, p_sm, mults)
 
@@ -510,11 +514,11 @@ def global_rotation(arr: np.ndarray, u: np.ndarray, n: int) -> np.ndarray:
     return np.ascontiguousarray(arr.T)
 
 
-def su2_twirl_haar(state: State, tol: float = 1e-8, max_refinements: int = 6) -> DensityMatrix:
+def su2_twirl_haar(state: State) -> DensityMatrix:
     """Rotation twirl by direct Haar quadrature over Euler angles (oracle path).
 
     Uniform grids in alpha and gamma, Gauss-Legendre in cos(beta); the grid is
-    refined until two successive quadratures agree within ``tol``.
+    refined until two successive quadratures agree within HAAR_QUADRATURE_TOL.
     """
     if isinstance(state, StateVector):
         state = state.to_density_matrix()
@@ -522,7 +526,7 @@ def su2_twirl_haar(state: State, tol: float = 1e-8, max_refinements: int = 6) ->
     previous = None
     k = 2 * n + 2
     n_beta = n + 2
-    for _ in range(max_refinements):
+    for _ in range(HAAR_MAX_REFINEMENTS):
         alphas = 2.0 * np.pi * np.arange(k) / k
         gammas = alphas
         nodes, gl_weights = leggauss(n_beta)
@@ -533,12 +537,13 @@ def su2_twirl_haar(state: State, tol: float = 1e-8, max_refinements: int = 6) ->
                 for gamma in gammas:
                     u = _euler_unitary(alpha, beta, gamma)
                     acc += (w / 2.0 / k / k) * global_rotation(state.matrix, u, n)
-        if previous is not None and float(np.max(np.abs(acc - previous))) <= tol:
+        if previous is not None and float(np.max(np.abs(acc - previous))) <= HAAR_QUADRATURE_TOL:
             return DensityMatrix(n, acc)
         previous = acc
         k *= 2
         n_beta *= 2
-    raise ValidationError(f"Haar quadrature did not converge to {tol} after {max_refinements} refinements")
+    raise ValidationError(f"Haar quadrature did not converge to {HAAR_QUADRATURE_TOL} "
+                          f"after {HAAR_MAX_REFINEMENTS} refinements")
 
 
 def spin_moments(state: State) -> dict:
@@ -614,12 +619,12 @@ def zero_transverse_rotation(state: State):
     moments = spin_moments(state)
     v = np.array([moments["sx"], moments["sy"], moments["sz"]])
     norm = float(np.linalg.norm(v))
-    if norm < 1e-12:
+    if norm < ZERO_NORM:
         return state, np.eye(2, dtype=complex)
     vhat = v / norm
     axis = np.cross(vhat, [0.0, 0.0, 1.0])
     axis_norm = float(np.linalg.norm(axis))
-    if axis_norm < 1e-12:
+    if axis_norm < ZERO_NORM:
         if vhat[2] > 0.0:
             return state, np.eye(2, dtype=complex)
         axis, angle = np.array([1.0, 0.0, 0.0]), np.pi
@@ -654,11 +659,11 @@ class CasimirReport:
 
     @property
     def passed(self) -> bool:
-        return self.lhs <= self.bound + 1e-9
+        return holds(self.bound - self.lhs + MARGIN_TOL)
 
     @property
     def precursor_passed(self) -> bool:
-        return self.precursor_lhs <= self.bound + 1e-9
+        return holds(self.bound - self.precursor_lhs + MARGIN_TOL)
 
     def margins(self) -> dict:
         return {
@@ -686,7 +691,7 @@ def casimir_constraint_check(
     """Check the collective-spin second-moment caps for a clustering state.
 
     Precondition: the transverse mean spin must already be gauged away
-    (|<Sx>|, |<Sy>| <= 1e-6), e.g. via zero_transverse_rotation.  The main
+    (|<Sx>|, |<Sy>| <= CASIMIR_PRECONDITION_TOL), e.g. via zero_transverse_rotation.  The main
     inequality is <S^2> - <Sz^2> <= c N; the precursor replaces <Sz^2> by the
     squared mean spin |<S>|^2 and is the stronger statement that actually
     requires clustering.

@@ -20,9 +20,7 @@ from .states import (
     entropy_of_probabilities,
     von_neumann_entropy,
 )
-
-NEGATIVE_PROBABILITY_TOL = -1e-12
-SUM_TOL = 1e-10
+from .tolerances import MARGIN_TOL, NEGATIVE_ASYMMETRY_TOL, NEGATIVE_PROBABILITY_TOL, UNIT_SUM_TOL
 
 
 @dataclass(frozen=True)
@@ -43,8 +41,10 @@ class ChargeDistribution:
             raise ValidationError(f"charge probability {low:.3e} below {NEGATIVE_PROBABILITY_TOL}")
         np.clip(p, 0.0, None, out=p)
         total = float(p.sum())
-        if abs(total - 1.0) > SUM_TOL:
-            raise ValidationError(f"charge probabilities sum to {total!r}, not 1 within {SUM_TOL}")
+        if abs(total - 1.0) > UNIT_SUM_TOL:
+            raise ValidationError(
+                f"charge probabilities sum to {total!r}, not 1 within {UNIT_SUM_TOL}"
+            )
         q = np.arange(p.size, dtype=float)
         mean = float(p @ q)
         variance = float(p @ (q - mean) ** 2)
@@ -177,9 +177,9 @@ def _build_report(
     clustering_range: int | None,
 ) -> AsymmetryReport:
     shannon = shannon_entropy(dist)
-    if delta_s < -1e-9:
+    if delta_s < -NEGATIVE_ASYMMETRY_TOL:
         raise ValidationError(f"asymmetry {delta_s!r} is negative beyond tolerance")
-    if delta_s > shannon + 1e-9:
+    if delta_s > shannon + MARGIN_TOL:
         raise ValidationError(
             f"asymmetry {delta_s!r} exceeds the charge entropy {shannon!r} beyond tolerance"
         )

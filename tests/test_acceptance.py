@@ -26,7 +26,7 @@ from asymlab.states import (
     random_density_matrix,
     random_state,
 )
-from asymlab.suite import _SuiteRunner, _random_product_input
+from asymlab.suite import _random_product_input, bound_suite
 
 
 def test_criterion_1_kink_maximality(record_criterion):
@@ -106,7 +106,7 @@ def test_criterion_4_product_state_scaling(record_criterion):
         points.append((n, h))
     fit = closedforms.asymptotic_fit(points)
     ok = abs(fit.slope - 0.5) <= 0.01
-    shepp = _SuiteRunner(seed=0, samples=1.0).bernoulli_entropy_maximum(draws=10**4)
+    (shepp,) = bound_suite(seed=0, samples=1.0, names=["bernoulli-entropy-maximum"])
     ok &= shepp.passed
     elapsed = time.perf_counter() - t0
     record_criterion(
@@ -121,7 +121,7 @@ def test_criterion_4_product_state_scaling(record_criterion):
 
 def test_criterion_5_abelian_bound_chain(record_criterion):
     t0 = time.perf_counter()
-    res = _SuiteRunner(seed=0, samples=1.0).circuit_bound_chain(seeds=50)
+    (res,) = bound_suite(seed=0, samples=1.0, names=["circuit-bound-chain"])
     elapsed = time.perf_counter() - t0
     record_criterion(
         5,
@@ -135,19 +135,17 @@ def test_criterion_5_abelian_bound_chain(record_criterion):
 
 def test_criterion_6_non_abelian_suite(record_criterion):
     t0 = time.perf_counter()
-    runner = _SuiteRunner(seed=0, samples=1.0)
     ok = True
     unit_dev = 0.0
+    bases = {n: su2.build_schur_basis(n) for n in (2, 4, 6, 8)}
     for n in (2, 4, 6, 8):
         total = sum((2 * s + 1) * su2.multiplicity(n, s) for s in range(n // 2 + 1))
         ok &= total == 2**n
-        umat = runner.basis(n).dense()
+        umat = bases[n].dense()
         unit_dev = max(
             unit_dev, float(np.abs(umat.conj().T @ umat - np.eye(2**n)).max())
         )
     ok &= unit_dev <= 1e-10
-    quad = runner.twirl_quadrature_match()
-    ok &= quad.passed
 
     rng = np.random.default_rng([0, 600])
     ineq_margin = math.inf
@@ -161,15 +159,17 @@ def test_criterion_6_non_abelian_suite(record_criterion):
         gauged, _ = su2.zero_transverse_rotation(psi)
         mom = su2.spin_moments(gauged)
         gauge_dev = max(gauge_dev, abs(mom["sx"]), abs(mom["sy"]))
-        rep = su2.su2_asymmetry(gauged, runner.basis(n))
+        rep = su2.su2_asymmetry(gauged, bases[n])
         margins = rep.margins()
         ineq_margin = min(ineq_margin, margins["sector_entropy"], margins["support_dim"])
         cas = su2.casimir_constraint_check(gauged, geo, 2 * lightcone_range(depth))
         ineq_margin = min(ineq_margin, cas.bound - cas.lhs, cas.bound - cas.precursor_lhs)
     ok &= gauge_dev <= 1e-9
     ok &= ineq_margin >= -1e-9
-    rot = runner.global_rotation_invariance()
-    ok &= rot.passed
+    quad, rot = bound_suite(
+        seed=0, samples=1.0, names=["twirl-quadrature-match", "global-rotation-invariance"]
+    )
+    ok &= quad.passed and rot.passed
     elapsed = time.perf_counter() - t0
     record_criterion(
         6,

@@ -14,6 +14,8 @@ from asymlab.cli import main
 from asymlab.config import NAMED_STATES, build_state
 from asymlab.lattice import LatticeGeometry
 from asymlab.states import ghz_state
+from asymlab.suite import CheckResult, bound_suite
+from asymlab.tolerances import MARGIN_TOL, holds
 
 LN2 = math.log(2.0)
 
@@ -447,8 +449,17 @@ def test_clustering_input_ghz_builds_a_circuit_state(tmp_path, monkeypatch):
 def test_pass_rule_is_strict_for_massey_only():
     assert not cli._bounds_hold({"log_n_plus_1": 1.0, "massey": 0.0, "clustering": None})
     assert cli._bounds_hold({"log_n_plus_1": -5e-10, "massey": 1e-12, "clustering": None})
-    assert not cli._bounds_hold({"log_n_plus_1": -2 * cli.MARGIN_TOL, "massey": 1.0})
+    assert not cli._bounds_hold({"log_n_plus_1": -2 * MARGIN_TOL, "massey": 1.0})
     assert cli._bounds_hold({"sector_entropy": -5e-10, "support_dim": 0.0})
+    # the same rule decides the suites: margin 0.0 fails only when strict
+    assert holds(0.0) and not holds(0.0, strict=True)
+    assert CheckResult("any-check", 0.0).passed
+    assert not CheckResult("massey-strict", 0.0, strict=True).passed
+    assert CheckResult("massey-strict", 1e-300, strict=True).passed
+    assert holds(-5e-10 + MARGIN_TOL)
+    assert not holds(-2 * MARGIN_TOL + MARGIN_TOL)
+    results = bound_suite(samples=0.05, names=["massey-strict", "asymmetry-log-cap"])
+    assert [r.strict for r in results] == [False, True]  # suite order: log cap, then Massey
 
 
 def test_readme_lists_the_named_states():

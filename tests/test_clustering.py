@@ -93,7 +93,6 @@ def test_cluster_report_distance_profile_is_sorted_and_complete():
     dists = [d for d, _ in rep.distance_profile]
     assert dists == sorted(set(dists))
     assert max(dists) == geo.diameter
-    assert len(rep.pair_table) == 6 * 5 // 2
 
 
 def test_verify_cluster_property_validation():

@@ -6,8 +6,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from asymlab.errors import ResourceError, ValidationError
+from asymlab.tolerances import EIGENVALUE_FLOOR
 from asymlab.states import (
-    EIGENVALUE_FLOOR,
     PAULI,
     DensityMatrix,
     StateVector,

@@ -9,16 +9,16 @@ from asymlab.suite import CheckResult, all_passed, bound_suite, oracle_suite
 
 
 def test_check_result_line_format():
-    res = CheckResult("demo-check", True, 1.5e-3, "detail text")
+    res = CheckResult("demo-check", 1.5e-3, "detail text")
     line = res.line()
     assert line.startswith("pass")
     assert "demo-check" in line and "+1.500e-03" in line
-    bad = CheckResult("demo-check", False, -2.0)
+    bad = CheckResult("demo-check", -2.0)
     assert bad.line().startswith("FAIL")
 
 
 def test_check_result_coerces_numpy_scalars():
-    res = CheckResult("x", np.bool_(True), np.float64(0.25))
+    res = CheckResult("x", np.float64(0.25))
     assert isinstance(res.passed, bool)
     assert isinstance(res.margin, float)
 
@@ -69,6 +69,16 @@ def test_oracle_suite_passes_and_is_deterministic():
     b = oracle_suite(seed=0)
     assert [r.margin for r in a] == [r.margin for r in b]
     assert len(a) == 13
+
+
+def test_scaling_fit_margin_binds_on_every_fit(monkeypatch):
+    # a flat product-state distribution has slope ~1, not 1/2: only the product fit fails
+    monkeypatch.setattr(
+        suite.closedforms, "poisson_binomial", lambda x: suite.u1.flat_distribution(len(x) + 1)
+    )
+    fits = {r.name: r for r in oracle_suite(seed=0)}["scaling-fit-examples"]
+    assert fits.margin < 0
+    assert not fits.passed
 
 
 def test_mutated_massey_bound_is_caught(monkeypatch):
