@@ -424,6 +424,10 @@ def run_experiment(cfg: ExperimentConfig) -> int:
 
 
 def _log_spaced(n_min: int, n_max: int, points: int, even: bool) -> list[int]:
+    if n_min < 1:
+        raise ConfigError(f"--n-min {n_min} must be at least 1")
+    if points < 1:
+        raise ConfigError(f"--points {points} must be at least 1")
     if n_min > n_max:
         raise ConfigError(f"--n-min {n_min} exceeds --n-max {n_max}")
     raw = np.unique(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -107,6 +108,19 @@ def _check_schema(data: dict):
         raise ConfigError(f"config invalid at {where}: {first.message}")
 
 
+def _check_finite(value, path=()):
+    """Reject NaN and +-Inf anywhere in a config; the schema's bounds let NaN through."""
+    if isinstance(value, float) and not math.isfinite(value):
+        where = "/".join(map(str, path)) or "<root>"
+        raise ConfigError(f"config invalid at {where}: {value!r} is not a finite number")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _check_finite(item, path + (key,))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            _check_finite(item, path + (index,))
+
+
 def _sweep_route(experiment: str, spec: dict):
     """The closed form a sweep takes: (cap name, cap, n -> ChargeDistribution)."""
     if experiment == "kink-sweep":
@@ -147,6 +161,7 @@ def validate_config(data: dict) -> ExperimentConfig:
     """Schema check, semantic check, capability envelope; returns the config."""
     if not isinstance(data, dict):
         raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
+    _check_finite(data)
     _check_schema(data)
     experiment = data["experiment"]
 

@@ -490,15 +490,6 @@ def su2_asymmetry(state: State, basis: SchurBasis) -> Su2AsymmetryReport:
     return report
 
 
-def _euler_unitary(alpha: float, beta: float, gamma: float) -> np.ndarray:
-    """Single-qubit rotation exp(-i a Sz) exp(-i b Sy) exp(-i c Sz) with spin-1/2 generators."""
-    za = np.diag(np.exp([-0.5j * alpha, 0.5j * alpha]))
-    zc = np.diag(np.exp([-0.5j * gamma, 0.5j * gamma]))
-    cb, sb = np.cos(beta / 2.0), np.sin(beta / 2.0)
-    ry = np.array([[cb, -sb], [sb, cb]], dtype=complex)
-    return za @ ry @ zc
-
-
 def global_rotation(arr: np.ndarray, u: np.ndarray, n: int) -> np.ndarray:
     """Apply u^{(x) N}: to amplitudes, or as u^{(x) N} M u^{(x) N dagger} to a matrix.
 
@@ -514,11 +505,29 @@ def global_rotation(arr: np.ndarray, u: np.ndarray, n: int) -> np.ndarray:
     return np.ascontiguousarray(arr.T)
 
 
+def _dephasing_mask(n: int, k: int) -> np.ndarray:
+    """Mask Phi_k whose product with rho averages R_z(alpha)^{(x) N} rho R_z(alpha)^{(x) N dagger}.
+
+    The average runs over k uniform alphas.  R_z(alpha)^{(x) N} is diagonal with
+    entry exp(-i alpha m_l), m_l = N/2 - popcount(l), so the average multiplies
+    rho[l, l'] by (1/k) sum_j exp(-2 pi i j (m_l - m_l') / k); that factor is
+    tabulated over the 2N + 1 integer differences and gathered.
+    """
+    diffs = np.arange(-n, n + 1)
+    table = np.exp(-2j * np.pi * np.outer(diffs, np.arange(k)) / k).mean(axis=1)
+    weights = bit_weights(n)
+    return table[weights[None, :] - weights[:, None] + n]
+
+
 def su2_twirl_haar(state: State) -> DensityMatrix:
     """Rotation twirl by direct Haar quadrature over Euler angles (oracle path).
 
-    Uniform grids in alpha and gamma, Gauss-Legendre in cos(beta); the grid is
-    refined until two successive quadratures agree within HAAR_QUADRATURE_TOL.
+    Uniform k-point grids in alpha and gamma, Gauss-Legendre in cos(beta), weight
+    w_beta / (2 k^2) per node; the grid is refined until two successive quadratures
+    agree within HAAR_QUADRATURE_TOL.  With u = R_z(alpha) R_y(beta) R_z(gamma) the
+    gamma sum and the alpha sum are each an elementwise product with the mask Phi_k
+    of ``_dephasing_mask``, so one level is the same finite sum taken as
+    sum_beta (w_beta / 2) Phi_k o (R_y(beta)^{(x) N} (Phi_k o rho) R_y(beta)^{(x) N T}).
     """
     if isinstance(state, StateVector):
         state = state.to_density_matrix()
@@ -527,16 +536,15 @@ def su2_twirl_haar(state: State) -> DensityMatrix:
     k = 2 * n + 2
     n_beta = n + 2
     for _ in range(HAAR_MAX_REFINEMENTS):
-        alphas = 2.0 * np.pi * np.arange(k) / k
-        gammas = alphas
+        mask = _dephasing_mask(n, k)
+        dephased = mask * state.matrix
         nodes, gl_weights = leggauss(n_beta)
-        betas = np.arccos(nodes)
         acc = np.zeros_like(state.matrix)
-        for beta, w in zip(betas, gl_weights):
-            for alpha in alphas:
-                for gamma in gammas:
-                    u = _euler_unitary(alpha, beta, gamma)
-                    acc += (w / 2.0 / k / k) * global_rotation(state.matrix, u, n)
+        for beta, w in zip(np.arccos(nodes), gl_weights):
+            cb, sb = np.cos(beta / 2.0), np.sin(beta / 2.0)
+            ry = np.array([[cb, -sb], [sb, cb]])
+            acc += (w / 2.0) * global_rotation(dephased, ry, n)
+        acc *= mask
         if previous is not None and float(np.max(np.abs(acc - previous))) <= HAAR_QUADRATURE_TOL:
             return DensityMatrix(n, acc)
         previous = acc

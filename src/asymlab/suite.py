@@ -436,7 +436,7 @@ class _SuiteRunner:
     def twirl_quadrature_match(self) -> tuple[float, str]:
         rng = self.rng(20)
         worst = 0.0
-        for n in (2, 4):
+        for n in (2, 4, 6):
             basis = self.basis(n)
             for state in (
                 states.random_state(n, rng).to_density_matrix(),
@@ -445,7 +445,7 @@ class _SuiteRunner:
                 exact = su2.su2_twirl(state, basis)
                 quad = su2.su2_twirl_haar(state)
                 worst = max(worst, float(np.abs(exact.matrix - quad.matrix).max()))
-        return HAAR_MATCH_TOL - worst, "group-average quadrature"
+        return HAAR_MATCH_TOL - worst, "6 states, n<=6: Schur twirl vs Euler quadrature"
 
     def rotation_fixed_point_iff(self) -> tuple[float, str]:
         rng = self.rng(21)

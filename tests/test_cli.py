@@ -348,6 +348,44 @@ def _product_x_length_mismatch(tmp_path, monkeypatch):
     return ["run", _write(tmp_path / "cfg.json", cfg)]
 
 
+def _product_x_nan(tmp_path, monkeypatch):
+    return ["product", "--x", "nan", "--n-min", "10", "--n-max", "100", "--points", "3",
+            "--output", str(tmp_path / "out")]
+
+
+def _bound_suite_samples_nan(tmp_path, monkeypatch):
+    return ["verify", "bound-suite", "--samples", "nan"]
+
+
+def _bound_suite_samples_inf(tmp_path, monkeypatch):
+    return ["verify", "bound-suite", "--samples", "inf"]
+
+
+def _config_json_nan(tmp_path, monkeypatch):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"experiment": "bound-suite", "samples": NaN}')
+    return ["run", str(path)]
+
+
+def _config_json_infinity(tmp_path, monkeypatch):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"experiment": "kink-sweep", "sweep": [10], "tolerance": Infinity, '
+                    f'"output": "{tmp_path / "out"}"}}')
+    return ["run", str(path)]
+
+
+def _dicke_n_min_zero(tmp_path, monkeypatch):
+    return ["dicke", "--n-min", "0", "--n-max", "100", "--output", str(tmp_path / "out")]
+
+
+def _kink_n_min_negative(tmp_path, monkeypatch):
+    return ["kink", "--n-min", "-3", "--n-max", "100", "--output", str(tmp_path / "out")]
+
+
+def _product_points_negative(tmp_path, monkeypatch):
+    return ["product", "--points", "-1", "--output", str(tmp_path / "out")]
+
+
 @pytest.mark.parametrize(
     "make_argv",
     [
@@ -362,6 +400,14 @@ def _product_x_length_mismatch(tmp_path, monkeypatch):
         _clustering_input_kink,
         _dicke_ratio_just_above_half,
         _bound_suite_with_state_spec,
+        _product_x_nan,
+        _bound_suite_samples_nan,
+        _bound_suite_samples_inf,
+        _config_json_nan,
+        _config_json_infinity,
+        _dicke_n_min_zero,
+        _kink_n_min_negative,
+        _product_points_negative,
     ],
 )
 def test_malformed_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, make_argv):

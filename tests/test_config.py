@@ -50,6 +50,24 @@ def test_unknown_keys_are_rejected():
         )
 
 
+@pytest.mark.parametrize(
+    "data, where",
+    [
+        ({"experiment": "bound-suite", "samples": math.nan}, "samples"),
+        ({"experiment": "bound-suite", "samples": math.inf}, "samples"),
+        (_sweep_cfg(state_spec={"kind": "dicke", "ratio": -math.inf}), "state_spec/ratio"),
+        (
+            {"experiment": "product-sweep", "sweep": [2],
+             "state_spec": {"kind": "bernoulli", "x": [0.5, math.nan]}},
+            "state_spec/x/1",
+        ),
+    ],
+)
+def test_non_finite_numbers_are_rejected(data, where):
+    with pytest.raises(ConfigError, match=f"at {where}: .* is not a finite number"):
+        validate_config(data)
+
+
 def test_unknown_experiment_rejected():
     with pytest.raises(ConfigError):
         validate_config({"experiment": "time-travel"})

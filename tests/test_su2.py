@@ -3,8 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from numpy.testing import assert_allclose
 
+from asymlab import su2
 from asymlab.circuits import haar_unitary
 from asymlab.closedforms import dicke_state
 from asymlab.errors import PreconditionError, ValidationError
@@ -21,6 +23,7 @@ from asymlab.states import (
     zero_state,
 )
 from asymlab.su2 import (
+    HAAR_MAX_REFINEMENTS,
     _dense_schur_basis,
     build_schur_basis,
     casimir_constraint_check,
@@ -35,6 +38,7 @@ from asymlab.su2 import (
     su2_twirl_haar,
     zero_transverse_rotation,
 )
+from asymlab.tolerances import HAAR_QUADRATURE_TOL
 
 
 def _rotate_all(psi: StateVector, u: np.ndarray) -> StateVector:
@@ -230,11 +234,61 @@ def test_twirl_idempotent_and_trace_preserving():
 
 def test_twirl_matches_haar_quadrature():
     rng = np.random.default_rng(9)
-    basis = build_schur_basis(2)
-    rho = random_density_matrix(2, rng)
-    exact = su2_twirl(rho, basis)
-    quad = su2_twirl_haar(rho)
-    assert_allclose(exact.matrix, quad.matrix, atol=1e-6)
+    for n in (2, 4, 6, 8):
+        basis = build_schur_basis(n)
+        for rho in (
+            random_state(n, rng).to_density_matrix(),
+            random_density_matrix(n, rng, rank=3),
+            random_density_matrix(n, rng),
+        ):
+            exact = su2_twirl(rho, basis)
+            quad = su2_twirl_haar(rho)
+            assert_allclose(quad.matrix, exact.matrix, atol=1e-12)
+
+
+def _euler_unitary(alpha: float, beta: float, gamma: float) -> np.ndarray:
+    za = np.diag(np.exp([-0.5j * alpha, 0.5j * alpha]))
+    zc = np.diag(np.exp([-0.5j * gamma, 0.5j * gamma]))
+    cb, sb = np.cos(beta / 2.0), np.sin(beta / 2.0)
+    return za @ np.array([[cb, -sb], [sb, cb]], dtype=complex) @ zc
+
+
+def _per_node_haar_twirl(rho: DensityMatrix) -> np.ndarray:
+    """The same sum taken node by node: u^{(x) N} rho u^{(x) N dagger} per Euler node."""
+    n = rho.n_qubits
+    previous = None
+    k, n_beta = 2 * n + 2, n + 2
+    for _ in range(HAAR_MAX_REFINEMENTS):
+        angles = 2.0 * np.pi * np.arange(k) / k
+        nodes, gl_weights = leggauss(n_beta)
+        acc = np.zeros_like(rho.matrix)
+        for beta, w in zip(np.arccos(nodes), gl_weights):
+            for alpha in angles:
+                for gamma in angles:
+                    u = _euler_unitary(alpha, beta, gamma)
+                    acc += (w / 2.0 / k / k) * global_rotation(rho.matrix, u, n)
+        if previous is not None and np.max(np.abs(acc - previous)) <= HAAR_QUADRATURE_TOL:
+            return acc
+        previous = acc
+        k, n_beta = 2 * k, 2 * n_beta
+    raise AssertionError("per-node reference did not converge")
+
+
+def test_haar_quadrature_matches_per_node_sum():
+    rng = np.random.default_rng(23)
+    cases = [
+        random_state(2, rng).to_density_matrix(),
+        random_density_matrix(2, rng),
+        random_density_matrix(4, rng, rank=3),
+    ]
+    for rho in cases:
+        assert_allclose(su2_twirl_haar(rho).matrix, _per_node_haar_twirl(rho), atol=1e-12)
+
+
+def test_haar_quadrature_raises_when_it_cannot_converge(monkeypatch):
+    monkeypatch.setattr(su2, "HAAR_QUADRATURE_TOL", -1.0)
+    with pytest.raises(ValidationError, match="did not converge"):
+        su2_twirl_haar(random_density_matrix(2, np.random.default_rng(5)))
 
 
 def test_asymmetry_zero_for_rotation_invariant_states():
