@@ -65,11 +65,25 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _scale(value, log_base: str):
-    """Convert an entropic quantity from nats to the requested output base."""
-    if value is None:
-        return None
-    return value / LN2 if log_base == "2" else value
+def _in_base(data: dict, log_base: str) -> dict:
+    """``data`` with its entropic fields, and only those, converted from nats to ``log_base``.
+
+    The entropic fields are ``delta_s``, ``shannon``, ``bound_*``, ``margin_*`` and
+    every value of a ``bounds`` or ``margins`` section.
+    """
+    if log_base != "2":
+        return data
+
+    def bits(value):
+        return None if value is None else value / LN2
+
+    out = dict(data)
+    for key, value in data.items():
+        if key in ("bounds", "margins"):
+            out[key] = {k: bits(v) for k, v in value.items()}
+        elif key in ("delta_s", "shannon") or key.startswith(("bound_", "margin_")):
+            out[key] = bits(value)
+    return out
 
 
 def _write_csv(path: Path, header, rows):
@@ -84,7 +98,10 @@ def _write_report(path: Path, payload: dict):
 
 
 def _write_plot(path: Path, cfg_hash: str, title: str, xlabel: str, ylabel: str,
-                xcol: int, ycol: int, logx: bool):
+                header: list[str], x: str | None, y: str, logx: bool):
+    """Plot results.csv column ``y`` against ``x``, named in ``header``; x None is the row index."""
+    xcol = 0 if x is None else header.index(x) + 1
+    ycol = header.index(y) + 1
     lines = [
         f"# gnuplot script (config {cfg_hash})",
         'set datafile separator ","',
@@ -129,7 +146,7 @@ def _run_sweep(cfg: ExperimentConfig) -> int:
         margins = rep.margins()
         return {
             "n": rep.n_sites,
-            "delta_s_nats": rep.delta_s,
+            "delta_s": rep.delta_s,
             "variance": rep.variance,
             "bound_log_n_plus_1": rep.bound_log_n_plus_1,
             "bound_massey": rep.bound_massey,
@@ -140,17 +157,14 @@ def _run_sweep(cfg: ExperimentConfig) -> int:
 
     rows = list(map(compute, reports))
 
-    points = [(row["n"], row["delta_s_nats"]) for row in rows]
+    points = [(row["n"], row["delta_s"]) for row in rows]
     fit = closedforms.asymptotic_fit(points) if len(points) >= 3 else None
     corrected = None
     if cfg.experiment == "dicke-sweep" and len(points) >= 4:
         corrected = closedforms.asymptotic_fit(points, correction_power=0.5)
 
+    rows = [_in_base(row, cfg.log_base) for row in rows]
     for row in rows:
-        row["delta_s"] = _scale(row.pop("delta_s_nats"), cfg.log_base)
-        for key in ("bound_log_n_plus_1", "bound_massey",
-                    "margin_log_n_plus_1", "margin_massey"):
-            row[key] = _scale(row[key], cfg.log_base)
         row["fit_slope"] = fit.slope if fit else None
         row["fit_intercept"] = fit.intercept if fit else None
         row["fit_max_residual"] = fit.max_residual if fit else None
@@ -199,7 +213,7 @@ def _run_sweep(cfg: ExperimentConfig) -> int:
     _write_report(out / "report.json", payload)
     _write_plot(
         out / "plot.gp", cfg.hash, f"{cfg.experiment}: linearized asymmetry",
-        "N", "exp(delta S)", 1, 8, logx=True,
+        "N", "exp(delta S)", header, "n", "linearized", logx=True,
     )
     return EXIT_OK if bounds_ok else EXIT_INVARIANT
 
@@ -218,18 +232,19 @@ def _run_u1(cfg: ExperimentConfig) -> int:
     margins = rep.margins()
     row = {
         "n": n,
-        "delta_s": _scale(rep.delta_s, cfg.log_base),
-        "shannon": _scale(rep.shannon, cfg.log_base),
+        "delta_s": rep.delta_s,
+        "shannon": rep.shannon,
         "variance": rep.variance,
-        "bound_log_n_plus_1": _scale(rep.bound_log_n_plus_1, cfg.log_base),
-        "bound_massey": _scale(rep.bound_massey, cfg.log_base),
-        "bound_clustering": _scale(rep.bound_clustering, cfg.log_base),
-        "margin_log_n_plus_1": _scale(margins["log_n_plus_1"], cfg.log_base),
-        "margin_massey": _scale(margins["massey"], cfg.log_base),
-        "margin_clustering": _scale(margins["clustering"], cfg.log_base),
+        "bound_log_n_plus_1": rep.bound_log_n_plus_1,
+        "bound_massey": rep.bound_massey,
+        "bound_clustering": rep.bound_clustering,
+        "margin_log_n_plus_1": margins["log_n_plus_1"],
+        "margin_massey": margins["massey"],
+        "margin_clustering": margins["clustering"],
         "linearized": math.exp(rep.delta_s),
         "config_hash": cfg.hash,
     }
+    row = _in_base(row, cfg.log_base)
     header = list(row.keys())
     _write_csv(out / "results.csv", header, [row])
 
@@ -239,28 +254,13 @@ def _run_u1(cfg: ExperimentConfig) -> int:
         "config_hash": cfg.hash,
         "log_base": cfg.log_base,
         "clustering_range": crange,
-        "report": _scale_report_dict(rep.to_dict(), cfg.log_base),
+        "report": _in_base(rep.to_dict(), cfg.log_base),
         "all_bounds_hold": ok,
     }
     _write_report(out / "report.json", payload)
     _write_plot(out / "plot.gp", cfg.hash, "charge asymmetry", "N",
-                "exp(delta S)", 1, 11, logx=False)
+                "exp(delta S)", header, "n", "linearized", logx=False)
     return EXIT_OK if ok else EXIT_INVARIANT
-
-
-def _scale_report_dict(data: dict, log_base: str) -> dict:
-    if log_base != "2":
-        return data
-    out = json.loads(json.dumps(data))
-    for key in ("delta_s", "shannon", "bound_sector_entropy", "bound_support_dim"):
-        if out.get(key) is not None:
-            out[key] = out[key] / LN2
-    for section in ("bounds", "margins"):
-        if isinstance(out.get(section), dict):
-            out[section] = {
-                k: (None if v is None else v / LN2) for k, v in out[section].items()
-            }
-    return out
 
 
 def _run_su2(cfg: ExperimentConfig) -> int:
@@ -281,17 +281,18 @@ def _run_su2(cfg: ExperimentConfig) -> int:
 
     row = {
         "n": n,
-        "delta_s": _scale(rep.delta_s, cfg.log_base),
-        "bound_sector_entropy": _scale(rep.bound_sector_entropy, cfg.log_base),
-        "bound_support_dim": _scale(rep.bound_support_dim, cfg.log_base),
-        "margin_sector_entropy": _scale(margins["sector_entropy"], cfg.log_base),
-        "margin_support_dim": _scale(margins["support_dim"], cfg.log_base),
+        "delta_s": rep.delta_s,
+        "bound_sector_entropy": rep.bound_sector_entropy,
+        "bound_support_dim": rep.bound_support_dim,
+        "margin_sector_entropy": margins["sector_entropy"],
+        "margin_support_dim": margins["support_dim"],
         "casimir_bound": casimir.bound if casimir else None,
         "casimir_lhs": casimir.lhs if casimir else None,
         "casimir_precursor_lhs": casimir.precursor_lhs if casimir else None,
         "linearized": math.exp(rep.delta_s),
         "config_hash": cfg.hash,
     }
+    row = _in_base(row, cfg.log_base)
     header = list(row.keys())
     _write_csv(out / "results.csv", header, [row])
 
@@ -302,13 +303,13 @@ def _run_su2(cfg: ExperimentConfig) -> int:
         "experiment": cfg.experiment,
         "config_hash": cfg.hash,
         "log_base": cfg.log_base,
-        "report": _scale_report_dict(rep.to_dict(), cfg.log_base),
+        "report": _in_base(rep.to_dict(), cfg.log_base),
         "casimir": casimir.to_dict() if casimir else None,
         "all_bounds_hold": ok,
     }
     _write_report(out / "report.json", payload)
     _write_plot(out / "plot.gp", cfg.hash, "rotation asymmetry", "N",
-                "exp(delta S)", 1, 10, logx=False)
+                "exp(delta S)", header, "n", "linearized", logx=False)
     return EXIT_OK if ok else EXIT_INVARIANT
 
 
@@ -335,8 +336,8 @@ def _run_clustering(cfg: ExperimentConfig) -> int:
         {"distance": d, "max_abs_correlator": v, "config_hash": cfg.hash}
         for d, v in report.distance_profile
     ]
-    _write_csv(out / "results.csv",
-               ["distance", "max_abs_correlator", "config_hash"], rows)
+    header = ["distance", "max_abs_correlator", "config_hash"]
+    _write_csv(out / "results.csv", header, rows)
 
     lightcone_ok = (
         spread is None or spread <= lattice.lightcone_range(circuit.depth)
@@ -355,7 +356,8 @@ def _run_clustering(cfg: ExperimentConfig) -> int:
     }
     _write_report(out / "report.json", payload)
     _write_plot(out / "plot.gp", cfg.hash, "connected correlators by distance",
-                "distance", "max |correlator|", 1, 2, logx=False)
+                "distance", "max |correlator|", header, "distance", "max_abs_correlator",
+                logx=False)
     return EXIT_OK if ok else EXIT_INVARIANT
 
 
@@ -383,8 +385,8 @@ def _run_suite(cfg: ExperimentConfig, which: str = "bound-suite",
              "config_hash": cfg.hash}
             for r in results
         ]
-        _write_csv(out / "results.csv",
-                   ["check", "passed", "margin", "config_hash"], rows)
+        header = ["check", "passed", "margin", "config_hash"]
+        _write_csv(out / "results.csv", header, rows)
         payload = {
             "experiment": which,
             "config_hash": cfg.hash,
@@ -399,7 +401,7 @@ def _run_suite(cfg: ExperimentConfig, which: str = "bound-suite",
         }
         _write_report(out / "report.json", payload)
         _write_plot(out / "plot.gp", cfg.hash, "verification margins",
-                    "check index", "margin", 0, 3, logx=False)
+                    "check index", "margin", header, None, "margin", logx=False)
     return EXIT_OK if ok else EXIT_INVARIANT
 
 

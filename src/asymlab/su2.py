@@ -303,7 +303,6 @@ class SectorTable:
 
     n_qubits: int
     p_sm: np.ndarray
-    multiplicities: np.ndarray
 
     @property
     def spins(self) -> np.ndarray:
@@ -357,8 +356,7 @@ def sector_distribution(state: State, basis: SchurBasis) -> SectorTable:
     total = float(p_sm.sum())
     if abs(total - 1.0) > UNIT_SUM_TOL:
         raise ValidationError(f"sector weights sum to {total!r}, not 1 within {UNIT_SUM_TOL}")
-    mults = np.array([multiplicity(n, s) for s in range(half + 1)])
-    return SectorTable(n, p_sm, mults)
+    return SectorTable(n, p_sm)
 
 
 def _sector_averages(rho: np.ndarray, basis: SchurBasis) -> dict[int, np.ndarray]:

@@ -4,9 +4,11 @@
 (twirl algebra, entropy bounds, clustering and lightcone certificates) on
 seeded random inputs; ``oracle_suite`` re-derives worked examples through
 independent routes.  Both return a list of CheckResult so callers can render
-a check -> margin matrix.  A check returns only its margin, tolerance
-included, and a detail line; its name comes from the suite's ordered table and
-its pass/fail from ``tolerances.holds`` (margin >= 0, > 0 for massey-strict).
+a check -> margin matrix.  A check is a function of its generator (and, for
+bound checks, the draw scale) that returns only its margin, tolerance included,
+and a detail line; its name and seed salt come from its place in the suite's
+ordered ``(name, check)`` table and its pass/fail from ``tolerances.holds``
+(margin >= 0, > 0 for massey-strict).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import circuits, closedforms, clustering, lattice, states, su2, u1
 from .errors import ValidationError
-from .states import DensityMatrix, StateVector
+from .states import DensityMatrix, State, StateVector
 from .tolerances import (
     ASYMPTOTIC_TOL,
     EMPTY_SECTOR_WEIGHT,
@@ -79,13 +81,8 @@ def _random_product_input(n: int, rng) -> StateVector:
     return states.product_state(locals_)
 
 
-def _chain_geometries():
-    """The (geometry, depth) grid used by circuit-based checks."""
-    grid = []
-    for m in (8, 10, 12, 14):
-        grid.append(lattice.LatticeGeometry(1, m))
-    grid.append(lattice.LatticeGeometry(2, 3))
-    return grid
+def _random_state_or_matrix(n: int, rng, pure: bool) -> State:
+    return states.random_state(n, rng) if pure else states.random_density_matrix(n, rng)
 
 
 def _schur_block_defect(basis: su2.SchurBasis) -> float:
@@ -127,559 +124,526 @@ def _schur_block_defect(basis: su2.SchurBasis) -> float:
     return worst
 
 
-class _SuiteRunner:
-    def __init__(self, seed: int, samples: float):
-        self.seed = int(seed)
-        self.samples = float(samples)
-        self._schur_cache: dict[int, su2.SchurBasis] = {}
+# ---------------- lattice ----------------
 
-    def rng(self, salt: int) -> np.random.Generator:
-        return np.random.default_rng([self.seed, salt])
 
-    def basis(self, n: int) -> su2.SchurBasis:
-        if n not in self._schur_cache:
-            self._schur_cache[n] = su2.build_schur_basis(n)
-        return self._schur_cache[n]
+def _ball_translation_invariance(rng, samples) -> tuple[float, str]:
+    worst = 0
+    scanned = 0
+    for d in (1, 2):
+        for m in range(2, 7):
+            geo = lattice.LatticeGeometry(d, m)
+            for radius in range(geo.diameter + 1):
+                counts = {
+                    lattice.ball(geo, x, radius).size for x in range(geo.n_sites)
+                }
+                ref = lattice.neighborhood_cardinality(geo, radius)
+                worst = max(worst, max(abs(c - ref) for c in counts))
+                scanned += 1
+    return INTEGER_SLACK - worst, f"{scanned} (geometry, radius) pairs"
 
-    # ---------------- lattice ----------------
 
-    def ball_translation_invariance(self) -> tuple[float, str]:
-        worst = 0
-        scanned = 0
-        for d in (1, 2):
-            for m in range(2, 7):
-                geo = lattice.LatticeGeometry(d, m)
-                for radius in range(geo.diameter + 1):
-                    counts = {
-                        lattice.ball(geo, x, radius).size for x in range(geo.n_sites)
-                    }
-                    ref = lattice.neighborhood_cardinality(geo, radius)
-                    worst = max(worst, max(abs(c - ref) for c in counts))
-                    scanned += 1
-        return INTEGER_SLACK - worst, f"{scanned} (geometry, radius) pairs"
-
-    def ball_growth_saturation(self) -> tuple[float, str]:
-        violations = 0
-        for d in (1, 2):
-            for m in range(2, 7):
-                geo = lattice.LatticeGeometry(d, m)
-                sizes = [
-                    lattice.neighborhood_cardinality(geo, r)
-                    for r in range(geo.diameter + 2)
-                ]
-                if any(b < a for a, b in zip(sizes, sizes[1:])):
-                    violations += 1
-                if sizes[geo.diameter] != geo.n_sites:
-                    violations += 1
-        return INTEGER_SLACK - violations, "d=1,2 m=2..6"
-
-    # ---------------- circuits and entropy ----------------
-
-    def spreading_within_lightcone(self) -> tuple[float, str]:
-        rng = self.rng(3)
-        margin = math.inf
-        tested = 0
-        for geo in (lattice.LatticeGeometry(1, 8), lattice.LatticeGeometry(2, 3)):
-            for depth in (1, 2, 3):
-                for _ in range(_count(3, self.samples)):
-                    circ = circuits.random_brickwork(geo, depth, rng)
-                    spread = clustering.operator_spreading_range(circ, geo)
-                    margin = min(margin, lattice.lightcone_range(depth) - spread + INTEGER_SLACK)
-                    tested += 1
-        return margin, f"{tested} circuits"
-
-    def circuit_trace_purity(self) -> tuple[float, str]:
-        rng = self.rng(4)
-        worst = 0.0
-        for n, m in ((4, 4), (6, 6)):
-            geo = lattice.LatticeGeometry(1, m)
-            for _ in range(_count(5, self.samples)):
-                rho = states.random_density_matrix(n, rng, rank=3)
-                out = circuits.apply_circuit(rho, circuits.random_brickwork(geo, 3, rng))
-                worst = max(worst, abs(np.trace(out.matrix).real - 1.0))
-                worst = max(worst, abs(out.purity() - rho.purity()))
-        return IDENTITY_TOL - worst, "depth-3 brickwork, n=4,6"
-
-    def channel_trace_preserving(self) -> tuple[float, str]:
-        rng = self.rng(5)
-        worst = 0.0
-        for n in (2, 3):
-            rho = states.random_density_matrix(n, rng)
-            chans = [
-                circuits.depolarizing_channel(0, 0.3),
-                circuits.phase_flip_channel(n - 1, 0.25),
-                circuits.full_dephasing_channel(0),
-                circuits.random_diagonal_phase_channel(n, 1, 0.4, rng),
+def _ball_growth_saturation(rng, samples) -> tuple[float, str]:
+    violations = 0
+    for d in (1, 2):
+        for m in range(2, 7):
+            geo = lattice.LatticeGeometry(d, m)
+            sizes = [
+                lattice.neighborhood_cardinality(geo, r)
+                for r in range(geo.diameter + 2)
             ]
-            for ch in chans:
-                out = circuits.apply_channel(rho, ch)
-                worst = max(worst, abs(np.trace(out.matrix).real - 1.0))
-        return IDENTITY_TOL - worst, "4 channel families"
-
-    def entropy_unitary_invariance(self) -> tuple[float, str]:
-        rng = self.rng(6)
-        worst = 0.0
-        for n in (2, 4, 6):
-            for _ in range(_count(5, self.samples)):
-                rho = states.random_density_matrix(n, rng, rank=min(4, 2**n))
-                s0 = states.von_neumann_entropy(rho)
-                umat = circuits.haar_unitary(2**n, rng)
-                rot = DensityMatrix(n, umat @ rho.matrix @ umat.conj().T)
-                worst = max(worst, abs(states.von_neumann_entropy(rot) - s0))
-        return ENTROPY_MATCH_TOL - worst, "haar conjugation"
-
-    def measurement_entropy_monotone(self) -> tuple[float, str]:
-        """Averaged post-selection entropy never exceeds the prior entropy."""
-        rng = self.rng(7)
-        margin = math.inf
-        for n in (2, 3, 4, 5):
-            qvals = u1.charge_values(n)
-            for _ in range(_count(10, self.samples)):
-                rho = states.random_density_matrix(n, rng)
-                s0 = states.von_neumann_entropy(rho)
-                avg = 0.0
-                for q in range(n + 1):
-                    mask = qvals == q
-                    block = rho.matrix[np.ix_(mask, mask)]
-                    p = float(np.trace(block).real)
-                    if p < EMPTY_SECTOR_WEIGHT:
-                        continue
-                    avg += p * states.entropy_of_probabilities(
-                        states.floored_spectrum(np.linalg.eigvalsh(block / p))
-                    )
-                margin = min(margin, s0 - avg + MARGIN_TOL)
-        return margin, "sector projections"
-
-    # ---------------- abelian asymmetry ----------------
-
-    def pure_state_saturation(self) -> tuple[float, str]:
-        """Dense-twirl asymmetry equals the charge entropy on pure states."""
-        rng = self.rng(8)
-        worst = 0.0
-        draws = _count(200, self.samples)
-        for k in range(draws):
-            n = 2 + k % 5
-            psi = states.random_state(n, rng)
-            h = u1.shannon_entropy(u1.charge_distribution(psi))
-            dense = states.von_neumann_entropy(u1.u1_twirl(psi.to_density_matrix()))
-            worst = max(worst, abs(dense - h))
-        return ENTROPY_MATCH_TOL - worst, f"{draws} states, n<=6"
-
-    def asymmetry_log_cap(self) -> tuple[float, str]:
-        rng = self.rng(9)
-        margin = math.inf
-        for k in range(_count(40, self.samples)):
-            n = 2 + k % 4
-            state = (
-                states.random_state(n, rng)
-                if k % 2
-                else states.random_density_matrix(n, rng)
-            )
-            rep = u1.u1_asymmetry(state)
-            margin = min(margin, math.log(n + 1) - rep.delta_s + MARGIN_TOL)
-        return margin, "random pure and mixed states"
-
-    def massey_strict(self) -> tuple[float, str]:
-        rng = self.rng(10)
-        margin = math.inf
-        for k in range(_count(40, self.samples)):
-            n = 2 + k % 5
-            state = (
-                states.random_state(n, rng)
-                if k % 2
-                else states.random_density_matrix(n, rng)
-            )
-            dist = u1.charge_distribution(state)
-            if dist.variance <= 0.0:
-                continue
-            margin = min(margin, u1.massey_bound(dist.variance) - u1.shannon_entropy(dist))
-        for n in (4, 10, 16):
-            dist = u1.flat_distribution(n + 1)
-            margin = min(margin, u1.massey_bound(dist.variance) - u1.shannon_entropy(dist))
-        return margin, "entropy strictly below variance cap"
-
-    def circuit_bound_chain(self) -> tuple[float, str]:
-        """Clustering range, variance cap and asymmetry cap for circuit outputs."""
-        rng = self.rng(11)
-        margin = math.inf
-        grid = _chain_geometries()
-        total = _count(50, self.samples)
-        for k in range(total):
-            geo = grid[k % len(grid)]
-            depth = 1 + k % 3
-            circ = circuits.random_brickwork(geo, depth, rng)
-            psi = circuits.apply_circuit(_random_product_input(geo.n_sites, rng), circ)
-            lam = 2 * lattice.lightcone_range(depth)
-            cluster = clustering.verify_cluster_property(psi, geo, lam, tol=MARGIN_TOL)
-            margin = min(margin, MARGIN_TOL - cluster.max_violation)
-            var = clustering.variance_bound_check(psi, geo, lam)
-            margin = min(margin, var.margin + MARGIN_TOL)
-            rep = u1.u1_asymmetry(psi, geo, clustering_range=lam)
-            margins = rep.margins()
-            margin = min(margin, margins["massey"])
-            margin = min(margin, margins["clustering"] + MARGIN_TOL)
-        return margin, f"{total} brickwork circuits, 1d and 2d, depth<=3"
-
-    def charge_twirl_idempotent(self) -> tuple[float, str]:
-        rng = self.rng(12)
-        worst = 0.0
-        for n in (2, 3, 4, 5):
-            rho = states.random_density_matrix(n, rng)
-            once = u1.u1_twirl(rho)
-            twice = u1.u1_twirl(once)
-            worst = max(worst, float(np.abs(twice.matrix - once.matrix).max()))
-        return EXACT_TOL - worst, "n=2..5"
-
-    def charge_fixed_point_iff(self) -> tuple[float, str]:
-        """Zero asymmetry exactly on twirl-fixed states, positive otherwise."""
-        rng = self.rng(13)
-        margin = math.inf
-        for n in (2, 3, 4):
-            for _ in range(_count(10, self.samples)):
-                rho = states.random_density_matrix(n, rng)
-                sym = u1.u1_twirl(rho)
-                margin = min(margin, ZERO_ASYMMETRY - u1.u1_asymmetry(sym).delta_s)
-                moved = float(np.abs(u1.u1_twirl(rho).matrix - rho.matrix).max())
-                if moved > SYMMETRY_BREAK_MIN:
-                    margin = min(margin, u1.u1_asymmetry(rho).delta_s - ZERO_ASYMMETRY)
-        return margin, "both implications"
-
-    def symmetric_channel_monotone(self) -> tuple[float, str]:
-        rng = self.rng(14)
-        margin = math.inf
-        count = _count(20, self.samples)
-        for k in range(count):
-            n = 2 + k % 4
-            rho = states.random_density_matrix(n, rng)
-            before = u1.u1_asymmetry(rho).delta_s
-            umat = circuits.charge_conserving_unitary(n, rng)
-            rotated = DensityMatrix(n, umat @ rho.matrix @ umat.conj().T)
-            margin = min(margin, before - u1.u1_asymmetry(rotated).delta_s + MARGIN_TOL)
-            for chan in (
-                circuits.random_diagonal_phase_channel(n, k % n, 0.5, rng),
-                circuits.full_dephasing_channel((k + 1) % n),
-            ):
-                out = circuits.apply_channel(rho, chan)
-                margin = min(margin, before - u1.u1_asymmetry(out).delta_s + MARGIN_TOL)
-        return margin, f"{count} states, conserving unitaries and dephasing"
-
-    # ---------------- rotation-group asymmetry ----------------
-
-    def schur_unitarity(self) -> tuple[float, str]:
-        worst = 0.0
-        for n in (2, 4, 6, 8, 10, 12):
-            worst = max(worst, _schur_block_defect(self.basis(n)))
-        return IDENTITY_TOL - worst, "n=2..12"
-
-    def sector_dimension_identity(self) -> tuple[float, str]:
-        violations = 0
-        for n in range(2, 13, 2):
-            total = sum(
-                (2 * s + 1) * su2.multiplicity(n, s) for s in range(n // 2 + 1)
-            )
-            if total != 2**n:
+            if any(b < a for a, b in zip(sizes, sizes[1:])):
                 violations += 1
-        return INTEGER_SLACK - violations, "sum (2s+1) n_s = 2^n, n=2..12"
+            if sizes[geo.diameter] != geo.n_sites:
+                violations += 1
+    return INTEGER_SLACK - violations, "d=1,2 m=2..6"
 
-    def rotation_twirl_idempotent(self) -> tuple[float, str]:
-        rng = self.rng(17)
-        worst = 0.0
-        for n in (2, 4, 6):
-            basis = self.basis(n)
-            for state in (
-                states.random_state(n, rng).to_density_matrix(),
-                states.random_density_matrix(n, rng),
-            ):
-                once = su2.su2_twirl(state, basis)
-                twice = su2.su2_twirl(once, basis)
-                worst = max(worst, float(np.abs(twice.matrix - once.matrix).max()))
-        return IDENTITY_TOL - worst, "n=2,4,6"
 
-    def rotation_twirl_covariance(self) -> tuple[float, str]:
-        rng = self.rng(18)
-        worst = 0.0
-        for n in (2, 4):
-            basis = self.basis(n)
-            for _ in range(_count(5, self.samples)):
-                rho = states.random_density_matrix(n, rng)
-                umat = circuits.haar_unitary(2, rng)
-                rotated = DensityMatrix(n, su2.global_rotation(rho.matrix, umat, n))
-                left = su2.su2_twirl(rotated, basis)
-                twirled = su2.su2_twirl(rho, basis).matrix
-                right = DensityMatrix(n, su2.global_rotation(twirled, umat, n))
-                worst = max(worst, float(np.abs(left.matrix - right.matrix).max()))
-        return ROTATION_COVARIANCE_TOL - worst, "global rotations"
+# ---------------- circuits and entropy ----------------
 
-    def sector_entropy_bound(self) -> tuple[float, str]:
-        rng = self.rng(19)
-        margin = math.inf
-        tested = 0
-        for n in (2, 4, 6):
-            basis = self.basis(n)
-            trial_states = [
-                states.random_state(n, rng),
-                states.random_density_matrix(n, rng),
-                closedforms.dicke_state(n, n // 2, axis="x"),
-            ]
-            geo = lattice.LatticeGeometry(1, n)
-            circ = circuits.random_brickwork(geo, 2, rng)
-            trial_states.append(
-                circuits.apply_circuit(_random_product_input(n, rng), circ)
-            )
-            for state in trial_states:
-                rep = su2.su2_asymmetry(state, basis)
-                margin = min(margin, rep.bound_sector_entropy - rep.delta_s + MARGIN_TOL)
-                margin = min(margin, rep.bound_support_dim - rep.delta_s + MARGIN_TOL)
+
+def _spreading_within_lightcone(rng, samples) -> tuple[float, str]:
+    margin = math.inf
+    tested = 0
+    for geo in (lattice.LatticeGeometry(1, 8), lattice.LatticeGeometry(2, 3)):
+        for depth in (1, 2, 3):
+            for _ in range(_count(3, samples)):
+                circ = circuits.random_brickwork(geo, depth, rng)
+                spread = clustering.operator_spreading_range(circ, geo)
+                margin = min(margin, lattice.lightcone_range(depth) - spread + INTEGER_SLACK)
                 tested += 1
-        return margin, f"{tested} states: random, mixed, dicke, circuit"
+    return margin, f"{tested} circuits"
 
-    def twirl_quadrature_match(self) -> tuple[float, str]:
-        rng = self.rng(20)
-        worst = 0.0
-        for n in (2, 4, 6):
-            basis = self.basis(n)
-            for state in (
-                states.random_state(n, rng).to_density_matrix(),
-                states.random_density_matrix(n, rng),
-            ):
-                exact = su2.su2_twirl(state, basis)
-                quad = su2.su2_twirl_haar(state)
-                worst = max(worst, float(np.abs(exact.matrix - quad.matrix).max()))
-        return HAAR_MATCH_TOL - worst, "6 states, n<=6: Schur twirl vs Euler quadrature"
 
-    def rotation_fixed_point_iff(self) -> tuple[float, str]:
-        rng = self.rng(21)
-        margin = math.inf
-        for n in (2, 4):
-            basis = self.basis(n)
-            for _ in range(_count(5, self.samples)):
-                rho = states.random_density_matrix(n, rng)
-                sym = su2.su2_twirl(rho, basis)
-                margin = min(margin, ZERO_ASYMMETRY - su2.su2_asymmetry(sym, basis).delta_s)
-                moved = float(np.abs(su2.su2_twirl(rho, basis).matrix - rho.matrix).max())
-                if moved > SYMMETRY_BREAK_MIN:
-                    margin = min(margin, su2.su2_asymmetry(rho, basis).delta_s - ZERO_ASYMMETRY)
-        return margin, "both implications"
+def _circuit_trace_purity(rng, samples) -> tuple[float, str]:
+    worst = 0.0
+    for n, m in ((4, 4), (6, 6)):
+        geo = lattice.LatticeGeometry(1, m)
+        for _ in range(_count(5, samples)):
+            rho = states.random_density_matrix(n, rng, rank=3)
+            out = circuits.apply_circuit(rho, circuits.random_brickwork(geo, 3, rng))
+            worst = max(worst, abs(np.trace(out.matrix).real - 1.0))
+            worst = max(worst, abs(out.purity() - rho.purity()))
+    return IDENTITY_TOL - worst, "depth-3 brickwork, n=4,6"
 
-    def collective_moment_cap(self) -> tuple[float, str]:
-        """Second-moment caps for gauged circuit states, main and precursor."""
-        rng = self.rng(22)
-        margin = math.inf
-        total = _count(100, self.samples)
-        sizes = (4, 6, 8)
-        for k in range(total):
-            n = sizes[k % len(sizes)]
-            geo = lattice.LatticeGeometry(1, n)
-            depth = 1 + k % 2
-            circ = circuits.random_brickwork(geo, depth, rng)
-            psi = circuits.apply_circuit(_random_product_input(n, rng), circ)
-            gauged, _ = su2.zero_transverse_rotation(psi)
-            moments = su2.spin_moments(gauged)
-            margin = min(margin, TRANSVERSE_TOL - max(abs(moments["sx"]), abs(moments["sy"])))
-            rep = su2.casimir_constraint_check(
-                gauged, geo, 2 * lattice.lightcone_range(depth)
-            )
-            margin = min(margin, rep.bound - rep.lhs + MARGIN_TOL)
-            margin = min(margin, rep.bound - rep.precursor_lhs + MARGIN_TOL)
-        return margin, f"{total} gauged circuit states, n=4..8"
 
-    def global_rotation_invariance(self) -> tuple[float, str]:
-        rng = self.rng(23)
-        worst = 0.0
-        for n in (2, 4):
-            basis = self.basis(n)
-            for _ in range(_count(5, self.samples)):
-                rho = states.random_density_matrix(n, rng)
-                base = su2.su2_asymmetry(rho, basis).delta_s
-                umat = circuits.haar_unitary(2, rng)
-                moved = DensityMatrix(n, su2.global_rotation(rho.matrix, umat, n))
-                rotated = su2.su2_asymmetry(moved, basis).delta_s
-                worst = max(worst, abs(rotated - base))
-        return ENTROPY_MATCH_TOL - worst, "asymmetry is gauge-blind"
+def _channel_trace_preserving(rng, samples) -> tuple[float, str]:
+    worst = 0.0
+    for n in (2, 3):
+        rho = states.random_density_matrix(n, rng)
+        chans = [
+            circuits.depolarizing_channel(0, 0.3),
+            circuits.phase_flip_channel(n - 1, 0.25),
+            circuits.full_dephasing_channel(0),
+            circuits.random_diagonal_phase_channel(n, 1, 0.4, rng),
+        ]
+        for ch in chans:
+            out = circuits.apply_channel(rho, ch)
+            worst = max(worst, abs(np.trace(out.matrix).real - 1.0))
+    return IDENTITY_TOL - worst, "4 channel families"
 
-    # ---------------- closed forms ----------------
 
-    def krawtchouk_recurrence_accuracy(self) -> tuple[float, str]:
-        n = 30
-        worst = 0.0
-        for i in range(n + 1):
-            for k in range(n + 1):
-                exact = closedforms.krawtchouk_exact(i, k, n)
-                approx = closedforms.krawtchouk(i, k, n)
-                if exact == 0:
-                    worst = max(worst, abs(approx))
-                else:
-                    ref = float(Fraction(exact))
-                    worst = max(worst, abs(approx - ref) / abs(ref))
-        return KRAWTCHOUK_REL_TOL - worst, "all i,k at n=30"
+def _entropy_unitary_invariance(rng, samples) -> tuple[float, str]:
+    worst = 0.0
+    for n in (2, 4, 6):
+        for _ in range(_count(5, samples)):
+            rho = states.random_density_matrix(n, rng, rank=min(4, 2**n))
+            s0 = states.von_neumann_entropy(rho)
+            umat = circuits.haar_unitary(2**n, rng)
+            rot = DensityMatrix(n, umat @ rho.matrix @ umat.conj().T)
+            worst = max(worst, abs(states.von_neumann_entropy(rot) - s0))
+    return ENTROPY_MATCH_TOL - worst, "haar conjugation"
 
-    def closed_form_vs_statevector(self) -> tuple[float, str]:
-        worst = 0.0
-        for n in range(2, 15, 2):
-            exact = closedforms.dicke_half_distribution(n // 2).probs
-            brute = u1.charge_distribution(closedforms.dicke_state(n, n // 2, axis="x"))
-            worst = max(worst, float(np.abs(exact - brute.probs).max()))
-        for n, k in ((9, 3), (11, 4)):
-            exact = closedforms.dicke_x_distribution(n, k).probs
-            brute = u1.charge_distribution(closedforms.dicke_state(n, k, axis="x"))
-            worst = max(worst, float(np.abs(exact - brute.probs).max()))
-        for n in range(2, 15):
-            exact = closedforms.kink_distribution(n).probs
-            brute = u1.charge_distribution(closedforms.kink_state(n))
-            worst = max(worst, float(np.abs(exact - brute.probs).max()))
-        return IDENTITY_TOL - worst, "dicke and kink, n<=14"
 
-    def bernoulli_entropy_maximum(self) -> tuple[float, str]:
-        """The homogeneous 1/2 profile maximizes the sum entropy."""
-        rng = self.rng(26)
-        n = 8
-        ref = u1.shannon_entropy(closedforms.poisson_binomial(np.full(n, 0.5)))
-        total = _count(10000, self.samples)
-        margin = math.inf
-        for _ in range(total):
-            x = rng.random(n)
-            margin = min(margin, ref - u1.shannon_entropy(closedforms.poisson_binomial(x)))
-        return margin, f"{total} perturbations, n=8"
+def _measurement_entropy_monotone(rng, samples) -> tuple[float, str]:
+    """Averaged post-selection entropy never exceeds the prior entropy."""
+    margin = math.inf
+    for n in (2, 3, 4, 5):
+        qvals = u1.charge_values(n)
+        for _ in range(_count(10, samples)):
+            rho = states.random_density_matrix(n, rng)
+            s0 = states.von_neumann_entropy(rho)
+            avg = 0.0
+            for q in range(n + 1):
+                mask = qvals == q
+                block = rho.matrix[np.ix_(mask, mask)]
+                p = float(np.trace(block).real)
+                if p < EMPTY_SECTOR_WEIGHT:
+                    continue
+                avg += p * states.entropy_of_probabilities(
+                    states.floored_spectrum(np.linalg.eigvalsh(block / p))
+                )
+            margin = min(margin, s0 - avg + MARGIN_TOL)
+    return margin, "sector projections"
 
-    def gaussian_tail_accuracy(self) -> tuple[float, str]:
-        n = 1000
-        dist = closedforms.poisson_binomial(np.full(n, 0.5))
-        sigma = math.sqrt(n / 4.0)
-        q = np.arange(n + 1)
-        normal = np.exp(-((q - n / 2.0) ** 2) / (2 * sigma**2)) / (
-            sigma * math.sqrt(2 * math.pi)
+
+# ---------------- abelian asymmetry ----------------
+
+
+def _pure_state_saturation(rng, samples) -> tuple[float, str]:
+    """Dense-twirl asymmetry equals the charge entropy on pure states."""
+    worst = 0.0
+    draws = _count(200, samples)
+    for k in range(draws):
+        n = 2 + k % 5
+        psi = states.random_state(n, rng)
+        h = u1.shannon_entropy(u1.charge_distribution(psi))
+        dense = states.von_neumann_entropy(u1.u1_twirl(psi.to_density_matrix()))
+        worst = max(worst, abs(dense - h))
+    return ENTROPY_MATCH_TOL - worst, f"{draws} states, n<=6"
+
+
+def _asymmetry_log_cap(rng, samples) -> tuple[float, str]:
+    margin = math.inf
+    for k in range(_count(40, samples)):
+        n = 2 + k % 4
+        state = _random_state_or_matrix(n, rng, pure=k % 2 == 1)
+        rep = u1.u1_asymmetry(state)
+        margin = min(margin, math.log(n + 1) - rep.delta_s + MARGIN_TOL)
+    return margin, "random pure and mixed states"
+
+
+def _massey_strict(rng, samples) -> tuple[float, str]:
+    margin = math.inf
+    for k in range(_count(40, samples)):
+        n = 2 + k % 5
+        state = _random_state_or_matrix(n, rng, pure=k % 2 == 1)
+        dist = u1.charge_distribution(state)
+        if dist.variance <= 0.0:
+            continue
+        margin = min(margin, u1.massey_bound(dist.variance) - u1.shannon_entropy(dist))
+    for n in (4, 10, 16):
+        dist = u1.flat_distribution(n + 1)
+        margin = min(margin, u1.massey_bound(dist.variance) - u1.shannon_entropy(dist))
+    return margin, "entropy strictly below variance cap"
+
+
+def _circuit_bound_chain(rng, samples) -> tuple[float, str]:
+    """Clustering range, variance cap and asymmetry cap for circuit outputs."""
+    margin = math.inf
+    grid = [lattice.LatticeGeometry(1, m) for m in (8, 10, 12, 14)]
+    grid.append(lattice.LatticeGeometry(2, 3))
+    total = _count(50, samples)
+    for k in range(total):
+        geo = grid[k % len(grid)]
+        depth = 1 + k % 3
+        circ = circuits.random_brickwork(geo, depth, rng)
+        psi = circuits.apply_circuit(_random_product_input(geo.n_sites, rng), circ)
+        lam = 2 * lattice.lightcone_range(depth)
+        cluster = clustering.verify_cluster_property(psi, geo, lam, tol=MARGIN_TOL)
+        margin = min(margin, MARGIN_TOL - cluster.max_violation)
+        var = clustering.variance_bound_check(psi, geo, lam)
+        margin = min(margin, var.margin + MARGIN_TOL)
+        rep = u1.u1_asymmetry(psi, geo, clustering_range=lam)
+        margins = rep.margins()
+        margin = min(margin, margins["massey"])
+        margin = min(margin, margins["clustering"] + MARGIN_TOL)
+    return margin, f"{total} brickwork circuits, 1d and 2d, depth<=3"
+
+
+def _charge_twirl_idempotent(rng, samples) -> tuple[float, str]:
+    worst = 0.0
+    for n in (2, 3, 4, 5):
+        rho = states.random_density_matrix(n, rng)
+        once = u1.u1_twirl(rho)
+        twice = u1.u1_twirl(once)
+        worst = max(worst, float(np.abs(twice.matrix - once.matrix).max()))
+    return EXACT_TOL - worst, "n=2..5"
+
+
+def _charge_fixed_point_iff(rng, samples) -> tuple[float, str]:
+    """Zero asymmetry exactly on twirl-fixed states, positive otherwise."""
+    margin = math.inf
+    for n in (2, 3, 4):
+        for _ in range(_count(10, samples)):
+            rho = states.random_density_matrix(n, rng)
+            sym = u1.u1_twirl(rho)
+            margin = min(margin, ZERO_ASYMMETRY - u1.u1_asymmetry(sym).delta_s)
+            moved = float(np.abs(u1.u1_twirl(rho).matrix - rho.matrix).max())
+            if moved > SYMMETRY_BREAK_MIN:
+                margin = min(margin, u1.u1_asymmetry(rho).delta_s - ZERO_ASYMMETRY)
+    return margin, "both implications"
+
+
+def _symmetric_channel_monotone(rng, samples) -> tuple[float, str]:
+    margin = math.inf
+    count = _count(20, samples)
+    for k in range(count):
+        n = 2 + k % 4
+        rho = states.random_density_matrix(n, rng)
+        before = u1.u1_asymmetry(rho).delta_s
+        umat = circuits.charge_conserving_unitary(n, rng)
+        rotated = DensityMatrix(n, umat @ rho.matrix @ umat.conj().T)
+        margin = min(margin, before - u1.u1_asymmetry(rotated).delta_s + MARGIN_TOL)
+        for chan in (
+            circuits.random_diagonal_phase_channel(n, k % n, 0.5, rng),
+            circuits.full_dephasing_channel((k + 1) % n),
+        ):
+            out = circuits.apply_channel(rho, chan)
+            margin = min(margin, before - u1.u1_asymmetry(out).delta_s + MARGIN_TOL)
+    return margin, f"{count} states, conserving unitaries and dephasing"
+
+
+# ---------------- rotation-group asymmetry ----------------
+
+
+def _schur_unitarity(rng, samples) -> tuple[float, str]:
+    worst = 0.0
+    for n in (2, 4, 6, 8, 10, 12):
+        worst = max(worst, _schur_block_defect(su2.build_schur_basis(n)))
+    return IDENTITY_TOL - worst, "n=2..12"
+
+
+def _sector_dimension_identity(rng, samples) -> tuple[float, str]:
+    violations = 0
+    for n in range(2, 13, 2):
+        total = sum(
+            (2 * s + 1) * su2.multiplicity(n, s) for s in range(n // 2 + 1)
         )
-        sup = float(np.abs(dist.probs - normal).max())
-        return GAUSSIAN_SUP_TOL / sigma - sup, f"sup-error {sup:.2e} at n=1000"
+        if total != 2**n:
+            violations += 1
+    return INTEGER_SLACK - violations, "sum (2s+1) n_s = 2^n, n=2..12"
 
-    # ---------------- clustering ----------------
 
-    def product_state_clustering(self) -> tuple[float, str]:
-        rng = self.rng(28)
-        worst = 0.0
-        for n in (4, 6, 8):
-            geo = lattice.LatticeGeometry(1, n)
-            psi = _random_product_input(n, rng)
-            rep = clustering.verify_cluster_property(psi, geo, 0, tol=EXACT_TOL)
-            worst = max(worst, rep.max_violation)
-            if rep.effective_range != 0:
-                worst = max(worst, 1.0)
-        return EXACT_TOL - worst, "range 0 for products"
+def _rotation_twirl_idempotent(rng, samples) -> tuple[float, str]:
+    worst = 0.0
+    for n in (2, 4, 6):
+        basis = su2.build_schur_basis(n)
+        for state in (
+            states.random_state(n, rng).to_density_matrix(),
+            states.random_density_matrix(n, rng),
+        ):
+            once = su2.su2_twirl(state, basis)
+            twice = su2.su2_twirl(once, basis)
+            worst = max(worst, float(np.abs(twice.matrix - once.matrix).max()))
+    return IDENTITY_TOL - worst, "n=2,4,6"
 
-    def range_vs_spreading(self) -> tuple[float, str]:
-        """Correlations reach at most twice the measured operator spread."""
-        rng = self.rng(29)
-        margin = math.inf
-        tested = 0
-        for geo in (lattice.LatticeGeometry(1, 8), lattice.LatticeGeometry(2, 3)):
-            for depth in (1, 2, 3):
-                for _ in range(_count(3, self.samples)):
-                    circ = circuits.random_brickwork(geo, depth, rng)
-                    spread = clustering.operator_spreading_range(circ, geo)
-                    psi = circuits.apply_circuit(
-                        _random_product_input(geo.n_sites, rng), circ
-                    )
-                    rep = clustering.verify_cluster_property(psi, geo, 2 * spread, MARGIN_TOL)
-                    margin = min(margin, 2 * spread - rep.effective_range + INTEGER_SLACK)
-                    tested += 1
-        return margin, f"{tested} circuits"
 
-    def correlator_norm_cap(self) -> tuple[float, str]:
-        rng = self.rng(30)
-        margin = math.inf
-        for n in (3, 4, 5):
-            state = (
-                states.random_state(n, rng)
-                if n % 2
-                else states.random_density_matrix(n, rng)
-            )
-            for _ in range(_count(5, self.samples)):
-                ops = []
-                for _ in range(2):
-                    h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-                    h = h + h.conj().T
-                    ops.append(h / np.linalg.norm(h, 2))
-                val = clustering.connected_correlator(state, 0, n - 1, ops[0], ops[1])
-                margin = min(margin, 2.0 - abs(val) + MARGIN_TOL)
-        return margin, "unit-norm observables"
+def _rotation_twirl_covariance(rng, samples) -> tuple[float, str]:
+    worst = 0.0
+    for n in (2, 4):
+        basis = su2.build_schur_basis(n)
+        for _ in range(_count(5, samples)):
+            rho = states.random_density_matrix(n, rng)
+            umat = circuits.haar_unitary(2, rng)
+            rotated = DensityMatrix(n, su2.global_rotation(rho.matrix, umat, n))
+            left = su2.su2_twirl(rotated, basis)
+            twirled = su2.su2_twirl(rho, basis).matrix
+            right = DensityMatrix(n, su2.global_rotation(twirled, umat, n))
+            worst = max(worst, float(np.abs(left.matrix - right.matrix).max()))
+    return ROTATION_COVARIANCE_TOL - worst, "global rotations"
 
-    def negative_controls_flagged(self) -> tuple[float, str]:
-        """Long-range states must be detected; the variance cap must fail for ghz."""
-        failures = 0
-        details = []
-        n = 10
+
+def _sector_entropy_bound(rng, samples) -> tuple[float, str]:
+    margin = math.inf
+    tested = 0
+    for n in (2, 4, 6):
+        basis = su2.build_schur_basis(n)
+        trial_states = [
+            states.random_state(n, rng),
+            states.random_density_matrix(n, rng),
+            closedforms.dicke_state(n, n // 2, axis="x"),
+        ]
         geo = lattice.LatticeGeometry(1, n)
-        ghz_rep = clustering.verify_cluster_property(states.ghz_state(n), geo, 0)
-        if ghz_rep.effective_range != geo.diameter:
-            failures += 1
-        kink_rep = clustering.verify_cluster_property(closedforms.kink_state(n), geo, 0)
-        if kink_rep.effective_range != geo.diameter:
-            failures += 1
-        dicke_geo = lattice.LatticeGeometry(1, 8)
-        dicke_rep = clustering.verify_cluster_property(
-            closedforms.dicke_state(8, 4, axis="x"), dicke_geo, 0
+        circ = circuits.random_brickwork(geo, 2, rng)
+        trial_states.append(
+            circuits.apply_circuit(_random_product_input(n, rng), circ)
         )
-        if dicke_rep.effective_range != dicke_geo.diameter:
-            failures += 1
-        var = clustering.variance_bound_check(states.ghz_state(n), geo, 0)
-        if var.passed:
-            failures += 1
-        details.append(f"ghz variance excess {var.variance - var.bound:+.1f}")
-        return INTEGER_SLACK - failures, "; ".join(details)
+        for state in trial_states:
+            rep = su2.su2_asymmetry(state, basis)
+            margin = min(margin, rep.bound_sector_entropy - rep.delta_s + MARGIN_TOL)
+            margin = min(margin, rep.bound_support_dim - rep.delta_s + MARGIN_TOL)
+            tested += 1
+    return margin, f"{tested} states: random, mixed, dicke, circuit"
+
+
+def _twirl_quadrature_match(rng, samples) -> tuple[float, str]:
+    worst = 0.0
+    for n in (2, 4, 6):
+        basis = su2.build_schur_basis(n)
+        for state in (
+            states.random_state(n, rng).to_density_matrix(),
+            states.random_density_matrix(n, rng),
+        ):
+            exact = su2.su2_twirl(state, basis)
+            quad = su2.su2_twirl_haar(state)
+            worst = max(worst, float(np.abs(exact.matrix - quad.matrix).max()))
+    return HAAR_MATCH_TOL - worst, "6 states, n<=6: Schur twirl vs Euler quadrature"
+
+
+def _rotation_fixed_point_iff(rng, samples) -> tuple[float, str]:
+    margin = math.inf
+    for n in (2, 4):
+        basis = su2.build_schur_basis(n)
+        for _ in range(_count(5, samples)):
+            rho = states.random_density_matrix(n, rng)
+            sym = su2.su2_twirl(rho, basis)
+            margin = min(margin, ZERO_ASYMMETRY - su2.su2_asymmetry(sym, basis).delta_s)
+            moved = float(np.abs(su2.su2_twirl(rho, basis).matrix - rho.matrix).max())
+            if moved > SYMMETRY_BREAK_MIN:
+                margin = min(margin, su2.su2_asymmetry(rho, basis).delta_s - ZERO_ASYMMETRY)
+    return margin, "both implications"
+
+
+def _collective_moment_cap(rng, samples) -> tuple[float, str]:
+    """Second-moment caps for gauged circuit states, main and precursor."""
+    margin = math.inf
+    total = _count(100, samples)
+    sizes = (4, 6, 8)
+    for k in range(total):
+        n = sizes[k % len(sizes)]
+        geo = lattice.LatticeGeometry(1, n)
+        depth = 1 + k % 2
+        circ = circuits.random_brickwork(geo, depth, rng)
+        psi = circuits.apply_circuit(_random_product_input(n, rng), circ)
+        gauged, _ = su2.zero_transverse_rotation(psi)
+        moments = su2.spin_moments(gauged)
+        margin = min(margin, TRANSVERSE_TOL - max(abs(moments["sx"]), abs(moments["sy"])))
+        rep = su2.casimir_constraint_check(
+            gauged, geo, 2 * lattice.lightcone_range(depth)
+        )
+        margin = min(margin, rep.bound - rep.lhs + MARGIN_TOL)
+        margin = min(margin, rep.bound - rep.precursor_lhs + MARGIN_TOL)
+    return margin, f"{total} gauged circuit states, n=4..8"
+
+
+def _global_rotation_invariance(rng, samples) -> tuple[float, str]:
+    worst = 0.0
+    for n in (2, 4):
+        basis = su2.build_schur_basis(n)
+        for _ in range(_count(5, samples)):
+            rho = states.random_density_matrix(n, rng)
+            base = su2.su2_asymmetry(rho, basis).delta_s
+            umat = circuits.haar_unitary(2, rng)
+            moved = DensityMatrix(n, su2.global_rotation(rho.matrix, umat, n))
+            rotated = su2.su2_asymmetry(moved, basis).delta_s
+            worst = max(worst, abs(rotated - base))
+    return ENTROPY_MATCH_TOL - worst, "asymmetry is gauge-blind"
+
+
+# ---------------- closed forms ----------------
+
+
+def _krawtchouk_recurrence_accuracy(rng, samples) -> tuple[float, str]:
+    n = 30
+    worst = 0.0
+    for i in range(n + 1):
+        for k in range(n + 1):
+            exact = closedforms.krawtchouk_exact(i, k, n)
+            approx = closedforms.krawtchouk(i, k, n)
+            if exact == 0:
+                worst = max(worst, abs(approx))
+            else:
+                ref = float(Fraction(exact))
+                worst = max(worst, abs(approx - ref) / abs(ref))
+    return KRAWTCHOUK_REL_TOL - worst, "all i,k at n=30"
+
+
+def _closed_form_vs_statevector(rng, samples) -> tuple[float, str]:
+    worst = 0.0
+    for n in range(2, 15, 2):
+        exact = closedforms.dicke_half_distribution(n // 2).probs
+        brute = u1.charge_distribution(closedforms.dicke_state(n, n // 2, axis="x"))
+        worst = max(worst, float(np.abs(exact - brute.probs).max()))
+    for n, k in ((9, 3), (11, 4)):
+        exact = closedforms.dicke_x_distribution(n, k).probs
+        brute = u1.charge_distribution(closedforms.dicke_state(n, k, axis="x"))
+        worst = max(worst, float(np.abs(exact - brute.probs).max()))
+    for n in range(2, 15):
+        exact = closedforms.kink_distribution(n).probs
+        brute = u1.charge_distribution(closedforms.kink_state(n))
+        worst = max(worst, float(np.abs(exact - brute.probs).max()))
+    return IDENTITY_TOL - worst, "dicke and kink, n<=14"
+
+
+def _bernoulli_entropy_maximum(rng, samples) -> tuple[float, str]:
+    """The homogeneous 1/2 profile maximizes the sum entropy."""
+    n = 8
+    ref = u1.shannon_entropy(closedforms.poisson_binomial(np.full(n, 0.5)))
+    total = _count(10000, samples)
+    margin = math.inf
+    for _ in range(total):
+        x = rng.random(n)
+        margin = min(margin, ref - u1.shannon_entropy(closedforms.poisson_binomial(x)))
+    return margin, f"{total} perturbations, n=8"
+
+
+def _gaussian_tail_accuracy(rng, samples) -> tuple[float, str]:
+    n = 1000
+    dist = closedforms.poisson_binomial(np.full(n, 0.5))
+    sigma = math.sqrt(n / 4.0)
+    q = np.arange(n + 1)
+    normal = np.exp(-((q - n / 2.0) ** 2) / (2 * sigma**2)) / (
+        sigma * math.sqrt(2 * math.pi)
+    )
+    sup = float(np.abs(dist.probs - normal).max())
+    return GAUSSIAN_SUP_TOL / sigma - sup, f"sup-error {sup:.2e} at n=1000"
+
+
+# ---------------- clustering ----------------
+
+
+def _product_state_clustering(rng, samples) -> tuple[float, str]:
+    worst = 0.0
+    for n in (4, 6, 8):
+        geo = lattice.LatticeGeometry(1, n)
+        psi = _random_product_input(n, rng)
+        rep = clustering.verify_cluster_property(psi, geo, 0, tol=EXACT_TOL)
+        worst = max(worst, rep.max_violation)
+        if rep.effective_range != 0:
+            worst = max(worst, 1.0)
+    return EXACT_TOL - worst, "range 0 for products"
+
+
+def _range_vs_spreading(rng, samples) -> tuple[float, str]:
+    """Correlations reach at most twice the measured operator spread."""
+    margin = math.inf
+    tested = 0
+    for geo in (lattice.LatticeGeometry(1, 8), lattice.LatticeGeometry(2, 3)):
+        for depth in (1, 2, 3):
+            for _ in range(_count(3, samples)):
+                circ = circuits.random_brickwork(geo, depth, rng)
+                spread = clustering.operator_spreading_range(circ, geo)
+                psi = circuits.apply_circuit(
+                    _random_product_input(geo.n_sites, rng), circ
+                )
+                rep = clustering.verify_cluster_property(psi, geo, 2 * spread, MARGIN_TOL)
+                margin = min(margin, 2 * spread - rep.effective_range + INTEGER_SLACK)
+                tested += 1
+    return margin, f"{tested} circuits"
+
+
+def _correlator_norm_cap(rng, samples) -> tuple[float, str]:
+    margin = math.inf
+    for n in (3, 4, 5):
+        state = _random_state_or_matrix(n, rng, pure=n % 2 == 1)
+        for _ in range(_count(5, samples)):
+            ops = []
+            for _ in range(2):
+                h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+                h = h + h.conj().T
+                ops.append(h / np.linalg.norm(h, 2))
+            val = clustering.connected_correlator(state, 0, n - 1, ops[0], ops[1])
+            margin = min(margin, 2.0 - abs(val) + MARGIN_TOL)
+    return margin, "unit-norm observables"
+
+
+def _negative_controls_flagged(rng, samples) -> tuple[float, str]:
+    """Long-range states must be detected; the variance cap must fail for ghz."""
+    failures = 0
+    n = 10
+    geo = lattice.LatticeGeometry(1, n)
+    ghz_rep = clustering.verify_cluster_property(states.ghz_state(n), geo, 0)
+    if ghz_rep.effective_range != geo.diameter:
+        failures += 1
+    kink_rep = clustering.verify_cluster_property(closedforms.kink_state(n), geo, 0)
+    if kink_rep.effective_range != geo.diameter:
+        failures += 1
+    dicke_geo = lattice.LatticeGeometry(1, 8)
+    dicke_rep = clustering.verify_cluster_property(
+        closedforms.dicke_state(8, 4, axis="x"), dicke_geo, 0
+    )
+    if dicke_rep.effective_range != dicke_geo.diameter:
+        failures += 1
+    var = clustering.variance_bound_check(states.ghz_state(n), geo, 0)
+    if var.passed:
+        failures += 1
+    return INTEGER_SLACK - failures, f"ghz variance excess {var.variance - var.bound:+.1f}"
 
 
 _BOUND_CHECKS = (
-    "ball_translation_invariance",
-    "ball_growth_saturation",
-    "spreading_within_lightcone",
-    "circuit_trace_purity",
-    "channel_trace_preserving",
-    "entropy_unitary_invariance",
-    "measurement_entropy_monotone",
-    "pure_state_saturation",
-    "asymmetry_log_cap",
-    "massey_strict",
-    "circuit_bound_chain",
-    "charge_twirl_idempotent",
-    "charge_fixed_point_iff",
-    "symmetric_channel_monotone",
-    "schur_unitarity",
-    "sector_dimension_identity",
-    "rotation_twirl_idempotent",
-    "rotation_twirl_covariance",
-    "sector_entropy_bound",
-    "twirl_quadrature_match",
-    "rotation_fixed_point_iff",
-    "collective_moment_cap",
-    "global_rotation_invariance",
-    "krawtchouk_recurrence_accuracy",
-    "closed_form_vs_statevector",
-    "bernoulli_entropy_maximum",
-    "gaussian_tail_accuracy",
-    "product_state_clustering",
-    "range_vs_spreading",
-    "correlator_norm_cap",
-    "negative_controls_flagged",
+    ("ball-translation-invariance", _ball_translation_invariance),
+    ("ball-growth-saturation", _ball_growth_saturation),
+    ("spreading-within-lightcone", _spreading_within_lightcone),
+    ("circuit-trace-purity", _circuit_trace_purity),
+    ("channel-trace-preserving", _channel_trace_preserving),
+    ("entropy-unitary-invariance", _entropy_unitary_invariance),
+    ("measurement-entropy-monotone", _measurement_entropy_monotone),
+    ("pure-state-saturation", _pure_state_saturation),
+    ("asymmetry-log-cap", _asymmetry_log_cap),
+    ("massey-strict", _massey_strict),
+    ("circuit-bound-chain", _circuit_bound_chain),
+    ("charge-twirl-idempotent", _charge_twirl_idempotent),
+    ("charge-fixed-point-iff", _charge_fixed_point_iff),
+    ("symmetric-channel-monotone", _symmetric_channel_monotone),
+    ("schur-unitarity", _schur_unitarity),
+    ("sector-dimension-identity", _sector_dimension_identity),
+    ("rotation-twirl-idempotent", _rotation_twirl_idempotent),
+    ("rotation-twirl-covariance", _rotation_twirl_covariance),
+    ("sector-entropy-bound", _sector_entropy_bound),
+    ("twirl-quadrature-match", _twirl_quadrature_match),
+    ("rotation-fixed-point-iff", _rotation_fixed_point_iff),
+    ("collective-moment-cap", _collective_moment_cap),
+    ("global-rotation-invariance", _global_rotation_invariance),
+    ("krawtchouk-recurrence-accuracy", _krawtchouk_recurrence_accuracy),
+    ("closed-form-vs-statevector", _closed_form_vs_statevector),
+    ("bernoulli-entropy-maximum", _bernoulli_entropy_maximum),
+    ("gaussian-tail-accuracy", _gaussian_tail_accuracy),
+    ("product-state-clustering", _product_state_clustering),
+    ("range-vs-spreading", _range_vs_spreading),
+    ("correlator-norm-cap", _correlator_norm_cap),
+    ("negative-controls-flagged", _negative_controls_flagged),
 )
-
-
-def bound_suite(seed: int = 0, samples: float = 1.0, names=None) -> list[CheckResult]:
-    """Run the inequality battery; ``samples`` scales every random draw count.
-
-    Each check is named by its attribute in ``_BOUND_CHECKS`` with ``_`` -> ``-``.
-    """
-    wanted = None if names is None else {n.replace("-", "_") for n in names}
-    if wanted is not None and not wanted <= set(_BOUND_CHECKS):
-        raise ValidationError(f"unknown check names: {sorted(wanted - set(_BOUND_CHECKS))}")
-    runner = _SuiteRunner(seed, samples)
-    results = []
-    for attr in _BOUND_CHECKS:
-        if wanted is None or attr in wanted:
-            margin, detail = getattr(runner, attr)()
-            # Massey's cap is the one strict inequality: it must hold with room to spare
-            strict = attr == "massey_strict"
-            results.append(CheckResult(attr.replace("_", "-"), margin, detail, strict))
-    return results
 
 
 # ---------------- worked-example oracles ----------------
@@ -940,12 +904,40 @@ _ORACLE_CHECKS = (
 )
 
 
-def oracle_suite(seed: int = 0) -> list[CheckResult]:
-    """Re-derive the worked examples through independent routes.
+def _run(table, seed: int, first_salt: int, *args, names=None) -> list[CheckResult]:
+    """Run the checks of ``table`` named in ``names`` (all when None), in table order.
 
-    Oracle k draws its random inputs from ``default_rng([seed, 1000 + k])``.
+    Check k draws from ``default_rng([seed, first_salt + k])`` whichever checks
+    run.  A check that raises ValidationError (PreconditionError included) is a
+    failed result with margin -inf, and the checks after it still run.
     """
-    return [
-        CheckResult(name, *fn(np.random.default_rng([seed, 1000 + k])))
-        for k, (name, fn) in enumerate(_ORACLE_CHECKS)
-    ]
+    unknown = set() if names is None else names - {name for name, _ in table}
+    if unknown:
+        raise ValidationError(f"unknown check names: {sorted(unknown)}")
+    results = []
+    for k, (name, check) in enumerate(table):
+        if names is not None and name not in names:
+            continue
+        rng = np.random.default_rng([int(seed), first_salt + k])
+        try:
+            margin, detail = check(rng, *args)
+        except ValidationError as exc:
+            margin, detail = -math.inf, f"raised {type(exc).__name__}: {exc}"
+        # Massey's cap is the one strict inequality: it must hold with room to spare
+        results.append(CheckResult(name, margin, detail, strict=name == "massey-strict"))
+    return results
+
+
+def bound_suite(seed: int = 0, samples: float = 1.0, names=None) -> list[CheckResult]:
+    """Run the inequality battery; ``samples`` scales every random draw count.
+
+    ``names`` selects checks by name, spelled with ``-`` or ``_``; check k of
+    ``_BOUND_CHECKS`` has salt 1 + k.
+    """
+    wanted = None if names is None else {n.replace("_", "-") for n in names}
+    return _run(_BOUND_CHECKS, seed, 1, samples, names=wanted)
+
+
+def oracle_suite(seed: int = 0) -> list[CheckResult]:
+    """Re-derive the worked examples through independent routes; oracle k has salt 1000 + k."""
+    return _run(_ORACLE_CHECKS, seed, 1000)

@@ -542,6 +542,21 @@ def test_verify_bound_suite_reduced_and_artifacts(tmp_path, capsys):
     assert len(lines) == 1 + 31
     report = _read_report(out)
     assert report["all_passed"] is True
+    assert _plotted_columns(out) == (None, "margin")
+
+
+def test_verify_bound_suite_reports_a_raising_check_as_failed(tmp_path, monkeypatch):
+    from asymlab import su2
+
+    monkeypatch.setattr(su2, "HAAR_QUADRATURE_TOL", -1.0)
+    out = tmp_path / "out"
+    code = main(["verify", "bound-suite", "--samples", "0.05", "--output", str(out)])
+    assert code == 4
+    lines = (out / "results.csv").read_text().splitlines()
+    assert len(lines) == 1 + 31
+    failed = [line for line in lines[1:] if ",false," in line]
+    assert len(failed) == 1
+    assert failed[0].startswith("twirl-quadrature-match,false,-inf,")
 
 
 def test_dicke_command_log_spaced_even_points(tmp_path):
@@ -564,6 +579,76 @@ def test_dicke_command_log_spaced_even_points(tmp_path):
     ns = [r["n"] for r in rows]
     assert all(n % 2 == 0 for n in ns)
     assert ns == sorted(ns)
+
+
+def _plotted_columns(out):
+    """results.csv column names of plot.gp's ``using x:y`` (None for gnuplot's row index)."""
+    header = (out / "results.csv").read_text().splitlines()[0].split(",")
+    using = re.search(r"using (\d+):(\d+)", (out / "plot.gp").read_text())
+    x, y = (int(col) for col in using.groups())
+    return (header[x - 1] if x else None), header[y - 1]
+
+
+def _clustering_argv(tmp_path, out):
+    circ_path = tmp_path / "circ.json"
+    save_circuit(random_brickwork(LatticeGeometry(1, 6), 1, np.random.default_rng(0)), circ_path)
+    return ["clustering", "--circuit", str(circ_path), "--linear-size", "6",
+            "--output", str(out)]
+
+
+@pytest.mark.parametrize("make_argv, expected", [
+    (lambda tmp, out: ["kink", "--n-min", "10", "--n-max", "1000", "--points", "3",
+                       "--output", str(out)], ("n", "linearized")),
+    (lambda tmp, out: ["run", _write(tmp / "cfg.json", {
+        "experiment": "u1-asymmetry", "geometry": {"dimension": 1, "linear_size": 4},
+        "state_spec": {"kind": "ghz"}, "output": str(out)})], ("n", "linearized")),
+    (lambda tmp, out: ["su2", "--state", "dicke", "--n", "4", "--output", str(out)],
+     ("n", "linearized")),
+    (_clustering_argv, ("distance", "max_abs_correlator")),
+], ids=["sweep", "u1", "su2", "clustering"])
+def test_plot_columns_name_the_plotted_fields(tmp_path, make_argv, expected):
+    out = tmp_path / "out"
+    assert main(make_argv(tmp_path, out)) == 0
+    assert _plotted_columns(out) == expected
+
+
+@pytest.mark.parametrize("experiment, entropic, kept", [
+    ("u1-asymmetry",
+     ["delta_s", "shannon", "bound_log_n_plus_1", "bound_massey", "bound_clustering",
+      "margin_log_n_plus_1", "margin_massey", "margin_clustering"],
+     ["n", "variance", "linearized"]),
+    ("su2-asymmetry",
+     ["delta_s", "bound_sector_entropy", "bound_support_dim", "margin_sector_entropy",
+      "margin_support_dim"],
+     ["n", "casimir_bound", "casimir_lhs", "casimir_precursor_lhs", "linearized"]),
+])
+def test_log_base_two_divides_exactly_the_entropic_fields(tmp_path, experiment, entropic, kept):
+    def run(log_base):
+        out = tmp_path / log_base
+        cfg = _write(tmp_path / f"{log_base}.json", {
+            "experiment": experiment, "geometry": {"dimension": 1, "linear_size": 6},
+            "state_spec": {"kind": "random", "seed": 2, "rank": 3}, "clustering_range": 2,
+            "log_base": log_base, "output": str(out),
+        })
+        code = main(["run", cfg])
+        header, row = (out / "results.csv").read_text().splitlines()
+        values = dict(zip(header.split(","), row.split(",")))
+        del values["config_hash"]  # the output path is part of the config
+        return code, {k: float(v) for k, v in values.items()}, _read_report(out)["report"]
+
+    code_e, csv_e, rep_e = run("e")
+    code_2, csv_2, rep_2 = run("2")
+    assert code_2 == code_e
+    assert sorted(csv_e) == sorted(entropic + kept)
+    for key in entropic:
+        assert csv_2[key] == csv_e[key] / LN2, key
+    for key in kept:
+        assert csv_2[key] == csv_e[key], key
+    for key, value in rep_e.items():
+        if key in ("bounds", "margins"):
+            assert rep_2[key] == {k: v / LN2 for k, v in value.items()}, key
+        else:
+            assert rep_2[key] == (value / LN2 if key in ("delta_s", "shannon") else value), key
 
 
 def test_plot_script_references_the_csv(tmp_path):

@@ -1,4 +1,6 @@
 import dataclasses
+import inspect
+import math
 
 import numpy as np
 import pytest
@@ -21,6 +23,56 @@ def test_check_result_coerces_numpy_scalars():
     res = CheckResult("x", np.float64(0.25))
     assert isinstance(res.passed, bool)
     assert isinstance(res.margin, float)
+
+
+# Check k draws from default_rng([seed, first salt + k]): a reorder changes the
+# inputs of every later check, so it must show up here as a deliberate edit.
+BOUND_CHECK_ORDER = [
+    "ball-translation-invariance", "ball-growth-saturation", "spreading-within-lightcone",
+    "circuit-trace-purity", "channel-trace-preserving", "entropy-unitary-invariance",
+    "measurement-entropy-monotone", "pure-state-saturation", "asymmetry-log-cap",
+    "massey-strict", "circuit-bound-chain", "charge-twirl-idempotent",
+    "charge-fixed-point-iff", "symmetric-channel-monotone", "schur-unitarity",
+    "sector-dimension-identity", "rotation-twirl-idempotent", "rotation-twirl-covariance",
+    "sector-entropy-bound", "twirl-quadrature-match", "rotation-fixed-point-iff",
+    "collective-moment-cap", "global-rotation-invariance", "krawtchouk-recurrence-accuracy",
+    "closed-form-vs-statevector", "bernoulli-entropy-maximum", "gaussian-tail-accuracy",
+    "product-state-clustering", "range-vs-spreading", "correlator-norm-cap",
+    "negative-controls-flagged",
+]
+ORACLE_ORDER = [
+    "kink-worked-examples", "dicke-expansion-coefficients", "dicke-half-worked-examples",
+    "krawtchouk-worked-examples", "bernoulli-sum-worked-examples",
+    "arcsine-and-table-integrals", "charge-correlator-examples", "spreading-examples",
+    "polarized-rotation-asymmetry", "charge-eigenstate-null-asymmetry",
+    "scaling-fit-examples", "channel-purity-examples", "flat-distribution-saturation",
+]
+
+
+def test_check_tables_are_pinned_in_order():
+    assert [name for name, _ in suite._BOUND_CHECKS] == BOUND_CHECK_ORDER
+    assert [name for name, _ in suite._ORACLE_CHECKS] == ORACLE_ORDER
+
+
+def test_every_check_function_runs_in_exactly_one_table():
+    # a check is a module function whose first parameter is its random generator
+    defined = {
+        fn for fn in vars(suite).values()
+        if inspect.isfunction(fn) and fn.__module__ == suite.__name__
+        and next(iter(inspect.signature(fn).parameters), None) == "rng"
+    }
+    tabled = [fn for _, fn in suite._BOUND_CHECKS + suite._ORACLE_CHECKS]
+    assert len(defined) == 31 + 13
+    assert set(tabled) == defined
+    assert len(tabled) == len(defined)
+
+
+def test_check_that_raises_is_a_failed_result(monkeypatch):
+    monkeypatch.setattr(suite.su2, "HAAR_QUADRATURE_TOL", -1.0)
+    (result,) = bound_suite(names=["twirl-quadrature-match"])
+    assert result.name == "twirl-quadrature-match"
+    assert result.margin == -math.inf and not result.passed
+    assert result.detail.startswith("raised ValidationError: Haar quadrature did not converge")
 
 
 def test_name_filter_accepts_hyphens_and_underscores():
