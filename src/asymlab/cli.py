@@ -393,8 +393,11 @@ def _run_suite(cfg: ExperimentConfig, which: str = "bound-suite",
             "seed": cfg.seed,
             "samples": cfg.samples,
             "all_passed": ok,
+            # a check that raised has margin -inf, which JSON cannot hold; its
+            # detail says why
             "checks": [
-                {"name": r.name, "passed": r.passed, "margin": r.margin,
+                {"name": r.name, "passed": r.passed,
+                 "margin": r.margin if math.isfinite(r.margin) else None,
                  "detail": r.detail}
                 for r in results
             ],

@@ -319,7 +319,7 @@ def _charge_fixed_point_iff(rng, samples) -> tuple[float, str]:
             rho = states.random_density_matrix(n, rng)
             sym = u1.u1_twirl(rho)
             margin = min(margin, ZERO_ASYMMETRY - u1.u1_asymmetry(sym).delta_s)
-            moved = float(np.abs(u1.u1_twirl(rho).matrix - rho.matrix).max())
+            moved = float(np.abs(sym.matrix - rho.matrix).max())
             if moved > SYMMETRY_BREAK_MIN:
                 margin = min(margin, u1.u1_asymmetry(rho).delta_s - ZERO_ASYMMETRY)
     return margin, "both implications"
@@ -439,7 +439,7 @@ def _rotation_fixed_point_iff(rng, samples) -> tuple[float, str]:
             rho = states.random_density_matrix(n, rng)
             sym = su2.su2_twirl(rho, basis)
             margin = min(margin, ZERO_ASYMMETRY - su2.su2_asymmetry(sym, basis).delta_s)
-            moved = float(np.abs(su2.su2_twirl(rho, basis).matrix - rho.matrix).max())
+            moved = float(np.abs(sym.matrix - rho.matrix).max())
             if moved > SYMMETRY_BREAK_MIN:
                 margin = min(margin, su2.su2_asymmetry(rho, basis).delta_s - ZERO_ASYMMETRY)
     return margin, "both implications"

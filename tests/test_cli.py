@@ -558,6 +558,15 @@ def test_verify_bound_suite_reports_a_raising_check_as_failed(tmp_path, monkeypa
     assert len(failed) == 1
     assert failed[0].startswith("twirl-quadrature-match,false,-inf,")
 
+    def reject(token):
+        raise ValueError(f"report.json holds the non-JSON token {token}")
+
+    report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+    raised = [c for c in report["checks"] if not c["passed"]]
+    assert [c["name"] for c in raised] == ["twirl-quadrature-match"]
+    assert raised[0]["margin"] is None
+    assert raised[0]["detail"].startswith("raised ValidationError")
+
 
 def test_dicke_command_log_spaced_even_points(tmp_path):
     out = tmp_path / "out"
