@@ -2,11 +2,11 @@
 
 Everything here avoids statevectors, so sweeps can run far beyond the
 simulation caps.  Binomial coefficients use exact integers up to n = 20 and
-log-gamma beyond; oscillatory Krawtchouk values come from a three-term
+log-factorials beyond (an exact table below STIRLING_CUTOFF, the Stirling
+series above it); oscillatory Krawtchouk values come from a three-term
 recurrence, with the alternating sum kept only as an exact-rational oracle.
-scipy is imported inside the two functions that use it (log-gamma and
-quadrature), so ``import asymlab`` loads no scipy module and a process pays
-for one only when it first calls them.
+The continuous densities integrate by a tanh-sinh rule.  numpy is the only
+numeric dependency.
 """
 from __future__ import annotations
 
@@ -20,18 +20,56 @@ import numpy as np
 
 from .errors import ValidationError
 from .states import StateVector, _check_cap, bit_weights, statevector_cap
-from .tolerances import FIT_SPAN_FLOOR, NORMALIZATION_TOL
+from .tolerances import FIT_SPAN_FLOOR, NORMALIZATION_TOL, TANH_SINH_TOL
 from .u1 import ChargeDistribution
 
 EXACT_BINOMIAL_LIMIT = 20
+# ln k! is read from a table of math.lgamma below this k and from the Stirling series above
+STIRLING_CUTOFF = 32
+_LN_FACTORIAL_TABLE = np.array([math.lgamma(k + 1.0) for k in range(STIRLING_CUTOFF)])
+_HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
+# step halvings the tanh-sinh rule may take to reach TANH_SINH_TOL
+TANH_SINH_MAX_LEVELS = 8
+# the rule's t range is [-T, T]; at t = 4 a node lies within e^-85 of its endpoint
+TANH_SINH_T_MAX = 4
+
+
+def _integer_array(k, name: str) -> np.ndarray:
+    k = np.asarray(k)
+    if k.dtype.kind not in "iu":
+        raise ValidationError(f"{name} must be integers, got dtype {k.dtype}")
+    return k
+
+
+def ln_factorial(k) -> np.ndarray | float:
+    """ln k! for integers k >= 0; k may be an array.
+
+    Below STIRLING_CUTOFF the value is read from a table of ``math.lgamma``;
+    from there on it is the Stirling series
+    ln k! = k (ln k - 1) + (1/2) ln(2 pi k) + sum_j B_2j / (2j (2j - 1) k^(2j-1))
+    with its Bernoulli terms through 1/k^11, whose truncation error at the
+    cutoff is below 1e-21.
+    """
+    k = _integer_array(k, "ln_factorial arguments")
+    if np.any(k < 0):
+        raise ValidationError("ln_factorial needs k >= 0")
+    flat = k.reshape(-1)
+    x = np.maximum(flat, STIRLING_CUTOFF).astype(float)
+    lx = np.log(x)
+    r = 1.0 / x
+    r2 = r * r
+    series = r * (1 / 12 + r2 * (-1 / 360 + r2 * (1 / 1260 + r2 * (
+        -1 / 1680 + r2 * (1 / 1188 + r2 * (-691 / 360360))))))
+    out = x * (lx - 1.0) + (0.5 * lx + _HALF_LN_2PI + series)
+    small = flat < STIRLING_CUTOFF
+    out[small] = _LN_FACTORIAL_TABLE[flat[small]]
+    return out.reshape(k.shape) if k.ndim else float(out[0])
 
 
 def log_binomial(n: int, k) -> np.ndarray | float:
-    """ln C(n, k) via log-gamma; k may be an array."""
-    from scipy.special import gammaln
-
-    k = np.asarray(k, dtype=float)
-    out = gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
+    """ln C(n, k) from log-factorials, for integers 0 <= k <= n; k may be an array."""
+    k = np.asarray(k)
+    out = np.asarray(ln_factorial(n) - ln_factorial(k) - ln_factorial(n - k))
     return out if out.ndim else float(out)
 
 
@@ -140,20 +178,26 @@ def dicke_half_charge_prob(m: int, q) -> np.ndarray | float:
     """Charge probabilities of the half-filled x Dicke state on N = 2m sites.
 
     Odd charges carry zero weight; for even q,
-    p = 2^{-2m} C(2m, m) C(2m, q)^{-1} C(m, q/2)^2.
+    p = 2^{-2m} C(2m, m) C(2m, q)^{-1} C(m, q/2)^2, with all three binomials
+    gathered from one table of ln k!, k = 0..2m.
     """
     if m < 1:
         raise ValidationError(f"need m >= 1, got {m}")
-    q = np.asarray(q)
+    q = _integer_array(q, "charges")
     if np.any((q < 0) | (q > 2 * m)):
         raise ValidationError(f"charges must lie in [0, {2 * m}]")
     even = q % 2 == 0
     half = np.where(even, q // 2, 0)
+    table = ln_factorial(np.arange(2 * m + 1))
+
+    def log_binom(n, k):
+        return table[n] - table[k] - table[n - k]
+
     log_p = (
         -2.0 * m * np.log(2.0)
-        + log_binomial(2 * m, m)
-        - log_binomial(2 * m, q)
-        + 2.0 * log_binomial(m, half)
+        + log_binom(2 * m, m)
+        - log_binom(2 * m, q)
+        + 2.0 * log_binom(m, half)
     )
     out = np.where(even, np.exp(log_p), 0.0)
     return out if out.ndim else float(out)
@@ -163,7 +207,7 @@ def dicke_half_distribution(m: int) -> ChargeDistribution:
     """Full charge distribution of the half-filled x Dicke state, q = 0..2m."""
     q = np.arange(2 * m + 1)
     probs = dicke_half_charge_prob(m, q)
-    # exactly normalized in exact arithmetic; log-gamma rounding drifts the
+    # exactly normalized in exact arithmetic; log-factorial rounding drifts the
     # float sum past 1e-10 around m ~ 2e5, so rescale before validation
     return ChargeDistribution.from_probs(probs / probs.sum())
 
@@ -236,44 +280,69 @@ def product_charge_state(x) -> StateVector:
     return product_state(locals_)
 
 
+def tanh_sinh(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
+    """Integral of f over [a, b] by the double-exponential (tanh-sinh) rule.
+
+    x = c + d tanh((pi/2) sinh t), with c and d the midpoint and half-width of
+    [a, b], turns the integral into one over t whose integrand decays double
+    exponentially, so the trapezoid rule in t with step h converges like
+    exp(-const/h) even with log singularities at the endpoints.  Each node is
+    formed from its distance 2d / (exp(2u) + 1), u = (pi/2) sinh|t|, to the
+    nearer endpoint rather than from c, so no node near ``a`` is rounded onto
+    it.  ``f`` maps an array of nodes to an array of values.  The step halves
+    from 1 until two levels agree within TANH_SINH_TOL; after
+    TANH_SINH_MAX_LEVELS levels the rule raises ValidationError.
+    """
+    c, d = 0.5 * (a + b), 0.5 * (b - a)
+    previous = None
+    for level in range(TANH_SINH_MAX_LEVELS):
+        h = 0.5**level
+        n = TANH_SINH_T_MAX * 2**level
+        t = h * np.arange(-n, n + 1)
+        u = 0.5 * np.pi * np.sinh(np.abs(t))
+        offset = 2.0 * d / (np.exp(2.0 * u) + 1.0)
+        nodes = np.where(t < 0.0, a + offset, b - offset)
+        weights = d * 0.5 * np.pi * np.cosh(t) / np.cosh(u) ** 2
+        total = h * float(np.sum(weights * f(nodes)))
+        if previous is not None and abs(total - previous) <= TANH_SINH_TOL:
+            return total
+        previous = total
+    raise ValidationError(f"tanh-sinh rule did not converge to {TANH_SINH_TOL} "
+                          f"after {TANH_SINH_MAX_LEVELS} levels")
+
+
 @dataclass(frozen=True)
 class ContinuousChargeDensity:
     """Coarse-grained charge density p(u) on u in [0, 1].
 
     ``descriptor`` is one of 'flat', 'arcsine' or 'custom-table'.  Analytic
-    descriptors integrate by adaptive quadrature (the arcsine through the
-    u = sin^2 theta substitution that removes its edge singularities); tables
-    are histogram densities on a uniform midpoint grid and integrate by cell
-    sums.
+    descriptors integrate by the tanh-sinh rule (the arcsine through the
+    u = sin^2 theta substitution that removes its edge singularities); their
+    ``pdf`` maps an array of u to an array of densities.  Tables are histogram
+    densities on a uniform midpoint grid and integrate by cell sums.
     """
 
     descriptor: str
-    pdf: Callable[[float], float] | None = None
+    pdf: Callable[[np.ndarray], np.ndarray] | None = None
     values: np.ndarray | None = None
 
     def _quad_pair(self) -> tuple[float, float]:
-        """(integral of p, integral of p ln p) by quadrature."""
-        from scipy.integrate import quad
-
+        """(integral of p, integral of p ln p) by the tanh-sinh rule."""
         if self.descriptor == "arcsine":
             def mass(theta):
-                return 2.0 / np.pi
+                return np.full_like(theta, 2.0 / np.pi)
 
             def plogp(theta):
                 s, c = np.sin(theta), np.cos(theta)
                 return (2.0 / np.pi) * np.log(1.0 / (np.pi * s * c))
 
-            total, _ = quad(mass, 0.0, np.pi / 2.0)
-            ent, _ = quad(plogp, 0.0, np.pi / 2.0)
-            return total, ent
-        total, _ = quad(self.pdf, 0.0, 1.0)
+            return tanh_sinh(mass, 0.0, np.pi / 2.0), tanh_sinh(plogp, 0.0, np.pi / 2.0)
 
         def plogp_u(u):
             p = self.pdf(u)
-            return p * np.log(p) if p > 0.0 else 0.0
+            return p * np.log(np.where(p > 0.0, p, 1.0))
 
-        ent, _ = quad(plogp_u, 0.0, 1.0)
-        return total, ent
+        return tanh_sinh(self.pdf, 0.0, 1.0), tanh_sinh(plogp_u, 0.0, 1.0)
 
     def normalization(self) -> float:
         if self.descriptor == "custom-table":
@@ -291,7 +360,7 @@ class ContinuousChargeDensity:
 
 
 def flat_density() -> ContinuousChargeDensity:
-    return ContinuousChargeDensity("flat", pdf=lambda u: 1.0)
+    return ContinuousChargeDensity("flat", pdf=np.ones_like)
 
 
 def arcsine_density() -> ContinuousChargeDensity:

@@ -224,7 +224,9 @@ def entropy_of_probabilities(probs: np.ndarray) -> float:
     p = p[p >= PROBABILITY_FLOOR]
     if p.size == 0:
         return 0.0
-    return float(-np.sum(p * np.log(p)))
+    terms = np.log(p)
+    terms *= p
+    return float(-np.sum(terms))
 
 
 def floored_spectrum(evals: np.ndarray) -> np.ndarray:

@@ -63,6 +63,9 @@ EMPTY_SECTOR_WEIGHT = 1e-14
 SINGULAR_VALUE_FLOOR = 1e-18
 # two successive refinements of the Haar-quadrature rotation twirl agree within this
 HAAR_QUADRATURE_TOL = 1e-8
+# two successive step halvings of a tanh-sinh integral agree within this (absolute); its
+# error then falls like exp(-const/h), so the finer level is accurate to rounding
+TANH_SINH_TOL = 1e-12
 
 # ---------------- bound-suite and oracle checks ----------------
 
@@ -76,7 +79,7 @@ IDENTITY_TOL = 1e-10
 ENTROPY_MATCH_TOL = 1e-9
 # recurrence against exact-rational Krawtchouk values, relative, and their orthogonality
 KRAWTCHOUK_REL_TOL = 1e-9
-# adaptive quadrature of the flat and arcsine densities against their exact integrals
+# tanh-sinh integrals of the flat and arcsine densities against their exact integrals
 QUADRATURE_TOL = 1e-9
 # twirling commutes with a global rotation u^{(x)N} within this (matrix entries)
 ROTATION_COVARIANCE_TOL = 1e-8

@@ -47,7 +47,9 @@ class ChargeDistribution:
             )
         q = np.arange(p.size, dtype=float)
         mean = float(p @ q)
-        variance = float(p @ (q - mean) ** 2)
+        q -= mean
+        np.square(q, out=q)
+        variance = float(p @ q)
         p.flags.writeable = False
         return cls(p, mean, variance)
 

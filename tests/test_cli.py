@@ -568,6 +568,21 @@ def test_verify_bound_suite_reports_a_raising_check_as_failed(tmp_path, monkeypa
     assert raised[0]["detail"].startswith("raised ValidationError")
 
 
+def test_verify_oracle_suite_reports_a_non_converging_quadrature_as_failed(tmp_path, monkeypatch):
+    from asymlab import closedforms
+
+    monkeypatch.setattr(closedforms, "TANH_SINH_TOL", -1.0)
+    out = tmp_path / "out"
+    assert main(["verify", "oracle-suite", "--output", str(out)]) == 4
+    lines = (out / "results.csv").read_text().splitlines()
+    assert len(lines) == 1 + 13
+    failed = [line for line in lines[1:] if ",false," in line]
+    assert len(failed) == 1
+    assert failed[0].startswith("arcsine-and-table-integrals,false,-inf,")
+    (raised,) = [c for c in _read_report(out)["checks"] if not c["passed"]]
+    assert raised["detail"].startswith("raised ValidationError: tanh-sinh rule did not converge")
+
+
 def test_dicke_command_log_spaced_even_points(tmp_path):
     out = tmp_path / "out"
     code = main(
