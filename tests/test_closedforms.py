@@ -331,6 +331,28 @@ def _run_fresh(code: str) -> str:
     return proc.stdout
 
 
+def test_import_asymlab_loads_no_scipy_integrate_or_special():
+    out = _run_fresh(
+        "import sys, asymlab\n"
+        "print(sorted(m for m in sys.modules"
+        " if m.startswith(('scipy.integrate', 'scipy.special'))))"
+    )
+    assert out.strip() == "[]"
+
+
+def test_arcsine_oracle_passes_with_lazy_quadrature():
+    # The quadrature is the numpy tanh-sinh rule, so running the oracle
+    # still loads no scipy.integrate.
+    out = _run_fresh(
+        "import sys, numpy as np\n"
+        "from asymlab import suite\n"
+        "oracle = dict(suite._ORACLE_CHECKS)['arcsine-and-table-integrals']\n"
+        "margin, _ = oracle(np.random.default_rng(0))\n"
+        "print(suite.holds(margin), 'scipy.integrate' in sys.modules)"
+    )
+    assert out.split() == ["True", "False"]
+
+
 def test_cli_operations_load_no_scipy(tmp_path):
     out = _run_fresh(
         "import sys\n"
