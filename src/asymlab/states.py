@@ -8,6 +8,13 @@ reads a k-site operator with its first listed site as the most significant
 bit, so ``kron(op_a, op_b)`` on sites ``(a, b)`` puts ``op_a`` on site a
 whether a < b or a > b.  States are frozen dataclasses over read-only arrays;
 every operation returns a new object.
+
+A rank-r ``DensityMatrix`` may also carry an exact factor F (2^N x r, with
+rho = F F^dagger), checked against rho when the state is built.  Within asymlab only
+``random_density_matrix`` (rank below 2^N) and the gauge rotation of
+``su2.zero_transverse_rotation`` attach one.  S(rho) then comes from the
+r x r Gram matrix F^dagger F and the rotation turns F, not rho.  Every other
+operation builds a new matrix and so a state without a factor.
 """
 from __future__ import annotations
 
@@ -18,7 +25,14 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, ResourceError, ValidationError
-from .tolerances import EIGENVALUE_FLOOR, HERMITICITY_TOL, NORM_TOL, PROBABILITY_FLOOR, UNIT_SUM_TOL
+from .tolerances import (
+    EIGENVALUE_FLOOR,
+    FACTOR_TOL,
+    HERMITICITY_TOL,
+    NORM_TOL,
+    PROBABILITY_FLOOR,
+    UNIT_SUM_TOL,
+)
 
 DEFAULT_STATEVECTOR_QUBITS = 24
 DEFAULT_DENSITY_QUBITS = 12
@@ -88,10 +102,15 @@ class StateVector:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace operator on ``n_qubits`` qubits."""
+    """Hermitian, unit-trace operator on ``n_qubits`` qubits.
+
+    ``factor``, when given, is an exact 2^N x r factor F with F F^dagger = rho
+    within FACTOR_TOL; a wrong factor raises ValidationError.
+    """
 
     n_qubits: int
     matrix: np.ndarray
+    factor: np.ndarray | None = None
 
     def __post_init__(self):
         mat = np.array(self.matrix, dtype=complex)
@@ -107,6 +126,16 @@ class DensityMatrix:
             raise ValidationError(f"trace = {tr!r}, not 1 within {UNIT_SUM_TOL}")
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
+        if self.factor is None:
+            return
+        fac = np.array(self.factor, dtype=complex)
+        if fac.ndim != 2 or fac.shape[0] != d:
+            raise ValidationError(f"factor needs {d} rows and 2 axes, got shape {fac.shape}")
+        gap = float(np.max(np.abs(fac @ fac.conj().T - mat)))
+        if gap > FACTOR_TOL:
+            raise ValidationError(f"factor F deviates from F F^dagger = rho by {gap:.3e}")
+        fac.flags.writeable = False
+        object.__setattr__(self, "factor", fac)
 
     @property
     def dim(self) -> int:
@@ -195,7 +224,11 @@ def random_state(n_qubits: int, rng) -> StateVector:
 
 
 def random_density_matrix(n_qubits: int, rng, rank: int | None = None) -> DensityMatrix:
-    """Random mixed state: normalized Wishart matrix of the given rank."""
+    """Random mixed state: normalized Wishart matrix of the given rank.
+
+    rho = A A^dagger / tr for a complex Gaussian 2^N x rank matrix A.  Below
+    full rank the state carries its exact factor A / sqrt(tr).
+    """
     rng = np.random.default_rng(rng)
     _check_cap(n_qubits, density_matrix_cap(), "density-matrix")
     d = 2**n_qubits
@@ -204,8 +237,9 @@ def random_density_matrix(n_qubits: int, rng, rank: int | None = None) -> Densit
         raise ValidationError(f"rank must lie in [1, {d}], got {rank}")
     a = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
     mat = a @ a.conj().T
-    mat /= np.real(np.trace(mat))
-    return DensityMatrix(n_qubits, mat)
+    tr = np.real(np.trace(mat))
+    mat /= tr
+    return DensityMatrix(n_qubits, mat, a / np.sqrt(tr) if r < d else None)
 
 
 @lru_cache(maxsize=32)
@@ -241,10 +275,17 @@ def floored_spectrum(evals: np.ndarray) -> np.ndarray:
 
 
 def von_neumann_entropy(state: State) -> float:
-    """Entropy -Tr[rho ln rho] in nats, of the ``floored_spectrum`` of rho."""
+    """Entropy -Tr[rho ln rho] in nats, of the ``floored_spectrum`` of rho.
+
+    A state with an exact factor F eigensolves the r x r Gram matrix F^dagger F,
+    whose nonzero spectrum is that of rho = F F^dagger; any other
+    density matrix is eigensolved whole.
+    """
     if isinstance(state, StateVector):
         return 0.0
-    return entropy_of_probabilities(floored_spectrum(np.linalg.eigvalsh(state.matrix)))
+    fac = state.factor
+    gram = state.matrix if fac is None else fac.conj().T @ fac
+    return entropy_of_probabilities(floored_spectrum(np.linalg.eigvalsh(gram)))
 
 
 def apply_site_matrix(arr: np.ndarray, op: np.ndarray, sites, n_qubits: int) -> np.ndarray:

@@ -488,19 +488,22 @@ def su2_asymmetry(state: State, basis: SchurBasis) -> Su2AsymmetryReport:
     return report
 
 
+def _rotate_rows(arr: np.ndarray, u: np.ndarray, n: int) -> np.ndarray:
+    """u^{(x) N} applied to axis 0 of ``arr``: amplitudes, or the rows of a matrix or factor."""
+    for site in range(n):
+        arr = apply_site_matrix(arr, u, site, n)
+    return arr
+
+
 def global_rotation(arr: np.ndarray, u: np.ndarray, n: int) -> np.ndarray:
     """Apply u^{(x) N}: to amplitudes, or as u^{(x) N} M u^{(x) N dagger} to a matrix.
 
     A matrix has u applied to all of its rows, then to all of its columns.
     """
-    for site in range(n):
-        arr = apply_site_matrix(arr, u, site, n)
+    arr = _rotate_rows(arr, u, n)
     if arr.ndim == 1:
         return arr
-    arr = arr.T
-    for site in range(n):
-        arr = apply_site_matrix(arr, u.conj(), site, n)
-    return np.ascontiguousarray(arr.T)
+    return np.ascontiguousarray(_rotate_rows(arr.T, u.conj(), n).T)
 
 
 def _dephasing_mask(n: int, k: int) -> np.ndarray:
@@ -620,7 +623,8 @@ def zero_transverse_rotation(state: State):
 
     Returns (rotated_state, u) where u is the single-site unitary applied to
     every qubit.  A state with vanishing mean spin is returned unchanged with
-    u = identity.
+    u = identity.  A density matrix with an exact factor F has only F rotated,
+    F' = u^{(x) N} F, and keeps F' with rho' = F' F'^dagger.
     """
     moments = spin_moments(state)
     v = np.array([moments["sx"], moments["sy"], moments["sz"]])
@@ -644,6 +648,9 @@ def zero_transverse_rotation(state: State):
     n = state.n_qubits
     if isinstance(state, StateVector):
         rotated: State = StateVector(n, global_rotation(state.amplitudes, u, n))
+    elif state.factor is not None:
+        fac = _rotate_rows(state.factor, u, n)
+        rotated = DensityMatrix(n, fac @ fac.conj().T, fac)
     else:
         rotated = DensityMatrix(n, global_rotation(state.matrix, u, n))
     check = spin_moments(rotated)

@@ -817,9 +817,21 @@ def _oracle_polarized(rng) -> tuple[float, str]:
             dense = states.von_neumann_entropy(su2.su2_twirl(rho, basis))
             dense -= states.von_neumann_entropy(rho)
             worst = max(worst, abs(su2.su2_asymmetry(rho, basis).delta_s - dense))
+    for n in (4, 6):
+        # a rank-4 rho with its exact factor against the same matrix without it:
+        # Gram-matrix S(rho) and the rotated factor against the dense routes
+        rho = states.random_density_matrix(n, rng, rank=4)
+        bare = DensityMatrix(n, rho.matrix)
+        basis = su2.build_schur_basis(n)
+        gap = su2.su2_asymmetry(rho, basis).delta_s - su2.su2_asymmetry(bare, basis).delta_s
+        worst = max(worst, abs(gap))
+        moved = su2.spin_moments(su2.zero_transverse_rotation(rho)[0])
+        dense = su2.spin_moments(su2.zero_transverse_rotation(bare)[0])
+        worst = max(worst, max(abs(moved[k] - dense[k]) for k in dense))
     return (
         EXACT_TOL - worst,
-        "fully polarized state saturates the sector bound; blocks vs dense basis and twirl",
+        "fully polarized state saturates the sector bound; blocks vs dense basis and twirl;"
+        " factored vs dense rho",
     )
 
 

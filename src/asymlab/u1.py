@@ -174,11 +174,12 @@ class AsymmetryReport:
 def _build_report(
     n_sites: int,
     delta_s: float,
+    shannon: float,
     dist: ChargeDistribution,
     geometry: LatticeGeometry | None,
     clustering_range: int | None,
 ) -> AsymmetryReport:
-    shannon = shannon_entropy(dist)
+    """Report of ``delta_s`` against the bounds; ``shannon`` is H of ``dist``, computed once."""
     if delta_s < -NEGATIVE_ASYMMETRY_TOL:
         raise ValidationError(f"asymmetry {delta_s!r} is negative beyond tolerance")
     if delta_s > shannon + MARGIN_TOL:
@@ -215,15 +216,18 @@ def u1_asymmetry(
 ) -> AsymmetryReport:
     """Charge asymmetry Delta S = S(twirl(rho)) - S(rho) with its bounds.
 
-    Pure states use the exact identity Delta S = H(p_q); mixed states go
-    through the dephased density matrix and two eigendecompositions.
+    Pure states use the exact identity Delta S = H(p_q).  Mixed states
+    eigensolve the dephased density matrix for S(twirl(rho)) and take S(rho)
+    from ``von_neumann_entropy``: the r x r Gram matrix of rho's exact factor
+    when it carries one, else a second eigensolve of the whole matrix.
     """
     dist = charge_distribution(state)
+    shannon = shannon_entropy(dist)
     if isinstance(state, StateVector):
-        delta_s = shannon_entropy(dist)
+        delta_s = shannon
     else:
         delta_s = von_neumann_entropy(u1_twirl(state)) - von_neumann_entropy(state)
-    return _build_report(state.n_qubits, delta_s, dist, geometry, clustering_range)
+    return _build_report(state.n_qubits, delta_s, shannon, dist, geometry, clustering_range)
 
 
 def report_from_distribution(
@@ -238,4 +242,5 @@ def report_from_distribution(
     closed-form distributions feed the same report machinery without a
     statevector.
     """
-    return _build_report(n_sites, shannon_entropy(dist), dist, geometry, clustering_range)
+    shannon = shannon_entropy(dist)
+    return _build_report(n_sites, shannon, shannon, dist, geometry, clustering_range)

@@ -2,13 +2,14 @@ import json
 import math
 import os
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from asymlab import cli
+from asymlab import cli, states, su2
 from asymlab.circuits import apply_circuit, random_brickwork, save_circuit
 from asymlab.cli import main
 from asymlab.config import NAMED_STATES, build_state
@@ -686,6 +687,42 @@ def test_plot_script_references_the_csv(tmp_path):
     assert 'set datafile separator ","' in script
     assert "results.csv" in script
     assert "logscale" in script
+
+
+def test_mixed_su2_run_never_touches_a_dense_matrix(tmp_path, monkeypatch):
+    """N = 10, rank 4: every eigensolve is a multiplicity block, no operator meets rho."""
+    n = 10
+    eig_shapes, site_shapes = [], []
+    eigvalsh = np.linalg.eigvalsh
+    kernel = states.apply_site_matrix
+
+    def spy_eigvalsh(a, *args, **kwargs):
+        eig_shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    def spy_kernel(arr, *args, **kwargs):
+        site_shapes.append(np.shape(arr))
+        return kernel(arr, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy_eigvalsh)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("asymlab") and module is not None:
+            for attr, value in list(vars(module).items()):
+                if value is kernel:
+                    monkeypatch.setattr(module, attr, spy_kernel)
+    cfg = _write(tmp_path / "mixed.json", {
+        "experiment": "su2-asymmetry",
+        "geometry": {"dimension": 1, "linear_size": n},
+        "state_spec": {"kind": "random", "seed": 0, "rank": 4},
+        "clustering_range": 2,
+        "output": str(tmp_path / "out"),
+    })
+    assert main(["run", cfg]) == 0
+    largest_block = max(su2.multiplicity(n, s) for s in range(n // 2 + 1))
+    assert largest_block == 90
+    assert eig_shapes and max(max(shape) for shape in eig_shapes) <= largest_block
+    assert site_shapes and (2**n, 2**n) not in site_shapes
+    assert _read_report(tmp_path / "out")["casimir"] is not None
 
 
 def test_console_entry_point_installed():

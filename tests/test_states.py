@@ -201,3 +201,62 @@ def test_floored_spectrum_clamps_only_above_the_floor():
     assert np.array_equal(floored_spectrum(evals), [0.0, 0.25, 0.75])
     with pytest.raises(ValidationError):
         floored_spectrum(np.array([2.0 * EIGENVALUE_FLOOR, 1.0]))
+
+
+def _parent_wishart(n, seed, rank):
+    """rho drawn exactly as random_density_matrix draws it, without the factor."""
+    rng = np.random.default_rng(seed)
+    d = 2**n
+    a = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+    mat = a @ a.conj().T
+    mat /= np.real(np.trace(mat))
+    return mat
+
+
+def test_random_density_matrix_keeps_factor_below_full_rank_only():
+    for n, rank in ((3, 2), (4, 5), (3, 8), (4, 16)):
+        rho = random_density_matrix(n, np.random.default_rng(17), rank=rank)
+        assert np.array_equal(rho.matrix, _parent_wishart(n, 17, rank))
+        if rank == 2**n:
+            assert rho.factor is None
+        else:
+            assert rho.factor.shape == (2**n, rank)
+            assert np.max(np.abs(rho.factor @ rho.factor.conj().T - rho.matrix)) < 1e-15
+    full = random_density_matrix(3, np.random.default_rng(17))
+    assert full.factor is None
+    assert np.array_equal(full.matrix, _parent_wishart(3, 17, 8))
+
+
+def test_gram_entropy_matches_dense_eigensolve():
+    rng = np.random.default_rng(29)
+    for n in range(1, 11):
+        for rank in sorted({r for r in (1, 2, 4, 2**n - 1) if r < 2**n}):
+            rho = random_density_matrix(n, rng, rank=rank)
+            assert rho.factor is not None
+            dense = entropy_of_probabilities(floored_spectrum(np.linalg.eigvalsh(rho.matrix)))
+            assert_allclose(von_neumann_entropy(rho), dense, atol=1e-12,
+                            err_msg=f"n={n} rank={rank}")
+
+
+def test_density_matrix_rejects_a_wrong_factor():
+    rho = random_density_matrix(3, np.random.default_rng(31), rank=3)
+    fac = rho.factor
+    # any F V with V unitary is an equally exact factor
+    v = np.linalg.qr(np.arange(9.0).reshape(3, 3) + 1j * np.eye(3))[0]
+    assert DensityMatrix(3, rho.matrix, fac @ v).factor.shape == (8, 3)
+    bad = [fac[:-1], fac.T, fac[:, 0], fac.conj(), 1.001 * fac]
+    for wrong in bad:
+        with pytest.raises(ValidationError):
+            DensityMatrix(3, rho.matrix, wrong)
+
+
+def test_factor_is_read_only():
+    rho = random_density_matrix(3, np.random.default_rng(37), rank=2)
+    with pytest.raises(ValueError):
+        rho.factor[0, 0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rho.factor = None
+    source = rho.factor.copy()
+    held = DensityMatrix(3, rho.matrix, source)
+    source[0, 0] = 5.0
+    assert held.factor[0, 0] != 5.0

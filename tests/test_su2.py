@@ -480,3 +480,24 @@ def test_ghz_passes_main_but_fails_precursor_at_zero_range():
     assert rep.passed
     assert not rep.precursor_passed
     assert rep.precursor_lhs > rep.bound
+
+
+def test_rotated_factor_matches_dense_global_rotation():
+    rng = np.random.default_rng(59)
+    for n in (2, 4, 6, 8):
+        rho = random_density_matrix(n, rng, rank=3)
+        u = haar_unitary(2, rng)
+        fac = su2._rotate_rows(rho.factor, u, n)
+        dense = global_rotation(rho.matrix, u, n)
+        assert np.max(np.abs(fac @ fac.conj().T - dense)) <= 1e-14
+        # the gauge rotation turns the factor and keeps it
+        gauged, g = zero_transverse_rotation(rho)
+        assert gauged.factor is not None
+        assert np.max(np.abs(gauged.matrix - global_rotation(rho.matrix, g, n))) <= 1e-14
+        bare, g_bare = zero_transverse_rotation(DensityMatrix(n, rho.matrix))
+        assert bare.factor is None
+        assert_allclose(g, g_bare, atol=1e-14)
+        moments = spin_moments(gauged)
+        for key, value in spin_moments(bare).items():
+            assert_allclose(moments[key], value, atol=1e-12, err_msg=key)
+

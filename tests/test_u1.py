@@ -156,6 +156,24 @@ def test_report_margins_and_exact_bound_saturation():
     assert margins["clustering"] is None
 
 
+def test_reports_compute_the_charge_entropy_once(monkeypatch):
+    from asymlab import u1
+
+    calls = []
+    entropy = u1.entropy_of_probabilities
+
+    def counting(probs):
+        calls.append(len(probs))
+        return entropy(probs)
+
+    monkeypatch.setattr(u1, "entropy_of_probabilities", counting)
+    rep = report_from_distribution(flat_distribution(7), 6)
+    assert calls == [7] and rep.shannon == rep.delta_s
+    calls.clear()
+    u1_asymmetry(plus_state(4))
+    assert calls == [5]
+
+
 def test_report_includes_clustering_bound_when_range_given():
     geo = LatticeGeometry(1, 6)
     rep = u1_asymmetry(plus_state(6), geo, clustering_range=0)
