@@ -20,7 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import closedforms, clustering, lattice, su2, suite, u1
+# suite, su2 and clustering load inside the handlers that run them, so a
+# closed-form sweep starts without them
+from . import closedforms, lattice, u1
 from .config import (
     NAMED_STATES,
     SWEEP_EXPERIMENTS,
@@ -264,6 +266,8 @@ def _run_u1(cfg: ExperimentConfig) -> int:
 
 
 def _run_su2(cfg: ExperimentConfig) -> int:
+    from . import su2
+
     out = _outdir(cfg)
     n = cfg.geometry.n_sites
     state, circuit = build_state(cfg.state_spec, n, cfg.seed)
@@ -314,6 +318,8 @@ def _run_su2(cfg: ExperimentConfig) -> int:
 
 
 def _run_clustering(cfg: ExperimentConfig) -> int:
+    from . import clustering
+
     out = _outdir(cfg)
     n = cfg.geometry.n_sites
     state, circuit = build_state(cfg.state_spec, n, cfg.seed)
@@ -366,6 +372,8 @@ def _run_clustering(cfg: ExperimentConfig) -> int:
 
 def _run_suite(cfg: ExperimentConfig, which: str = "bound-suite",
                quiet: bool = False, write: bool = True) -> int:
+    from . import suite
+
     results = (
         suite.bound_suite(cfg.seed, cfg.samples)
         if which == "bound-suite"
@@ -534,6 +542,9 @@ def _config_from_args(args) -> ExperimentConfig:
         data["sweep"] = _log_spaced(args.n_min, args.n_max, args.points, even)
         return validate_config(data)
     if args.command == "su2":
+        for flag, value in (("--n", args.n), ("--dimension", args.dimension)):
+            if value < 1:
+                raise ConfigError(f"{flag} {value} must be at least 1")
         linear = round(args.n ** (1.0 / args.dimension))
         if linear**args.dimension != args.n:
             raise ConfigError(

@@ -1,9 +1,11 @@
 """Experiment configuration: schema validation, capability envelope, hashing.
 
-Configs are JSON objects validated against the shipped draft-07 schema
-(unknown keys are errors), then checked against the capability envelope of
-the chosen computational path before anything runs.  ``config_hash`` gives
-the short provenance token echoed on every CSV row.
+Configs are JSON objects checked against the shipped draft-07 schema
+(`schema/config.schema.json`, unknown keys are errors) by a small walker in
+this module that interprets the keywords that file uses and raises on any
+other, then checked against the capability envelope of the chosen
+computational path before anything runs.  ``config_hash`` gives the short
+provenance token echoed on every CSV row.
 """
 
 from __future__ import annotations
@@ -11,10 +13,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
 from . import closedforms, states
@@ -31,6 +34,8 @@ DICKE_HALF_SWEEP_MAX = 2_000_000
 DICKE_GENERAL_SWEEP_MAX = 2_048
 KINK_SWEEP_MAX = 10_000_000
 PRODUCT_SWEEP_MAX = 20_000
+# bound-suite draw scale; every check's draw count grows linearly with it
+SAMPLES_MAX = 100.0
 
 _schema_cache: dict | None = None
 
@@ -99,13 +104,109 @@ def state_spec_from_name(name: str, fallback) -> dict:
     return fallback(name)
 
 
+# draft-07 type rules: a bool is no number, and a float with an integral value is an integer
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "null": lambda v: v is None,
+    "boolean": lambda v: isinstance(v, bool),
+    "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
+    "integer": lambda v: (
+        (isinstance(v, int) and not isinstance(v, bool))
+        or (isinstance(v, float) and v.is_integer())
+    ),
+}
+# numeric bound keyword: (broken when op(value, bound), message)
+_BOUNDS = {
+    "minimum": (operator.lt, "is less than the minimum of"),
+    "maximum": (operator.gt, "is greater than the maximum of"),
+    "exclusiveMinimum": (operator.le, "is less than or equal to the minimum of"),
+    "exclusiveMaximum": (operator.ge, "is greater than or equal to the maximum of"),
+}
+_ANNOTATIONS = ("$schema", "title", "definitions")
+_REF_PREFIX = "#/definitions/"
+
+
+def _json_equal(a, b) -> bool:
+    """Equality of JSON scalars: unlike Python's ``==``, a bool never equals a number."""
+    return a == b and isinstance(a, bool) == isinstance(b, bool)
+
+
+def _schema_errors(value, node: dict, root: dict, path=()):
+    """Yield (path, message) for each rule of schema ``node`` that ``value`` breaks.
+
+    Interprets the draft-07 keywords that the shipped schema uses, in the order
+    the node lists them, with jsonschema's messages; ``$ref`` resolves into
+    ``root``'s definitions.  Any other keyword raises NotImplementedError, so a
+    schema edit cannot go unchecked.
+    """
+    for key, rule in node.items():
+        if key in _ANNOTATIONS:
+            continue
+        if key == "$ref" and rule.startswith(_REF_PREFIX):
+            target = root["definitions"][rule[len(_REF_PREFIX):]]
+            yield from _schema_errors(value, target, root, path)
+        elif key == "type" and rule in _TYPES:
+            if not _TYPES[rule](value):
+                yield path, f"{value!r} is not of type {rule!r}"
+        elif key == "enum":
+            if not any(_json_equal(value, each) for each in rule):
+                yield path, f"{value!r} is not one of {rule!r}"
+        elif key == "const":
+            if not _json_equal(value, rule):
+                yield path, f"{rule!r} was expected"
+        elif key == "oneOf":
+            valid = sum(not any(_schema_errors(value, sub, root, path)) for sub in rule)
+            if valid == 0:
+                yield path, f"{value!r} is not valid under any of the given schemas"
+            elif valid > 1:
+                yield path, f"{value!r} is valid under more than one of the given schemas"
+        elif key in _BOUNDS:
+            broken, text = _BOUNDS[key]
+            if _TYPES["number"](value) and broken(value, rule):
+                yield path, f"{value!r} {text} {rule!r}"
+        elif key in ("minLength", "minItems"):
+            if isinstance(value, str if key == "minLength" else list) and len(value) < rule:
+                text = "should be non-empty" if rule == 1 else "is too short"
+                yield path, f"{value!r} {text}"
+        elif key == "maxItems":
+            if isinstance(value, list) and len(value) > rule:
+                text = "is expected to be empty" if rule == 0 else "is too long"
+                yield path, f"{value!r} {text}"
+        elif key == "items" and isinstance(rule, dict):
+            if isinstance(value, list):
+                for index, item in enumerate(value):
+                    yield from _schema_errors(item, rule, root, path + (index,))
+        elif key == "required":
+            if isinstance(value, dict):
+                for name in rule:
+                    if name not in value:
+                        yield path, f"{name!r} is a required property"
+        elif key == "properties":
+            if isinstance(value, dict):
+                for name, sub in rule.items():
+                    if name in value:
+                        yield from _schema_errors(value[name], sub, root, path + (name,))
+        elif key == "additionalProperties" and rule is False:
+            if isinstance(value, dict):
+                extras = sorted(value.keys() - node.get("properties", {}).keys(), key=str)
+                if extras:
+                    listed = ", ".join(map(repr, extras))
+                    verb = "was" if len(extras) == 1 else "were"
+                    message = f"Additional properties are not allowed ({listed} {verb} unexpected)"
+                    yield path, message
+        else:
+            raise NotImplementedError(f"config schema keyword {key!r}: {rule!r} is not supported")
+
+
 def _check_schema(data: dict):
-    validator = jsonschema.Draft7Validator(schema())
-    errors = sorted(validator.iter_errors(data), key=lambda e: list(e.absolute_path))
-    if errors:
-        first = errors[0]
-        where = "/".join(str(p) for p in first.absolute_path) or "<root>"
-        raise ConfigError(f"config invalid at {where}: {first.message}")
+    """Raise ConfigError naming the first schema violation in path order."""
+    errors = _schema_errors(data, schema(), schema())
+    first = min(errors, key=lambda error: error[0], default=None)
+    if first is not None:
+        where = "/".join(str(p) for p in first[0]) or "<root>"
+        raise ConfigError(f"config invalid at {where}: {first[1]}")
 
 
 def _check_finite(value, path=()):
@@ -190,6 +291,9 @@ def validate_config(data: dict) -> ExperimentConfig:
         tolerance=float(data.get("tolerance", CORRELATOR_TOL)),
         hash=config_hash(data),
     )
+
+    if cfg.samples > SAMPLES_MAX:
+        raise ResourceError(f"samples {cfg.samples!r} exceeds SAMPLES_MAX = {SAMPLES_MAX}")
 
     if experiment in SWEEP_EXPERIMENTS:
         if cfg.sweep is None:

@@ -3,16 +3,17 @@ import math
 import os
 import re
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from asymlab import cli, states, su2
+from asymlab import cli, states, su2, suite
 from asymlab.circuits import apply_circuit, random_brickwork, save_circuit
 from asymlab.cli import main
-from asymlab.config import NAMED_STATES, build_state
+from asymlab.config import NAMED_STATES, SAMPLES_MAX, build_state, validate_config
 from asymlab.lattice import LatticeGeometry
 from asymlab.states import ghz_state
 from asymlab.suite import CheckResult, bound_suite
@@ -144,6 +145,17 @@ def test_oversized_system_exits_3(tmp_path, capsys):
     )
     assert main(["run", cfg]) == 3
     assert "resource error" in capsys.readouterr().err
+
+
+def test_bound_suite_samples_above_the_cap_exits_3_at_once(monkeypatch, capsys):
+    # without the cap the suite would draw 1e300-scaled counts; one draw each fails fast instead
+    monkeypatch.setattr(suite, "_count", lambda base, scale: 1)
+    start = time.perf_counter()
+    assert main(["verify", "bound-suite", "--samples", "1e300"]) == 3
+    assert time.perf_counter() - start < 0.5
+    assert "SAMPLES_MAX" in capsys.readouterr().err
+    at_cap = validate_config({"experiment": "bound-suite", "samples": SAMPLES_MAX})
+    assert at_cap.samples == SAMPLES_MAX
 
 
 def test_env_override_lifts_the_cap(tmp_path, monkeypatch):
@@ -308,6 +320,18 @@ def _su2_random_seed_not_int(tmp_path, monkeypatch):
     return ["su2", "--state", "random:x", "--n", "4", "--output", str(tmp_path / "out")]
 
 
+def _su2_dimension_zero(tmp_path, monkeypatch):
+    return ["su2", "--state", "random:3", "--n", "4", "--dimension", "0"]
+
+
+def _su2_dimension_negative(tmp_path, monkeypatch):
+    return ["su2", "--state", "random:3", "--n", "4", "--dimension", "-1"]
+
+
+def _su2_n_negative(tmp_path, monkeypatch):
+    return ["su2", "--state", "random:3", "--n", "-4", "--dimension", "2"]
+
+
 def _clustering_with_input(tmp_path, name):
     path = tmp_path / "circ.json"
     save_circuit(random_brickwork(LatticeGeometry(1, 4), 1, 0), path)
@@ -396,6 +420,9 @@ def _product_points_negative(tmp_path, monkeypatch):
         _max_qubits_not_int,
         _product_x_length_mismatch,
         _su2_random_seed_not_int,
+        _su2_dimension_zero,
+        _su2_dimension_negative,
+        _su2_n_negative,
         _clustering_input_random_seed_not_int,
         _clustering_input_dicke,
         _clustering_input_kink,

@@ -1,4 +1,5 @@
 import ast
+import json
 import math
 import os
 import subprocess
@@ -353,25 +354,36 @@ def test_arcsine_oracle_passes_with_lazy_quadrature():
     assert out.split() == ["True", "False"]
 
 
-def test_cli_operations_load_no_scipy(tmp_path):
-    out = _run_fresh(
-        "import sys\n"
-        "from asymlab.cli import main\n"
-        f"base = {str(tmp_path)!r}\n"
-        "codes = [\n"
-        "    main(['verify', 'oracle-suite', '--output', base + '/oracle']),\n"
-        "    main(['verify', 'bound-suite', '--samples', '0.05', '--output', base + '/bound']),\n"
-        "    main(['dicke', '--n-min', '100', '--n-max', '2000', '--points', '4',\n"
-        "          '--output', base + '/dicke']),\n"
-        "    main(['dicke', '--ratio', '0.25', '--n-min', '16', '--n-max', '128',\n"
-        "          '--points', '4', '--output', base + '/quarter']),\n"
-        "]\n"
-        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
-    assert out.strip().splitlines()[-1] == "[0, 0, 0, 0] []"
+def test_cli_operations_load_only_the_modules_they_run(tmp_path):
+    """Each op in a fresh interpreter: no scipy or jsonschema, and no module it does not run."""
+    heavy = ["asymlab.clustering", "asymlab.su2", "asymlab.suite"]
+    base = str(tmp_path)
+    cases = [
+        (["verify", "oracle-suite", "--output", base + "/oracle"], []),
+        (["verify", "bound-suite", "--samples", "0.05", "--output", base + "/bound"], []),
+        (["dicke", "--n-min", "100", "--n-max", "2000", "--points", "4",
+          "--output", base + "/dicke"], heavy),
+        (["dicke", "--ratio", "0.25", "--n-min", "16", "--n-max", "128", "--points", "4",
+          "--output", base + "/quarter"], heavy),
+        (["kink", "--n-min", "10", "--n-max", "1000", "--points", "3",
+          "--output", base + "/kink"], heavy),
+        (["su2", "--state", "random:0", "--n", "4", "--clustering-range", "2",
+          "--output", base + "/su2"], ["asymlab.clustering", "asymlab.suite"]),
+    ]
+    for argv, unused in cases:
+        out = _run_fresh(
+            "import json, sys\n"
+            "from asymlab.cli import main\n"
+            f"code = main({argv!r})\n"
+            "print(json.dumps([code, sorted(sys.modules)]))"
+        )
+        code, loaded = json.loads(out.strip().splitlines()[-1])
+        assert code == 0, argv
+        assert [m for m in loaded if m.split(".")[0] in ("scipy", "jsonschema")] == [], argv
+        assert [m for m in heavy if m in loaded] == [m for m in heavy if m not in unused], argv
 
 
-def test_package_source_imports_no_scipy():
+def test_package_source_imports_no_scipy_or_jsonschema():
     found = []
     for path in sorted(Path(asymlab.__file__).resolve().parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -381,7 +393,8 @@ def test_package_source_imports_no_scipy():
                 names = [node.module or ""]
             else:
                 continue
-            found += [f"{path.name}:{node.lineno}: {n}" for n in names if n.split(".")[0] == "scipy"]
+            found += [f"{path.name}:{node.lineno}: {n}" for n in names
+                      if n.split(".")[0] in ("scipy", "jsonschema")]
     assert not found, found
 
 

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from asymlab import closedforms
+from asymlab import closedforms, config
 from asymlab.circuits import random_brickwork, save_circuit
 from asymlab.config import (
     build_state,
@@ -271,3 +272,101 @@ def test_clustering_range_requires_geometry():
 def test_sweep_distribution_takes_each_closed_form(data, direct):
     dist = sweep_distribution(validate_config(data), 10)
     assert np.array_equal(dist.probs, direct.probs)
+
+
+_GEOMETRY = {"dimension": 1, "linear_size": 4}
+# one valid config per experiment and per branch of every oneOf in the schema
+_VALID_CONFIGS = [
+    {"experiment": "dicke-sweep", "sweep": [100, 1000], "seed": 3, "output": "out",
+     "log_base": "2", "state_spec": {"kind": "dicke", "ratio": 0.25}},
+    {"experiment": "dicke-sweep", "sweep": [10], "state_spec": {"kind": "dicke", "k": 2}},
+    {"experiment": "kink-sweep", "sweep": [10], "state_spec": {"kind": "kink"}},
+    {"experiment": "product-sweep", "sweep": [2], "state_spec": {"kind": "bernoulli", "x": 0.3}},
+    {"experiment": "product-sweep", "sweep": [2],
+     "state_spec": {"kind": "bernoulli", "x": [0.1, 0.9]}},
+    {"experiment": "u1-asymmetry", "geometry": _GEOMETRY, "clustering_range": 2,
+     "state_spec": {"kind": "product", "amplitudes": [[[1.0, 0.0], [0.0, 0.0]]]}},
+    {"experiment": "u1-asymmetry", "geometry": _GEOMETRY, "state_spec": {"kind": "ghz"}},
+    {"experiment": "su2-asymmetry", "geometry": _GEOMETRY,
+     "state_spec": {"kind": "random", "seed": 1, "rank": 2}},
+    {"experiment": "su2-asymmetry", "geometry": _GEOMETRY,
+     "state_spec": {"kind": "vector", "path": "v.npy"}},
+    {"experiment": "circuit-clustering", "geometry": _GEOMETRY, "tolerance": 1e-10,
+     "state_spec": {"kind": "circuit", "path": "c.json", "input": None}},
+    {"experiment": "circuit-clustering", "geometry": _GEOMETRY,
+     "state_spec": {"kind": "circuit", "path": "c.json",
+                    "input": {"kind": "random", "seed": 2, "rank": 1, "x": [], "amplitudes": 0}}},
+    {"experiment": "bound-suite", "samples": 0.5, "seed": 1},
+]
+# wrong types, values on and beyond every bound, and the bool/int/float/None edge cases
+_EDGE_VALUES = [None, True, False, 0, 1, -1, 2, 0.0, 1.0, 2.0, 0.5, -0.5, 1.5, 1e300,
+                "", "x", "e", "2", "ghz", [], [1], [0.5, 0.5], [[1.0, 0.0]], {}, {"kind": "ghz"}]
+
+
+def _paths(value, path=()):
+    yield path
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield from _paths(item, path + (key,))
+
+
+def _replaced(data, path, new):
+    """A deep copy of ``data`` with the value at ``path`` replaced by ``new``."""
+    if not path:
+        return new
+    out = copy.deepcopy(data)
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = new
+    return out
+
+
+def _mutants(data):
+    for path in _paths(data):
+        target = data
+        for key in path:
+            target = target[key]
+        for value in _EDGE_VALUES:
+            yield _replaced(data, path, value)
+        if isinstance(target, dict):
+            yield _replaced(data, path, dict(target, bogus=1))
+            for key in target:
+                yield _replaced(data, path, {k: v for k, v in target.items() if k != key})
+        if isinstance(target, list):
+            yield _replaced(data, path, target[:-1])
+            yield _replaced(data, path, target + target[-1:])
+
+
+def test_schema_walker_agrees_with_jsonschema_on_every_mutant():
+    jsonschema = pytest.importorskip("jsonschema")
+    validator = jsonschema.Draft7Validator(config.schema())
+    verdicts = []
+    for data in _VALID_CONFIGS:
+        config._check_schema(data)
+        for mutant in _mutants(data):
+            errors = sorted(validator.iter_errors(mutant), key=lambda e: list(e.absolute_path))
+            try:
+                config._check_schema(mutant)
+                got = None
+            except ConfigError as exc:
+                got = str(exc)
+            if errors:
+                where = "/".join(map(str, errors[0].absolute_path)) or "<root>"
+                assert got is not None and got.startswith(f"config invalid at {where}: "), (
+                    mutant, errors[0].message, got)
+            else:
+                assert got is None, (mutant, got)
+            verdicts.append(got is None)
+    assert verdicts.count(True) > 100 and verdicts.count(False) > 1000
+
+
+@pytest.mark.parametrize("keyword, rule", [("pattern", "^o"), ("maxLength", 8),
+                                           ("additionalProperties", True)])
+def test_schema_walker_raises_on_a_keyword_it_does_not_implement(monkeypatch, keyword, rule):
+    edited = copy.deepcopy(config.schema())
+    edited["properties"]["output"][keyword] = rule
+    monkeypatch.setattr(config, "_schema_cache", edited)
+    with pytest.raises(NotImplementedError, match=keyword):
+        validate_config({"experiment": "bound-suite", "output": "out"})
