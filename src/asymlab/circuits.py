@@ -2,9 +2,10 @@
 
 Gates act on explicit site tuples; a two-site gate matrix is indexed with the
 first listed site as the more significant bit, so rows/columns run over
-(00, 01, 10, 11).  Every gate, Kraus operator and Heisenberg step is applied
-through ``states.apply_site_matrix``, which contracts the gate into the
-(2,)*N view of the array.
+(00, 01, 10, 11).  Every gate and Kraus operator is applied through
+``states.apply_site_matrix``, which contracts the gate into the (2,)*N view of
+the array.  Heisenberg conjugation applies the gates to the identity once to
+get the circuit unitary U, then forms U^dagger A U from dense matrix products.
 """
 from __future__ import annotations
 
@@ -109,15 +110,27 @@ def apply_circuit(state: State, circuit: BrickworkCircuit) -> State:
 
 
 def heisenberg_conjugate(operator: np.ndarray, circuit: BrickworkCircuit) -> np.ndarray:
-    """Return U^dagger A U for the full circuit unitary U and a dense operator A."""
+    """Return U^dagger A U for the full circuit unitary U and a dense operator A.
+
+    ``operator`` is one d x d matrix or a (B, d, d) stack.  U is built once
+    per call, by applying every gate to the identity, and each operator then
+    costs two dense d x d products.
+    """
     n = circuit.n_qubits
     d = 2**n
-    if operator.shape != (d, d):
-        raise ValidationError(f"operator must be {d}x{d}, got {operator.shape}")
-    out = np.array(operator, dtype=complex)
-    for layer in reversed(circuit.layers):
+    ops = np.asarray(operator)
+    if ops.ndim not in (2, 3) or ops.shape[-2:] != (d, d):
+        raise ValidationError(f"operator must be {d}x{d} or a stack of them, got {ops.shape}")
+    u = np.eye(d, dtype=complex)
+    for layer in circuit.layers:
         for gate in layer:
-            out = _sandwich(out, gate.matrix.conj().T, gate.sites, n)
+            u = apply_site_matrix(u, gate.matrix, gate.sites, n)
+    u_dag = u.conj().T
+    out = np.empty(ops.shape, dtype=complex)
+    left = np.empty((d, d), dtype=complex)
+    for b in np.ndindex(ops.shape[:-2]):
+        np.matmul(ops[b], u, out=left)
+        np.matmul(u_dag, left, out=out[b])
     return out
 
 

@@ -475,8 +475,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification battery")
     p_verify.add_argument("battery", choices=["bound-suite", "oracle-suite"])
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--samples", type=float, default=1.0,
-                          help="scale factor on every random draw count")
+    p_verify.add_argument("--samples", type=float, default=None,
+                          help="bound-suite only: scale factor on every random draw "
+                               "count (default 1)")
     p_verify.add_argument("--output", default=None,
                           help="also write results.csv/report.json/plot.gp here")
 
@@ -522,8 +523,11 @@ def _config_from_args(args) -> ExperimentConfig:
     if args.command == "run":
         return load_config(args.config)
     if args.command == "verify":
-        data = {"experiment": "bound-suite", "seed": args.seed,
-                "samples": args.samples}
+        if args.samples is not None and args.battery == "oracle-suite":
+            raise ConfigError("--samples applies to bound-suite only; "
+                              "the oracle suite has fixed cases")
+        samples = 1.0 if args.samples is None else args.samples
+        data = {"experiment": "bound-suite", "seed": args.seed, "samples": samples}
         if args.output:
             data["output"] = args.output
         return validate_config(data)

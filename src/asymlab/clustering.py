@@ -17,7 +17,6 @@ from .lattice import LatticeGeometry, distance
 from .states import (
     PAULI,
     State,
-    apply_pauli,
     density_matrix_cap,
     reduced_density_matrix,
 )
@@ -25,6 +24,8 @@ from .tolerances import CORRELATOR_TOL, IMAGINARY_TOL, MARGIN_TOL, SPREAD_THRESH
 from .u1 import charge_distribution, clustering_variance_bound
 
 CHARGE_OP = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+PAULI_STACK = np.stack([PAULI[a] for a in ("x", "y", "z")])  # (3, 2, 2): x, y, z
+PAULI_STACK.flags.writeable = False
 
 
 def _pair_tensor(state: State, i: int, j: int) -> np.ndarray:
@@ -33,15 +34,20 @@ def _pair_tensor(state: State, i: int, j: int) -> np.ndarray:
     return rdm.reshape(2, 2, 2, 2)
 
 
-def _correlator_from_tensor(t: np.ndarray, op_i: np.ndarray, op_j: np.ndarray) -> float:
-    joint = np.einsum("ijkl,ki,lj->", t, op_i, op_j)
-    rho_i = np.einsum("arbr->ab", t)
-    rho_j = np.einsum("rarb->ab", t)
-    solo = np.einsum("ab,ba->", rho_i, op_i) * np.einsum("ab,ba->", rho_j, op_j)
-    value = joint - solo
-    if abs(value.imag) > IMAGINARY_TOL:
-        raise ValidationError(f"connected correlator has imaginary part {value.imag:.3e}")
-    return float(value.real)
+def _connected_correlators(t: np.ndarray, ops_i: np.ndarray, ops_j: np.ndarray) -> np.ndarray:
+    """Matrix c[a, b] = <A_a B_b> - <A_a><B_b> over two stacks of one-site operators.
+
+    ``t`` is a ``_pair_tensor``; ``ops_i`` (shape (A, 2, 2)) acts on its first
+    site and ``ops_j`` (shape (B, 2, 2)) on its second.
+    """
+    joint = np.einsum("ijkl,aki,blj->ab", t, ops_i, ops_j)
+    mean_i = np.einsum("irkr,aki->a", t, ops_i)
+    mean_j = np.einsum("rjrl,blj->b", t, ops_j)
+    values = joint - np.outer(mean_i, mean_j)
+    imag = float(np.max(np.abs(values.imag)))
+    if imag > IMAGINARY_TOL:
+        raise ValidationError(f"connected correlator has imaginary part {imag:.3e}")
+    return values.real
 
 
 def connected_correlator(
@@ -63,7 +69,7 @@ def connected_correlator(
         if op.shape != (2, 2):
             raise ValidationError(f"single-site observable must be 2x2, got {op.shape}")
     t = _pair_tensor(state, site_i, site_j)
-    value = _correlator_from_tensor(t, op_i, op_j)
+    value = float(_connected_correlators(t, op_i[None], op_j[None])[0, 0])
     cap = 2.0 * np.linalg.norm(op_i, 2) * np.linalg.norm(op_j, 2)
     if abs(value) > cap + MARGIN_TOL:
         raise ValidationError(f"correlator {value!r} exceeds the operator-norm cap {cap!r}")
@@ -116,16 +122,12 @@ def verify_cluster_property(
     if claimed_range < 0:
         raise ValidationError(f"claimed range must be >= 0, got {claimed_range}")
     n = state.n_qubits
-    paulis = list(PAULI.values())
     by_distance: dict[int, float] = {}
     for i in range(n):
         for j in range(i + 1, n):
             d = distance(geometry, i, j)
             t = _pair_tensor(state, i, j)
-            worst = 0.0
-            for op_i in paulis:
-                for op_j in paulis:
-                    worst = max(worst, abs(_correlator_from_tensor(t, op_i, op_j)))
+            worst = float(np.max(np.abs(_connected_correlators(t, PAULI_STACK, PAULI_STACK))))
             by_distance[d] = max(by_distance.get(d, 0.0), worst)
     max_violation = max(
         (v for d, v in by_distance.items() if d > claimed_range), default=0.0
@@ -142,22 +144,28 @@ def verify_cluster_property(
     )
 
 
-def _support_mass_fractions(operator: np.ndarray, n: int) -> np.ndarray:
+def _squared_norms(stack: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each matrix in a complex (B, ...) stack, shape (B,)."""
+    flat = np.ascontiguousarray(stack).reshape(stack.shape[0], -1).view(np.float64)
+    return np.einsum("bi,bi->b", flat, flat)
+
+
+def _support_mass_fractions(operators: np.ndarray, n: int) -> np.ndarray:
     """Per-site fraction of squared Pauli weight on strings acting there.
 
-    Uses that projecting site k to identity is orthogonal in the
-    Hilbert-Schmidt inner product: mass_k = (|A|^2 - |Tr_k A|^2 / 2) / |A|^2.
+    ``operators`` is a (B, 2^n, 2^n) stack; returns a (B, n) array.  Uses that
+    projecting site k to identity is orthogonal in the Hilbert-Schmidt inner
+    product: mass_k = (|A|^2 - |Tr_k A|^2 / 2) / |A|^2.
     """
-    total = float(np.sum(np.abs(operator) ** 2))
-    if total <= 0.0:
+    total = _squared_norms(operators)
+    if np.any(total <= 0.0):
         raise ValidationError("operator is identically zero")
-    fractions = np.empty(n)
+    fractions = np.empty((operators.shape[0], n))
     for k in range(n):
         left, right = 2**k, 2 ** (n - 1 - k)
-        t = operator.reshape(left, 2, right, left, 2, right)
-        traced = np.einsum("asbcsd->abcd", t)
-        kept = float(np.sum(np.abs(traced) ** 2)) / 2.0
-        fractions[k] = (total - kept) / total
+        t = operators.reshape(-1, left, 2, right, left, 2, right)
+        kept = _squared_norms(t[:, :, 0, :, :, 0] + t[:, :, 1, :, :, 1]) / 2.0
+        fractions[:, k] = (total - kept) / total
     return fractions
 
 
@@ -184,14 +192,15 @@ def _seed_spread(
     Qubit i of ``circuit`` is lattice site ``sites[i]``.
     """
     k = len(sites)
-    eye = np.eye(2**k, dtype=complex)
-    spread = 0
-    for axis in ("x", "y", "z"):
-        op = apply_pauli(eye, sites.index(seed), axis, k)
-        fractions = _support_mass_fractions(heisenberg_conjugate(op, circuit), k)
-        for i in np.flatnonzero(fractions > SPREAD_THRESHOLD):
-            spread = max(spread, distance(geometry, seed, sites[i]))
-    return spread
+    q = sites.index(seed)
+    left, right = 2**q, 2 ** (k - 1 - q)
+    paulis = np.zeros((3, left, 2, right, left, 2, right), dtype=complex)
+    # each Pauli on qubit q is 1 (x) sigma (x) 1: write sigma on the identities' diagonal
+    np.einsum("xlarlbr->xlrab", paulis)[...] = PAULI_STACK[:, None, None]
+    paulis = paulis.reshape(3, 2**k, 2**k)
+    fractions = _support_mass_fractions(heisenberg_conjugate(paulis, circuit), k)
+    reached = np.flatnonzero(np.any(fractions > SPREAD_THRESHOLD, axis=0))
+    return max((distance(geometry, seed, sites[i]) for i in reached), default=0)
 
 
 def operator_spreading_range(circuit: BrickworkCircuit, geometry: LatticeGeometry) -> int:
@@ -201,8 +210,10 @@ def operator_spreading_range(circuit: BrickworkCircuit, geometry: LatticeGeometr
     largest graph distance from the seed site to any site still carrying
     squared Pauli weight above SPREAD_THRESHOLD.  Each seed's Paulis are evolved
     on its backward light cone alone (``circuits.backward_light_cone``): sites
-    outside the cone carry exactly zero weight, and the work is 4^k per seed
-    for a cone of k sites.  N is still limited by the density-matrix cap.
+    outside the cone carry exactly zero weight.  For a cone of k sites the
+    seed builds one 2^k x 2^k cone unitary and conjugates its three Paulis by
+    dense products, 8^k work and a few 4^k arrays.  N is still limited by the
+    density-matrix cap.
     """
     n = _check_spreading_inputs(circuit, geometry)
     spread = 0

@@ -84,13 +84,40 @@ def test_swap_layer_permutes_sites():
     assert np.flatnonzero(out.amplitudes).tolist() == [2]
 
 
-def test_heisenberg_conjugate_is_adjoint_of_evolution():
+def _conjugation_cases():
+    """Rings of N = 2..6 and the 2x2 torus at depth 0..3, with one rng for operators."""
     rng = np.random.default_rng(7)
-    geo = LatticeGeometry(1, 3)
-    circ = random_brickwork(geo, 2, rng)
-    u = _dense_unitary(circ)
-    op = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    assert_allclose(heisenberg_conjugate(op, circ), u.conj().T @ op @ u, atol=1e-11)
+    geometries = [LatticeGeometry(1, n) for n in range(2, 7)] + [LatticeGeometry(2, 2)]
+    for geo in geometries:
+        for depth in range(4):
+            yield random_brickwork(geo, depth, rng), rng
+
+
+def test_heisenberg_conjugate_is_adjoint_of_evolution():
+    """U^dagger A U against u from the column-by-column ``_dense_unitary``."""
+    for circ, rng in _conjugation_cases():
+        d = 2**circ.n_qubits
+        u = _dense_unitary(circ)
+        op = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        assert_allclose(heisenberg_conjugate(op, circ), u.conj().T @ op @ u,
+                        rtol=0, atol=1e-12, err_msg=f"N={circ.n_qubits} depth={circ.depth}")
+
+
+def test_heisenberg_conjugate_of_a_stack_equals_per_operator_calls():
+    for circ, rng in _conjugation_cases():
+        d = 2**circ.n_qubits
+        ops = rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d))
+        stacked = heisenberg_conjugate(ops, circ)
+        assert stacked.shape == (3, d, d)
+        for op, out in zip(ops, stacked):
+            assert_allclose(out, heisenberg_conjugate(op, circ), rtol=0, atol=1e-13)
+
+
+def test_heisenberg_conjugate_rejects_wrong_shapes():
+    circ = random_brickwork(LatticeGeometry(1, 3), 1, np.random.default_rng(0))
+    for shape in ((4, 4), (8, 4), (2, 2, 8, 8), (8,)):
+        with pytest.raises(ValidationError):
+            heisenberg_conjugate(np.zeros(shape, dtype=complex), circ)
 
 
 def test_haar_unitary_is_unitary_and_seeded():

@@ -386,6 +386,11 @@ def _bound_suite_samples_inf(tmp_path, monkeypatch):
     return ["verify", "bound-suite", "--samples", "inf"]
 
 
+def _oracle_suite_with_samples(tmp_path, monkeypatch):
+    # the oracle suite has no draw scale; 200 would also exceed SAMPLES_MAX
+    return ["verify", "oracle-suite", "--samples", "200"]
+
+
 def _config_json_nan(tmp_path, monkeypatch):
     path = tmp_path / "cfg.json"
     path.write_text('{"experiment": "bound-suite", "samples": NaN}')
@@ -431,6 +436,7 @@ def _product_points_negative(tmp_path, monkeypatch):
         _product_x_nan,
         _bound_suite_samples_nan,
         _bound_suite_samples_inf,
+        _oracle_suite_with_samples,
         _config_json_nan,
         _config_json_infinity,
         _dicke_n_min_zero,
@@ -492,9 +498,15 @@ _CLUSTERING_DATA = {
          {"experiment": "dicke-sweep", "sweep": [100, 1000, 10000, 100000],
           "state_spec": {"kind": "dicke", "ratio": 0.5}, "output": "dicke-sweep-out",
           "log_base": "e", "seed": 0}),
+        (["verify", "bound-suite", "--samples", "0.1", "--seed", "3"],
+         {"experiment": "bound-suite", "seed": 3, "samples": 0.1}),
+        (["verify", "bound-suite"],
+         {"experiment": "bound-suite", "seed": 0, "samples": 1.0}),
+        (["verify", "oracle-suite", "--seed", "3", "--output", "out"],
+         {"experiment": "bound-suite", "seed": 3, "samples": 1.0, "output": "out"}),
     ],
     ids=["clustering-zero", "clustering-plus", "clustering-random3", "su2-dicke",
-         "dicke-quarter", "dicke-half"],
+         "dicke-quarter", "dicke-half", "bound-suite-samples", "bound-suite", "oracle-suite"],
 )
 def test_cli_config_dicts_are_pinned(monkeypatch, argv, expected):
     """The config dict, and so the config hash of every artifact, stays as it is."""

@@ -1,7 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from asymlab import clustering, states
 from asymlab.circuits import (
     BrickworkCircuit,
     Gate,
@@ -12,7 +15,10 @@ from asymlab.circuits import (
     swap_gate,
 )
 from asymlab.clustering import (
+    PAULI_STACK,
+    _connected_correlators,
     _dense_spreading_range,
+    _pair_tensor,
     connected_correlator,
     operator_spreading_range,
     variance_bound_check,
@@ -22,12 +28,15 @@ from asymlab.errors import ResourceError, ValidationError
 from asymlab.lattice import LatticeGeometry, lightcone_range
 from asymlab.states import (
     PAULI,
+    StateVector,
     apply_pauli,
     ghz_state,
     plus_state,
     product_state,
+    random_density_matrix,
     random_state,
 )
+from asymlab.tolerances import IMAGINARY_TOL
 from asymlab.u1 import charge_distribution
 
 
@@ -57,6 +66,60 @@ def test_connected_correlator_of_ghz():
     assert_allclose(zz, 1.0, atol=1e-12)
     zx = connected_correlator(psi, 0, 3, PAULI["z"], PAULI["x"])
     assert abs(zx) < 1e-12
+
+
+def _expectation(state, site_ops, n):
+    """<prod of Paulis> from the statevector or Tr rho P ..., applying each Pauli in turn."""
+    if isinstance(state, StateVector):
+        out = state.amplitudes
+        for site, axis in site_ops:
+            out = apply_pauli(out, site, axis, n)
+        return np.vdot(state.amplitudes, out)
+    out = state.matrix
+    for site, axis in site_ops:
+        out = apply_pauli(out, site, axis, n)
+    return np.trace(out)
+
+
+def test_nine_correlator_kernel_matches_direct_pauli_expectations():
+    rng = np.random.default_rng(21)
+    for n in range(2, 7):
+        for state in (random_state(n, rng), random_density_matrix(n, rng),
+                      random_density_matrix(n, rng, rank=2)):
+            for i in range(n):
+                for j in range(n):
+                    if i == j:
+                        continue
+                    got = _connected_correlators(_pair_tensor(state, i, j), PAULI_STACK, PAULI_STACK)
+                    assert got.shape == (3, 3)
+                    for a, pa in enumerate("xyz"):
+                        for b, pb in enumerate("xyz"):
+                            joint = _expectation(state, [(j, pb), (i, pa)], n)
+                            solo = (_expectation(state, [(i, pa)], n)
+                                    * _expectation(state, [(j, pb)], n))
+                            want = joint - solo
+                            assert abs(want.imag) < 1e-12
+                            assert abs(got[a, b] - want.real) < 1e-12, (n, i, j, pa, pb)
+                            single = connected_correlator(state, i, j, PAULI[pa], PAULI[pb])
+                            assert abs(single - want.real) < 1e-12
+
+
+def test_correlator_with_imaginary_part_is_rejected():
+    # (|00> + i|11>)/sqrt(2) has <s+ s+> = i/2 and <s+> = 0 for s+ = |0><1|
+    amps = np.array([1.0, 0.0, 0.0, 1.0j]) / np.sqrt(2.0)
+    raising = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    for state in (StateVector(2, amps), StateVector(2, amps).to_density_matrix()):
+        t = _pair_tensor(state, 0, 1)
+        with pytest.raises(ValidationError, match="imaginary"):
+            connected_correlator(state, 0, 1, raising, raising)
+        with pytest.raises(ValidationError, match="imaginary"):
+            _connected_correlators(t, np.concatenate([PAULI_STACK, raising[None]]), raising[None])
+    # just above and just below the tolerance
+    small = raising * 2.0 * IMAGINARY_TOL
+    state = StateVector(2, amps)
+    with pytest.raises(ValidationError, match="imaginary"):
+        connected_correlator(state, 0, 1, small * 1.5, np.eye(2) + raising)
+    connected_correlator(state, 0, 1, small * 0.5, np.eye(2) + raising)
 
 
 def test_verify_cluster_property_on_product_state():
@@ -175,6 +238,37 @@ def test_light_cone_operator_matches_dense_conjugation():
                 assert np.max(np.abs(embedded - dense)) < 1e-12
                 mutant = _embedded_cone_conjugate(sites, dropped, site, axis, n)
                 assert np.max(np.abs(mutant - dense)) > 1e-6
+
+
+def test_spreading_applies_each_cone_gate_once_per_seed(monkeypatch):
+    """Seed s applies at most G_s + 3 local operators, G_s the gates of its cone."""
+    kernel = states.apply_site_matrix
+    cone_of = clustering.backward_light_cone
+    per_seed: list[list] = []
+
+    def spy_kernel(*args, **kwargs):
+        per_seed[-1][1] += 1
+        return kernel(*args, **kwargs)
+
+    def spy_cone(circuit, site):
+        sites, cone = cone_of(circuit, site)
+        per_seed.append([sum(len(layer) for layer in cone.layers), 0])
+        return sites, cone
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("asymlab") and module is not None:
+            for attr, value in list(vars(module).items()):
+                if value is kernel:
+                    monkeypatch.setattr(module, attr, spy_kernel)
+    monkeypatch.setattr(clustering, "backward_light_cone", spy_cone)
+    rng = np.random.default_rng(8)
+    for geo, depth in ((LatticeGeometry(1, 8), 3), (LatticeGeometry(2, 3), 3)):
+        per_seed.clear()
+        operator_spreading_range(random_brickwork(geo, depth, rng), geo)
+        assert len(per_seed) == geo.n_sites
+        assert all(gates > 0 for gates, _ in per_seed)
+        for gates, applied in per_seed:
+            assert applied <= gates + 3, (geo, gates, applied)
 
 
 def test_operator_spreading_rejects_large_systems(monkeypatch):
