@@ -7,6 +7,15 @@ series above it); oscillatory Krawtchouk values come from a three-term
 recurrence, with the alternating sum kept only as an exact-rational oracle.
 The continuous densities integrate by a tanh-sinh rule.  numpy is the only
 numeric dependency.
+
+Each sweep distribution costs O(N) work, and its probability vector is its
+only N-sized array: the kink and half-filled Dicke forms build the vector
+and hand it to ``ChargeDistribution.from_fresh_probs`` without a copy (the
+moments and the entropy run over fixed-size blocks), the half-filled Dicke
+form evaluates only the even charges q <= m and mirrors them, and a
+homogeneous product is ``binomial_distribution``, a ratio recurrence from
+the mode.  ``poisson_binomial`` (a product tree) serves per-site means, with
+the O(N^2) dynamic program ``_poisson_binomial_dp`` as its reference.
 """
 from __future__ import annotations
 
@@ -54,13 +63,24 @@ def ln_factorial(k) -> np.ndarray | float:
     if np.any(k < 0):
         raise ValidationError("ln_factorial needs k >= 0")
     flat = k.reshape(-1)
-    x = np.maximum(flat, STIRLING_CUTOFF).astype(float)
-    lx = np.log(x)
-    r = 1.0 / x
-    r2 = r * r
-    series = r * (1 / 12 + r2 * (-1 / 360 + r2 * (1 / 1260 + r2 * (
-        -1 / 1680 + r2 * (1 / 1188 + r2 * (-691 / 360360))))))
-    out = x * (lx - 1.0) + (0.5 * lx + _HALF_LN_2PI + series)
+    x = np.maximum(flat, STIRLING_CUTOFF, dtype=float)
+    # in place, step for step the nested form
+    # x (ln x - 1) + ((ln x / 2 + ln(2 pi) / 2) + r (1/12 + r2 (-1/360 + ...)))
+    r = np.reciprocal(x)
+    r2 = np.square(r)
+    series = r2 * (-691 / 360360)
+    for c in (1 / 1188, -1 / 1680, 1 / 1260, -1 / 360):
+        series += c
+        series *= r2
+    series += 1 / 12
+    series *= r
+    lx = np.log(x, out=r)
+    out = np.subtract(lx, 1.0, out=r2)
+    out *= x
+    lx *= 0.5
+    lx += _HALF_LN_2PI
+    lx += series
+    out += lx
     small = flat < STIRLING_CUTOFF
     out[small] = _LN_FACTORIAL_TABLE[flat[small]]
     return out.reshape(k.shape) if k.ndim else float(out[0])
@@ -174,6 +194,20 @@ def dicke_x_distribution(n: int, k: int) -> ChargeDistribution:
     return ChargeDistribution.from_probs(probs)
 
 
+def _dicke_half_log_prob(m: int, q, half, table) -> np.ndarray:
+    """ln p(q) of the half-filled x Dicke state at even q = 2 * half, from a ln k! table."""
+
+    def log_binom(n, k):
+        return table[n] - table[k] - table[n - k]
+
+    return (
+        -2.0 * m * np.log(2.0)
+        + log_binom(2 * m, m)
+        - log_binom(2 * m, q)
+        + 2.0 * log_binom(m, half)
+    )
+
+
 def dicke_half_charge_prob(m: int, q) -> np.ndarray | float:
     """Charge probabilities of the half-filled x Dicke state on N = 2m sites.
 
@@ -188,28 +222,29 @@ def dicke_half_charge_prob(m: int, q) -> np.ndarray | float:
         raise ValidationError(f"charges must lie in [0, {2 * m}]")
     even = q % 2 == 0
     half = np.where(even, q // 2, 0)
-    table = ln_factorial(np.arange(2 * m + 1))
-
-    def log_binom(n, k):
-        return table[n] - table[k] - table[n - k]
-
-    log_p = (
-        -2.0 * m * np.log(2.0)
-        + log_binom(2 * m, m)
-        - log_binom(2 * m, q)
-        + 2.0 * log_binom(m, half)
-    )
+    log_p = _dicke_half_log_prob(m, q, half, ln_factorial(np.arange(2 * m + 1)))
     out = np.where(even, np.exp(log_p), 0.0)
     return out if out.ndim else float(out)
 
 
 def dicke_half_distribution(m: int) -> ChargeDistribution:
-    """Full charge distribution of the half-filled x Dicke state, q = 0..2m."""
-    q = np.arange(2 * m + 1)
-    probs = dicke_half_charge_prob(m, q)
+    """Full charge distribution of the half-filled x Dicke state, q = 0..2m.
+
+    The closed form of ``dicke_half_charge_prob`` is evaluated at the even
+    q <= m only and mirrored by p(q) = p(2m - q); odd charges stay exactly 0,
+    so the vector is exactly symmetric.
+    """
+    if m < 1:
+        raise ValidationError(f"need m >= 1, got {m}")
+    q = np.arange(0, m + 1, 2)
+    log_p = _dicke_half_log_prob(m, q, q // 2, ln_factorial(np.arange(2 * m + 1)))
+    probs = np.zeros(2 * m + 1)
+    probs[: m + 1 : 2] = np.exp(log_p, out=log_p)
+    probs[m + 1 :] = probs[m - 1 :: -1]
     # exactly normalized in exact arithmetic; log-factorial rounding drifts the
     # float sum past 1e-10 around m ~ 2e5, so rescale before validation
-    return ChargeDistribution.from_probs(probs / probs.sum())
+    probs /= probs.sum()
+    return ChargeDistribution.from_fresh_probs(probs)
 
 
 def kink_state(n: int) -> StateVector:
@@ -229,14 +264,15 @@ def kink_distribution(n: int) -> ChargeDistribution:
         raise ValidationError(f"need n >= 1, got {n}")
     probs = np.full(n + 1, 1.0 / n)
     probs[0] = 0.0
-    return ChargeDistribution.from_probs(probs)
+    return ChargeDistribution.from_fresh_probs(probs)
 
 
 def _bernoulli_means(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 1:
         raise ValidationError("x must be a non-empty 1-d array")
-    if np.any((x < 0.0) | (x > 1.0)):
+    # written so that a NaN mean fails too
+    if not np.all((x >= 0.0) & (x <= 1.0)):
         raise ValidationError("Bernoulli means must lie in [0, 1]")
     return x
 
@@ -256,7 +292,39 @@ def poisson_binomial(x) -> ChargeDistribution:
     while len(polys) > 1:
         paired = [np.convolve(a, b) for a, b in zip(polys[::2], polys[1::2])]
         polys = paired + polys[len(paired) * 2 :]
-    return ChargeDistribution.from_probs(polys[0])
+    return ChargeDistribution.from_fresh_probs(polys[0])
+
+
+def binomial_distribution(n: int, x: float) -> ChargeDistribution:
+    """Binomial(n, x): the ``poisson_binomial`` of n equal means x, in O(n).
+
+    The vector steps out from the mode k0 = min(floor((n + 1) x), n), set to 1,
+    by the ratios p_{k+1} / p_k = ((n - k) x) / ((k + 1)(1 - x)) upward and
+    p_{k-1} / p_k = (k (1 - x)) / ((n - k + 1) x) downward, each at most about
+    1, so nothing overflows; it is normalised at the end.  An entry j steps from
+    the mode carries about 4j roundings, within the 4 n eps that the tree meets.
+    """
+    if n < 1:
+        raise ValidationError(f"need n >= 1, got {n}")
+    x = float(x)
+    if not 0.0 <= x <= 1.0:
+        raise ValidationError(f"Bernoulli mean must lie in [0, 1], got {x!r}")
+    y = 1.0 - x
+    mode = min(int((n + 1) * x), n)
+    probs = np.empty(n + 1)
+    probs[mode] = 1.0
+    up = probs[mode + 1 :]
+    k = np.arange(mode, n, dtype=float)
+    np.multiply(n - k, x, out=up)
+    up /= (k + 1.0) * y
+    np.cumprod(up, out=up)
+    down = probs[:mode][::-1]
+    k = np.arange(mode, 0, -1, dtype=float)
+    np.multiply(k, y, out=down)
+    down /= (n - k + 1.0) * x
+    np.cumprod(down, out=down)
+    probs /= probs.sum()
+    return ChargeDistribution.from_fresh_probs(probs)
 
 
 def _poisson_binomial_dp(x) -> ChargeDistribution:

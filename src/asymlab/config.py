@@ -227,8 +227,13 @@ def _sweep_route(experiment: str, spec: dict):
     if experiment == "kink-sweep":
         return "KINK_SWEEP_MAX", KINK_SWEEP_MAX, closedforms.kink_distribution
     if experiment == "product-sweep":
+        x = spec["x"]
+        if isinstance(x, (int, float)):
+            return "PRODUCT_SWEEP_MAX", PRODUCT_SWEEP_MAX, (
+                lambda n: closedforms.binomial_distribution(n, x)
+            )
         return "PRODUCT_SWEEP_MAX", PRODUCT_SWEEP_MAX, (
-            lambda n: closedforms.poisson_binomial(_bernoulli_vector(spec["x"], n))
+            lambda n: closedforms.poisson_binomial(_bernoulli_vector(x, n))
         )
     if dicke_half_filling(spec):
         return "DICKE_HALF_SWEEP_MAX", DICKE_HALF_SWEEP_MAX, (

@@ -36,6 +36,9 @@ from .tolerances import (
 
 DEFAULT_STATEVECTOR_QUBITS = 24
 DEFAULT_DENSITY_QUBITS = 12
+# entries per block of the O(N) reductions over probability vectors (here and in
+# ``u1.ChargeDistribution``): a block's temporaries stay in cache, none is N-sized
+REDUCTION_BLOCK = 2**15
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -253,14 +256,21 @@ def bit_weights(n_qubits: int) -> np.ndarray:
 
 
 def entropy_of_probabilities(probs: np.ndarray) -> float:
-    """Shannon entropy in nats; entries below PROBABILITY_FLOOR contribute 0."""
-    p = np.asarray(probs, dtype=float)
-    p = p[p >= PROBABILITY_FLOOR]
-    if p.size == 0:
-        return 0.0
-    terms = np.log(p)
-    terms *= p
-    return float(-np.sum(terms))
+    """Shannon entropy in nats; entries below PROBABILITY_FLOOR contribute 0.
+
+    The sum runs over blocks of REDUCTION_BLOCK entries, so no temporary is as
+    long as ``probs``; a one-block input takes exactly the unblocked sum.
+    """
+    p = np.asarray(probs, dtype=float).reshape(-1)
+    total, kept = 0.0, 0
+    for start in range(0, p.size, REDUCTION_BLOCK):
+        block = p[start : start + REDUCTION_BLOCK]
+        block = block[block >= PROBABILITY_FLOOR]
+        terms = np.log(block)
+        terms *= block
+        total += float(np.sum(terms))
+        kept += block.size
+    return -total if kept else 0.0
 
 
 def floored_spectrum(evals: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ are natural logarithms throughout.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +14,7 @@ import numpy as np
 from .errors import ValidationError
 from .lattice import LatticeGeometry, neighborhood_cardinality
 from .states import (
+    REDUCTION_BLOCK,
     DensityMatrix,
     State,
     StateVector,
@@ -22,10 +24,22 @@ from .states import (
 )
 from .tolerances import MARGIN_TOL, NEGATIVE_ASYMMETRY_TOL, NEGATIVE_PROBABILITY_TOL, UNIT_SUM_TOL
 
+# charges 0..REDUCTION_BLOCK-1; block b of a distribution adds b * REDUCTION_BLOCK
+_CHARGE_GRID = np.arange(REDUCTION_BLOCK, dtype=float)
+
 
 @dataclass(frozen=True)
 class ChargeDistribution:
-    """Probabilities of the charge values 0..N plus cached first two moments."""
+    """Probabilities of the charge values 0..N plus cached first two moments.
+
+    ``from_probs`` copies its input, so a caller's array is never rewritten,
+    not even its writeable flag.  ``from_fresh_probs`` takes over a float
+    array that no one else holds (the closed forms hand over the vector they
+    just built): entries in [NEGATIVE_PROBABILITY_TOL, 0) are clipped to 0 in
+    place, and the array is frozen.  Validation and the moments run over
+    blocks of REDUCTION_BLOCK entries, so the probability vector is the only
+    N-sized array; a one-block input takes exactly the unblocked sums.
+    """
 
     probs: np.ndarray
     mean: float
@@ -33,23 +47,39 @@ class ChargeDistribution:
 
     @classmethod
     def from_probs(cls, probs) -> "ChargeDistribution":
-        p = np.array(probs, dtype=float)
+        return cls.from_fresh_probs(np.array(probs, dtype=float))
+
+    @classmethod
+    def from_fresh_probs(cls, p: np.ndarray) -> "ChargeDistribution":
         if p.ndim != 1 or p.size < 1:
             raise ValidationError("charge probabilities must form a non-empty 1-d array")
-        low = float(p.min())
-        if low < NEGATIVE_PROBABILITY_TOL:
-            raise ValidationError(f"charge probability {low:.3e} below {NEGATIVE_PROBABILITY_TOL}")
-        np.clip(p, 0.0, None, out=p)
-        total = float(p.sum())
+        total = mean = 0.0
+        for start in range(0, p.size, REDUCTION_BLOCK):
+            block = p[start : start + REDUCTION_BLOCK]
+            low = float(block.min())
+            if low < 0.0:
+                if low < NEGATIVE_PROBABILITY_TOL:
+                    raise ValidationError(
+                        f"charge probability {low:.3e} below {NEGATIVE_PROBABILITY_TOL}"
+                    )
+                np.clip(block, 0.0, None, out=block)
+            mass = float(block.sum())
+            # NaN passes every comparison above; it and an infinity make the sum non-finite
+            if not math.isfinite(mass):
+                raise ValidationError(f"charge probabilities must be finite, got a sum {mass!r}")
+            total += mass
+            mean += float(block @ _CHARGE_GRID[: block.size]) + start * mass
         if abs(total - 1.0) > UNIT_SUM_TOL:
             raise ValidationError(
                 f"charge probabilities sum to {total!r}, not 1 within {UNIT_SUM_TOL}"
             )
-        q = np.arange(p.size, dtype=float)
-        mean = float(p @ q)
-        q -= mean
-        np.square(q, out=q)
-        variance = float(p @ q)
+        variance = 0.0
+        scratch = np.empty(min(p.size, REDUCTION_BLOCK))
+        for start in range(0, p.size, REDUCTION_BLOCK):
+            block = p[start : start + REDUCTION_BLOCK]
+            dev = np.subtract(_CHARGE_GRID[: block.size], mean - start, out=scratch[: block.size])
+            np.square(dev, out=dev)
+            variance += float(block @ dev)
         p.flags.writeable = False
         return cls(p, mean, variance)
 
@@ -71,7 +101,7 @@ def charge_distribution(state: State) -> ChargeDistribution:
     else:
         weights = state.diagonal()
     probs = np.bincount(q, weights=weights, minlength=state.n_qubits + 1)
-    return ChargeDistribution.from_probs(probs)
+    return ChargeDistribution.from_fresh_probs(probs)
 
 
 def shannon_entropy(dist) -> float:
@@ -84,7 +114,7 @@ def flat_distribution(n_values: int) -> ChargeDistribution:
     """Uniform distribution over charges 0..n_values-1; entropy ln(n_values)."""
     if n_values < 1:
         raise ValidationError(f"need at least one charge value, got {n_values}")
-    return ChargeDistribution.from_probs(np.full(n_values, 1.0 / n_values))
+    return ChargeDistribution.from_fresh_probs(np.full(n_values, 1.0 / n_values))
 
 
 def u1_twirl(state: State) -> DensityMatrix:
@@ -112,7 +142,7 @@ def distribution_from_generating_function(values: np.ndarray, n_charges: int) ->
     alphas = 2.0 * np.pi * q / n_charges
     kernel = np.exp(-1j * np.outer(q, alphas))
     probs = np.real(kernel @ values) / n_charges
-    return ChargeDistribution.from_probs(probs)
+    return ChargeDistribution.from_fresh_probs(probs)
 
 
 def massey_bound(variance: float) -> float:

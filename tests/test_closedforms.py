@@ -1,9 +1,12 @@
 import ast
+import itertools
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +22,7 @@ from asymlab.closedforms import (
     arcsine_density,
     asymptotic_fit,
     binomial,
+    binomial_distribution,
     continuous_asymmetry_estimate,
     density_from_distribution,
     dicke_half_charge_prob,
@@ -145,6 +149,29 @@ def test_dicke_half_matches_statevector():
         assert_allclose(exact, brute, atol=1e-12)
 
 
+@pytest.mark.parametrize("m", [*range(1, 41), 1000])
+def test_dicke_half_distribution_is_a_mirror_of_the_closed_form(m):
+    probs = dicke_half_distribution(m).probs
+    assert np.array_equal(probs, probs[::-1])
+    assert np.all(probs[1::2] == 0.0)
+    assert_allclose(probs, dicke_half_charge_prob(m, np.arange(2 * m + 1)), rtol=0, atol=1e-14)
+
+
+def test_kink_report_allocates_one_probability_vector():
+    import tracemalloc
+
+    from asymlab.u1 import report_from_distribution
+
+    n = 10**6
+    tracemalloc.start()
+    try:
+        report_from_distribution(kink_distribution(n), n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * (n + 1), peak
+
+
 def test_dicke_half_large_m_normalizes():
     d = dicke_half_distribution(200000)
     assert_allclose(d.probs.sum(), 1.0, atol=1e-12)
@@ -192,19 +219,26 @@ def _exact_bernoulli_sum(x) -> np.ndarray:
 
     The factors are the floats the code multiplies (1.0 - x_j and x_j), whose
     denominators are powers of two, so one common denominator turns the
-    product into integer arithmetic.
+    product into integer arithmetic.  The m factors with one value are
+    expanded at once by the binomial theorem, and Python's int / int is the
+    correctly rounded value of the exact rational.
     """
-    factors = [(Fraction(1.0 - xj), Fraction(xj)) for xj in map(float, x)]
-    den = max(f.denominator for pair in factors for f in pair)
+    counts = Counter(map(float, x))
+    factors = {xj: (Fraction(1.0 - xj), Fraction(xj)) for xj in counts}
+    den = max(f.denominator for pair in factors.values() for f in pair)
     poly = [1]
-    for a, b in factors:
-        a, b = int(a * den), int(b * den)
-        nxt = [c * a for c in poly] + [0]
+    for xj, m in counts.items():
+        a, b = (int(f * den) for f in factors[xj])
+        a_powers = list(itertools.accumulate([1] + [a] * m, operator.mul))
+        b_powers = itertools.accumulate([1] + [b] * m, operator.mul)
+        power = [math.comb(m, k) * a_powers[m - k] * bk for k, bk in enumerate(b_powers)]
+        nxt = [0] * (len(poly) + m)
         for i, c in enumerate(poly):
-            nxt[i + 1] += c * b
+            for k, d in enumerate(power):
+                nxt[i + k] += c * d
         poly = nxt
-    total = den ** len(factors)
-    return np.array([float(Fraction(c, total)) for c in poly])
+    total = den ** sum(counts.values())
+    return np.array([c / total for c in poly])
 
 
 @pytest.mark.parametrize(
@@ -246,10 +280,26 @@ def test_poisson_binomial_edge_cases():
     for route in (poisson_binomial, _poisson_binomial_dp):
         assert np.array_equal(route(x).probs, route(np.array(x)).probs)
         assert np.array_equal(route(tuple(x)).probs, route(np.array(x)).probs)
-    for bad in ([], [[0.1, 0.2]], [1.2], [-0.1, 0.5]):
+    for bad in ([], [[0.1, 0.2]], [1.2], [-0.1, 0.5], [math.nan, 0.5], [0.5, math.nan]):
         for route in (poisson_binomial, _poisson_binomial_dp):
             with pytest.raises(ValidationError):
                 route(bad)
+    for n, x in ((3, math.nan), (3, 1.2), (3, -0.1), (0, 0.5), (-1, 0.5)):
+        with pytest.raises(ValidationError):
+            binomial_distribution(n, x)
+
+
+@pytest.mark.parametrize("x", [0.0, 0.3, 0.5, 0.97, 1.0])
+@pytest.mark.parametrize("n", [1, 2, 300, 1000])
+def test_binomial_distribution_matches_exact_products(n, x):
+    # the same a-priori bound the tree meets against the DP; the naive
+    # exp(log C(n, k) + k ln x + (n - k) ln(1 - x)) misses it at n = 3000
+    exact = _exact_bernoulli_sum(np.full(n, x))
+    got = binomial_distribution(n, x).probs
+    assert got.shape == (n + 1,)
+    big = exact >= 1e-14
+    assert np.all(np.abs(got[big] - exact[big]) <= 4 * n * np.finfo(float).eps * exact[big])
+    assert np.all(got[~big] < 2e-14)
 
 
 def test_product_charge_state_matches_poisson_binomial():

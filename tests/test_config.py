@@ -262,11 +262,15 @@ def test_clustering_range_requires_geometry():
         ({"experiment": "kink-sweep", "sweep": [10]}, closedforms.kink_distribution(10)),
         ({"experiment": "product-sweep", "sweep": [10],
           "state_spec": {"kind": "bernoulli", "x": 0.3}},
-         closedforms.poisson_binomial(np.full(10, 0.3))),
+         closedforms.binomial_distribution(10, 0.3)),
         ({"experiment": "dicke-sweep", "sweep": [10]}, closedforms.dicke_half_distribution(5)),
         ({"experiment": "dicke-sweep", "sweep": [10],
           "state_spec": {"kind": "dicke", "ratio": 0.2}},
          closedforms.dicke_x_distribution(10, 2)),
+        # per-site means, even when all equal, still take the product tree
+        ({"experiment": "product-sweep", "sweep": [10],
+          "state_spec": {"kind": "bernoulli", "x": [0.3] * 10}},
+         closedforms.poisson_binomial(np.full(10, 0.3))),
     ],
 )
 def test_sweep_distribution_takes_each_closed_form(data, direct):

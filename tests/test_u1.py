@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from asymlab.errors import ValidationError
 from asymlab.lattice import LatticeGeometry
 from asymlab.states import (
+    REDUCTION_BLOCK,
     DensityMatrix,
     basis_state,
     ghz_state,
@@ -17,6 +18,7 @@ from asymlab.states import (
     von_neumann_entropy,
     zero_state,
 )
+from asymlab.tolerances import NEGATIVE_PROBABILITY_TOL, PROBABILITY_FLOOR
 from asymlab.u1 import (
     ChargeDistribution,
     charge_distribution,
@@ -60,6 +62,48 @@ def test_distribution_validation():
     # tiny negatives from rounding are clipped
     d = ChargeDistribution.from_probs([1.0 + 1e-13, -1e-13])
     assert d.probs[1] == 0.0
+    # NaN and infinities fail every comparison with a tolerance; the sum catches them
+    for bad in ([math.nan, 1.0], [1.0, math.nan], [math.nan], [math.inf, 0.0],
+                [0.5, 0.5, math.inf], [1.0, -math.inf]):
+        with pytest.raises(ValidationError):
+            ChargeDistribution.from_probs(bad)
+
+
+def _moments_unblocked(p):
+    """The unblocked formulas: clip, then H, the mean and the variance over the whole vector."""
+    p = np.clip(p, 0.0, None)
+    kept = p[p >= PROBABILITY_FLOOR]
+    q = np.arange(p.size, dtype=float)
+    mean = float(p @ q)
+    return float(-np.sum(kept * np.log(kept))), mean, float(p @ (q - mean) ** 2)
+
+
+@pytest.mark.parametrize(
+    "size", [REDUCTION_BLOCK - 1, REDUCTION_BLOCK, REDUCTION_BLOCK + 1, 3 * REDUCTION_BLOCK + 7]
+)
+def test_blocked_moments_and_entropy_match_the_unblocked_sums(size):
+    rng = np.random.default_rng(size)
+    p = rng.random(size) ** 4
+    # entries below the entropy floor and rounding negatives, spread over the blocks
+    tiny, negative = rng.integers(0, size, 40), np.append(rng.integers(0, size, 40), size - 1)
+    p[tiny] = p[negative] = 0.0
+    p /= p.sum()
+    p[tiny] = 0.3 * PROBABILITY_FLOOR
+    p[negative] = 0.5 * NEGATIVE_PROBABILITY_TOL
+    p.flags.writeable = False
+    before = p.copy()
+    dist = ChargeDistribution.from_probs(p)
+    # the caller's array keeps its values and its flag; the distribution holds a clipped copy
+    assert np.array_equal(p, before) and not p.flags.writeable
+    assert dist.probs.min() == 0.0 and not dist.probs.flags.writeable
+    writable = before.copy()
+    ChargeDistribution.from_probs(writable)
+    assert np.array_equal(writable, before) and writable.flags.writeable
+    entropy, mean, variance = _moments_unblocked(p)
+    eps = np.finfo(float).eps
+    assert abs(shannon_entropy(dist) - entropy) <= 4 * eps * entropy
+    assert abs(dist.mean - mean) <= 4 * eps * mean
+    assert abs(dist.variance - variance) <= 4 * eps * variance
 
 
 def test_flat_distribution_entropy():
