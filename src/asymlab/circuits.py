@@ -109,22 +109,22 @@ def apply_circuit(state: State, circuit: BrickworkCircuit) -> State:
     return DensityMatrix(n, mat)
 
 
-def heisenberg_conjugate(operator: np.ndarray, circuit: BrickworkCircuit) -> np.ndarray:
-    """Return U^dagger A U for the full circuit unitary U and a dense operator A.
-
-    ``operator`` is one d x d matrix or a (B, d, d) stack.  U is built once
-    per call, by applying every gate to the identity, and each operator then
-    costs two dense d x d products.
-    """
+def circuit_unitary(circuit: BrickworkCircuit) -> np.ndarray:
+    """The 2^N x 2^N circuit unitary U, every gate applied to the identity."""
     n = circuit.n_qubits
-    d = 2**n
-    ops = np.asarray(operator)
-    if ops.ndim not in (2, 3) or ops.shape[-2:] != (d, d):
-        raise ValidationError(f"operator must be {d}x{d} or a stack of them, got {ops.shape}")
-    u = np.eye(d, dtype=complex)
+    u = np.eye(2**n, dtype=complex)
     for layer in circuit.layers:
         for gate in layer:
             u = apply_site_matrix(u, gate.matrix, gate.sites, n)
+    return u
+
+
+def conjugate_by(operator: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """U^dagger A U for one d x d operator A or a (B, d, d) stack: two dense products each."""
+    ops = np.asarray(operator)
+    d = u.shape[0]
+    if ops.ndim not in (2, 3) or ops.shape[-2:] != (d, d):
+        raise ValidationError(f"operator must be {d}x{d} or a stack of them, got {ops.shape}")
     u_dag = u.conj().T
     out = np.empty(ops.shape, dtype=complex)
     left = np.empty((d, d), dtype=complex)
@@ -132,6 +132,16 @@ def heisenberg_conjugate(operator: np.ndarray, circuit: BrickworkCircuit) -> np.
         np.matmul(ops[b], u, out=left)
         np.matmul(u_dag, left, out=out[b])
     return out
+
+
+def heisenberg_conjugate(operator: np.ndarray, circuit: BrickworkCircuit) -> np.ndarray:
+    """Return U^dagger A U for the full circuit unitary U and a dense operator A.
+
+    ``operator`` is one d x d matrix or a (B, d, d) stack.  U is built once
+    per call (``circuit_unitary``), and each operator then costs two dense
+    d x d products (``conjugate_by``).
+    """
+    return conjugate_by(operator, circuit_unitary(circuit))
 
 
 def backward_light_cone(
@@ -376,13 +386,23 @@ def circuit_to_dict(circuit: BrickworkCircuit) -> dict:
     }
 
 
+def _json_int(value, what: str) -> int:
+    """An integer field of circuit JSON: an int or an integral float, never a bool."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ValidationError(f"circuit {what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def circuit_from_dict(data: dict) -> BrickworkCircuit:
     try:
         layers_raw = data["layers"]
         depth = data["depth"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"circuit JSON missing key: {exc}") from exc
-    if depth != len(layers_raw):
+    if not isinstance(layers_raw, list) or not all(isinstance(x, list) for x in layers_raw):
+        raise ValidationError("circuit layers must be a list of lists of gates")
+    if _json_int(depth, "depth") != len(layers_raw):
         raise ValidationError(f"depth field {depth} != number of layers {len(layers_raw)}")
     layers = []
     max_site = -1
@@ -390,14 +410,16 @@ def circuit_from_dict(data: dict) -> BrickworkCircuit:
         gates = []
         for g in layer_raw:
             try:
-                sites = tuple(int(s) for s in g["sites"])
+                sites = tuple(_json_int(s, "gate site") for s in g["sites"])
                 matrix = _pairs_to_matrix(g["unitary"], len(sites))
+            except ValidationError:
+                raise
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValidationError(f"circuit gate is malformed: {exc!r}") from exc
             gates.append(Gate(sites, matrix))
             max_site = max(max_site, *sites)
         layers.append(tuple(gates))
-    n_qubits = int(data.get("n_qubits", max_site + 1))
+    n_qubits = _json_int(data["n_qubits"], "n_qubits") if "n_qubits" in data else max_site + 1
     return BrickworkCircuit(n_qubits, tuple(layers))
 
 

@@ -12,7 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceError, ValidationError
-from .circuits import BrickworkCircuit, backward_light_cone, heisenberg_conjugate
+from .circuits import (
+    BrickworkCircuit,
+    backward_light_cone,
+    circuit_unitary,
+    conjugate_by,
+    heisenberg_conjugate,
+)
 from .lattice import LatticeGeometry, distance
 from .states import (
     PAULI,
@@ -181,24 +187,25 @@ def _check_spreading_inputs(circuit: BrickworkCircuit, geometry: LatticeGeometry
     return n
 
 
-def _seed_spread(
-    geometry: LatticeGeometry,
-    seed: int,
-    sites: tuple[int, ...],
-    circuit: BrickworkCircuit,
-) -> int:
-    """Spread of the three Paulis on ``seed``, conjugated through a circuit on ``sites``.
-
-    Qubit i of ``circuit`` is lattice site ``sites[i]``.
-    """
+def _seed_paulis(sites: tuple[int, ...], seed: int) -> np.ndarray:
+    """The (3, 2^k, 2^k) stack of the x, y, z Paulis on ``seed``, one of the k ``sites``."""
     k = len(sites)
     q = sites.index(seed)
     left, right = 2**q, 2 ** (k - 1 - q)
     paulis = np.zeros((3, left, 2, right, left, 2, right), dtype=complex)
     # each Pauli on qubit q is 1 (x) sigma (x) 1: write sigma on the identities' diagonal
     np.einsum("xlarlbr->xlrab", paulis)[...] = PAULI_STACK[:, None, None]
-    paulis = paulis.reshape(3, 2**k, 2**k)
-    fractions = _support_mass_fractions(heisenberg_conjugate(paulis, circuit), k)
+    return paulis.reshape(3, 2**k, 2**k)
+
+
+def _seed_spread(
+    geometry: LatticeGeometry, seed: int, sites: tuple[int, ...], evolved: np.ndarray
+) -> int:
+    """Spread of the ``_seed_paulis`` of ``seed`` conjugated through a circuit on ``sites``.
+
+    Qubit i of the circuit is lattice site ``sites[i]``.
+    """
+    fractions = _support_mass_fractions(evolved, len(sites))
     reached = np.flatnonzero(np.any(fractions > SPREAD_THRESHOLD, axis=0))
     return max((distance(geometry, seed, sites[i]) for i in reached), default=0)
 
@@ -219,16 +226,23 @@ def operator_spreading_range(circuit: BrickworkCircuit, geometry: LatticeGeometr
     spread = 0
     for seed in range(n):
         sites, cone = backward_light_cone(circuit, seed)
-        spread = max(spread, _seed_spread(geometry, seed, sites, cone))
+        evolved = heisenberg_conjugate(_seed_paulis(sites, seed), cone)
+        spread = max(spread, _seed_spread(geometry, seed, sites, evolved))
     return spread
 
 
 def _dense_spreading_range(circuit: BrickworkCircuit, geometry: LatticeGeometry) -> int:
-    """Reference route of ``operator_spreading_range``: every Pauli on all N qubits."""
+    """Reference route of ``operator_spreading_range``: every Pauli on all N qubits.
+
+    The full circuit unitary is built once and shared by every seed.
+    """
     n = _check_spreading_inputs(circuit, geometry)
+    u = circuit_unitary(circuit)
+    sites = tuple(range(n))
     spread = 0
     for seed in range(n):
-        spread = max(spread, _seed_spread(geometry, seed, tuple(range(n)), circuit))
+        evolved = conjugate_by(_seed_paulis(sites, seed), u)
+        spread = max(spread, _seed_spread(geometry, seed, sites, evolved))
     return spread
 
 

@@ -13,8 +13,12 @@ A rank-r ``DensityMatrix`` may also carry an exact factor F (2^N x r, with
 rho = F F^dagger), checked against rho when the state is built.  Within asymlab only
 ``random_density_matrix`` (rank below 2^N) and the gauge rotation of
 ``su2.zero_transverse_rotation`` attach one.  S(rho) then comes from the
-r x r Gram matrix F^dagger F and the rotation turns F, not rho.  Every other
-operation builds a new matrix and so a state without a factor.
+r x r Gram matrix F^dagger F.  Every other operation builds a new matrix and
+so a state without a factor.
+
+Route rule: a state with an exact factor takes the factor route in ``su2``, a
+pure state as F = psi with one column and a factored density matrix with its
+own F; only a density matrix without a factor is read through rho itself.
 """
 from __future__ import annotations
 

@@ -1,21 +1,29 @@
 """Collective-spin sectors, the full-rotation twirl and its bounds.
 
-The Schur basis is built by coupling one site at a time with Clebsch-Gordan
-coefficients (Condon-Shortley signs), giving a real orthogonal change of basis
-that block-diagonalizes every u^{(x) N}.  Only even N is supported so all
-spins are integers.
+The Schur basis is built by coupling one site at a time with the j (x) 1/2
+Clebsch-Gordan terms of ``_cg_children`` (Condon-Shortley signs), giving a
+real orthogonal change of basis that block-diagonalizes every u^{(x) N}.
+Only even N is supported so all spins are integers.
 
 Every basis vector has a definite S_z = m, so it lies inside one Hamming-weight
 subspace w = N/2 - m.  The basis is stored that way: for each w, the sorted
 basis indices ``rows[w]`` of weight w and one real orthogonal
 C(N, w) x C(N, w) block ``blocks[w]`` whose columns are the (s, alpha) with
 s >= |m|, s decreasing, alpha (the coupling path) increasing.  At N = 12 the
-blocks hold 22 MB against 134 MB for the 2^N x 2^N matrix.  The coupling, the
-coefficient transform, the sector weights and the twirl all run one weight
-block at a time; ``SchurBasis.dense()`` assembles the full matrix for tests
-and oracles only.  Its columns are grouped by total spin s in decreasing
-order; within a sector the coupling path index is the outer label and m runs
-from +s down to -s inside each path.
+blocks hold 22 MB against 134 MB for the 2^N x 2^N matrix.
+``SchurBasis.dense()`` assembles the full matrix for tests and oracles only.
+Its columns are grouped by total spin s in decreasing order; within a sector
+the coupling path index is the outer label and m runs from +s down to -s
+inside each path.
+
+Route rule: a state with an exact factor F, rho = F F^dagger, takes the
+factor route; a pure state is F = psi as one column, and a ``DensityMatrix``
+carrying a factor uses its own F.  Any other density matrix takes the matrix
+route.  ``su2_asymmetry`` and ``sector_distribution`` take the state into the
+Schur basis in one pass over the weight blocks (``_schur_frame``), and
+``spin_moments`` and ``zero_transverse_rotation`` act on F or on rho.
+``_dense_schur_basis``, ``su2_twirl`` and ``su2_twirl_haar`` are references
+for tests and oracles.
 """
 from __future__ import annotations
 
@@ -88,14 +96,6 @@ class SchurBasis:
     labels: tuple[tuple[int, int, int], ...]
     sectors: tuple[tuple[int, int, int], ...]
 
-    def column_of(self, s: int, m: int, alpha: int) -> int:
-        for sec_s, start, mult in self.sectors:
-            if sec_s == s:
-                if not (abs(m) <= s and 0 <= alpha < mult):
-                    raise ValidationError(f"no column labeled (s={s}, m={m}, alpha={alpha})")
-                return start + alpha * (2 * s + 1) + (s - m)
-        raise ValidationError(f"no spin-{s} sector for N={self.n_qubits}")
-
     def segments(self, w: int) -> list[tuple[int, int, int]]:
         """(s, first_column, multiplicity) of each spin in ``blocks[w]``, s decreasing.
 
@@ -136,6 +136,27 @@ def _lift(block: np.ndarray, bit: int) -> np.ndarray:
     return out
 
 
+def _cg_children(two_j: int) -> dict[int, list]:
+    """Clebsch-Gordan terms (Condon-Shortley) of coupling spin j = two_j/2 with one spin-1/2.
+
+    ``out[two_j_new][c]`` lists the (coefficient, new bit, parent column) terms
+    of column c of the child spin two_j_new/2: j + 1/2 always, j - 1/2 when
+    j > 0.  Column c of a spin j holds m = j - c.
+    """
+    d = two_j + 1
+    # the bit-0 term needs parent column c <= 2j, the bit-1 term c - 1 >= 0
+    out = {two_j + 1: [
+        [(np.sqrt((d - c) / d), 0, c)] * (c < d) + [(np.sqrt(c / d), 1, c - 1)] * (c > 0)
+        for c in range(d + 1)
+    ]}
+    if two_j > 0:
+        out[two_j - 1] = [
+            [(-np.sqrt((c + 1) / d), 0, c + 1), (np.sqrt((two_j - c) / d), 1, c)]
+            for c in range(two_j)
+        ]
+    return out
+
+
 def _dense_schur_basis(n_qubits: int) -> np.ndarray:
     """Reference: the 2^N x 2^N basis built column by column on all 2^N rows."""
     if n_qubits % 2 != 0 or n_qubits < 2:
@@ -145,24 +166,13 @@ def _dense_schur_basis(n_qubits: int) -> np.ndarray:
     for _ in range(1, n_qubits):
         nxt: list[tuple[int, np.ndarray]] = []
         for two_j, block in blocks:
-            up0 = _lift(block, 0)
-            up1 = _lift(block, 1)
-            width = two_j + 2
-            child_up = np.zeros((up0.shape[0], width))
-            for c in range(width):
-                if c <= two_j:
-                    child_up[:, c] += np.sqrt((two_j + 1 - c) / (two_j + 1)) * up0[:, c]
-                if c >= 1:
-                    child_up[:, c] += np.sqrt(c / (two_j + 1)) * up1[:, c - 1]
-            nxt.append((two_j + 1, child_up))
-            if two_j >= 1:
-                child_dn = np.zeros((up0.shape[0], two_j))
-                for c in range(two_j):
-                    child_dn[:, c] = (
-                        -np.sqrt((c + 1) / (two_j + 1)) * up0[:, c + 1]
-                        + np.sqrt((two_j - c) / (two_j + 1)) * up1[:, c]
-                    )
-                nxt.append((two_j - 1, child_dn))
+            lifted = (_lift(block, 0), _lift(block, 1))
+            for two_j_new, columns in _cg_children(two_j).items():
+                child = np.zeros((2 * block.shape[0], len(columns)))
+                for c, terms in enumerate(columns):
+                    for coef, bit, src in terms:
+                        child[:, c] += coef * lifted[bit][:, src]
+                nxt.append((two_j_new, child))
         blocks = nxt
 
     by_two_j: dict[int, list[np.ndarray]] = {}
@@ -191,52 +201,37 @@ def _dense_schur_basis(n_qubits: int) -> np.ndarray:
     return matrix
 
 
-def _couple_site(paths: dict, pos0: list, pos1: list, sizes: list) -> dict:
+def _couple_site(paths: dict, pos: tuple, sizes: list) -> dict:
     """Couple one more spin-1/2 onto every path, all paths of one spin at once.
 
     ``paths[two_j] = (keys, cols)``: ``cols[c]`` holds, one column per path,
     the m = j - c vector restricted to its weight subspace, and ``keys``
-    orders the paths.  Weight-w rows of k sites move to rows ``pos0[w]``
-    (new bit 0) and ``pos1[w + 1]`` (new bit 1) of the k + 1 site weight
-    sets, whose sizes are ``sizes``.  The children of the path with key p
-    get keys 2p (j + 1/2) and 2p + 1 (j - 1/2), which keeps the order of
-    coupling every path in turn.
+    orders the paths.  Weight-w rows of k sites move to rows ``pos[b][w + b]``
+    (new bit b) of the k + 1 site weight sets, whose sizes are ``sizes``.
+    The children of the path with key p get keys 2p (j + 1/2) and 2p + 1
+    (j - 1/2), which keeps the order of coupling every path in turn.
     """
     k = len(sizes) - 2
+    parts: dict[int, list] = {}
+    for two_j, (old_keys, old) in paths.items():
+        for two_j_new, columns in _cg_children(two_j).items():
+            base = (k + 1 - two_j_new) // 2
+            cols = []
+            for c, terms in enumerate(columns):
+                col = np.zeros((sizes[base + c], len(old_keys)))
+                for coef, bit, src in terms:
+                    col[pos[bit][base + c]] = coef * old[src]
+                cols.append(col)
+            side = int(two_j_new < two_j)
+            parts.setdefault(two_j_new, []).append((2 * old_keys + side, cols))
     nxt: dict = {}
-    for two_j_new in sorted({t + 1 for t in paths} | {t - 1 for t in paths if t >= 1}):
-        keys, parts = [], []
-        up = paths.get(two_j_new - 1)
-        if up is not None:
-            two_j, (old_keys, old) = two_j_new - 1, up
-            base = (k - two_j) // 2
-            cols = []
-            for c in range(two_j + 2):
-                w = base + c
-                col = np.zeros((sizes[w], len(old_keys)))
-                if c <= two_j:
-                    col[pos0[w]] = np.sqrt((two_j + 1 - c) / (two_j + 1)) * old[c]
-                if c >= 1:
-                    col[pos1[w]] = np.sqrt(c / (two_j + 1)) * old[c - 1]
-                cols.append(col)
-            keys.append(2 * old_keys)
-            parts.append(cols)
-        dn = paths.get(two_j_new + 1)
-        if dn is not None:
-            two_j, (old_keys, old) = two_j_new + 1, dn
-            base = (k - two_j) // 2
-            cols = []
-            for c in range(two_j):
-                w = base + c + 1
-                col = np.zeros((sizes[w], len(old_keys)))
-                col[pos0[w]] = -np.sqrt((c + 1) / (two_j + 1)) * old[c + 1]
-                col[pos1[w]] = np.sqrt((two_j - c) / (two_j + 1)) * old[c]
-                cols.append(col)
-            keys.append(2 * old_keys + 1)
-            parts.append(cols)
-        all_keys = np.concatenate(keys)
+    for two_j_new in sorted(parts):
+        all_keys = np.concatenate([keys for keys, _cols in parts[two_j_new]])
         order = np.argsort(all_keys, kind="stable")
-        merged = [np.concatenate(cs, axis=1)[:, order] for cs in zip(*parts)]
+        merged = [
+            np.concatenate(cs, axis=1)[:, order]
+            for cs in zip(*(cols for _keys, cols in parts[two_j_new]))
+        ]
         nxt[two_j_new] = (all_keys[order], merged)
     return nxt
 
@@ -258,9 +253,10 @@ def build_schur_basis(n_qubits: int) -> SchurBasis:
         zeros = [2 * r for r in rows] + [np.array([], dtype=int)]
         ones = [np.array([], dtype=int)] + [2 * r + 1 for r in rows]
         new_rows = [np.union1d(a, b) for a, b in zip(zeros, ones)]
-        pos0 = [np.searchsorted(r, a) for r, a in zip(new_rows, zeros)]
-        pos1 = [np.searchsorted(r, b) for r, b in zip(new_rows, ones)]
-        paths = _couple_site(paths, pos0, pos1, [len(r) for r in new_rows])
+        pos = tuple(
+            [np.searchsorted(r, a) for r, a in zip(new_rows, moved)] for moved in (zeros, ones)
+        )
+        paths = _couple_site(paths, pos, [len(r) for r in new_rows])
         rows = new_rows
 
     half = n_qubits // 2
@@ -312,20 +308,16 @@ class SectorTable:
     def p_s(self) -> np.ndarray:
         return self.p_sm.sum(axis=1)
 
-    def p_m(self) -> np.ndarray:
-        """Marginal of m; equals the charge distribution shifted by N/2."""
-        return self.p_sm.sum(axis=0)
 
+def _factor_of(state: State) -> np.ndarray | None:
+    """The exact factor F (rho = F F^dagger) of the factor route, or None for the matrix route.
 
-def _schur_coefficients(state: StateVector, basis: SchurBasis) -> list[np.ndarray]:
-    """Coefficients c_w = B_w^T psi[rows_w] of a pure state, one array per weight."""
-    amps = state.amplitudes
-    out = []
-    for rows, block in zip(basis.rows, basis.blocks):
-        # the blocks are real: two real products avoid a complex copy of each block
-        part = amps[rows]
-        out.append(block.T @ part.real + 1j * (block.T @ part.imag))
-    return out
+    A pure state is its amplitudes as one column; a density matrix has the
+    factor it carries, if any.
+    """
+    if isinstance(state, StateVector):
+        return state.amplitudes[:, None]
+    return state.factor
 
 
 def _check_basis(state: State, basis: SchurBasis):
@@ -335,21 +327,43 @@ def _check_basis(state: State, basis: SchurBasis):
         )
 
 
-def sector_distribution(state: State, basis: SchurBasis) -> SectorTable:
-    """Measured weights of every (s, m) pair for a pure or mixed state."""
+def _rotated_blocks(rho: np.ndarray, basis: SchurBasis) -> list[np.ndarray]:
+    """R_w = B_w^T rho_ww B_w, rho in the Schur basis on each weight w.
+
+    The twirl keeps only these weight-diagonal blocks.
+    """
+    out = []
+    for rows, block in zip(basis.rows, basis.blocks):
+        # the blocks are real: real products avoid a complex copy of each block
+        sub = rho[np.ix_(rows, rows)]
+        out.append(block.T @ sub.real @ block + 1j * (block.T @ sub.imag @ block))
+    return out
+
+
+def _schur_frame(state: State, basis: SchurBasis) -> tuple[bool, list[np.ndarray]]:
+    """The state in the Schur basis, each weight block transformed once.
+
+    Returns (factored, frame).  The factor route gives C_w = B_w^T F[rows_w],
+    one C(N, w) x r block per weight; the matrix route gives the R_w of
+    ``_rotated_blocks``.
+    """
     _check_basis(state, basis)
+    fac = _factor_of(state)
+    if fac is None:
+        return False, _rotated_blocks(state.matrix, basis)
+    frame = []
+    for rows, block in zip(basis.rows, basis.blocks):
+        part = fac[rows]
+        frame.append(block.T @ part.real + 1j * (block.T @ part.imag))
+    return True, frame
+
+
+def _sector_table(factored: bool, frame: list[np.ndarray], basis: SchurBasis) -> SectorTable:
+    """p_{s,m} from a ``_schur_frame``: |C_w|^2 summed over columns, or diag R_w."""
     n = basis.n_qubits
-    half = n // 2
-    if isinstance(state, StateVector):
-        weights = [np.abs(c) ** 2 for c in _schur_coefficients(state, basis)]
-    else:
-        # diag(B_w^T rho_ww B_w) with B_w real; Im rho is antisymmetric, so it adds nothing
-        weights = [
-            np.einsum("ij,ij->j", block, state.matrix.real[np.ix_(rows, rows)] @ block)
-            for rows, block in zip(basis.rows, basis.blocks)
-        ]
-    p_sm = np.zeros((half + 1, n + 1))
-    for w, weight in enumerate(weights):
+    p_sm = np.zeros((n // 2 + 1, n + 1))
+    for w, part in enumerate(frame):
+        weight = np.sum(np.abs(part) ** 2, axis=1) if factored else np.real(np.diagonal(part))
         for s, first, mult in basis.segments(w):
             p_sm[s, n - w] = weight[first : first + mult].sum()
     p_sm = np.clip(p_sm, 0.0, None)
@@ -359,16 +373,15 @@ def sector_distribution(state: State, basis: SchurBasis) -> SectorTable:
     return SectorTable(n, p_sm)
 
 
-def _sector_averages(rho: np.ndarray, basis: SchurBasis) -> dict[int, np.ndarray]:
-    """The twirled multiplicity blocks avg_s = sum_m R_w[(s, .), (s, .)] / (2s + 1).
+def sector_distribution(state: State, basis: SchurBasis) -> SectorTable:
+    """Measured weights of every (s, m) pair for a pure or mixed state."""
+    return _sector_table(*_schur_frame(state, basis), basis)
 
-    R_w = B_w^T rho_ww B_w is rho in the Schur basis on weight w; the twirl
-    keeps only these weight-diagonal blocks.
-    """
+
+def _sector_averages(frame: list[np.ndarray], basis: SchurBasis) -> dict[int, np.ndarray]:
+    """The twirled multiplicity blocks avg_s = sum_m R_w[(s, .), (s, .)] / (2s + 1)."""
     sums: dict[int, np.ndarray] = {}
-    for w, (rows, block) in enumerate(zip(basis.rows, basis.blocks)):
-        sub = rho[np.ix_(rows, rows)]
-        rot = block.T @ sub.real @ block + 1j * (block.T @ sub.imag @ block)
+    for w, rot in enumerate(frame):
         for s, first, mult in basis.segments(w):
             part = rot[first : first + mult, first : first + mult]
             sums[s] = part if s not in sums else sums[s] + part
@@ -386,7 +399,7 @@ def su2_twirl(state: State, basis: SchurBasis) -> DensityMatrix:
     _check_basis(state, basis)
     if isinstance(state, StateVector):
         state = state.to_density_matrix()
-    avgs = _sector_averages(state.matrix, basis)
+    avgs = _sector_averages(_rotated_blocks(state.matrix, basis), basis)
     out = np.zeros((2**basis.n_qubits,) * 2, dtype=complex)
     for w, (rows, block) in enumerate(zip(basis.rows, basis.blocks)):
         twirled = np.zeros((len(rows),) * 2, dtype=complex)
@@ -447,36 +460,37 @@ class Su2AsymmetryReport:
 def su2_asymmetry(state: State, basis: SchurBasis) -> Su2AsymmetryReport:
     """Asymmetry Delta S = S(twirl(rho)) - S(rho) for the full rotation group.
 
-    Pure states avoid any 2^N x 2^N density matrix: per sector the twirled
-    spectrum is p_s / (2s+1) times the squared singular values of the
-    (multiplicity x m) coefficient block.  A density matrix is twirled
-    without forming the twirl: S(twirl rho) = sum_s (2s+1) H(eig avg_s) over
-    the multiplicity blocks of ``_sector_averages``.
+    Both routes read the state in one ``_schur_frame`` pass, which also gives
+    the sector table.  The factor route forms no 2^N x 2^N matrix: per sector
+    the twirled spectrum is 1/(2s+1) times the squared singular values of the
+    multiplicity x (2s+1) r block [C_{s,m} for each m], with (2s+1) copies.
+    The matrix route twirls without forming the twirl:
+    S(twirl rho) = sum_s (2s+1) H(eig avg_s) over the multiplicity blocks of
+    ``_sector_averages``.
     """
-    _check_basis(state, basis)
-    if isinstance(state, StateVector):
-        coeffs = _schur_coefficients(state, basis)
+    factored, frame = _schur_frame(state, basis)
+    if factored:
         half = basis.n_qubits // 2
-        delta = 0.0
+        twirled = 0.0
         for s, first, mult in basis.segments(half):
             width = 2 * s + 1
-            # column c is m = s - c, which lives in block w = half - s + c
-            block = np.stack(
-                [coeffs[half - s + c][first : first + mult] for c in range(width)], axis=1
+            # m = s - c lives in weight block w = half - s + c
+            block = np.concatenate(
+                [frame[half - s + c][first : first + mult] for c in range(width)], axis=1
             )
             if float(np.sum(np.abs(block) ** 2)) < EMPTY_SECTOR_WEIGHT:
                 continue
             sing_sq = np.linalg.svd(block, compute_uv=False) ** 2
             lam = sing_sq[sing_sq > SINGULAR_VALUE_FLOOR]
             # width copies of lam/width each: entropy = sum lam (ln width - ln lam)
-            delta += float(np.sum(lam * (np.log(width) - np.log(lam))))
+            twirled += float(np.sum(lam * (np.log(width) - np.log(lam))))
     else:
         twirled = sum(
             (2 * s + 1) * entropy_of_probabilities(floored_spectrum(np.linalg.eigvalsh(avg)))
-            for s, avg in _sector_averages(state.matrix, basis).items()
+            for s, avg in _sector_averages(frame, basis).items()
         )
-        delta = twirled - von_neumann_entropy(state)
-    table = sector_distribution(state, basis)
+    delta = twirled - von_neumann_entropy(state)
+    table = _sector_table(factored, frame, basis)
     report = Su2AsymmetryReport(
         n_sites=state.n_qubits,
         delta_s=delta,
@@ -558,34 +572,32 @@ def su2_twirl_haar(state: State) -> DensityMatrix:
 def spin_moments(state: State) -> dict:
     """First and second moments of the collective spin S = sum_j sigma_j / 2.
 
-    <Sz> and <Sz^2> are read off the computational-basis weights.  A pure
-    state gets its x and y moments from Sum_j sigma^a_j applied to psi, one
-    Pauli per site: O(N 2^N).  A density matrix is never multiplied: each
-    <sigma^a_j> and <sigma^a_i sigma^a_j> is a signed sum of the entries
-    rho[l, l ^ mask] over one or two flipped sites, gathered for all masks at
-    once: O(N^2 2^N) reads of rho.
+    <Sz> and <Sz^2> are read off the computational-basis weights.  The factor
+    route applies Sum_j sigma^a_j to F, one Pauli per site, and reads
+    <S_a> = tr(F^dagger S_a F) and <S_a^2> = |S_a F|^2: O(N r 2^N).  The matrix
+    route never multiplies rho: each <sigma^a_j> and <sigma^a_i sigma^a_j> is
+    a signed sum of the entries rho[l, l ^ mask] over one or two flipped
+    sites, gathered for all masks at once: O(N^2 2^N) reads of rho.
     """
     n = state.n_qubits
     m_values = (n - 2.0 * bit_weights(n)) / 2.0
-    if isinstance(state, StateVector):
-        probs = state.probabilities()
-    else:
-        probs = state.diagonal()
+    fac = _factor_of(state)
+    probs = state.diagonal() if fac is None else np.sum(np.abs(fac) ** 2, axis=1)
     out = {
         "sz": float(np.sum(probs * m_values)),
         "sz2": float(np.sum(probs * m_values**2)),
     }
-    if isinstance(state, StateVector):
-        psi = state.amplitudes
-        for axis in ("x", "y"):
-            phi = np.zeros_like(psi)
-            for site in range(n):
-                phi += apply_pauli(psi, site, axis, n)
-            phi /= 2.0
-            out[f"s{axis}"] = float(np.real(np.vdot(psi, phi)))
-            out[f"s{axis}2"] = float(np.real(np.vdot(phi, phi)))
-    else:
+    if fac is None:
         out.update(_transverse_moments(state.matrix, n, float(np.sum(probs))))
+    else:
+        for axis in ("x", "y"):
+            phi = np.zeros_like(fac)
+            for site in range(n):
+                phi += apply_pauli(fac, site, axis, n)
+            phi /= 2.0
+            # vdot flattens both: sum_ij conj(F_ij) phi_ij = tr(F^dagger phi)
+            out[f"s{axis}"] = float(np.real(np.vdot(fac, phi)))
+            out[f"s{axis}2"] = float(np.real(np.vdot(phi, phi)))
     out["s2"] = out["sx2"] + out["sy2"] + out["sz2"]
     return out
 
@@ -623,8 +635,8 @@ def zero_transverse_rotation(state: State):
 
     Returns (rotated_state, u) where u is the single-site unitary applied to
     every qubit.  A state with vanishing mean spin is returned unchanged with
-    u = identity.  A density matrix with an exact factor F has only F rotated,
-    F' = u^{(x) N} F, and keeps F' with rho' = F' F'^dagger.
+    u = identity.  On the factor route only F is rotated, F' = u^{(x) N} F, and
+    a density matrix keeps F' with rho' = F' F'^dagger.
     """
     moments = spin_moments(state)
     v = np.array([moments["sx"], moments["sy"], moments["sz"]])
@@ -646,13 +658,13 @@ def zero_transverse_rotation(state: State):
     gen = axis[0] * PAULI_X + axis[1] * PAULI_Y + axis[2] * PAULI_Z
     u = np.cos(angle / 2.0) * np.eye(2) - 1j * np.sin(angle / 2.0) * gen
     n = state.n_qubits
-    if isinstance(state, StateVector):
-        rotated: State = StateVector(n, global_rotation(state.amplitudes, u, n))
-    elif state.factor is not None:
-        fac = _rotate_rows(state.factor, u, n)
-        rotated = DensityMatrix(n, fac @ fac.conj().T, fac)
+    fac = _factor_of(state)
+    if fac is None:
+        rotated: State = DensityMatrix(n, global_rotation(state.matrix, u, n))
     else:
-        rotated = DensityMatrix(n, global_rotation(state.matrix, u, n))
+        fac = _rotate_rows(fac, u, n)
+        pure = isinstance(state, StateVector)
+        rotated = StateVector(n, fac[:, 0]) if pure else DensityMatrix(n, fac @ fac.conj().T, fac)
     check = spin_moments(rotated)
     if max(abs(check["sx"]), abs(check["sy"])) > TRANSVERSE_TOL or check["sz"] < -TRANSVERSE_TOL:
         raise ValidationError("gauge rotation failed to null the transverse spin")
@@ -716,7 +728,8 @@ def casimir_constraint_check(
     moments = spin_moments(state)
     if max(abs(moments["sx"]), abs(moments["sy"])) > CASIMIR_PRECONDITION_TOL:
         raise PreconditionError(
-            "transverse mean spin exceeds 1e-6; apply zero_transverse_rotation first"
+            f"transverse mean spin exceeds {CASIMIR_PRECONDITION_TOL:g}; "
+            "apply zero_transverse_rotation first"
         )
     z_lambda = neighborhood_cardinality(geometry, clustering_range)
     c_lambda = C_LAMBDA_PREFACTOR * z_lambda

@@ -282,9 +282,9 @@ def test_su2_command_rejects_odd_n(tmp_path, capsys):
     assert "even" in capsys.readouterr().err
 
 
-def _circuit_with_gate(tmp_path, gate):
+def _circuit_with_gate(tmp_path, gate, **fields):
     gate["unitary"] = [[float(i == j), 0.0] for i in range(4) for j in range(4)]
-    circuit = {"n_qubits": 4, "depth": 1, "layers": [[gate]]}
+    circuit = {"n_qubits": 4, "depth": 1, "layers": [[gate]], **fields}
     path = _write(tmp_path / "circ.json", circuit)
     return ["clustering", "--circuit", path, "--linear-size", "4",
             "--output", str(tmp_path / "out")]
@@ -296,6 +296,22 @@ def _gate_without_sites(tmp_path, monkeypatch):
 
 def _gate_with_non_integer_site(tmp_path, monkeypatch):
     return _circuit_with_gate(tmp_path, {"sites": ["a", 1]})
+
+
+def _gate_with_fractional_site(tmp_path, monkeypatch):
+    return _circuit_with_gate(tmp_path, {"sites": [0, 1.5]})
+
+
+def _circuit_n_qubits_not_int(tmp_path, monkeypatch):
+    return _circuit_with_gate(tmp_path, {"sites": [0, 1]}, n_qubits="abc")
+
+
+def _circuit_n_qubits_fractional(tmp_path, monkeypatch):
+    return _circuit_with_gate(tmp_path, {"sites": [0, 1]}, n_qubits=4.5)
+
+
+def _circuit_layers_not_a_list(tmp_path, monkeypatch):
+    return _circuit_with_gate(tmp_path, {"sites": [0, 1]}, layers=5)
 
 
 def _circuit_not_json(tmp_path, monkeypatch):
@@ -421,6 +437,10 @@ def _product_points_negative(tmp_path, monkeypatch):
     [
         _gate_without_sites,
         _gate_with_non_integer_site,
+        _gate_with_fractional_site,
+        _circuit_n_qubits_not_int,
+        _circuit_n_qubits_fractional,
+        _circuit_layers_not_a_list,
         _circuit_not_json,
         _max_qubits_not_int,
         _product_x_length_mismatch,

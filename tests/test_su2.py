@@ -76,13 +76,16 @@ def test_schur_basis_is_orthonormal(n):
 def test_schur_basis_two_qubits_is_triplet_singlet():
     basis = build_schur_basis(2)
     matrix = basis.dense()
-    singlet_col = basis.column_of(0, 0, 0)
-    v = matrix[:, singlet_col]
+    # a sector's first column is (s, m = s, alpha = 0)
+    starts = {s: start for s, start, _mult in basis.sectors}
+    assert basis.labels[starts[0]] == (0, 0, 0)
+    assert basis.labels[starts[1]] == (1, 1, 0)
+    v = matrix[:, starts[0]]
     expected = np.zeros(4)
     expected[1], expected[2] = 1.0, -1.0
     expected /= np.sqrt(2.0)
     assert_allclose(np.abs(np.vdot(expected, v)), 1.0, atol=1e-12)
-    trip_top = matrix[:, basis.column_of(1, 1, 0)]
+    trip_top = matrix[:, starts[1]]
     assert_allclose(np.abs(trip_top), [1.0, 0.0, 0.0, 0.0], atol=1e-12)
 
 
@@ -220,7 +223,8 @@ def test_sector_distribution_of_known_states():
     assert_allclose(table.p_sm[1, 2], 1.0, atol=1e-14)
     ghz_table = sector_distribution(ghz_state(2), basis)
     assert_allclose(ghz_table.p_s, [0.0, 1.0], atol=1e-14)
-    assert_allclose(ghz_table.p_m(), [0.5, 0.0, 0.5], atol=1e-14)
+    # the m marginal, indexed by m + N/2
+    assert_allclose(ghz_table.p_sm.sum(axis=0), [0.5, 0.0, 0.5], atol=1e-14)
 
 
 def test_twirl_idempotent_and_trace_preserving():
@@ -501,3 +505,62 @@ def test_rotated_factor_matches_dense_global_rotation():
         for key, value in spin_moments(bare).items():
             assert_allclose(moments[key], value, atol=1e-12, err_msg=key)
 
+
+
+def _su2_readings(state, basis) -> dict:
+    """Everything su2 reads off one state, flattened to arrays for comparison."""
+    out = {f"moment {k}": v for k, v in spin_moments(state).items()}
+    gauged, u = zero_transverse_rotation(state)
+    out["gauge u"] = u
+    out["gauged rho"] = (
+        gauged.to_density_matrix() if isinstance(gauged, StateVector) else gauged
+    ).matrix
+    if basis is not None:
+        rep = su2_asymmetry(state, basis)
+        out["delta_s"] = rep.delta_s
+        out["sector bound"] = rep.bound_sector_entropy
+        out["p_sm"] = sector_distribution(state, basis).p_sm
+    return out
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_factor_route_matches_matrix_route(n):
+    """A factored rho and the same matrix without its factor go two independent routes."""
+    rng = np.random.default_rng(700 + n)
+    basis = build_schur_basis(n) if n % 2 == 0 else None
+    # a full-rank draw carries no factor, so r < 2^N
+    for rank in (r for r in (1, 2, 3, 4) if r < 2**n):
+        rho = random_density_matrix(n, rng, rank=rank)
+        assert rho.factor is not None
+        factored = _su2_readings(rho, basis)
+        bare = _su2_readings(DensityMatrix(n, rho.matrix), basis)
+        for key, value in bare.items():
+            assert_allclose(factored[key], value, rtol=0, atol=1e-12, err_msg=f"{key} r={rank}")
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_rank_one_factor_matches_its_statevector(n):
+    rho = random_density_matrix(n, np.random.default_rng(800 + n), rank=1)
+    psi = StateVector(n, rho.factor[:, 0])
+    basis = build_schur_basis(n)
+    pure = _su2_readings(psi, basis)
+    for key, value in _su2_readings(rho, basis).items():
+        assert_allclose(value, pure[key], rtol=0, atol=1e-14, err_msg=key)
+
+
+def test_asymmetry_transforms_each_state_once(monkeypatch):
+    frames = []
+    schur_frame = su2._schur_frame
+
+    def spy(state, basis):
+        frames.append(state)
+        return schur_frame(state, basis)
+
+    monkeypatch.setattr(su2, "_schur_frame", spy)
+    rng = np.random.default_rng(61)
+    basis = build_schur_basis(4)
+    rho = random_density_matrix(4, rng, rank=2)
+    for state in (random_state(4, rng), rho, DensityMatrix(4, rho.matrix)):
+        frames.clear()
+        su2_asymmetry(state, basis)
+        assert frames == [state]
