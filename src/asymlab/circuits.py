@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .lattice import LatticeGeometry, distance
-from .states import DensityMatrix, State, StateVector, apply_site_matrix
+from .states import DensityMatrix, State, StateVector, apply_site_matrix, complex_from_pairs
 from .tolerances import COMPLETENESS_TOL, UNITARITY_TOL
 
 
@@ -366,7 +366,7 @@ def _complex_to_pairs(mat: np.ndarray) -> list[list[float]]:
 
 def _pairs_to_matrix(pairs, n_sites_on_gate: int) -> np.ndarray:
     d = 2**n_sites_on_gate
-    flat = np.array([complex(re, im) for re, im in pairs])
+    flat = complex_from_pairs(pairs, "gate unitary")
     if flat.size != d * d:
         raise ValidationError(f"expected {d * d} complex entries, got {flat.size}")
     return flat.reshape(d, d)

@@ -26,11 +26,13 @@ from . import closedforms, lattice, u1
 from .config import (
     NAMED_STATES,
     SWEEP_EXPERIMENTS,
+    SWEEP_POINTS_MAX,
     ExperimentConfig,
     build_state,
     circuit_depth_range,
     dicke_half_filling,
     load_config,
+    read_json,
     state_spec_from_name,
     sweep_distribution,
     validate_config,
@@ -52,7 +54,7 @@ EXIT_INVARIANT = 4
 LN2 = math.log(2.0)
 
 
-# ---------------- value formatting and artifact writers ----------------
+# ---------------- value formatting and the artifact writer ----------------
 
 
 def _fmt(value) -> str:
@@ -68,10 +70,11 @@ def _fmt(value) -> str:
 
 
 def _in_base(data: dict, log_base: str) -> dict:
-    """``data`` with its entropic fields, and only those, converted from nats to ``log_base``.
+    """A report's ``to_dict()`` with its entropic fields, and only those, in ``log_base``.
 
-    The entropic fields are ``delta_s``, ``shannon``, ``bound_*``, ``margin_*`` and
-    every value of a ``bounds`` or ``margins`` section.
+    The entropic fields are ``delta_s``, ``shannon`` and every value of the
+    ``bounds`` and ``margins`` sections; ``_report_row`` turns the sections into
+    the ``bound_*`` and ``margin_*`` columns.
     """
     if log_base != "2":
         return data
@@ -83,48 +86,57 @@ def _in_base(data: dict, log_base: str) -> dict:
     for key, value in data.items():
         if key in ("bounds", "margins"):
             out[key] = {k: bits(v) for k, v in value.items()}
-        elif key in ("delta_s", "shannon") or key.startswith(("bound_", "margin_")):
+        elif key in ("delta_s", "shannon"):
             out[key] = bits(value)
     return out
 
 
-def _write_csv(path: Path, header, rows):
+def _report_row(report: dict, drop=()) -> dict:
+    """results.csv row of a report's ``to_dict()``, keys not in ``drop``.
+
+    The columns are ``n``, the report's scalars in its order, then every
+    ``bound_*`` and every ``margin_*``.
+    """
+    row = {"n": report["n_sites"]}
+    row.update((k, v) for k, v in report.items()
+               if k not in ("n_sites", "bounds", "margins", *drop))
+    for section, prefix in (("bounds", "bound_"), ("margins", "margin_")):
+        row.update((prefix + k, v) for k, v in report[section].items() if k not in drop)
+    return row
+
+
+def _write_artifacts(cfg: ExperimentConfig, rows: list[dict], payload: dict, ok: bool,
+                     plot: tuple) -> int:
+    """Write results.csv, report.json and plot.gp into ``cfg.output``; the exit code of ``ok``.
+
+    The CSV header is the row keys (the plotted columns when there are no rows)
+    with ``config_hash`` last; the report gains ``config_hash``.  ``plot`` is
+    (title, xlabel, ylabel, x, y, logx): results.csv column ``y`` against column
+    ``x``, or against the row index when x is None.
+    """
+    out = Path(cfg.output)
+    out.mkdir(parents=True, exist_ok=True)
+    title, xlabel, ylabel, x, y, logx = plot
+    header = [*(rows[0] if rows else (x, y)), "config_hash"]
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(row.get(col)) for col in header))
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _write_report(path: Path, payload: dict):
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _write_plot(path: Path, cfg_hash: str, title: str, xlabel: str, ylabel: str,
-                header: list[str], x: str | None, y: str, logx: bool):
-    """Plot results.csv column ``y`` against ``x``, named in ``header``; x None is the row index."""
+    lines += [",".join([*(_fmt(row[col]) for col in header[:-1]), cfg.hash]) for row in rows]
+    (out / "results.csv").write_text("\n".join(lines) + "\n")
+    report = json.dumps({**payload, "config_hash": cfg.hash}, indent=2, sort_keys=True)
+    (out / "report.json").write_text(report + "\n")
     xcol = 0 if x is None else header.index(x) + 1
-    ycol = header.index(y) + 1
-    lines = [
-        f"# gnuplot script (config {cfg_hash})",
+    script = [
+        f"# gnuplot script (config {cfg.hash})",
         'set datafile separator ","',
         f'set title "{title}"',
         f'set xlabel "{xlabel}"',
         f'set ylabel "{ylabel}"',
         "set key left top",
+        *(["set logscale xy"] if logx else []),
+        f'plot "results.csv" every ::1 using {xcol}:{header.index(y) + 1} '
+        f'with linespoints pointtype 7 title "{ylabel}"',
     ]
-    if logx:
-        lines.append("set logscale xy")
-    lines.append(
-        f'plot "results.csv" every ::1 using {xcol}:{ycol} '
-        f'with linespoints pointtype 7 title "{ylabel}"'
-    )
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _outdir(cfg: ExperimentConfig) -> Path:
-    out = Path(cfg.output)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    (out / "plot.gp").write_text("\n".join(script) + "\n")
+    return EXIT_OK if ok else EXIT_INVARIANT
 
 
 def _bounds_hold(margins: dict) -> bool:
@@ -135,74 +147,69 @@ def _bounds_hold(margins: dict) -> bool:
     )
 
 
+def _state_and_range(cfg: ExperimentConfig):
+    """(state, circuit or None, clustering range) of a single-state config.
+
+    The range is the config's ``clustering_range``; without one, a circuit state
+    claims ``circuit_depth_range`` and any other state claims none.
+    """
+    state, circuit = build_state(cfg.state_spec, cfg.geometry.n_sites, cfg.seed)
+    crange = cfg.clustering_range
+    if crange is None and circuit is not None:
+        crange = circuit_depth_range(circuit)
+    return state, circuit, crange
+
+
 # ---------------- sweep experiments ----------------
+
+# a sweep's rows leave out the Shannon entropy and the clustering cap, which needs a geometry
+_SWEEP_DROP = ("shannon", "clustering_range", "clustering")
+
+
+def _fit_block(fit):
+    if fit is None:
+        return None
+    block = {
+        "slope": fit.slope,
+        "intercept": fit.intercept,
+        "max_residual": fit.max_residual,
+        "n_points": fit.n_points,
+        "units": "nats",
+    }
+    if fit.correction is not None:
+        block["correction_coefficient"] = fit.correction
+    return block
 
 
 def _run_sweep(cfg: ExperimentConfig) -> int:
-    out = _outdir(cfg)
     ns = sorted(set(cfg.sweep))
     reports = [u1.report_from_distribution(sweep_distribution(cfg, n), n) for n in ns]
-    bounds_ok = all(_bounds_hold(rep.margins()) for rep in reports)
+    ok = all(_bounds_hold(rep.margins()) for rep in reports)
 
-    def compute(rep: u1.AsymmetryReport) -> dict:
-        margins = rep.margins()
-        return {
-            "n": rep.n_sites,
-            "delta_s": rep.delta_s,
-            "variance": rep.variance,
-            "bound_log_n_plus_1": rep.bound_log_n_plus_1,
-            "bound_massey": rep.bound_massey,
-            "margin_log_n_plus_1": margins["log_n_plus_1"],
-            "margin_massey": margins["massey"],
-            "linearized": math.exp(rep.delta_s),
-        }
-
-    rows = list(map(compute, reports))
-
-    points = [(row["n"], row["delta_s"]) for row in rows]
+    points = [(rep.n_sites, rep.delta_s) for rep in reports]
     fit = closedforms.asymptotic_fit(points) if len(points) >= 3 else None
-    corrected = None
-    if cfg.experiment == "dicke-sweep" and len(points) >= 4:
-        corrected = closedforms.asymptotic_fit(points, correction_power=0.5)
-
-    rows = [_in_base(row, cfg.log_base) for row in rows]
-    for row in rows:
-        row["fit_slope"] = fit.slope if fit else None
-        row["fit_intercept"] = fit.intercept if fit else None
-        row["fit_max_residual"] = fit.max_residual if fit else None
-        row["config_hash"] = cfg.hash
-
-    header = [
-        "n", "delta_s", "variance", "bound_log_n_plus_1", "bound_massey",
-        "margin_log_n_plus_1", "margin_massey", "linearized",
-        "fit_slope", "fit_intercept", "fit_max_residual", "config_hash",
+    fit_columns = {
+        "fit_slope": fit.slope if fit else None,
+        "fit_intercept": fit.intercept if fit else None,
+        "fit_max_residual": fit.max_residual if fit else None,
+    }
+    rows = [
+        _report_row(_in_base(rep.to_dict(), cfg.log_base), _SWEEP_DROP)
+        | {"linearized": math.exp(rep.delta_s)} | fit_columns
+        for rep in reports
     ]
-    _write_csv(out / "results.csv", header, rows)
-
-    def fit_block(f):
-        if f is None:
-            return None
-        block = {
-            "slope": f.slope,
-            "intercept": f.intercept,
-            "max_residual": f.max_residual,
-            "n_points": f.n_points,
-            "units": "nats",
-        }
-        if f.correction is not None:
-            block["correction_coefficient"] = f.correction
-        return block
-
     payload = {
         "experiment": cfg.experiment,
-        "config_hash": cfg.hash,
         "log_base": cfg.log_base,
-        "fit": fit_block(fit),
-        "all_bounds_hold": bounds_ok,
-        "rows": [{k: row[k] for k in header if k != "config_hash"} for row in rows],
+        "fit": _fit_block(fit),
+        "all_bounds_hold": ok,
+        "rows": rows,
     }
     if cfg.experiment == "dicke-sweep":
-        payload["fit_sqrt_corrected"] = fit_block(corrected)
+        corrected = None
+        if len(points) >= 4:
+            corrected = closedforms.asymptotic_fit(points, correction_power=0.5)
+        payload["fit_sqrt_corrected"] = _fit_block(corrected)
         reference = corrected if corrected is not None else fit
         payload["intercept_reference"] = {
             "fitted_intercept_nats": reference.intercept if reference else None,
@@ -212,121 +219,65 @@ def _run_sweep(cfg: ExperimentConfig) -> int:
                 "reported for comparison only; no reference value is asserted"
             ),
         }
-    _write_report(out / "report.json", payload)
-    _write_plot(
-        out / "plot.gp", cfg.hash, f"{cfg.experiment}: linearized asymmetry",
-        "N", "exp(delta S)", header, "n", "linearized", logx=True,
-    )
-    return EXIT_OK if bounds_ok else EXIT_INVARIANT
+    return _write_artifacts(cfg, rows, payload, ok, (
+        f"{cfg.experiment}: linearized asymmetry", "N", "exp(delta S)", "n", "linearized", True,
+    ))
 
 
 # ---------------- single-state experiments ----------------
 
 
 def _run_u1(cfg: ExperimentConfig) -> int:
-    out = _outdir(cfg)
-    n = cfg.geometry.n_sites
-    state, circuit = build_state(cfg.state_spec, n, cfg.seed)
-    crange = cfg.clustering_range
-    if crange is None and circuit is not None:
-        crange = circuit_depth_range(circuit)
+    state, _, crange = _state_and_range(cfg)
     rep = u1.u1_asymmetry(state, cfg.geometry, clustering_range=crange)
-    margins = rep.margins()
-    row = {
-        "n": n,
-        "delta_s": rep.delta_s,
-        "shannon": rep.shannon,
-        "variance": rep.variance,
-        "bound_log_n_plus_1": rep.bound_log_n_plus_1,
-        "bound_massey": rep.bound_massey,
-        "bound_clustering": rep.bound_clustering,
-        "margin_log_n_plus_1": margins["log_n_plus_1"],
-        "margin_massey": margins["massey"],
-        "margin_clustering": margins["clustering"],
-        "linearized": math.exp(rep.delta_s),
-        "config_hash": cfg.hash,
-    }
-    row = _in_base(row, cfg.log_base)
-    header = list(row.keys())
-    _write_csv(out / "results.csv", header, [row])
-
-    ok = _bounds_hold(margins)
+    report = _in_base(rep.to_dict(), cfg.log_base)
+    row = _report_row(report, ("clustering_range",)) | {"linearized": math.exp(rep.delta_s)}
+    ok = _bounds_hold(rep.margins())
     payload = {
         "experiment": cfg.experiment,
-        "config_hash": cfg.hash,
         "log_base": cfg.log_base,
         "clustering_range": crange,
-        "report": _in_base(rep.to_dict(), cfg.log_base),
+        "report": report,
         "all_bounds_hold": ok,
     }
-    _write_report(out / "report.json", payload)
-    _write_plot(out / "plot.gp", cfg.hash, "charge asymmetry", "N",
-                "exp(delta S)", header, "n", "linearized", logx=False)
-    return EXIT_OK if ok else EXIT_INVARIANT
+    return _write_artifacts(cfg, [row], payload, ok, (
+        "charge asymmetry", "N", "exp(delta S)", "n", "linearized", False,
+    ))
 
 
 def _run_su2(cfg: ExperimentConfig) -> int:
     from . import su2
 
-    out = _outdir(cfg)
-    n = cfg.geometry.n_sites
-    state, circuit = build_state(cfg.state_spec, n, cfg.seed)
-    basis = su2.build_schur_basis(n)
-    rep = su2.su2_asymmetry(state, basis)
-    margins = rep.margins()
-
-    crange = cfg.clustering_range
-    if crange is None and circuit is not None:
-        crange = circuit_depth_range(circuit)
+    state, _, crange = _state_and_range(cfg)
+    rep = su2.su2_asymmetry(state, su2.build_schur_basis(cfg.geometry.n_sites))
     casimir = None
     if crange is not None:
         gauged, _ = su2.zero_transverse_rotation(state)
-        casimir = su2.casimir_constraint_check(gauged, cfg.geometry, crange)
+        casimir = su2.casimir_constraint_check(gauged, cfg.geometry, crange).to_dict()
 
-    row = {
-        "n": n,
-        "delta_s": rep.delta_s,
-        "bound_sector_entropy": rep.bound_sector_entropy,
-        "bound_support_dim": rep.bound_support_dim,
-        "margin_sector_entropy": margins["sector_entropy"],
-        "margin_support_dim": margins["support_dim"],
-        "casimir_bound": casimir.bound if casimir else None,
-        "casimir_lhs": casimir.lhs if casimir else None,
-        "casimir_precursor_lhs": casimir.precursor_lhs if casimir else None,
-        "linearized": math.exp(rep.delta_s),
-        "config_hash": cfg.hash,
-    }
-    row = _in_base(row, cfg.log_base)
-    header = list(row.keys())
-    _write_csv(out / "results.csv", header, [row])
-
-    ok = _bounds_hold(margins)
-    if casimir is not None:
-        ok = ok and casimir.passed
+    report = _in_base(rep.to_dict(), cfg.log_base)
+    row = _report_row(report)
+    for key in ("bound", "lhs", "precursor_lhs"):
+        row[f"casimir_{key}"] = casimir[key] if casimir else None
+    row["linearized"] = math.exp(rep.delta_s)
+    ok = _bounds_hold(rep.margins()) and (casimir is None or casimir["passed"])
     payload = {
         "experiment": cfg.experiment,
-        "config_hash": cfg.hash,
         "log_base": cfg.log_base,
-        "report": _in_base(rep.to_dict(), cfg.log_base),
-        "casimir": casimir.to_dict() if casimir else None,
+        "report": report,
+        "casimir": casimir,
         "all_bounds_hold": ok,
     }
-    _write_report(out / "report.json", payload)
-    _write_plot(out / "plot.gp", cfg.hash, "rotation asymmetry", "N",
-                "exp(delta S)", header, "n", "linearized", logx=False)
-    return EXIT_OK if ok else EXIT_INVARIANT
+    return _write_artifacts(cfg, [row], payload, ok, (
+        "rotation asymmetry", "N", "exp(delta S)", "n", "linearized", False,
+    ))
 
 
 def _run_clustering(cfg: ExperimentConfig) -> int:
     from . import clustering
 
-    out = _outdir(cfg)
-    n = cfg.geometry.n_sites
-    state, circuit = build_state(cfg.state_spec, n, cfg.seed)
+    state, circuit, claimed = _state_and_range(cfg)
     circuit.assert_nearest_neighbor(cfg.geometry)
-    claimed = cfg.clustering_range
-    if claimed is None:
-        claimed = circuit_depth_range(circuit)
     report = clustering.verify_cluster_property(
         state, cfg.geometry, claimed, tol=cfg.tolerance
     )
@@ -338,33 +289,23 @@ def _run_clustering(cfg: ExperimentConfig) -> int:
         spread_note = str(exc)
     var = clustering.variance_bound_check(state, cfg.geometry, claimed)
 
-    rows = [
-        {"distance": d, "max_abs_correlator": v, "config_hash": cfg.hash}
-        for d, v in report.distance_profile
-    ]
-    header = ["distance", "max_abs_correlator", "config_hash"]
-    _write_csv(out / "results.csv", header, rows)
-
-    lightcone_ok = (
-        spread is None or spread <= lattice.lightcone_range(circuit.depth)
-    )
-    ok = report.passed and var.passed and lightcone_ok
+    lightcone = lattice.lightcone_range(circuit.depth)
+    ok = report.passed and var.passed and (spread is None or spread <= lightcone)
+    rows = [{"distance": d, "max_abs_correlator": v} for d, v in report.distance_profile]
     payload = {
         "experiment": cfg.experiment,
-        "config_hash": cfg.hash,
         "claimed_range": claimed,
         "cluster_report": report.to_dict(),
         "operator_spread": spread,
         "operator_spread_note": spread_note,
-        "lightcone_range": lattice.lightcone_range(circuit.depth),
+        "lightcone_range": lightcone,
         "variance_check": var.to_dict(),
         "all_checks_hold": ok,
     }
-    _write_report(out / "report.json", payload)
-    _write_plot(out / "plot.gp", cfg.hash, "connected correlators by distance",
-                "distance", "max |correlator|", header, "distance", "max_abs_correlator",
-                logx=False)
-    return EXIT_OK if ok else EXIT_INVARIANT
+    return _write_artifacts(cfg, rows, payload, ok, (
+        "connected correlators by distance", "distance", "max |correlator|",
+        "distance", "max_abs_correlator", False,
+    ))
 
 
 # ---------------- verification suites ----------------
@@ -386,34 +327,26 @@ def _run_suite(cfg: ExperimentConfig, which: str = "bound-suite",
     if not quiet:
         print(f"{'all checks passed' if ok else 'FAILED checks present'} "
               f"({sum(r.passed for r in results)}/{len(results)})")
-    if write:
-        out = _outdir(cfg)
-        rows = [
-            {"check": r.name, "passed": r.passed, "margin": r.margin,
-             "config_hash": cfg.hash}
+    if not write:
+        return EXIT_OK if ok else EXIT_INVARIANT
+    rows = [{"check": r.name, "passed": r.passed, "margin": r.margin} for r in results]
+    payload = {
+        "experiment": which,
+        "seed": cfg.seed,
+        "samples": cfg.samples,
+        "all_passed": ok,
+        # a check that raised has margin -inf, which JSON cannot hold; its
+        # detail says why
+        "checks": [
+            {"name": r.name, "passed": r.passed,
+             "margin": r.margin if math.isfinite(r.margin) else None,
+             "detail": r.detail}
             for r in results
-        ]
-        header = ["check", "passed", "margin", "config_hash"]
-        _write_csv(out / "results.csv", header, rows)
-        payload = {
-            "experiment": which,
-            "config_hash": cfg.hash,
-            "seed": cfg.seed,
-            "samples": cfg.samples,
-            "all_passed": ok,
-            # a check that raised has margin -inf, which JSON cannot hold; its
-            # detail says why
-            "checks": [
-                {"name": r.name, "passed": r.passed,
-                 "margin": r.margin if math.isfinite(r.margin) else None,
-                 "detail": r.detail}
-                for r in results
-            ],
-        }
-        _write_report(out / "report.json", payload)
-        _write_plot(out / "plot.gp", cfg.hash, "verification margins",
-                    "check index", "margin", header, None, "margin", logx=False)
-    return EXIT_OK if ok else EXIT_INVARIANT
+        ],
+    }
+    return _write_artifacts(cfg, rows, payload, ok, (
+        "verification margins", "check index", "margin", None, "margin", False,
+    ))
 
 
 # ---------------- dispatch ----------------
@@ -443,23 +376,16 @@ def _log_spaced(n_min: int, n_max: int, points: int, even: bool) -> list[int]:
         raise ConfigError(f"--points {points} must be at least 1")
     if n_min > n_max:
         raise ConfigError(f"--n-min {n_min} exceeds --n-max {n_max}")
+    if points > SWEEP_POINTS_MAX:
+        raise ResourceError(f"--points {points} exceeds SWEEP_POINTS_MAX = {SWEEP_POINTS_MAX}")
+    if n_max > 2**62:  # beyond every sweep cap, and past 2**63 the grid's int64 cast wraps
+        raise ResourceError(f"--n-max {n_max} exceeds 2**62, the largest size of a sweep grid")
     raw = np.unique(
         np.round(np.logspace(math.log10(n_min), math.log10(n_max), points))
     ).astype(int)
     if even:
         raw = np.unique(np.maximum(2, (raw // 2) * 2))
     return [int(v) for v in raw]
-
-
-def _read_input_spec(path: str):
-    """State spec of a circuit input read from a JSON file."""
-    try:
-        with open(path) as handle:
-            return json.load(handle)
-    except OSError as exc:
-        raise ConfigError(f"cannot read input spec {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"input spec {path} is not valid JSON: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -549,7 +475,12 @@ def _config_from_args(args) -> ExperimentConfig:
         for flag, value in (("--n", args.n), ("--dimension", args.dimension)):
             if value < 1:
                 raise ConfigError(f"{flag} {value} must be at least 1")
-        linear = round(args.n ** (1.0 / args.dimension))
+        try:
+            # a dimension above the bit length of n leaves side 1, as 2**dimension > n
+            linear = (1 if args.dimension > args.n.bit_length()
+                      else round(args.n ** (1.0 / args.dimension)))
+        except OverflowError:
+            raise ResourceError(f"--n {args.n} is too large for a float root") from None
         if linear**args.dimension != args.n:
             raise ConfigError(
                 f"--n {args.n} is not a {args.dimension}-dimensional torus size"
@@ -570,7 +501,9 @@ def _config_from_args(args) -> ExperimentConfig:
     if args.command == "clustering":
         spec = {"kind": "circuit", "path": args.circuit}
         if args.input != "zero":
-            spec["input"] = state_spec_from_name(args.input, _read_input_spec)
+            spec["input"] = state_spec_from_name(
+                args.input, lambda path: read_json(path, "input spec")
+            )
         data = {
             "experiment": "circuit-clustering",
             "geometry": {"dimension": args.dimension,

@@ -21,7 +21,7 @@ from importlib import resources
 import numpy as np
 
 from . import closedforms, states
-from .circuits import BrickworkCircuit, apply_circuit, load_circuit
+from .circuits import BrickworkCircuit, apply_circuit, circuit_from_dict
 from .errors import ConfigError, ResourceError
 from .lattice import LatticeGeometry
 from .tolerances import CORRELATOR_TOL, RATIO_INTEGER_TOL, ZERO_NORM
@@ -34,6 +34,8 @@ DICKE_HALF_SWEEP_MAX = 2_000_000
 DICKE_GENERAL_SWEEP_MAX = 2_048
 KINK_SWEEP_MAX = 10_000_000
 PRODUCT_SWEEP_MAX = 20_000
+# log-spaced points of a command-line sweep; checked before the grid is allocated, never clamped
+SWEEP_POINTS_MAX = 100_000
 # bound-suite draw scale; every check's draw count grows linearly with it
 SAMPLES_MAX = 100.0
 
@@ -316,11 +318,13 @@ def validate_config(data: dict) -> ExperimentConfig:
             raise ConfigError(f"{experiment} requires 'geometry'")
         if cfg.state_spec is None:
             raise ConfigError(f"{experiment} requires 'state_spec'")
-        n = cfg.geometry.n_sites
-        cap = states.statevector_cap()
-        if n > cap:
+        geo, cap = cfg.geometry, states.statevector_cap()
+        # a side of 2 or more gives at least 2^dimension sites: such a power is never formed
+        n = None if geo.linear_size > 1 and geo.dimension > cap else geo.n_sites
+        if n is None or n > cap:
+            sites = f"{geo.linear_size}^{geo.dimension}" if n is None else n
             raise ResourceError(
-                f"{n} sites exceed the statevector cap of {cap} qubits "
+                f"{sites} sites exceed the statevector cap of {cap} qubits "
                 "(override with ASYMLAB_MAX_QUBITS)"
             )
         if experiment == "su2-asymmetry":
@@ -345,25 +349,31 @@ def validate_config(data: dict) -> ExperimentConfig:
     return cfg
 
 
-def load_config(path) -> ExperimentConfig:
+def read_json(path, what: str):
+    """The JSON value in file ``path``; ConfigError naming ``what`` if it is not readable JSON."""
     try:
         with open(path) as handle:
-            data = json.load(handle)
+            return json.load(handle)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return validate_config(data)
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:  # a JSON syntax error, or bytes that are not text
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def load_config(path) -> ExperimentConfig:
+    return validate_config(read_json(path, "config"))
 
 
 def _product_from_amplitudes(amplitudes, n: int) -> states.StateVector:
+    if not isinstance(amplitudes, list):
+        raise ConfigError(f"product state amplitudes must be a list, got {amplitudes!r}")
     if len(amplitudes) != n:
         raise ConfigError(
             f"product state lists {len(amplitudes)} sites, geometry has {n}"
         )
     locals_ = []
     for pair in amplitudes:
-        vec = np.array([complex(re, im) for re, im in pair])
+        vec = states.complex_from_pairs(pair, "product state site")
         norm = np.linalg.norm(vec)
         if norm < ZERO_NORM:
             raise ConfigError("product state has a zero local vector")
@@ -405,12 +415,15 @@ def _load_vector(path, n: int) -> states.StateVector:
     """Read a full statevector from .npy (complex vector) or .json [[re, im], ...]."""
     try:
         if str(path).endswith(".npy"):
-            vec = np.asarray(np.load(path), dtype=complex)
+            raw = np.load(path)
+            if raw.dtype.kind not in "iufc":
+                raise ValueError(f"its {raw.dtype} entries are not integer, float or complex")
+            vec = np.asarray(raw, dtype=complex)
         else:
             with open(path) as handle:
                 data = json.load(handle)
             pairs = data["amplitudes"] if isinstance(data, dict) else data
-            vec = np.array([complex(re, im) for re, im in pairs])
+            vec = states.complex_from_pairs(pairs, "amplitude")
     except OSError as exc:
         raise ConfigError(f"cannot read state file {path}: {exc}") from exc
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
@@ -446,12 +459,7 @@ def build_state(spec: dict, n: int, seed: int):
     if kind == "vector":
         return _load_vector(spec["path"], n), None
     if kind == "circuit":
-        try:
-            circuit = load_circuit(spec["path"])
-        except OSError as exc:
-            raise ConfigError(f"cannot read circuit {spec['path']}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"circuit {spec['path']} is not valid JSON: {exc}") from exc
+        circuit = circuit_from_dict(read_json(spec["path"], "circuit"))
         if circuit.n_qubits != n:
             raise ConfigError(
                 f"circuit acts on {circuit.n_qubits} qubits, geometry has {n} sites"
@@ -474,6 +482,7 @@ def circuit_depth_range(circuit: BrickworkCircuit) -> int:
 
 __all__ = [
     "NAMED_STATES",
+    "SWEEP_POINTS_MAX",
     "ExperimentConfig",
     "build_state",
     "canonical_json",
@@ -482,6 +491,7 @@ __all__ = [
     "dicke_excitations",
     "dicke_half_filling",
     "load_config",
+    "read_json",
     "schema",
     "state_spec_from_name",
     "sweep_distribution",

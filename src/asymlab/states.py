@@ -159,6 +159,24 @@ class DensityMatrix:
 State = StateVector | DensityMatrix
 
 
+def complex_from_pairs(pairs, what: str) -> np.ndarray:
+    """Complex vector of a JSON list of ``[re, im]`` pairs of numbers.
+
+    ValidationError, naming ``what``, for anything else: a non-list, an entry
+    that is not a 2-element list, or a part that is not a number.  As in JSON
+    Schema, a bool is no number, so ``[true, false]`` is not 1.
+    """
+    if not isinstance(pairs, list):
+        raise ValidationError(f"{what} must be a list of [re, im] pairs, got {pairs!r}")
+    for index, pair in enumerate(pairs):
+        if not (isinstance(pair, list) and len(pair) == 2 and all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)):
+            raise ValidationError(
+                f"{what} entry {index} is not an [re, im] pair of numbers: {pair!r}"
+            )
+    return np.array([complex(re, im) for re, im in pairs])
+
+
 def _local_is_pure(local: np.ndarray) -> bool:
     return local.ndim == 1
 

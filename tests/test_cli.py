@@ -4,6 +4,7 @@ import os
 import re
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,13 @@ from numpy.testing import assert_allclose
 from asymlab import cli, states, su2, suite
 from asymlab.circuits import apply_circuit, random_brickwork, save_circuit
 from asymlab.cli import main
-from asymlab.config import NAMED_STATES, SAMPLES_MAX, build_state, validate_config
+from asymlab.config import (
+    NAMED_STATES,
+    SAMPLES_MAX,
+    SWEEP_POINTS_MAX,
+    build_state,
+    validate_config,
+)
 from asymlab.lattice import LatticeGeometry
 from asymlab.states import ghz_state
 from asymlab.suite import CheckResult, bound_suite
@@ -432,9 +439,46 @@ def _product_points_negative(tmp_path, monkeypatch):
     return ["product", "--points", "-1", "--output", str(tmp_path / "out")]
 
 
+def _gate_with_boolean_entries(tmp_path, monkeypatch):
+    """The 2-site identity with its entries written as JSON booleans."""
+    argv = _circuit_with_gate(tmp_path, {"sites": [0, 1]})
+    circuit = json.loads((tmp_path / "circ.json").read_text())
+    circuit["layers"][0][0]["unitary"] = [[i == j, False] for i in range(4) for j in range(4)]
+    _write(tmp_path / "circ.json", circuit)
+    return argv
+
+
+def _su2_state_file(tmp_path, name, content):
+    path = tmp_path / name
+    if name.endswith(".npy"):
+        np.save(path, content)
+    else:
+        path.write_text(json.dumps(content))
+    return ["su2", "--state", str(path), "--n", "2", "--output", str(tmp_path / "out")]
+
+
+def _state_file_boolean_pairs(tmp_path, monkeypatch):
+    return _su2_state_file(tmp_path, "state.json",
+                           [[True, False], [False, False], [False, False], [False, False]])
+
+
+def _state_file_npy_booleans(tmp_path, monkeypatch):
+    return _su2_state_file(tmp_path, "state.npy", np.array([True, False, False, False]))
+
+
+def _circuit_input_product_boolean_pairs(tmp_path, monkeypatch):
+    site = [[True, False], [False, False]]
+    spec = _write(tmp_path / "input.json", {"kind": "product", "amplitudes": [site] * 4})
+    return _clustering_with_input(tmp_path, spec)
+
+
 @pytest.mark.parametrize(
     "make_argv",
     [
+        _gate_with_boolean_entries,
+        _state_file_boolean_pairs,
+        _state_file_npy_booleans,
+        _circuit_input_product_boolean_pairs,
         _gate_without_sites,
         _gate_with_non_integer_site,
         _gate_with_fractional_site,
@@ -468,6 +512,49 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, ma
     assert main(make_argv(tmp_path, monkeypatch)) == 2
     err = capsys.readouterr().err
     assert err.endswith("\n") and err.count("\n") == 1
+
+
+_TORUS_ARGV = ["clustering", "--circuit", "never-read.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["kink", "--n-min", "10", "--n-max", "1000", "--points", str(10**13)],
+    ["dicke", "--n-min", "10", "--n-max", str(10**400)],
+    ["kink", "--n-min", "10", "--n-max", str(10**15)],
+    ["su2", "--state", "ghz", "--n", str(10**30)],
+    ["su2", "--state", "ghz", "--n", str(2**1100)],
+    ["su2", "--state", "ghz", "--n", "4", "--dimension", str(10**400)],
+    _TORUS_ARGV + ["--linear-size", str(10**9)],
+    _TORUS_ARGV + ["--linear-size", "2", "--dimension", str(10**9)],
+    _TORUS_ARGV + ["--linear-size", str(10**9), "--dimension", str(10**9)],
+], ids=["points", "n-max-past-float", "n-max-past-cap", "n", "n-past-float", "dimension",
+        "linear-size", "torus-dimension", "torus-both"])
+def test_extreme_sizes_exit_at_once_without_allocating(tmp_path, monkeypatch, capsys, argv):
+    """Each is refused with one line, exit 2 or 3, before any large array or integer exists."""
+    monkeypatch.chdir(tmp_path)
+    tracemalloc.start()
+    try:
+        code = main(argv + ["--output", "out"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code in (2, 3), err
+    assert err.endswith("\n") and err.count("\n") == 1, err
+    assert peak < 2**24
+    assert not (tmp_path / "out").exists()
+
+
+def test_points_cap_is_checked_before_the_grid(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    logspace = np.logspace
+    sizes = []
+    monkeypatch.setattr(np, "logspace", lambda *a, **k: sizes.append(a[2]) or logspace(*a, **k))
+    at_cap = cli._log_spaced(10, 1000, SWEEP_POINTS_MAX, even=False)
+    assert at_cap == list(range(10, 1001))
+    assert main(["kink", "--points", str(SWEEP_POINTS_MAX + 1)]) == 3
+    assert "SWEEP_POINTS_MAX" in capsys.readouterr().err
+    assert sizes == [SWEEP_POINTS_MAX]
 
 
 def _built_config(monkeypatch, argv):
@@ -733,6 +820,65 @@ def test_log_base_two_divides_exactly_the_entropic_fields(tmp_path, experiment, 
             assert rep_2[key] == {k: v / LN2 for k, v in value.items()}, key
         else:
             assert rep_2[key] == (value / LN2 if key in ("delta_s", "shannon") else value), key
+
+
+_SWEEP_COLUMNS = ("n,delta_s,variance,bound_log_n_plus_1,bound_massey,margin_log_n_plus_1,"
+                  "margin_massey,linearized,fit_slope,fit_intercept,fit_max_residual,config_hash")
+_SWEEP_KEYS = {"experiment", "config_hash", "log_base", "fit", "all_bounds_hold", "rows"}
+_SU2_COLUMNS = ("n,delta_s,bound_sector_entropy,bound_support_dim,margin_sector_entropy,"
+                "margin_support_dim,casimir_bound,casimir_lhs,casimir_precursor_lhs,linearized,"
+                "config_hash")
+_SU2_KEYS = {"experiment", "config_hash", "log_base", "report", "casimir", "all_bounds_hold"}
+_SUITE_COLUMNS = "check,passed,margin,config_hash"
+_SUITE_KEYS = {"experiment", "config_hash", "seed", "samples", "all_passed", "checks"}
+
+
+def _state_run(experiment, **extra):
+    return lambda tmp, out: ["run", _write(tmp / "cfg.json", {
+        "experiment": experiment, "geometry": {"dimension": 1, "linear_size": 4},
+        "state_spec": {"kind": "random", "seed": 1}, "output": str(out), **extra})]
+
+
+@pytest.mark.parametrize("make_argv, columns, keys, flag", [
+    (lambda tmp, out: ["dicke", "--n-min", "100", "--n-max", "10000", "--points", "4",
+                       "--output", str(out)],
+     _SWEEP_COLUMNS, _SWEEP_KEYS | {"fit_sqrt_corrected", "intercept_reference"},
+     "all_bounds_hold"),
+    (lambda tmp, out: ["kink", "--n-min", "10", "--n-max", "1000", "--points", "3",
+                       "--output", str(out)],
+     _SWEEP_COLUMNS, _SWEEP_KEYS, "all_bounds_hold"),
+    (_state_run("u1-asymmetry", clustering_range=1),
+     "n,delta_s,shannon,variance,bound_log_n_plus_1,bound_massey,bound_clustering,"
+     "margin_log_n_plus_1,margin_massey,margin_clustering,linearized,config_hash",
+     {"experiment", "config_hash", "log_base", "clustering_range", "report", "all_bounds_hold"},
+     "all_bounds_hold"),
+    (_state_run("su2-asymmetry", clustering_range=1), _SU2_COLUMNS, _SU2_KEYS, "all_bounds_hold"),
+    (_state_run("su2-asymmetry"), _SU2_COLUMNS, _SU2_KEYS, "all_bounds_hold"),
+    (_clustering_argv, "distance,max_abs_correlator,config_hash",
+     {"experiment", "config_hash", "claimed_range", "cluster_report", "operator_spread",
+      "operator_spread_note", "lightcone_range", "variance_check", "all_checks_hold"},
+     "all_checks_hold"),
+    (lambda tmp, out: ["run", _write(tmp / "cfg.json", {
+        "experiment": "bound-suite", "samples": 0.05, "output": str(out)})],
+     _SUITE_COLUMNS, _SUITE_KEYS, "all_passed"),
+    (lambda tmp, out: ["verify", "oracle-suite", "--output", str(out)],
+     _SUITE_COLUMNS, _SUITE_KEYS, "all_passed"),
+], ids=["dicke", "kink", "u1", "su2-range", "su2", "clustering", "run-bound-suite",
+        "verify-oracle-suite"])
+def test_artifact_layout_is_pinned(tmp_path, make_argv, columns, keys, flag):
+    """Column order, report keys and pass flag of every experiment's artifacts."""
+    out = tmp_path / "out"
+    assert main(make_argv(tmp_path, out)) == 0
+    lines = (out / "results.csv").read_text().splitlines()
+    assert lines[0] == columns
+    assert all(line.count(",") == columns.count(",") for line in lines)
+    report = _read_report(out)
+    assert set(report) == keys
+    assert report[flag] is True
+    assert lines[1].rsplit(",", 1)[1] == report["config_hash"]
+    if "casimir" in report:  # a claimed range, and only one, brings the Casimir columns
+        casimir = lines[1].split(",")[6:9]
+        assert (report["casimir"] is None) == (casimir == ["", "", ""])
 
 
 def test_plot_script_references_the_csv(tmp_path):
