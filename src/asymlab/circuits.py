@@ -83,10 +83,10 @@ class BrickworkCircuit:
                     raise ValidationError(f"gate sites {gate.sites} are not nearest neighbors")
 
 
-def _sandwich(mat: np.ndarray, op: np.ndarray, sites: tuple[int, ...], n: int) -> np.ndarray:
+def _sandwich(mat: np.ndarray, op: np.ndarray, sites: tuple[int, ...]) -> np.ndarray:
     """Return op mat op^dagger for a local operator acting on the given sites."""
-    left = apply_site_matrix(mat, op, sites, n)
-    return apply_site_matrix(left.T, op.conj(), sites, n).T
+    left = apply_site_matrix(mat, op, sites)
+    return apply_site_matrix(left.T, op.conj(), sites).T
 
 
 def apply_circuit(state: State, circuit: BrickworkCircuit) -> State:
@@ -95,27 +95,25 @@ def apply_circuit(state: State, circuit: BrickworkCircuit) -> State:
         raise ValidationError(
             f"state has {state.n_qubits} qubits, circuit has {circuit.n_qubits}"
         )
-    n = state.n_qubits
     if isinstance(state, StateVector):
         amps = np.array(state.amplitudes)
         for layer in circuit.layers:
             for gate in layer:
-                amps = apply_site_matrix(amps, gate.matrix, gate.sites, n)
-        return StateVector(n, amps)
+                amps = apply_site_matrix(amps, gate.matrix, gate.sites)
+        return StateVector(amps)
     mat = np.array(state.matrix)
     for layer in circuit.layers:
         for gate in layer:
-            mat = _sandwich(mat, gate.matrix, gate.sites, n)
-    return DensityMatrix(n, mat)
+            mat = _sandwich(mat, gate.matrix, gate.sites)
+    return DensityMatrix(mat)
 
 
 def circuit_unitary(circuit: BrickworkCircuit) -> np.ndarray:
     """The 2^N x 2^N circuit unitary U, every gate applied to the identity."""
-    n = circuit.n_qubits
-    u = np.eye(2**n, dtype=complex)
+    u = np.eye(2**circuit.n_qubits, dtype=complex)
     for layer in circuit.layers:
         for gate in layer:
-            u = apply_site_matrix(u, gate.matrix, gate.sites, n)
+            u = apply_site_matrix(u, gate.matrix, gate.sites)
     return u
 
 
@@ -205,14 +203,10 @@ def apply_channel(state: DensityMatrix, channel: KrausChannel) -> DensityMatrix:
     """Apply sum_k A_k rho A_k^dagger on the channel's support."""
     if isinstance(state, StateVector):
         state = state.to_density_matrix()
-    n = state.n_qubits
-    for s in channel.support:
-        if not 0 <= s < n:
-            raise ValidationError(f"channel site {s} outside [0, {n})")
     out = np.zeros_like(state.matrix)
     for op in channel.operators:
-        out = out + _sandwich(state.matrix, op, channel.support, n)
-    return DensityMatrix(n, out)
+        out = out + _sandwich(state.matrix, op, channel.support)
+    return DensityMatrix(out)
 
 
 def hadamard_gate() -> np.ndarray:
@@ -300,7 +294,7 @@ def full_dephasing_channel(site: int) -> KrausChannel:
     return KrausChannel((site,), (p0, p1))
 
 
-def random_diagonal_phase_channel(n_qubits: int, site: int, p: float, rng) -> KrausChannel:
+def random_diagonal_phase_channel(site: int, p: float, rng) -> KrausChannel:
     """Mix of identity and a random diagonal phase unitary on one site.
 
     Diagonal operators preserve every charge sector, so this is a symmetric

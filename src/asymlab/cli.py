@@ -183,7 +183,7 @@ def _fit_block(fit):
 
 def _run_sweep(cfg: ExperimentConfig) -> int:
     ns = sorted(set(cfg.sweep))
-    reports = [u1.report_from_distribution(sweep_distribution(cfg, n), n) for n in ns]
+    reports = [u1.report_from_distribution(sweep_distribution(cfg, n)) for n in ns]
     ok = all(_bounds_hold(rep.margins()) for rep in reports)
 
     points = [(rep.n_sites, rep.delta_s) for rep in reports]
@@ -249,7 +249,7 @@ def _run_su2(cfg: ExperimentConfig) -> int:
     from . import su2
 
     state, _, crange = _state_and_range(cfg)
-    rep = su2.su2_asymmetry(state, su2.build_schur_basis(cfg.geometry.n_sites))
+    rep = su2.su2_asymmetry(state)
     casimir = None
     if crange is not None:
         gauged, _ = su2.zero_transverse_rotation(state)
@@ -475,12 +475,12 @@ def _config_from_args(args) -> ExperimentConfig:
         for flag, value in (("--n", args.n), ("--dimension", args.dimension)):
             if value < 1:
                 raise ConfigError(f"{flag} {value} must be at least 1")
-        try:
-            # a dimension above the bit length of n leaves side 1, as 2**dimension > n
-            linear = (1 if args.dimension > args.n.bit_length()
-                      else round(args.n ** (1.0 / args.dimension)))
-        except OverflowError:
-            raise ResourceError(f"--n {args.n} is too large for a float root") from None
+        # the integer root by bisection; a dimension above the bit length of n
+        # leaves side 1, as 2**dimension > n
+        linear, high = 1, 1 << (args.n.bit_length() // args.dimension + 1)
+        while args.dimension <= args.n.bit_length() and linear < high:
+            mid = (linear + high) // 2
+            linear, high = (mid + 1, high) if mid**args.dimension < args.n else (linear, mid)
         if linear**args.dimension != args.n:
             raise ConfigError(
                 f"--n {args.n} is not a {args.dimension}-dimensional torus size"

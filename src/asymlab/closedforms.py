@@ -152,7 +152,7 @@ def dicke_state(n: int, k: int, axis: str = "z") -> StateVector:
     amps = np.zeros(2**n, dtype=complex)
     support = np.flatnonzero(bit_weights(n) == k)
     amps[support] = 1.0 / np.sqrt(support.size)
-    state = StateVector(n, amps)
+    state = StateVector(amps)
     if axis == "z":
         return state
     if axis != "x":
@@ -255,7 +255,7 @@ def kink_state(n: int) -> StateVector:
     amps = np.zeros(2**n, dtype=complex)
     for j in range(1, n + 1):
         amps[2 ** (n - j) - 1] = 1.0 / np.sqrt(n)
-    return StateVector(n, amps)
+    return StateVector(amps)
 
 
 def kink_distribution(n: int) -> ChargeDistribution:

@@ -24,6 +24,7 @@ from .states import (
     PAULI,
     State,
     density_matrix_cap,
+    qubit_count,
     reduced_density_matrix,
 )
 from .tolerances import CORRELATOR_TOL, IMAGINARY_TOL, MARGIN_TOL, SPREAD_THRESHOLD, holds
@@ -156,13 +157,14 @@ def _squared_norms(stack: np.ndarray) -> np.ndarray:
     return np.einsum("bi,bi->b", flat, flat)
 
 
-def _support_mass_fractions(operators: np.ndarray, n: int) -> np.ndarray:
+def _support_mass_fractions(operators: np.ndarray) -> np.ndarray:
     """Per-site fraction of squared Pauli weight on strings acting there.
 
     ``operators`` is a (B, 2^n, 2^n) stack; returns a (B, n) array.  Uses that
     projecting site k to identity is orthogonal in the Hilbert-Schmidt inner
     product: mass_k = (|A|^2 - |Tr_k A|^2 / 2) / |A|^2.
     """
+    n = qubit_count(operators.shape[-1])
     total = _squared_norms(operators)
     if np.any(total <= 0.0):
         raise ValidationError("operator is identically zero")
@@ -205,7 +207,7 @@ def _seed_spread(
 
     Qubit i of the circuit is lattice site ``sites[i]``.
     """
-    fractions = _support_mass_fractions(evolved, len(sites))
+    fractions = _support_mass_fractions(evolved)
     reached = np.flatnonzero(np.any(fractions > SPREAD_THRESHOLD, axis=0))
     return max((distance(geometry, seed, sites[i]) for i in reached), default=0)
 

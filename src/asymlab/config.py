@@ -319,8 +319,11 @@ def validate_config(data: dict) -> ExperimentConfig:
         if cfg.state_spec is None:
             raise ConfigError(f"{experiment} requires 'state_spec'")
         geo, cap = cfg.geometry, states.statevector_cap()
-        # a side of 2 or more gives at least 2^dimension sites: such a power is never formed
-        n = None if geo.linear_size > 1 and geo.dimension > cap else geo.n_sites
+        # with a side of 2 or more, a side or a dimension above the cap puts the site
+        # count above it; in more than one dimension that count is never formed, since
+        # it may have too many digits to print, and the message names linear^dimension
+        past = geo.linear_size > 1 and max(geo.linear_size, geo.dimension) > cap
+        n = None if past and geo.dimension > 1 else geo.n_sites
         if n is None or n > cap:
             sites = f"{geo.linear_size}^{geo.dimension}" if n is None else n
             raise ResourceError(
@@ -435,7 +438,7 @@ def _load_vector(path, n: int) -> states.StateVector:
     norm = np.linalg.norm(vec)
     if norm < ZERO_NORM:
         raise ConfigError(f"state file {path} holds a zero vector")
-    return states.StateVector(n, vec / norm)
+    return states.StateVector(vec / norm)
 
 
 def build_state(spec: dict, n: int, seed: int):

@@ -7,7 +7,9 @@ site order.  Local operators follow the same order: ``apply_site_matrix``
 reads a k-site operator with its first listed site as the most significant
 bit, so ``kron(op_a, op_b)`` on sites ``(a, b)`` puts ``op_a`` on site a
 whether a < b or a > b.  States are frozen dataclasses over read-only arrays;
-every operation returns a new object.
+every operation returns a new object.  N is never passed next to an array: a
+state or kernel reads it off the 2^N length of the array's leading axis
+(``qubit_count``).
 
 A rank-r ``DensityMatrix`` may also carry an exact factor F (2^N x r, with
 rho = F F^dagger), checked against rho when the state is built.  Within asymlab only
@@ -75,20 +77,32 @@ def _check_cap(n_qubits: int, cap: int, name: str):
         raise ResourceError(f"N={n_qubits} exceeds the {name} cap of {cap} qubits")
 
 
-@dataclass(frozen=True)
-class StateVector:
-    """Normalized pure state of ``n_qubits`` qubits."""
+def qubit_count(length: int) -> int:
+    """N of an axis of length 2^N; ValidationError for a length that is no power of two."""
+    if length < 1 or length & (length - 1):
+        raise ValidationError(f"an axis of length {length} is not 2^N long")
+    return length.bit_length() - 1
 
-    n_qubits: int
+
+class _QubitState:
+    """N of a state, read off the 2^N length ``dim`` of its array."""
+
+    @property
+    def n_qubits(self) -> int:
+        return self.dim.bit_length() - 1
+
+
+@dataclass(frozen=True)
+class StateVector(_QubitState):
+    """Normalized pure state of N qubits, N read off its 2^N amplitudes."""
+
     amplitudes: np.ndarray
 
     def __post_init__(self):
         amps = np.array(self.amplitudes, dtype=complex)
-        if amps.ndim != 1 or amps.size != 2**self.n_qubits:
-            raise ValidationError(
-                f"expected {2**self.n_qubits} amplitudes, got shape {amps.shape}"
-            )
-        _check_cap(self.n_qubits, statevector_cap(), "statevector")
+        if amps.ndim != 1:
+            raise ValidationError(f"amplitudes need one axis, got shape {amps.shape}")
+        _check_cap(qubit_count(amps.size), statevector_cap(), "statevector")
         norm = float(np.sum(np.abs(amps) ** 2))
         if abs(norm - 1.0) > NORM_TOL * max(1.0, norm):
             raise ValidationError(f"statevector norm^2 = {norm!r}, not 1 within {NORM_TOL}")
@@ -97,35 +111,34 @@ class StateVector:
 
     @property
     def dim(self) -> int:
-        return 2**self.n_qubits
+        return self.amplitudes.size
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
     def to_density_matrix(self) -> "DensityMatrix":
         a = self.amplitudes
-        return DensityMatrix(self.n_qubits, np.outer(a, a.conj()))
+        return DensityMatrix(np.outer(a, a.conj()))
 
 
 @dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian, unit-trace operator on ``n_qubits`` qubits.
+class DensityMatrix(_QubitState):
+    """Hermitian, unit-trace 2^N x 2^N operator on N qubits.
 
     ``factor``, when given, is an exact 2^N x r factor F with F F^dagger = rho
     within FACTOR_TOL; a wrong factor raises ValidationError.
     """
 
-    n_qubits: int
     matrix: np.ndarray
     factor: np.ndarray | None = None
 
     def __post_init__(self):
         mat = np.array(self.matrix, dtype=complex)
-        d = 2**self.n_qubits
-        if mat.shape != (d, d):
-            raise ValidationError(f"expected a {d}x{d} matrix, got shape {mat.shape}")
-        _check_cap(self.n_qubits, density_matrix_cap(), "density-matrix")
-        herm = float(np.max(np.abs(mat - mat.conj().T))) if d else 0.0
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise ValidationError(f"expected a square matrix, got shape {mat.shape}")
+        d = mat.shape[0]
+        _check_cap(qubit_count(d), density_matrix_cap(), "density-matrix")
+        herm = float(np.max(np.abs(mat - mat.conj().T)))
         if herm > HERMITICITY_TOL:
             raise ValidationError(f"matrix deviates from Hermitian by {herm:.3e}")
         tr = complex(np.trace(mat))
@@ -146,7 +159,7 @@ class DensityMatrix:
 
     @property
     def dim(self) -> int:
-        return 2**self.n_qubits
+        return self.matrix.shape[0]
 
     def purity(self) -> float:
         # tr(rho^2) = sum |rho_ij|^2 for Hermitian rho
@@ -199,31 +212,31 @@ def product_state(locals_: list) -> State:
         amps = np.array([1.0 + 0.0j])
         for f in factors:
             amps = np.kron(amps, f)
-        return StateVector(n, amps)
+        return StateVector(amps)
     _check_cap(n, density_matrix_cap(), "density-matrix")
     mat = np.array([[1.0 + 0.0j]])
     for f in factors:
         rho = f if not _local_is_pure(f) else np.outer(f, f.conj())
         mat = np.kron(mat, rho)
-    return DensityMatrix(n, mat)
+    return DensityMatrix(mat)
 
 
-def basis_state(n_qubits: int, bits) -> StateVector:
-    """Computational basis state from a bit sequence, site 0 first."""
+def basis_state(bits) -> StateVector:
+    """Computational basis state of N = len(bits) qubits from a bit sequence, site 0 first."""
     bits = list(bits)
-    if len(bits) != n_qubits or any(b not in (0, 1) for b in bits):
-        raise ValidationError("bits must be a length-N sequence of 0/1")
-    _check_cap(n_qubits, statevector_cap(), "statevector")
+    if any(b not in (0, 1) for b in bits):
+        raise ValidationError("bits must be a sequence of 0/1")
+    _check_cap(len(bits), statevector_cap(), "statevector")
     idx = 0
     for b in bits:
         idx = idx * 2 + b
-    amps = np.zeros(2**n_qubits, dtype=complex)
+    amps = np.zeros(2 ** len(bits), dtype=complex)
     amps[idx] = 1.0
-    return StateVector(n_qubits, amps)
+    return StateVector(amps)
 
 
 def zero_state(n_qubits: int) -> StateVector:
-    return basis_state(n_qubits, [0] * n_qubits)
+    return basis_state([0] * n_qubits)
 
 
 def plus_state(n_qubits: int) -> StateVector:
@@ -235,7 +248,7 @@ def ghz_state(n_qubits: int) -> StateVector:
     _check_cap(n_qubits, statevector_cap(), "statevector")
     amps = np.zeros(2**n_qubits, dtype=complex)
     amps[0] = amps[-1] = 1.0 / np.sqrt(2.0)
-    return StateVector(n_qubits, amps)
+    return StateVector(amps)
 
 
 def random_state(n_qubits: int, rng) -> StateVector:
@@ -245,7 +258,7 @@ def random_state(n_qubits: int, rng) -> StateVector:
     d = 2**n_qubits
     amps = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     amps /= np.linalg.norm(amps)
-    return StateVector(n_qubits, amps)
+    return StateVector(amps)
 
 
 def random_density_matrix(n_qubits: int, rng, rank: int | None = None) -> DensityMatrix:
@@ -264,7 +277,7 @@ def random_density_matrix(n_qubits: int, rng, rank: int | None = None) -> Densit
     mat = a @ a.conj().T
     tr = np.real(np.trace(mat))
     mat /= tr
-    return DensityMatrix(n_qubits, mat, a / np.sqrt(tr) if r < d else None)
+    return DensityMatrix(mat, a / np.sqrt(tr) if r < d else None)
 
 
 @lru_cache(maxsize=32)
@@ -320,16 +333,17 @@ def von_neumann_entropy(state: State) -> float:
     return entropy_of_probabilities(floored_spectrum(np.linalg.eigvalsh(gram)))
 
 
-def apply_site_matrix(arr: np.ndarray, op: np.ndarray, sites, n_qubits: int) -> np.ndarray:
+def apply_site_matrix(arr: np.ndarray, op: np.ndarray, sites) -> np.ndarray:
     """Apply a local operator on ``sites`` to axis 0 of an amplitude array.
 
     ``sites`` is one site or a tuple of k distinct sites, and ``op`` is a
     2**k x 2**k matrix whose row and column index takes the first listed site
-    as its most significant bit.  ``arr`` has leading axis of length
-    2**n_qubits; extra trailing axes ride along, which lets the same
+    as its most significant bit.  ``arr`` has a leading axis of length 2**N,
+    which fixes N; extra trailing axes ride along, which lets the same
     primitive transform density-matrix rows.  This is the only routine that
     contracts a local operator into an array.
     """
+    n_qubits = qubit_count(arr.shape[0])
     sites = (sites,) if isinstance(sites, (int, np.integer)) else tuple(sites)
     op = np.asarray(op)
     k = len(sites)
@@ -349,11 +363,11 @@ def apply_site_matrix(arr: np.ndarray, op: np.ndarray, sites, n_qubits: int) -> 
     return np.moveaxis(out, range(k), sites).reshape(arr.shape)
 
 
-def apply_pauli(arr: np.ndarray, site: int, axis: str, n_qubits: int) -> np.ndarray:
+def apply_pauli(arr: np.ndarray, site: int, axis: str) -> np.ndarray:
     """Apply a single Pauli to one site; ``axis`` is 'x', 'y' or 'z'."""
     if axis not in PAULI:
         raise ValidationError(f"unknown Pauli axis {axis!r}")
-    return apply_site_matrix(arr, PAULI[axis], site, n_qubits)
+    return apply_site_matrix(arr, PAULI[axis], site)
 
 
 def reduced_density_matrix(state: State, sites) -> np.ndarray:

@@ -10,7 +10,9 @@ subspace w = N/2 - m.  The basis is stored that way: for each w, the sorted
 basis indices ``rows[w]`` of weight w and one real orthogonal
 C(N, w) x C(N, w) block ``blocks[w]`` whose columns are the (s, alpha) with
 s >= |m|, s decreasing, alpha (the coupling path) increasing.  At N = 12 the
-blocks hold 22 MB against 134 MB for the 2^N x 2^N matrix.
+blocks hold 22 MB against 134 MB for the 2^N x 2^N matrix.  The basis is a
+function of N alone, so ``build_schur_basis`` builds it once per N in a
+process and every caller reads N off the state.
 ``SchurBasis.dense()`` assembles the full matrix for tests and oracles only.
 Its columns are grouped by total spin s in decreasing order; within a sector
 the coupling path index is the outer label and m runs from +s down to -s
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -46,6 +49,7 @@ from .states import (
     density_matrix_cap,
     entropy_of_probabilities,
     floored_spectrum,
+    qubit_count,
     von_neumann_entropy,
 )
 from .tolerances import (
@@ -84,16 +88,14 @@ class SchurBasis:
     ``rows[w]`` holds the sorted basis indices with w one-bits (m = N/2 - w)
     and ``blocks[w]`` the real orthogonal block whose column j is the basis
     vector restricted to those rows; ``segments(w)`` names its columns.
-    ``labels`` and ``sectors`` describe the columns of ``dense()``:
-    ``labels[c] = (s, m, alpha)`` names column c, and ``sectors`` lists
-    (s, start_column, multiplicity) with s decreasing; within a sector the
-    column index is start + alpha * (2s + 1) + (s - m).
+    ``sectors`` lists (s, start_column, multiplicity) with s decreasing and
+    places the columns of ``dense()``: the basis vector (s, m, alpha) is
+    column start + alpha * (2s + 1) + (s - m).
     """
 
     n_qubits: int
     rows: tuple[np.ndarray, ...]
     blocks: tuple[np.ndarray, ...]
-    labels: tuple[tuple[int, int, int], ...]
     sectors: tuple[tuple[int, int, int], ...]
 
     def segments(self, w: int) -> list[tuple[int, int, int]]:
@@ -113,7 +115,7 @@ class SchurBasis:
         return out
 
     def dense(self) -> np.ndarray:
-        """The 2^N x 2^N basis matrix in ``labels`` column order (tests and oracles only)."""
+        """The 2^N x 2^N basis matrix in ``sectors`` column order (tests and oracles only)."""
         dim = 2**self.n_qubits
         half = self.n_qubits // 2
         starts = {s: start for s, start, _mult in self.sectors}
@@ -237,16 +239,26 @@ def _couple_site(paths: dict, pos: tuple, sizes: list) -> dict:
 
 
 def build_schur_basis(n_qubits: int) -> SchurBasis:
-    """Construct the spin-adapted basis, one S_z block per weight (even N only).
+    """The spin-adapted basis, one S_z block per weight (even N only).
+
+    The even-N check and the density-matrix cap run on every call; the basis
+    itself is built once per N (``_schur_basis``) and then shared, read-only.
+    """
+    if n_qubits % 2 != 0 or n_qubits < 2:
+        raise ValidationError(f"only even N >= 2 is supported, got {n_qubits}")
+    _check_cap(n_qubits, density_matrix_cap(), "density-matrix")
+    return _schur_basis(n_qubits)
+
+
+@lru_cache(maxsize=None)
+def _schur_basis(n_qubits: int) -> SchurBasis:
+    """Construct the basis of ``build_schur_basis``.
 
     Couples one site at a time like ``_dense_schur_basis``, but each basis
     vector is carried only on the rows of its own weight, and every path of
     one spin is coupled at once; the blocks equal the reference's columns
     bit for bit.
     """
-    if n_qubits % 2 != 0 or n_qubits < 2:
-        raise ValidationError(f"only even N >= 2 is supported, got {n_qubits}")
-    _check_cap(n_qubits, density_matrix_cap(), "density-matrix")
     rows = [np.array([0]), np.array([1])]
     paths = {1: (np.array([0]), [np.ones((1, 1)), np.ones((1, 1))])}
     for k in range(1, n_qubits):
@@ -261,7 +273,6 @@ def build_schur_basis(n_qubits: int) -> SchurBasis:
 
     half = n_qubits // 2
     sectors: list[tuple[int, int, int]] = []
-    labels: list[tuple[int, int, int]] = []
     col = 0
     for two_j in sorted(paths, reverse=True):
         if two_j % 2 != 0:
@@ -273,7 +284,6 @@ def build_schur_basis(n_qubits: int) -> SchurBasis:
                 f"sector s={s} has {n_paths} paths, expected {multiplicity(n_qubits, s)}"
             )
         sectors.append((s, col, n_paths))
-        labels.extend((s, s - c, alpha) for alpha in range(n_paths) for c in range(two_j + 1))
         col += n_paths * (two_j + 1)
     if col != 2**n_qubits:
         raise ValidationError(f"assembled {col} columns, expected {2**n_qubits}")
@@ -286,7 +296,7 @@ def build_schur_basis(n_qubits: int) -> SchurBasis:
         block.flags.writeable = False
         rows[w].flags.writeable = False
         blocks.append(block)
-    return SchurBasis(n_qubits, tuple(rows), tuple(blocks), tuple(labels), tuple(sectors))
+    return SchurBasis(n_qubits, tuple(rows), tuple(blocks), tuple(sectors))
 
 
 @dataclass(frozen=True)
@@ -297,12 +307,11 @@ class SectorTable:
     Entries with |m| > s are identically zero.
     """
 
-    n_qubits: int
     p_sm: np.ndarray
 
     @property
     def spins(self) -> np.ndarray:
-        return np.arange(self.n_qubits // 2 + 1)
+        return np.arange(self.p_sm.shape[0])
 
     @property
     def p_s(self) -> np.ndarray:
@@ -318,13 +327,6 @@ def _factor_of(state: State) -> np.ndarray | None:
     if isinstance(state, StateVector):
         return state.amplitudes[:, None]
     return state.factor
-
-
-def _check_basis(state: State, basis: SchurBasis):
-    if state.n_qubits != basis.n_qubits:
-        raise ValidationError(
-            f"state has {state.n_qubits} qubits, basis has {basis.n_qubits}"
-        )
 
 
 def _rotated_blocks(rho: np.ndarray, basis: SchurBasis) -> list[np.ndarray]:
@@ -347,7 +349,6 @@ def _schur_frame(state: State, basis: SchurBasis) -> tuple[bool, list[np.ndarray
     one C(N, w) x r block per weight; the matrix route gives the R_w of
     ``_rotated_blocks``.
     """
-    _check_basis(state, basis)
     fac = _factor_of(state)
     if fac is None:
         return False, _rotated_blocks(state.matrix, basis)
@@ -370,11 +371,12 @@ def _sector_table(factored: bool, frame: list[np.ndarray], basis: SchurBasis) ->
     total = float(p_sm.sum())
     if abs(total - 1.0) > UNIT_SUM_TOL:
         raise ValidationError(f"sector weights sum to {total!r}, not 1 within {UNIT_SUM_TOL}")
-    return SectorTable(n, p_sm)
+    return SectorTable(p_sm)
 
 
-def sector_distribution(state: State, basis: SchurBasis) -> SectorTable:
+def sector_distribution(state: State) -> SectorTable:
     """Measured weights of every (s, m) pair for a pure or mixed state."""
+    basis = build_schur_basis(state.n_qubits)
     return _sector_table(*_schur_frame(state, basis), basis)
 
 
@@ -388,7 +390,7 @@ def _sector_averages(frame: list[np.ndarray], basis: SchurBasis) -> dict[int, np
     return {s: total / (2 * s + 1) for s, total in sums.items()}
 
 
-def su2_twirl(state: State, basis: SchurBasis) -> DensityMatrix:
+def su2_twirl(state: State) -> DensityMatrix:
     """Average over all global single-qubit rotations u^{(x) N}.
 
     In the Schur basis this zeroes inter-sector blocks and replaces each
@@ -396,11 +398,11 @@ def su2_twirl(state: State, basis: SchurBasis) -> DensityMatrix:
     The result is assembled as B_w D_w B_w^T on each weight-diagonal block;
     blocks between different weights are zero.
     """
-    _check_basis(state, basis)
+    basis = build_schur_basis(state.n_qubits)
     if isinstance(state, StateVector):
         state = state.to_density_matrix()
     avgs = _sector_averages(_rotated_blocks(state.matrix, basis), basis)
-    out = np.zeros((2**basis.n_qubits,) * 2, dtype=complex)
+    out = np.zeros((state.dim,) * 2, dtype=complex)
     for w, (rows, block) in enumerate(zip(basis.rows, basis.blocks)):
         twirled = np.zeros((len(rows),) * 2, dtype=complex)
         for s, first, mult in basis.segments(w):
@@ -408,7 +410,7 @@ def su2_twirl(state: State, basis: SchurBasis) -> DensityMatrix:
         out[np.ix_(rows, rows)] = (
             block @ twirled.real @ block.T + 1j * (block @ twirled.imag @ block.T)
         )
-    return DensityMatrix(state.n_qubits, out)
+    return DensityMatrix(out)
 
 
 def su2_shannon_rhs(table: SectorTable) -> float:
@@ -457,7 +459,7 @@ class Su2AsymmetryReport:
         }
 
 
-def su2_asymmetry(state: State, basis: SchurBasis) -> Su2AsymmetryReport:
+def su2_asymmetry(state: State) -> Su2AsymmetryReport:
     """Asymmetry Delta S = S(twirl(rho)) - S(rho) for the full rotation group.
 
     Both routes read the state in one ``_schur_frame`` pass, which also gives
@@ -468,6 +470,7 @@ def su2_asymmetry(state: State, basis: SchurBasis) -> Su2AsymmetryReport:
     S(twirl rho) = sum_s (2s+1) H(eig avg_s) over the multiplicity blocks of
     ``_sector_averages``.
     """
+    basis = build_schur_basis(state.n_qubits)
     factored, frame = _schur_frame(state, basis)
     if factored:
         half = basis.n_qubits // 2
@@ -502,22 +505,22 @@ def su2_asymmetry(state: State, basis: SchurBasis) -> Su2AsymmetryReport:
     return report
 
 
-def _rotate_rows(arr: np.ndarray, u: np.ndarray, n: int) -> np.ndarray:
+def _rotate_rows(arr: np.ndarray, u: np.ndarray) -> np.ndarray:
     """u^{(x) N} applied to axis 0 of ``arr``: amplitudes, or the rows of a matrix or factor."""
-    for site in range(n):
-        arr = apply_site_matrix(arr, u, site, n)
+    for site in range(qubit_count(arr.shape[0])):
+        arr = apply_site_matrix(arr, u, site)
     return arr
 
 
-def global_rotation(arr: np.ndarray, u: np.ndarray, n: int) -> np.ndarray:
+def global_rotation(arr: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Apply u^{(x) N}: to amplitudes, or as u^{(x) N} M u^{(x) N dagger} to a matrix.
 
     A matrix has u applied to all of its rows, then to all of its columns.
     """
-    arr = _rotate_rows(arr, u, n)
+    arr = _rotate_rows(arr, u)
     if arr.ndim == 1:
         return arr
-    return np.ascontiguousarray(_rotate_rows(arr.T, u.conj(), n).T)
+    return np.ascontiguousarray(_rotate_rows(arr.T, u.conj()).T)
 
 
 def _dephasing_mask(n: int, k: int) -> np.ndarray:
@@ -558,10 +561,10 @@ def su2_twirl_haar(state: State) -> DensityMatrix:
         for beta, w in zip(np.arccos(nodes), gl_weights):
             cb, sb = np.cos(beta / 2.0), np.sin(beta / 2.0)
             ry = np.array([[cb, -sb], [sb, cb]])
-            acc += (w / 2.0) * global_rotation(dephased, ry, n)
+            acc += (w / 2.0) * global_rotation(dephased, ry)
         acc *= mask
         if previous is not None and float(np.max(np.abs(acc - previous))) <= HAAR_QUADRATURE_TOL:
-            return DensityMatrix(n, acc)
+            return DensityMatrix(acc)
         previous = acc
         k *= 2
         n_beta *= 2
@@ -588,12 +591,12 @@ def spin_moments(state: State) -> dict:
         "sz2": float(np.sum(probs * m_values**2)),
     }
     if fac is None:
-        out.update(_transverse_moments(state.matrix, n, float(np.sum(probs))))
+        out.update(_transverse_moments(state.matrix, float(np.sum(probs))))
     else:
         for axis in ("x", "y"):
             phi = np.zeros_like(fac)
             for site in range(n):
-                phi += apply_pauli(fac, site, axis, n)
+                phi += apply_pauli(fac, site, axis)
             phi /= 2.0
             # vdot flattens both: sum_ij conj(F_ij) phi_ij = tr(F^dagger phi)
             out[f"s{axis}"] = float(np.real(np.vdot(fac, phi)))
@@ -602,7 +605,7 @@ def spin_moments(state: State) -> dict:
     return out
 
 
-def _transverse_moments(rho: np.ndarray, n: int, trace: float) -> dict:
+def _transverse_moments(rho: np.ndarray, trace: float) -> dict:
     """<Sx>, <Sy>, <Sx^2>, <Sy^2> of a density matrix by gathering its entries.
 
     With b_j = 1 << (n-1-j) the flip mask of site j:
@@ -611,6 +614,7 @@ def _transverse_moments(rho: np.ndarray, n: int, trace: float) -> dict:
     <sigma^y_i sigma^y_j> = -sum_l (-1)^{l_i + l_j} rho[l, l^b_i^b_j].
     Then <S_a> = sum_j <sigma^a_j> / 2 and <S_a^2> = (N tr rho + 2 sum_{i<j} <sigma^a_i sigma^a_j>) / 4.
     """
+    n = qubit_count(rho.shape[0])
     rows = np.arange(2**n)
     shifts = np.arange(n - 1, -1, -1)
     masks = 1 << shifts
@@ -657,14 +661,13 @@ def zero_transverse_rotation(state: State):
 
     gen = axis[0] * PAULI_X + axis[1] * PAULI_Y + axis[2] * PAULI_Z
     u = np.cos(angle / 2.0) * np.eye(2) - 1j * np.sin(angle / 2.0) * gen
-    n = state.n_qubits
     fac = _factor_of(state)
     if fac is None:
-        rotated: State = DensityMatrix(n, global_rotation(state.matrix, u, n))
+        rotated: State = DensityMatrix(global_rotation(state.matrix, u))
     else:
-        fac = _rotate_rows(fac, u, n)
+        fac = _rotate_rows(fac, u)
         pure = isinstance(state, StateVector)
-        rotated = StateVector(n, fac[:, 0]) if pure else DensityMatrix(n, fac @ fac.conj().T, fac)
+        rotated = StateVector(fac[:, 0]) if pure else DensityMatrix(fac @ fac.conj().T, fac)
     check = spin_moments(rotated)
     if max(abs(check["sx"]), abs(check["sy"])) > TRANSVERSE_TOL or check["sz"] < -TRANSVERSE_TOL:
         raise ValidationError("gauge rotation failed to null the transverse spin")

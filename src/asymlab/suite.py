@@ -195,7 +195,7 @@ def _channel_trace_preserving(rng, samples) -> tuple[float, str]:
             circuits.depolarizing_channel(0, 0.3),
             circuits.phase_flip_channel(n - 1, 0.25),
             circuits.full_dephasing_channel(0),
-            circuits.random_diagonal_phase_channel(n, 1, 0.4, rng),
+            circuits.random_diagonal_phase_channel(1, 0.4, rng),
         ]
         for ch in chans:
             out = circuits.apply_channel(rho, ch)
@@ -210,7 +210,7 @@ def _entropy_unitary_invariance(rng, samples) -> tuple[float, str]:
             rho = states.random_density_matrix(n, rng, rank=min(4, 2**n))
             s0 = states.von_neumann_entropy(rho)
             umat = circuits.haar_unitary(2**n, rng)
-            rot = DensityMatrix(n, umat @ rho.matrix @ umat.conj().T)
+            rot = DensityMatrix(umat @ rho.matrix @ umat.conj().T)
             worst = max(worst, abs(states.von_neumann_entropy(rot) - s0))
     return ENTROPY_MATCH_TOL - worst, "haar conjugation"
 
@@ -333,10 +333,10 @@ def _symmetric_channel_monotone(rng, samples) -> tuple[float, str]:
         rho = states.random_density_matrix(n, rng)
         before = u1.u1_asymmetry(rho).delta_s
         umat = circuits.charge_conserving_unitary(n, rng)
-        rotated = DensityMatrix(n, umat @ rho.matrix @ umat.conj().T)
+        rotated = DensityMatrix(umat @ rho.matrix @ umat.conj().T)
         margin = min(margin, before - u1.u1_asymmetry(rotated).delta_s + MARGIN_TOL)
         for chan in (
-            circuits.random_diagonal_phase_channel(n, k % n, 0.5, rng),
+            circuits.random_diagonal_phase_channel(k % n, 0.5, rng),
             circuits.full_dephasing_channel((k + 1) % n),
         ):
             out = circuits.apply_channel(rho, chan)
@@ -368,13 +368,12 @@ def _sector_dimension_identity(rng, samples) -> tuple[float, str]:
 def _rotation_twirl_idempotent(rng, samples) -> tuple[float, str]:
     worst = 0.0
     for n in (2, 4, 6):
-        basis = su2.build_schur_basis(n)
         for state in (
             states.random_state(n, rng).to_density_matrix(),
             states.random_density_matrix(n, rng),
         ):
-            once = su2.su2_twirl(state, basis)
-            twice = su2.su2_twirl(once, basis)
+            once = su2.su2_twirl(state)
+            twice = su2.su2_twirl(once)
             worst = max(worst, float(np.abs(twice.matrix - once.matrix).max()))
     return IDENTITY_TOL - worst, "n=2,4,6"
 
@@ -382,14 +381,13 @@ def _rotation_twirl_idempotent(rng, samples) -> tuple[float, str]:
 def _rotation_twirl_covariance(rng, samples) -> tuple[float, str]:
     worst = 0.0
     for n in (2, 4):
-        basis = su2.build_schur_basis(n)
         for _ in range(_count(5, samples)):
             rho = states.random_density_matrix(n, rng)
             umat = circuits.haar_unitary(2, rng)
-            rotated = DensityMatrix(n, su2.global_rotation(rho.matrix, umat, n))
-            left = su2.su2_twirl(rotated, basis)
-            twirled = su2.su2_twirl(rho, basis).matrix
-            right = DensityMatrix(n, su2.global_rotation(twirled, umat, n))
+            rotated = DensityMatrix(su2.global_rotation(rho.matrix, umat))
+            left = su2.su2_twirl(rotated)
+            twirled = su2.su2_twirl(rho).matrix
+            right = DensityMatrix(su2.global_rotation(twirled, umat))
             worst = max(worst, float(np.abs(left.matrix - right.matrix).max()))
     return ROTATION_COVARIANCE_TOL - worst, "global rotations"
 
@@ -398,7 +396,6 @@ def _sector_entropy_bound(rng, samples) -> tuple[float, str]:
     margin = math.inf
     tested = 0
     for n in (2, 4, 6):
-        basis = su2.build_schur_basis(n)
         trial_states = [
             states.random_state(n, rng),
             states.random_density_matrix(n, rng),
@@ -410,7 +407,7 @@ def _sector_entropy_bound(rng, samples) -> tuple[float, str]:
             circuits.apply_circuit(_random_product_input(n, rng), circ)
         )
         for state in trial_states:
-            rep = su2.su2_asymmetry(state, basis)
+            rep = su2.su2_asymmetry(state)
             margin = min(margin, rep.bound_sector_entropy - rep.delta_s + MARGIN_TOL)
             margin = min(margin, rep.bound_support_dim - rep.delta_s + MARGIN_TOL)
             tested += 1
@@ -420,12 +417,11 @@ def _sector_entropy_bound(rng, samples) -> tuple[float, str]:
 def _twirl_quadrature_match(rng, samples) -> tuple[float, str]:
     worst = 0.0
     for n in (2, 4, 6):
-        basis = su2.build_schur_basis(n)
         for state in (
             states.random_state(n, rng).to_density_matrix(),
             states.random_density_matrix(n, rng),
         ):
-            exact = su2.su2_twirl(state, basis)
+            exact = su2.su2_twirl(state)
             quad = su2.su2_twirl_haar(state)
             worst = max(worst, float(np.abs(exact.matrix - quad.matrix).max()))
     return HAAR_MATCH_TOL - worst, "6 states, n<=6: Schur twirl vs Euler quadrature"
@@ -434,14 +430,13 @@ def _twirl_quadrature_match(rng, samples) -> tuple[float, str]:
 def _rotation_fixed_point_iff(rng, samples) -> tuple[float, str]:
     margin = math.inf
     for n in (2, 4):
-        basis = su2.build_schur_basis(n)
         for _ in range(_count(5, samples)):
             rho = states.random_density_matrix(n, rng)
-            sym = su2.su2_twirl(rho, basis)
-            margin = min(margin, ZERO_ASYMMETRY - su2.su2_asymmetry(sym, basis).delta_s)
+            sym = su2.su2_twirl(rho)
+            margin = min(margin, ZERO_ASYMMETRY - su2.su2_asymmetry(sym).delta_s)
             moved = float(np.abs(sym.matrix - rho.matrix).max())
             if moved > SYMMETRY_BREAK_MIN:
-                margin = min(margin, su2.su2_asymmetry(rho, basis).delta_s - ZERO_ASYMMETRY)
+                margin = min(margin, su2.su2_asymmetry(rho).delta_s - ZERO_ASYMMETRY)
     return margin, "both implications"
 
 
@@ -470,13 +465,12 @@ def _collective_moment_cap(rng, samples) -> tuple[float, str]:
 def _global_rotation_invariance(rng, samples) -> tuple[float, str]:
     worst = 0.0
     for n in (2, 4):
-        basis = su2.build_schur_basis(n)
         for _ in range(_count(5, samples)):
             rho = states.random_density_matrix(n, rng)
-            base = su2.su2_asymmetry(rho, basis).delta_s
+            base = su2.su2_asymmetry(rho).delta_s
             umat = circuits.haar_unitary(2, rng)
-            moved = DensityMatrix(n, su2.global_rotation(rho.matrix, umat, n))
-            rotated = su2.su2_asymmetry(moved, basis).delta_s
+            moved = DensityMatrix(su2.global_rotation(rho.matrix, umat))
+            rotated = su2.su2_asymmetry(moved).delta_s
             worst = max(worst, abs(rotated - base))
     return ENTROPY_MATCH_TOL - worst, "asymmetry is gauge-blind"
 
@@ -726,7 +720,7 @@ def _oracle_bernoulli_sum(rng) -> tuple[float, str]:
     values = np.array(
         [np.prod(np.exp(1j * a) * x + 1.0 - x) for a in alphas]
     )
-    fourier = u1.distribution_from_generating_function(values, x.size + 1)
+    fourier = u1.distribution_from_generating_function(values)
     worst = max(worst, float(np.abs(tree.probs - fourier.probs).max()))
     return IDENTITY_TOL - worst, "tree vs dp and fourier inversion"
 
@@ -805,25 +799,24 @@ def _oracle_spreading(rng) -> tuple[float, str]:
 def _oracle_polarized(rng) -> tuple[float, str]:
     worst = 0.0
     for n in (2, 4, 6):
-        basis = su2.build_schur_basis(n)
-        rep = su2.su2_asymmetry(states.zero_state(n), basis)
+        rep = su2.su2_asymmetry(states.zero_state(n))
         worst = max(worst, abs(rep.delta_s - math.log(n + 1)))
         worst = max(worst, abs(rep.bound_sector_entropy - rep.delta_s))
         # the S_z blocks against the column-by-column reference build
-        worst = max(worst, float(np.abs(basis.dense() - su2._dense_schur_basis(n)).max()))
+        blocks = su2.build_schur_basis(n).dense()
+        worst = max(worst, float(np.abs(blocks - su2._dense_schur_basis(n)).max()))
         if n >= 4:
             # block-route twirled entropy against the eigensolve of the assembled twirl
             rho = states.random_density_matrix(n, rng)
-            dense = states.von_neumann_entropy(su2.su2_twirl(rho, basis))
+            dense = states.von_neumann_entropy(su2.su2_twirl(rho))
             dense -= states.von_neumann_entropy(rho)
-            worst = max(worst, abs(su2.su2_asymmetry(rho, basis).delta_s - dense))
+            worst = max(worst, abs(su2.su2_asymmetry(rho).delta_s - dense))
     for n in (4, 6):
         # a rank-4 rho with its exact factor against the same matrix without it:
         # Gram-matrix S(rho) and the rotated factor against the dense routes
         rho = states.random_density_matrix(n, rng, rank=4)
-        bare = DensityMatrix(n, rho.matrix)
-        basis = su2.build_schur_basis(n)
-        gap = su2.su2_asymmetry(rho, basis).delta_s - su2.su2_asymmetry(bare, basis).delta_s
+        bare = DensityMatrix(rho.matrix)
+        gap = su2.su2_asymmetry(rho).delta_s - su2.su2_asymmetry(bare).delta_s
         worst = max(worst, abs(gap))
         moved = su2.spin_moments(su2.zero_transverse_rotation(rho)[0])
         dense = su2.spin_moments(su2.zero_transverse_rotation(bare)[0])

@@ -123,7 +123,7 @@ def u1_twirl(state: State) -> DensityMatrix:
         state = state.to_density_matrix()
     q = charge_values(state.n_qubits)
     mask = q[:, None] == q[None, :]
-    return DensityMatrix(state.n_qubits, np.where(mask, state.matrix, 0.0))
+    return DensityMatrix(np.where(mask, state.matrix, 0.0))
 
 
 def generating_function(source, alpha: float) -> complex:
@@ -133,11 +133,13 @@ def generating_function(source, alpha: float) -> complex:
     return complex(np.sum(dist.probs * np.exp(1j * alpha * q)))
 
 
-def distribution_from_generating_function(values: np.ndarray, n_charges: int) -> ChargeDistribution:
-    """Invert G(alpha_k) sampled at alpha_k = 2 pi k / n_charges by inverse DFT."""
+def distribution_from_generating_function(values: np.ndarray) -> ChargeDistribution:
+    """Invert G(alpha_k) sampled at alpha_k = 2 pi k / n_charges by inverse DFT.
+
+    The n_charges samples give the charges 0..n_charges-1.
+    """
     values = np.asarray(values, dtype=complex)
-    if values.size != n_charges:
-        raise ValidationError(f"need {n_charges} samples, got {values.size}")
+    n_charges = values.size
     q = np.arange(n_charges)
     alphas = 2.0 * np.pi * q / n_charges
     kernel = np.exp(-1j * np.outer(q, alphas))
@@ -202,14 +204,17 @@ class AsymmetryReport:
 
 
 def _build_report(
-    n_sites: int,
     delta_s: float,
     shannon: float,
     dist: ChargeDistribution,
-    geometry: LatticeGeometry | None,
-    clustering_range: int | None,
+    geometry: LatticeGeometry | None = None,
+    clustering_range: int | None = None,
 ) -> AsymmetryReport:
-    """Report of ``delta_s`` against the bounds; ``shannon`` is H of ``dist``, computed once."""
+    """Report of ``delta_s`` against the bounds; ``shannon`` is H of ``dist``, computed once.
+
+    The charges 0..N of ``dist`` give the N = ``dist.n_charges - 1`` sites.
+    """
+    n_sites = dist.n_charges - 1
     if delta_s < -NEGATIVE_ASYMMETRY_TOL:
         raise ValidationError(f"asymmetry {delta_s!r} is negative beyond tolerance")
     if delta_s > shannon + MARGIN_TOL:
@@ -257,15 +262,10 @@ def u1_asymmetry(
         delta_s = shannon
     else:
         delta_s = von_neumann_entropy(u1_twirl(state)) - von_neumann_entropy(state)
-    return _build_report(state.n_qubits, delta_s, shannon, dist, geometry, clustering_range)
+    return _build_report(delta_s, shannon, dist, geometry, clustering_range)
 
 
-def report_from_distribution(
-    dist: ChargeDistribution,
-    n_sites: int,
-    geometry: LatticeGeometry | None = None,
-    clustering_range: int | None = None,
-) -> AsymmetryReport:
+def report_from_distribution(dist: ChargeDistribution) -> AsymmetryReport:
     """Report for a pure state known only through its charge distribution.
 
     For pure states the asymmetry equals the charge Shannon entropy, so
@@ -273,4 +273,4 @@ def report_from_distribution(
     statevector.
     """
     shannon = shannon_entropy(dist)
-    return _build_report(n_sites, shannon, shannon, dist, geometry, clustering_range)
+    return _build_report(shannon, shannon, dist)

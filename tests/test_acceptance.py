@@ -44,7 +44,7 @@ def test_criterion_1_kink_maximality(record_criterion):
     ok &= worst <= 1e-12
     # the synthetic flat-(N+1) distribution attains the ln(N+1) cap exactly
     for n in (4, 10, 1000):
-        rep = u1.report_from_distribution(u1.flat_distribution(n + 1), n)
+        rep = u1.report_from_distribution(u1.flat_distribution(n + 1))
         ok &= abs(rep.delta_s - rep.bound_log_n_plus_1) <= 1e-12
     elapsed = time.perf_counter() - t0
     record_criterion(
@@ -137,11 +137,10 @@ def test_criterion_6_non_abelian_suite(record_criterion):
     t0 = time.perf_counter()
     ok = True
     unit_dev = 0.0
-    bases = {n: su2.build_schur_basis(n) for n in (2, 4, 6, 8)}
     for n in (2, 4, 6, 8):
         total = sum((2 * s + 1) * su2.multiplicity(n, s) for s in range(n // 2 + 1))
         ok &= total == 2**n
-        umat = bases[n].dense()
+        umat = su2.build_schur_basis(n).dense()
         unit_dev = max(
             unit_dev, float(np.abs(umat.conj().T @ umat - np.eye(2**n)).max())
         )
@@ -159,7 +158,7 @@ def test_criterion_6_non_abelian_suite(record_criterion):
         gauged, _ = su2.zero_transverse_rotation(psi)
         mom = su2.spin_moments(gauged)
         gauge_dev = max(gauge_dev, abs(mom["sx"]), abs(mom["sy"]))
-        rep = su2.su2_asymmetry(gauged, bases[n])
+        rep = su2.su2_asymmetry(gauged)
         margins = rep.margins()
         ineq_margin = min(ineq_margin, margins["sector_entropy"], margins["support_dim"])
         cas = su2.casimir_constraint_check(gauged, geo, 2 * lightcone_range(depth))
@@ -200,9 +199,9 @@ def test_criterion_7_monotone_axioms(record_criterion):
         if moved > 1e-6:
             ok &= before > 1e-10
         umat = charge_conserving_unitary(n, rng)
-        rotated = DensityMatrix(n, umat @ rho.matrix @ umat.conj().T)
+        rotated = DensityMatrix(umat @ rho.matrix @ umat.conj().T)
         worst_drop = min(worst_drop, before - u1.u1_asymmetry(rotated).delta_s)
-        chan = random_diagonal_phase_channel(n, k % n, 0.5, rng)
+        chan = random_diagonal_phase_channel(k % n, 0.5, rng)
         out = apply_channel(rho, chan)
         worst_drop = min(worst_drop, before - u1.u1_asymmetry(out).delta_s)
         out = apply_channel(rho, full_dephasing_channel((k + 1) % n))

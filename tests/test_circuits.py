@@ -37,7 +37,7 @@ def _dense_unitary(circuit: BrickworkCircuit) -> np.ndarray:
     for j in range(d):
         amps = np.zeros(d, dtype=complex)
         amps[j] = 1.0
-        psi = apply_circuit(StateVector(circuit.n_qubits, amps), circuit)
+        psi = apply_circuit(StateVector(amps), circuit)
         cols.append(psi.amplitudes)
     return np.array(cols).T
 
@@ -79,7 +79,7 @@ def test_apply_circuit_density_matrix_matches_statevector():
 
 def test_swap_layer_permutes_sites():
     circ = BrickworkCircuit(2, ((Gate((0, 1), swap_gate()),),))
-    psi = StateVector(2, np.array([0.0, 1.0, 0.0, 0.0], dtype=complex))
+    psi = StateVector(np.array([0.0, 1.0, 0.0, 0.0], dtype=complex))
     out = apply_circuit(psi, circ)
     assert np.flatnonzero(out.amplitudes).tolist() == [2]
 
@@ -138,7 +138,7 @@ def test_charge_conserving_gate_is_block_diagonal():
 def test_charge_conserving_unitary_preserves_charge_distribution():
     rng = np.random.default_rng(6)
     u = charge_conserving_unitary(3, rng)
-    psi = StateVector(3, u @ ghz_state(3).amplitudes)
+    psi = StateVector(u @ ghz_state(3).amplitudes)
     assert_allclose(
         charge_distribution(psi).probs,
         charge_distribution(ghz_state(3)).probs,

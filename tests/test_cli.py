@@ -374,6 +374,22 @@ def _clustering_input_kink(tmp_path, monkeypatch):
     return _clustering_with_input(tmp_path, "kink")
 
 
+def _clustering_input_spec_file(tmp_path, spec):
+    return _clustering_with_input(tmp_path, _write(tmp_path / "input.json", spec))
+
+
+def _clustering_input_bernoulli_x_bool(tmp_path, monkeypatch):
+    return _clustering_input_spec_file(tmp_path, {"kind": "bernoulli", "x": True})
+
+
+def _clustering_input_bernoulli_x_string(tmp_path, monkeypatch):
+    return _clustering_input_spec_file(tmp_path, {"kind": "bernoulli", "x": "abc"})
+
+
+def _clustering_input_ghz_with_x(tmp_path, monkeypatch):
+    return _clustering_input_spec_file(tmp_path, {"kind": "ghz", "x": 5})
+
+
 def _dicke_ratio_just_above_half(tmp_path, monkeypatch):
     """Only a ratio of exactly 0.5 rounds N to even, so N = 101 has no integer k."""
     return ["dicke", "--ratio", "0.5000000000000001", "--n-min", "101", "--n-max", "1001",
@@ -495,6 +511,9 @@ def _circuit_input_product_boolean_pairs(tmp_path, monkeypatch):
         _clustering_input_random_seed_not_int,
         _clustering_input_dicke,
         _clustering_input_kink,
+        _clustering_input_bernoulli_x_bool,
+        _clustering_input_bernoulli_x_string,
+        _clustering_input_ghz_with_x,
         _dicke_ratio_just_above_half,
         _bound_suite_with_state_spec,
         _product_x_nan,
@@ -517,20 +536,26 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, ma
 _TORUS_ARGV = ["clustering", "--circuit", "never-read.json"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["kink", "--n-min", "10", "--n-max", "1000", "--points", str(10**13)],
-    ["dicke", "--n-min", "10", "--n-max", str(10**400)],
-    ["kink", "--n-min", "10", "--n-max", str(10**15)],
-    ["su2", "--state", "ghz", "--n", str(10**30)],
-    ["su2", "--state", "ghz", "--n", str(2**1100)],
-    ["su2", "--state", "ghz", "--n", "4", "--dimension", str(10**400)],
-    _TORUS_ARGV + ["--linear-size", str(10**9)],
-    _TORUS_ARGV + ["--linear-size", "2", "--dimension", str(10**9)],
-    _TORUS_ARGV + ["--linear-size", str(10**9), "--dimension", str(10**9)],
+@pytest.mark.parametrize("argv, expected", [
+    (["kink", "--n-min", "10", "--n-max", "1000", "--points", str(10**13)], 3),
+    (["dicke", "--n-min", "10", "--n-max", str(10**400)], 3),
+    (["kink", "--n-min", "10", "--n-max", str(10**15)], 3),
+    (["su2", "--state", "ghz", "--n", str(10**30)], 3),
+    (["su2", "--state", "ghz", "--n", str(2**1100)], 3),
+    (["su2", "--state", "ghz", "--n", "4", "--dimension", str(10**400)], 2),
+    (_TORUS_ARGV + ["--linear-size", str(10**9)], 3),
+    (_TORUS_ARGV + ["--linear-size", "2", "--dimension", str(10**9)], 3),
+    (_TORUS_ARGV + ["--linear-size", str(10**9), "--dimension", str(10**9)], 3),
+    (_TORUS_ARGV + ["--linear-size", str(10**2200), "--dimension", "2"], 3),
 ], ids=["points", "n-max-past-float", "n-max-past-cap", "n", "n-past-float", "dimension",
-        "linear-size", "torus-dimension", "torus-both"])
-def test_extreme_sizes_exit_at_once_without_allocating(tmp_path, monkeypatch, capsys, argv):
-    """Each is refused with one line, exit 2 or 3, before any large array or integer exists."""
+        "linear-size", "torus-dimension", "torus-both", "torus-side"])
+def test_extreme_sizes_exit_at_once_without_allocating(
+    tmp_path, monkeypatch, capsys, argv, expected
+):
+    """Each is refused with one line and its exit code before any large array or integer exists.
+
+    A size past a cap exits 3; a size that names no torus exits 2.
+    """
     monkeypatch.chdir(tmp_path)
     tracemalloc.start()
     try:
@@ -539,7 +564,7 @@ def test_extreme_sizes_exit_at_once_without_allocating(tmp_path, monkeypatch, ca
     finally:
         tracemalloc.stop()
     err = capsys.readouterr().err
-    assert code in (2, 3), err
+    assert code == expected, err
     assert err.endswith("\n") and err.count("\n") == 1, err
     assert peak < 2**24
     assert not (tmp_path / "out").exists()

@@ -165,7 +165,7 @@ def test_kink_report_allocates_one_probability_vector():
     n = 10**6
     tracemalloc.start()
     try:
-        report_from_distribution(kink_distribution(n), n)
+        report_from_distribution(kink_distribution(n))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -68,16 +68,16 @@ def test_connected_correlator_of_ghz():
     assert abs(zx) < 1e-12
 
 
-def _expectation(state, site_ops, n):
+def _expectation(state, site_ops):
     """<prod of Paulis> from the statevector or Tr rho P ..., applying each Pauli in turn."""
     if isinstance(state, StateVector):
         out = state.amplitudes
         for site, axis in site_ops:
-            out = apply_pauli(out, site, axis, n)
+            out = apply_pauli(out, site, axis)
         return np.vdot(state.amplitudes, out)
     out = state.matrix
     for site, axis in site_ops:
-        out = apply_pauli(out, site, axis, n)
+        out = apply_pauli(out, site, axis)
     return np.trace(out)
 
 
@@ -94,9 +94,9 @@ def test_nine_correlator_kernel_matches_direct_pauli_expectations():
                     assert got.shape == (3, 3)
                     for a, pa in enumerate("xyz"):
                         for b, pb in enumerate("xyz"):
-                            joint = _expectation(state, [(j, pb), (i, pa)], n)
-                            solo = (_expectation(state, [(i, pa)], n)
-                                    * _expectation(state, [(j, pb)], n))
+                            joint = _expectation(state, [(j, pb), (i, pa)])
+                            solo = (_expectation(state, [(i, pa)])
+                                    * _expectation(state, [(j, pb)]))
                             want = joint - solo
                             assert abs(want.imag) < 1e-12
                             assert abs(got[a, b] - want.real) < 1e-12, (n, i, j, pa, pb)
@@ -108,7 +108,7 @@ def test_correlator_with_imaginary_part_is_rejected():
     # (|00> + i|11>)/sqrt(2) has <s+ s+> = i/2 and <s+> = 0 for s+ = |0><1|
     amps = np.array([1.0, 0.0, 0.0, 1.0j]) / np.sqrt(2.0)
     raising = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    for state in (StateVector(2, amps), StateVector(2, amps).to_density_matrix()):
+    for state in (StateVector(amps), StateVector(amps).to_density_matrix()):
         t = _pair_tensor(state, 0, 1)
         with pytest.raises(ValidationError, match="imaginary"):
             connected_correlator(state, 0, 1, raising, raising)
@@ -116,7 +116,7 @@ def test_correlator_with_imaginary_part_is_rejected():
             _connected_correlators(t, np.concatenate([PAULI_STACK, raising[None]]), raising[None])
     # just above and just below the tolerance
     small = raising * 2.0 * IMAGINARY_TOL
-    state = StateVector(2, amps)
+    state = StateVector(amps)
     with pytest.raises(ValidationError, match="imaginary"):
         connected_correlator(state, 0, 1, small * 1.5, np.eye(2) + raising)
     connected_correlator(state, 0, 1, small * 0.5, np.eye(2) + raising)
@@ -213,7 +213,7 @@ def test_light_cone_spreading_equals_dense_spreading():
 def _embedded_cone_conjugate(sites, cone, seed, axis, n):
     """Cone-route U^dagger P U tensored with identity off the cone, in lattice order."""
     k = len(sites)
-    pauli = apply_pauli(np.eye(2**k, dtype=complex), sites.index(seed), axis, k)
+    pauli = apply_pauli(np.eye(2**k, dtype=complex), sites.index(seed), axis)
     local = heisenberg_conjugate(pauli, cone)
     order = list(sites) + [s for s in range(n) if s not in sites]
     full = np.kron(local, np.eye(2 ** (n - k))).reshape((2,) * (2 * n))
@@ -232,7 +232,7 @@ def test_light_cone_operator_matches_dense_conjugation():
             dropped = BrickworkCircuit(cone.n_qubits, (cone.layers[0][1:],) + cone.layers[1:])
             for axis in "xyz":
                 dense = heisenberg_conjugate(
-                    apply_pauli(np.eye(2**n, dtype=complex), site, axis, n), circ
+                    apply_pauli(np.eye(2**n, dtype=complex), site, axis), circ
                 )
                 embedded = _embedded_cone_conjugate(sites, cone, site, axis, n)
                 assert np.max(np.abs(embedded - dense)) < 1e-12

@@ -299,7 +299,13 @@ _VALID_CONFIGS = [
      "state_spec": {"kind": "circuit", "path": "c.json", "input": None}},
     {"experiment": "circuit-clustering", "geometry": _GEOMETRY,
      "state_spec": {"kind": "circuit", "path": "c.json",
-                    "input": {"kind": "random", "seed": 2, "rank": 1, "x": [], "amplitudes": 0}}},
+                    "input": {"kind": "random", "seed": 2, "rank": 1}}},
+    {"experiment": "circuit-clustering", "geometry": _GEOMETRY,
+     "state_spec": {"kind": "circuit", "path": "c.json",
+                    "input": {"kind": "bernoulli", "x": [0.2, 0.8]}}},
+    {"experiment": "circuit-clustering", "geometry": _GEOMETRY,
+     "state_spec": {"kind": "circuit", "path": "c.json",
+                    "input": {"kind": "product", "amplitudes": [[[1.0, 0.0], [0.0, 0.0]]]}}},
     {"experiment": "bound-suite", "samples": 0.5, "seed": 1},
 ]
 # wrong types, values on and beyond every bound, and the bool/int/float/None edge cases

@@ -30,18 +30,45 @@ from asymlab.states import (
 
 def test_statevector_requires_normalization():
     with pytest.raises(ValidationError):
-        StateVector(1, np.array([1.0, 1.0], dtype=complex))
-    psi = StateVector(1, np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0))
+        StateVector(np.array([1.0, 1.0], dtype=complex))
+    psi = StateVector(np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0))
     assert psi.dim == 2
     assert_allclose(psi.probabilities(), [0.5, 0.5])
 
 
+def test_states_read_n_off_their_arrays():
+    assert StateVector(np.eye(8)[5]).n_qubits == 3
+    assert DensityMatrix(np.eye(4) / 4.0).n_qubits == 2
+    assert StateVector(np.ones(1)).n_qubits == 0
+
+
+@pytest.mark.parametrize("length", [0, 3, 6, 12])
+def test_a_leading_axis_that_is_not_a_power_of_two_raises(length):
+    from asymlab import circuits, clustering, su2
+
+    vec = np.full(length, 1.0 / math.sqrt(max(length, 1)), dtype=complex)
+    mat = np.eye(length, dtype=complex) / max(length, 1)
+    calls = [
+        lambda: StateVector(vec),
+        lambda: DensityMatrix(mat),
+        lambda: apply_site_matrix(vec, PAULI["x"], 0),
+        lambda: apply_pauli(mat, 0, "z"),
+        lambda: su2.global_rotation(mat, np.eye(2)),
+        lambda: su2._transverse_moments(mat, 1.0),
+        lambda: circuits._sandwich(mat, PAULI["x"], (0,)),
+        lambda: clustering._support_mass_fractions(mat[None]),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="is not 2\\^N long"):
+            call()
+
+
 def test_density_matrix_validation():
     with pytest.raises(ValidationError):
-        DensityMatrix(1, np.array([[0.5, 0.5], [0.4, 0.5]]))
+        DensityMatrix(np.array([[0.5, 0.5], [0.4, 0.5]]))
     with pytest.raises(ValidationError):
-        DensityMatrix(1, np.array([[0.7, 0.0], [0.0, 0.7]]))
-    rho = DensityMatrix(1, np.eye(2) / 2.0)
+        DensityMatrix(np.array([[0.7, 0.0], [0.0, 0.7]]))
+    rho = DensityMatrix(np.eye(2) / 2.0)
     assert_allclose(rho.purity(), 0.5)
 
 
@@ -57,7 +84,7 @@ def test_states_are_frozen():
 
 
 def test_negative_spectrum_rejected_at_entropy_time():
-    rho = DensityMatrix(1, np.array([[1.5, 0.0], [0.0, -0.5]]))
+    rho = DensityMatrix(np.array([[1.5, 0.0], [0.0, -0.5]]))
     with pytest.raises(ValidationError):
         von_neumann_entropy(rho)
 
@@ -65,12 +92,12 @@ def test_negative_spectrum_rejected_at_entropy_time():
 def test_purity_handles_complex_off_diagonals():
     # (|0> + i|1>)/sqrt(2): pure, so purity must be exactly 1
     v = np.array([1.0, 1.0j]) / np.sqrt(2.0)
-    rho = DensityMatrix(1, np.outer(v, v.conj()))
+    rho = DensityMatrix(np.outer(v, v.conj()))
     assert_allclose(rho.purity(), 1.0, atol=1e-14)
 
 
 def test_basis_state_orders_site_zero_first():
-    psi = basis_state(3, [1, 0, 0])
+    psi = basis_state([1, 0, 0])
     # site 0 is the most significant bit
     assert np.flatnonzero(psi.amplitudes).tolist() == [4]
 
@@ -108,7 +135,7 @@ def test_entropy_of_probabilities():
 
 def test_von_neumann_entropy_pure_and_maximally_mixed():
     assert von_neumann_entropy(random_state(3, 5)) == 0.0
-    rho = DensityMatrix(2, np.eye(4) / 4.0)
+    rho = DensityMatrix(np.eye(4) / 4.0)
     assert_allclose(von_neumann_entropy(rho), math.log(4), atol=1e-12)
 
 
@@ -122,9 +149,9 @@ def test_von_neumann_entropy_spectrum():
 
 def test_apply_pauli_on_sites():
     psi = zero_state(2)
-    flipped = apply_pauli(psi.amplitudes, 0, "x", 2)
+    flipped = apply_pauli(psi.amplitudes, 0, "x")
     assert np.flatnonzero(flipped).tolist() == [2]
-    flipped = apply_pauli(psi.amplitudes, 1, "x", 2)
+    flipped = apply_pauli(psi.amplitudes, 1, "x")
     assert np.flatnonzero(flipped).tolist() == [1]
 
 
@@ -150,8 +177,8 @@ def test_apply_site_matrix_agrees_with_kron():
         d = 2 ** len(sites)
         op = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         dense = _dense_local(op, sites, n)
-        assert_allclose(apply_site_matrix(psi, op, sites, n), dense @ psi, atol=1e-12)
-        assert_allclose(apply_site_matrix(mat, op, sites, n), dense @ mat, atol=1e-12)
+        assert_allclose(apply_site_matrix(psi, op, sites), dense @ psi, atol=1e-12)
+        assert_allclose(apply_site_matrix(mat, op, sites), dense @ mat, atol=1e-12)
 
 
 def test_apply_site_matrix_site_forms_and_rejections():
@@ -161,12 +188,12 @@ def test_apply_site_matrix_site_forms_and_rejections():
     u = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     for site in range(n):
         assert np.array_equal(
-            apply_site_matrix(mat, u, site, n), apply_site_matrix(mat, u, (site,), n)
+            apply_site_matrix(mat, u, site), apply_site_matrix(mat, u, (site,))
         )
     gate = np.eye(4)
     for sites, op in [(5, u), (-1, u), ((0, 5), gate), ((2, 2), gate), ((0, 1), u), (0, gate)]:
         with pytest.raises(ValidationError):
-            apply_site_matrix(mat, op, sites, n)
+            apply_site_matrix(mat, op, sites)
 
 
 def test_reduced_density_matrix_of_ghz():
@@ -243,11 +270,11 @@ def test_density_matrix_rejects_a_wrong_factor():
     fac = rho.factor
     # any F V with V unitary is an equally exact factor
     v = np.linalg.qr(np.arange(9.0).reshape(3, 3) + 1j * np.eye(3))[0]
-    assert DensityMatrix(3, rho.matrix, fac @ v).factor.shape == (8, 3)
+    assert DensityMatrix(rho.matrix, fac @ v).factor.shape == (8, 3)
     bad = [fac[:-1], fac.T, fac[:, 0], fac.conj(), 1.001 * fac]
     for wrong in bad:
         with pytest.raises(ValidationError):
-            DensityMatrix(3, rho.matrix, wrong)
+            DensityMatrix(rho.matrix, wrong)
 
 
 def test_factor_is_read_only():
@@ -257,6 +284,6 @@ def test_factor_is_read_only():
     with pytest.raises(dataclasses.FrozenInstanceError):
         rho.factor = None
     source = rho.factor.copy()
-    held = DensityMatrix(3, rho.matrix, source)
+    held = DensityMatrix(rho.matrix, source)
     source[0, 0] = 5.0
     assert held.factor[0, 0] != 5.0

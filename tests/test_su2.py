@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from asymlab import su2
 from asymlab.circuits import haar_unitary
 from asymlab.closedforms import dicke_state
-from asymlab.errors import PreconditionError, ValidationError
+from asymlab.errors import PreconditionError, ResourceError, ValidationError
 from asymlab.lattice import LatticeGeometry
 from asymlab.states import (
     DensityMatrix,
@@ -44,8 +44,18 @@ from asymlab.tolerances import HAAR_QUADRATURE_TOL
 def _rotate_all(psi: StateVector, u: np.ndarray) -> StateVector:
     amps = psi.amplitudes
     for site in range(psi.n_qubits):
-        amps = apply_site_matrix(amps, u, site, psi.n_qubits)
-    return StateVector(psi.n_qubits, amps)
+        amps = apply_site_matrix(amps, u, site)
+    return StateVector(amps)
+
+
+def _column_spins(basis) -> list[tuple[int, int]]:
+    """(s, m) of every column of ``basis.dense()``: column start + alpha (2s+1) + (s - m)."""
+    spins = {}
+    for s, start, mult in basis.sectors:
+        for alpha in range(mult):
+            for m in range(-s, s + 1):
+                spins[start + alpha * (2 * s + 1) + (s - m)] = (s, m)
+    return [spins[col] for col in range(2**basis.n_qubits)]
 
 
 def test_multiplicity_worked_values():
@@ -76,10 +86,9 @@ def test_schur_basis_is_orthonormal(n):
 def test_schur_basis_two_qubits_is_triplet_singlet():
     basis = build_schur_basis(2)
     matrix = basis.dense()
-    # a sector's first column is (s, m = s, alpha = 0)
+    # one triplet (columns 0..2 hold m = 1, 0, -1), then one singlet
+    assert basis.sectors == ((1, 0, 1), (0, 3, 1))
     starts = {s: start for s, start, _mult in basis.sectors}
-    assert basis.labels[starts[0]] == (0, 0, 0)
-    assert basis.labels[starts[1]] == (1, 1, 0)
     v = matrix[:, starts[0]]
     expected = np.zeros(4)
     expected[1], expected[2] = 1.0, -1.0
@@ -100,11 +109,11 @@ def test_schur_columns_diagonalize_the_casimir():
     for axis in ("x", "y", "z"):
         acc = np.zeros((d, d), dtype=complex)
         for site in range(n):
-            acc += apply_site_matrix(np.eye(d, dtype=complex), PAULI[axis], site, n)
+            acc += apply_site_matrix(np.eye(d, dtype=complex), PAULI[axis], site)
         s_ops.append(acc / 2.0)
     s2 = sum(op @ op for op in s_ops)
     matrix = basis.dense()
-    for col, (s, m, _alpha) in enumerate(basis.labels):
+    for col, (s, m) in enumerate(_column_spins(basis)):
         v = matrix[:, col]
         assert_allclose(s2 @ v, s * (s + 1.0) * v, atol=1e-10)
         assert_allclose(s_ops[2] @ v, m * v, atol=1e-10)
@@ -121,8 +130,19 @@ def test_block_basis_equals_dense_reference(n):
         assert rows.size == math.comb(n, w)
         assert block.shape == (rows.size, rows.size)
         assert [s for s, _first, mult in basis.segments(w) for _ in range(mult)] == sorted(
-            (s for s, m, _alpha in basis.labels if m == n // 2 - w), reverse=True
+            (s for s, m in _column_spins(basis) if m == n // 2 - w), reverse=True
         )
+
+
+def test_schur_basis_is_built_once_per_n_and_capped_on_every_call(monkeypatch):
+    basis = build_schur_basis(6)
+    assert build_schur_basis(6) is basis
+    for part in basis.rows + basis.blocks:
+        assert not part.flags.writeable
+    monkeypatch.setenv("ASYMLAB_MAX_QUBITS", "4")
+    with pytest.raises(ResourceError):
+        build_schur_basis(6)
+    assert build_schur_basis(4) is build_schur_basis(4)
 
 
 def test_block_basis_rejects_odd_n():
@@ -150,7 +170,7 @@ def _dense_sector_table(rho: np.ndarray, basis) -> np.ndarray:
     matrix = basis.dense()
     diag = np.real(np.diag(matrix.T @ rho @ matrix))
     expected = np.zeros((n // 2 + 1, n + 1))
-    for col, (s, m, _alpha) in enumerate(basis.labels):
+    for col, (s, m) in enumerate(_column_spins(basis)):
         expected[s, m + n // 2] += diag[col]
     return np.clip(expected, 0.0, None)
 
@@ -163,12 +183,12 @@ def test_block_routes_match_dense_reference_for_density_matrices(n):
         rho = random_density_matrix(n, rng, rank=min(rank, 2**n))
         assert np.abs(rho.matrix.imag).max() > 1e-2 * np.abs(rho.matrix).max()
         twirl = _dense_twirl(rho.matrix, basis)
-        delta = von_neumann_entropy(DensityMatrix(n, twirl)) - von_neumann_entropy(rho)
+        delta = von_neumann_entropy(DensityMatrix(twirl)) - von_neumann_entropy(rho)
         table = _dense_sector_table(rho.matrix, basis)
-        for state in (rho, DensityMatrix(n, np.asfortranarray(rho.matrix))):
-            assert_allclose(su2_asymmetry(state, basis).delta_s, delta, rtol=0, atol=1e-12)
-            assert_allclose(sector_distribution(state, basis).p_sm, table, rtol=0, atol=1e-12)
-            assert_allclose(su2_twirl(state, basis).matrix, twirl, rtol=0, atol=1e-12)
+        for state in (rho, DensityMatrix(np.asfortranarray(rho.matrix))):
+            assert_allclose(su2_asymmetry(state).delta_s, delta, rtol=0, atol=1e-12)
+            assert_allclose(sector_distribution(state).p_sm, table, rtol=0, atol=1e-12)
+            assert_allclose(su2_twirl(state).matrix, twirl, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
@@ -178,12 +198,12 @@ def test_block_routes_match_dense_reference_for_pure_states(n):
     psi = random_state(n, rng)
     rho = psi.to_density_matrix().matrix
     twirl = _dense_twirl(rho, basis)
-    delta = von_neumann_entropy(DensityMatrix(n, twirl))
-    assert_allclose(su2_asymmetry(psi, basis).delta_s, delta, rtol=0, atol=1e-12)
+    delta = von_neumann_entropy(DensityMatrix(twirl))
+    assert_allclose(su2_asymmetry(psi).delta_s, delta, rtol=0, atol=1e-12)
     assert_allclose(
-        sector_distribution(psi, basis).p_sm, _dense_sector_table(rho, basis), rtol=0, atol=1e-12
+        sector_distribution(psi).p_sm, _dense_sector_table(rho, basis), rtol=0, atol=1e-12
     )
-    assert_allclose(su2_twirl(psi, basis).matrix, twirl, rtol=0, atol=1e-12)
+    assert_allclose(su2_twirl(psi).matrix, twirl, rtol=0, atol=1e-12)
 
 
 def test_asymmetry_of_non_psd_matrix_raises():
@@ -191,22 +211,23 @@ def test_asymmetry_of_non_psd_matrix_raises():
     singlet = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
     mat = 1.2 * np.outer(singlet, singlet)
     mat[0, 0] -= 0.2
-    rho = DensityMatrix(2, mat)
+    rho = DensityMatrix(mat)
     with pytest.raises(ValidationError):
-        su2_asymmetry(rho, build_schur_basis(2))
+        su2_asymmetry(rho)
 
 
 def test_pure_routes_at_n12_stay_far_below_the_dense_basis():
-    # the dense 2^12 x 2^12 basis alone is 134 MB
+    # the dense 2^12 x 2^12 basis alone is 134 MB; an empty memo makes this a fresh build
+    su2._schur_basis.cache_clear()
     tracemalloc.start()
     try:
-        basis = build_schur_basis(12)
+        build_schur_basis(12)
         build_peak = tracemalloc.get_traced_memory()[1]
         psi = random_state(12, np.random.default_rng(12))
         tracemalloc.reset_peak()
         held = tracemalloc.get_traced_memory()[0]
-        rep = su2_asymmetry(psi, basis)
-        sector_distribution(psi, basis)
+        rep = su2_asymmetry(psi)
+        sector_distribution(psi)
         route_peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
@@ -216,12 +237,11 @@ def test_pure_routes_at_n12_stay_far_below_the_dense_basis():
 
 
 def test_sector_distribution_of_known_states():
-    basis = build_schur_basis(2)
-    table = sector_distribution(zero_state(2), basis)
+    table = sector_distribution(zero_state(2))
     # |00> is pure triplet with m = +1
     assert_allclose(table.p_s, [0.0, 1.0], atol=1e-14)
     assert_allclose(table.p_sm[1, 2], 1.0, atol=1e-14)
-    ghz_table = sector_distribution(ghz_state(2), basis)
+    ghz_table = sector_distribution(ghz_state(2))
     assert_allclose(ghz_table.p_s, [0.0, 1.0], atol=1e-14)
     # the m marginal, indexed by m + N/2
     assert_allclose(ghz_table.p_sm.sum(axis=0), [0.5, 0.0, 0.5], atol=1e-14)
@@ -229,23 +249,21 @@ def test_sector_distribution_of_known_states():
 
 def test_twirl_idempotent_and_trace_preserving():
     rng = np.random.default_rng(3)
-    basis = build_schur_basis(4)
     rho = random_density_matrix(4, rng)
-    once = su2_twirl(rho, basis)
+    once = su2_twirl(rho)
     assert_allclose(np.trace(once.matrix).real, 1.0, atol=1e-12)
-    assert_allclose(su2_twirl(once, basis).matrix, once.matrix, atol=1e-12)
+    assert_allclose(su2_twirl(once).matrix, once.matrix, atol=1e-12)
 
 
 def test_twirl_matches_haar_quadrature():
     rng = np.random.default_rng(9)
     for n in (2, 4, 6, 8):
-        basis = build_schur_basis(n)
         for rho in (
             random_state(n, rng).to_density_matrix(),
             random_density_matrix(n, rng, rank=3),
             random_density_matrix(n, rng),
         ):
-            exact = su2_twirl(rho, basis)
+            exact = su2_twirl(rho)
             quad = su2_twirl_haar(rho)
             assert_allclose(quad.matrix, exact.matrix, atol=1e-12)
 
@@ -270,7 +288,7 @@ def _per_node_haar_twirl(rho: DensityMatrix) -> np.ndarray:
             for alpha in angles:
                 for gamma in angles:
                     u = _euler_unitary(alpha, beta, gamma)
-                    acc += (w / 2.0 / k / k) * global_rotation(rho.matrix, u, n)
+                    acc += (w / 2.0 / k / k) * global_rotation(rho.matrix, u)
         if previous is not None and np.max(np.abs(acc - previous)) <= HAAR_QUADRATURE_TOL:
             return acc
         previous = acc
@@ -296,16 +314,14 @@ def test_haar_quadrature_raises_when_it_cannot_converge(monkeypatch):
 
 
 def test_asymmetry_zero_for_rotation_invariant_states():
-    basis = build_schur_basis(2)
     # singlet is SU(2) invariant
-    singlet = StateVector(2, np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0))
-    assert su2_asymmetry(singlet, basis).delta_s == pytest.approx(0.0, abs=1e-10)
+    singlet = StateVector(np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0))
+    assert su2_asymmetry(singlet).delta_s == pytest.approx(0.0, abs=1e-10)
 
 
 def test_polarized_state_asymmetry_is_log_n_plus_1():
     for n in (2, 4, 6):
-        basis = build_schur_basis(n)
-        rep = su2_asymmetry(zero_state(n), basis)
+        rep = su2_asymmetry(zero_state(n))
         assert_allclose(rep.delta_s, math.log(n + 1), atol=1e-10)
         # saturates the sector-entropy bound: p_s ln(2s+1) with s = n/2, H = 0
         assert_allclose(rep.bound_sector_entropy, math.log(n + 1), atol=1e-12)
@@ -313,35 +329,32 @@ def test_polarized_state_asymmetry_is_log_n_plus_1():
 
 def test_pure_state_block_route_matches_dense_twirl():
     rng = np.random.default_rng(17)
-    basis = build_schur_basis(4)
     for _ in range(5):
         psi = random_state(4, rng)
-        fast = su2_asymmetry(psi, basis).delta_s
-        dense = von_neumann_entropy(su2_twirl(psi, basis))
+        fast = su2_asymmetry(psi).delta_s
+        dense = von_neumann_entropy(su2_twirl(psi))
         assert_allclose(fast, dense, atol=1e-9)
 
 
 def test_asymmetry_invariant_under_global_rotation():
     rng = np.random.default_rng(23)
-    basis = build_schur_basis(4)
     psi = random_state(4, rng)
-    base = su2_asymmetry(psi, basis).delta_s
+    base = su2_asymmetry(psi).delta_s
     for _ in range(3):
         u = haar_unitary(2, rng)
-        rotated = su2_asymmetry(_rotate_all(psi, u), basis).delta_s
+        rotated = su2_asymmetry(_rotate_all(psi, u)).delta_s
         assert_allclose(rotated, base, atol=1e-9)
 
 
 def test_sector_entropy_bound_and_support_bound_hold():
     rng = np.random.default_rng(31)
     for n in (2, 4):
-        basis = build_schur_basis(n)
         for _ in range(10):
             state = random_state(n, rng)
-            rep = su2_asymmetry(state, basis)
+            rep = su2_asymmetry(state)
             assert rep.delta_s <= rep.bound_sector_entropy + 1e-9
             assert rep.delta_s <= rep.bound_support_dim + 1e-9
-            table = sector_distribution(state, basis)
+            table = sector_distribution(state)
             assert_allclose(rep.bound_sector_entropy, su2_shannon_rhs(table), atol=1e-12)
 
 
@@ -352,7 +365,7 @@ def test_sector_distribution_of_density_matrix_reads_the_rotated_diagonal():
         for rank in (1, 3, None):
             rho = random_density_matrix(n, rng, rank=rank)
             assert np.abs(rho.matrix.imag).max() > 1e-3
-            table = sector_distribution(rho, basis)
+            table = sector_distribution(rho)
             assert_allclose(table.p_sm, _dense_sector_table(rho.matrix, basis), rtol=0, atol=1e-14)
 
 
@@ -385,7 +398,7 @@ def _eigen_mixture_moments(rho: DensityMatrix) -> dict:
     evals, evecs = np.linalg.eigh(rho.matrix)
     total: dict = {}
     for p, vec in zip(evals, evecs.T):
-        for key, value in spin_moments(StateVector(rho.n_qubits, vec)).items():
+        for key, value in spin_moments(StateVector(vec)).items():
             total[key] = total.get(key, 0.0) + p * value
     return total
 
@@ -397,7 +410,7 @@ def test_spin_moments_of_density_matrix_match_eigen_mixture(n):
         rho = random_density_matrix(n, rng, rank=min(rank, 2**n))
         expected = _eigen_mixture_moments(rho)
         got = spin_moments(rho)
-        fortran = spin_moments(DensityMatrix(n, np.asfortranarray(rho.matrix)))
+        fortran = spin_moments(DensityMatrix(np.asfortranarray(rho.matrix)))
         assert set(got) == set(expected)
         for key in expected:
             assert_allclose(got[key], expected[key], atol=1e-12, err_msg=f"{key} rank {rank}")
@@ -412,7 +425,7 @@ def test_spin_moments_of_density_matrix_closed_forms(n):
         [0.0, 0.0, 0.0, n / 4, n / 4, n**2 / 4],
         atol=1e-12,
     )
-    mixed = spin_moments(DensityMatrix(n, np.eye(2**n) / 2**n))
+    mixed = spin_moments(DensityMatrix(np.eye(2**n) / 2**n))
     assert_allclose(
         [mixed[k] for k in ("sx", "sy", "sz", "sx2", "sy2", "sz2", "s2")],
         [0.0, 0.0, 0.0, n / 4, n / 4, n / 4, 3 * n / 4],
@@ -435,7 +448,7 @@ def test_rotated_density_matrix_is_c_contiguous():
     rng = np.random.default_rng(53)
     rho = random_density_matrix(4, rng, rank=2)
     u = haar_unitary(2, rng)
-    assert global_rotation(rho.matrix, u, 4).flags.c_contiguous
+    assert global_rotation(rho.matrix, u).flags.c_contiguous
     plus_x = np.array([[0.5, 0.5], [0.5, 0.5]])
     gauged, _ = zero_transverse_rotation(product_state([plus_x] * 4))
     assert isinstance(gauged, DensityMatrix)
@@ -491,14 +504,14 @@ def test_rotated_factor_matches_dense_global_rotation():
     for n in (2, 4, 6, 8):
         rho = random_density_matrix(n, rng, rank=3)
         u = haar_unitary(2, rng)
-        fac = su2._rotate_rows(rho.factor, u, n)
-        dense = global_rotation(rho.matrix, u, n)
+        fac = su2._rotate_rows(rho.factor, u)
+        dense = global_rotation(rho.matrix, u)
         assert np.max(np.abs(fac @ fac.conj().T - dense)) <= 1e-14
         # the gauge rotation turns the factor and keeps it
         gauged, g = zero_transverse_rotation(rho)
         assert gauged.factor is not None
-        assert np.max(np.abs(gauged.matrix - global_rotation(rho.matrix, g, n))) <= 1e-14
-        bare, g_bare = zero_transverse_rotation(DensityMatrix(n, rho.matrix))
+        assert np.max(np.abs(gauged.matrix - global_rotation(rho.matrix, g))) <= 1e-14
+        bare, g_bare = zero_transverse_rotation(DensityMatrix(rho.matrix))
         assert bare.factor is None
         assert_allclose(g, g_bare, atol=1e-14)
         moments = spin_moments(gauged)
@@ -507,7 +520,7 @@ def test_rotated_factor_matches_dense_global_rotation():
 
 
 
-def _su2_readings(state, basis) -> dict:
+def _su2_readings(state) -> dict:
     """Everything su2 reads off one state, flattened to arrays for comparison."""
     out = {f"moment {k}": v for k, v in spin_moments(state).items()}
     gauged, u = zero_transverse_rotation(state)
@@ -515,11 +528,11 @@ def _su2_readings(state, basis) -> dict:
     out["gauged rho"] = (
         gauged.to_density_matrix() if isinstance(gauged, StateVector) else gauged
     ).matrix
-    if basis is not None:
-        rep = su2_asymmetry(state, basis)
+    if state.n_qubits % 2 == 0:
+        rep = su2_asymmetry(state)
         out["delta_s"] = rep.delta_s
         out["sector bound"] = rep.bound_sector_entropy
-        out["p_sm"] = sector_distribution(state, basis).p_sm
+        out["p_sm"] = sector_distribution(state).p_sm
     return out
 
 
@@ -527,13 +540,12 @@ def _su2_readings(state, basis) -> dict:
 def test_factor_route_matches_matrix_route(n):
     """A factored rho and the same matrix without its factor go two independent routes."""
     rng = np.random.default_rng(700 + n)
-    basis = build_schur_basis(n) if n % 2 == 0 else None
     # a full-rank draw carries no factor, so r < 2^N
     for rank in (r for r in (1, 2, 3, 4) if r < 2**n):
         rho = random_density_matrix(n, rng, rank=rank)
         assert rho.factor is not None
-        factored = _su2_readings(rho, basis)
-        bare = _su2_readings(DensityMatrix(n, rho.matrix), basis)
+        factored = _su2_readings(rho)
+        bare = _su2_readings(DensityMatrix(rho.matrix))
         for key, value in bare.items():
             assert_allclose(factored[key], value, rtol=0, atol=1e-12, err_msg=f"{key} r={rank}")
 
@@ -541,10 +553,9 @@ def test_factor_route_matches_matrix_route(n):
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
 def test_rank_one_factor_matches_its_statevector(n):
     rho = random_density_matrix(n, np.random.default_rng(800 + n), rank=1)
-    psi = StateVector(n, rho.factor[:, 0])
-    basis = build_schur_basis(n)
-    pure = _su2_readings(psi, basis)
-    for key, value in _su2_readings(rho, basis).items():
+    psi = StateVector(rho.factor[:, 0])
+    pure = _su2_readings(psi)
+    for key, value in _su2_readings(rho).items():
         assert_allclose(value, pure[key], rtol=0, atol=1e-14, err_msg=key)
 
 
@@ -558,9 +569,8 @@ def test_asymmetry_transforms_each_state_once(monkeypatch):
 
     monkeypatch.setattr(su2, "_schur_frame", spy)
     rng = np.random.default_rng(61)
-    basis = build_schur_basis(4)
     rho = random_density_matrix(4, rng, rank=2)
-    for state in (random_state(4, rng), rho, DensityMatrix(4, rho.matrix)):
+    for state in (random_state(4, rng), rho, DensityMatrix(rho.matrix)):
         frames.clear()
-        su2_asymmetry(state, basis)
+        su2_asymmetry(state)
         assert frames == [state]

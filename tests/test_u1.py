@@ -45,7 +45,7 @@ def test_charge_counts_zero_bits():
 
 
 def test_charge_distribution_of_basis_and_plus_states():
-    d = charge_distribution(basis_state(4, [0, 1, 0, 1]))
+    d = charge_distribution(basis_state([0, 1, 0, 1]))
     assert_allclose(d.probs, [0.0, 0.0, 1.0, 0.0, 0.0])
     d = charge_distribution(plus_state(4))
     binom = np.array([math.comb(4, k) for k in range(5)]) / 16.0
@@ -134,7 +134,7 @@ def test_asymmetry_of_ghz_is_ln_two():
 
 
 def test_asymmetry_zero_for_charge_eigenstates():
-    for psi in (zero_state(5), basis_state(5, [1, 0, 1, 1, 0])):
+    for psi in (zero_state(5), basis_state([1, 0, 1, 1, 0])):
         assert u1_asymmetry(psi).delta_s == pytest.approx(0.0, abs=1e-12)
 
 
@@ -186,12 +186,12 @@ def test_generating_function_inversion_round_trip():
     samples = np.array(
         [generating_function(psi, 2.0 * np.pi * k / n_charges) for k in range(n_charges)]
     )
-    d = distribution_from_generating_function(samples, n_charges)
+    d = distribution_from_generating_function(samples)
     assert_allclose(d.probs, charge_distribution(psi).probs, atol=1e-12)
 
 
 def test_report_margins_and_exact_bound_saturation():
-    rep = report_from_distribution(flat_distribution(7), 6)
+    rep = report_from_distribution(flat_distribution(7))
     # flat over N+1 charges attains ln(N+1) exactly
     assert_allclose(rep.delta_s, rep.bound_log_n_plus_1, atol=1e-14)
     margins = rep.margins()
@@ -211,7 +211,7 @@ def test_reports_compute_the_charge_entropy_once(monkeypatch):
         return entropy(probs)
 
     monkeypatch.setattr(u1, "entropy_of_probabilities", counting)
-    rep = report_from_distribution(flat_distribution(7), 6)
+    rep = report_from_distribution(flat_distribution(7))
     assert calls == [7] and rep.shannon == rep.delta_s
     calls.clear()
     u1_asymmetry(plus_state(4))
