@@ -436,6 +436,8 @@ def _load_vector(path, n: int) -> states.StateVector:
             f"state file {path} holds {vec.size} amplitudes, need {2**n} for {n} sites"
         )
     norm = np.linalg.norm(vec)
+    if not np.isfinite(norm):
+        raise ConfigError(f"state file {path} holds a NaN or infinite amplitude")
     if norm < ZERO_NORM:
         raise ConfigError(f"state file {path} holds a zero vector")
     return states.StateVector(vec / norm)

@@ -11,12 +11,13 @@ every operation returns a new object.  N is never passed next to an array: a
 state or kernel reads it off the 2^N length of the array's leading axis
 (``qubit_count``).
 
-A rank-r ``DensityMatrix`` may also carry an exact factor F (2^N x r, with
-rho = F F^dagger), checked against rho when the state is built.  Within asymlab only
-``random_density_matrix`` (rank below 2^N) and the gauge rotation of
-``su2.zero_transverse_rotation`` attach one.  S(rho) then comes from the
-r x r Gram matrix F^dagger F.  Every other operation builds a new matrix and
-so a state without a factor.
+A rank-r ``DensityMatrix`` may instead be built from an exact factor F
+(2^N x r, rho = F F^dagger) by ``DensityMatrix.from_factor``; such a state
+holds only F and forms rho on its first read of ``.matrix``.  Within asymlab
+only ``random_density_matrix`` (rank below 2^N) and the gauge rotation of
+``su2.zero_transverse_rotation`` build one.  S(rho) then comes from the r x r
+Gram matrix F^dagger F.  Every other operation builds a new matrix and so a
+state without a factor.
 
 Route rule: a state with an exact factor takes the factor route in ``su2``, a
 pure state as F = psi with one column and a factored density matrix with its
@@ -26,14 +27,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import ConfigError, ResourceError, ValidationError
 from .tolerances import (
     EIGENVALUE_FLOOR,
-    FACTOR_TOL,
     HERMITICITY_TOL,
     NORM_TOL,
     PROBABILITY_FLOOR,
@@ -104,7 +104,8 @@ class StateVector(_QubitState):
             raise ValidationError(f"amplitudes need one axis, got shape {amps.shape}")
         _check_cap(qubit_count(amps.size), statevector_cap(), "statevector")
         norm = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm - 1.0) > NORM_TOL * max(1.0, norm):
+        # isfinite first: an Inf norm would pass the relative test against itself
+        if not np.isfinite(norm) or abs(norm - 1.0) > NORM_TOL * max(1.0, norm):
             raise ValidationError(f"statevector norm^2 = {norm!r}, not 1 within {NORM_TOL}")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
@@ -121,45 +122,76 @@ class StateVector(_QubitState):
         return DensityMatrix(np.outer(a, a.conj()))
 
 
-@dataclass(frozen=True)
+def _squared_norm(arr: np.ndarray) -> float:
+    """|arr|^2 summed over all entries, as |Re arr|^2 + |Im arr|^2 of exact squares."""
+    return float(np.sum(arr.real**2) + np.sum(arr.imag**2))
+
+
+def _checked_density(mat: np.ndarray) -> np.ndarray:
+    """``mat``, made read-only, once it is a Hermitian unit-trace 2^N x 2^N matrix within the cap.
+
+    Each deviation fails unless it is <= its tolerance, so a NaN fails too.
+    """
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValidationError(f"expected a square matrix, got shape {mat.shape}")
+    _check_cap(qubit_count(mat.shape[0]), density_matrix_cap(), "density-matrix")
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which the test below rejects
+        herm = float(np.max(np.abs(mat - mat.conj().T)))
+    if not herm <= HERMITICITY_TOL:
+        raise ValidationError(f"matrix deviates from Hermitian by {herm:.3e}")
+    tr = complex(np.trace(mat))
+    if not abs(tr - 1.0) <= UNIT_SUM_TOL:
+        raise ValidationError(f"trace = {tr!r}, not 1 within {UNIT_SUM_TOL}")
+    mat.flags.writeable = False
+    return mat
+
+
+# rho is a cached property, not a field, so a generated eq or repr would see only ``factor``
+@dataclass(frozen=True, init=False, repr=False, eq=False)
 class DensityMatrix(_QubitState):
     """Hermitian, unit-trace 2^N x 2^N operator on N qubits.
 
-    ``factor``, when given, is an exact 2^N x r factor F with F F^dagger = rho
-    within FACTOR_TOL; a wrong factor raises ValidationError.
+    ``DensityMatrix(matrix)`` holds rho itself, and ``factor`` is None.
+    ``DensityMatrix.from_factor(F)`` holds only an exact 2^N x r factor F with
+    rho = F F^dagger: ``matrix`` is formed on its first read, passes the checks
+    of a matrix-built state, and is then cached read-only.
     """
 
-    matrix: np.ndarray
-    factor: np.ndarray | None = None
+    factor: np.ndarray | None
 
-    def __post_init__(self):
-        mat = np.array(self.matrix, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValidationError(f"expected a square matrix, got shape {mat.shape}")
-        d = mat.shape[0]
-        _check_cap(qubit_count(d), density_matrix_cap(), "density-matrix")
-        herm = float(np.max(np.abs(mat - mat.conj().T)))
-        if herm > HERMITICITY_TOL:
-            raise ValidationError(f"matrix deviates from Hermitian by {herm:.3e}")
-        tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > UNIT_SUM_TOL:
-            raise ValidationError(f"trace = {tr!r}, not 1 within {UNIT_SUM_TOL}")
-        mat.flags.writeable = False
-        object.__setattr__(self, "matrix", mat)
-        if self.factor is None:
-            return
-        fac = np.array(self.factor, dtype=complex)
-        if fac.ndim != 2 or fac.shape[0] != d:
-            raise ValidationError(f"factor needs {d} rows and 2 axes, got shape {fac.shape}")
-        gap = float(np.max(np.abs(fac @ fac.conj().T - mat)))
-        if gap > FACTOR_TOL:
-            raise ValidationError(f"factor F deviates from F F^dagger = rho by {gap:.3e}")
+    def __init__(self, matrix):
+        object.__setattr__(self, "factor", None)
+        object.__setattr__(self, "matrix", _checked_density(np.array(matrix, dtype=complex)))
+
+    @classmethod
+    def from_factor(cls, factor) -> "DensityMatrix":
+        """The state rho = F F^dagger, holding a read-only copy of F and no rho.
+
+        F must have two axes, 2^N rows within the density-matrix cap, finite
+        entries and tr rho = |F|_F^2 equal to 1 within UNIT_SUM_TOL.
+        """
+        fac = np.array(factor, dtype=complex)
+        if fac.ndim != 2:
+            raise ValidationError(f"factor needs 2 axes, got shape {fac.shape}")
+        _check_cap(qubit_count(fac.shape[0]), density_matrix_cap(), "density-matrix")
+        if not np.all(np.isfinite(fac)):
+            raise ValidationError("factor has a non-finite entry")
+        tr = _squared_norm(fac)
+        if not abs(tr - 1.0) <= UNIT_SUM_TOL:
+            raise ValidationError(f"factor gives trace {tr!r}, not 1 within {UNIT_SUM_TOL}")
         fac.flags.writeable = False
-        object.__setattr__(self, "factor", fac)
+        state = cls.__new__(cls)
+        object.__setattr__(state, "factor", fac)
+        return state
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        # reached only by a factored state: a matrix-built one holds rho from __init__
+        return _checked_density(self.factor @ self.factor.conj().T)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return (self.matrix if self.factor is None else self.factor).shape[0]
 
     def purity(self) -> float:
         # tr(rho^2) = sum |rho_ij|^2 for Hermitian rho
@@ -265,7 +297,8 @@ def random_density_matrix(n_qubits: int, rng, rank: int | None = None) -> Densit
     """Random mixed state: normalized Wishart matrix of the given rank.
 
     rho = A A^dagger / tr for a complex Gaussian 2^N x rank matrix A.  Below
-    full rank the state carries its exact factor A / sqrt(tr).
+    full rank the state is ``DensityMatrix.from_factor(A / |A|_F)`` and rho
+    is formed only if read; a full-rank draw holds rho.
     """
     rng = np.random.default_rng(rng)
     _check_cap(n_qubits, density_matrix_cap(), "density-matrix")
@@ -274,10 +307,11 @@ def random_density_matrix(n_qubits: int, rng, rank: int | None = None) -> Densit
     if not 1 <= r <= d:
         raise ValidationError(f"rank must lie in [1, {d}], got {rank}")
     a = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
+    if r < d:
+        return DensityMatrix.from_factor(a / np.sqrt(_squared_norm(a)))
     mat = a @ a.conj().T
-    tr = np.real(np.trace(mat))
-    mat /= tr
-    return DensityMatrix(mat, a / np.sqrt(tr) if r < d else None)
+    mat /= np.real(np.trace(mat))
+    return DensityMatrix(mat)
 
 
 @lru_cache(maxsize=32)

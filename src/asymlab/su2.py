@@ -20,10 +20,12 @@ inside each path.
 
 Route rule: a state with an exact factor F, rho = F F^dagger, takes the
 factor route; a pure state is F = psi as one column, and a ``DensityMatrix``
-carrying a factor uses its own F.  Any other density matrix takes the matrix
-route.  ``su2_asymmetry`` and ``sector_distribution`` take the state into the
-Schur basis in one pass over the weight blocks (``_schur_frame``), and
-``spin_moments`` and ``zero_transverse_rotation`` act on F or on rho.
+built by ``from_factor`` uses its own F.  The factor route reads only F and
+forms no 2^N x 2^N matrix, so a factored state's rho is never formed here.
+Any other density matrix takes the matrix route.  ``su2_asymmetry`` and
+``sector_distribution`` take the state into the Schur basis in one pass over
+the weight blocks (``_schur_frame``), and ``spin_moments`` and
+``zero_transverse_rotation`` act on F or on rho.
 ``_dense_schur_basis``, ``su2_twirl`` and ``su2_twirl_haar`` are references
 for tests and oracles.
 """
@@ -640,7 +642,7 @@ def zero_transverse_rotation(state: State):
     Returns (rotated_state, u) where u is the single-site unitary applied to
     every qubit.  A state with vanishing mean spin is returned unchanged with
     u = identity.  On the factor route only F is rotated, F' = u^{(x) N} F, and
-    a density matrix keeps F' with rho' = F' F'^dagger.
+    a density matrix comes back as ``DensityMatrix.from_factor(F')``.
     """
     moments = spin_moments(state)
     v = np.array([moments["sx"], moments["sy"], moments["sz"]])
@@ -667,7 +669,7 @@ def zero_transverse_rotation(state: State):
     else:
         fac = _rotate_rows(fac, u)
         pure = isinstance(state, StateVector)
-        rotated = StateVector(fac[:, 0]) if pure else DensityMatrix(fac @ fac.conj().T, fac)
+        rotated = StateVector(fac[:, 0]) if pure else DensityMatrix.from_factor(fac)
     check = spin_moments(rotated)
     if max(abs(check["sx"]), abs(check["sy"])) > TRANSVERSE_TOL or check["sz"] < -TRANSVERSE_TOL:
         raise ValidationError("gauge rotation failed to null the transverse spin")

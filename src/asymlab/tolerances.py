@@ -16,8 +16,6 @@ from __future__ import annotations
 NORM_TOL = 1e-12
 # largest |rho - rho^dagger| entry a density matrix may have
 HERMITICITY_TOL = 1e-10
-# largest |F F^dagger - rho| entry the exact factor F carried by a density matrix may have
-FACTOR_TOL = 1e-12
 # a trace, or the total of a charge or spin-sector distribution, equals 1 within this
 UNIT_SUM_TOL = 1e-10
 # eigenvalues of a density matrix in [EIGENVALUE_FLOOR, 0) are rounding and clamp to 0

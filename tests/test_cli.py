@@ -482,6 +482,20 @@ def _state_file_npy_booleans(tmp_path, monkeypatch):
     return _su2_state_file(tmp_path, "state.npy", np.array([True, False, False, False]))
 
 
+def _state_file_nan(tmp_path, monkeypatch):
+    return _su2_state_file(tmp_path, "state.json",
+                           [[float("nan"), 0], [0, 0], [0, 0], [0, 0]])
+
+
+def _state_file_infinity(tmp_path, monkeypatch):
+    return _su2_state_file(tmp_path, "state.json",
+                           [[float("inf"), 0], [0, 0], [0, 0], [0, 0]])
+
+
+def _state_file_npy_nan(tmp_path, monkeypatch):
+    return _su2_state_file(tmp_path, "state.npy", np.array([np.nan, 1.0, 0.0, 0.0]))
+
+
 def _circuit_input_product_boolean_pairs(tmp_path, monkeypatch):
     site = [[True, False], [False, False]]
     spec = _write(tmp_path / "input.json", {"kind": "product", "amplitudes": [site] * 4})
@@ -494,6 +508,9 @@ def _circuit_input_product_boolean_pairs(tmp_path, monkeypatch):
         _gate_with_boolean_entries,
         _state_file_boolean_pairs,
         _state_file_npy_booleans,
+        _state_file_nan,
+        _state_file_infinity,
+        _state_file_npy_nan,
         _circuit_input_product_boolean_pairs,
         _gate_without_sites,
         _gate_with_non_integer_site,

@@ -29,8 +29,9 @@ from asymlab.states import (
 
 
 def test_statevector_requires_normalization():
-    with pytest.raises(ValidationError):
-        StateVector(np.array([1.0, 1.0], dtype=complex))
+    for bad in ([1.0, 1.0], [np.nan, 0.0], [np.inf, 0.0]):
+        with pytest.raises(ValidationError):
+            StateVector(np.array(bad, dtype=complex))
     psi = StateVector(np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0))
     assert psi.dim == 2
     assert_allclose(psi.probabilities(), [0.5, 0.5])
@@ -40,6 +41,9 @@ def test_states_read_n_off_their_arrays():
     assert StateVector(np.eye(8)[5]).n_qubits == 3
     assert DensityMatrix(np.eye(4) / 4.0).n_qubits == 2
     assert StateVector(np.ones(1)).n_qubits == 0
+    factored = DensityMatrix.from_factor(np.eye(16)[:, :2] / math.sqrt(2.0))
+    assert (factored.n_qubits, factored.dim) == (4, 16)
+    assert "matrix" not in vars(factored)
 
 
 @pytest.mark.parametrize("length", [0, 3, 6, 12])
@@ -68,6 +72,9 @@ def test_density_matrix_validation():
         DensityMatrix(np.array([[0.5, 0.5], [0.4, 0.5]]))
     with pytest.raises(ValidationError):
         DensityMatrix(np.array([[0.7, 0.0], [0.0, 0.7]]))
+    for value in (np.nan, np.inf):
+        with pytest.raises(ValidationError):
+            DensityMatrix(np.array([[1.0, value], [value, 0.0]]))
     rho = DensityMatrix(np.eye(2) / 2.0)
     assert_allclose(rho.purity(), 0.5)
 
@@ -230,11 +237,16 @@ def test_floored_spectrum_clamps_only_above_the_floor():
         floored_spectrum(np.array([2.0 * EIGENVALUE_FLOOR, 1.0]))
 
 
-def _parent_wishart(n, seed, rank):
-    """rho drawn exactly as random_density_matrix draws it, without the factor."""
+def _gaussian(n, seed, rank):
+    """The complex Gaussian 2^n x rank matrix A that random_density_matrix draws."""
     rng = np.random.default_rng(seed)
     d = 2**n
-    a = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+    return rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+
+
+def _wishart(n, seed, rank):
+    """rho = A A^dagger / tr of the draw, formed whole."""
+    a = _gaussian(n, seed, rank)
     mat = a @ a.conj().T
     mat /= np.real(np.trace(mat))
     return mat
@@ -243,15 +255,19 @@ def _parent_wishart(n, seed, rank):
 def test_random_density_matrix_keeps_factor_below_full_rank_only():
     for n, rank in ((3, 2), (4, 5), (3, 8), (4, 16)):
         rho = random_density_matrix(n, np.random.default_rng(17), rank=rank)
-        assert np.array_equal(rho.matrix, _parent_wishart(n, 17, rank))
         if rank == 2**n:
             assert rho.factor is None
-        else:
-            assert rho.factor.shape == (2**n, rank)
-            assert np.max(np.abs(rho.factor @ rho.factor.conj().T - rho.matrix)) < 1e-15
+            assert np.array_equal(rho.matrix, _wishart(n, 17, rank))
+            continue
+        a = _gaussian(n, 17, rank)
+        assert np.array_equal(rho.factor, a / np.sqrt(np.sum(a.real**2) + np.sum(a.imag**2)))
+        # rho is formed on its first read, as F F^dagger
+        assert "matrix" not in vars(rho)
+        assert np.array_equal(rho.matrix, rho.factor @ rho.factor.conj().T)
+        assert np.max(np.abs(rho.matrix - _wishart(n, 17, rank))) <= 1e-15
     full = random_density_matrix(3, np.random.default_rng(17))
     assert full.factor is None
-    assert np.array_equal(full.matrix, _parent_wishart(3, 17, 8))
+    assert np.array_equal(full.matrix, _wishart(3, 17, 8))
 
 
 def test_gram_entropy_matches_dense_eigensolve():
@@ -266,24 +282,30 @@ def test_gram_entropy_matches_dense_eigensolve():
 
 
 def test_density_matrix_rejects_a_wrong_factor():
-    rho = random_density_matrix(3, np.random.default_rng(31), rank=3)
-    fac = rho.factor
+    fac = random_density_matrix(3, np.random.default_rng(31), rank=3).factor
     # any F V with V unitary is an equally exact factor
     v = np.linalg.qr(np.arange(9.0).reshape(3, 3) + 1j * np.eye(3))[0]
-    assert DensityMatrix(rho.matrix, fac @ v).factor.shape == (8, 3)
-    bad = [fac[:-1], fac.T, fac[:, 0], fac.conj(), 1.001 * fac]
+    assert DensityMatrix.from_factor(fac @ v).factor.shape == (8, 3)
+    bad = [fac[:, 0], fac[:-1], fac.T, 1.001 * fac]
+    for value in (np.nan, np.inf):
+        poisoned = fac.copy()
+        poisoned[2, 1] = value
+        bad.append(poisoned)
     for wrong in bad:
         with pytest.raises(ValidationError):
-            DensityMatrix(rho.matrix, wrong)
+            DensityMatrix.from_factor(wrong)
 
 
 def test_factor_is_read_only():
     rho = random_density_matrix(3, np.random.default_rng(37), rank=2)
     with pytest.raises(ValueError):
         rho.factor[0, 0] = 1.0
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        rho.factor = None
+    with pytest.raises(ValueError):
+        rho.matrix[0, 0] = 1.0
+    for name in ("factor", "matrix"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(rho, name, None)
     source = rho.factor.copy()
-    held = DensityMatrix(rho.matrix, source)
+    held = DensityMatrix.from_factor(source)
     source[0, 0] = 5.0
     assert held.factor[0, 0] != 5.0

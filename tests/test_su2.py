@@ -236,6 +236,25 @@ def test_pure_routes_at_n12_stay_far_below_the_dense_basis():
     assert 0.0 <= rep.delta_s <= rep.bound_sector_entropy + 1e-9
 
 
+def test_factored_mixed_route_forms_no_dense_rho():
+    """A rank-4 draw at N = 10 through the su2 mixed-state path stays below one 2^N x 2^N array."""
+    n = 10
+    geo = LatticeGeometry(1, n)
+    build_schur_basis(n)  # the shared basis is not a state's memory
+    tracemalloc.start()
+    try:
+        rho = random_density_matrix(n, np.random.default_rng(10), rank=4)
+        su2_asymmetry(rho)
+        gauged, _u = zero_transverse_rotation(rho)
+        casimir_constraint_check(gauged, geo, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 4**n  # one complex 2^N x 2^N array: 16 MB
+    for state in (rho, gauged):
+        assert np.array_equal(state.matrix, state.factor @ state.factor.conj().T)
+
+
 def test_sector_distribution_of_known_states():
     table = sector_distribution(zero_state(2))
     # |00> is pure triplet with m = +1
