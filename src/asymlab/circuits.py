@@ -16,7 +16,16 @@ import numpy as np
 
 from .errors import ValidationError
 from .lattice import LatticeGeometry, distance
-from .states import DensityMatrix, State, StateVector, apply_site_matrix, complex_from_pairs
+from .states import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    DensityMatrix,
+    State,
+    apply_site_matrix,
+    bit_weights,
+    complex_from_pairs,
+)
 from .tolerances import COMPLETENESS_TOL, UNITARITY_TOL
 
 
@@ -90,22 +99,26 @@ def _sandwich(mat: np.ndarray, op: np.ndarray, sites: tuple[int, ...]) -> np.nda
 
 
 def apply_circuit(state: State, circuit: BrickworkCircuit) -> State:
-    """Apply every layer in order; returns the same kind of state."""
+    """Apply every layer in order; returns the same kind of state.
+
+    A state with a factor F has each gate applied to the rows of F, so it
+    stays factored (a pure state stays pure); a state without one has each
+    gate sandwiched around rho.
+    """
     if state.n_qubits != circuit.n_qubits:
         raise ValidationError(
             f"state has {state.n_qubits} qubits, circuit has {circuit.n_qubits}"
         )
-    if isinstance(state, StateVector):
-        amps = np.array(state.amplitudes)
-        for layer in circuit.layers:
-            for gate in layer:
-                amps = apply_site_matrix(amps, gate.matrix, gate.sites)
-        return StateVector(amps)
-    mat = np.array(state.matrix)
-    for layer in circuit.layers:
-        for gate in layer:
+    gates = [gate for layer in circuit.layers for gate in layer]
+    fac = state.factor
+    if fac is None:
+        mat = state.matrix
+        for gate in gates:
             mat = _sandwich(mat, gate.matrix, gate.sites)
-    return DensityMatrix(mat)
+        return DensityMatrix(mat)
+    for gate in gates:
+        fac = apply_site_matrix(fac, gate.matrix, gate.sites)
+    return state.with_factor(fac)
 
 
 def circuit_unitary(circuit: BrickworkCircuit) -> np.ndarray:
@@ -199,10 +212,8 @@ class KrausChannel:
         object.__setattr__(self, "operators", ops)
 
 
-def apply_channel(state: DensityMatrix, channel: KrausChannel) -> DensityMatrix:
+def apply_channel(state: State, channel: KrausChannel) -> DensityMatrix:
     """Apply sum_k A_k rho A_k^dagger on the channel's support."""
-    if isinstance(state, StateVector):
-        state = state.to_density_matrix()
     out = np.zeros_like(state.matrix)
     for op in channel.operators:
         out = out + _sandwich(state.matrix, op, channel.support)
@@ -252,8 +263,6 @@ def charge_conserving_gate(rng) -> np.ndarray:
 
 def charge_conserving_unitary(n_qubits: int, rng) -> np.ndarray:
     """Dense random unitary block-diagonal in the charge sectors."""
-    from .states import bit_weights
-
     rng = np.random.default_rng(rng)
     d = 2**n_qubits
     weights = bit_weights(n_qubits)
@@ -267,8 +276,6 @@ def charge_conserving_unitary(n_qubits: int, rng) -> np.ndarray:
 
 def depolarizing_channel(site: int, p: float) -> KrausChannel:
     """Single-site depolarizing channel with error weight p split over X, Y, Z."""
-    from .states import PAULI_X, PAULI_Y, PAULI_Z
-
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"p must lie in [0, 1], got {p}")
     eye = np.eye(2, dtype=complex)
@@ -279,8 +286,6 @@ def depolarizing_channel(site: int, p: float) -> KrausChannel:
 
 def phase_flip_channel(site: int, p: float) -> KrausChannel:
     """Single-site channel applying Z with probability p."""
-    from .states import PAULI_Z
-
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"p must lie in [0, 1], got {p}")
     eye = np.eye(2, dtype=complex)

@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
-from .states import StateVector, _check_cap, bit_weights, statevector_cap
+from .states import StateVector, _check_cap, bit_weights, product_state, statevector_cap
 from .tolerances import FIT_SPAN_FLOOR, NORMALIZATION_TOL, TANH_SINH_TOL
 from .u1 import ChargeDistribution
 
@@ -341,8 +341,6 @@ def _poisson_binomial_dp(x) -> ChargeDistribution:
 
 def product_charge_state(x) -> StateVector:
     """Product state with local charge means x_j: sqrt(x)|0> + sqrt(1-x)|1>."""
-    from .states import product_state
-
     x = np.asarray(x, dtype=float)
     locals_ = [np.array([np.sqrt(xj), np.sqrt(1.0 - xj)], dtype=complex) for xj in x]
     return product_state(locals_)

@@ -11,17 +11,22 @@ every operation returns a new object.  N is never passed next to an array: a
 state or kernel reads it off the 2^N length of the array's leading axis
 (``qubit_count``).
 
-A rank-r ``DensityMatrix`` may instead be built from an exact factor F
-(2^N x r, rho = F F^dagger) by ``DensityMatrix.from_factor``; such a state
-holds only F and forms rho on its first read of ``.matrix``.  Within asymlab
-only ``random_density_matrix`` (rank below 2^N) and the gauge rotation of
-``su2.zero_transverse_rotation`` build one.  S(rho) then comes from the r x r
-Gram matrix F^dagger F.  Every other operation builds a new matrix and so a
-state without a factor.
+Every state answers one protocol, and this module alone knows which kind of
+state it holds.  ``factor`` is an exact 2^N x r factor F with rho = F F^dagger
+or None: a ``StateVector`` is F = psi, one read-only column; a
+``DensityMatrix.from_factor(F)`` holds only F; a ``DensityMatrix(matrix)``
+holds rho and has no factor.  ``matrix`` is rho, formed as F F^dagger on its
+first read (after the density-matrix cap, so an over-cap read allocates
+nothing) and then cached read-only; ``diagonal()`` is the squared row norms of
+F, or diag rho; ``with_factor(F)`` rebuilds a state of the same kind.
 
-Route rule: a state with an exact factor takes the factor route in ``su2``, a
-pure state as F = psi with one column and a factored density matrix with its
-own F; only a density matrix without a factor is read through rho itself.
+Route rule: a kernel takes at most two routes, chosen by ``state.factor is
+None``.  The factor route reads only F and forms no 2^N x 2^N matrix, so a
+factored state stays factored through ``u1.charge_distribution``,
+``reduced_density_matrix``, ``circuits.apply_circuit``, ``su2_asymmetry`` and
+``su2.zero_transverse_rotation``; the matrix route reads rho.  Operations that
+need rho itself (the twirls, channels, ``DensityMatrix.purity``) read
+``matrix``, of a pure state too, and return a matrix-built state.
 """
 from __future__ import annotations
 
@@ -85,11 +90,30 @@ def qubit_count(length: int) -> int:
 
 
 class _QubitState:
-    """N of a state, read off the 2^N length ``dim`` of its array."""
+    """The state protocol: ``factor``, ``matrix``, ``diagonal()``, ``with_factor(F)``.
+
+    N is read off the 2^N length ``dim`` of whichever array the state holds.
+    """
+
+    @property
+    def dim(self) -> int:
+        return (self.matrix if self.factor is None else self.factor).shape[0]
 
     @property
     def n_qubits(self) -> int:
         return self.dim.bit_length() - 1
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        # reached only with a factor: a matrix-built DensityMatrix holds rho from __init__
+        _check_cap(qubit_count(self.dim), density_matrix_cap(), "density-matrix")
+        return _checked_density(self.factor @ self.factor.conj().T)
+
+    def diagonal(self) -> np.ndarray:
+        """The computational-basis weights diag rho."""
+        if self.factor is None:
+            return np.real(np.diag(self.matrix)).copy()
+        return np.sum(np.abs(self.factor) ** 2, axis=1)
 
 
 @dataclass(frozen=True)
@@ -111,15 +135,16 @@ class StateVector(_QubitState):
         object.__setattr__(self, "amplitudes", amps)
 
     @property
-    def dim(self) -> int:
-        return self.amplitudes.size
+    def factor(self) -> np.ndarray:
+        """psi as a read-only 2^N x 1 view."""
+        return self.amplitudes[:, None]
 
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
+    def with_factor(self, factor: np.ndarray) -> "StateVector":
+        return StateVector(factor[:, 0])
 
     def to_density_matrix(self) -> "DensityMatrix":
-        a = self.amplitudes
-        return DensityMatrix(np.outer(a, a.conj()))
+        """The matrix-built state psi psi^dagger, with no factor."""
+        return DensityMatrix(self.matrix)
 
 
 def _squared_norm(arr: np.ndarray) -> float:
@@ -153,8 +178,7 @@ class DensityMatrix(_QubitState):
 
     ``DensityMatrix(matrix)`` holds rho itself, and ``factor`` is None.
     ``DensityMatrix.from_factor(F)`` holds only an exact 2^N x r factor F with
-    rho = F F^dagger: ``matrix`` is formed on its first read, passes the checks
-    of a matrix-built state, and is then cached read-only.
+    rho = F F^dagger, and forms ``matrix`` on its first read.
     """
 
     factor: np.ndarray | None
@@ -184,21 +208,12 @@ class DensityMatrix(_QubitState):
         object.__setattr__(state, "factor", fac)
         return state
 
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        # reached only by a factored state: a matrix-built one holds rho from __init__
-        return _checked_density(self.factor @ self.factor.conj().T)
-
-    @property
-    def dim(self) -> int:
-        return (self.matrix if self.factor is None else self.factor).shape[0]
+    def with_factor(self, factor: np.ndarray) -> "DensityMatrix":
+        return DensityMatrix.from_factor(factor)
 
     def purity(self) -> float:
         # tr(rho^2) = sum |rho_ij|^2 for Hermitian rho
         return float(np.sum(np.abs(self.matrix) ** 2))
-
-    def diagonal(self) -> np.ndarray:
-        return np.real(np.diag(self.matrix)).copy()
 
 
 State = StateVector | DensityMatrix
@@ -415,9 +430,11 @@ def reduced_density_matrix(state: State, sites) -> np.ndarray:
             raise ValidationError(f"site {s} outside [0, {n})")
     rest = [s for s in range(n) if s not in sites]
     k = len(sites)
-    if isinstance(state, StateVector):
-        tensor = state.amplitudes.reshape((2,) * n)
-        t = np.transpose(tensor, sites + rest).reshape(2**k, -1)
+    fac = state.factor
+    if fac is not None:
+        # tr_rest F F^dagger = T T^dagger, T the kept sites x (rest sites, columns) of F
+        tensor = fac.reshape((2,) * n + (fac.shape[1],))
+        t = np.transpose(tensor, sites + rest + [n]).reshape(2**k, -1)
         return t @ t.conj().T
     tensor = state.matrix.reshape((2,) * (2 * n))
     perm = sites + rest + [n + s for s in sites] + [n + r for r in rest]

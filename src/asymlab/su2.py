@@ -18,13 +18,10 @@ Its columns are grouped by total spin s in decreasing order; within a sector
 the coupling path index is the outer label and m runs from +s down to -s
 inside each path.
 
-Route rule: a state with an exact factor F, rho = F F^dagger, takes the
-factor route; a pure state is F = psi as one column, and a ``DensityMatrix``
-built by ``from_factor`` uses its own F.  The factor route reads only F and
-forms no 2^N x 2^N matrix, so a factored state's rho is never formed here.
-Any other density matrix takes the matrix route.  ``su2_asymmetry`` and
-``sector_distribution`` take the state into the Schur basis in one pass over
-the weight blocks (``_schur_frame``), and ``spin_moments`` and
+Every kernel takes the factor route or the matrix route by the route rule of
+``states``; the factor route forms no 2^N x 2^N matrix.  ``su2_asymmetry``
+and ``sector_distribution`` take the state into the Schur basis in one pass
+over the weight blocks (``_schur_frame``), and ``spin_moments`` and
 ``zero_transverse_rotation`` act on F or on rho.
 ``_dense_schur_basis``, ``su2_twirl`` and ``su2_twirl_haar`` are references
 for tests and oracles.
@@ -41,9 +38,11 @@ from numpy.polynomial.legendre import leggauss
 from .errors import PreconditionError, ValidationError
 from .lattice import LatticeGeometry, neighborhood_cardinality
 from .states import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     DensityMatrix,
     State,
-    StateVector,
     _check_cap,
     apply_pauli,
     apply_site_matrix,
@@ -320,17 +319,6 @@ class SectorTable:
         return self.p_sm.sum(axis=1)
 
 
-def _factor_of(state: State) -> np.ndarray | None:
-    """The exact factor F (rho = F F^dagger) of the factor route, or None for the matrix route.
-
-    A pure state is its amplitudes as one column; a density matrix has the
-    factor it carries, if any.
-    """
-    if isinstance(state, StateVector):
-        return state.amplitudes[:, None]
-    return state.factor
-
-
 def _rotated_blocks(rho: np.ndarray, basis: SchurBasis) -> list[np.ndarray]:
     """R_w = B_w^T rho_ww B_w, rho in the Schur basis on each weight w.
 
@@ -351,7 +339,7 @@ def _schur_frame(state: State, basis: SchurBasis) -> tuple[bool, list[np.ndarray
     one C(N, w) x r block per weight; the matrix route gives the R_w of
     ``_rotated_blocks``.
     """
-    fac = _factor_of(state)
+    fac = state.factor
     if fac is None:
         return False, _rotated_blocks(state.matrix, basis)
     frame = []
@@ -401,8 +389,6 @@ def su2_twirl(state: State) -> DensityMatrix:
     blocks between different weights are zero.
     """
     basis = build_schur_basis(state.n_qubits)
-    if isinstance(state, StateVector):
-        state = state.to_density_matrix()
     avgs = _sector_averages(_rotated_blocks(state.matrix, basis), basis)
     out = np.zeros((state.dim,) * 2, dtype=complex)
     for w, (rows, block) in enumerate(zip(basis.rows, basis.blocks)):
@@ -549,8 +535,6 @@ def su2_twirl_haar(state: State) -> DensityMatrix:
     of ``_dephasing_mask``, so one level is the same finite sum taken as
     sum_beta (w_beta / 2) Phi_k o (R_y(beta)^{(x) N} (Phi_k o rho) R_y(beta)^{(x) N T}).
     """
-    if isinstance(state, StateVector):
-        state = state.to_density_matrix()
     n = state.n_qubits
     previous = None
     k = 2 * n + 2
@@ -586,8 +570,8 @@ def spin_moments(state: State) -> dict:
     """
     n = state.n_qubits
     m_values = (n - 2.0 * bit_weights(n)) / 2.0
-    fac = _factor_of(state)
-    probs = state.diagonal() if fac is None else np.sum(np.abs(fac) ** 2, axis=1)
+    fac = state.factor
+    probs = state.diagonal()
     out = {
         "sz": float(np.sum(probs * m_values)),
         "sz2": float(np.sum(probs * m_values**2)),
@@ -659,17 +643,12 @@ def zero_transverse_rotation(state: State):
     else:
         axis = axis / axis_norm
         angle = float(np.arccos(np.clip(vhat[2], -1.0, 1.0)))
-    from .states import PAULI_X, PAULI_Y, PAULI_Z
-
     gen = axis[0] * PAULI_X + axis[1] * PAULI_Y + axis[2] * PAULI_Z
     u = np.cos(angle / 2.0) * np.eye(2) - 1j * np.sin(angle / 2.0) * gen
-    fac = _factor_of(state)
-    if fac is None:
-        rotated: State = DensityMatrix(global_rotation(state.matrix, u))
+    if state.factor is None:
+        rotated = DensityMatrix(global_rotation(state.matrix, u))
     else:
-        fac = _rotate_rows(fac, u)
-        pure = isinstance(state, StateVector)
-        rotated = StateVector(fac[:, 0]) if pure else DensityMatrix.from_factor(fac)
+        rotated = state.with_factor(_rotate_rows(state.factor, u))
     check = spin_moments(rotated)
     if max(abs(check["sx"]), abs(check["sy"])) > TRANSVERSE_TOL or check["sz"] < -TRANSVERSE_TOL:
         raise ValidationError("gauge rotation failed to null the transverse spin")

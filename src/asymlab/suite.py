@@ -248,7 +248,7 @@ def _pure_state_saturation(rng, samples) -> tuple[float, str]:
         n = 2 + k % 5
         psi = states.random_state(n, rng)
         h = u1.shannon_entropy(u1.charge_distribution(psi))
-        dense = states.von_neumann_entropy(u1.u1_twirl(psi.to_density_matrix()))
+        dense = states.von_neumann_entropy(u1.u1_twirl(psi))
         worst = max(worst, abs(dense - h))
     return ENTROPY_MATCH_TOL - worst, f"{draws} states, n<=6"
 
@@ -369,7 +369,7 @@ def _rotation_twirl_idempotent(rng, samples) -> tuple[float, str]:
     worst = 0.0
     for n in (2, 4, 6):
         for state in (
-            states.random_state(n, rng).to_density_matrix(),
+            states.random_state(n, rng),
             states.random_density_matrix(n, rng),
         ):
             once = su2.su2_twirl(state)
@@ -418,7 +418,7 @@ def _twirl_quadrature_match(rng, samples) -> tuple[float, str]:
     worst = 0.0
     for n in (2, 4, 6):
         for state in (
-            states.random_state(n, rng).to_density_matrix(),
+            states.random_state(n, rng),
             states.random_density_matrix(n, rng),
         ):
             exact = su2.su2_twirl(state)
@@ -873,7 +873,7 @@ def _oracle_channel_purity(rng) -> tuple[float, str]:
             (circuits.Gate((0, 1), circuits.cnot_gate()),),
         ),
     )
-    bell = circuits.apply_circuit(states.zero_state(2), bell_circ).to_density_matrix()
+    bell = circuits.apply_circuit(states.zero_state(2), bell_circ)
     p = 0.3
     flipped = circuits.apply_channel(bell, circuits.phase_flip_channel(0, p))
     # two-outcome mixture of orthogonal pure states: purity (1-p)^2 + p^2

@@ -96,11 +96,7 @@ def charge_values(n_qubits: int) -> np.ndarray:
 def charge_distribution(state: State) -> ChargeDistribution:
     """Measured distribution of the total charge of a state."""
     q = charge_values(state.n_qubits)
-    if isinstance(state, StateVector):
-        weights = state.probabilities()
-    else:
-        weights = state.diagonal()
-    probs = np.bincount(q, weights=weights, minlength=state.n_qubits + 1)
+    probs = np.bincount(q, weights=state.diagonal(), minlength=state.n_qubits + 1)
     return ChargeDistribution.from_fresh_probs(probs)
 
 
@@ -119,8 +115,6 @@ def flat_distribution(n_values: int) -> ChargeDistribution:
 
 def u1_twirl(state: State) -> DensityMatrix:
     """Dephase across charge sectors: keep only blocks with equal row/column charge."""
-    if isinstance(state, StateVector):
-        state = state.to_density_matrix()
     q = charge_values(state.n_qubits)
     mask = q[:, None] == q[None, :]
     return DensityMatrix(np.where(mask, state.matrix, 0.0))

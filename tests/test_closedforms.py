@@ -92,7 +92,7 @@ def test_krawtchouk_orthogonality():
 
 def test_dicke_state_weights():
     psi = dicke_state(4, 2)
-    probs = psi.probabilities()
+    probs = psi.diagonal()
     support = np.flatnonzero(probs > 0)
     assert support.size == 6
     assert_allclose(probs[support], np.full(6, 1.0 / 6.0))

@@ -160,7 +160,7 @@ def test_build_state_product_amplitudes():
 
 def test_build_state_bernoulli_scalar_and_vector():
     state, _ = build_state({"kind": "bernoulli", "x": 1.0}, 3, 0)
-    assert_allclose(state.probabilities()[0], 1.0)
+    assert_allclose(state.diagonal()[0], 1.0)
     state, _ = build_state({"kind": "bernoulli", "x": [1.0, 0.0, 1.0]}, 3, 0)
     assert_allclose(charge_distribution(state).probs[2], 1.0)
     with pytest.raises(ConfigError):
@@ -196,12 +196,12 @@ def test_build_state_vector_file(tmp_path):
     npy = tmp_path / "state.npy"
     np.save(npy, vec)
     state, _ = build_state({"kind": "vector", "path": str(npy)}, 3, 0)
-    assert_allclose(state.probabilities()[3], 1.0)
+    assert_allclose(state.diagonal()[3], 1.0)
 
     js = tmp_path / "state.json"
     js.write_text(json.dumps({"amplitudes": [[1.0, 0.0], [0.0, 1.0]]}))
     state, _ = build_state({"kind": "vector", "path": str(js)}, 1, 0)
-    assert_allclose(state.probabilities(), [0.5, 0.5], atol=1e-12)
+    assert_allclose(state.diagonal(), [0.5, 0.5], atol=1e-12)
 
     with pytest.raises(ConfigError):
         build_state({"kind": "vector", "path": str(npy)}, 2, 0)

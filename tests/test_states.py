@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ def test_statevector_requires_normalization():
             StateVector(np.array(bad, dtype=complex))
     psi = StateVector(np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0))
     assert psi.dim == 2
-    assert_allclose(psi.probabilities(), [0.5, 0.5])
+    assert_allclose(psi.diagonal(), [0.5, 0.5])
 
 
 def test_states_read_n_off_their_arrays():
@@ -125,8 +126,8 @@ def test_product_state_with_mixed_factor_is_mixed():
 
 def test_ghz_and_plus_states():
     ghz = ghz_state(3)
-    assert_allclose(ghz.probabilities()[[0, 7]], [0.5, 0.5])
-    assert_allclose(plus_state(2).probabilities(), np.full(4, 0.25))
+    assert_allclose(ghz.diagonal()[[0, 7]], [0.5, 0.5])
+    assert_allclose(plus_state(2).diagonal(), np.full(4, 0.25))
 
 
 def test_bit_weights_matches_popcount():
@@ -228,6 +229,51 @@ def test_statevector_cap_enforced(monkeypatch):
         zero_state(5)
     monkeypatch.setenv("ASYMLAB_MAX_QUBITS", "6")
     assert zero_state(5).n_qubits == 5
+
+
+def test_an_over_cap_density_read_raises_before_allocating(monkeypatch):
+    psi = random_state(9, np.random.default_rng(0))
+    monkeypatch.setenv("ASYMLAB_MAX_QUBITS", "6")
+    for read in (psi.to_density_matrix, lambda: psi.matrix):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError):
+                read()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # rho itself would take 4 MiB
+    assert "matrix" not in vars(psi)
+
+
+def test_every_state_answers_one_protocol():
+    """factor, matrix, diagonal() and with_factor(F) of pure, factored and matrix-built states."""
+    rng = np.random.default_rng(41)
+    psi = random_state(3, rng)
+    factored = random_density_matrix(3, rng, rank=2)
+    built = DensityMatrix(factored.matrix)
+    assert psi.factor.shape == (8, 1) and built.factor is None
+    with pytest.raises(ValueError):
+        psi.factor[0, 0] = 1.0
+    assert np.array_equal(psi.matrix, psi.factor @ psi.factor.conj().T)
+    for state in (psi, factored, built):
+        assert not state.matrix.flags.writeable
+        assert_allclose(state.diagonal(), np.real(np.diag(state.matrix)), rtol=0, atol=1e-15)
+    for state in (psi, factored):
+        rebuilt = state.with_factor(1j * state.factor)
+        assert type(rebuilt) is type(state)
+        assert_allclose(rebuilt.matrix, state.matrix, rtol=0, atol=1e-15)
+    dense = psi.to_density_matrix()
+    assert dense.factor is None and np.array_equal(dense.matrix, psi.matrix)
+
+
+def test_reduced_density_matrix_factor_route_matches_matrix_route():
+    rng = np.random.default_rng(43)
+    for state in (random_state(4, rng), random_density_matrix(4, rng, rank=3)):
+        dense = DensityMatrix(state.matrix)
+        for sites in ([0], [2, 0], [3, 1, 2], [0, 1, 2, 3]):
+            assert_allclose(reduced_density_matrix(state, sites),
+                            reduced_density_matrix(dense, sites), rtol=0, atol=1e-14)
 
 
 def test_floored_spectrum_clamps_only_above_the_floor():

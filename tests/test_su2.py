@@ -7,8 +7,9 @@ from numpy.polynomial.legendre import leggauss
 from numpy.testing import assert_allclose
 
 from asymlab import su2
-from asymlab.circuits import haar_unitary
+from asymlab.circuits import apply_circuit, haar_unitary, random_brickwork
 from asymlab.closedforms import dicke_state
+from asymlab.clustering import variance_bound_check, verify_cluster_property
 from asymlab.errors import PreconditionError, ResourceError, ValidationError
 from asymlab.lattice import LatticeGeometry
 from asymlab.states import (
@@ -19,6 +20,7 @@ from asymlab.states import (
     product_state,
     random_density_matrix,
     random_state,
+    reduced_density_matrix,
     von_neumann_entropy,
     zero_state,
 )
@@ -39,6 +41,7 @@ from asymlab.su2 import (
     zero_transverse_rotation,
 )
 from asymlab.tolerances import HAAR_QUADRATURE_TOL
+from asymlab.u1 import charge_distribution
 
 
 def _rotate_all(psi: StateVector, u: np.ndarray) -> StateVector:
@@ -236,23 +239,65 @@ def test_pure_routes_at_n12_stay_far_below_the_dense_basis():
     assert 0.0 <= rep.delta_s <= rep.bound_sector_entropy + 1e-9
 
 
-def test_factored_mixed_route_forms_no_dense_rho():
-    """A rank-4 draw at N = 10 through the su2 mixed-state path stays below one 2^N x 2^N array."""
-    n = 10
-    geo = LatticeGeometry(1, n)
-    build_schur_basis(n)  # the shared basis is not a state's memory
+def _peak_bytes(call):
+    """(value, tracemalloc peak in bytes) of ``call()``."""
     tracemalloc.start()
     try:
+        value = call()
+        return value, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_factored_mixed_route_forms_no_dense_rho():
+    """A rank-4 draw at N = 10 stays factored through every factor-route kernel.
+
+    Each kernel peaks below one complex 2^N x 2^N array (16 MB) and leaves rho
+    unformed; its value then matches that of the matrix-built state.
+    """
+    n = 10
+    cap = 16 * 4**n
+    geo = LatticeGeometry(1, n)
+    build_schur_basis(n)  # the shared basis is not a state's memory
+
+    def su2_chain():
         rho = random_density_matrix(n, np.random.default_rng(10), rank=4)
         su2_asymmetry(rho)
         gauged, _u = zero_transverse_rotation(rho)
         casimir_constraint_check(gauged, geo, 2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 4**n  # one complex 2^N x 2^N array: 16 MB
+        return rho, gauged
+
+    (rho, gauged), peak = _peak_bytes(su2_chain)
+    assert peak < cap
     for state in (rho, gauged):
         assert np.array_equal(state.matrix, state.factor @ state.factor.conj().T)
+
+    rho = random_density_matrix(n, np.random.default_rng(11), rank=4)
+    circuit = random_brickwork(geo, 2, np.random.default_rng(12))
+    kernels = {
+        "charge_distribution": lambda s: charge_distribution(s).probs,
+        "reduced_density_matrix": lambda s: reduced_density_matrix(s, [7, 2, 3]),
+        "verify_cluster_property": lambda s: [
+            v for _d, v in verify_cluster_property(s, geo, 2).distance_profile
+        ],
+        "variance_bound_check": lambda s: variance_bound_check(s, geo, 2).variance,
+        "apply_circuit": lambda s: apply_circuit(s, circuit),
+    }
+    values = {}
+    for name, kernel in kernels.items():
+        values[name], peak = _peak_bytes(lambda: kernel(rho))
+        assert peak < cap, name
+        assert "matrix" not in vars(rho), name
+    out = values.pop("apply_circuit")
+    assert out.factor is not None and "matrix" not in vars(out)
+    values["apply_circuit"] = out.matrix
+    dense = DensityMatrix(rho.matrix)
+    for name, kernel in kernels.items():
+        expected = kernel(dense)
+        if name == "apply_circuit":
+            assert expected.factor is None
+            expected = expected.matrix
+        assert_allclose(values[name], expected, rtol=0, atol=1e-12, err_msg=name)
 
 
 def test_sector_distribution_of_known_states():
@@ -544,9 +589,7 @@ def _su2_readings(state) -> dict:
     out = {f"moment {k}": v for k, v in spin_moments(state).items()}
     gauged, u = zero_transverse_rotation(state)
     out["gauge u"] = u
-    out["gauged rho"] = (
-        gauged.to_density_matrix() if isinstance(gauged, StateVector) else gauged
-    ).matrix
+    out["gauged rho"] = gauged.matrix
     if state.n_qubits % 2 == 0:
         rep = su2_asymmetry(state)
         out["delta_s"] = rep.delta_s
