@@ -214,9 +214,10 @@ class KrausChannel:
 
 def apply_channel(state: State, channel: KrausChannel) -> DensityMatrix:
     """Apply sum_k A_k rho A_k^dagger on the channel's support."""
-    out = np.zeros_like(state.matrix)
+    rho = state.matrix
+    out = np.zeros_like(rho)
     for op in channel.operators:
-        out = out + _sandwich(state.matrix, op, channel.support)
+        out = out + _sandwich(rho, op, channel.support)
     return DensityMatrix(out)
 
 

@@ -11,11 +11,14 @@ numeric dependency.
 Each sweep distribution costs O(N) work, and its probability vector is its
 only N-sized array: the kink and half-filled Dicke forms build the vector
 and hand it to ``ChargeDistribution.from_fresh_probs`` without a copy (the
-moments and the entropy run over fixed-size blocks), the half-filled Dicke
-form evaluates only the even charges q <= m and mirrors them, and a
-homogeneous product is ``binomial_distribution``, a ratio recurrence from
-the mode.  ``poisson_binomial`` (a product tree) serves per-site means, with
-the O(N^2) dynamic program ``_poisson_binomial_dp`` as its reference.
+moments and the entropy run over fixed-size blocks).  The half-filled Dicke
+form steps a ratio recurrence over the even charges q <= m, with two
+N/4-long temporaries and no ln k! table, and mirrors them;
+``dicke_half_charge_prob`` keeps the ln k! table as the independent route
+that gates it.  A homogeneous product is ``binomial_distribution``, a ratio
+recurrence from the mode.  ``poisson_binomial`` (a product tree) serves
+per-site means, with the O(N^2) dynamic program ``_poisson_binomial_dp`` as
+its reference.
 """
 from __future__ import annotations
 
@@ -194,26 +197,13 @@ def dicke_x_distribution(n: int, k: int) -> ChargeDistribution:
     return ChargeDistribution.from_probs(probs)
 
 
-def _dicke_half_log_prob(m: int, q, half, table) -> np.ndarray:
-    """ln p(q) of the half-filled x Dicke state at even q = 2 * half, from a ln k! table."""
-
-    def log_binom(n, k):
-        return table[n] - table[k] - table[n - k]
-
-    return (
-        -2.0 * m * np.log(2.0)
-        + log_binom(2 * m, m)
-        - log_binom(2 * m, q)
-        + 2.0 * log_binom(m, half)
-    )
-
-
 def dicke_half_charge_prob(m: int, q) -> np.ndarray | float:
     """Charge probabilities of the half-filled x Dicke state on N = 2m sites.
 
     Odd charges carry zero weight; for even q,
     p = 2^{-2m} C(2m, m) C(2m, q)^{-1} C(m, q/2)^2, with all three binomials
-    gathered from one table of ln k!, k = 0..2m.
+    gathered from one table of ln k!, k = 0..2m.  This is the independent
+    route that gates the recurrence of ``dicke_half_distribution``.
     """
     if m < 1:
         raise ValidationError(f"need m >= 1, got {m}")
@@ -222,7 +212,17 @@ def dicke_half_charge_prob(m: int, q) -> np.ndarray | float:
         raise ValidationError(f"charges must lie in [0, {2 * m}]")
     even = q % 2 == 0
     half = np.where(even, q // 2, 0)
-    log_p = _dicke_half_log_prob(m, q, half, ln_factorial(np.arange(2 * m + 1)))
+    table = ln_factorial(np.arange(2 * m + 1))
+
+    def log_binom(n, k):
+        return table[n] - table[k] - table[n - k]
+
+    log_p = (
+        -2.0 * m * np.log(2.0)
+        + log_binom(2 * m, m)
+        - log_binom(2 * m, q)
+        + 2.0 * log_binom(m, half)
+    )
     out = np.where(even, np.exp(log_p), 0.0)
     return out if out.ndim else float(out)
 
@@ -230,19 +230,35 @@ def dicke_half_charge_prob(m: int, q) -> np.ndarray | float:
 def dicke_half_distribution(m: int) -> ChargeDistribution:
     """Full charge distribution of the half-filled x Dicke state, q = 0..2m.
 
-    The closed form of ``dicke_half_charge_prob`` is evaluated at the even
-    q <= m only and mirrored by p(q) = p(2m - q); odd charges stay exactly 0,
-    so the vector is exactly symmetric.
+    The closed form of ``dicke_half_charge_prob`` is stepped over the even
+    q <= m by the ratio recurrence
+    p(q + 2) / p(q) = ((q + 1)(2m - q)) / ((q + 2)(2m - q - 1)),
+    that is ((2h + 1)(m - h)) / ((h + 1)(2m - 2h - 1)) at q = 2h, from
+    p(0) = C(2m, m) / 4^m, and mirrored by p(q) = p(2m - q); odd charges stay
+    exactly 0, so the vector is exactly symmetric.  Numerator and denominator
+    are integers, exact in floats while m < 9e7, so each ratio is one rounded
+    quotient and each step one rounded product: p(q) carries about q
+    roundings, and no ln k! table is built.
     """
     if m < 1:
         raise ValidationError(f"need m >= 1, got {m}")
-    q = np.arange(0, m + 1, 2)
-    log_p = _dicke_half_log_prob(m, q, q // 2, ln_factorial(np.arange(2 * m + 1)))
     probs = np.zeros(2 * m + 1)
-    probs[: m + 1 : 2] = np.exp(log_p, out=log_p)
+    lower = probs[: m + 1 : 2]
+    ratios = lower[1:]
+    q = np.arange(0.0, 2.0 * ratios.size, 2.0)
+    np.subtract(2.0 * m, q, out=ratios)
+    q += 1.0
+    ratios *= q
+    den = np.subtract(2.0 * m, q)
+    q += 1.0
+    den *= q
+    ratios /= den
+    lower[0] = math.exp(log_binomial(2 * m, m) - 2.0 * m * math.log(2.0))
+    np.cumprod(lower, out=lower)
     probs[m + 1 :] = probs[m - 1 :: -1]
-    # exactly normalized in exact arithmetic; log-factorial rounding drifts the
-    # float sum past 1e-10 around m ~ 2e5, so rescale before validation
+    # exactly normalized in exact arithmetic; p(0) carries the rounding of
+    # ln (2m)! (9e-10 relative at m = 1e6, against exact integers), which
+    # scales the whole vector, so rescale before validation
     probs /= probs.sum()
     return ChargeDistribution.from_fresh_probs(probs)
 

@@ -15,10 +15,13 @@ Every state answers one protocol, and this module alone knows which kind of
 state it holds.  ``factor`` is an exact 2^N x r factor F with rho = F F^dagger
 or None: a ``StateVector`` is F = psi, one read-only column; a
 ``DensityMatrix.from_factor(F)`` holds only F; a ``DensityMatrix(matrix)``
-holds rho and has no factor.  ``matrix`` is rho, formed as F F^dagger on its
-first read (after the density-matrix cap, so an over-cap read allocates
-nothing) and then cached read-only; ``diagonal()`` is the squared row norms of
-F, or diag rho; ``with_factor(F)`` rebuilds a state of the same kind.
+holds rho and has no factor.  ``matrix`` is rho, read-only, formed as
+F F^dagger after the density-matrix cap, so an over-cap read allocates
+nothing.  A factored ``DensityMatrix`` forms it on its first read and caches
+it; a ``StateVector`` forms it anew on each read and never holds it, so a
+pure state stays 2^N long after a kernel has read its rho.  ``diagonal()`` is
+the squared row norms of F, or diag rho; ``with_factor(F)`` rebuilds a state
+of the same kind.
 
 Route rule: a kernel takes at most two routes, chosen by ``state.factor is
 None``.  The factor route reads only F and forms no 2^N x 2^N matrix, so a
@@ -103,9 +106,8 @@ class _QubitState:
     def n_qubits(self) -> int:
         return self.dim.bit_length() - 1
 
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        # reached only with a factor: a matrix-built DensityMatrix holds rho from __init__
+    def _form_matrix(self) -> np.ndarray:
+        """rho = F F^dagger, after the density-matrix cap, so an over-cap read allocates nothing."""
         _check_cap(qubit_count(self.dim), density_matrix_cap(), "density-matrix")
         return _checked_density(self.factor @ self.factor.conj().T)
 
@@ -139,12 +141,13 @@ class StateVector(_QubitState):
         """psi as a read-only 2^N x 1 view."""
         return self.amplitudes[:, None]
 
+    @property
+    def matrix(self) -> np.ndarray:
+        """psi psi^dagger, formed anew on each read and never held by the state."""
+        return self._form_matrix()
+
     def with_factor(self, factor: np.ndarray) -> "StateVector":
         return StateVector(factor[:, 0])
-
-    def to_density_matrix(self) -> "DensityMatrix":
-        """The matrix-built state psi psi^dagger, with no factor."""
-        return DensityMatrix(self.matrix)
 
 
 def _squared_norm(arr: np.ndarray) -> float:
@@ -182,6 +185,9 @@ class DensityMatrix(_QubitState):
     """
 
     factor: np.ndarray | None
+
+    # reached only with a factor: a matrix-built DensityMatrix holds rho from __init__
+    matrix = cached_property(_QubitState._form_matrix)
 
     def __init__(self, matrix):
         object.__setattr__(self, "factor", None)

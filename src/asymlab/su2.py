@@ -536,14 +536,15 @@ def su2_twirl_haar(state: State) -> DensityMatrix:
     sum_beta (w_beta / 2) Phi_k o (R_y(beta)^{(x) N} (Phi_k o rho) R_y(beta)^{(x) N T}).
     """
     n = state.n_qubits
+    rho = state.matrix
     previous = None
     k = 2 * n + 2
     n_beta = n + 2
     for _ in range(HAAR_MAX_REFINEMENTS):
         mask = _dephasing_mask(n, k)
-        dephased = mask * state.matrix
+        dephased = mask * rho
         nodes, gl_weights = leggauss(n_beta)
-        acc = np.zeros_like(state.matrix)
+        acc = np.zeros_like(rho)
         for beta, w in zip(np.arccos(nodes), gl_weights):
             cb, sb = np.cos(beta / 2.0), np.sin(beta / 2.0)
             ry = np.array([[cb, -sb], [sb, cb]])

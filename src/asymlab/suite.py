@@ -680,6 +680,9 @@ def _oracle_dicke_half(rng) -> tuple[float, str]:
     m = 11
     p = closedforms.dicke_half_distribution(m).probs
     worst = max(worst, float(np.abs(p - p[::-1]).max()))
+    # the ratio recurrence against the ln k! table route
+    table = closedforms.dicke_half_charge_prob(m, np.arange(2 * m + 1))
+    worst = max(worst, float(np.abs(p - table).max()))
     half_center = closedforms.dicke_half_charge_prob(500, 500)
     arcsine = 2.0 / (math.pi * 500.0)
     rel = abs(half_center - arcsine) / arcsine

@@ -38,7 +38,11 @@ class ChargeDistribution:
     just built): entries in [NEGATIVE_PROBABILITY_TOL, 0) are clipped to 0 in
     place, and the array is frozen.  Validation and the moments run over
     blocks of REDUCTION_BLOCK entries, so the probability vector is the only
-    N-sized array; a one-block input takes exactly the unblocked sums.
+    N-sized array; a one-block input takes exactly the unblocked sums.  Each
+    block's sums of p, q p and (q - mean)^2 p are numpy's pairwise sums over
+    products formed in one block-sized scratch buffer.  They call no BLAS,
+    so no BLAS thread pool is woken to spin through the calls that follow,
+    and their rounding error grows like the log of the block length.
     """
 
     probs: np.ndarray
@@ -54,6 +58,7 @@ class ChargeDistribution:
         if p.ndim != 1 or p.size < 1:
             raise ValidationError("charge probabilities must form a non-empty 1-d array")
         total = mean = 0.0
+        scratch = np.empty(min(p.size, REDUCTION_BLOCK))
         for start in range(0, p.size, REDUCTION_BLOCK):
             block = p[start : start + REDUCTION_BLOCK]
             low = float(block.min())
@@ -68,18 +73,18 @@ class ChargeDistribution:
             if not math.isfinite(mass):
                 raise ValidationError(f"charge probabilities must be finite, got a sum {mass!r}")
             total += mass
-            mean += float(block @ _CHARGE_GRID[: block.size]) + start * mass
+            terms = np.multiply(block, _CHARGE_GRID[: block.size], out=scratch[: block.size])
+            mean += float(terms.sum()) + start * mass
         if abs(total - 1.0) > UNIT_SUM_TOL:
             raise ValidationError(
                 f"charge probabilities sum to {total!r}, not 1 within {UNIT_SUM_TOL}"
             )
         variance = 0.0
-        scratch = np.empty(min(p.size, REDUCTION_BLOCK))
         for start in range(0, p.size, REDUCTION_BLOCK):
             block = p[start : start + REDUCTION_BLOCK]
             dev = np.subtract(_CHARGE_GRID[: block.size], mean - start, out=scratch[: block.size])
             np.square(dev, out=dev)
-            variance += float(block @ dev)
+            variance += float(np.multiply(block, dev, out=dev).sum())
         p.flags.writeable = False
         return cls(p, mean, variance)
 

@@ -190,7 +190,7 @@ def test_criterion_7_monotone_axioms(record_criterion):
         if k % 2:
             rho = random_density_matrix(n, rng)
         else:
-            rho = random_state(n, rng).to_density_matrix()
+            rho = DensityMatrix(random_state(n, rng).matrix)
         before = u1.u1_asymmetry(rho).delta_s
         ok &= before >= -1e-12
         sym = u1.u1_twirl(rho)

@@ -72,7 +72,7 @@ def test_apply_circuit_density_matrix_matches_statevector():
     circ = random_brickwork(geo, 2, rng)
     psi = plus_state(4)
     out_vec = apply_circuit(psi, circ)
-    out_rho = apply_circuit(psi.to_density_matrix(), circ)
+    out_rho = apply_circuit(DensityMatrix(psi.matrix), circ)
     expected = np.outer(out_vec.amplitudes, out_vec.amplitudes.conj())
     assert_allclose(out_rho.matrix, expected, atol=1e-12)
 
@@ -174,19 +174,19 @@ def test_channel_completeness_enforced():
 
 
 def test_depolarizing_channel_mixes_towards_identity():
-    rho = zero_state(1).to_density_matrix()
+    rho = DensityMatrix(zero_state(1).matrix)
     out = apply_channel(rho, depolarizing_channel(0, 0.75))
     assert_allclose(out.matrix, np.eye(2) / 2.0, atol=1e-12)
 
 
 def test_phase_flip_channel_damps_coherence():
-    rho = plus_state(1).to_density_matrix()
+    rho = DensityMatrix(plus_state(1).matrix)
     out = apply_channel(rho, phase_flip_channel(0, 0.25))
     assert_allclose(out.matrix[0, 1], 0.5 * (1.0 - 2 * 0.25), atol=1e-12)
 
 
 def test_full_dephasing_kills_coherence():
-    rho = plus_state(1).to_density_matrix()
+    rho = DensityMatrix(plus_state(1).matrix)
     out = apply_channel(rho, full_dephasing_channel(0))
     assert_allclose(out.matrix, np.diag([0.5, 0.5]), atol=1e-14)
 

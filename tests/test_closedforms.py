@@ -154,7 +154,25 @@ def test_dicke_half_distribution_is_a_mirror_of_the_closed_form(m):
     probs = dicke_half_distribution(m).probs
     assert np.array_equal(probs, probs[::-1])
     assert np.all(probs[1::2] == 0.0)
-    assert_allclose(probs, dicke_half_charge_prob(m, np.arange(2 * m + 1)), rtol=0, atol=1e-14)
+    # the table route's own error bound, that of its exact-rational test
+    table = dicke_half_charge_prob(m, np.arange(0, 2 * m + 1, 2))
+    rel = np.abs(probs[::2] - table) / table
+    assert rel.max() <= 4 * np.finfo(float).eps * ln_factorial(2 * m), (m, rel.max())
+
+
+def test_dicke_half_report_peaks_below_two_probability_vectors():
+    import tracemalloc
+
+    from asymlab.u1 import report_from_distribution
+
+    m = 10**6
+    tracemalloc.start()
+    try:
+        report_from_distribution(dicke_half_distribution(m))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * (2 * m + 1), peak
 
 
 def test_kink_report_allocates_one_probability_vector():
@@ -470,26 +488,50 @@ def test_ln_factorial_and_log_binomial_reject_non_integers_and_negatives(bad):
         log_binomial(10, bad)
 
 
+def _exact_dicke_half_even(m):
+    """p(2h), h = 0..m, of the half-filled x Dicke state as correctly rounded floats.
+
+    Python's int / int is the correctly rounded value of the exact rational;
+    C(m, h) and C(2m, 2h) are stepped along h.
+    """
+    num, den = math.comb(2 * m, m), 4**m
+    c_mh, c_2mq = 1, 1
+    out = []
+    for h in range(m + 1):
+        q = 2 * h
+        out.append(num * c_mh**2 / (den * c_2mq))
+        c_mh = c_mh * (m - h) // (h + 1)
+        c_2mq = c_2mq * (2 * m - q) * (2 * m - q - 1) // ((q + 1) * (q + 2))
+    return np.array(out)
+
+
 def test_dicke_half_charge_prob_against_exact_rationals():
-    # Python's int / int is the correctly rounded value of the exact rational.
     # The route sums log-factorials up to ln (2m)!, so its relative error is a
     # few eps times that; the largest seen is 9.1e-12 at m = 2000.
     eps = np.finfo(float).eps
     for m in (10, 100, 1000, 2000):
         got = dicke_half_charge_prob(m, np.arange(2 * m + 1))
         assert np.all(got[1::2] == 0.0)
-        num, den = math.comb(2 * m, m), 4**m
-        c_mh, c_2mq = 1, 1  # C(m, h) and C(2m, q), stepped along h
-        worst = 0.0
-        for h in range(m + 1):
-            q = 2 * h
-            exact = num * c_mh**2 / (den * c_2mq)
-            worst = max(worst, abs(got[q] - exact) / exact)
-            c_mh = c_mh * (m - h) // (h + 1)
-            c_2mq = c_2mq * (2 * m - q) * (2 * m - q - 1) // ((q + 1) * (q + 2))
+        exact = _exact_dicke_half_even(m)
+        worst = float(np.max(np.abs(got[::2] - exact) / exact))
         assert worst <= 4 * eps * ln_factorial(2 * m), (m, worst)
     with pytest.raises(ValidationError):
         dicke_half_charge_prob(4, 2.0)
+
+
+def test_dicke_half_distribution_against_exact_rationals():
+    # p(2h) carries about 2h roundings of the ratio recurrence, which mostly
+    # cancel: the largest relative error seen is 7.6 eps at m = 2000
+    eps = np.finfo(float).eps
+    for m in (10, 100, 1000, 2000):
+        got = dicke_half_distribution(m).probs
+        exact = _exact_dicke_half_even(m)
+        worst = float(np.max(np.abs(got[::2] - exact) / exact))
+        assert worst <= 32 * eps, (m, worst)
+    # the half-filled x Dicke state has Var Q = m (m + 1) / 2 exactly
+    for m in (10**4, 10**5, 10**6):
+        exact = m * (m + 1) / 2
+        assert abs(dicke_half_distribution(m).variance - exact) <= 1e-13 * exact, m
 
 
 def test_tanh_sinh_integrates_log_sin_to_rounding():

@@ -28,6 +28,7 @@ from asymlab.errors import ResourceError, ValidationError
 from asymlab.lattice import LatticeGeometry, lightcone_range
 from asymlab.states import (
     PAULI,
+    DensityMatrix,
     StateVector,
     apply_pauli,
     ghz_state,
@@ -108,7 +109,7 @@ def test_correlator_with_imaginary_part_is_rejected():
     # (|00> + i|11>)/sqrt(2) has <s+ s+> = i/2 and <s+> = 0 for s+ = |0><1|
     amps = np.array([1.0, 0.0, 0.0, 1.0j]) / np.sqrt(2.0)
     raising = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    for state in (StateVector(amps), StateVector(amps).to_density_matrix()):
+    for state in (StateVector(amps), DensityMatrix(StateVector(amps).matrix)):
         t = _pair_tensor(state, 0, 1)
         with pytest.raises(ValidationError, match="imaginary"):
             connected_correlator(state, 0, 1, raising, raising)

@@ -82,7 +82,7 @@ def test_density_matrix_validation():
 
 def test_states_are_frozen():
     psi = zero_state(2)
-    rho = psi.to_density_matrix()
+    rho = DensityMatrix(psi.matrix)
     with pytest.raises(dataclasses.FrozenInstanceError):
         psi.amplitudes = np.zeros(4, dtype=complex)
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -234,15 +234,14 @@ def test_statevector_cap_enforced(monkeypatch):
 def test_an_over_cap_density_read_raises_before_allocating(monkeypatch):
     psi = random_state(9, np.random.default_rng(0))
     monkeypatch.setenv("ASYMLAB_MAX_QUBITS", "6")
-    for read in (psi.to_density_matrix, lambda: psi.matrix):
-        tracemalloc.start()
-        try:
-            with pytest.raises(ResourceError):
-                read()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20  # rho itself would take 4 MiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError):
+            psi.matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # rho itself would take 4 MiB
     assert "matrix" not in vars(psi)
 
 
@@ -263,7 +262,7 @@ def test_every_state_answers_one_protocol():
         rebuilt = state.with_factor(1j * state.factor)
         assert type(rebuilt) is type(state)
         assert_allclose(rebuilt.matrix, state.matrix, rtol=0, atol=1e-15)
-    dense = psi.to_density_matrix()
+    dense = DensityMatrix(psi.matrix)
     assert dense.factor is None and np.array_equal(dense.matrix, psi.matrix)
 
 

@@ -199,7 +199,7 @@ def test_block_routes_match_dense_reference_for_pure_states(n):
     rng = np.random.default_rng(300 + n)
     basis = build_schur_basis(n)
     psi = random_state(n, rng)
-    rho = psi.to_density_matrix().matrix
+    rho = psi.matrix
     twirl = _dense_twirl(rho, basis)
     delta = von_neumann_entropy(DensityMatrix(twirl))
     assert_allclose(su2_asymmetry(psi).delta_s, delta, rtol=0, atol=1e-12)
@@ -323,7 +323,7 @@ def test_twirl_matches_haar_quadrature():
     rng = np.random.default_rng(9)
     for n in (2, 4, 6, 8):
         for rho in (
-            random_state(n, rng).to_density_matrix(),
+            DensityMatrix(random_state(n, rng).matrix),
             random_density_matrix(n, rng, rank=3),
             random_density_matrix(n, rng),
         ):
@@ -363,7 +363,7 @@ def _per_node_haar_twirl(rho: DensityMatrix) -> np.ndarray:
 def test_haar_quadrature_matches_per_node_sum():
     rng = np.random.default_rng(23)
     cases = [
-        random_state(2, rng).to_density_matrix(),
+        DensityMatrix(random_state(2, rng).matrix),
         random_density_matrix(2, rng),
         random_density_matrix(4, rng, rank=3),
     ]
@@ -452,7 +452,7 @@ def test_spin_moments_density_matrix_route_agrees():
     rng = np.random.default_rng(41)
     psi = random_state(3, rng)
     a = spin_moments(psi)
-    b = spin_moments(psi.to_density_matrix())
+    b = spin_moments(DensityMatrix(psi.matrix))
     for key in a:
         assert_allclose(a[key], b[key], atol=1e-10)
 
@@ -483,7 +483,7 @@ def test_spin_moments_of_density_matrix_match_eigen_mixture(n):
 
 @pytest.mark.parametrize("n", [3, 4, 7])
 def test_spin_moments_of_density_matrix_closed_forms(n):
-    ghz = spin_moments(ghz_state(n).to_density_matrix())
+    ghz = spin_moments(DensityMatrix(ghz_state(n).matrix))
     assert_allclose(
         [ghz[k] for k in ("sx", "sy", "sz", "sx2", "sy2", "sz2")],
         [0.0, 0.0, 0.0, n / 4, n / 4, n**2 / 4],

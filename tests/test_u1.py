@@ -107,6 +107,30 @@ def test_blocked_moments_and_entropy_match_the_unblocked_sums(size):
     assert abs(dist.variance - variance) <= 4 * eps * variance
 
 
+def test_a_twirled_pure_state_does_not_keep_its_density_matrix():
+    # a pure state forms rho on each read; a factored one caches it
+    psi = random_state(10, np.random.default_rng(1))
+    u1_twirl(psi)
+    assert "matrix" not in vars(psi)
+    assert psi.matrix is not psi.matrix
+    factored = random_density_matrix(3, np.random.default_rng(2), rank=2)
+    assert factored.matrix is factored.matrix
+
+
+def test_blocked_moments_match_fsum_over_the_same_products():
+    # the block sums are pairwise, so they stay within a few eps of the
+    # correctly rounded sum of the very products they add
+    p = np.random.default_rng(7).random(10**6 + 1) ** 4
+    p /= p.sum()
+    dist = ChargeDistribution.from_probs(p)
+    q = np.arange(p.size, dtype=float)
+    mean = math.fsum((p * q).tolist())
+    variance = math.fsum((p * (q - dist.mean) ** 2).tolist())
+    eps = np.finfo(float).eps
+    assert abs(dist.mean - mean) <= 4 * eps * mean
+    assert abs(dist.variance - variance) <= 4 * eps * variance
+
+
 def test_flat_distribution_entropy():
     assert_allclose(shannon_entropy(flat_distribution(11)), math.log(11))
 
@@ -143,7 +167,7 @@ def test_pure_state_asymmetry_equals_charge_entropy_by_dense_route():
     rng = np.random.default_rng(14)
     for _ in range(5):
         psi = random_state(4, rng)
-        rho = psi.to_density_matrix()
+        rho = DensityMatrix(psi.matrix)
         dense = von_neumann_entropy(u1_twirl(rho)) - von_neumann_entropy(rho)
         assert_allclose(dense, shannon_entropy(charge_distribution(psi)), atol=1e-9)
 
