@@ -25,9 +25,12 @@ of the same kind.
 
 Route rule: a kernel takes at most two routes, chosen by ``state.factor is
 None``.  The factor route reads only F and forms no 2^N x 2^N matrix, so a
-factored state stays factored through ``u1.charge_distribution``,
-``reduced_density_matrix``, ``circuits.apply_circuit``, ``su2_asymmetry`` and
-``su2.zero_transverse_rotation``; the matrix route reads rho.  Operations that
+factored state stays factored through ``von_neumann_entropy``,
+``u1.charge_distribution``, ``u1.u1_asymmetry``, ``reduced_density_matrix``,
+``circuits.apply_circuit``, ``su2_asymmetry`` and
+``su2.zero_transverse_rotation``; the matrix route reads rho.  Both routes of
+an entropy end in ``block_entropy``: of F or rho, of the charge blocks of the
+U(1) twirl, or of the spin-sector blocks of the SU(2) twirl.  Operations that
 need rho itself (the twirls, channels, ``DensityMatrix.purity``) read
 ``matrix``, of a pure state too, and return a matrix-built state.
 """
@@ -374,18 +377,34 @@ def floored_spectrum(evals: np.ndarray) -> np.ndarray:
     return np.clip(evals, 0.0, None)
 
 
+def block_entropy(block: np.ndarray, factor: bool = False, copies: int = 1) -> float:
+    """ln(copies) tr X - tr X ln X in nats, X the Hermitian ``block`` or B B^dagger of a factor B.
+
+    This is the one kernel that turns a spectrum into an entropy: the entropy of
+    ``copies`` copies of X / copies, or, when X is one diagonal block of a
+    block-diagonal state, that block's share of the state's entropy.  A factor
+    block eigensolves the smaller of its Gram matrices B^dagger B and B B^dagger,
+    which share their nonzero spectrum.  The spectrum is the ``floored_spectrum``,
+    and eigenvalues below PROBABILITY_FLOOR add nothing to -tr X ln X.
+    """
+    if factor:
+        rows, cols = block.shape
+        block = block.conj().T @ block if rows >= cols else block @ block.conj().T
+    spectrum = floored_spectrum(np.linalg.eigvalsh(block))
+    return float(np.log(copies) * spectrum.sum()) + entropy_of_probabilities(spectrum)
+
+
 def von_neumann_entropy(state: State) -> float:
-    """Entropy -Tr[rho ln rho] in nats, of the ``floored_spectrum`` of rho.
+    """Entropy -Tr[rho ln rho] in nats: the ``block_entropy`` of F, or of rho.
 
     A state with an exact factor F eigensolves the r x r Gram matrix F^dagger F,
     whose nonzero spectrum is that of rho = F F^dagger; any other
-    density matrix is eigensolved whole.
+    density matrix is eigensolved whole.  A pure state gives 0.
     """
     if isinstance(state, StateVector):
         return 0.0
     fac = state.factor
-    gram = state.matrix if fac is None else fac.conj().T @ fac
-    return entropy_of_probabilities(floored_spectrum(np.linalg.eigvalsh(gram)))
+    return block_entropy(state.matrix) if fac is None else block_entropy(fac, factor=True)
 
 
 def apply_site_matrix(arr: np.ndarray, op: np.ndarray, sites) -> np.ndarray:

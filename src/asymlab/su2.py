@@ -23,6 +23,9 @@ Every kernel takes the factor route or the matrix route by the route rule of
 and ``sector_distribution`` take the state into the Schur basis in one pass
 over the weight blocks (``_schur_frame``), and ``spin_moments`` and
 ``zero_transverse_rotation`` act on F or on rho.
+``su2_asymmetry`` and ``su2_twirl`` both read the twirl off the per-spin
+blocks of ``_sector_blocks``: the first takes their ``states.block_entropy``,
+the second divides each by 2s + 1 and rotates it back.
 ``_dense_schur_basis``, ``su2_twirl`` and ``su2_twirl_haar`` are references
 for tests and oracles.
 """
@@ -47,19 +50,17 @@ from .states import (
     apply_pauli,
     apply_site_matrix,
     bit_weights,
+    block_entropy,
     density_matrix_cap,
     entropy_of_probabilities,
-    floored_spectrum,
     qubit_count,
     von_neumann_entropy,
 )
 from .tolerances import (
     CASIMIR_PRECONDITION_TOL,
-    EMPTY_SECTOR_WEIGHT,
     HAAR_QUADRATURE_TOL,
     MARGIN_TOL,
     NEGATIVE_ASYMMETRY_TOL,
-    SINGULAR_VALUE_FLOOR,
     TRANSVERSE_TOL,
     UNIT_SUM_TOL,
     ZERO_NORM,
@@ -370,14 +371,20 @@ def sector_distribution(state: State) -> SectorTable:
     return _sector_table(*_schur_frame(state, basis), basis)
 
 
-def _sector_averages(frame: list[np.ndarray], basis: SchurBasis) -> dict[int, np.ndarray]:
-    """The twirled multiplicity blocks avg_s = sum_m R_w[(s, .), (s, .)] / (2s + 1)."""
-    sums: dict[int, np.ndarray] = {}
-    for w, rot in enumerate(frame):
+def _sector_blocks(factored: bool, frame: list[np.ndarray], basis: SchurBasis) -> dict:
+    """One block per spin s of a ``_schur_frame``, in which the twirl is (2s + 1) equal copies.
+
+    The factor route gives the multiplicity x (2s + 1) r block [C_{s,m}]_m, the
+    rows of spin s of each C_w side by side; the matrix route gives the sum
+    sum_m R_w[(s, .), (s, .)] of the multiplicity blocks.  Either way the twirl
+    holds (2s + 1) copies of X_s / (2s + 1), X_s the block or its B B^dagger.
+    """
+    parts: dict[int, list] = {}
+    for w, block in enumerate(frame):
         for s, first, mult in basis.segments(w):
-            part = rot[first : first + mult, first : first + mult]
-            sums[s] = part if s not in sums else sums[s] + part
-    return {s: total / (2 * s + 1) for s, total in sums.items()}
+            sub = block[first : first + mult]
+            parts.setdefault(s, []).append(sub if factored else sub[:, first : first + mult])
+    return {s: np.concatenate(ps, axis=1) if factored else sum(ps) for s, ps in parts.items()}
 
 
 def su2_twirl(state: State) -> DensityMatrix:
@@ -389,12 +396,12 @@ def su2_twirl(state: State) -> DensityMatrix:
     blocks between different weights are zero.
     """
     basis = build_schur_basis(state.n_qubits)
-    avgs = _sector_averages(_rotated_blocks(state.matrix, basis), basis)
+    sums = _sector_blocks(False, _rotated_blocks(state.matrix, basis), basis)
     out = np.zeros((state.dim,) * 2, dtype=complex)
     for w, (rows, block) in enumerate(zip(basis.rows, basis.blocks)):
         twirled = np.zeros((len(rows),) * 2, dtype=complex)
         for s, first, mult in basis.segments(w):
-            twirled[first : first + mult, first : first + mult] = avgs[s]
+            twirled[first : first + mult, first : first + mult] = sums[s] / (2 * s + 1)
         out[np.ix_(rows, rows)] = (
             block @ twirled.real @ block.T + 1j * (block @ twirled.imag @ block.T)
         )
@@ -451,35 +458,17 @@ def su2_asymmetry(state: State) -> Su2AsymmetryReport:
     """Asymmetry Delta S = S(twirl(rho)) - S(rho) for the full rotation group.
 
     Both routes read the state in one ``_schur_frame`` pass, which also gives
-    the sector table.  The factor route forms no 2^N x 2^N matrix: per sector
-    the twirled spectrum is 1/(2s+1) times the squared singular values of the
-    multiplicity x (2s+1) r block [C_{s,m} for each m], with (2s+1) copies.
-    The matrix route twirls without forming the twirl:
-    S(twirl rho) = sum_s (2s+1) H(eig avg_s) over the multiplicity blocks of
-    ``_sector_averages``.
+    the sector table, and neither forms the twirl or any 2^N x 2^N matrix:
+    S(twirl rho) = sum_s ``block_entropy`` of the sector block of
+    ``_sector_blocks`` with 2s + 1 copies, the factor route's from the smaller
+    Gram matrix of [C_{s,m}]_m.
     """
     basis = build_schur_basis(state.n_qubits)
     factored, frame = _schur_frame(state, basis)
-    if factored:
-        half = basis.n_qubits // 2
-        twirled = 0.0
-        for s, first, mult in basis.segments(half):
-            width = 2 * s + 1
-            # m = s - c lives in weight block w = half - s + c
-            block = np.concatenate(
-                [frame[half - s + c][first : first + mult] for c in range(width)], axis=1
-            )
-            if float(np.sum(np.abs(block) ** 2)) < EMPTY_SECTOR_WEIGHT:
-                continue
-            sing_sq = np.linalg.svd(block, compute_uv=False) ** 2
-            lam = sing_sq[sing_sq > SINGULAR_VALUE_FLOOR]
-            # width copies of lam/width each: entropy = sum lam (ln width - ln lam)
-            twirled += float(np.sum(lam * (np.log(width) - np.log(lam))))
-    else:
-        twirled = sum(
-            (2 * s + 1) * entropy_of_probabilities(floored_spectrum(np.linalg.eigvalsh(avg)))
-            for s, avg in _sector_averages(frame, basis).items()
-        )
+    twirled = sum(
+        block_entropy(block, factored, 2 * s + 1)
+        for s, block in _sector_blocks(factored, frame, basis).items()
+    )
     delta = twirled - von_neumann_entropy(state)
     table = _sector_table(factored, frame, basis)
     report = Su2AsymmetryReport(

@@ -57,10 +57,8 @@ SPREAD_THRESHOLD = 1e-12
 TRANSVERSE_TOL = 1e-9
 # largest |<Sx>|, |<Sy>| the Casimir check accepts as already gauged
 CASIMIR_PRECONDITION_TOL = 1e-6
-# a spin or charge sector whose total weight is below this contributes no entropy
+# a charge sector whose total weight is below this contributes no entropy
 EMPTY_SECTOR_WEIGHT = 1e-14
-# squared singular values below this are dropped from a pure spin sector's spectrum
-SINGULAR_VALUE_FLOOR = 1e-18
 # two successive refinements of the Haar-quadrature rotation twirl agree within this
 HAAR_QUADRATURE_TOL = 1e-8
 # two successive step halvings of a tanh-sinh integral agree within this (absolute); its

@@ -19,6 +19,7 @@ from .states import (
     State,
     StateVector,
     bit_weights,
+    block_entropy,
     entropy_of_probabilities,
     von_neumann_entropy,
 )
@@ -119,7 +120,11 @@ def flat_distribution(n_values: int) -> ChargeDistribution:
 
 
 def u1_twirl(state: State) -> DensityMatrix:
-    """Dephase across charge sectors: keep only blocks with equal row/column charge."""
+    """Dephase across charge sectors: keep only blocks with equal row/column charge.
+
+    A reference for tests, oracles and the public API: it forms the dense
+    2^N x 2^N twirl, which ``u1_asymmetry`` never does.
+    """
     q = charge_values(state.n_qubits)
     mask = q[:, None] == q[None, :]
     return DensityMatrix(np.where(mask, state.matrix, 0.0))
@@ -250,17 +255,26 @@ def u1_asymmetry(
 ) -> AsymmetryReport:
     """Charge asymmetry Delta S = S(twirl(rho)) - S(rho) with its bounds.
 
-    Pure states use the exact identity Delta S = H(p_q).  Mixed states
-    eigensolve the dephased density matrix for S(twirl(rho)) and take S(rho)
-    from ``von_neumann_entropy``: the r x r Gram matrix of rho's exact factor
-    when it carries one, else a second eigensolve of the whole matrix.
+    Pure states use the exact identity Delta S = H(p_q).  For a mixed state
+    the twirl is block-diagonal in the charge q, so S(twirl(rho)) is the sum
+    over q of the ``block_entropy`` of F[rows_q] (factor route, from the
+    smaller Gram matrix, at most r x r) or of rho[rows_q, rows_q] (matrix
+    route), so the factor route forms no 2^N x 2^N matrix and neither route
+    eigensolves one.  S(rho) comes from ``von_neumann_entropy``.
     """
     dist = charge_distribution(state)
     shannon = shannon_entropy(dist)
     if isinstance(state, StateVector):
         delta_s = shannon
     else:
-        delta_s = von_neumann_entropy(u1_twirl(state)) - von_neumann_entropy(state)
+        fac = state.factor
+        charges = charge_values(state.n_qubits)
+        twirled = sum(
+            block_entropy(fac[rows], factor=True) if fac is not None
+            else block_entropy(state.matrix[np.ix_(rows, rows)])
+            for rows in (charges == q for q in range(state.n_qubits + 1))
+        )
+        delta_s = twirled - von_neumann_entropy(state)
     return _build_report(delta_s, shannon, dist, geometry, clustering_range)
 
 

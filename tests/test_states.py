@@ -16,6 +16,7 @@ from asymlab.states import (
     apply_site_matrix,
     basis_state,
     bit_weights,
+    block_entropy,
     entropy_of_probabilities,
     floored_spectrum,
     ghz_state,
@@ -280,6 +281,28 @@ def test_floored_spectrum_clamps_only_above_the_floor():
     assert np.array_equal(floored_spectrum(evals), [0.0, 0.25, 0.75])
     with pytest.raises(ValidationError):
         floored_spectrum(np.array([2.0 * EIGENVALUE_FLOOR, 1.0]))
+
+
+def _entropy_of_spectrum(mat):
+    """-sum lambda ln lambda over the positive eigenvalues of a Hermitian matrix, in full."""
+    lam = np.linalg.eigvalsh(mat)
+    lam = lam[lam > 0.0]
+    return float(-np.sum(lam * np.log(lam)))
+
+
+def test_block_entropy_counts_copies_and_takes_either_gram():
+    rng = np.random.default_rng(37)
+    for rows, cols in ((5, 3), (3, 5), (4, 4), (1, 6), (6, 1)):
+        b = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+        b *= np.sqrt(0.4) / np.linalg.norm(b)  # a block of weight tr X = 0.4, not 1
+        x = b @ b.conj().T
+        for copies in (1, 2, 5):
+            expected = _entropy_of_spectrum(np.kron(np.eye(copies), x / copies))
+            assert_allclose(block_entropy(x, copies=copies), expected, rtol=0, atol=1e-13)
+            assert_allclose(block_entropy(b, factor=True, copies=copies),
+                            block_entropy(x, copies=copies), rtol=0, atol=1e-13)
+    assert block_entropy(np.zeros((3, 2)), factor=True, copies=3) == 0.0
+    assert block_entropy(np.zeros((2, 2))) == 0.0
 
 
 def _gaussian(n, seed, rank):

@@ -41,7 +41,7 @@ from asymlab.su2 import (
     zero_transverse_rotation,
 )
 from asymlab.tolerances import HAAR_QUADRATURE_TOL
-from asymlab.u1 import charge_distribution
+from asymlab.u1 import charge_distribution, u1_asymmetry
 
 
 def _rotate_all(psi: StateVector, u: np.ndarray) -> StateVector:
@@ -282,6 +282,7 @@ def test_factored_mixed_route_forms_no_dense_rho():
         ],
         "variance_bound_check": lambda s: variance_bound_check(s, geo, 2).variance,
         "apply_circuit": lambda s: apply_circuit(s, circuit),
+        "u1_asymmetry": lambda s: u1_asymmetry(s).delta_s,
     }
     values = {}
     for name, kernel in kernels.items():

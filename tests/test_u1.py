@@ -172,6 +172,29 @@ def test_pure_state_asymmetry_equals_charge_entropy_by_dense_route():
         assert_allclose(dense, shannon_entropy(charge_distribution(psi)), atol=1e-9)
 
 
+def _dense_asymmetry(rho):
+    """The reference route: eigensolve the whole dense twirl, then subtract S(rho)."""
+    return von_neumann_entropy(u1_twirl(rho)) - von_neumann_entropy(rho)
+
+
+def test_sector_route_matches_the_dense_twirl():
+    rng = np.random.default_rng(15)
+    for n in range(3, 11):
+        rho = random_density_matrix(n, rng, rank=4)
+        assert rho.factor is not None
+        assert_allclose(u1_asymmetry(rho).delta_s, _dense_asymmetry(rho), rtol=0, atol=1e-12,
+                        err_msg=f"factored n={n}")
+    for n in range(2, 9):
+        rho = random_density_matrix(n, rng)
+        assert rho.factor is None
+        assert_allclose(u1_asymmetry(rho).delta_s, _dense_asymmetry(rho), rtol=0, atol=1e-12,
+                        err_msg=f"matrix-built n={n}")
+    # 6 columns on 4 rows: every charge block and F itself take the Gram B B^dagger
+    wide = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
+    rho = DensityMatrix.from_factor(wide / np.linalg.norm(wide))
+    assert_allclose(u1_asymmetry(rho).delta_s, _dense_asymmetry(rho), rtol=0, atol=1e-12)
+
+
 def test_mixed_state_asymmetry_nonnegative_and_below_entropy_bound():
     rng = np.random.default_rng(21)
     for _ in range(10):
