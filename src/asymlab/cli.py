@@ -15,10 +15,20 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
-import numpy as np
+# After numpy's import and after every threaded call, an idle OpenBLAS worker
+# busy-waits 2**OPENBLAS_THREAD_TIMEOUT TSC cycles before it sleeps: 2**28 by
+# default, about 0.13 s at 2 GHz, so an op kept a second core spinning through
+# its pure-Python work.  2**24 (about 8 ms) still spans back-to-back BLAS calls.
+# OpenBLAS reads the variable once, when numpy loads it, so this must come
+# first; the thread count is untouched and a value already set wins.
+OPENBLAS_IDLE_TIMEOUT = "24"
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", OPENBLAS_IDLE_TIMEOUT)
+
+import numpy as np  # noqa: E402  (after the OpenBLAS setting above)
 
 # suite, su2 and clustering load inside the handlers that run them, so a
 # closed-form sweep starts without them
@@ -380,12 +390,12 @@ def _log_spaced(n_min: int, n_max: int, points: int, even: bool) -> list[int]:
         raise ResourceError(f"--points {points} exceeds SWEEP_POINTS_MAX = {SWEEP_POINTS_MAX}")
     if n_max > 2**62:  # beyond every sweep cap, and past 2**63 the grid's int64 cast wraps
         raise ResourceError(f"--n-max {n_max} exceeds 2**62, the largest size of a sweep grid")
-    raw = np.unique(
-        np.round(np.logspace(math.log10(n_min), math.log10(n_max), points))
-    ).astype(int)
+    # a set, not np.unique, which would load numpy.ma
+    grid = np.round(np.logspace(math.log10(n_min), math.log10(n_max), points))
+    raw = sorted({int(v) for v in grid})
     if even:
-        raw = np.unique(np.maximum(2, (raw // 2) * 2))
-    return [int(v) for v in raw]
+        raw = sorted({max(2, (v // 2) * 2) for v in raw})
+    return raw
 
 
 def build_parser() -> argparse.ArgumentParser:

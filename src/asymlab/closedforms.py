@@ -138,10 +138,8 @@ def krawtchouk(i: int, k: int, n: int) -> float:
 def krawtchouk_exact(i: int, k: int, n: int) -> Fraction:
     """Alternating-sum definition with exact rational arithmetic (oracle)."""
     _check_kraw_args(i, k, n)
-    total = Fraction(0)
-    for j in range(0, min(i, k) + 1):
-        total += Fraction((-1) ** j * math.comb(n - k, i - j) * math.comb(k, j))
-    return total / math.comb(n, i)
+    total = sum((-1) ** j * math.comb(n - k, i - j) * math.comb(k, j) for j in range(min(i, k) + 1))
+    return Fraction(total, math.comb(n, i))
 
 
 def dicke_state(n: int, k: int, axis: str = "z") -> StateVector:

@@ -266,7 +266,8 @@ def _schur_basis(n_qubits: int) -> SchurBasis:
     for k in range(1, n_qubits):
         zeros = [2 * r for r in rows] + [np.array([], dtype=int)]
         ones = [np.array([], dtype=int)] + [2 * r + 1 for r in rows]
-        new_rows = [np.union1d(a, b) for a, b in zip(zeros, ones)]
+        # disjoint (even and odd), so sorting merges them; np.union1d would load numpy.ma
+        new_rows = [np.sort(np.concatenate((a, b))) for a, b in zip(zeros, ones)]
         pos = tuple(
             [np.searchsorted(r, a) for r, a in zip(new_rows, moved)] for moved in (zeros, ones)
         )

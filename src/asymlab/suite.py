@@ -85,6 +85,25 @@ def _random_state_or_matrix(n: int, rng, pure: bool) -> State:
     return states.random_state(n, rng) if pure else states.random_density_matrix(n, rng)
 
 
+def _lowered_block(basis: su2.SchurBasis, w: int) -> np.ndarray:
+    """S_- applied to the columns of ``blocks[w]``, on the rows of weight w + 1.
+
+    Row t is the sum of the block's rows t with one set bit cleared, added in
+    ascending bit order: the order of one scatter-add per site, so the result
+    is the same to the bit, gathered through a (C(N, w+1), w+1) index table.
+    Needs the rows sorted and partitioned by weight.
+    """
+    targets = basis.rows[w + 1]
+    set_bits = np.nonzero((targets[:, None] >> np.arange(basis.n_qubits)) & 1)[1]
+    cleared = targets[:, None] ^ (1 << set_bits.reshape(targets.size, w + 1))
+    src = np.searchsorted(basis.rows[w], cleared)
+    block = basis.blocks[w]
+    lowered = block[src[:, 0]]
+    for k in range(1, w + 1):
+        lowered += block[src[:, k]]
+    return lowered
+
+
 def _schur_block_defect(basis: su2.SchurBasis) -> float:
     """Largest deviation of the S_z blocks from an orthogonal Schur transform.
 
@@ -106,18 +125,13 @@ def _schur_block_defect(basis: su2.SchurBasis) -> float:
     for block in basis.blocks:
         gram = block.T @ block
         worst = max(worst, float(np.abs(gram - np.eye(gram.shape[0])).max()))
-    masks = 1 << np.arange(n)
     for w in range(n):
-        rows, block = basis.rows[w], basis.blocks[w]
-        lowered = np.zeros((basis.rows[w + 1].size, block.shape[1]))
-        for mask in masks:
-            free = (rows & mask) == 0
-            lowered[np.searchsorted(basis.rows[w + 1], rows[free] | mask)] += block[free]
+        lowered = _lowered_block(basis, w)
         m = n // 2 - w
         coef = np.concatenate([
             np.full(mult, math.sqrt((s + m) * (s - m + 1))) for s, _first, mult in basis.segments(w)
         ])
-        common = min(block.shape[1], lowered.shape[0])
+        common = min(lowered.shape)
         expected = np.zeros_like(lowered)
         expected[:, :common] = basis.blocks[w + 1][:, :common] * coef[:common]
         worst = max(worst, float(np.abs(lowered - expected).max()))

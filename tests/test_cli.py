@@ -1,7 +1,9 @@
+import ast
 import json
 import math
 import os
 import re
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -975,7 +977,6 @@ def test_mixed_su2_run_never_touches_a_dense_matrix(tmp_path, monkeypatch):
 def test_console_entry_point_installed():
     # editable install exposes the asymlab executable
     import shutil
-    import subprocess
 
     exe = shutil.which("asymlab")
     if exe is None:
@@ -984,3 +985,81 @@ def test_console_entry_point_installed():
         [exe, "run", "/nonexistent.json"], capture_output=True, text=True
     )
     assert proc.returncode == 2
+
+
+# ---------------- the OpenBLAS idle policy ----------------
+
+PACKAGE_DIR = Path(cli.__file__).resolve().parent
+
+
+def _environ_writes(tree: ast.Module) -> list[int]:
+    """Lines that write os.environ or call os.putenv / os.unsetenv."""
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    reads = ("get", "copy", "keys", "items", "values")
+    lines = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "os"):
+            continue
+        parent = parents[node]
+        if node.attr in ("putenv", "unsetenv"):
+            lines.append(node.lineno)
+        elif node.attr == "environ" and not (
+            (isinstance(parent, ast.Attribute) and parent.attr in reads)
+            or (isinstance(parent, ast.Subscript) and isinstance(parent.ctx, ast.Load))
+        ):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_cli_sets_the_openblas_timeout_first_and_no_other_module_writes_the_environment():
+    body = ast.parse((PACKAGE_DIR / "cli.py").read_text()).body
+    [(at, policy)] = [
+        (i, node) for i, node in enumerate(body)
+        if isinstance(node, ast.Expr) and "os.environ" in ast.unparse(node)
+    ]
+    assert ast.unparse(policy) == (
+        "os.environ.setdefault('OPENBLAS_THREAD_TIMEOUT', OPENBLAS_IDLE_TIMEOUT)"
+    )
+    # only the standard library loads before it: numpy, and every asymlab module, after
+    for i, node in enumerate(body):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and i < at:
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module]
+            assert getattr(node, "level", 0) == 0, ast.unparse(node)
+            assert all(n.split(".")[0] in sys.stdlib_module_names for n in names), ast.unparse(node)
+    assert any(
+        isinstance(node, ast.Import) and node.names[0].name == "numpy" for node in body[at:]
+    )
+    writes = {
+        path.name: _environ_writes(ast.parse(path.read_text()))
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+    }
+    assert writes.pop("cli.py") == [policy.lineno]
+    assert all(lines == [] for lines in writes.values()), writes
+
+
+def _fresh_environment(code: str, env: dict) -> dict:
+    """Run ``code`` in a new interpreter with exactly ``env`` plus PYTHONPATH to this checkout."""
+    env = dict(env, PYTHONPATH=str(PACKAGE_DIR.parent), PATH=os.environ.get("PATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", code + "\nimport json, os\nprint(json.dumps(dict(os.environ)))"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_cli_import_sets_the_openblas_idle_timeout_and_no_thread_count():
+    env = _fresh_environment("from asymlab.cli import main", {})
+    assert env["OPENBLAS_THREAD_TIMEOUT"] == cli.OPENBLAS_IDLE_TIMEOUT == "24"
+    assert not any(key.endswith("_NUM_THREADS") for key in env), env
+
+
+def test_cli_import_keeps_a_preset_openblas_timeout():
+    env = _fresh_environment("from asymlab.cli import main", {"OPENBLAS_THREAD_TIMEOUT": "28"})
+    assert env["OPENBLAS_THREAD_TIMEOUT"] == "28"
+
+
+def test_library_import_leaves_the_environment_alone():
+    env = _fresh_environment("import asymlab.states, asymlab.su2", {})
+    assert "OPENBLAS_THREAD_TIMEOUT" not in env

@@ -77,6 +77,18 @@ def test_krawtchouk_recurrence_against_exact_fractions():
                 assert_allclose(approx, float(Fraction(exact)), rtol=1e-10)
 
 
+def test_krawtchouk_exact_equals_the_stepwise_fraction_sum():
+    for n in range(13):
+        for i in range(n + 1):
+            for k in range(n + 1):
+                total = Fraction(0)
+                for j in range(min(i, k) + 1):
+                    total += Fraction((-1) ** j * math.comb(n - k, i - j) * math.comb(k, j))
+                exact = krawtchouk_exact(i, k, n)
+                assert isinstance(exact, Fraction)
+                assert exact == total / math.comb(n, i), (i, k, n)
+
+
 def test_krawtchouk_orthogonality():
     n = 10
     weights = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
@@ -423,7 +435,7 @@ def test_arcsine_oracle_passes_with_lazy_quadrature():
 
 
 def test_cli_operations_load_only_the_modules_they_run(tmp_path):
-    """Each op in a fresh interpreter: no scipy or jsonschema, and no module it does not run."""
+    """A fresh interpreter per op: no scipy, jsonschema or numpy.ma, and no module it skips."""
     heavy = ["asymlab.clustering", "asymlab.su2", "asymlab.suite"]
     base = str(tmp_path)
     cases = [
@@ -448,6 +460,7 @@ def test_cli_operations_load_only_the_modules_they_run(tmp_path):
         code, loaded = json.loads(out.strip().splitlines()[-1])
         assert code == 0, argv
         assert [m for m in loaded if m.split(".")[0] in ("scipy", "jsonschema")] == [], argv
+        assert "numpy.ma" not in loaded, argv
         assert [m for m in heavy if m in loaded] == [m for m in heavy if m not in unused], argv
 
 

@@ -189,6 +189,38 @@ def test_schur_unitarity_catches_a_flipped_column(monkeypatch):
     assert not oracles["polarized-rotation-asymmetry"].passed
 
 
+def test_schur_unitarity_catches_a_flipped_column_of_the_next_spin(monkeypatch):
+    # column 1 of the m = 0 block is (s = N/2 - 1, m = 0): its sign breaks the
+    # ladder from m = 1 at every N >= 4, and the block stays orthogonal
+    def flip(rows, blocks, half):
+        block = blocks[half].copy()
+        block[:, 1] *= -1.0
+        blocks[half] = block
+
+    _mutated_basis_builder(monkeypatch, flip)
+    assert not all_passed(bound_suite(names=["schur-unitarity"]))
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_lowered_block_equals_dense_lowering_of_the_basis(n):
+    basis = suite.su2.build_schur_basis(n)
+    dim = 2**n
+    lowering = np.zeros((dim, dim))  # S_- = sum_j sigma^-_j sets bit j
+    for j in range(n):
+        free = np.flatnonzero(((np.arange(dim) >> j) & 1) == 0)
+        lowering[free | (1 << j), free] = 1.0
+    lowered = lowering @ basis.dense()
+    starts = {s: start for s, start, _mult in basis.sectors}
+    for w in range(n):
+        m = n // 2 - w
+        cols = np.concatenate([
+            starts[s] + np.arange(mult) * (2 * s + 1) + (s - m)
+            for s, _offset, mult in basis.segments(w)
+        ])
+        expected = lowered[np.ix_(basis.rows[w + 1], cols)]
+        np.testing.assert_allclose(suite._lowered_block(basis, w), expected, rtol=0, atol=1e-13)
+
+
 def test_schur_unitarity_catches_a_dropped_row(monkeypatch):
     def drop(rows, blocks, half):
         rows[half] = rows[half][1:]
