@@ -5,7 +5,8 @@ first listed site as the more significant bit, so rows/columns run over
 (00, 01, 10, 11).  Every gate and Kraus operator is applied through
 ``states.apply_site_matrix``, which contracts the gate into the (2,)*N view of
 the array.  Heisenberg conjugation applies the gates to the identity once to
-get the circuit unitary U, then forms U^dagger A U from dense matrix products.
+get the circuit unitary U, applies a local operator A to U's rows the same
+way, and forms U^dagger (A U) with one dense product.
 """
 from __future__ import annotations
 
@@ -48,8 +49,8 @@ class Gate:
         if len(sites) not in (1, 2) or len(set(sites)) != len(sites):
             raise ValidationError(f"gate sites must be 1 or 2 distinct indices, got {sites}")
         d = 2 ** len(sites)
-        if mat.shape != (d, d):
-            raise ValidationError(f"gate on {len(sites)} site(s) needs a {d}x{d} matrix")
+        if mat.shape != (d, d) or not np.all(np.isfinite(mat)):
+            raise ValidationError(f"gate on {len(sites)} site(s) needs a finite {d}x{d} matrix")
         if not _is_unitary(mat):
             raise ValidationError(f"gate matrix is not unitary within {UNITARITY_TOL}")
         mat.flags.writeable = False
@@ -130,29 +131,32 @@ def circuit_unitary(circuit: BrickworkCircuit) -> np.ndarray:
     return u
 
 
-def conjugate_by(operator: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """U^dagger A U for one d x d operator A or a (B, d, d) stack: two dense products each."""
+def conjugate_by(operator: np.ndarray, sites, u: np.ndarray) -> np.ndarray:
+    """U^dagger A U for a local operator A on ``sites``, or a (B, 2^m, 2^m) stack of them.
+
+    A U is A applied to the rows of U (``apply_site_matrix``), so A is never
+    embedded in the full space; each operator then costs one dense product
+    U^dagger (A U).  A dense operator on all N qubits takes every qubit as
+    ``sites``.
+    """
     ops = np.asarray(operator)
-    d = u.shape[0]
-    if ops.ndim not in (2, 3) or ops.shape[-2:] != (d, d):
-        raise ValidationError(f"operator must be {d}x{d} or a stack of them, got {ops.shape}")
+    if ops.ndim not in (2, 3):
+        raise ValidationError(f"operator must be a matrix or a stack of them, got {ops.shape}")
     u_dag = u.conj().T
-    out = np.empty(ops.shape, dtype=complex)
-    left = np.empty((d, d), dtype=complex)
+    out = np.empty(ops.shape[:-2] + u.shape, dtype=complex)
     for b in np.ndindex(ops.shape[:-2]):
-        np.matmul(ops[b], u, out=left)
-        np.matmul(u_dag, left, out=out[b])
+        np.matmul(u_dag, apply_site_matrix(u, ops[b], sites), out=out[b])
     return out
 
 
-def heisenberg_conjugate(operator: np.ndarray, circuit: BrickworkCircuit) -> np.ndarray:
-    """Return U^dagger A U for the full circuit unitary U and a dense operator A.
+def heisenberg_conjugate(operator: np.ndarray, sites, circuit: BrickworkCircuit) -> np.ndarray:
+    """Return U^dagger A U for the circuit unitary U and a local operator A on ``sites``.
 
-    ``operator`` is one d x d matrix or a (B, d, d) stack.  U is built once
-    per call (``circuit_unitary``), and each operator then costs two dense
-    d x d products (``conjugate_by``).
+    ``operator`` is one 2^m x 2^m matrix on the m ``sites`` or a (B, 2^m, 2^m)
+    stack.  U is built once per call (``circuit_unitary``), and each operator
+    then costs one local application and one dense product (``conjugate_by``).
     """
-    return conjugate_by(operator, circuit_unitary(circuit))
+    return conjugate_by(operator, sites, circuit_unitary(circuit))
 
 
 def backward_light_cone(
@@ -202,12 +206,12 @@ class KrausChannel:
         if not ops:
             raise ValidationError("channel needs at least one Kraus operator")
         for op in ops:
-            if op.shape != (d, d):
-                raise ValidationError(f"Kraus operator shape {op.shape}, expected {(d, d)}")
+            if op.shape != (d, d) or not np.all(np.isfinite(op)):
+                raise ValidationError(f"Kraus operator must be finite and {d}x{d}, got {op.shape}")
             op.flags.writeable = False
         total = sum(op.conj().T @ op for op in ops)
         dev = float(np.max(np.abs(total - np.eye(d))))
-        if dev > COMPLETENESS_TOL:
+        if not dev <= COMPLETENESS_TOL:
             raise ValidationError(f"Kraus completeness violated by {dev:.3e}")
         object.__setattr__(self, "operators", ops)
 
@@ -395,10 +399,12 @@ def _json_int(value, what: str) -> int:
 
 
 def circuit_from_dict(data: dict) -> BrickworkCircuit:
+    if not isinstance(data, dict):
+        raise ValidationError(f"circuit JSON must be an object, got {type(data).__name__}")
     try:
         layers_raw = data["layers"]
         depth = data["depth"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ValidationError(f"circuit JSON missing key: {exc}") from exc
     if not isinstance(layers_raw, list) or not all(isinstance(x, list) for x in layers_raw):
         raise ValidationError("circuit layers must be a list of lists of gates")

@@ -454,10 +454,12 @@ def table_density(values) -> ContinuousChargeDensity:
     values = np.array(values, dtype=float)
     if values.ndim != 1 or values.size < 2:
         raise ValidationError("table needs at least two density values")
+    if not np.all(np.isfinite(values)):
+        raise ValidationError("density values must be finite")
     if np.any(values < 0.0):
         raise ValidationError("density values must be nonnegative")
     total = float(np.sum(values)) / values.size
-    if total <= 0.0:
+    if not total > 0.0:
         raise ValidationError("table has zero total mass")
     values = values / total
     values.flags.writeable = False
@@ -479,7 +481,7 @@ def continuous_asymmetry_estimate(density: ContinuousChargeDensity, n: int) -> f
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
     total = density.normalization()
-    if abs(total - 1.0) > NORMALIZATION_TOL:
+    if not abs(total - 1.0) <= NORMALIZATION_TOL:
         raise ValidationError(f"density integrates to {total!r}, not 1 within {NORMALIZATION_TOL}")
     return float(np.log(n) - density.entropy_integral())
 

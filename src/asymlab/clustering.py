@@ -73,8 +73,8 @@ def connected_correlator(
     op_i = CHARGE_OP if op_i is None else np.asarray(op_i, dtype=complex)
     op_j = CHARGE_OP if op_j is None else np.asarray(op_j, dtype=complex)
     for op in (op_i, op_j):
-        if op.shape != (2, 2):
-            raise ValidationError(f"single-site observable must be 2x2, got {op.shape}")
+        if op.shape != (2, 2) or not np.all(np.isfinite(op)):
+            raise ValidationError(f"one-site observable must be finite and 2x2, got {op.shape}")
     t = _pair_tensor(state, site_i, site_j)
     value = float(_connected_correlators(t, op_i[None], op_j[None])[0, 0])
     cap = 2.0 * np.linalg.norm(op_i, 2) * np.linalg.norm(op_j, 2)
@@ -189,23 +189,13 @@ def _check_spreading_inputs(circuit: BrickworkCircuit, geometry: LatticeGeometry
     return n
 
 
-def _seed_paulis(sites: tuple[int, ...], seed: int) -> np.ndarray:
-    """The (3, 2^k, 2^k) stack of the x, y, z Paulis on ``seed``, one of the k ``sites``."""
-    k = len(sites)
-    q = sites.index(seed)
-    left, right = 2**q, 2 ** (k - 1 - q)
-    paulis = np.zeros((3, left, 2, right, left, 2, right), dtype=complex)
-    # each Pauli on qubit q is 1 (x) sigma (x) 1: write sigma on the identities' diagonal
-    np.einsum("xlarlbr->xlrab", paulis)[...] = PAULI_STACK[:, None, None]
-    return paulis.reshape(3, 2**k, 2**k)
-
-
 def _seed_spread(
     geometry: LatticeGeometry, seed: int, sites: tuple[int, ...], evolved: np.ndarray
 ) -> int:
-    """Spread of the ``_seed_paulis`` of ``seed`` conjugated through a circuit on ``sites``.
+    """Spread of the x, y, z Paulis on ``seed`` conjugated through a circuit on ``sites``.
 
-    Qubit i of the circuit is lattice site ``sites[i]``.
+    ``evolved`` is their (3, 2^k, 2^k) stack; qubit i of the circuit is lattice
+    site ``sites[i]``.
     """
     fractions = _support_mass_fractions(evolved)
     reached = np.flatnonzero(np.any(fractions > SPREAD_THRESHOLD, axis=0))
@@ -220,15 +210,16 @@ def operator_spreading_range(circuit: BrickworkCircuit, geometry: LatticeGeometr
     squared Pauli weight above SPREAD_THRESHOLD.  Each seed's Paulis are evolved
     on its backward light cone alone (``circuits.backward_light_cone``): sites
     outside the cone carry exactly zero weight.  For a cone of k sites the
-    seed builds one 2^k x 2^k cone unitary and conjugates its three Paulis by
-    dense products, 8^k work and a few 4^k arrays.  N is still limited by the
-    density-matrix cap.
+    seed builds one 2^k x 2^k cone unitary U, applies each Pauli to U's rows on
+    the seed alone and multiplies by U^dagger: one dense product per Pauli,
+    8^k work and a few 4^k arrays.  N is still limited by the density-matrix
+    cap.
     """
     n = _check_spreading_inputs(circuit, geometry)
     spread = 0
     for seed in range(n):
         sites, cone = backward_light_cone(circuit, seed)
-        evolved = heisenberg_conjugate(_seed_paulis(sites, seed), cone)
+        evolved = heisenberg_conjugate(PAULI_STACK, sites.index(seed), cone)
         spread = max(spread, _seed_spread(geometry, seed, sites, evolved))
     return spread
 
@@ -243,7 +234,7 @@ def _dense_spreading_range(circuit: BrickworkCircuit, geometry: LatticeGeometry)
     sites = tuple(range(n))
     spread = 0
     for seed in range(n):
-        evolved = conjugate_by(_seed_paulis(sites, seed), u)
+        evolved = conjugate_by(PAULI_STACK, seed, u)
         spread = max(spread, _seed_spread(geometry, seed, sites, evolved))
     return spread
 

@@ -13,7 +13,9 @@ from asymlab.circuits import (
     charge_conserving_unitary,
     circuit_from_dict,
     circuit_to_dict,
+    circuit_unitary,
     cnot_gate,
+    conjugate_by,
     depolarizing_channel,
     full_dephasing_channel,
     haar_unitary,
@@ -47,6 +49,13 @@ def test_gate_rejects_non_unitary():
         Gate((0,), np.array([[1.0, 0.0], [0.0, 2.0]]))
     with pytest.raises(ValidationError):
         Gate((0, 0), np.eye(4))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_gate_rejects_non_finite_entries_before_the_unitarity_test(bad):
+    with pytest.raises(ValidationError, match="finite"):
+        Gate((0,), np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
 def test_layer_rejects_overlapping_gates():
@@ -99,25 +108,63 @@ def test_heisenberg_conjugate_is_adjoint_of_evolution():
         d = 2**circ.n_qubits
         u = _dense_unitary(circ)
         op = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        assert_allclose(heisenberg_conjugate(op, circ), u.conj().T @ op @ u,
+        every = tuple(range(circ.n_qubits))
+        assert_allclose(heisenberg_conjugate(op, every, circ), u.conj().T @ op @ u,
                         rtol=0, atol=1e-12, err_msg=f"N={circ.n_qubits} depth={circ.depth}")
 
 
 def test_heisenberg_conjugate_of_a_stack_equals_per_operator_calls():
     for circ, rng in _conjugation_cases():
         d = 2**circ.n_qubits
+        every = tuple(range(circ.n_qubits))
         ops = rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d))
-        stacked = heisenberg_conjugate(ops, circ)
+        stacked = heisenberg_conjugate(ops, every, circ)
         assert stacked.shape == (3, d, d)
         for op, out in zip(ops, stacked):
-            assert_allclose(out, heisenberg_conjugate(op, circ), rtol=0, atol=1e-13)
+            assert_allclose(out, heisenberg_conjugate(op, every, circ), rtol=0, atol=1e-13)
+
+
+def _embedded(op: np.ndarray, sites: tuple[int, ...], n: int) -> np.ndarray:
+    """The 2^n x 2^n matrix of a local operator on ``sites``, entry by entry.
+
+    Site 0 is the most significant bit of a basis index, and the first listed
+    site the most significant bit of ``op``'s index; entries whose bits differ
+    off ``sites`` are zero.
+    """
+    index = np.arange(2**n)
+    shifts = n - 1 - np.array(sites)
+    local = ((index[:, None] >> shifts) & 1) @ (1 << np.arange(len(sites))[::-1])
+    rest = index & ~int(np.sum(1 << shifts))
+    same_rest = rest[:, None] == rest[None, :]
+    return np.where(same_rest, op[local[:, None], local[None, :]], 0.0)
+
+
+def test_local_operators_conjugate_like_their_dense_embedding():
+    """1- and 2-site operators, including non-adjacent and descending site pairs."""
+    rng = np.random.default_rng(12)
+    for n, depth in ((3, 2), (5, 3)):
+        circ = random_brickwork(LatticeGeometry(1, n), depth, rng)
+        u = circuit_unitary(circ)
+        supports = [(s,) for s in range(n)] + [(0, 1), (2, 0), (n - 1, 1), (0, n - 1)]
+        for sites in supports:
+            m = 2 ** len(sites)
+            op = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+            expected = u.conj().T @ _embedded(op, sites, n) @ u
+            assert_allclose(conjugate_by(op, sites, u), expected, rtol=0, atol=1e-13,
+                            err_msg=f"N={n} sites={sites}")
+            assert_allclose(heisenberg_conjugate(op[None], sites, circ)[0], expected,
+                            rtol=0, atol=1e-13, err_msg=f"N={n} sites={sites}")
 
 
 def test_heisenberg_conjugate_rejects_wrong_shapes():
     circ = random_brickwork(LatticeGeometry(1, 3), 1, np.random.default_rng(0))
+    every = (0, 1, 2)
     for shape in ((4, 4), (8, 4), (2, 2, 8, 8), (8,)):
         with pytest.raises(ValidationError):
-            heisenberg_conjugate(np.zeros(shape, dtype=complex), circ)
+            heisenberg_conjugate(np.zeros(shape, dtype=complex), every, circ)
+    for shape, sites in (((2, 2), (0, 1)), ((4, 4), 1), ((3, 8, 8), (0, 2)), ((2, 2), 3)):
+        with pytest.raises(ValidationError):
+            heisenberg_conjugate(np.zeros(shape, dtype=complex), sites, circ)
 
 
 def test_haar_unitary_is_unitary_and_seeded():
@@ -173,6 +220,15 @@ def test_channel_completeness_enforced():
         KrausChannel((0,), tuple(bad))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_channel_rejects_non_finite_kraus_entries(bad):
+    """Refused before the completeness test, whose old `dev > tol` form a NaN passed."""
+    with pytest.raises(ValidationError, match="finite"):
+        KrausChannel((0,), (np.diag([bad, 1.0]),))
+    with pytest.raises(ValidationError, match="finite"):
+        KrausChannel((0,), (np.eye(2) / np.sqrt(2.0), np.diag([bad, 1.0]) / np.sqrt(2.0)))
+
+
 def test_depolarizing_channel_mixes_towards_identity():
     rho = DensityMatrix(zero_state(1).matrix)
     out = apply_channel(rho, depolarizing_channel(0, 0.75))
@@ -214,6 +270,12 @@ def test_circuit_json_round_trip(tmp_path):
         for ga, gb in zip(la, lb):
             assert ga.sites == gb.sites
             assert_allclose(ga.matrix, gb.matrix, atol=1e-15)
+
+
+@pytest.mark.parametrize("data", [[1, 2], "layers", None, 3], ids=["list", "str", "null", "int"])
+def test_circuit_json_that_is_not_an_object_is_named(data):
+    with pytest.raises(ValidationError, match="circuit JSON must be an object"):
+        circuit_from_dict(data)
 
 
 def test_circuit_dict_round_trip_rejects_bad_depth():

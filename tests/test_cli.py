@@ -15,6 +15,7 @@ from numpy.testing import assert_allclose
 
 from asymlab import cli, states, su2, suite
 from asymlab.circuits import apply_circuit, random_brickwork, save_circuit
+from asymlab.closedforms import dicke_state, dicke_x_distribution
 from asymlab.cli import main
 from asymlab.config import (
     NAMED_STATES,
@@ -27,6 +28,7 @@ from asymlab.lattice import LatticeGeometry
 from asymlab.states import ghz_state
 from asymlab.suite import CheckResult, bound_suite
 from asymlab.tolerances import MARGIN_TOL, holds
+from asymlab.u1 import charge_distribution, shannon_entropy
 
 LN2 = math.log(2.0)
 
@@ -466,6 +468,15 @@ def _gate_with_boolean_entries(tmp_path, monkeypatch):
     return argv
 
 
+def _gate_with_infinite_entry(tmp_path, monkeypatch):
+    """The 2-site identity with its first entry written as 1e400, which JSON reads as inf."""
+    argv = _circuit_with_gate(tmp_path, {"sites": [0, 1]})
+    circuit = json.loads((tmp_path / "circ.json").read_text())
+    circuit["layers"][0][0]["unitary"][0] = ["ENTRY", 0.0]
+    (tmp_path / "circ.json").write_text(json.dumps(circuit).replace('"ENTRY"', "1e400"))
+    return argv
+
+
 def _su2_state_file(tmp_path, name, content):
     path = tmp_path / name
     if name.endswith(".npy"):
@@ -508,6 +519,7 @@ def _circuit_input_product_boolean_pairs(tmp_path, monkeypatch):
     "make_argv",
     [
         _gate_with_boolean_entries,
+        _gate_with_infinite_entry,
         _state_file_boolean_pairs,
         _state_file_npy_booleans,
         _state_file_nan,
@@ -546,6 +558,7 @@ def _circuit_input_product_boolean_pairs(tmp_path, monkeypatch):
         _product_points_negative,
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_malformed_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, make_argv):
     assert main(make_argv(tmp_path, monkeypatch)) == 2
     err = capsys.readouterr().err
@@ -568,6 +581,7 @@ _TORUS_ARGV = ["clustering", "--circuit", "never-read.json"]
     (_TORUS_ARGV + ["--linear-size", str(10**2200), "--dimension", "2"], 3),
 ], ids=["points", "n-max-past-float", "n-max-past-cap", "n", "n-past-float", "dimension",
         "linear-size", "torus-dimension", "torus-both", "torus-side"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_extreme_sizes_exit_at_once_without_allocating(
     tmp_path, monkeypatch, capsys, argv, expected
 ):
@@ -669,6 +683,41 @@ def test_every_named_state_is_a_valid_su2_state(name):
     args = cli.build_parser().parse_args(["su2", "--state", name, "--n", "4"])
     cfg = cli._config_from_args(args)
     assert cfg.state_spec == NAMED_STATES[name]
+
+
+def test_clustering_above_the_density_matrix_cap_reports_no_spread(tmp_path, monkeypatch):
+    """N = 14 passes the scans on its statevector; spreading is refused, named and not fatal."""
+    monkeypatch.delenv("ASYMLAB_MAX_QUBITS", raising=False)
+    n = 14
+    assert states.density_matrix_cap() < n <= states.statevector_cap()
+    path = tmp_path / "circ.json"
+    save_circuit(random_brickwork(LatticeGeometry(1, n), 1, np.random.default_rng(2)), path)
+    out = tmp_path / "out"
+    argv = ["clustering", "--circuit", str(path), "--linear-size", str(n), "--output", str(out)]
+    assert main(argv) == 0
+    report = _read_report(out)
+    assert report["operator_spread"] is None
+    assert "density-matrix cap" in report["operator_spread_note"]
+    assert report["all_checks_hold"] is True
+
+
+def test_dicke_spec_with_an_explicit_k(tmp_path):
+    """'k' overrides the ratio: a u1-asymmetry run and a dicke-sweep at fixed k = 2."""
+    spec = {"kind": "dicke", "k": 2}
+    u1_out, sweep_out = tmp_path / "u1", tmp_path / "sweep"
+    u1_cfg = {"experiment": "u1-asymmetry", "geometry": {"dimension": 1, "linear_size": 6},
+              "state_spec": spec, "output": str(u1_out)}
+    assert main(["run", _write(tmp_path / "u1.json", u1_cfg)]) == 0
+    expected = shannon_entropy(charge_distribution(dicke_state(6, 2, axis="x")))
+    assert_allclose(_read_report(u1_out)["report"]["delta_s"], expected, rtol=0, atol=1e-12)
+    sweep_cfg = {"experiment": "dicke-sweep", "sweep": [10, 20, 40], "state_spec": spec,
+                 "output": str(sweep_out)}
+    assert main(["run", _write(tmp_path / "sweep.json", sweep_cfg)]) == 0
+    rows = _read_report(sweep_out)["rows"]
+    assert [row["n"] for row in rows] == [10, 20, 40]
+    for row in rows:
+        dist = dicke_x_distribution(row["n"], 2)
+        assert_allclose(row["delta_s"], shannon_entropy(dist), rtol=0, atol=1e-12)
 
 
 def test_clustering_input_ghz_builds_a_circuit_state(tmp_path, monkeypatch):

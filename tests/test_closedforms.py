@@ -359,6 +359,16 @@ def test_continuous_asymmetry_estimate():
         continuous_asymmetry_estimate(unnormalized, 10)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_table_density_rejects_non_finite_values(bad):
+    """Before this check a NaN entry gave a table whose estimate at n = 3 was ln 3."""
+    with pytest.raises(ValidationError, match="finite"):
+        table_density([bad, 1.0, 1.0])
+    nan_table = ContinuousChargeDensity("custom-table", values=np.array([np.nan, 1.0, 1.0]))
+    with pytest.raises(ValidationError, match="integrates"):
+        continuous_asymmetry_estimate(nan_table, 3)
+
+
 def test_table_density_estimates_the_dicke_profile():
     m = 500
     probs = dicke_half_distribution(m).probs

@@ -123,6 +123,16 @@ def test_correlator_with_imaginary_part_is_rejected():
     connected_correlator(state, 0, 1, small * 0.5, np.eye(2) + raising)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_connected_correlator_rejects_non_finite_observables(bad):
+    state = plus_state(3)
+    observable = np.array([[bad, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValidationError, match="finite"):
+        connected_correlator(state, 0, 2, observable, PAULI["z"])
+    with pytest.raises(ValidationError, match="finite"):
+        connected_correlator(state, 0, 2, PAULI["z"], observable)
+
+
 def test_verify_cluster_property_on_product_state():
     rng = np.random.default_rng(1)
     geo = LatticeGeometry(1, 6)
@@ -214,8 +224,7 @@ def test_light_cone_spreading_equals_dense_spreading():
 def _embedded_cone_conjugate(sites, cone, seed, axis, n):
     """Cone-route U^dagger P U tensored with identity off the cone, in lattice order."""
     k = len(sites)
-    pauli = apply_pauli(np.eye(2**k, dtype=complex), sites.index(seed), axis)
-    local = heisenberg_conjugate(pauli, cone)
+    local = heisenberg_conjugate(PAULI[axis], sites.index(seed), cone)
     order = list(sites) + [s for s in range(n) if s not in sites]
     full = np.kron(local, np.eye(2 ** (n - k))).reshape((2,) * (2 * n))
     back = np.argsort(order)
@@ -232,9 +241,7 @@ def test_light_cone_operator_matches_dense_conjugation():
             assert site in sites and len(sites) <= 2 * circ.depth + 1
             dropped = BrickworkCircuit(cone.n_qubits, (cone.layers[0][1:],) + cone.layers[1:])
             for axis in "xyz":
-                dense = heisenberg_conjugate(
-                    apply_pauli(np.eye(2**n, dtype=complex), site, axis), circ
-                )
+                dense = heisenberg_conjugate(PAULI[axis], site, circ)
                 embedded = _embedded_cone_conjugate(sites, cone, site, axis, n)
                 assert np.max(np.abs(embedded - dense)) < 1e-12
                 mutant = _embedded_cone_conjugate(sites, dropped, site, axis, n)
@@ -242,7 +249,7 @@ def test_light_cone_operator_matches_dense_conjugation():
 
 
 def test_spreading_applies_each_cone_gate_once_per_seed(monkeypatch):
-    """Seed s applies at most G_s + 3 local operators, G_s the gates of its cone."""
+    """Seed s applies exactly G_s + 3 local operators: G_s cone gates, then its 3 Paulis."""
     kernel = states.apply_site_matrix
     cone_of = clustering.backward_light_cone
     per_seed: list[list] = []
@@ -269,7 +276,7 @@ def test_spreading_applies_each_cone_gate_once_per_seed(monkeypatch):
         assert len(per_seed) == geo.n_sites
         assert all(gates > 0 for gates, _ in per_seed)
         for gates, applied in per_seed:
-            assert applied <= gates + 3, (geo, gates, applied)
+            assert applied == gates + 3, (geo, gates, applied)
 
 
 def test_operator_spreading_rejects_large_systems(monkeypatch):

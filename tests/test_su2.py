@@ -13,9 +13,11 @@ from asymlab.clustering import variance_bound_check, verify_cluster_property
 from asymlab.errors import PreconditionError, ResourceError, ValidationError
 from asymlab.lattice import LatticeGeometry
 from asymlab.states import (
+    PAULI_X,
     DensityMatrix,
     StateVector,
     apply_site_matrix,
+    basis_state,
     ghz_state,
     product_state,
     random_density_matrix,
@@ -531,6 +533,31 @@ def test_zero_transverse_rotation_aligns_mean_spin():
         assert mom["sz"] >= -1e-9
         # rotation is collective, so the total-spin magnitude is untouched
         assert_allclose(mom["s2"], spin_moments(psi)["s2"], atol=1e-9)
+
+
+def test_zero_transverse_rotation_turns_a_spin_along_minus_z_by_pi_about_x():
+    n = 4
+    down = basis_state([1] * n)
+    for state in (down, DensityMatrix.from_factor(down.factor), DensityMatrix(down.matrix)):
+        assert_allclose(spin_moments(state)["sz"], -n / 2, atol=1e-12)
+        gauged, u = zero_transverse_rotation(state)
+        assert_allclose(u, -1j * PAULI_X, rtol=0, atol=1e-15)
+        assert (gauged.factor is None) == (state.factor is None)
+        mom = spin_moments(gauged)
+        assert_allclose([mom["sx"], mom["sy"], mom["sz"]], [0.0, 0.0, n / 2], atol=1e-12)
+
+
+def test_global_rotation_of_a_vector_is_the_kronecker_power():
+    rng = np.random.default_rng(61)
+    for n in (1, 3, 5):
+        psi = random_state(n, rng).amplitudes
+        u = haar_unitary(2, rng)
+        power = np.ones((1, 1), dtype=complex)
+        for _ in range(n):
+            power = np.kron(power, u)
+        rotated = global_rotation(psi, u)
+        assert rotated.shape == psi.shape
+        assert_allclose(rotated, power @ psi, rtol=0, atol=1e-14)
 
 
 def test_casimir_check_requires_gauged_input():
