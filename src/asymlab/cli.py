@@ -44,7 +44,6 @@ from .config import (
     load_config,
     read_json,
     state_spec_from_name,
-    sweep_distribution,
     validate_config,
 )
 from .errors import (
@@ -193,7 +192,7 @@ def _fit_block(fit):
 
 def _run_sweep(cfg: ExperimentConfig) -> int:
     ns = sorted(set(cfg.sweep))
-    reports = [u1.report_from_distribution(sweep_distribution(cfg, n)) for n in ns]
+    reports = [u1.u1_asymmetry(build_state(cfg.state_spec, n, cfg.seed)[0]) for n in ns]
     ok = all(_bounds_hold(rep.margins()) for rep in reports)
 
     points = [(rep.n_sites, rep.delta_s) for rep in reports]

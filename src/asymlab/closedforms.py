@@ -1,10 +1,11 @@
 """Closed-form charge distributions and large-N scaling helpers.
 
 Everything here avoids statevectors, so sweeps can run far beyond the
-simulation caps.  Binomial coefficients use exact integers up to n = 20 and
-log-factorials beyond (an exact table below STIRLING_CUTOFF, the Stirling
-series above it); oscillatory Krawtchouk values come from a three-term
-recurrence, with the alternating sum kept only as an exact-rational oracle.
+simulation caps.  ``binomial`` is exact (``math.comb``); the closed forms
+that need binomials of large n use log-factorials (an exact table below
+STIRLING_CUTOFF, the Stirling series above it); oscillatory Krawtchouk values
+come from a three-term recurrence, with the alternating sum kept only as an
+exact-rational oracle.
 The continuous densities integrate by a tanh-sinh rule.  numpy is the only
 numeric dependency.
 
@@ -35,7 +36,6 @@ from .states import StateVector, _check_cap, bit_weights, product_state, stateve
 from .tolerances import FIT_SPAN_FLOOR, NORMALIZATION_TOL, TANH_SINH_TOL
 from .u1 import ChargeDistribution
 
-EXACT_BINOMIAL_LIMIT = 20
 # ln k! is read from a table of math.lgamma below this k and from the Stirling series above
 STIRLING_CUTOFF = 32
 _LN_FACTORIAL_TABLE = np.array([math.lgamma(k + 1.0) for k in range(STIRLING_CUTOFF)])
@@ -97,12 +97,8 @@ def log_binomial(n: int, k) -> np.ndarray | float:
 
 
 def binomial(n: int, k: int) -> float:
-    """C(n, k) as a float, exact below EXACT_BINOMIAL_LIMIT."""
-    if not 0 <= k <= n:
-        return 0.0
-    if n <= EXACT_BINOMIAL_LIMIT:
-        return float(math.comb(n, k))
-    return float(np.exp(log_binomial(n, k)))
+    """C(n, k) as the float nearest the exact integer, or 0.0 outside 0 <= k <= n."""
+    return float(math.comb(n, k)) if 0 <= k <= n else 0.0
 
 
 def _check_kraw_args(i: int, k: int, n: int):
@@ -458,6 +454,8 @@ def table_density(values) -> ContinuousChargeDensity:
         raise ValidationError("density values must be finite")
     if np.any(values < 0.0):
         raise ValidationError("density values must be nonnegative")
+    # a power of two, which rounds no normal value, scales the largest into [0.5, 1): no overflow
+    values = np.ldexp(values, -np.frexp(values.max())[1])
     total = float(np.sum(values)) / values.size
     if not total > 0.0:
         raise ValidationError("table has zero total mass")

@@ -6,6 +6,15 @@ this module that interprets the keywords that file uses and raises on any
 other, then checked against the capability envelope of the chosen
 computational path before anything runs.  ``config_hash`` gives the short
 provenance token echoed on every CSV row.
+
+``build_state`` is the one place a state spec becomes a state, for sweeps
+and single-state runs alike.  A bernoulli, dicke or kink spec becomes a
+``states.ClosedFormState``, so every U(1) run of it (a sweep, or
+``u1-asymmetry``) reads its closed-form charge distribution and is held to
+the kind's cap (``_closed_form_cap``), while any other run reads its dense
+amplitudes under the statevector and density-matrix caps.  The envelope
+check resolves such a spec at every N of the run, which runs the spec's own
+checks (a dicke count, a bernoulli list length) before anything is computed.
 """
 
 from __future__ import annotations
@@ -16,6 +25,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 
 import numpy as np
@@ -28,8 +38,10 @@ from .tolerances import CORRELATOR_TOL, RATIO_INTEGER_TOL, ZERO_NORM
 
 SWEEP_EXPERIMENTS = ("dicke-sweep", "kink-sweep", "product-sweep")
 STATE_EXPERIMENTS = ("u1-asymmetry", "su2-asymmetry", "circuit-clustering")
+# runs that read only a state's charge distribution, so a closed-form spec keeps its closed form
+U1_EXPERIMENTS = SWEEP_EXPERIMENTS + ("u1-asymmetry",)
 
-# closed-form sweep envelopes; every limit is named in the raised error
+# closed-form envelopes, the largest N of every U(1) run of each kind; each is named in its error
 DICKE_HALF_SWEEP_MAX = 2_000_000
 DICKE_GENERAL_SWEEP_MAX = 2_048
 KINK_SWEEP_MAX = 10_000_000
@@ -224,45 +236,40 @@ def _check_finite(value, path=()):
             _check_finite(item, path + (index,))
 
 
-def _sweep_route(experiment: str, spec: dict):
-    """The closed form a sweep takes: (cap name, cap, n -> ChargeDistribution)."""
-    if experiment == "kink-sweep":
-        return "KINK_SWEEP_MAX", KINK_SWEEP_MAX, closedforms.kink_distribution
-    if experiment == "product-sweep":
-        x = spec["x"]
-        if isinstance(x, (int, float)):
-            return "PRODUCT_SWEEP_MAX", PRODUCT_SWEEP_MAX, (
-                lambda n: closedforms.binomial_distribution(n, x)
-            )
-        return "PRODUCT_SWEEP_MAX", PRODUCT_SWEEP_MAX, (
-            lambda n: closedforms.poisson_binomial(_bernoulli_vector(x, n))
-        )
-    if dicke_half_filling(spec):
-        return "DICKE_HALF_SWEEP_MAX", DICKE_HALF_SWEEP_MAX, (
-            lambda n: closedforms.dicke_half_distribution(n // 2)
-        )
-    return "DICKE_GENERAL_SWEEP_MAX", DICKE_GENERAL_SWEEP_MAX, (
-        lambda n: closedforms.dicke_x_distribution(n, dicke_excitations(spec, n))
-    )
+def _closed_form_cap(spec: dict):
+    """(name, value): the largest N of a bernoulli, dicke or kink spec's closed form, or None."""
+    kind = spec.get("kind")
+    if kind == "dicke" and dicke_half_filling(spec):
+        return "DICKE_HALF_SWEEP_MAX", DICKE_HALF_SWEEP_MAX
+    return {"bernoulli": ("PRODUCT_SWEEP_MAX", PRODUCT_SWEEP_MAX),
+            "dicke": ("DICKE_GENERAL_SWEEP_MAX", DICKE_GENERAL_SWEEP_MAX),
+            "kink": ("KINK_SWEEP_MAX", KINK_SWEEP_MAX)}.get(kind)
 
 
-def sweep_distribution(cfg: ExperimentConfig, n: int):
-    """Closed-form charge distribution of a sweep config's state on n sites."""
-    return _sweep_route(cfg.experiment, cfg.state_spec)[2](n)
+def _check_envelope(cfg: ExperimentConfig) -> int:
+    """Hold a sweep's N values, or a single-state run's N, to its cap; returns the largest N.
 
-
-def _check_sweep_envelope(experiment: str, state_spec: dict, sweep) -> None:
-    name, cap, _ = _sweep_route(experiment, state_spec)
-    worst = max(sweep)
-    if worst > cap:
-        raise ResourceError(
-            f"sweep value {worst} exceeds {name} = {cap} for {experiment}"
-        )
-    for n in sweep:
-        if experiment == "dicke-sweep":
-            dicke_excitations(state_spec, n)
-        elif experiment == "product-sweep":
-            _bernoulli_vector(state_spec["x"], n)
+    A U(1) run (a sweep, or ``u1-asymmetry``) of a closed-form spec is held to
+    the kind's cap and resolved at each N, which runs the spec's own checks;
+    any other single-state run is held to the statevector cap.
+    """
+    closed = cfg.experiment in U1_EXPERIMENTS and _closed_form_cap(cfg.state_spec)
+    name, cap = closed or ("the statevector cap", states.statevector_cap())
+    geo = cfg.geometry
+    sizes = cfg.sweep if cfg.experiment in SWEEP_EXPERIMENTS else None
+    if sizes is None:
+        # there are at least 2^(dimension * (bits of the side - 1)) sites, so past that bound
+        # the count exceeds the cap; in more than one dimension it is then never formed, since
+        # it may have too many digits to print, and the message names linear^dimension
+        bits = geo.dimension * (geo.linear_size.bit_length() - 1)
+        sizes = () if geo.dimension > 1 and bits >= cap.bit_length() else (geo.n_sites,)
+    if not sizes or max(sizes) > cap:
+        sites = max(sizes) if sizes else f"{geo.linear_size}^{geo.dimension}"
+        hint = "" if closed else " (override with ASYMLAB_MAX_QUBITS)"
+        raise ResourceError(f"{cfg.experiment}: {sites} sites exceed {name} = {cap}{hint}")
+    for n in sizes if closed else ():
+        build_state(cfg.state_spec, n, cfg.seed)
+    return max(sizes)
 
 
 def validate_config(data: dict) -> ExperimentConfig:
@@ -311,25 +318,14 @@ def validate_config(data: dict) -> ExperimentConfig:
                 f"{experiment} needs a state_spec of kind '{wanted}', "
                 f"got '{cfg.state_spec.get('kind')}'"
             )
-        _check_sweep_envelope(experiment, cfg.state_spec, cfg.sweep)
+        _check_envelope(cfg)
 
     if experiment in STATE_EXPERIMENTS:
         if cfg.geometry is None:
             raise ConfigError(f"{experiment} requires 'geometry'")
         if cfg.state_spec is None:
             raise ConfigError(f"{experiment} requires 'state_spec'")
-        geo, cap = cfg.geometry, states.statevector_cap()
-        # with a side of 2 or more, a side or a dimension above the cap puts the site
-        # count above it; in more than one dimension that count is never formed, since
-        # it may have too many digits to print, and the message names linear^dimension
-        past = geo.linear_size > 1 and max(geo.linear_size, geo.dimension) > cap
-        n = None if past and geo.dimension > 1 else geo.n_sites
-        if n is None or n > cap:
-            sites = f"{geo.linear_size}^{geo.dimension}" if n is None else n
-            raise ResourceError(
-                f"{sites} sites exceed the statevector cap of {cap} qubits "
-                "(override with ASYMLAB_MAX_QUBITS)"
-            )
+        n = _check_envelope(cfg)
         if experiment == "su2-asymmetry":
             if n % 2:
                 raise ConfigError("su2-asymmetry needs an even number of sites")
@@ -401,6 +397,8 @@ def dicke_half_filling(spec: dict) -> bool:
 
 def dicke_excitations(spec: dict, n: int) -> int:
     """Excitation count k of a dicke spec on n sites: its 'k', else 'ratio' * n."""
+    if "k" in spec and "ratio" in spec:
+        raise ConfigError("a dicke spec takes 'k' or 'ratio', not both")
     if "k" in spec:
         k = int(spec["k"])
     else:
@@ -444,16 +442,29 @@ def _load_vector(path, n: int) -> states.StateVector:
 
 
 def build_state(spec: dict, n: int, seed: int):
-    """Materialize a state_spec on n sites; returns (state, circuit-or-None)."""
+    """Resolve a state_spec on n sites; returns (state, circuit-or-None).
+
+    This is the only code that turns a spec into a state.  A bernoulli, dicke
+    or kink spec becomes a ``states.ClosedFormState`` that carries its closed-form
+    charge distribution, and whose amplitudes are formed only if read.
+    """
     kind = spec.get("kind")
     if kind == "product":
         return _product_from_amplitudes(spec["amplitudes"], n), None
     if kind == "bernoulli":
-        return closedforms.product_charge_state(_bernoulli_vector(spec["x"], n)), None
+        x = _bernoulli_vector(spec["x"], n)
+        law = (partial(closedforms.poisson_binomial, x) if isinstance(spec["x"], list)
+               else partial(closedforms.binomial_distribution, n, spec["x"]))
+        return states.ClosedFormState(n, law, partial(closedforms.product_charge_state, x)), None
     if kind == "dicke":
-        return closedforms.dicke_state(n, dicke_excitations(spec, n), axis="x"), None
+        k = dicke_excitations(spec, n)
+        law = (partial(closedforms.dicke_half_distribution, k) if dicke_half_filling(spec)
+               else partial(closedforms.dicke_x_distribution, n, k))
+        dense = partial(closedforms.dicke_state, n, k, axis="x")
+        return states.ClosedFormState(n, law, dense), None
     if kind == "kink":
-        return closedforms.kink_state(n), None
+        law, dense = partial(closedforms.kink_distribution, n), partial(closedforms.kink_state, n)
+        return states.ClosedFormState(n, law, dense), None
     if kind == "ghz":
         return states.ghz_state(n), None
     if kind == "random":
@@ -499,6 +510,5 @@ __all__ = [
     "read_json",
     "schema",
     "state_spec_from_name",
-    "sweep_distribution",
     "validate_config",
 ]

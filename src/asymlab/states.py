@@ -33,6 +33,12 @@ an entropy end in ``block_entropy``: of F or rho, of the charge blocks of the
 U(1) twirl, or of the spin-sector blocks of the SU(2) twirl.  Operations that
 need rho itself (the twirls, channels, ``DensityMatrix.purity``) read
 ``matrix``, of a pure state too, and return a matrix-built state.
+
+A third route reads no array at all.  ``closed_form`` is None, or, on a
+``ClosedFormState``, a thunk for the state's exact charge distribution;
+``u1.charge_distribution`` returns it when it is there, so ``u1.u1_asymmetry``
+of such a state, which is pure, forms no amplitude.  Every other kernel reads
+its ``factor``, formed on first read within the statevector cap.
 """
 from __future__ import annotations
 
@@ -101,6 +107,8 @@ class _QubitState:
     N is read off the 2^N length ``dim`` of whichever array the state holds.
     """
 
+    closed_form = None
+
     @property
     def dim(self) -> int:
         return (self.matrix if self.factor is None else self.factor).shape[0]
@@ -151,6 +159,32 @@ class StateVector(_QubitState):
 
     def with_factor(self, factor: np.ndarray) -> "StateVector":
         return StateVector(factor[:, 0])
+
+
+class ClosedFormState(StateVector):
+    """Pure state of N qubits held as two thunks, without its amplitudes.
+
+    ``closed_form()`` returns its exact charge distribution.  The ``dense``
+    thunk returns the same state as a ``StateVector``, from a builder that
+    checks the statevector cap before it allocates.  ``dim`` is 2^N, so
+    reading it or ``n_qubits`` forms nothing; ``amplitudes``, and with them
+    ``factor``, ``matrix`` and ``diagonal()``, are the dense state's, formed
+    on first read and kept.
+    """
+
+    def __init__(self, n_qubits: int, closed_form, dense):
+        vars(self).update(_n=n_qubits, closed_form=closed_form, _dense=dense)
+
+    def __repr__(self) -> str:
+        return f"ClosedFormState(n_qubits={self._n})"
+
+    @property
+    def dim(self) -> int:
+        return 2**self._n
+
+    @cached_property
+    def amplitudes(self) -> np.ndarray:
+        return self._dense().amplitudes
 
 
 def _squared_norm(arr: np.ndarray) -> float:

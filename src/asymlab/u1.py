@@ -102,7 +102,9 @@ def charge_values(n_qubits: int) -> np.ndarray:
 
 
 def charge_distribution(state: State) -> ChargeDistribution:
-    """Measured distribution of the total charge of a state."""
+    """Measured distribution of the total charge of a state: its closed form when it has one."""
+    if state.closed_form is not None:
+        return state.closed_form()
     q = charge_values(state.n_qubits)
     probs = np.bincount(q, weights=state.diagonal(), minlength=state.n_qubits + 1)
     return ChargeDistribution.from_fresh_probs(probs)
@@ -209,17 +211,19 @@ class AsymmetryReport:
         }
 
 
-def _build_report(
-    delta_s: float,
-    shannon: float,
+def report_from_distribution(
     dist: ChargeDistribution,
     geometry: LatticeGeometry | None = None,
     clustering_range: int | None = None,
+    delta_s: float | None = None,
 ) -> AsymmetryReport:
-    """Report of ``delta_s`` against the bounds; ``shannon`` is H of ``dist``, computed once.
+    """Report of a state with charge distribution ``dist`` and asymmetry ``delta_s``.
 
-    The charges 0..N of ``dist`` give the N = ``dist.n_charges - 1`` sites.
+    None stands for a pure state's asymmetry, which is exactly H(p_q).  The
+    charges 0..N of ``dist`` give the N = ``dist.n_charges - 1`` sites.
     """
+    shannon = shannon_entropy(dist)
+    delta_s = shannon if delta_s is None else delta_s
     n_sites = dist.n_charges - 1
     if delta_s < -NEGATIVE_ASYMMETRY_TOL:
         raise ValidationError(f"asymmetry {delta_s!r} is negative beyond tolerance")
@@ -257,35 +261,23 @@ def u1_asymmetry(
 ) -> AsymmetryReport:
     """Charge asymmetry Delta S = S(twirl(rho)) - S(rho) with its bounds.
 
-    Pure states use the exact identity Delta S = H(p_q).  For a mixed state
-    the twirl is block-diagonal in the charge q, so S(twirl(rho)) is the sum
-    over q of the ``block_entropy`` of F[rows_q] (factor route, from the
-    smaller Gram matrix, at most r x r) or of rho[rows_q, rows_q] (matrix
-    route), so the factor route forms no 2^N x 2^N matrix and neither route
-    eigensolves one.  S(rho) comes from ``von_neumann_entropy``.
+    A pure state is ``report_from_distribution`` of its charge distribution,
+    read from its closed form when it carries one.  For a mixed state the
+    twirl is block-diagonal in the charge q, so S(twirl(rho)) is the sum over
+    q of the ``block_entropy`` of F[rows_q] (factor route, from the smaller
+    Gram matrix, at most r x r) or of rho[rows_q, rows_q] (matrix route), so
+    the factor route forms no 2^N x 2^N matrix and neither route eigensolves
+    one.  S(rho) comes from ``von_neumann_entropy``.
     """
     dist = charge_distribution(state)
-    shannon = shannon_entropy(dist)
     if isinstance(state, StateVector):
-        delta_s = shannon
-    else:
-        fac = state.factor
-        charges = charge_values(state.n_qubits)
-        twirled = sum(
-            block_entropy(fac[rows], factor=True) if fac is not None
-            else block_entropy(state.matrix[np.ix_(rows, rows)])
-            for rows in (charges == q for q in range(state.n_qubits + 1))
-        )
-        delta_s = twirled - von_neumann_entropy(state)
-    return _build_report(delta_s, shannon, dist, geometry, clustering_range)
-
-
-def report_from_distribution(dist: ChargeDistribution) -> AsymmetryReport:
-    """Report for a pure state known only through its charge distribution.
-
-    For pure states the asymmetry equals the charge Shannon entropy, so
-    closed-form distributions feed the same report machinery without a
-    statevector.
-    """
-    shannon = shannon_entropy(dist)
-    return _build_report(shannon, shannon, dist)
+        return report_from_distribution(dist, geometry, clustering_range)
+    fac = state.factor
+    charges = charge_values(state.n_qubits)
+    twirled = sum(
+        block_entropy(fac[rows], factor=True) if fac is not None
+        else block_entropy(state.matrix[np.ix_(rows, rows)])
+        for rows in (charges == q for q in range(state.n_qubits + 1))
+    )
+    delta_s = twirled - von_neumann_entropy(state)
+    return report_from_distribution(dist, geometry, clustering_range, delta_s)

@@ -18,12 +18,14 @@ from asymlab.circuits import apply_circuit, random_brickwork, save_circuit
 from asymlab.closedforms import dicke_state, dicke_x_distribution
 from asymlab.cli import main
 from asymlab.config import (
+    KINK_SWEEP_MAX,
     NAMED_STATES,
     SAMPLES_MAX,
     SWEEP_POINTS_MAX,
     build_state,
     validate_config,
 )
+from asymlab.errors import AsymlabError, PreconditionError
 from asymlab.lattice import LatticeGeometry
 from asymlab.states import ghz_state
 from asymlab.suite import CheckResult, bound_suite
@@ -156,6 +158,13 @@ def test_oversized_system_exits_3(tmp_path, capsys):
     )
     assert main(["run", cfg]) == 3
     assert "resource error" in capsys.readouterr().err
+    # a single-state run is held to its geometry's size, whatever else the config lists
+    data = json.loads(Path(cfg).read_text())
+    assert main(["run", _write(tmp_path / "listed.json", dict(data, sweep=[4]))]) == 3
+    assert "30 sites exceed" in capsys.readouterr().err
+    # a closed-form kind keeps the dense caps outside a U(1) run
+    assert main(["su2", "--state", "kink", "--n", "14", "--output", str(tmp_path / "su2")]) == 3
+    assert "density-matrix cap of 12" in capsys.readouterr().err
 
 
 def test_bound_suite_samples_above_the_cap_exits_3_at_once(monkeypatch, capsys):
@@ -169,7 +178,7 @@ def test_bound_suite_samples_above_the_cap_exits_3_at_once(monkeypatch, capsys):
     assert at_cap.samples == SAMPLES_MAX
 
 
-def test_env_override_lifts_the_cap(tmp_path, monkeypatch):
+def test_env_override_lifts_the_cap(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("ASYMLAB_MAX_QUBITS", "5")
     cfg = _write(
         tmp_path / "cfg.json",
@@ -183,6 +192,12 @@ def test_env_override_lifts_the_cap(tmp_path, monkeypatch):
     assert main(["run", cfg]) == 3
     monkeypatch.setenv("ASYMLAB_MAX_QUBITS", "8")
     assert main(["run", cfg]) == 0
+    # under a raised cap, a site count too long to print is still named as linear^dimension
+    monkeypatch.setenv("ASYMLAB_MAX_QUBITS", "100000")
+    data = json.loads(Path(cfg).read_text())
+    data["geometry"] = {"dimension": 100000, "linear_size": 3}
+    assert main(["run", _write(tmp_path / "wide.json", data)]) == 3
+    assert "3^100000 sites exceed" in capsys.readouterr().err
 
 
 def test_dicke_sweep_cap_follows_the_route_taken(tmp_path, capsys):
@@ -197,7 +212,7 @@ def test_dicke_sweep_cap_follows_the_route_taken(tmp_path, capsys):
     assert "DICKE_GENERAL_SWEEP_MAX" in capsys.readouterr().err
 
 
-def test_failed_invariant_exits_4(tmp_path):
+def test_failed_invariant_exits_4(tmp_path, monkeypatch, capsys):
     rng = np.random.default_rng(3)
     geo = LatticeGeometry(1, 8)
     circ = random_brickwork(geo, 2, rng)
@@ -221,6 +236,16 @@ def test_failed_invariant_exits_4(tmp_path):
     report = _read_report(tmp_path / "out")
     assert report["all_checks_hold"] is False
     assert report["cluster_report"]["passed"] is False
+    # main's handlers of a failed precondition and of any other package error
+    for error, line in ((PreconditionError, "precondition failed"),
+                        (AsymlabError, "invariant failure")):
+        def fail(cfg, error=error):
+            raise error("forced")
+
+        monkeypatch.setattr(cli, "run_experiment", fail)
+        capsys.readouterr()
+        assert main(["kink", "--n-min", "10", "--n-max", "100"]) == 4
+        assert capsys.readouterr().err == f"{line}: forced\n"
 
 
 def test_clustering_command_passes_for_honest_claim(tmp_path):
@@ -515,9 +540,71 @@ def _circuit_input_product_boolean_pairs(tmp_path, monkeypatch):
     return _clustering_with_input(tmp_path, spec)
 
 
+def _u1_run(tmp_path, spec, n):
+    cfg = {"experiment": "u1-asymmetry", "geometry": {"dimension": 1, "linear_size": n},
+           "output": str(tmp_path / "out")}
+    if spec is not None:
+        cfg["state_spec"] = spec
+    return ["run", _write(tmp_path / "cfg.json", cfg)]
+
+
+def _kink_sweep_without_sweep(tmp_path, monkeypatch):
+    return ["run", _write(tmp_path / "cfg.json", {"experiment": "kink-sweep"})]
+
+
+def _u1_without_state_spec(tmp_path, monkeypatch):
+    return _u1_run(tmp_path, None, 4)
+
+
+def _u1_dicke_k_past_n(tmp_path, monkeypatch):
+    return _u1_run(tmp_path, {"kind": "dicke", "k": 9}, 6)
+
+
+def _u1_half_dicke_at_odd_n(tmp_path, monkeypatch):
+    return _u1_run(tmp_path, {"kind": "dicke"}, 5)
+
+
+def _dicke_sweep_with_k_and_ratio(tmp_path, monkeypatch):
+    cfg = {"experiment": "dicke-sweep", "sweep": [10, 20],
+           "state_spec": {"kind": "dicke", "k": 2, "ratio": 0.9}, "output": str(tmp_path / "out")}
+    return ["run", _write(tmp_path / "cfg.json", cfg)]
+
+
+def _u1_bernoulli_list_too_short(tmp_path, monkeypatch):
+    return _u1_run(tmp_path, {"kind": "bernoulli", "x": [0.1, 0.9]}, 4)
+
+
+def _u1_product_with_a_zero_site(tmp_path, monkeypatch):
+    site, zero = [[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]
+    return _u1_run(tmp_path, {"kind": "product", "amplitudes": [site, zero, site, site]}, 4)
+
+
+def _state_file_npy_zero(tmp_path, monkeypatch):
+    return _su2_state_file(tmp_path, "state.npy", np.zeros(4))
+
+
+def _dicke_n_min_above_n_max(tmp_path, monkeypatch):
+    return ["dicke", "--n-min", "100", "--n-max", "10", "--output", str(tmp_path / "out")]
+
+
+# the message each of these cases must name
+_MALFORMED_MESSAGES = {
+    _kink_sweep_without_sweep: "requires a 'sweep' list",
+    _u1_without_state_spec: "requires 'state_spec'",
+    _u1_dicke_k_past_n: "outside [0, 6]",
+    _u1_half_dicke_at_odd_n: "non-integer excitation count",
+    _dicke_sweep_with_k_and_ratio: "'k' or 'ratio', not both",
+    _u1_bernoulli_list_too_short: "bernoulli x lists 2 sites",
+    _u1_product_with_a_zero_site: "zero local vector",
+    _state_file_npy_zero: "zero vector",
+    _dicke_n_min_above_n_max: "exceeds --n-max",
+}
+
+
 @pytest.mark.parametrize(
     "make_argv",
     [
+        *_MALFORMED_MESSAGES,
         _gate_with_boolean_entries,
         _gate_with_infinite_entry,
         _state_file_boolean_pairs,
@@ -558,11 +645,11 @@ def _circuit_input_product_boolean_pairs(tmp_path, monkeypatch):
         _product_points_negative,
     ],
 )
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_malformed_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, make_argv):
     assert main(make_argv(tmp_path, monkeypatch)) == 2
     err = capsys.readouterr().err
     assert err.endswith("\n") and err.count("\n") == 1
+    assert _MALFORMED_MESSAGES.get(make_argv, "") in err
 
 
 _TORUS_ARGV = ["clustering", "--circuit", "never-read.json"]
@@ -581,7 +668,6 @@ _TORUS_ARGV = ["clustering", "--circuit", "never-read.json"]
     (_TORUS_ARGV + ["--linear-size", str(10**2200), "--dimension", "2"], 3),
 ], ids=["points", "n-max-past-float", "n-max-past-cap", "n", "n-past-float", "dimension",
         "linear-size", "torus-dimension", "torus-both", "torus-side"])
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_extreme_sizes_exit_at_once_without_allocating(
     tmp_path, monkeypatch, capsys, argv, expected
 ):
@@ -702,7 +788,7 @@ def test_clustering_above_the_density_matrix_cap_reports_no_spread(tmp_path, mon
 
 
 def test_dicke_spec_with_an_explicit_k(tmp_path):
-    """'k' overrides the ratio: a u1-asymmetry run and a dicke-sweep at fixed k = 2."""
+    """'k' in place of a ratio: a u1-asymmetry run and a dicke-sweep at fixed k = 2."""
     spec = {"kind": "dicke", "k": 2}
     u1_out, sweep_out = tmp_path / "u1", tmp_path / "sweep"
     u1_cfg = {"experiment": "u1-asymmetry", "geometry": {"dimension": 1, "linear_size": 6},
@@ -718,6 +804,35 @@ def test_dicke_spec_with_an_explicit_k(tmp_path):
     for row in rows:
         dist = dicke_x_distribution(row["n"], 2)
         assert_allclose(row["delta_s"], shannon_entropy(dist), rtol=0, atol=1e-12)
+
+
+def _csv_row(outdir) -> dict:
+    header, row = (outdir / "results.csv").read_text().splitlines()
+    return dict(zip(header.split(","), row.split(",")))
+
+
+@pytest.mark.parametrize("n", [30, 10**6])
+def test_u1_run_of_a_kink_is_the_kink_sweep_row(tmp_path, n):
+    """Past the statevector cap, a u1-asymmetry run of a kink spec takes the sweep's closed form."""
+    u1_cfg = {"experiment": "u1-asymmetry", "geometry": {"dimension": 1, "linear_size": n},
+              "state_spec": {"kind": "kink"}, "output": str(tmp_path / "u1")}
+    sweep_cfg = {"experiment": "kink-sweep", "sweep": [n], "output": str(tmp_path / "sweep")}
+    assert main(["run", _write(tmp_path / "u1.json", u1_cfg)]) == 0
+    assert main(["run", _write(tmp_path / "sweep.json", sweep_cfg)]) == 0
+    u1_row, sweep_row = _csv_row(tmp_path / "u1"), _csv_row(tmp_path / "sweep")
+    for column in ("n", "delta_s", "variance", "bound_log_n_plus_1"):
+        assert u1_row[column] == sweep_row[column], column
+
+
+def test_u1_run_of_a_closed_form_spec_is_held_to_the_kind_cap(tmp_path, capsys):
+    over = {"experiment": "u1-asymmetry", "state_spec": {"kind": "kink"},
+            "geometry": {"dimension": 1, "linear_size": KINK_SWEEP_MAX + 1}}
+    assert main(["run", _write(tmp_path / "over.json", over)]) == 3
+    assert f"KINK_SWEEP_MAX = {KINK_SWEEP_MAX}" in capsys.readouterr().err
+    # a site count with too many digits to print is named as linear^dimension
+    over["geometry"] = {"dimension": 10**9, "linear_size": 2}
+    assert main(["run", _write(tmp_path / "torus.json", over)]) == 3
+    assert "2^1000000000 sites exceed KINK_SWEEP_MAX" in capsys.readouterr().err
 
 
 def test_clustering_input_ghz_builds_a_circuit_state(tmp_path, monkeypatch):

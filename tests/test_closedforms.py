@@ -6,6 +6,7 @@ import operator
 import os
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -52,6 +53,12 @@ def test_log_binomial_matches_exact():
             assert_allclose(log_binomial(n, k), math.log(math.comb(n, k)), rtol=1e-12)
     assert binomial(10, 3) == 120.0
     assert binomial(10, 11) == 0.0
+
+
+def test_binomial_is_exact_past_n_twenty():
+    """A log-factorial route gave 155117520.0000016."""
+    assert binomial(30, 15) == 155117520.0
+    assert binomial(30, -1) == binomial(30, 31) == 0.0
 
 
 def test_krawtchouk_base_cases_and_symmetry():
@@ -367,6 +374,17 @@ def test_table_density_rejects_non_finite_values(bad):
     nan_table = ContinuousChargeDensity("custom-table", values=np.array([np.nan, 1.0, 1.0]))
     with pytest.raises(ValidationError, match="integrates"):
         continuous_asymmetry_estimate(nan_table, 3)
+
+
+def test_table_density_scales_before_it_sums():
+    """Summed first, two entries of 1e308 overflowed to an all-zero table."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = table_density([1e308, 1e308])
+    assert table.values.tolist() == [1.0, 1.0]
+    assert continuous_asymmetry_estimate(table, 10) == pytest.approx(math.log(10.0))
+    with pytest.raises(ValidationError, match="zero total mass"):
+        table_density([0.0, 0.0])
 
 
 def test_table_density_estimates_the_dicke_profile():

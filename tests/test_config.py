@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,13 +14,12 @@ from asymlab.config import (
     circuit_depth_range,
     config_hash,
     load_config,
-    sweep_distribution,
     validate_config,
 )
 from asymlab.errors import ConfigError, ResourceError
 from asymlab.lattice import LatticeGeometry
 from asymlab.states import DensityMatrix, StateVector, ghz_state
-from asymlab.u1 import charge_distribution
+from asymlab.u1 import charge_distribution, u1_asymmetry
 
 
 def _sweep_cfg(**overrides):
@@ -179,6 +179,39 @@ def test_build_state_named_states():
         build_state({"kind": "dicke", "ratio": 0.4}, 6, 0)
 
 
+def test_closed_form_state_forms_its_amplitudes_only_when_read():
+    state, _ = build_state({"kind": "kink"}, 30, 0)
+    assert (state.n_qubits, state.dim) == (30, 2**30)
+    assert np.array_equal(charge_distribution(state).probs, closedforms.kink_distribution(30).probs)
+    with pytest.raises(ResourceError, match="statevector cap"):
+        state.factor
+    for spec, dense in (
+        ({"kind": "kink"}, closedforms.kink_state(6)),
+        ({"kind": "dicke", "ratio": 0.5}, closedforms.dicke_state(6, 3, axis="x")),
+        ({"kind": "bernoulli", "x": 0.3}, closedforms.product_charge_state(np.full(6, 0.3))),
+    ):
+        state, _ = build_state(spec, 6, 0)
+        assert np.array_equal(state.amplitudes, dense.amplitudes)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [{"kind": "kink"}, {"kind": "dicke"}, {"kind": "bernoulli", "x": 0.3}],
+    ids=["kink", "dicke-half", "bernoulli"],
+)
+def test_closed_form_asymmetry_forms_no_statevector(spec):
+    """At N = 20 the amplitudes alone take 16 MiB; the closed form is 21 probabilities."""
+    tracemalloc.start()
+    try:
+        report = u1_asymmetry(build_state(spec, 20, 0)[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    dense = StateVector(build_state(spec, 20, 0)[0].amplitudes)
+    assert_allclose(report.delta_s, u1_asymmetry(dense).delta_s, rtol=0, atol=1e-10)
+
+
 def test_build_state_random_is_seeded_and_rank_aware():
     a, _ = build_state({"kind": "random"}, 3, 11)
     b, _ = build_state({"kind": "random"}, 3, 11)
@@ -274,7 +307,8 @@ def test_clustering_range_requires_geometry():
     ],
 )
 def test_sweep_distribution_takes_each_closed_form(data, direct):
-    dist = sweep_distribution(validate_config(data), 10)
+    cfg = validate_config(data)
+    dist = charge_distribution(build_state(cfg.state_spec, 10, cfg.seed)[0])
     assert np.array_equal(dist.probs, direct.probs)
 
 
