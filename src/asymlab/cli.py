@@ -1,10 +1,12 @@
 """Command-line entry point: `asymlab run/verify/dicke/kink/product/su2/clustering`.
 
-Every experiment writes three artifacts into the output directory:
-results.csv (17-significant-digit values, one config-hash column for
-provenance, byte-identical across reruns of the same config), report.json
-(machine-readable summary including pass/fail of every inequality), and
-plot.gp (a gnuplot script rendering the linearized asymmetry).
+Every command builds a config and runs it through ``run_experiment``.  Each
+run writes three artifacts into the output directory (``verify`` only when
+given ``--output``): results.csv (17-significant-digit values, one
+config-hash column for provenance, byte-identical across reruns of the same
+config), report.json (machine-readable summary including pass/fail of every
+inequality, as each report decides it), and plot.gp (a gnuplot script
+rendering the linearized asymmetry).
 
 Exit codes: 0 success, 2 configuration error, 3 resource limit, 4 failed
 invariant or bound.
@@ -35,6 +37,7 @@ import numpy as np  # noqa: E402  (after the OpenBLAS setting above)
 from . import closedforms, lattice, u1
 from .config import (
     NAMED_STATES,
+    SUITE_EXPERIMENTS,
     SWEEP_EXPERIMENTS,
     SWEEP_POINTS_MAX,
     ExperimentConfig,
@@ -53,7 +56,7 @@ from .errors import (
     ResourceError,
     ValidationError,
 )
-from .tolerances import CORRELATOR_TOL, MARGIN_TOL, holds
+from .tolerances import CORRELATOR_TOL
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -148,14 +151,6 @@ def _write_artifacts(cfg: ExperimentConfig, rows: list[dict], payload: dict, ok:
     return EXIT_OK if ok else EXIT_INVARIANT
 
 
-def _bounds_hold(margins: dict) -> bool:
-    """Pass rule over nats margins: Massey's cap is strict, every other cap allows MARGIN_TOL."""
-    return all(
-        v is None or (holds(v, strict=True) if key == "massey" else holds(v + MARGIN_TOL))
-        for key, v in margins.items()
-    )
-
-
 def _state_and_range(cfg: ExperimentConfig):
     """(state, circuit or None, clustering range) of a single-state config.
 
@@ -193,7 +188,7 @@ def _fit_block(fit):
 def _run_sweep(cfg: ExperimentConfig) -> int:
     ns = sorted(set(cfg.sweep))
     reports = [u1.u1_asymmetry(build_state(cfg.state_spec, n, cfg.seed)[0]) for n in ns]
-    ok = all(_bounds_hold(rep.margins()) for rep in reports)
+    ok = all(rep.passed for rep in reports)
 
     points = [(rep.n_sites, rep.delta_s) for rep in reports]
     fit = closedforms.asymptotic_fit(points) if len(points) >= 3 else None
@@ -241,7 +236,7 @@ def _run_u1(cfg: ExperimentConfig) -> int:
     rep = u1.u1_asymmetry(state, cfg.geometry, clustering_range=crange)
     report = _in_base(rep.to_dict(), cfg.log_base)
     row = _report_row(report, ("clustering_range",)) | {"linearized": math.exp(rep.delta_s)}
-    ok = _bounds_hold(rep.margins())
+    ok = rep.passed
     payload = {
         "experiment": cfg.experiment,
         "log_base": cfg.log_base,
@@ -262,19 +257,19 @@ def _run_su2(cfg: ExperimentConfig) -> int:
     casimir = None
     if crange is not None:
         gauged, _ = su2.zero_transverse_rotation(state)
-        casimir = su2.casimir_constraint_check(gauged, cfg.geometry, crange).to_dict()
+        casimir = su2.casimir_constraint_check(gauged, cfg.geometry, crange)
 
     report = _in_base(rep.to_dict(), cfg.log_base)
     row = _report_row(report)
     for key in ("bound", "lhs", "precursor_lhs"):
-        row[f"casimir_{key}"] = casimir[key] if casimir else None
+        row[f"casimir_{key}"] = getattr(casimir, key) if casimir else None
     row["linearized"] = math.exp(rep.delta_s)
-    ok = _bounds_hold(rep.margins()) and (casimir is None or casimir["passed"])
+    ok = rep.passed and (casimir is None or casimir.passed)
     payload = {
         "experiment": cfg.experiment,
         "log_base": cfg.log_base,
         "report": report,
-        "casimir": casimir,
+        "casimir": None if casimir is None else casimir.to_dict(),
         "all_bounds_hold": ok,
     }
     return _write_artifacts(cfg, [row], payload, ok, (
@@ -320,27 +315,24 @@ def _run_clustering(cfg: ExperimentConfig) -> int:
 # ---------------- verification suites ----------------
 
 
-def _run_suite(cfg: ExperimentConfig, which: str = "bound-suite",
-               quiet: bool = False, write: bool = True) -> int:
+def _run_suite(cfg: ExperimentConfig, write: bool) -> int:
+    """Run the battery ``cfg.experiment`` and print one line per check; artifacts if ``write``."""
     from . import suite
 
-    results = (
-        suite.bound_suite(cfg.seed, cfg.samples)
-        if which == "bound-suite"
-        else suite.oracle_suite(cfg.seed)
-    )
-    if not quiet:
-        for res in results:
-            print(res.line())
+    if cfg.experiment == "bound-suite":
+        results = suite.bound_suite(cfg.seed, cfg.samples)
+    else:
+        results = suite.oracle_suite(cfg.seed)
+    for res in results:
+        print(res.line())
     ok = suite.all_passed(results)
-    if not quiet:
-        print(f"{'all checks passed' if ok else 'FAILED checks present'} "
-              f"({sum(r.passed for r in results)}/{len(results)})")
+    print(f"{'all checks passed' if ok else 'FAILED checks present'} "
+          f"({sum(r.passed for r in results)}/{len(results)})")
     if not write:
         return EXIT_OK if ok else EXIT_INVARIANT
     rows = [{"check": r.name, "passed": r.passed, "margin": r.margin} for r in results]
     payload = {
-        "experiment": which,
+        "experiment": cfg.experiment,
         "seed": cfg.seed,
         "samples": cfg.samples,
         "all_passed": ok,
@@ -361,7 +353,10 @@ def _run_suite(cfg: ExperimentConfig, which: str = "bound-suite",
 # ---------------- dispatch ----------------
 
 
-def run_experiment(cfg: ExperimentConfig) -> int:
+def run_experiment(cfg: ExperimentConfig, write: bool = True) -> int:
+    """Run ``cfg`` and write its artifacts; a verification battery writes them only if ``write``."""
+    if cfg.experiment in SUITE_EXPERIMENTS:
+        return _run_suite(cfg, write)
     if cfg.experiment in SWEEP_EXPERIMENTS:
         return _run_sweep(cfg)
     if cfg.experiment == "u1-asymmetry":
@@ -370,8 +365,6 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         return _run_su2(cfg)
     if cfg.experiment == "circuit-clustering":
         return _run_clustering(cfg)
-    if cfg.experiment == "bound-suite":
-        return _run_suite(cfg, "bound-suite", quiet=True)
     raise ConfigError(f"unknown experiment {cfg.experiment!r}")
 
 
@@ -393,7 +386,11 @@ def _log_spaced(n_min: int, n_max: int, points: int, even: bool) -> list[int]:
     grid = np.round(np.logspace(math.log10(n_min), math.log10(n_max), points))
     raw = sorted({int(v) for v in grid})
     if even:
-        raw = sorted({max(2, (v // 2) * 2) for v in raw})
+        # an odd value moves to its even neighbour in [n_min, n_max], the lower one when it fits
+        raw = sorted({v if v % 2 == 0 else v - 1 if v > n_min else v + 1 for v in raw})
+        if raw[-1] > n_max:
+            raise ConfigError(f"[--n-min {n_min}, --n-max {n_max}] holds no even N "
+                              "for a half-filled sweep")
     return raw
 
 
@@ -458,11 +455,10 @@ def _config_from_args(args) -> ExperimentConfig:
     if args.command == "run":
         return load_config(args.config)
     if args.command == "verify":
-        if args.samples is not None and args.battery == "oracle-suite":
-            raise ConfigError("--samples applies to bound-suite only; "
-                              "the oracle suite has fixed cases")
-        samples = 1.0 if args.samples is None else args.samples
-        data = {"experiment": "bound-suite", "seed": args.seed, "samples": samples}
+        data = {"experiment": args.battery, "seed": args.seed}
+        if args.samples is not None or args.battery == "bound-suite":
+            # a bound-suite config always names its draw scale, which keeps its hash
+            data["samples"] = 1.0 if args.samples is None else args.samples
         if args.output:
             data["output"] = args.output
         return validate_config(data)
@@ -533,10 +529,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _config_from_args(args)
-        if args.command == "verify":
-            return _run_suite(cfg, args.battery, quiet=False,
-                              write=args.output is not None)
-        return run_experiment(cfg)
+        # a battery run from the command line writes artifacts only when given --output
+        return run_experiment(cfg, write=args.command != "verify" or args.output is not None)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -7,7 +7,7 @@ long-range order cannot hide.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -104,15 +104,7 @@ class ClusterReport:
         return holds(self.tolerance - self.max_violation)
 
     def to_dict(self) -> dict:
-        return {
-            "n_sites": self.n_sites,
-            "claimed_range": self.claimed_range,
-            "tolerance": self.tolerance,
-            "max_violation": self.max_violation,
-            "effective_range": self.effective_range,
-            "passed": self.passed,
-            "distance_profile": [list(row) for row in self.distance_profile],
-        }
+        return asdict(self) | {"passed": self.passed}
 
 
 def verify_cluster_property(
@@ -257,14 +249,7 @@ class VarianceCheck:
         return self.bound - self.variance
 
     def to_dict(self) -> dict:
-        return {
-            "n_sites": self.n_sites,
-            "clustering_range": self.clustering_range,
-            "variance": self.variance,
-            "bound": self.bound,
-            "passed": self.passed,
-            "margin": self.margin,
-        }
+        return asdict(self) | {"passed": self.passed, "margin": self.margin}
 
 
 def variance_bound_check(

@@ -38,6 +38,7 @@ from .tolerances import CORRELATOR_TOL, RATIO_INTEGER_TOL, ZERO_NORM
 
 SWEEP_EXPERIMENTS = ("dicke-sweep", "kink-sweep", "product-sweep")
 STATE_EXPERIMENTS = ("u1-asymmetry", "su2-asymmetry", "circuit-clustering")
+SUITE_EXPERIMENTS = ("bound-suite", "oracle-suite")
 # runs that read only a state's charge distribution, so a closed-form spec keeps its closed form
 U1_EXPERIMENTS = SWEEP_EXPERIMENTS + ("u1-asymmetry",)
 
@@ -79,7 +80,7 @@ class ExperimentConfig:
     state_spec: dict | None
     sweep: tuple[int, ...] | None
     seed: int
-    samples: float
+    samples: float | None
     output: str
     log_base: str
     clustering_range: int | None
@@ -279,6 +280,8 @@ def validate_config(data: dict) -> ExperimentConfig:
     _check_finite(data)
     _check_schema(data)
     experiment = data["experiment"]
+    if experiment == "oracle-suite" and "samples" in data:
+        raise ConfigError("oracle-suite takes no 'samples': its cases are fixed and draw nothing")
 
     geometry = None
     if "geometry" in data:
@@ -298,7 +301,7 @@ def validate_config(data: dict) -> ExperimentConfig:
         state_spec=state_spec,
         sweep=sweep,
         seed=int(data.get("seed", 0)),
-        samples=float(data.get("samples", 1.0)),
+        samples=None if experiment == "oracle-suite" else float(data.get("samples", 1.0)),
         output=data.get("output", "."),
         log_base=data.get("log_base", "e"),
         clustering_range=data.get("clustering_range"),
@@ -306,7 +309,7 @@ def validate_config(data: dict) -> ExperimentConfig:
         hash=config_hash(data),
     )
 
-    if cfg.samples > SAMPLES_MAX:
+    if cfg.samples is not None and cfg.samples > SAMPLES_MAX:
         raise ResourceError(f"samples {cfg.samples!r} exceeds SAMPLES_MAX = {SAMPLES_MAX}")
 
     if experiment in SWEEP_EXPERIMENTS:

@@ -32,7 +32,7 @@ for tests and oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -430,7 +430,10 @@ def su2_support_bound(n_qubits: int) -> float:
 
 @dataclass(frozen=True)
 class Su2AsymmetryReport:
-    """Rotation asymmetry of one state with its two upper bounds (nats)."""
+    """Rotation asymmetry of one state with its two upper bounds (nats).
+
+    ``passed`` holds when both caps hold within MARGIN_TOL.
+    """
 
     n_sites: int
     delta_s: float
@@ -443,16 +446,15 @@ class Su2AsymmetryReport:
             "support_dim": self.bound_support_dim - self.delta_s,
         }
 
+    @property
+    def passed(self) -> bool:
+        return all(holds(v + MARGIN_TOL) for v in self.margins().values())
+
     def to_dict(self) -> dict:
-        return {
-            "n_sites": self.n_sites,
-            "delta_s": self.delta_s,
-            "bounds": {
-                "sector_entropy": self.bound_sector_entropy,
-                "support_dim": self.bound_support_dim,
-            },
-            "margins": self.margins(),
-        }
+        """The scalar fields, each ``bound_<cap>`` under ``bounds[<cap>]``, and ``margins``."""
+        data, margins = asdict(self), self.margins()
+        bounds = {cap: data.pop(f"bound_{cap}") for cap in margins}
+        return data | {"bounds": bounds, "margins": margins}
 
 
 def su2_asymmetry(state: State) -> Su2AsymmetryReport:
@@ -672,17 +674,8 @@ class CasimirReport:
         }
 
     def to_dict(self) -> dict:
-        return {
-            "n_sites": self.n_sites,
-            "clustering_range": self.clustering_range,
-            "c_lambda": self.c_lambda,
-            "bound": self.bound,
-            "lhs": self.lhs,
-            "precursor_lhs": self.precursor_lhs,
-            "passed": self.passed,
-            "precursor_passed": self.precursor_passed,
-            "margins": self.margins(),
-        }
+        return asdict(self) | {"passed": self.passed, "precursor_passed": self.precursor_passed,
+                               "margins": self.margins()}
 
 
 def casimir_constraint_check(

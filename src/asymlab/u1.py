@@ -7,7 +7,7 @@ are natural logarithms throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -23,7 +23,8 @@ from .states import (
     entropy_of_probabilities,
     von_neumann_entropy,
 )
-from .tolerances import MARGIN_TOL, NEGATIVE_ASYMMETRY_TOL, NEGATIVE_PROBABILITY_TOL, UNIT_SUM_TOL
+from .tolerances import (MARGIN_TOL, NEGATIVE_ASYMMETRY_TOL, NEGATIVE_PROBABILITY_TOL,
+                         UNIT_SUM_TOL, holds)
 
 # charges 0..REDUCTION_BLOCK-1; block b of a distribution adds b * REDUCTION_BLOCK
 _CHARGE_GRID = np.arange(REDUCTION_BLOCK, dtype=float)
@@ -175,7 +176,8 @@ class AsymmetryReport:
     Shannon entropy (hence also delta_s); the other bounds cap delta_s
     directly.  Margins are bound minus the quantity they cap; ``None`` marks a
     bound that does not apply (zero charge variance, or no clustering range
-    supplied).
+    supplied).  ``passed`` holds when every cap that applies does: Massey's
+    strictly on its raw margin, every other within MARGIN_TOL.
     """
 
     n_sites: int
@@ -195,20 +197,18 @@ class AsymmetryReport:
         )
         return out
 
+    @property
+    def passed(self) -> bool:
+        return all(
+            v is None or (holds(v, strict=True) if key == "massey" else holds(v + MARGIN_TOL))
+            for key, v in self.margins().items()
+        )
+
     def to_dict(self) -> dict:
-        return {
-            "n_sites": self.n_sites,
-            "delta_s": self.delta_s,
-            "shannon": self.shannon,
-            "variance": self.variance,
-            "clustering_range": self.clustering_range,
-            "bounds": {
-                "log_n_plus_1": self.bound_log_n_plus_1,
-                "massey": self.bound_massey,
-                "clustering": self.bound_clustering,
-            },
-            "margins": self.margins(),
-        }
+        """The scalar fields, each ``bound_<cap>`` under ``bounds[<cap>]``, and ``margins``."""
+        data, margins = asdict(self), self.margins()
+        bounds = {cap: data.pop(f"bound_{cap}") for cap in margins}
+        return data | {"bounds": bounds, "margins": margins}
 
 
 def report_from_distribution(

@@ -129,7 +129,7 @@ def test_criterion_5_abelian_bound_chain(record_criterion):
         res.passed,
         elapsed,
         300.0,
-        f"50 circuits, min margin {res.margin:.2e}",
+        f"min margin {res.margin:.2e}: {res.detail}",
     )
 
 

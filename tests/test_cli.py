@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import math
 import os
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from asymlab import cli, states, su2, suite
+from asymlab import cli, clustering, states, su2, suite, u1
 from asymlab.circuits import apply_circuit, random_brickwork, save_circuit
 from asymlab.closedforms import dicke_state, dicke_x_distribution
 from asymlab.cli import main
@@ -239,7 +240,7 @@ def test_failed_invariant_exits_4(tmp_path, monkeypatch, capsys):
     # main's handlers of a failed precondition and of any other package error
     for error, line in ((PreconditionError, "precondition failed"),
                         (AsymlabError, "invariant failure")):
-        def fail(cfg, error=error):
+        def fail(cfg, write, error=error):
             raise error("forced")
 
         monkeypatch.setattr(cli, "run_experiment", fail)
@@ -459,6 +460,10 @@ def _oracle_suite_with_samples(tmp_path, monkeypatch):
     return ["verify", "oracle-suite", "--samples", "200"]
 
 
+def _oracle_suite_config_with_samples(tmp_path, monkeypatch):
+    return ["run", _write(tmp_path / "cfg.json", {"experiment": "oracle-suite", "samples": 2})]
+
+
 def _config_json_nan(tmp_path, monkeypatch):
     path = tmp_path / "cfg.json"
     path.write_text('{"experiment": "bound-suite", "samples": NaN}')
@@ -598,6 +603,7 @@ _MALFORMED_MESSAGES = {
     _u1_product_with_a_zero_site: "zero local vector",
     _state_file_npy_zero: "zero vector",
     _dicke_n_min_above_n_max: "exceeds --n-max",
+    _oracle_suite_config_with_samples: "oracle-suite takes no 'samples'",
 }
 
 
@@ -754,7 +760,7 @@ _CLUSTERING_DATA = {
         (["verify", "bound-suite"],
          {"experiment": "bound-suite", "seed": 0, "samples": 1.0}),
         (["verify", "oracle-suite", "--seed", "3", "--output", "out"],
-         {"experiment": "bound-suite", "seed": 3, "samples": 1.0, "output": "out"}),
+         {"experiment": "oracle-suite", "seed": 3, "output": "out"}),
     ],
     ids=["clustering-zero", "clustering-plus", "clustering-random3", "su2-dicke",
          "dicke-quarter", "dicke-half", "bound-suite-samples", "bound-suite", "oracle-suite"],
@@ -847,11 +853,19 @@ def test_clustering_input_ghz_builds_a_circuit_state(tmp_path, monkeypatch):
     assert_allclose(state.amplitudes, apply_circuit(ghz_state(4), circ).amplitudes, atol=1e-15)
 
 
+def _u1_report(log_n_plus_1, massey):
+    """A report whose margins are its bounds: delta_s and shannon are 0, no clustering cap."""
+    return u1.AsymmetryReport(n_sites=2, delta_s=0.0, shannon=0.0, variance=1.0,
+                              bound_log_n_plus_1=log_n_plus_1, bound_massey=massey,
+                              bound_clustering=None, clustering_range=None)
+
+
 def test_pass_rule_is_strict_for_massey_only():
-    assert not cli._bounds_hold({"log_n_plus_1": 1.0, "massey": 0.0, "clustering": None})
-    assert cli._bounds_hold({"log_n_plus_1": -5e-10, "massey": 1e-12, "clustering": None})
-    assert not cli._bounds_hold({"log_n_plus_1": -2 * MARGIN_TOL, "massey": 1.0})
-    assert cli._bounds_hold({"sector_entropy": -5e-10, "support_dim": 0.0})
+    assert not _u1_report(1.0, 0.0).passed
+    assert _u1_report(-5e-10, 1e-12).passed
+    assert not _u1_report(-2 * MARGIN_TOL, 1.0).passed
+    assert su2.Su2AsymmetryReport(n_sites=2, delta_s=0.0, bound_sector_entropy=-5e-10,
+                                  bound_support_dim=0.0).passed
     # the same rule decides the suites: margin 0.0 fails only when strict
     assert holds(0.0) and not holds(0.0, strict=True)
     assert CheckResult("any-check", 0.0).passed
@@ -936,6 +950,77 @@ def test_verify_oracle_suite_reports_a_non_converging_quadrature_as_failed(tmp_p
     assert failed[0].startswith("arcsine-and-table-integrals,false,-inf,")
     (raised,) = [c for c in _read_report(out)["checks"] if not c["passed"]]
     assert raised["detail"].startswith("raised ValidationError: tanh-sinh rule did not converge")
+
+
+def test_verify_batteries_write_their_own_config_hash(tmp_path, monkeypatch):
+    """Same --output and seed: each battery's artifacts carry the hash of its own config."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(suite, "_count", lambda base, scale: 1)  # one draw per bound check
+    hashes = {}
+    for battery in ("bound-suite", "oracle-suite"):
+        assert main(["verify", battery, "--seed", "0", "--output", "out"]) == 0
+        report = _read_report(tmp_path / "out")
+        assert report["experiment"] == battery
+        hashes[battery] = report["config_hash"]
+    assert hashes["bound-suite"] != hashes["oracle-suite"]
+    assert report["samples"] is None  # the oracle draws no samples
+
+
+def test_run_of_an_oracle_suite_config_prints_and_writes_its_checks(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg = _write(tmp_path / "cfg.json", {"experiment": "oracle-suite"})
+    assert main(["run", cfg]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    lines = (tmp_path / "results.csv").read_text().splitlines()
+    assert lines[0] == "check,passed,margin,config_hash"
+    assert len(lines) == 1 + 13 and all(",true," in line for line in lines[1:])
+    assert [line.split()[:2] for line in printed[:-1]] == [
+        ["pass", line.split(",")[0]] for line in lines[1:]
+    ]
+    assert printed[-1] == "all checks passed (13/13)"
+    report = _read_report(tmp_path)
+    assert (report["experiment"], report["samples"]) == ("oracle-suite", None)
+
+
+def test_half_filled_dicke_grid_stays_in_the_requested_range(tmp_path, capsys):
+    assert cli._log_spaced(3, 9, 4, even=True) == [4, 6, 8]
+    assert cli._log_spaced(2, 3, 3, even=True) == [2]
+    # the default grid and the benchmark's grid are already even
+    assert cli._log_spaced(100, 100000, 4, even=True) == [100, 1000, 10000, 100000]
+    assert cli._log_spaced(100, 2000000, 6, even=True) == [
+        100, 724, 5252, 38072, 275946, 2000000]
+    for n in ("3", "1"):
+        out = tmp_path / n
+        argv = ["dicke", "--n-min", n, "--n-max", n, "--points", "1", "--output", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"[--n-min {n}, --n-max {n}] holds no even N" in err
+        assert not out.exists()
+
+
+def test_report_dicts_hold_each_field_once_plus_derived_entries():
+    """to_dict() is the dataclass fields, bound_* nested under 'bounds', plus derived entries."""
+    geo = LatticeGeometry(1, 4)
+    psi = apply_circuit(ghz_state(4), random_brickwork(geo, 1, np.random.default_rng(5)))
+    gauged, _ = su2.zero_transverse_rotation(psi)
+    for rep, derived in (
+        (u1.u1_asymmetry(psi, geo, clustering_range=1), {"bounds", "margins"}),
+        (su2.su2_asymmetry(psi), {"bounds", "margins"}),
+        (su2.casimir_constraint_check(gauged, geo, 1), {"passed", "precursor_passed", "margins"}),
+        (clustering.verify_cluster_property(psi, geo, 2), {"passed"}),
+        (clustering.variance_bound_check(psi, geo, 1), {"passed", "margin"}),
+    ):
+        data = rep.to_dict()
+        fields = {f.name for f in dataclasses.fields(rep)}
+        nested = {name for name in fields if name.startswith("bound_")}
+        assert set(data) == (fields - nested) | derived, type(rep).__name__
+        assert all(data[name] == getattr(rep, name) for name in fields - nested)
+        if nested:
+            assert data["bounds"] == {
+                name.removeprefix("bound_"): getattr(rep, name) for name in nested}
+        for name in derived - {"bounds"}:
+            expected = getattr(rep, name)
+            assert data[name] == (expected() if callable(expected) else expected), name
 
 
 def test_dicke_command_log_spaced_even_points(tmp_path):
