@@ -12,9 +12,12 @@ and single-state runs alike.  A bernoulli, dicke or kink spec becomes a
 ``states.ClosedFormState``, so every U(1) run of it (a sweep, or
 ``u1-asymmetry``) reads its closed-form charge distribution and is held to
 the kind's cap (``_closed_form_cap``), while any other run reads its dense
-amplitudes under the statevector and density-matrix caps.  The envelope
-check resolves such a spec at every N of the run, which runs the spec's own
-checks (a dicke count, a bernoulli list length) before anything is computed.
+amplitudes under the statevector cap; only a matrix-built state (a full-rank
+``random`` spec) is held to the density-matrix cap, when it is drawn.  The
+envelope check resolves a closed-form spec at every N of a U(1) run, which
+runs the spec's own checks (a dicke count, a bernoulli list length) before
+anything is computed.  A key that the experiment would not read is refused
+(``_EXPERIMENT_KEYS``).
 """
 
 from __future__ import annotations
@@ -41,6 +44,17 @@ STATE_EXPERIMENTS = ("u1-asymmetry", "su2-asymmetry", "circuit-clustering")
 SUITE_EXPERIMENTS = ("bound-suite", "oracle-suite")
 # runs that read only a state's charge distribution, so a closed-form spec keeps its closed form
 U1_EXPERIMENTS = SWEEP_EXPERIMENTS + ("u1-asymmetry",)
+
+# the keys each experiment reads besides "experiment"; any other key in its config is an error
+_SINGLE_STATE_KEYS = frozenset({"geometry", "state_spec", "seed", "output", "clustering_range"})
+_EXPERIMENT_KEYS = {
+    **dict.fromkeys(SWEEP_EXPERIMENTS, {"state_spec", "sweep", "seed", "output", "log_base"}),
+    "u1-asymmetry": _SINGLE_STATE_KEYS | {"log_base"},
+    "su2-asymmetry": _SINGLE_STATE_KEYS | {"log_base"},
+    "circuit-clustering": _SINGLE_STATE_KEYS | {"tolerance"},
+    "bound-suite": {"seed", "samples", "output"},
+    "oracle-suite": {"seed", "output"},
+}
 
 # closed-form envelopes, the largest N of every U(1) run of each kind; each is named in its error
 DICKE_HALF_SWEEP_MAX = 2_000_000
@@ -280,8 +294,9 @@ def validate_config(data: dict) -> ExperimentConfig:
     _check_finite(data)
     _check_schema(data)
     experiment = data["experiment"]
-    if experiment == "oracle-suite" and "samples" in data:
-        raise ConfigError("oracle-suite takes no 'samples': its cases are fixed and draw nothing")
+    for key in data:
+        if key != "experiment" and key not in _EXPERIMENT_KEYS[experiment]:
+            raise ConfigError(f"{experiment} takes no {key!r}")
 
     geometry = None
     if "geometry" in data:
@@ -329,25 +344,13 @@ def validate_config(data: dict) -> ExperimentConfig:
         if cfg.state_spec is None:
             raise ConfigError(f"{experiment} requires 'state_spec'")
         n = _check_envelope(cfg)
-        if experiment == "su2-asymmetry":
-            if n % 2:
-                raise ConfigError("su2-asymmetry needs an even number of sites")
-            dcap = states.density_matrix_cap()
-            if n > dcap:
-                raise ResourceError(
-                    f"{n} sites exceed the density-matrix cap of {dcap} qubits "
-                    "needed for the spin-sector basis (override with ASYMLAB_MAX_QUBITS)"
-                )
+        if experiment == "su2-asymmetry" and n % 2:
+            raise ConfigError("su2-asymmetry needs an even number of sites")
         if experiment == "circuit-clustering":
             if cfg.state_spec.get("kind") != "circuit":
                 raise ConfigError(
                     "circuit-clustering requires a state_spec of kind 'circuit'"
                 )
-    if experiment not in SWEEP_EXPERIMENTS + STATE_EXPERIMENTS and cfg.state_spec is not None:
-        raise ConfigError(f"{experiment} takes no state_spec")
-
-    if cfg.clustering_range is not None and cfg.geometry is None:
-        raise ConfigError("clustering_range requires 'geometry'")
     return cfg
 
 

@@ -27,12 +27,18 @@ Route rule: a kernel takes at most two routes, chosen by ``state.factor is
 None``.  The factor route reads only F and forms no 2^N x 2^N matrix, so a
 factored state stays factored through ``von_neumann_entropy``,
 ``u1.charge_distribution``, ``u1.u1_asymmetry``, ``reduced_density_matrix``,
-``circuits.apply_circuit``, ``su2_asymmetry`` and
+``circuits.apply_circuit``, ``su2.su2_asymmetry``, ``su2.sector_distribution``
+(which couple F itself, with no Schur basis), ``su2.spin_moments`` and
 ``su2.zero_transverse_rotation``; the matrix route reads rho.  Both routes of
 an entropy end in ``block_entropy``: of F or rho, of the charge blocks of the
 U(1) twirl, or of the spin-sector blocks of the SU(2) twirl.  Operations that
 need rho itself (the twirls, channels, ``DensityMatrix.purity``) read
 ``matrix``, of a pure state too, and return a matrix-built state.
+
+Caps follow the routes.  A state with a factor is held to the statevector cap
+(a factor of r > 1 columns also to ``_check_factor_cap``), so every factor
+route runs to it; only ``matrix``, and so a matrix-built state, is held to the
+density-matrix cap.
 
 A third route reads no array at all.  ``closed_form`` is None, or, on a
 ``ClosedFormState``, a thunk for the state's exact charge distribution;
@@ -92,6 +98,21 @@ def density_matrix_cap() -> int:
 def _check_cap(n_qubits: int, cap: int, name: str):
     if n_qubits > cap:
         raise ResourceError(f"N={n_qubits} exceeds the {name} cap of {cap} qubits")
+
+
+def _check_factor_cap(n_qubits: int, rank: int):
+    """Hold a 2^N x r factor to the statevector cap on N, and to the entries of the largest rho.
+
+    The second rule (2^N r <= 4^c, c the density-matrix cap) admits every factor
+    of N <= c and keeps a large rank from taking more memory than rho would.
+    """
+    _check_cap(n_qubits, statevector_cap(), "statevector")
+    cap = density_matrix_cap()
+    if n_qubits > 2 * cap or rank > 2 ** (2 * cap - n_qubits):
+        raise ResourceError(
+            f"a rank-{rank} factor on N={n_qubits} qubits exceeds 4^{cap} entries, "
+            f"the size of a density matrix at the density-matrix cap of {cap} qubits"
+        )
 
 
 def qubit_count(length: int) -> int:
@@ -234,13 +255,14 @@ class DensityMatrix(_QubitState):
     def from_factor(cls, factor) -> "DensityMatrix":
         """The state rho = F F^dagger, holding a read-only copy of F and no rho.
 
-        F must have two axes, 2^N rows within the density-matrix cap, finite
-        entries and tr rho = |F|_F^2 equal to 1 within UNIT_SUM_TOL.
+        F must have two axes, a shape within ``_check_factor_cap`` (N within
+        the statevector cap), finite entries and tr rho = |F|_F^2 equal to 1
+        within UNIT_SUM_TOL.
         """
         fac = np.array(factor, dtype=complex)
         if fac.ndim != 2:
             raise ValidationError(f"factor needs 2 axes, got shape {fac.shape}")
-        _check_cap(qubit_count(fac.shape[0]), density_matrix_cap(), "density-matrix")
+        _check_factor_cap(qubit_count(fac.shape[0]), fac.shape[1])
         if not np.all(np.isfinite(fac)):
             raise ValidationError("factor has a non-finite entry")
         tr = _squared_norm(fac)
@@ -355,15 +377,21 @@ def random_density_matrix(n_qubits: int, rng, rank: int | None = None) -> Densit
     """Random mixed state: normalized Wishart matrix of the given rank.
 
     rho = A A^dagger / tr for a complex Gaussian 2^N x rank matrix A.  Below
-    full rank the state is ``DensityMatrix.from_factor(A / |A|_F)`` and rho
-    is formed only if read; a full-rank draw holds rho.
+    full rank the state is ``DensityMatrix.from_factor(A / |A|_F)``, held to
+    ``_check_factor_cap``, and rho is formed only if read; a full-rank draw
+    holds rho, within the density-matrix cap.  Either cap is checked before A
+    is drawn.
     """
     rng = np.random.default_rng(rng)
-    _check_cap(n_qubits, density_matrix_cap(), "density-matrix")
+    _check_cap(n_qubits, statevector_cap(), "statevector")
     d = 2**n_qubits
     r = d if rank is None else rank
     if not 1 <= r <= d:
         raise ValidationError(f"rank must lie in [1, {d}], got {rank}")
+    if r < d:
+        _check_factor_cap(n_qubits, r)
+    else:
+        _check_cap(n_qubits, density_matrix_cap(), "density-matrix")
     a = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
     if r < d:
         return DensityMatrix.from_factor(a / np.sqrt(_squared_norm(a)))

@@ -1,9 +1,16 @@
 """Collective-spin sectors, the full-rotation twirl and its bounds.
 
-The Schur basis is built by coupling one site at a time with the j (x) 1/2
-Clebsch-Gordan terms of ``_cg_children`` (Condon-Shortley signs), giving a
-real orthogonal change of basis that block-diagonalizes every u^{(x) N}.
-Only even N is supported so all spins are integers.
+One table of j (x) 1/2 Clebsch-Gordan terms, ``_cg_children`` (Condon-Shortley
+signs), couples one more site onto every spin j carried so far.  It is
+applied two ways:
+
+- ``couple_factor`` applies it to a state's factor F (2^N x r), splitting off
+  site 0, 1, ..., N-1 in turn: the sequential Schur transform (Bacon, Chuang
+  and Harrow, PRL 97, 170502 (2006)).  It gives each spin sector's
+  coefficients [C_{s,m}]_m in O(N r 2^N) and holds a few copies of F, with no
+  basis and no 2^N x 2^N matrix, so it runs to the statevector cap.
+- ``build_schur_basis`` applies it to basis columns, giving a real orthogonal
+  change of basis that block-diagonalizes every u^{(x) N}.
 
 Every basis vector has a definite S_z = m, so it lies inside one Hamming-weight
 subspace w = N/2 - m.  The basis is stored that way: for each w, the sorted
@@ -12,22 +19,27 @@ C(N, w) x C(N, w) block ``blocks[w]`` whose columns are the (s, alpha) with
 s >= |m|, s decreasing, alpha (the coupling path) increasing.  At N = 12 the
 blocks hold 22 MB against 134 MB for the 2^N x 2^N matrix.  The basis is a
 function of N alone, so ``build_schur_basis`` builds it once per N in a
-process and every caller reads N off the state.
+process, within the density-matrix cap, and every caller reads N off the state.
 ``SchurBasis.dense()`` assembles the full matrix for tests and oracles only.
 Its columns are grouped by total spin s in decreasing order; within a sector
 the coupling path index is the outer label and m runs from +s down to -s
 inside each path.
 
 Every kernel takes the factor route or the matrix route by the route rule of
-``states``; the factor route forms no 2^N x 2^N matrix.  ``su2_asymmetry``
-and ``sector_distribution`` take the state into the Schur basis in one pass
-over the weight blocks (``_schur_frame``), and ``spin_moments`` and
-``zero_transverse_rotation`` act on F or on rho.
-``su2_asymmetry`` and ``su2_twirl`` both read the twirl off the per-spin
-blocks of ``_sector_blocks``: the first takes their ``states.block_entropy``,
-the second divides each by 2s + 1 and rotates it back.
-``_dense_schur_basis``, ``su2_twirl`` and ``su2_twirl_haar`` are references
-for tests and oracles.
+``states``.  ``su2_asymmetry`` and ``sector_distribution`` read a state with a
+factor (a pure state, or a factored rho) through ``couple_factor``, and a
+matrix-built rho through the basis, each weight block rotated once
+(``_rotated_blocks``); both end in one block per spin s, whose
+``states.block_entropy`` with 2s + 1 copies is that sector's share of the
+twirled entropy.  ``spin_moments`` and ``zero_transverse_rotation`` act on F
+or on rho.  ``su2_twirl`` divides each matrix-route block by 2s + 1 and rotates
+it back; it, ``_dense_schur_basis`` and ``su2_twirl_haar`` are references for
+tests and oracles, and with the suites they are the only callers of the basis
+besides matrix-built states.
+
+Only even N is supported: ``SectorTable`` rows are integer s, and
+``multiplicity``, ``su2_support_bound``, the basis and the ``su2`` op reject
+odd N.  ``couple_factor`` itself takes any N and gives half-integer s at odd N.
 """
 from __future__ import annotations
 
@@ -161,10 +173,69 @@ def _cg_children(two_j: int) -> dict[int, list]:
     return out
 
 
-def _dense_schur_basis(n_qubits: int) -> np.ndarray:
-    """Reference: the 2^N x 2^N basis built column by column on all 2^N rows."""
+@lru_cache(maxsize=None)
+def _coupling_terms(two_j: int) -> tuple:
+    """The terms of ``_cg_children(two_j)`` as slices: (two_j_new, bit, columns, parents, coef).
+
+    The terms of one new bit touch a run of consecutive child columns, each
+    from the parent column a fixed offset away, so each is one broadcast
+    multiply-add of the coefficient column ``coef`` onto ``parents``.
+    """
+    out = []
+    for two_j_new, columns in _cg_children(two_j).items():
+        for bit in (0, 1):
+            terms = [(c, src, coef) for c, col in enumerate(columns)
+                     for coef, b, src in col if b == bit]
+            first, last, src = terms[0][0], terms[-1][0], terms[0][1]
+            coef = np.array([coef for _c, _src, coef in terms])[:, None]
+            out.append((two_j_new, bit, slice(first, last + 1),
+                        slice(src, src + last + 1 - first), coef))
+    return tuple(out)
+
+
+def couple_factor(factor: np.ndarray) -> dict[int, np.ndarray]:
+    """Each spin sector's coefficients of a 2^N x r factor F, N >= 1, by coupling F itself.
+
+    Splits off site 0, 1, ..., N-1 in turn and couples each onto every spin j
+    carried so far with the terms of ``_cg_children``.  After k sites
+    ``carried[2j]`` has shape (multiplicity, 2j + 1, 2^(N-k) r): row alpha is a
+    coupling path, column c holds m = j - c, and the last axis runs over the
+    sites not yet coupled and the columns of F.  A step is two broadcast
+    multiply-adds per (j, child spin), O(2^N r), on the real and imaginary
+    parts at once, since every coefficient is real.  Returns {2s: block} with
+    block[alpha, c, i] = <s, s - c, alpha| F e_i>: the coefficients in the
+    basis of ``build_schur_basis`` with the paths alpha in another order.
+    """
+    fac = np.ascontiguousarray(factor, dtype=complex)
+    n, r = qubit_count(fac.shape[0]), fac.shape[1]
+    carried = {1: fac.view(float).reshape(1, 2, -1)}
+    for _ in range(1, n):
+        rest = next(iter(carried.values())).shape[2] // 2
+        # each new spin stacks its paths from j + 1/2 and from j - 1/2 parents, by parent spin
+        start, sizes = {}, {}
+        for two_j in sorted(carried):
+            for two_j_new in (two_j + 1, two_j - 1)[: 1 + (two_j > 0)]:
+                start[two_j, two_j_new] = sizes.get(two_j_new, 0)
+                sizes[two_j_new] = start[two_j, two_j_new] + len(carried[two_j])
+        nxt = {two_j: np.zeros((size, two_j + 1, rest)) for two_j, size in sizes.items()}
+        for two_j, block in carried.items():
+            halves = block.reshape(len(block), two_j + 1, 2, rest)
+            for two_j_new, bit, columns, parents, coef in _coupling_terms(two_j):
+                rows = slice(start[two_j, two_j_new], start[two_j, two_j_new] + len(block))
+                nxt[two_j_new][rows, columns] += coef * halves[:, parents, bit]
+        carried = nxt
+    return {two_j: block.view(complex).reshape(len(block), two_j + 1, r)
+            for two_j, block in carried.items()}
+
+
+def _check_even(n_qubits: int):
     if n_qubits % 2 != 0 or n_qubits < 2:
         raise ValidationError(f"only even N >= 2 is supported, got {n_qubits}")
+
+
+def _dense_schur_basis(n_qubits: int) -> np.ndarray:
+    """Reference: the 2^N x 2^N basis built column by column on all 2^N rows."""
+    _check_even(n_qubits)
     _check_cap(n_qubits, density_matrix_cap(), "density-matrix")
     blocks: list[tuple[int, np.ndarray]] = [(1, np.eye(2))]
     for _ in range(1, n_qubits):
@@ -246,8 +317,7 @@ def build_schur_basis(n_qubits: int) -> SchurBasis:
     The even-N check and the density-matrix cap run on every call; the basis
     itself is built once per N (``_schur_basis``) and then shared, read-only.
     """
-    if n_qubits % 2 != 0 or n_qubits < 2:
-        raise ValidationError(f"only even N >= 2 is supported, got {n_qubits}")
+    _check_even(n_qubits)
     _check_cap(n_qubits, density_matrix_cap(), "density-matrix")
     return _schur_basis(n_qubits)
 
@@ -334,31 +404,8 @@ def _rotated_blocks(rho: np.ndarray, basis: SchurBasis) -> list[np.ndarray]:
     return out
 
 
-def _schur_frame(state: State, basis: SchurBasis) -> tuple[bool, list[np.ndarray]]:
-    """The state in the Schur basis, each weight block transformed once.
-
-    Returns (factored, frame).  The factor route gives C_w = B_w^T F[rows_w],
-    one C(N, w) x r block per weight; the matrix route gives the R_w of
-    ``_rotated_blocks``.
-    """
-    fac = state.factor
-    if fac is None:
-        return False, _rotated_blocks(state.matrix, basis)
-    frame = []
-    for rows, block in zip(basis.rows, basis.blocks):
-        part = fac[rows]
-        frame.append(block.T @ part.real + 1j * (block.T @ part.imag))
-    return True, frame
-
-
-def _sector_table(factored: bool, frame: list[np.ndarray], basis: SchurBasis) -> SectorTable:
-    """p_{s,m} from a ``_schur_frame``: |C_w|^2 summed over columns, or diag R_w."""
-    n = basis.n_qubits
-    p_sm = np.zeros((n // 2 + 1, n + 1))
-    for w, part in enumerate(frame):
-        weight = np.sum(np.abs(part) ** 2, axis=1) if factored else np.real(np.diagonal(part))
-        for s, first, mult in basis.segments(w):
-            p_sm[s, n - w] = weight[first : first + mult].sum()
+def _checked_table(p_sm: np.ndarray) -> SectorTable:
+    """The SectorTable of raw weights p_{s,m}, clipped at 0, once they sum to 1."""
     p_sm = np.clip(p_sm, 0.0, None)
     total = float(p_sm.sum())
     if abs(total - 1.0) > UNIT_SUM_TOL:
@@ -366,26 +413,53 @@ def _sector_table(factored: bool, frame: list[np.ndarray], basis: SchurBasis) ->
     return SectorTable(p_sm)
 
 
-def sector_distribution(state: State) -> SectorTable:
-    """Measured weights of every (s, m) pair for a pure or mixed state."""
-    basis = build_schur_basis(state.n_qubits)
-    return _sector_table(*_schur_frame(state, basis), basis)
+def _sector_blocks(frame: list[np.ndarray], basis: SchurBasis) -> dict:
+    """sum_m R_w[(s, .), (s, .)] of the ``_rotated_blocks``: one multiplicity block per spin s.
 
-
-def _sector_blocks(factored: bool, frame: list[np.ndarray], basis: SchurBasis) -> dict:
-    """One block per spin s of a ``_schur_frame``, in which the twirl is (2s + 1) equal copies.
-
-    The factor route gives the multiplicity x (2s + 1) r block [C_{s,m}]_m, the
-    rows of spin s of each C_w side by side; the matrix route gives the sum
-    sum_m R_w[(s, .), (s, .)] of the multiplicity blocks.  Either way the twirl
-    holds (2s + 1) copies of X_s / (2s + 1), X_s the block or its B B^dagger.
+    The twirl holds 2s + 1 copies of each block divided by 2s + 1.
     """
     parts: dict[int, list] = {}
     for w, block in enumerate(frame):
         for s, first, mult in basis.segments(w):
-            sub = block[first : first + mult]
-            parts.setdefault(s, []).append(sub if factored else sub[:, first : first + mult])
-    return {s: np.concatenate(ps, axis=1) if factored else sum(ps) for s, ps in parts.items()}
+            parts.setdefault(s, []).append(block[first : first + mult, first : first + mult])
+    return {s: sum(ps) for s, ps in parts.items()}
+
+
+def _sectors(state: State) -> tuple[bool, dict, SectorTable]:
+    """(factored, {s: block}, table): every spin sector of a state, by the route rule.
+
+    The factor route reads F through ``couple_factor``: the block of spin s is
+    the multiplicity x (2s + 1) r matrix [C_{s,m}]_m, and p_{s,m} the squared
+    norm of its m slice.  The matrix route reads rho in the Schur basis: the
+    ``_sector_blocks`` and the diagonals of the ``_rotated_blocks``.  Either
+    way the twirl holds 2s + 1 copies of X_s / (2s + 1), X_s the block, or
+    B B^dagger of the factor route's block B.
+    """
+    n = state.n_qubits
+    _check_even(n)
+    p_sm = np.zeros((n // 2 + 1, n + 1))
+    fac = state.factor
+    if fac is None:
+        basis = build_schur_basis(n)
+        frame = _rotated_blocks(state.matrix, basis)
+        for w, part in enumerate(frame):
+            weight = np.real(np.diagonal(part))
+            for s, first, mult in basis.segments(w):
+                p_sm[s, n - w] = weight[first : first + mult].sum()
+        return False, _sector_blocks(frame, basis), _checked_table(p_sm)
+    blocks = {}
+    for two_s, coeffs in couple_factor(fac).items():
+        s = two_s // 2
+        # column c holds m = s - c, so p_{s, m} sits at index N/2 + s - c
+        pairs = coeffs.view(float)
+        p_sm[s, n // 2 - s : n // 2 + s + 1] = np.einsum("acx,acx->c", pairs, pairs)[::-1]
+        blocks[s] = coeffs.reshape(len(coeffs), -1)
+    return True, blocks, _checked_table(p_sm)
+
+
+def sector_distribution(state: State) -> SectorTable:
+    """Measured weights of every (s, m) pair for a pure or mixed state."""
+    return _sectors(state)[2]
 
 
 def su2_twirl(state: State) -> DensityMatrix:
@@ -397,7 +471,7 @@ def su2_twirl(state: State) -> DensityMatrix:
     blocks between different weights are zero.
     """
     basis = build_schur_basis(state.n_qubits)
-    sums = _sector_blocks(False, _rotated_blocks(state.matrix, basis), basis)
+    sums = _sector_blocks(_rotated_blocks(state.matrix, basis), basis)
     out = np.zeros((state.dim,) * 2, dtype=complex)
     for w, (rows, block) in enumerate(zip(basis.rows, basis.blocks)):
         twirled = np.zeros((len(rows),) * 2, dtype=complex)
@@ -460,20 +534,16 @@ class Su2AsymmetryReport:
 def su2_asymmetry(state: State) -> Su2AsymmetryReport:
     """Asymmetry Delta S = S(twirl(rho)) - S(rho) for the full rotation group.
 
-    Both routes read the state in one ``_schur_frame`` pass, which also gives
-    the sector table, and neither forms the twirl or any 2^N x 2^N matrix:
-    S(twirl rho) = sum_s ``block_entropy`` of the sector block of
-    ``_sector_blocks`` with 2s + 1 copies, the factor route's from the smaller
-    Gram matrix of [C_{s,m}]_m.
+    Both routes read the state once, in ``_sectors``, which also gives the
+    sector table, and neither forms the twirl or any 2^N x 2^N matrix:
+    S(twirl rho) = sum_s ``block_entropy`` of the sector block with 2s + 1
+    copies, the factor route's from the smaller Gram matrix of [C_{s,m}]_m.
     """
-    basis = build_schur_basis(state.n_qubits)
-    factored, frame = _schur_frame(state, basis)
+    factored, blocks, table = _sectors(state)
     twirled = sum(
-        block_entropy(block, factored, 2 * s + 1)
-        for s, block in _sector_blocks(factored, frame, basis).items()
+        block_entropy(block, factored, 2 * s + 1) for s, block in blocks.items()
     )
     delta = twirled - von_neumann_entropy(state)
-    table = _sector_table(factored, frame, basis)
     report = Su2AsymmetryReport(
         n_sites=state.n_qubits,
         delta_s=delta,

@@ -123,18 +123,20 @@ def _schur_block_defect(basis: su2.SchurBasis) -> float:
         return 1.0
     worst = 0.0
     for block in basis.blocks:
+        # B_w^T B_w - I, the identity taken off the fresh product in place
         gram = block.T @ block
-        worst = max(worst, float(np.abs(gram - np.eye(gram.shape[0])).max()))
+        gram[np.diag_indices_from(gram)] -= 1.0
+        worst = max(worst, float(np.abs(gram).max()))
     for w in range(n):
         lowered = _lowered_block(basis, w)
         m = n // 2 - w
         coef = np.concatenate([
             np.full(mult, math.sqrt((s + m) * (s - m + 1))) for s, _first, mult in basis.segments(w)
         ])
+        # columns past the first ``common`` must lower to zero: they keep S_- B_w as it is
         common = min(lowered.shape)
-        expected = np.zeros_like(lowered)
-        expected[:, :common] = basis.blocks[w + 1][:, :common] * coef[:common]
-        worst = max(worst, float(np.abs(lowered - expected).max()))
+        lowered[:, :common] -= basis.blocks[w + 1][:, :common] * coef[:common]
+        worst = max(worst, float(np.abs(lowered).max()))
     return worst
 
 
@@ -837,20 +839,29 @@ def _oracle_polarized(rng) -> tuple[float, str]:
             dense = states.von_neumann_entropy(su2.su2_twirl(rho))
             dense -= states.von_neumann_entropy(rho)
             worst = max(worst, abs(su2.su2_asymmetry(rho).delta_s - dense))
-    for n in (4, 6):
-        # a rank-4 rho with its exact factor against the same matrix without it:
-        # Gram-matrix S(rho) and the rotated factor against the dense routes
-        rho = states.random_density_matrix(n, rng, rank=4)
-        bare = DensityMatrix(rho.matrix)
-        gap = su2.su2_asymmetry(rho).delta_s - su2.su2_asymmetry(bare).delta_s
-        worst = max(worst, abs(gap))
-        moved = su2.spin_moments(su2.zero_transverse_rotation(rho)[0])
-        dense = su2.spin_moments(su2.zero_transverse_rotation(bare)[0])
-        worst = max(worst, max(abs(moved[k] - dense[k]) for k in dense))
+    for n in (2, 4, 6, 8):
+        # a pure state and a rank-4 rho, each with its exact factor, against the same
+        # matrix without it: the coupling route against the basis route, Gram-matrix
+        # S(rho), <S^2> = sum_s p_s s(s+1) against the moments of F, and, below
+        # n = 8, whose dense gauge rotation costs as much as the rest, the rotated factor
+        a = rng.standard_normal((2**n, 4)) + 1j * rng.standard_normal((2**n, 4))
+        factored = DensityMatrix.from_factor(a / np.linalg.norm(a))
+        for state in (states.random_state(n, rng), factored):
+            bare = DensityMatrix(state.matrix)
+            gap = su2.su2_asymmetry(state).delta_s - su2.su2_asymmetry(bare).delta_s
+            table = su2.sector_distribution(state)
+            spins = table.spins
+            casimir = float(np.sum(table.p_s * spins * (spins + 1)))
+            worst = max(worst, abs(gap), abs(casimir - su2.spin_moments(state)["s2"]),
+                        float(np.abs(table.p_sm - su2.sector_distribution(bare).p_sm).max()))
+            if n < 8:
+                moved = su2.spin_moments(su2.zero_transverse_rotation(state)[0])
+                dense = su2.spin_moments(su2.zero_transverse_rotation(bare)[0])
+                worst = max(worst, max(abs(moved[k] - dense[k]) for k in dense))
     return (
         EXACT_TOL - worst,
         "fully polarized state saturates the sector bound; blocks vs dense basis and twirl;"
-        " factored vs dense rho",
+        " coupled F vs basis route of rho, pure and rank 4, n=2..8",
     )
 
 

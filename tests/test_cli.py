@@ -159,12 +159,14 @@ def test_oversized_system_exits_3(tmp_path, capsys):
     )
     assert main(["run", cfg]) == 3
     assert "resource error" in capsys.readouterr().err
-    # a single-state run is held to its geometry's size, whatever else the config lists
+    # a single-state run reads no sweep list, so a config that lists one is refused
     data = json.loads(Path(cfg).read_text())
-    assert main(["run", _write(tmp_path / "listed.json", dict(data, sweep=[4]))]) == 3
-    assert "30 sites exceed" in capsys.readouterr().err
-    # a closed-form kind keeps the dense caps outside a U(1) run
-    assert main(["su2", "--state", "kink", "--n", "14", "--output", str(tmp_path / "su2")]) == 3
+    assert main(["run", _write(tmp_path / "listed.json", dict(data, sweep=[4]))]) == 2
+    assert "u1-asymmetry takes no 'sweep'" in capsys.readouterr().err
+    # a matrix-built state keeps the density-matrix cap, which stops it before the draw
+    full = dict(data, experiment="su2-asymmetry", geometry={"dimension": 1, "linear_size": 14},
+                state_spec={"kind": "random", "rank": 2**14})
+    assert main(["run", _write(tmp_path / "full.json", full)]) == 3
     assert "density-matrix cap of 12" in capsys.readouterr().err
 
 
@@ -1312,3 +1314,92 @@ def test_cli_import_keeps_a_preset_openblas_timeout():
 def test_library_import_leaves_the_environment_alone():
     env = _fresh_environment("import asymlab.states, asymlab.su2", {})
     assert "OPENBLAS_THREAD_TIMEOUT" not in env
+
+
+def _refuse_the_schur_basis(n_qubits):
+    raise AssertionError(f"Schur basis built for N = {n_qubits}")
+
+
+def test_su2_runs_of_pure_and_factored_states_build_no_schur_basis(tmp_path, monkeypatch):
+    monkeypatch.setattr(su2, "build_schur_basis", _refuse_the_schur_basis)
+    argv = ["su2", "--state", "random:3", "--n", "12", "--clustering-range", "2",
+            "--output", str(tmp_path / "pure")]
+    assert main(argv) == 0
+    mixed = {"experiment": "su2-asymmetry", "geometry": {"dimension": 1, "linear_size": 10},
+             "state_spec": {"kind": "random", "seed": 3, "rank": 4}, "clustering_range": 2,
+             "output": str(tmp_path / "mixed")}
+    assert main(["run", _write(tmp_path / "mixed.json", mixed)]) == 0
+
+
+def test_factored_su2_run_above_the_density_matrix_cap(tmp_path, monkeypatch):
+    """A rank-4 state at N = 14 runs the whole su2 op, Casimir check included."""
+    monkeypatch.delenv("ASYMLAB_MAX_QUBITS", raising=False)
+    out = tmp_path / "out"
+    cfg = {"experiment": "su2-asymmetry", "geometry": {"dimension": 1, "linear_size": 14},
+           "state_spec": {"kind": "random", "seed": 1, "rank": 4}, "clustering_range": 2,
+           "output": str(out)}
+    assert main(["run", _write(tmp_path / "cfg.json", cfg)]) == 0
+    report = _read_report(out)
+    assert report["all_bounds_hold"] is True and report["casimir"]["passed"] is True
+
+
+def _su2_random_at_25(tmp_path):
+    return ["su2", "--state", "random", "--n", "25", "--output", str(tmp_path / "out")]
+
+
+def _su2_rank4_at_25(tmp_path):
+    cfg = {"experiment": "su2-asymmetry", "geometry": {"dimension": 1, "linear_size": 25},
+           "state_spec": {"kind": "random", "rank": 4}, "output": str(tmp_path / "out")}
+    return ["run", _write(tmp_path / "cfg.json", cfg)]
+
+
+def _u1_rank4_at_25(tmp_path):
+    cfg = {"experiment": "u1-asymmetry", "geometry": {"dimension": 1, "linear_size": 25},
+           "state_spec": {"kind": "random", "rank": 4}, "output": str(tmp_path / "out")}
+    return ["run", _write(tmp_path / "cfg.json", cfg)]
+
+
+def _clustering_rank4_input_at_25(tmp_path):
+    path = tmp_path / "circ.json"
+    save_circuit(random_brickwork(LatticeGeometry(1, 25), 1, np.random.default_rng(25)), path)
+    spec = tmp_path / "input.json"
+    spec.write_text(json.dumps({"kind": "random", "rank": 4}))
+    return ["clustering", "--circuit", str(path), "--input", str(spec), "--linear-size", "25",
+            "--output", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize("make_argv", [
+    _su2_random_at_25, _su2_rank4_at_25, _u1_rank4_at_25, _clustering_rank4_input_at_25,
+])
+def test_pure_and_factored_runs_at_25_qubits_exit_3_with_one_line(tmp_path, monkeypatch, capsys,
+                                                                  make_argv):
+    monkeypatch.delenv("ASYMLAB_MAX_QUBITS", raising=False)
+    assert main(make_argv(tmp_path)) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "25 sites exceed the statevector cap = 24" in err
+
+
+_GHZ_RING = {"geometry": {"dimension": 1, "linear_size": 4}, "state_spec": {"kind": "ghz"}}
+
+
+@pytest.mark.parametrize("experiment, base, key, value", [
+    ("u1-asymmetry", _GHZ_RING, "samples", 2.0),
+    ("su2-asymmetry", _GHZ_RING, "samples", 2.0),
+    ("su2-asymmetry", _GHZ_RING, "tolerance", 1e-9),
+    ("circuit-clustering", {"geometry": {"dimension": 1, "linear_size": 4},
+                            "state_spec": {"kind": "circuit", "path": "c.json"}}, "log_base", "2"),
+    ("bound-suite", {}, "log_base", "2"),
+    ("bound-suite", {}, "tolerance", 1e-9),
+    ("bound-suite", {}, "geometry", {"dimension": 1, "linear_size": 4}),
+    ("bound-suite", {}, "sweep", [4]),
+    ("bound-suite", {}, "state_spec", {"kind": "ghz"}),
+    ("oracle-suite", {}, "clustering_range", 1),
+    ("kink-sweep", {"sweep": [10]}, "geometry", {"dimension": 1, "linear_size": 10}),
+    ("kink-sweep", {"sweep": [10]}, "clustering_range", 2),
+    ("dicke-sweep", {"sweep": [10]}, "samples", 2.0),
+])
+def test_a_key_the_experiment_would_ignore_exits_2(tmp_path, capsys, experiment, base, key, value):
+    cfg = {"experiment": experiment, **base, key: value, "output": str(tmp_path / "out")}
+    assert main(["run", _write(tmp_path / "cfg.json", cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: {experiment} takes no '{key}'\n"
+    assert not (tmp_path / "out").exists()

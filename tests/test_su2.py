@@ -18,6 +18,7 @@ from asymlab.states import (
     StateVector,
     apply_site_matrix,
     basis_state,
+    density_matrix_cap,
     ghz_state,
     product_state,
     random_density_matrix,
@@ -612,6 +613,11 @@ def test_rotated_factor_matches_dense_global_rotation():
 
 
 
+def _casimir(table) -> float:
+    """<S^2> = sum_s p_s s(s+1) of a sector table."""
+    return float(np.sum(table.p_s * table.spins * (table.spins + 1)))
+
+
 def _su2_readings(state) -> dict:
     """Everything su2 reads off one state, flattened to arrays for comparison."""
     out = {f"moment {k}": v for k, v in spin_moments(state).items()}
@@ -638,6 +644,10 @@ def test_factor_route_matches_matrix_route(n):
         bare = _su2_readings(DensityMatrix(rho.matrix))
         for key, value in bare.items():
             assert_allclose(factored[key], value, rtol=0, atol=1e-12, err_msg=f"{key} r={rank}")
+        if n % 2 == 0:
+            # the coupled sector table against the moments of F, two routes with no basis
+            assert_allclose(_casimir(sector_distribution(rho)), factored["moment s2"],
+                            rtol=0, atol=1e-12, err_msg=f"r={rank}")
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
@@ -650,17 +660,97 @@ def test_rank_one_factor_matches_its_statevector(n):
 
 
 def test_asymmetry_transforms_each_state_once(monkeypatch):
-    frames = []
-    schur_frame = su2._schur_frame
+    """One coupling of F for a state with a factor, one rotation of rho for one without."""
+    calls = []
+    for name in ("couple_factor", "_rotated_blocks"):
+        def spy(arr, *rest, _name=name, _kernel=getattr(su2, name)):
+            calls.append(_name)
+            return _kernel(arr, *rest)
 
-    def spy(state, basis):
-        frames.append(state)
-        return schur_frame(state, basis)
-
-    monkeypatch.setattr(su2, "_schur_frame", spy)
+        monkeypatch.setattr(su2, name, spy)
     rng = np.random.default_rng(61)
     rho = random_density_matrix(4, rng, rank=2)
-    for state in (random_state(4, rng), rho, DensityMatrix(rho.matrix)):
-        frames.clear()
+    for state, route in ((random_state(4, rng), "couple_factor"), (rho, "couple_factor"),
+                         (DensityMatrix(rho.matrix), "_rotated_blocks")):
+        calls.clear()
         su2_asymmetry(state)
-        assert frames == [state]
+        assert calls == [route]
+
+
+@pytest.mark.parametrize("n, rank", [(16, 1), (14, 4)])
+def test_coupling_route_peaks_at_a_few_factors(n, rank):
+    """su2_asymmetry of a pure or rank-4 state holds a few copies of F (1 MiB here) at most.
+
+    rho would take 2^N / r times F, and the basis is never built.
+    """
+    rng = np.random.default_rng(900 + n)
+    state = random_state(n, rng) if rank == 1 else random_density_matrix(n, rng, rank=rank)
+    rep, peak = _peak_bytes(lambda: su2_asymmetry(state))
+    assert peak < 4 * state.factor.nbytes
+    assert 0.0 <= rep.delta_s <= rep.bound_sector_entropy + 1e-9
+
+
+def test_pure_and_factored_states_never_build_the_schur_basis(monkeypatch):
+    def refuse(n_qubits):
+        raise AssertionError(f"Schur basis built for N = {n_qubits}")
+
+    monkeypatch.setattr(su2, "build_schur_basis", refuse)
+    rng = np.random.default_rng(62)
+    rho = random_density_matrix(6, rng, rank=4)
+    for state in (random_state(8, rng), rho, dicke_state(6, 3, axis="x")):
+        su2_asymmetry(state)
+        sector_distribution(state)
+    with pytest.raises(AssertionError, match="N = 6"):
+        su2_asymmetry(DensityMatrix(rho.matrix))
+
+
+def test_coupling_takes_odd_n_and_the_sector_routes_refuse_it():
+    """Odd N couples to half-integer spins with the right multiplicities; the table is even-N."""
+    for n in (1, 3, 5):
+        blocks = su2.couple_factor(zero_state(n).factor)
+        assert sorted(blocks) == list(range(n % 2, n + 1, 2))
+        for two_s, block in blocks.items():
+            k = (n - two_s) // 2
+            assert len(block) == math.comb(n, k) - (math.comb(n, k - 1) if k else 0)
+        # |0...0> is all in the top spin, at m = +N/2
+        assert_allclose(np.abs(blocks[n][0, 0, 0]), 1.0, rtol=0, atol=1e-15)
+        with pytest.raises(ValidationError, match="only even N"):
+            su2_asymmetry(zero_state(n))
+
+
+def test_factored_kernels_run_above_the_density_matrix_cap(monkeypatch):
+    """At N = 14 every kernel that a rank-4 state reaches keeps F; reading rho is refused."""
+    monkeypatch.delenv("ASYMLAB_MAX_QUBITS", raising=False)
+    n = 14
+    assert density_matrix_cap() < n
+    rho = random_density_matrix(n, np.random.default_rng(14), rank=4)
+    # the moments of F against the coupled sector table, two routes with no basis
+    assert_allclose(spin_moments(rho)["s2"], _casimir(sector_distribution(rho)), rtol=0, atol=1e-10)
+    gauged, _u = zero_transverse_rotation(rho)
+    assert max(abs(spin_moments(gauged)[k]) for k in ("sx", "sy")) <= 1e-9
+    assert_allclose(su2_asymmetry(gauged).delta_s, su2_asymmetry(rho).delta_s, rtol=0, atol=1e-10)
+    pair = reduced_density_matrix(rho, [0, n - 1])
+    assert pair.shape == (4, 4) and abs(np.trace(pair) - 1.0) <= 1e-12
+    out = apply_circuit(rho, random_brickwork(LatticeGeometry(1, n), 1, np.random.default_rng(15)))
+    assert_allclose(von_neumann_entropy(out), von_neumann_entropy(rho), rtol=0, atol=1e-12)
+    for state in (rho, gauged, out):
+        assert state.factor is not None and "matrix" not in vars(state)
+        with pytest.raises(ResourceError, match="density-matrix cap of 12"):
+            state.matrix
+
+
+@pytest.mark.parametrize("n, rank, message", [
+    (25, 4, "statevector cap of 24"),
+    # 2^14 rows x 2^11 columns hold more entries than rho at N = 12
+    (14, 2**11, r"exceeds 4\^12 entries"),
+    (14, 2**14, "density-matrix cap of 12"),
+])
+def test_random_density_matrix_refuses_over_cap_draws_before_drawing(monkeypatch, n, rank, message):
+    monkeypatch.delenv("ASYMLAB_MAX_QUBITS", raising=False)
+
+    def draw():
+        with pytest.raises(ResourceError, match=message):
+            random_density_matrix(n, np.random.default_rng(0), rank=rank)
+
+    _value, peak = _peak_bytes(draw)
+    assert peak < 2**20
