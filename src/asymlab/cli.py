@@ -431,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="statevector file (.npy or .json) or a named state: "
                             + ", ".join(sorted(NAMED_STATES)))
     p_su2.add_argument("--n", type=int, required=True,
-                       help="number of sites: even, up to the statevector cap "
+                       help="number of sites, odd or even, up to the statevector cap "
                             "(every --state is pure)")
     p_su2.add_argument("--dimension", type=int, default=1)
     p_su2.add_argument("--clustering-range", type=int, default=None)

@@ -261,8 +261,8 @@ def _closed_form_cap(spec: dict):
             "kink": ("KINK_SWEEP_MAX", KINK_SWEEP_MAX)}.get(kind)
 
 
-def _check_envelope(cfg: ExperimentConfig) -> int:
-    """Hold a sweep's N values, or a single-state run's N, to its cap; returns the largest N.
+def _check_envelope(cfg: ExperimentConfig) -> None:
+    """Hold a sweep's N values, or a single-state run's N, to its cap.
 
     A U(1) run (a sweep, or ``u1-asymmetry``) of a closed-form spec is held to
     the kind's cap and resolved at each N, which runs the spec's own checks;
@@ -284,7 +284,6 @@ def _check_envelope(cfg: ExperimentConfig) -> int:
         raise ResourceError(f"{cfg.experiment}: {sites} sites exceed {name} = {cap}{hint}")
     for n in sizes if closed else ():
         build_state(cfg.state_spec, n, cfg.seed)
-    return max(sizes)
 
 
 def validate_config(data: dict) -> ExperimentConfig:
@@ -343,9 +342,7 @@ def validate_config(data: dict) -> ExperimentConfig:
             raise ConfigError(f"{experiment} requires 'geometry'")
         if cfg.state_spec is None:
             raise ConfigError(f"{experiment} requires 'state_spec'")
-        n = _check_envelope(cfg)
-        if experiment == "su2-asymmetry" and n % 2:
-            raise ConfigError("su2-asymmetry needs an even number of sites")
+        _check_envelope(cfg)
         if experiment == "circuit-clustering":
             if cfg.state_spec.get("kind") != "circuit":
                 raise ConfigError(

@@ -392,9 +392,13 @@ def random_density_matrix(n_qubits: int, rng, rank: int | None = None) -> Densit
         _check_factor_cap(n_qubits, r)
     else:
         _check_cap(n_qubits, density_matrix_cap(), "density-matrix")
-    a = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
+    # filled part by part and scaled in place: one complex A and one real draw at a time
+    a = np.empty((d, r), dtype=complex)
+    a.real = rng.standard_normal((d, r))
+    a.imag = rng.standard_normal((d, r))
     if r < d:
-        return DensityMatrix.from_factor(a / np.sqrt(_squared_norm(a)))
+        a /= np.sqrt(_squared_norm(a))
+        return DensityMatrix.from_factor(a)
     mat = a @ a.conj().T
     mat /= np.real(np.trace(mat))
     return DensityMatrix(mat)

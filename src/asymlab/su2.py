@@ -37,9 +37,10 @@ it back; it, ``_dense_schur_basis`` and ``su2_twirl_haar`` are references for
 tests and oracles, and with the suites they are the only callers of the basis
 besides matrix-built states.
 
-Only even N is supported: ``SectorTable`` rows are integer s, and
-``multiplicity``, ``su2_support_bound``, the basis and the ``su2`` op reject
-odd N.  ``couple_factor`` itself takes any N and gives half-integer s at odd N.
+Every N >= 1 runs, odd N with half-integer spins.  Inside this module a spin
+is labelled by the integer 2s (``couple_factor``'s keys, ``SchurBasis.sectors``
+and ``segments``, the sector blocks), and m by 2m = N - 2w; public values stay
+in units of s: ``SectorTable.spins`` and the argument of ``multiplicity``.
 """
 from __future__ import annotations
 
@@ -84,13 +85,16 @@ C_LAMBDA_PREFACTOR = 1.5
 HAAR_MAX_REFINEMENTS = 6
 
 
-def multiplicity(n_qubits: int, s: int) -> int:
-    """Number of spin-s irreducible blocks in the N-qubit rotation action."""
-    if n_qubits % 2 != 0:
-        raise ValidationError(f"only even N is supported, got {n_qubits}")
-    if not 0 <= s <= n_qubits // 2:
-        raise ValidationError(f"spin {s} outside [0, {n_qubits // 2}]")
-    k = n_qubits // 2 - s
+def multiplicity(n_qubits: int, s: float) -> int:
+    """Number of spin-s irreducible blocks in the N-qubit rotation action.
+
+    s runs over N/2, N/2 - 1, ..., down to 0 or 1/2.
+    """
+    k = n_qubits / 2 - s
+    if not 0 <= k <= n_qubits / 2 or k != int(k):
+        raise ValidationError(f"no spin {s} among {n_qubits} qubits: s must be N/2 minus "
+                              f"a whole number, in [0, {n_qubits / 2}]")
+    k = int(k)
     lower = math.comb(n_qubits, k - 1) if k >= 1 else 0
     return math.comb(n_qubits, k) - lower
 
@@ -99,10 +103,10 @@ def multiplicity(n_qubits: int, s: int) -> int:
 class SchurBasis:
     """Orthogonal basis adapted to the total-spin decomposition, by S_z block.
 
-    ``rows[w]`` holds the sorted basis indices with w one-bits (m = N/2 - w)
+    ``rows[w]`` holds the sorted basis indices with w one-bits (2m = N - 2w)
     and ``blocks[w]`` the real orthogonal block whose column j is the basis
     vector restricted to those rows; ``segments(w)`` names its columns.
-    ``sectors`` lists (s, start_column, multiplicity) with s decreasing and
+    ``sectors`` lists (2s, start_column, multiplicity) with s decreasing and
     places the columns of ``dense()``: the basis vector (s, m, alpha) is
     column start + alpha * (2s + 1) + (s - m).
     """
@@ -113,32 +117,31 @@ class SchurBasis:
     sectors: tuple[tuple[int, int, int], ...]
 
     def segments(self, w: int) -> list[tuple[int, int, int]]:
-        """(s, first_column, multiplicity) of each spin in ``blocks[w]``, s decreasing.
+        """(2s, first_column, multiplicity) of each spin in ``blocks[w]``, s decreasing.
 
         Spin s starts at the same column, sum of the multiplicities above s,
         in every block that holds it.
         """
-        m = self.n_qubits // 2 - w
+        two_m = self.n_qubits - 2 * w
         out = []
         offset = 0
-        for s, _start, mult in self.sectors:
-            if s < abs(m):
+        for two_s, _start, mult in self.sectors:
+            if two_s < abs(two_m):
                 break
-            out.append((s, offset, mult))
+            out.append((two_s, offset, mult))
             offset += mult
         return out
 
     def dense(self) -> np.ndarray:
         """The 2^N x 2^N basis matrix in ``sectors`` column order (tests and oracles only)."""
         dim = 2**self.n_qubits
-        half = self.n_qubits // 2
-        starts = {s: start for s, start, _mult in self.sectors}
+        starts = {two_s: start for two_s, start, _mult in self.sectors}
         matrix = np.zeros((dim, dim))
         for w, (rows, block) in enumerate(zip(self.rows, self.blocks)):
-            m = half - w
+            two_m = self.n_qubits - 2 * w
             cols = np.concatenate([
-                starts[s] + np.arange(mult) * (2 * s + 1) + (s - m)
-                for s, _offset, mult in self.segments(w)
+                starts[two_s] + np.arange(mult) * (two_s + 1) + (two_s - two_m) // 2
+                for two_s, _offset, mult in self.segments(w)
             ])
             matrix[np.ix_(rows, cols)] = block
         return matrix
@@ -228,14 +231,8 @@ def couple_factor(factor: np.ndarray) -> dict[int, np.ndarray]:
             for two_j, block in carried.items()}
 
 
-def _check_even(n_qubits: int):
-    if n_qubits % 2 != 0 or n_qubits < 2:
-        raise ValidationError(f"only even N >= 2 is supported, got {n_qubits}")
-
-
 def _dense_schur_basis(n_qubits: int) -> np.ndarray:
     """Reference: the 2^N x 2^N basis built column by column on all 2^N rows."""
-    _check_even(n_qubits)
     _check_cap(n_qubits, density_matrix_cap(), "density-matrix")
     blocks: list[tuple[int, np.ndarray]] = [(1, np.eye(2))]
     for _ in range(1, n_qubits):
@@ -258,14 +255,10 @@ def _dense_schur_basis(n_qubits: int) -> np.ndarray:
     matrix = np.empty((dim, dim))
     col = 0
     for two_j in sorted(by_two_j, reverse=True):
-        if two_j % 2 != 0:
-            raise ValidationError(f"half-integer sector {two_j}/2 appeared for even N")
-        s = two_j // 2
         paths = by_two_j[two_j]
-        if len(paths) != multiplicity(n_qubits, s):
-            raise ValidationError(
-                f"sector s={s} has {len(paths)} paths, expected {multiplicity(n_qubits, s)}"
-            )
+        if len(paths) != multiplicity(n_qubits, two_j / 2):
+            raise ValidationError(f"sector s={two_j}/2 has {len(paths)} paths, "
+                                  f"expected {multiplicity(n_qubits, two_j / 2)}")
         for block in paths:
             for m_col in range(two_j + 1):
                 matrix[:, col] = block[:, m_col]
@@ -312,12 +305,13 @@ def _couple_site(paths: dict, pos: tuple, sizes: list) -> dict:
 
 
 def build_schur_basis(n_qubits: int) -> SchurBasis:
-    """The spin-adapted basis, one S_z block per weight (even N only).
+    """The spin-adapted basis of N >= 1 qubits, one S_z block per weight.
 
-    The even-N check and the density-matrix cap run on every call; the basis
+    The N >= 1 check and the density-matrix cap run on every call; the basis
     itself is built once per N (``_schur_basis``) and then shared, read-only.
     """
-    _check_even(n_qubits)
+    if n_qubits < 1:
+        raise ValidationError(f"a Schur basis needs N >= 1 qubits, got {n_qubits}")
     _check_cap(n_qubits, density_matrix_cap(), "density-matrix")
     return _schur_basis(n_qubits)
 
@@ -344,28 +338,23 @@ def _schur_basis(n_qubits: int) -> SchurBasis:
         paths = _couple_site(paths, pos, [len(r) for r in new_rows])
         rows = new_rows
 
-    half = n_qubits // 2
     sectors: list[tuple[int, int, int]] = []
     col = 0
     for two_j in sorted(paths, reverse=True):
-        if two_j % 2 != 0:
-            raise ValidationError(f"half-integer sector {two_j}/2 appeared for even N")
-        s = two_j // 2
         n_paths = len(paths[two_j][0])
-        if n_paths != multiplicity(n_qubits, s):
-            raise ValidationError(
-                f"sector s={s} has {n_paths} paths, expected {multiplicity(n_qubits, s)}"
-            )
-        sectors.append((s, col, n_paths))
+        if n_paths != multiplicity(n_qubits, two_j / 2):
+            raise ValidationError(f"sector s={two_j}/2 has {n_paths} paths, "
+                                  f"expected {multiplicity(n_qubits, two_j / 2)}")
+        sectors.append((two_j, col, n_paths))
         col += n_paths * (two_j + 1)
     if col != 2**n_qubits:
         raise ValidationError(f"assembled {col} columns, expected {2**n_qubits}")
     blocks = []
     for w in range(n_qubits + 1):
-        m = half - w
-        block = np.concatenate(
-            [paths[2 * s][1][s - m] for s, _start, _mult in sectors if s >= abs(m)], axis=1
-        )
+        two_m = n_qubits - 2 * w
+        block = np.concatenate([paths[two_s][1][(two_s - two_m) // 2]
+                                for two_s, _start, _mult in sectors if two_s >= abs(two_m)],
+                               axis=1)
         block.flags.writeable = False
         rows[w].flags.writeable = False
         blocks.append(block)
@@ -376,7 +365,8 @@ def _schur_basis(n_qubits: int) -> SchurBasis:
 class SectorTable:
     """Joint weights p_{s,m} of total spin and its z projection.
 
-    Row index runs over s = 0..N/2; column index is m + N/2 for m = -N/2..N/2.
+    Row r holds s = r + (N mod 2)/2, for s up to N/2: integer s at even N,
+    half-integer s at odd N.  Column index is m + N/2 for m = -N/2..N/2.
     Entries with |m| > s are identically zero.
     """
 
@@ -384,7 +374,9 @@ class SectorTable:
 
     @property
     def spins(self) -> np.ndarray:
-        return np.arange(self.p_sm.shape[0])
+        """The spin s of each row, increasing: 0 or 1/2 up to N/2 in whole steps."""
+        rows, n = self.p_sm.shape[0], self.p_sm.shape[1] - 1
+        return n / 2 - np.arange(rows - 1, -1, -1)
 
     @property
     def p_s(self) -> np.ndarray:
@@ -414,19 +406,19 @@ def _checked_table(p_sm: np.ndarray) -> SectorTable:
 
 
 def _sector_blocks(frame: list[np.ndarray], basis: SchurBasis) -> dict:
-    """sum_m R_w[(s, .), (s, .)] of the ``_rotated_blocks``: one multiplicity block per spin s.
+    """sum_m R_w[(s, .), (s, .)] of the ``_rotated_blocks``: {2s: multiplicity block}.
 
     The twirl holds 2s + 1 copies of each block divided by 2s + 1.
     """
     parts: dict[int, list] = {}
     for w, block in enumerate(frame):
-        for s, first, mult in basis.segments(w):
-            parts.setdefault(s, []).append(block[first : first + mult, first : first + mult])
-    return {s: sum(ps) for s, ps in parts.items()}
+        for two_s, first, mult in basis.segments(w):
+            parts.setdefault(two_s, []).append(block[first : first + mult, first : first + mult])
+    return {two_s: sum(ps) for two_s, ps in parts.items()}
 
 
 def _sectors(state: State) -> tuple[bool, dict, SectorTable]:
-    """(factored, {s: block}, table): every spin sector of a state, by the route rule.
+    """(factored, {2s: block}, table): every spin sector of a state, by the route rule.
 
     The factor route reads F through ``couple_factor``: the block of spin s is
     the multiplicity x (2s + 1) r matrix [C_{s,m}]_m, and p_{s,m} the squared
@@ -436,7 +428,9 @@ def _sectors(state: State) -> tuple[bool, dict, SectorTable]:
     B B^dagger of the factor route's block B.
     """
     n = state.n_qubits
-    _check_even(n)
+    if n < 1:
+        raise ValidationError(f"SU(2) sectors need N >= 1 qubits, got {n}")
+    # row 2s // 2 holds spin s, column N/2 + m = (N + 2m) / 2 its projection m
     p_sm = np.zeros((n // 2 + 1, n + 1))
     fac = state.factor
     if fac is None:
@@ -444,16 +438,16 @@ def _sectors(state: State) -> tuple[bool, dict, SectorTable]:
         frame = _rotated_blocks(state.matrix, basis)
         for w, part in enumerate(frame):
             weight = np.real(np.diagonal(part))
-            for s, first, mult in basis.segments(w):
-                p_sm[s, n - w] = weight[first : first + mult].sum()
+            for two_s, first, mult in basis.segments(w):
+                p_sm[two_s // 2, n - w] = weight[first : first + mult].sum()
         return False, _sector_blocks(frame, basis), _checked_table(p_sm)
     blocks = {}
     for two_s, coeffs in couple_factor(fac).items():
-        s = two_s // 2
-        # column c holds m = s - c, so p_{s, m} sits at index N/2 + s - c
+        # column c holds m = s - c, so p_{s, m} sits at index (N + 2s) / 2 - c
         pairs = coeffs.view(float)
-        p_sm[s, n // 2 - s : n // 2 + s + 1] = np.einsum("acx,acx->c", pairs, pairs)[::-1]
-        blocks[s] = coeffs.reshape(len(coeffs), -1)
+        p_sm[two_s // 2, (n - two_s) // 2 : (n + two_s) // 2 + 1] = np.einsum(
+            "acx,acx->c", pairs, pairs)[::-1]
+        blocks[two_s] = coeffs.reshape(len(coeffs), -1)
     return True, blocks, _checked_table(p_sm)
 
 
@@ -475,8 +469,8 @@ def su2_twirl(state: State) -> DensityMatrix:
     out = np.zeros((state.dim,) * 2, dtype=complex)
     for w, (rows, block) in enumerate(zip(basis.rows, basis.blocks)):
         twirled = np.zeros((len(rows),) * 2, dtype=complex)
-        for s, first, mult in basis.segments(w):
-            twirled[first : first + mult, first : first + mult] = sums[s] / (2 * s + 1)
+        for two_s, first, mult in basis.segments(w):
+            twirled[first : first + mult, first : first + mult] = sums[two_s] / (two_s + 1)
         out[np.ix_(rows, rows)] = (
             block @ twirled.real @ block.T + 1j * (block @ twirled.imag @ block.T)
         )
@@ -493,12 +487,11 @@ def su2_shannon_rhs(table: SectorTable) -> float:
 
 def su2_support_bound(n_qubits: int) -> float:
     """State-independent cap ln(sum_s (2s+1) min(n_s, 2s+1)) on the twirl entropy gain."""
-    if n_qubits % 2 != 0:
-        raise ValidationError(f"only even N is supported, got {n_qubits}")
+    if n_qubits < 1:
+        raise ValidationError(f"the support bound needs N >= 1 qubits, got {n_qubits}")
     total = 0
-    for s in range(n_qubits // 2 + 1):
-        dim = 2 * s + 1
-        total += dim * min(multiplicity(n_qubits, s), dim)
+    for two_s in range(n_qubits, -1, -2):
+        total += (two_s + 1) * min(multiplicity(n_qubits, two_s / 2), two_s + 1)
     return float(np.log(total))
 
 
@@ -541,7 +534,7 @@ def su2_asymmetry(state: State) -> Su2AsymmetryReport:
     """
     factored, blocks, table = _sectors(state)
     twirled = sum(
-        block_entropy(block, factored, 2 * s + 1) for s, block in blocks.items()
+        block_entropy(block, factored, two_s + 1) for two_s, block in blocks.items()
     )
     delta = twirled - von_neumann_entropy(state)
     report = Su2AsymmetryReport(

@@ -110,8 +110,9 @@ def _schur_block_defect(basis: su2.SchurBasis) -> float:
     The rows must partition 0..2^N-1 by weight and every block be square
     (exact; a failure counts as 1).  Each block must have B_w^T B_w = I, and
     the lowering operator S_- = sum_j sigma^-_j must take column (s, m, alpha)
-    of block w to sqrt((s+m)(s-m+1)) times column (s, m-1, alpha) of block
-    w+1, the Condon-Shortley ladder that fixes every column's sign.
+    of block w to sqrt((s+m)(s-m+1)) = sqrt((2s+2m)(2s-2m+2)/4) times column
+    (s, m-1, alpha) of block w+1, the Condon-Shortley ladder that fixes every
+    column's sign.
     """
     n = basis.n_qubits
     weights = states.bit_weights(n)
@@ -129,9 +130,10 @@ def _schur_block_defect(basis: su2.SchurBasis) -> float:
         worst = max(worst, float(np.abs(gram).max()))
     for w in range(n):
         lowered = _lowered_block(basis, w)
-        m = n // 2 - w
+        two_m = n - 2 * w
         coef = np.concatenate([
-            np.full(mult, math.sqrt((s + m) * (s - m + 1))) for s, _first, mult in basis.segments(w)
+            np.full(mult, math.sqrt((two_s + two_m) * (two_s - two_m + 2) / 4))
+            for two_s, _first, mult in basis.segments(w)
         ])
         # columns past the first ``common`` must lower to zero: they keep S_- B_w as it is
         common = min(lowered.shape)
@@ -826,24 +828,26 @@ def _oracle_spreading(rng) -> tuple[float, str]:
 
 def _oracle_polarized(rng) -> tuple[float, str]:
     worst = 0.0
-    for n in (2, 4, 6):
+    for n in range(2, 8):
         rep = su2.su2_asymmetry(states.zero_state(n))
         worst = max(worst, abs(rep.delta_s - math.log(n + 1)))
         worst = max(worst, abs(rep.bound_sector_entropy - rep.delta_s))
-        # the S_z blocks against the column-by-column reference build
-        blocks = su2.build_schur_basis(n).dense()
-        worst = max(worst, float(np.abs(blocks - su2._dense_schur_basis(n)).max()))
-        if n >= 4:
-            # block-route twirled entropy against the eigensolve of the assembled twirl
-            rho = states.random_density_matrix(n, rng)
-            dense = states.von_neumann_entropy(su2.su2_twirl(rho))
-            dense -= states.von_neumann_entropy(rho)
-            worst = max(worst, abs(su2.su2_asymmetry(rho).delta_s - dense))
-    for n in (2, 4, 6, 8):
+        if n < 7:
+            # the S_z blocks against the column-by-column reference build
+            blocks = su2.build_schur_basis(n).dense()
+            worst = max(worst, float(np.abs(blocks - su2._dense_schur_basis(n)).max()))
+    for n in (4, 6):
+        # block-route twirled entropy against the eigensolve of the assembled twirl
+        rho = states.random_density_matrix(n, rng)
+        dense = states.von_neumann_entropy(su2.su2_twirl(rho))
+        dense -= states.von_neumann_entropy(rho)
+        worst = max(worst, abs(su2.su2_asymmetry(rho).delta_s - dense))
+    for n in (2, 4, 6, 8, 3, 5, 7):
         # a pure state and a rank-4 rho, each with its exact factor, against the same
         # matrix without it: the coupling route against the basis route, Gram-matrix
-        # S(rho), <S^2> = sum_s p_s s(s+1) against the moments of F, and, below
-        # n = 8, whose dense gauge rotation costs as much as the rest, the rotated factor
+        # S(rho), <S^2> = sum_s p_s s(s+1) against the moments of F, and, at n = 2, 4
+        # and 6, the rotated factor (a dense gauge rotation from n = 7 on costs as much
+        # as the rest); odd n is drawn last, so the even-n inputs stay as they were
         a = rng.standard_normal((2**n, 4)) + 1j * rng.standard_normal((2**n, 4))
         factored = DensityMatrix.from_factor(a / np.linalg.norm(a))
         for state in (states.random_state(n, rng), factored):
@@ -854,14 +858,14 @@ def _oracle_polarized(rng) -> tuple[float, str]:
             casimir = float(np.sum(table.p_s * spins * (spins + 1)))
             worst = max(worst, abs(gap), abs(casimir - su2.spin_moments(state)["s2"]),
                         float(np.abs(table.p_sm - su2.sector_distribution(bare).p_sm).max()))
-            if n < 8:
+            if n in (2, 4, 6):
                 moved = su2.spin_moments(su2.zero_transverse_rotation(state)[0])
                 dense = su2.spin_moments(su2.zero_transverse_rotation(bare)[0])
                 worst = max(worst, max(abs(moved[k] - dense[k]) for k in dense))
     return (
         EXACT_TOL - worst,
-        "fully polarized state saturates the sector bound; blocks vs dense basis and twirl;"
-        " coupled F vs basis route of rho, pure and rank 4, n=2..8",
+        "fully polarized state saturates the sector bound, n=2..7; blocks vs dense basis"
+        " and twirl; coupled F vs basis route of rho, pure and rank 4, n=2..8",
     )
 
 

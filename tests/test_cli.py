@@ -315,10 +315,20 @@ def test_su2_command_statevector_file(tmp_path):
     assert_allclose(report["report"]["delta_s"], math.log(5.0), atol=1e-10)
 
 
-def test_su2_command_rejects_odd_n(tmp_path, capsys):
-    code = main(["su2", "--state", "ghz", "--n", "5", "--output", str(tmp_path)])
-    assert code == 2
-    assert "even" in capsys.readouterr().err
+def test_su2_command_runs_odd_n(tmp_path, capsys):
+    """Odd N runs, pure and rank 4 with a clustering range; half filling still needs even N."""
+    out = tmp_path / "zero"
+    assert main(["su2", "--state", "zero", "--n", "7", "--output", str(out)]) == 0
+    assert_allclose(_read_report(out)["report"]["delta_s"], math.log(8.0), rtol=0, atol=1e-12)
+    mixed = {"experiment": "su2-asymmetry", "geometry": {"dimension": 1, "linear_size": 7},
+             "state_spec": {"kind": "random", "seed": 0, "rank": 4}, "clustering_range": 1,
+             "output": str(tmp_path / "mixed")}
+    assert main(["run", _write(tmp_path / "mixed.json", mixed)]) == 0
+    assert _read_report(tmp_path / "mixed")["all_bounds_hold"] is True
+    capsys.readouterr()
+    assert main(["su2", "--state", "dicke", "--n", "7", "--output", str(tmp_path / "d")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "non-integer excitation count" in err
 
 
 def _circuit_with_gate(tmp_path, gate, **fields):

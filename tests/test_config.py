@@ -121,15 +121,16 @@ def test_statevector_cap_yields_resource_error():
         )
 
 
-def test_su2_requires_even_sites():
-    with pytest.raises(ConfigError):
-        validate_config(
+def test_su2_takes_odd_sites():
+    for spec in ({"kind": "ghz"}, {"kind": "random", "rank": 4}):
+        cfg = validate_config(
             {
                 "experiment": "su2-asymmetry",
                 "geometry": {"dimension": 1, "linear_size": 5},
-                "state_spec": {"kind": "ghz"},
+                "state_spec": spec,
             }
         )
+        assert cfg.geometry.n_sites == 5
 
 
 def test_load_config_round_trip(tmp_path):

@@ -338,6 +338,24 @@ def test_random_density_matrix_keeps_factor_below_full_rank_only():
     assert np.array_equal(full.matrix, _wishart(3, 17, 8))
 
 
+def test_random_density_matrix_draws_its_factor_in_place():
+    """A rank-4 draw at N = 18 (F = 16 MiB) peaks below 2.6 F, with the bits of (X + iY) / |.|.
+
+    A is filled by its real and imaginary parts and scaled in place; the peak is
+    A, ``from_factor``'s copy of it and one real temporary of its norm.
+    """
+    tracemalloc.start()
+    try:
+        rho = random_density_matrix(18, np.random.default_rng(41), rank=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.6 * rho.factor.nbytes
+    a = _gaussian(18, 41, 4)
+    a /= np.sqrt(np.sum(a.real**2) + np.sum(a.imag**2))
+    assert np.array_equal(rho.factor.view(float), a.view(float))
+
+
 def test_gram_entropy_matches_dense_eigensolve():
     rng = np.random.default_rng(29)
     for n in range(1, 11):

@@ -18,6 +18,7 @@ from asymlab.states import (
     StateVector,
     apply_site_matrix,
     basis_state,
+    block_entropy,
     density_matrix_cap,
     ghz_state,
     product_state,
@@ -54,13 +55,13 @@ def _rotate_all(psi: StateVector, u: np.ndarray) -> StateVector:
     return StateVector(amps)
 
 
-def _column_spins(basis) -> list[tuple[int, int]]:
+def _column_spins(basis) -> list[tuple[float, float]]:
     """(s, m) of every column of ``basis.dense()``: column start + alpha (2s+1) + (s - m)."""
     spins = {}
-    for s, start, mult in basis.sectors:
+    for two_s, start, mult in basis.sectors:
         for alpha in range(mult):
-            for m in range(-s, s + 1):
-                spins[start + alpha * (2 * s + 1) + (s - m)] = (s, m)
+            for c in range(two_s + 1):
+                spins[start + alpha * (two_s + 1) + c] = (two_s / 2, two_s / 2 - c)
     return [spins[col] for col in range(2**basis.n_qubits)]
 
 
@@ -72,14 +73,21 @@ def test_multiplicity_worked_values():
     assert multiplicity(4, 2) == 1
     assert multiplicity(4, 1) == 3
     assert multiplicity(4, 0) == 2
-    with pytest.raises(ValidationError):
-        multiplicity(3, 1)
+    # three qubits: 1 quartet, 2 doublets
+    assert multiplicity(3, 1.5) == 1
+    assert multiplicity(3, 0.5) == 2
+    # s must be N/2 minus a whole number, and in [0, N/2]
+    for n, s in ((5, 1), (4, 0.5), (3, 0), (4, 3), (3, 2.5), (3, -0.5), (4, -1)):
+        with pytest.raises(ValidationError, match=f"no spin {s} among {n} qubits"):
+            multiplicity(n, s)
 
 
-@pytest.mark.parametrize("n", [2, 4, 6, 8])
+@pytest.mark.parametrize("n", range(1, 14))
 def test_sector_dimensions_tile_the_hilbert_space(n):
-    total = sum((2 * s + 1) * multiplicity(n, s) for s in range(n // 2 + 1))
+    total = sum((2 * s + 1) * multiplicity(n, s) for s in n / 2 - np.arange(n // 2 + 1))
     assert total == 2**n
+    # the support cap never exceeds ln 2^N, the entropy of the maximally mixed state
+    assert su2_support_bound(n) <= n * math.log(2.0) + 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
@@ -93,39 +101,39 @@ def test_schur_basis_two_qubits_is_triplet_singlet():
     basis = build_schur_basis(2)
     matrix = basis.dense()
     # one triplet (columns 0..2 hold m = 1, 0, -1), then one singlet
-    assert basis.sectors == ((1, 0, 1), (0, 3, 1))
-    starts = {s: start for s, start, _mult in basis.sectors}
+    assert basis.sectors == ((2, 0, 1), (0, 3, 1))
+    starts = {two_s: start for two_s, start, _mult in basis.sectors}
     v = matrix[:, starts[0]]
     expected = np.zeros(4)
     expected[1], expected[2] = 1.0, -1.0
     expected /= np.sqrt(2.0)
     assert_allclose(np.abs(np.vdot(expected, v)), 1.0, atol=1e-12)
-    trip_top = matrix[:, starts[1]]
+    trip_top = matrix[:, starts[2]]
     assert_allclose(np.abs(trip_top), [1.0, 0.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_schur_columns_diagonalize_the_casimir():
-    n = 4
-    basis = build_schur_basis(n)
     # build S^2 = Sx^2 + Sy^2 + Sz^2 densely from collective Paulis
     from asymlab.states import PAULI
 
-    d = 2**n
-    s_ops = []
-    for axis in ("x", "y", "z"):
-        acc = np.zeros((d, d), dtype=complex)
-        for site in range(n):
-            acc += apply_site_matrix(np.eye(d, dtype=complex), PAULI[axis], site)
-        s_ops.append(acc / 2.0)
-    s2 = sum(op @ op for op in s_ops)
-    matrix = basis.dense()
-    for col, (s, m) in enumerate(_column_spins(basis)):
-        v = matrix[:, col]
-        assert_allclose(s2 @ v, s * (s + 1.0) * v, atol=1e-10)
-        assert_allclose(s_ops[2] @ v, m * v, atol=1e-10)
+    for n in (3, 4):
+        basis = build_schur_basis(n)
+        d = 2**n
+        s_ops = []
+        for axis in ("x", "y", "z"):
+            acc = np.zeros((d, d), dtype=complex)
+            for site in range(n):
+                acc += apply_site_matrix(np.eye(d, dtype=complex), PAULI[axis], site)
+            s_ops.append(acc / 2.0)
+        s2 = sum(op @ op for op in s_ops)
+        matrix = basis.dense()
+        for col, (s, m) in enumerate(_column_spins(basis)):
+            v = matrix[:, col]
+            assert_allclose(s2 @ v, s * (s + 1.0) * v, atol=1e-10)
+            assert_allclose(s_ops[2] @ v, m * v, atol=1e-10)
 
 
-@pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 10])
 def test_block_basis_equals_dense_reference(n):
     basis = build_schur_basis(n)
     assert np.array_equal(basis.dense(), _dense_schur_basis(n))
@@ -135,8 +143,9 @@ def test_block_basis_equals_dense_reference(n):
     for w, (rows, block) in enumerate(zip(basis.rows, basis.blocks)):
         assert rows.size == math.comb(n, w)
         assert block.shape == (rows.size, rows.size)
-        assert [s for s, _first, mult in basis.segments(w) for _ in range(mult)] == sorted(
-            (s for s, m in _column_spins(basis) if m == n // 2 - w), reverse=True
+        assert [two_s / 2 for two_s, _first, mult in basis.segments(w)
+                for _ in range(mult)] == sorted(
+            (s for s, m in _column_spins(basis) if m == n / 2 - w), reverse=True
         )
 
 
@@ -151,10 +160,22 @@ def test_schur_basis_is_built_once_per_n_and_capped_on_every_call(monkeypatch):
     assert build_schur_basis(4) is build_schur_basis(4)
 
 
-def test_block_basis_rejects_odd_n():
-    for n in (1, 3):
-        with pytest.raises(ValidationError):
-            build_schur_basis(n)
+def test_block_basis_takes_odd_n_with_half_integer_spins():
+    for n in (1, 3, 5):
+        basis = build_schur_basis(n)
+        assert [two_s for two_s, _start, _mult in basis.sectors] == list(range(n, 0, -2))
+        assert [mult for _two_s, _start, mult in basis.sectors] == [
+            multiplicity(n, two_s / 2) for two_s in range(n, 0, -2)]
+
+
+def test_no_spin_route_takes_zero_qubits():
+    """N = 0 is refused with one line; a one-amplitude state is not read as N = 1."""
+    for call in (lambda: su2_asymmetry(StateVector(np.ones(1))),
+                 lambda: sector_distribution(DensityMatrix(np.ones((1, 1)))),
+                 lambda: build_schur_basis(0), lambda: su2_support_bound(0)):
+        with pytest.raises(ValidationError, match="N >= 1 qubits, got 0") as info:
+            call()
+        assert "\n" not in str(info.value)
 
 
 def _dense_twirl(rho: np.ndarray, basis) -> np.ndarray:
@@ -162,8 +183,8 @@ def _dense_twirl(rho: np.ndarray, basis) -> np.ndarray:
     matrix = basis.dense()
     rot = matrix.T @ rho @ matrix
     out = np.zeros_like(rot)
-    for s, start, mult in basis.sectors:
-        width = 2 * s + 1
+    for two_s, start, mult in basis.sectors:
+        width = two_s + 1
         size = mult * width
         r = rot[start : start + size, start : start + size].reshape(mult, width, mult, width)
         avg = np.einsum("ambm->ab", r) / width
@@ -177,11 +198,12 @@ def _dense_sector_table(rho: np.ndarray, basis) -> np.ndarray:
     diag = np.real(np.diag(matrix.T @ rho @ matrix))
     expected = np.zeros((n // 2 + 1, n + 1))
     for col, (s, m) in enumerate(_column_spins(basis)):
-        expected[s, m + n // 2] += diag[col]
+        # row r holds s = r + (N mod 2)/2
+        expected[int(s), int(m + n / 2)] += diag[col]
     return np.clip(expected, 0.0, None)
 
 
-@pytest.mark.parametrize("n", [2, 4, 6, 8])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_block_routes_match_dense_reference_for_density_matrices(n):
     rng = np.random.default_rng(200 + n)
     basis = build_schur_basis(n)
@@ -197,7 +219,7 @@ def test_block_routes_match_dense_reference_for_density_matrices(n):
             assert_allclose(su2_twirl(state).matrix, twirl, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 9, 10])
 def test_block_routes_match_dense_reference_for_pure_states(n):
     rng = np.random.default_rng(300 + n)
     basis = build_schur_basis(n)
@@ -442,6 +464,9 @@ def test_support_bound_value():
     assert_allclose(su2_support_bound(2), math.log(4.0), atol=1e-14)
     # N=4: 1*min(2,1) + 3*min(3,3) + 5*min(1,5) = 1 + 9 + 5 = 15
     assert_allclose(su2_support_bound(4), math.log(15.0), atol=1e-14)
+    # N=1: one doublet, 2; N=3: 4*min(1,4) + 2*min(2,2) = 8
+    assert_allclose(su2_support_bound(1), math.log(2.0), atol=1e-14)
+    assert_allclose(su2_support_bound(3), math.log(8.0), atol=1e-14)
 
 
 def test_spin_moments_of_polarized_state():
@@ -624,11 +649,10 @@ def _su2_readings(state) -> dict:
     gauged, u = zero_transverse_rotation(state)
     out["gauge u"] = u
     out["gauged rho"] = gauged.matrix
-    if state.n_qubits % 2 == 0:
-        rep = su2_asymmetry(state)
-        out["delta_s"] = rep.delta_s
-        out["sector bound"] = rep.bound_sector_entropy
-        out["p_sm"] = sector_distribution(state).p_sm
+    rep = su2_asymmetry(state)
+    out["delta_s"] = rep.delta_s
+    out["sector bound"] = rep.bound_sector_entropy
+    out["p_sm"] = sector_distribution(state).p_sm
     return out
 
 
@@ -644,10 +668,9 @@ def test_factor_route_matches_matrix_route(n):
         bare = _su2_readings(DensityMatrix(rho.matrix))
         for key, value in bare.items():
             assert_allclose(factored[key], value, rtol=0, atol=1e-12, err_msg=f"{key} r={rank}")
-        if n % 2 == 0:
-            # the coupled sector table against the moments of F, two routes with no basis
-            assert_allclose(_casimir(sector_distribution(rho)), factored["moment s2"],
-                            rtol=0, atol=1e-12, err_msg=f"r={rank}")
+        # the coupled sector table against the moments of F, two routes with no basis
+        assert_allclose(_casimir(sector_distribution(rho)), factored["moment s2"],
+                        rtol=0, atol=1e-12, err_msg=f"r={rank}")
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
@@ -704,8 +727,8 @@ def test_pure_and_factored_states_never_build_the_schur_basis(monkeypatch):
         su2_asymmetry(DensityMatrix(rho.matrix))
 
 
-def test_coupling_takes_odd_n_and_the_sector_routes_refuse_it():
-    """Odd N couples to half-integer spins with the right multiplicities; the table is even-N."""
+def test_coupling_takes_odd_n_and_the_sector_routes_run_it():
+    """Odd N couples to half-integer spins with the right multiplicities, and |0^N> saturates."""
     for n in (1, 3, 5):
         blocks = su2.couple_factor(zero_state(n).factor)
         assert sorted(blocks) == list(range(n % 2, n + 1, 2))
@@ -714,8 +737,32 @@ def test_coupling_takes_odd_n_and_the_sector_routes_refuse_it():
             assert len(block) == math.comb(n, k) - (math.comb(n, k - 1) if k else 0)
         # |0...0> is all in the top spin, at m = +N/2
         assert_allclose(np.abs(blocks[n][0, 0, 0]), 1.0, rtol=0, atol=1e-15)
-        with pytest.raises(ValidationError, match="only even N"):
-            su2_asymmetry(zero_state(n))
+        rep = su2_asymmetry(zero_state(n))
+        assert_allclose(rep.delta_s, math.log(n + 1), rtol=0, atol=1e-15)
+        assert_allclose(rep.bound_sector_entropy, rep.delta_s, rtol=0, atol=1e-15)
+        table = sector_distribution(zero_state(n))
+        assert_allclose(table.spins, np.arange(n % 2, n + 1, 2) / 2, rtol=0, atol=0)
+        assert table.p_sm[-1, -1] == pytest.approx(1.0, abs=1e-15)
+
+
+def test_coupling_matches_the_basis_route_at_n11():
+    """Twirled entropy and p_{s,m} of F against those of rho without its factor.
+
+    ``test_factor_route_matches_matrix_route`` compares whole readings up to
+    N = 10; here the matrix-built S(rho) would eigensolve 2^11 x 2^11, so only
+    the twirled side is compared.
+    """
+    n = 11
+    rng = np.random.default_rng(1100 + n)
+    for state in (random_state(n, rng), random_density_matrix(n, rng, rank=4)):
+        routes = []
+        for st in (state, DensityMatrix(state.matrix)):
+            factored, blocks, table = su2._sectors(st)
+            twirled = sum(block_entropy(b, factored, two_s + 1) for two_s, b in blocks.items())
+            routes.append((twirled, table.p_sm))
+        (coupled, p_coupled), (basis, p_basis) = routes
+        assert_allclose(coupled, basis, rtol=0, atol=1e-12)
+        assert_allclose(p_coupled, p_basis, rtol=0, atol=1e-14)
 
 
 def test_factored_kernels_run_above_the_density_matrix_cap(monkeypatch):

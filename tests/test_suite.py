@@ -201,7 +201,7 @@ def test_schur_unitarity_catches_a_flipped_column_of_the_next_spin(monkeypatch):
     assert not all_passed(bound_suite(names=["schur-unitarity"]))
 
 
-@pytest.mark.parametrize("n", [2, 4, 6, 8])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8])
 def test_lowered_block_equals_dense_lowering_of_the_basis(n):
     basis = suite.su2.build_schur_basis(n)
     dim = 2**n
@@ -210,12 +210,12 @@ def test_lowered_block_equals_dense_lowering_of_the_basis(n):
         free = np.flatnonzero(((np.arange(dim) >> j) & 1) == 0)
         lowering[free | (1 << j), free] = 1.0
     lowered = lowering @ basis.dense()
-    starts = {s: start for s, start, _mult in basis.sectors}
+    starts = {two_s: start for two_s, start, _mult in basis.sectors}
     for w in range(n):
-        m = n // 2 - w
+        two_m = n - 2 * w
         cols = np.concatenate([
-            starts[s] + np.arange(mult) * (2 * s + 1) + (s - m)
-            for s, _offset, mult in basis.segments(w)
+            starts[two_s] + np.arange(mult) * (two_s + 1) + (two_s - two_m) // 2
+            for two_s, _offset, mult in basis.segments(w)
         ])
         expected = lowered[np.ix_(basis.rows[w + 1], cols)]
         np.testing.assert_allclose(suite._lowered_block(basis, w), expected, rtol=0, atol=1e-13)
