@@ -14,7 +14,6 @@ _EXPORTS = {
     "errors": (
         "AsymlabError",
         "ConfigError",
-        "PreconditionError",
         "ResourceError",
         "ValidationError",
     ),

@@ -49,13 +49,7 @@ from .config import (
     state_spec_from_name,
     validate_config,
 )
-from .errors import (
-    AsymlabError,
-    ConfigError,
-    PreconditionError,
-    ResourceError,
-    ValidationError,
-)
+from .errors import AsymlabError, ConfigError, ResourceError, ValidationError
 from .tolerances import CORRELATOR_TOL
 
 EXIT_OK = 0
@@ -254,10 +248,7 @@ def _run_su2(cfg: ExperimentConfig) -> int:
 
     state, _, crange = _state_and_range(cfg)
     rep = su2.su2_asymmetry(state)
-    casimir = None
-    if crange is not None:
-        gauged, _ = su2.zero_transverse_rotation(state)
-        casimir = su2.casimir_constraint_check(gauged, cfg.geometry, crange)
+    casimir = None if crange is None else su2.casimir_constraint_check(state, cfg.geometry, crange)
 
     report = _in_base(rep.to_dict(), cfg.log_base)
     row = _report_row(report)
@@ -539,9 +530,6 @@ def main(argv=None) -> int:
     except ResourceError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except PreconditionError as exc:
-        print(f"precondition failed: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
     except ValidationError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -9,10 +9,6 @@ class ValidationError(AsymlabError, ValueError):
     """A state, operator, channel or argument failed a consistency check."""
 
 
-class PreconditionError(ValidationError):
-    """An operation was called on input that violates its stated precondition."""
-
-
 class ResourceError(AsymlabError, RuntimeError):
     """A request exceeds a size cap; the message names the cap that fired."""
 

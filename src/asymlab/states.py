@@ -28,7 +28,8 @@ None``.  The factor route reads only F and forms no 2^N x 2^N matrix, so a
 factored state stays factored through ``von_neumann_entropy``,
 ``u1.charge_distribution``, ``u1.u1_asymmetry``, ``reduced_density_matrix``,
 ``circuits.apply_circuit``, ``su2.su2_asymmetry``, ``su2.sector_distribution``
-(which couple F itself, with no Schur basis), ``su2.spin_moments`` and
+(which couple F itself, with no Schur basis), ``su2.spin_moments`` (and so
+``su2.casimir_constraint_check``, which reads F unturned) and
 ``su2.zero_transverse_rotation``; the matrix route reads rho.  Both routes of
 an entropy end in ``block_entropy``: of F or rho, of the charge blocks of the
 U(1) twirl, or of the spin-sector blocks of the SU(2) twirl.  Operations that

@@ -32,9 +32,13 @@ matrix-built rho through the basis, each weight block rotated once
 (``_rotated_blocks``); both end in one block per spin s, whose
 ``states.block_entropy`` with 2s + 1 copies is that sector's share of the
 twirled entropy.  ``spin_moments`` and ``zero_transverse_rotation`` act on F
-or on rho.  ``su2_twirl`` divides each matrix-route block by 2s + 1 and rotates
-it back; it, ``_dense_schur_basis`` and ``su2_twirl_haar`` are references for
-tests and oracles, and with the suites they are the only callers of the basis
+or on rho.  ``casimir_constraint_check`` reads the spin along the mean-spin
+direction n off the moment matrix of ``spin_moments``, <S_n^2> = n^T M n, so
+no run turns a state; ``zero_transverse_rotation``, which does, is the
+reference the suites and tests hold that reading to.  ``su2_twirl`` divides
+each matrix-route block by 2s + 1 and rotates it back; it,
+``_dense_schur_basis`` and ``su2_twirl_haar`` are references for tests and
+oracles, and with the suites they are the only callers of the basis
 besides matrix-built states.
 
 Every N >= 1 runs, odd N with half-integer spins.  Inside this module a spin
@@ -51,7 +55,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import PreconditionError, ValidationError
+from .errors import ValidationError
 from .lattice import LatticeGeometry, neighborhood_cardinality
 from .states import (
     PAULI_X,
@@ -70,7 +74,6 @@ from .states import (
     von_neumann_entropy,
 )
 from .tolerances import (
-    CASIMIR_PRECONDITION_TOL,
     HAAR_QUADRATURE_TOL,
     MARGIN_TOL,
     NEGATIVE_ASYMMETRY_TOL,
@@ -617,63 +620,92 @@ def su2_twirl_haar(state: State) -> DensityMatrix:
 def spin_moments(state: State) -> dict:
     """First and second moments of the collective spin S = sum_j sigma_j / 2.
 
-    <Sz> and <Sz^2> are read off the computational-basis weights.  The factor
-    route applies Sum_j sigma^a_j to F, one Pauli per site, and reads
-    <S_a> = tr(F^dagger S_a F) and <S_a^2> = |S_a F|^2: O(N r 2^N).  The matrix
-    route never multiplies rho: each <sigma^a_j> and <sigma^a_i sigma^a_j> is
-    a signed sum of the entries rho[l, l ^ mask] over one or two flipped
-    sites, gathered for all masks at once: O(N^2 2^N) reads of rho.
+    Keys: the means ``sx``, ``sy``, ``sz``, the entries M_ab = Re <S_a S_b> of
+    the moment matrix (``sx2``, ``sy2``, ``sz2`` on the diagonal, ``sxy``,
+    ``sxz``, ``syz`` off it) and ``s2`` = tr M = <S^2>.  <Sz> and <Sz^2> are
+    read off the computational-basis weights, the rest off F
+    (``_factor_moments``) or off the entries of rho (``_gathered_moments``).
     """
     n = state.n_qubits
     m_values = (n - 2.0 * bit_weights(n)) / 2.0
     fac = state.factor
+    # F first, so that the weights are not held beside S_x F and S_y F
+    out = {} if fac is None else _factor_moments(fac, m_values)
     probs = state.diagonal()
-    out = {
-        "sz": float(np.sum(probs * m_values)),
-        "sz2": float(np.sum(probs * m_values**2)),
-    }
+    out["sz"] = float(np.sum(probs * m_values))
+    out["sz2"] = float(np.sum(probs * m_values**2))
     if fac is None:
-        out.update(_transverse_moments(state.matrix, float(np.sum(probs))))
-    else:
-        for axis in ("x", "y"):
-            phi = np.zeros_like(fac)
-            for site in range(n):
-                phi += apply_pauli(fac, site, axis)
-            phi /= 2.0
-            # vdot flattens both: sum_ij conj(F_ij) phi_ij = tr(F^dagger phi)
-            out[f"s{axis}"] = float(np.real(np.vdot(fac, phi)))
-            out[f"s{axis}2"] = float(np.real(np.vdot(phi, phi)))
+        out.update(_gathered_moments(state.matrix, float(np.sum(probs))))
     out["s2"] = out["sx2"] + out["sy2"] + out["sz2"]
     return out
 
 
-def _transverse_moments(rho: np.ndarray, trace: float) -> dict:
-    """<Sx>, <Sy>, <Sx^2>, <Sy^2> of a density matrix by gathering its entries.
+def _factor_moments(fac: np.ndarray, m_values: np.ndarray) -> dict:
+    """The transverse means and moment-matrix entries of rho = F F^dagger, read off F.
 
-    With b_j = 1 << (n-1-j) the flip mask of site j:
-    <sigma^x_j> = sum_l rho[l, l^b_j] and <sigma^y_j> = i sum_l (-1)^{l_j} rho[l, l^b_j];
-    for i < j, <sigma^x_i sigma^x_j> = sum_l rho[l, l^b_i^b_j] and
-    <sigma^y_i sigma^y_j> = -sum_l (-1)^{l_i + l_j} rho[l, l^b_i^b_j].
-    Then <S_a> = sum_j <sigma^a_j> / 2 and <S_a^2> = (N tr rho + 2 sum_{i<j} <sigma^a_i sigma^a_j>) / 4.
+    For a = x, then y, phi_a = S_a F = sum_j sigma^a_j F / 2, one Pauli per
+    site: <S_a> = Re tr(F^dagger phi_a) and M_ab = Re tr(phi_a^dagger phi_b),
+    with S_z F = m F, the weights ``m_values`` times the rows of F, never
+    formed.  O(N r 2^N), holding phi_x, phi_y and one temporary beside F.
+    """
+    out, phis = {}, []
+    for axis in ("x", "y"):
+        phi = np.zeros_like(fac)
+        for site in range(qubit_count(fac.shape[0])):
+            phi += apply_pauli(fac, site, axis)
+        phi /= 2.0
+        # vdot flattens both: sum_ij conj(F_ij) phi_ij = tr(F^dagger phi)
+        out[f"s{axis}"] = float(np.real(np.vdot(fac, phi)))
+        out[f"s{axis}2"] = float(np.real(np.vdot(phi, phi)))
+        # sum_l m_l Re sum_i conj(phi_li) F_li, over the real and imaginary views
+        out[f"s{axis}z"] = float(m_values @ (np.einsum("li,li->l", phi.real, fac.real)
+                                             + np.einsum("li,li->l", phi.imag, fac.imag)))
+        phis.append(phi)
+    out["sxy"] = float(np.real(np.vdot(*phis)))
+    return out
+
+
+def _gathered_moments(rho: np.ndarray, trace: float) -> dict:
+    """The transverse means and moment-matrix entries of rho by gathering its entries.
+
+    With b_j = 1 << (n-1-j) the flip mask of site j, z_j = (-1)^{l_j} its sign
+    and 2m = sum_j z_j, one gather of single = rho[l, l^b_j] and, for i < j,
+    pair = rho[l, l^b_i^b_j] gives every moment but <Sz> and <Sz^2>:
+    <sigma^x_j> = sum_l single and <sigma^y_j> = i sum_l z_j single;
+    <sigma^x_i sigma^x_j> = sum_l pair and <sigma^y_i sigma^y_j> = -sum_l z_i z_j pair,
+    so <S_a> = sum_j <sigma^a_j> / 2 and
+    <S_a^2> = (N tr rho + 2 sum_{i<j} <sigma^a_i sigma^a_j>) / 4.  The cross
+    terms drop each site's product with itself, whose mean is imaginary:
+    M_xz = Re sum single (2m - z_j) / 4, M_yz = Re i sum single (z_j 2m - 1) / 4
+    and M_xy = Re i sum pair (z_i + z_j) / 4.  O(N^2 2^N) reads of rho.
     """
     n = qubit_count(rho.shape[0])
     rows = np.arange(2**n)
     shifts = np.arange(n - 1, -1, -1)
     masks = 1 << shifts
-    bits = (rows >> shifts[:, None]) & 1
     first, second = np.triu_indices(n, k=1)
 
     single = rho[rows, rows ^ masks[:, None]]
     pair = rho[rows, rows ^ (masks[first] | masks[second])[:, None]]
-    single_sign = 1 - 2 * bits
-    pair_sign = 1 - 2 * (bits[first] ^ bits[second])
+    z = 1 - 2 * ((rows >> shifts[:, None]) & 1)
+    two_m = z.sum(axis=0)
 
     return {
         "sx": float(np.real(np.sum(single))) / 2.0,
-        "sy": float(np.real(1j * np.sum(single_sign * single))) / 2.0,
+        "sy": float(np.real(1j * np.sum(z * single))) / 2.0,
         "sx2": (n * trace + 2.0 * float(np.real(np.sum(pair)))) / 4.0,
-        "sy2": (n * trace - 2.0 * float(np.real(np.sum(pair_sign * pair)))) / 4.0,
+        "sy2": (n * trace - 2.0 * float(np.real(np.sum(z[first] * z[second] * pair)))) / 4.0,
+        "sxy": float(np.real(1j * np.sum((z[first] + z[second]) * pair))) / 4.0,
+        "sxz": float(np.real(np.sum((two_m - z) * single))) / 4.0,
+        "syz": float(np.real(1j * np.sum((z * two_m - 1) * single))) / 4.0,
     }
+
+
+def _mean_spin_axis(moments: dict) -> np.ndarray:
+    """The unit vector n = <S> / |<S>| of ``spin_moments``, or z when |<S>| < ZERO_NORM."""
+    mean = np.array([moments["sx"], moments["sy"], moments["sz"]])
+    norm = float(np.linalg.norm(mean))
+    return mean / norm if norm >= ZERO_NORM else np.array([0.0, 0.0, 1.0])
 
 
 def zero_transverse_rotation(state: State):
@@ -682,14 +714,12 @@ def zero_transverse_rotation(state: State):
     Returns (rotated_state, u) where u is the single-site unitary applied to
     every qubit.  A state with vanishing mean spin is returned unchanged with
     u = identity.  On the factor route only F is rotated, F' = u^{(x) N} F, and
-    a density matrix comes back as ``DensityMatrix.from_factor(F')``.
+    a density matrix comes back as ``DensityMatrix.from_factor(F')``.  No
+    kernel needs the turned state (``casimir_constraint_check`` reads the
+    mean-spin frame off the moment matrix); the suites and tests turn states
+    with it to check that reading.
     """
-    moments = spin_moments(state)
-    v = np.array([moments["sx"], moments["sy"], moments["sz"]])
-    norm = float(np.linalg.norm(v))
-    if norm < ZERO_NORM:
-        return state, np.eye(2, dtype=complex)
-    vhat = v / norm
+    vhat = _mean_spin_axis(spin_moments(state))
     axis = np.cross(vhat, [0.0, 0.0, 1.0])
     axis_norm = float(np.linalg.norm(axis))
     if axis_norm < ZERO_NORM:
@@ -713,7 +743,10 @@ def zero_transverse_rotation(state: State):
 
 @dataclass(frozen=True)
 class CasimirReport:
-    """Clustering constraint <S^2> - <Sz^2> <= c(Lambda) N and its precursor."""
+    """Clustering constraint <S^2> - <S_n^2> <= c(Lambda) N and its precursor.
+
+    n is the direction of the mean spin <S>.
+    """
 
     n_sites: int
     clustering_range: int
@@ -744,28 +777,27 @@ class CasimirReport:
 def casimir_constraint_check(
     state: State, geometry: LatticeGeometry, clustering_range: int
 ) -> CasimirReport:
-    """Check the collective-spin second-moment caps for a clustering state.
+    """Check the collective-spin second-moment caps for a clustering state, in any frame.
 
-    Precondition: the transverse mean spin must already be gauged away
-    (|<Sx>|, |<Sy>| <= CASIMIR_PRECONDITION_TOL), e.g. via zero_transverse_rotation.  The main
-    inequality is <S^2> - <Sz^2> <= c N; the precursor replaces <Sz^2> by the
-    squared mean spin |<S>|^2 and is the stronger statement that actually
-    requires clustering.
+    The main inequality is <S^2> - <S_n^2> <= c N, n = <S> / |<S>| the
+    direction of the mean spin (z when |<S>| < ZERO_NORM), with
+    <S_n^2> = n^T M n read off the moment matrix M_ab = Re <S_a S_b> of
+    ``spin_moments``, so the state is read once and never turned.  The
+    precursor replaces <S_n^2> by the squared mean spin |<S>|^2 and is the
+    stronger statement that actually requires clustering.
     """
     if geometry.n_sites != state.n_qubits:
         raise ValidationError(
             f"geometry has {geometry.n_sites} sites, state has {state.n_qubits}"
         )
     moments = spin_moments(state)
-    if max(abs(moments["sx"]), abs(moments["sy"])) > CASIMIR_PRECONDITION_TOL:
-        raise PreconditionError(
-            f"transverse mean spin exceeds {CASIMIR_PRECONDITION_TOL:g}; "
-            "apply zero_transverse_rotation first"
-        )
     z_lambda = neighborhood_cardinality(geometry, clustering_range)
     c_lambda = C_LAMBDA_PREFACTOR * z_lambda
     bound = c_lambda * geometry.n_sites
-    lhs = moments["s2"] - moments["sz2"]
+    nhat = _mean_spin_axis(moments)
+    matrix = np.array([[moments[key] for key in row] for row in (
+        ("sx2", "sxy", "sxz"), ("sxy", "sy2", "syz"), ("sxz", "syz", "sz2"))])
+    lhs = moments["s2"] - float(nhat @ matrix @ nhat)
     mean_sq = moments["sx"] ** 2 + moments["sy"] ** 2 + moments["sz"] ** 2
     precursor = moments["s2"] - mean_sq
     return CasimirReport(

@@ -846,8 +846,10 @@ def _oracle_polarized(rng) -> tuple[float, str]:
         # a pure state and a rank-4 rho, each with its exact factor, against the same
         # matrix without it: the coupling route against the basis route, Gram-matrix
         # S(rho), <S^2> = sum_s p_s s(s+1) against the moments of F, and, at n = 2, 4
-        # and 6, the rotated factor (a dense gauge rotation from n = 7 on costs as much
-        # as the rest); odd n is drawn last, so the even-n inputs stay as they were
+        # and 6, the rotated factor and, on each route, the frame-free Casimir lhs
+        # against <S^2> - <Sz^2> of the turned state (a dense gauge rotation from n = 7
+        # on costs as much as the rest); odd n is drawn last, so the even-n inputs stay
+        # as they were
         a = rng.standard_normal((2**n, 4)) + 1j * rng.standard_normal((2**n, 4))
         factored = DensityMatrix.from_factor(a / np.linalg.norm(a))
         for state in (states.random_state(n, rng), factored):
@@ -859,9 +861,12 @@ def _oracle_polarized(rng) -> tuple[float, str]:
             worst = max(worst, abs(gap), abs(casimir - su2.spin_moments(state)["s2"]),
                         float(np.abs(table.p_sm - su2.sector_distribution(bare).p_sm).max()))
             if n in (2, 4, 6):
-                moved = su2.spin_moments(su2.zero_transverse_rotation(state)[0])
-                dense = su2.spin_moments(su2.zero_transverse_rotation(bare)[0])
+                moved, dense = (su2.spin_moments(su2.zero_transverse_rotation(st)[0])
+                                for st in (state, bare))
                 worst = max(worst, max(abs(moved[k] - dense[k]) for k in dense))
+                for st, turned in ((state, moved), (bare, dense)):
+                    lhs = su2.casimir_constraint_check(st, lattice.LatticeGeometry(1, n), 1).lhs
+                    worst = max(worst, abs(lhs - (turned["s2"] - turned["sz2"])))
     return (
         EXACT_TOL - worst,
         "fully polarized state saturates the sector bound, n=2..7; blocks vs dense basis"
@@ -960,8 +965,8 @@ def _run(table, seed: int, first_salt: int, *args, names=None) -> list[CheckResu
     """Run the checks of ``table`` named in ``names`` (all when None), in table order.
 
     Check k draws from ``default_rng([seed, first_salt + k])`` whichever checks
-    run.  A check that raises ValidationError (PreconditionError included) is a
-    failed result with margin -inf, and the checks after it still run.
+    run.  A check that raises ValidationError is a failed result with margin
+    -inf, and the checks after it still run.
     """
     unknown = set() if names is None else names - {name for name, _ in table}
     if unknown:

@@ -55,8 +55,6 @@ CORRELATOR_TOL = 1e-10
 SPREAD_THRESHOLD = 1e-12
 # |<Sx>| and |<Sy>| after the gauge rotation that points the mean spin along +z
 TRANSVERSE_TOL = 1e-9
-# largest |<Sx>|, |<Sy>| the Casimir check accepts as already gauged
-CASIMIR_PRECONDITION_TOL = 1e-6
 # a charge sector whose total weight is below this contributes no entropy
 EMPTY_SECTOR_WEIGHT = 1e-14
 # two successive refinements of the Haar-quadrature rotation twirl agree within this

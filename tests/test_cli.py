@@ -26,7 +26,7 @@ from asymlab.config import (
     build_state,
     validate_config,
 )
-from asymlab.errors import AsymlabError, PreconditionError
+from asymlab.errors import AsymlabError
 from asymlab.lattice import LatticeGeometry
 from asymlab.states import ghz_state
 from asymlab.suite import CheckResult, bound_suite
@@ -239,16 +239,14 @@ def test_failed_invariant_exits_4(tmp_path, monkeypatch, capsys):
     report = _read_report(tmp_path / "out")
     assert report["all_checks_hold"] is False
     assert report["cluster_report"]["passed"] is False
-    # main's handlers of a failed precondition and of any other package error
-    for error, line in ((PreconditionError, "precondition failed"),
-                        (AsymlabError, "invariant failure")):
-        def fail(cfg, write, error=error):
-            raise error("forced")
+    # main's handler of any other package error
+    def fail(cfg, write):
+        raise AsymlabError("forced")
 
-        monkeypatch.setattr(cli, "run_experiment", fail)
-        capsys.readouterr()
-        assert main(["kink", "--n-min", "10", "--n-max", "100"]) == 4
-        assert capsys.readouterr().err == f"{line}: forced\n"
+    monkeypatch.setattr(cli, "run_experiment", fail)
+    capsys.readouterr()
+    assert main(["kink", "--n-min", "10", "--n-max", "100"]) == 4
+    assert capsys.readouterr().err == "invariant failure: forced\n"
 
 
 def test_clustering_command_passes_for_honest_claim(tmp_path):
@@ -1339,6 +1337,32 @@ def test_su2_runs_of_pure_and_factored_states_build_no_schur_basis(tmp_path, mon
              "state_spec": {"kind": "random", "seed": 3, "rank": 4}, "clustering_range": 2,
              "output": str(tmp_path / "mixed")}
     assert main(["run", _write(tmp_path / "mixed.json", mixed)]) == 0
+
+
+def test_su2_runs_read_the_moments_once_and_turn_no_state(tmp_path, monkeypatch):
+    """The Casimir check of an su2 or run op reads the moments once, in the state's own frame."""
+    calls = []
+
+    def spy(state, _kernel=su2.spin_moments):
+        calls.append(state.n_qubits)
+        return _kernel(state)
+
+    def refuse(state):
+        raise AssertionError("zero_transverse_rotation called on the run path")
+
+    monkeypatch.setattr(su2, "spin_moments", spy)
+    monkeypatch.setattr(su2, "zero_transverse_rotation", refuse)
+    argv = ["su2", "--state", "random:3", "--n", "8", "--clustering-range", "2",
+            "--output", str(tmp_path / "pure")]
+    assert main(argv) == 0
+    assert calls == [8]
+    mixed = {"experiment": "su2-asymmetry", "geometry": {"dimension": 1, "linear_size": 6},
+             "state_spec": {"kind": "random", "seed": 3, "rank": 4}, "clustering_range": 2,
+             "output": str(tmp_path / "mixed")}
+    calls.clear()
+    assert main(["run", _write(tmp_path / "mixed.json", mixed)]) == 0
+    assert calls == [6]
+    assert _read_report(tmp_path / "mixed")["casimir"]["passed"] is True
 
 
 def test_factored_su2_run_above_the_density_matrix_cap(tmp_path, monkeypatch):

@@ -60,7 +60,7 @@ def test_a_leading_axis_that_is_not_a_power_of_two_raises(length):
         lambda: apply_site_matrix(vec, PAULI["x"], 0),
         lambda: apply_pauli(mat, 0, "z"),
         lambda: su2.global_rotation(mat, np.eye(2)),
-        lambda: su2._transverse_moments(mat, 1.0),
+        lambda: su2._gathered_moments(mat, 1.0),
         lambda: circuits._sandwich(mat, PAULI["x"], (0,)),
         lambda: clustering._support_mass_fractions(mat[None]),
     ]

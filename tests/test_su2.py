@@ -10,10 +10,12 @@ from asymlab import su2
 from asymlab.circuits import apply_circuit, haar_unitary, random_brickwork
 from asymlab.closedforms import dicke_state
 from asymlab.clustering import variance_bound_check, verify_cluster_property
-from asymlab.errors import PreconditionError, ResourceError, ValidationError
+from asymlab.errors import ResourceError, ValidationError
 from asymlab.lattice import LatticeGeometry
 from asymlab.states import (
     PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     DensityMatrix,
     StateVector,
     apply_site_matrix,
@@ -537,6 +539,33 @@ def test_spin_moments_of_density_matrix_closed_forms(n):
         assert_allclose(mom[f"s{axis}2"], n**2 / 4, atol=1e-12)
 
 
+def _dense_collective_spin(n: int) -> list[np.ndarray]:
+    """S_x, S_y and S_z of N qubits as 2^N x 2^N matrices, site 0 the most significant bit."""
+    out = []
+    for pauli in (PAULI_X, PAULI_Y, PAULI_Z):
+        total = np.zeros((2**n,) * 2, dtype=complex)
+        for site in range(n):
+            total += np.kron(np.kron(np.eye(2**site), pauli), np.eye(2 ** (n - 1 - site)))
+        out.append(total / 2.0)
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_moment_matrix_matches_dense_traces(n):
+    """M_ab = Re <S_a S_b> of F and of the gathered rho against Tr(rho S_a S_b)."""
+    rng = np.random.default_rng(300 + n)
+    spin = _dense_collective_spin(n)
+    entries = {"sx2": (0, 0), "sy2": (1, 1), "sz2": (2, 2),
+               "sxy": (0, 1), "sxz": (0, 2), "syz": (1, 2)}
+    for rank in (1, 4, 2**n):
+        rho = random_density_matrix(n, rng, rank=min(rank, 2**n))
+        for state in (rho, DensityMatrix(rho.matrix)):
+            mom = spin_moments(state)
+            for key, (a, b) in entries.items():
+                want = float(np.real(np.trace(rho.matrix @ spin[a] @ spin[b])))
+                assert_allclose(mom[key], want, rtol=0, atol=1e-13, err_msg=f"{key} rank {rank}")
+
+
 def test_rotated_density_matrix_is_c_contiguous():
     rng = np.random.default_rng(53)
     rho = random_density_matrix(4, rng, rank=2)
@@ -586,11 +615,57 @@ def test_global_rotation_of_a_vector_is_the_kronecker_power():
         assert_allclose(rotated, power @ psi, rtol=0, atol=1e-14)
 
 
-def test_casimir_check_requires_gauged_input():
+def test_casimir_check_of_an_ungauged_state_gives_the_gauged_report():
     geo = LatticeGeometry(1, 4)
     psi = _rotate_all(zero_state(4), np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))
-    with pytest.raises(PreconditionError):
-        casimir_constraint_check(psi, geo, 1)
+    gauged, _u = zero_transverse_rotation(psi)
+    rep, ref = (casimir_constraint_check(state, geo, 1) for state in (psi, gauged))
+    assert_allclose([rep.lhs, rep.precursor_lhs], [ref.lhs, ref.precursor_lhs], rtol=0, atol=1e-12)
+    # polarized along x: <S^2> - <S_x^2> = N/2
+    assert_allclose(rep.lhs, 2.0, rtol=0, atol=1e-12)
+    assert rep.passed and rep.precursor_passed
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_casimir_check_is_blind_to_a_global_rotation(n):
+    """u^{(x) N} turns <S> and M together, so lhs and precursor stay, on either route."""
+    rng = np.random.default_rng(400 + n)
+    geo = LatticeGeometry(1, n)
+    for state in (random_state(n, rng), random_density_matrix(n, rng, rank=4),
+                  random_density_matrix(n, rng)):
+        u = haar_unitary(2, rng)
+        if state.factor is None:
+            moved = DensityMatrix(global_rotation(state.matrix, u))
+        else:
+            moved = state.with_factor(su2._rotate_rows(state.factor, u))
+        base, turned = (casimir_constraint_check(st, geo, 1) for st in (state, moved))
+        assert_allclose([turned.lhs, turned.precursor_lhs], [base.lhs, base.precursor_lhs],
+                        rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 4, 7])
+def test_casimir_check_at_zero_and_antiparallel_mean_spin(n):
+    """GHZ has <S> = 0, so n = z; |1^N> has <S> along -z: both read <S_z^2>."""
+    geo = LatticeGeometry(1, n)
+    ghz = casimir_constraint_check(ghz_state(n), geo, 1)
+    # <S^2> = N/2 + N^2/4, <S_z^2> = N^2/4 and |<S>| = 0
+    assert_allclose([ghz.lhs, ghz.precursor_lhs], [n / 2, n / 2 + n**2 / 4], rtol=0, atol=1e-12)
+    down = basis_state([1] * n)
+    for state in (down, DensityMatrix(down.matrix)):
+        rep = casimir_constraint_check(state, geo, 1)
+        # polarized along -z: <S^2> - <S_z^2> = <S^2> - |<S>|^2 = N/2
+        assert_allclose([rep.lhs, rep.precursor_lhs], [n / 2, n / 2], rtol=0, atol=1e-12)
+
+
+def test_casimir_check_peaks_at_three_factors(monkeypatch):
+    """On a rank-4 factor at N = 14 (1 MiB) the check holds S_x F, S_y F and one temporary."""
+    monkeypatch.delenv("ASYMLAB_MAX_QUBITS", raising=False)
+    n = 14
+    rho = random_density_matrix(n, np.random.default_rng(140), rank=4)
+    geo = LatticeGeometry(1, n)
+    rep, peak = _peak_bytes(lambda: casimir_constraint_check(rho, geo, 2))
+    assert peak <= 3.4 * rho.factor.nbytes
+    assert rep.passed and rep.precursor_passed
 
 
 def test_casimir_check_on_polarized_and_dicke_states():
