@@ -27,14 +27,17 @@ Route rule: a kernel takes at most two routes, chosen by ``state.factor is
 None``.  The factor route reads only F and forms no 2^N x 2^N matrix, so a
 factored state stays factored through ``von_neumann_entropy``,
 ``u1.charge_distribution``, ``u1.u1_asymmetry``, ``reduced_density_matrix``,
-``circuits.apply_circuit``, ``su2.su2_asymmetry``, ``su2.sector_distribution``
-(which couple F itself, with no Schur basis), ``su2.spin_moments`` (and so
-``su2.casimir_constraint_check``, which reads F unturned) and
-``su2.zero_transverse_rotation``; the matrix route reads rho.  Both routes of
-an entropy end in ``block_entropy``: of F or rho, of the charge blocks of the
-U(1) twirl, or of the spin-sector blocks of the SU(2) twirl.  Operations that
-need rho itself (the twirls, channels, ``DensityMatrix.purity``) read
-``matrix``, of a pure state too, and return a matrix-built state.
+``circuits.apply_circuit``, ``su2.su2_asymmetry``, ``su2.sector_distribution``,
+``su2.spin_moments`` and ``su2.zero_transverse_rotation``; the matrix route
+reads rho.  The three SU(2) readings couple F itself into spin sectors, with
+no Schur basis, and the moments come off those sector blocks, so
+``su2.casimir_constraint_check`` reads F unturned and applies no local
+operator; only the reference ``zero_transverse_rotation`` turns F, site by
+site.  Both routes of an entropy end in ``block_entropy``: of F or rho, of
+the charge blocks of the U(1) twirl, or of the spin-sector blocks of the
+SU(2) twirl.  Operations that need rho itself (the twirls, channels,
+``DensityMatrix.purity``) read ``matrix``, of a pure state too, and return a
+matrix-built state.
 
 Caps follow the routes.  A state with a factor is held to the statevector cap
 (a factor of r > 1 columns also to ``_check_factor_cap``), so every factor
@@ -502,13 +505,6 @@ def apply_site_matrix(arr: np.ndarray, op: np.ndarray, sites) -> np.ndarray:
     view = arr.reshape((2,) * n_qubits + arr.shape[1:])
     out = np.tensordot(op.reshape((2,) * (2 * k)), view, axes=(range(k, 2 * k), sites))
     return np.moveaxis(out, range(k), sites).reshape(arr.shape)
-
-
-def apply_pauli(arr: np.ndarray, site: int, axis: str) -> np.ndarray:
-    """Apply a single Pauli to one site; ``axis`` is 'x', 'y' or 'z'."""
-    if axis not in PAULI:
-        raise ValidationError(f"unknown Pauli axis {axis!r}")
-    return apply_site_matrix(arr, PAULI[axis], site)
 
 
 def reduced_density_matrix(state: State, sites) -> np.ndarray:

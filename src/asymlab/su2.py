@@ -26,19 +26,23 @@ the coupling path index is the outer label and m runs from +s down to -s
 inside each path.
 
 Every kernel takes the factor route or the matrix route by the route rule of
-``states``.  ``su2_asymmetry`` and ``sector_distribution`` read a state with a
-factor (a pure state, or a factored rho) through ``couple_factor``, and a
-matrix-built rho through the basis, each weight block rotated once
-(``_rotated_blocks``); both end in one block per spin s, whose
-``states.block_entropy`` with 2s + 1 copies is that sector's share of the
-twirled entropy.  ``spin_moments`` and ``zero_transverse_rotation`` act on F
-or on rho.  ``casimir_constraint_check`` reads the spin along the mean-spin
-direction n off the moment matrix of ``spin_moments``, <S_n^2> = n^T M n, so
-no run turns a state; ``zero_transverse_rotation``, which does, is the
-reference the suites and tests hold that reading to.  ``su2_twirl`` divides
-each matrix-route block by 2s + 1 and rotates it back; it,
-``_dense_schur_basis`` and ``su2_twirl_haar`` are references for tests and
-oracles, and with the suites they are the only callers of the basis
+``states``.  A state with a factor (a pure state, or a factored rho) is read
+through ``couple_factor`` alone: ``su2_asymmetry`` and ``sector_distribution``
+take its blocks' entropies and column norms, and ``spin_moments`` reads every
+spin mean and second moment off the same blocks with the S_z weights and S_+
+ladder stencils of each spin (``_ladder_moments``), so no kernel applies a
+one-site operator to F.  A matrix-built rho goes through the basis, each
+weight block rotated once (``_rotated_blocks``), and its moments come from one
+gather of its entries (``_gathered_moments``).  Both entropy routes end in one
+block per spin s, whose ``states.block_entropy`` with 2s + 1 copies is that
+sector's share of the twirled entropy.  ``casimir_constraint_check`` reads
+the spin along the mean-spin direction n off the moment matrix of
+``spin_moments``, <S_n^2> = n^T M n, so no run turns a state;
+``zero_transverse_rotation``, which does (with u^{(x) N} applied site by
+site), is the reference the suites and tests hold that reading to.
+``su2_twirl`` divides each matrix-route block by 2s + 1 and rotates it back;
+it, ``_dense_schur_basis`` and ``su2_twirl_haar`` are references for tests
+and oracles, and with the suites they are the only callers of the basis
 besides matrix-built states.
 
 Every N >= 1 runs, odd N with half-integer spins.  Inside this module a spin
@@ -64,7 +68,6 @@ from .states import (
     DensityMatrix,
     State,
     _check_cap,
-    apply_pauli,
     apply_site_matrix,
     bit_weights,
     block_entropy,
@@ -622,55 +625,69 @@ def spin_moments(state: State) -> dict:
 
     Keys: the means ``sx``, ``sy``, ``sz``, the entries M_ab = Re <S_a S_b> of
     the moment matrix (``sx2``, ``sy2``, ``sz2`` on the diagonal, ``sxy``,
-    ``sxz``, ``syz`` off it) and ``s2`` = tr M = <S^2>.  <Sz> and <Sz^2> are
-    read off the computational-basis weights, the rest off F
-    (``_factor_moments``) or off the entries of rho (``_gathered_moments``).
+    ``sxz``, ``syz`` off it) and ``s2`` = tr M = <S^2>.  A state with a factor
+    F is read off the spin-sector blocks of ``couple_factor(F)``
+    (``_ladder_moments``), a matrix-built rho off its entries
+    (``_gathered_moments``); neither applies a local operator.
     """
-    n = state.n_qubits
-    m_values = (n - 2.0 * bit_weights(n)) / 2.0
     fac = state.factor
-    # F first, so that the weights are not held beside S_x F and S_y F
-    out = {} if fac is None else _factor_moments(fac, m_values)
-    probs = state.diagonal()
-    out["sz"] = float(np.sum(probs * m_values))
-    out["sz2"] = float(np.sum(probs * m_values**2))
-    if fac is None:
-        out.update(_gathered_moments(state.matrix, float(np.sum(probs))))
+    out = _gathered_moments(state.matrix) if fac is None else _ladder_moments(couple_factor(fac))
     out["s2"] = out["sx2"] + out["sy2"] + out["sz2"]
     return out
 
 
-def _factor_moments(fac: np.ndarray, m_values: np.ndarray) -> dict:
-    """The transverse means and moment-matrix entries of rho = F F^dagger, read off F.
+@lru_cache(maxsize=None)
+def _ladder_weights(two_s: int) -> np.ndarray:
+    """The stencils of ``_ladder_moments`` for spin s = two_s / 2, over its columns c, m = s - c.
 
-    For a = x, then y, phi_a = S_a F = sum_j sigma^a_j F / 2, one Pauli per
-    site: <S_a> = Re tr(F^dagger phi_a) and M_ab = Re tr(phi_a^dagger phi_b),
-    with S_z F = m F, the weights ``m_values`` times the rows of F, never
-    formed.  O(N r 2^N), holding phi_x, phi_y and one temporary beside F.
+    Rows m, m^2 and s(s + 1) - m^2 weigh the column norms, rows a_c and
+    a_c (m + 1/2) the overlaps of columns c - 1 and c, and row a_c a_{c-1}
+    those of columns c - 2 and c, where a_c = sqrt((s - m)(s + m + 1)) is the
+    factor by which S_+ moves column c to c - 1 (a_0 = 0).
     """
-    out, phis = {}, []
-    for axis in ("x", "y"):
-        phi = np.zeros_like(fac)
-        for site in range(qubit_count(fac.shape[0])):
-            phi += apply_pauli(fac, site, axis)
-        phi /= 2.0
-        # vdot flattens both: sum_ij conj(F_ij) phi_ij = tr(F^dagger phi)
-        out[f"s{axis}"] = float(np.real(np.vdot(fac, phi)))
-        out[f"s{axis}2"] = float(np.real(np.vdot(phi, phi)))
-        # sum_l m_l Re sum_i conj(phi_li) F_li, over the real and imaginary views
-        out[f"s{axis}z"] = float(m_values @ (np.einsum("li,li->l", phi.real, fac.real)
-                                             + np.einsum("li,li->l", phi.imag, fac.imag)))
-        phis.append(phi)
-    out["sxy"] = float(np.real(np.vdot(*phis)))
-    return out
+    s = two_s / 2
+    m = s - np.arange(two_s + 1)
+    a = np.sqrt((s - m) * (s + m + 1))
+    return np.stack([m, m * m, s * (s + 1) - m * m, a, a * (m + 0.5), a * np.roll(a, 1)])
 
 
-def _gathered_moments(rho: np.ndarray, trace: float) -> dict:
-    """The transverse means and moment-matrix entries of rho by gathering its entries.
+def _ladder_moments(blocks: dict) -> dict:
+    """The spin means and moment-matrix entries of rho = F F^dagger, off F's coupled blocks.
+
+    ``blocks`` is ``couple_factor(F)``: in the block of spin s column c holds
+    m = s - c, S_z scales it by m, and S_+ = S_x + i S_y moves it to column
+    c - 1 times a_c (``_ladder_weights``).  With the column norms N_c and
+    overlaps G1_c = <C_{c-1}, C_c> and G2_c = <C_{c-2}, C_c>, each summed over
+    the paths and the columns of F:
+    <S_z> = sum m N_c, <S_z^2> = sum m^2 N_c, <S_x> + i <S_y> = sum a_c G1_c,
+    M_xz + i M_yz = <S_+ S_z + S_z S_+> / 2 = sum a_c (m + 1/2) G1_c,
+    <S_+^2> = M_xx - M_yy + 2i M_xy = sum a_c a_{c-1} G2_c and
+    M_xx + M_yy = <S^2 - S_z^2> = sum (s(s + 1) - m^2) N_c.  Each sum runs
+    over the real and imaginary views of a block, with no copy: O(2^N r).
+    """
+    # entry j: row j of _ladder_weights against Re and Im of the norms (real) and overlaps
+    real, imag = np.zeros(6), np.zeros(6)
+    for two_s, block in blocks.items():
+        pairs, re, im = block.view(float), block.real, block.imag
+        weights = _ladder_weights(two_s)
+        real[:3] += weights[:3] @ np.einsum("acx,acx->c", pairs, pairs)
+        # G_k over the columns c >= k, for k <= 2s
+        for k, rows in ((1, slice(3, 5)), (2, slice(5, 6)))[:two_s]:
+            real[rows] += weights[rows, k:] @ np.einsum("acx,acx->c", pairs[:, :-k], pairs[:, k:])
+            imag[rows] += weights[rows, k:] @ (np.einsum("aci,aci->c", re[:, :-k], im[:, k:])
+                                               - np.einsum("aci,aci->c", im[:, :-k], re[:, k:]))
+    (sz, sz2, transverse, sx, sxz, along), (*_, sy, syz, cross) = real.tolist(), imag.tolist()
+    return {"sx": sx, "sy": sy, "sz": sz, "sx2": (transverse + along) / 2,
+            "sy2": (transverse - along) / 2, "sz2": sz2, "sxy": cross / 2, "sxz": sxz, "syz": syz}
+
+
+def _gathered_moments(rho: np.ndarray) -> dict:
+    """The spin means and moment-matrix entries of rho, by gathering its entries.
 
     With b_j = 1 << (n-1-j) the flip mask of site j, z_j = (-1)^{l_j} its sign
     and 2m = sum_j z_j, one gather of single = rho[l, l^b_j] and, for i < j,
-    pair = rho[l, l^b_i^b_j] gives every moment but <Sz> and <Sz^2>:
+    pair = rho[l, l^b_i^b_j] gives every moment but <Sz> and <Sz^2>, which
+    weigh diag rho by m and m^2:
     <sigma^x_j> = sum_l single and <sigma^y_j> = i sum_l z_j single;
     <sigma^x_i sigma^x_j> = sum_l pair and <sigma^y_i sigma^y_j> = -sum_l z_i z_j pair,
     so <S_a> = sum_j <sigma^a_j> / 2 and
@@ -689,10 +706,14 @@ def _gathered_moments(rho: np.ndarray, trace: float) -> dict:
     pair = rho[rows, rows ^ (masks[first] | masks[second])[:, None]]
     z = 1 - 2 * ((rows >> shifts[:, None]) & 1)
     two_m = z.sum(axis=0)
+    probs = np.real(np.diagonal(rho))
+    trace = float(np.sum(probs))
 
     return {
         "sx": float(np.real(np.sum(single))) / 2.0,
         "sy": float(np.real(1j * np.sum(z * single))) / 2.0,
+        "sz": float(np.sum(probs * (two_m / 2.0))),
+        "sz2": float(np.sum(probs * (two_m / 2.0) ** 2)),
         "sx2": (n * trace + 2.0 * float(np.real(np.sum(pair)))) / 4.0,
         "sy2": (n * trace - 2.0 * float(np.real(np.sum(z[first] * z[second] * pair)))) / 4.0,
         "sxy": float(np.real(1j * np.sum((z[first] + z[second]) * pair))) / 4.0,

@@ -845,10 +845,11 @@ def _oracle_polarized(rng) -> tuple[float, str]:
     for n in (2, 4, 6, 8, 3, 5, 7):
         # a pure state and a rank-4 rho, each with its exact factor, against the same
         # matrix without it: the coupling route against the basis route, Gram-matrix
-        # S(rho), <S^2> = sum_s p_s s(s+1) against the moments of F, and, at n = 2, 4
-        # and 6, the rotated factor and, on each route, the frame-free Casimir lhs
-        # against <S^2> - <Sz^2> of the turned state (a dense gauge rotation from n = 7
-        # on costs as much as the rest); odd n is drawn last, so the even-n inputs stay
+        # S(rho), every spin moment of the coupled blocks against the gather of rho's
+        # entries, <S^2> = sum_s p_s s(s+1) against the moments, and, at n = 2, 4 and
+        # 6, the rotated factor and, on each route, the frame-free Casimir lhs against
+        # <S^2> - <Sz^2> of the turned state (a dense gauge rotation from n = 7 on
+        # costs as much as the rest); odd n is drawn last, so the even-n inputs stay
         # as they were
         a = rng.standard_normal((2**n, 4)) + 1j * rng.standard_normal((2**n, 4))
         factored = DensityMatrix.from_factor(a / np.linalg.norm(a))
@@ -858,7 +859,9 @@ def _oracle_polarized(rng) -> tuple[float, str]:
             table = su2.sector_distribution(state)
             spins = table.spins
             casimir = float(np.sum(table.p_s * spins * (spins + 1)))
-            worst = max(worst, abs(gap), abs(casimir - su2.spin_moments(state)["s2"]),
+            coupled, gathered = su2.spin_moments(state), su2.spin_moments(bare)
+            worst = max(worst, abs(gap), abs(casimir - coupled["s2"]),
+                        max(abs(coupled[k] - gathered[k]) for k in gathered),
                         float(np.abs(table.p_sm - su2.sector_distribution(bare).p_sm).max()))
             if n in (2, 4, 6):
                 moved, dense = (su2.spin_moments(su2.zero_transverse_rotation(st)[0])
@@ -870,7 +873,7 @@ def _oracle_polarized(rng) -> tuple[float, str]:
     return (
         EXACT_TOL - worst,
         "fully polarized state saturates the sector bound, n=2..7; blocks vs dense basis"
-        " and twirl; coupled F vs basis route of rho, pure and rank 4, n=2..8",
+        " and twirl; coupled F vs basis route and moment gather of rho, pure and rank 4, n=2..8",
     )
 
 

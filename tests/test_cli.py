@@ -1197,8 +1197,17 @@ def test_plot_script_references_the_csv(tmp_path):
     assert "logscale" in script
 
 
+def _replace_everywhere(monkeypatch, kernel, replacement):
+    """Point every name that an asymlab module holds for ``kernel`` at ``replacement``."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("asymlab") and module is not None:
+            for attr, value in list(vars(module).items()):
+                if value is kernel:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
 def test_mixed_su2_run_never_touches_a_dense_matrix(tmp_path, monkeypatch):
-    """N = 10, rank 4: every eigensolve is a multiplicity block, no operator meets rho."""
+    """N = 10, rank 4: every eigensolve is a multiplicity block, and no local operator is applied."""
     n = 10
     eig_shapes, site_shapes = [], []
     eigvalsh = np.linalg.eigvalsh
@@ -1213,11 +1222,7 @@ def test_mixed_su2_run_never_touches_a_dense_matrix(tmp_path, monkeypatch):
         return kernel(arr, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", spy_eigvalsh)
-    for name, module in list(sys.modules.items()):
-        if name.startswith("asymlab") and module is not None:
-            for attr, value in list(vars(module).items()):
-                if value is kernel:
-                    monkeypatch.setattr(module, attr, spy_kernel)
+    _replace_everywhere(monkeypatch, kernel, spy_kernel)
     cfg = _write(tmp_path / "mixed.json", {
         "experiment": "su2-asymmetry",
         "geometry": {"dimension": 1, "linear_size": n},
@@ -1229,7 +1234,7 @@ def test_mixed_su2_run_never_touches_a_dense_matrix(tmp_path, monkeypatch):
     largest_block = max(su2.multiplicity(n, s) for s in range(n // 2 + 1))
     assert largest_block == 90
     assert eig_shapes and max(max(shape) for shape in eig_shapes) <= largest_block
-    assert site_shapes and (2**n, 2**n) not in site_shapes
+    assert site_shapes == []
     assert _read_report(tmp_path / "out")["casimir"] is not None
 
 
@@ -1340,7 +1345,11 @@ def test_su2_runs_of_pure_and_factored_states_build_no_schur_basis(tmp_path, mon
 
 
 def test_su2_runs_read_the_moments_once_and_turn_no_state(tmp_path, monkeypatch):
-    """The Casimir check of an su2 or run op reads the moments once, in the state's own frame."""
+    """The Casimir check of an su2 or run op reads the moments once, in the state's own frame.
+
+    No op turns the state or applies a local operator to it: the moments come
+    off the coupled sector blocks.
+    """
     calls = []
 
     def spy(state, _kernel=su2.spin_moments):
@@ -1350,8 +1359,12 @@ def test_su2_runs_read_the_moments_once_and_turn_no_state(tmp_path, monkeypatch)
     def refuse(state):
         raise AssertionError("zero_transverse_rotation called on the run path")
 
+    def refuse_local(arr, op, sites):
+        raise AssertionError(f"apply_site_matrix called on sites {sites} on the run path")
+
     monkeypatch.setattr(su2, "spin_moments", spy)
     monkeypatch.setattr(su2, "zero_transverse_rotation", refuse)
+    _replace_everywhere(monkeypatch, states.apply_site_matrix, refuse_local)
     argv = ["su2", "--state", "random:3", "--n", "8", "--clustering-range", "2",
             "--output", str(tmp_path / "pure")]
     assert main(argv) == 0

@@ -30,7 +30,7 @@ from asymlab.states import (
     PAULI,
     DensityMatrix,
     StateVector,
-    apply_pauli,
+    apply_site_matrix,
     ghz_state,
     plus_state,
     product_state,
@@ -74,11 +74,11 @@ def _expectation(state, site_ops):
     if isinstance(state, StateVector):
         out = state.amplitudes
         for site, axis in site_ops:
-            out = apply_pauli(out, site, axis)
+            out = apply_site_matrix(out, PAULI[axis], site)
         return np.vdot(state.amplitudes, out)
     out = state.matrix
     for site, axis in site_ops:
-        out = apply_pauli(out, site, axis)
+        out = apply_site_matrix(out, PAULI[axis], site)
     return np.trace(out)
 
 

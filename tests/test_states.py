@@ -12,7 +12,6 @@ from asymlab.states import (
     PAULI,
     DensityMatrix,
     StateVector,
-    apply_pauli,
     apply_site_matrix,
     basis_state,
     bit_weights,
@@ -58,9 +57,9 @@ def test_a_leading_axis_that_is_not_a_power_of_two_raises(length):
         lambda: StateVector(vec),
         lambda: DensityMatrix(mat),
         lambda: apply_site_matrix(vec, PAULI["x"], 0),
-        lambda: apply_pauli(mat, 0, "z"),
+        lambda: apply_site_matrix(mat, PAULI["z"], 0),
         lambda: su2.global_rotation(mat, np.eye(2)),
-        lambda: su2._gathered_moments(mat, 1.0),
+        lambda: su2._gathered_moments(mat),
         lambda: circuits._sandwich(mat, PAULI["x"], (0,)),
         lambda: clustering._support_mass_fractions(mat[None]),
     ]
@@ -156,11 +155,11 @@ def test_von_neumann_entropy_spectrum():
     assert_allclose(von_neumann_entropy(rho), expected, atol=1e-10)
 
 
-def test_apply_pauli_on_sites():
+def test_apply_site_matrix_flips_the_named_site():
     psi = zero_state(2)
-    flipped = apply_pauli(psi.amplitudes, 0, "x")
+    flipped = apply_site_matrix(psi.amplitudes, PAULI["x"], 0)
     assert np.flatnonzero(flipped).tolist() == [2]
-    flipped = apply_pauli(psi.amplitudes, 1, "x")
+    flipped = apply_site_matrix(psi.amplitudes, PAULI["x"], 1)
     assert np.flatnonzero(flipped).tolist() == [1]
 
 
