@@ -1,7 +1,9 @@
 """Collective-spin sectors, the full-rotation twirl and its bounds.
 
-One table of j (x) 1/2 Clebsch-Gordan terms, ``_cg_children`` (Condon-Shortley
-signs), couples one more site onto every spin j carried so far.  It is
+One table of j (x) 1/2 Clebsch-Gordan terms, ``_coupling_terms`` (closed form,
+Condon-Shortley signs), couples one more site onto every spin j carried so
+far.  Each child spin stacks its coupling paths alpha by parent spin, j
+increasing, so every use of the table numbers the paths alike.  It is
 applied two ways:
 
 - ``couple_factor`` applies it to a state's factor F (2^N x r), splitting off
@@ -9,8 +11,10 @@ applied two ways:
   and Harrow, PRL 97, 170502 (2006)).  It gives each spin sector's
   coefficients [C_{s,m}]_m in O(N r 2^N) and holds a few copies of F, with no
   basis and no 2^N x 2^N matrix, so it runs to the statevector cap.
-- ``build_schur_basis`` applies it to basis columns, giving a real orthogonal
-  change of basis that block-diagonalizes every u^{(x) N}.
+- ``build_schur_basis`` applies it to basis columns carried on their own
+  weight's rows only, giving a real orthogonal change of basis that
+  block-diagonalizes every u^{(x) N}.  The reference ``_dense_schur_basis`` is
+  ``couple_factor`` of the 2^N x 2^N identity.
 
 Every basis vector has a definite S_z = m, so it lies inside one Hamming-weight
 subspace w = N/2 - m.  The basis is stored that way: for each w, the sorted
@@ -41,9 +45,8 @@ the spin along the mean-spin direction n off the moment matrix of
 ``zero_transverse_rotation``, which does (with u^{(x) N} applied site by
 site), is the reference the suites and tests hold that reading to.
 ``su2_twirl`` divides each matrix-route block by 2s + 1 and rotates it back;
-it, ``_dense_schur_basis`` and ``su2_twirl_haar`` are references for tests
-and oracles, and with the suites they are the only callers of the basis
-besides matrix-built states.
+it and ``su2_twirl_haar`` are references for tests and oracles, and with the
+suites they are the only callers of the basis besides matrix-built states.
 
 Every N >= 1 runs, odd N with half-integer spins.  Inside this module a spin
 is labelled by the integer 2s (``couple_factor``'s keys, ``SchurBasis.sectors``
@@ -114,7 +117,9 @@ class SchurBasis:
     vector restricted to those rows; ``segments(w)`` names its columns.
     ``sectors`` lists (2s, start_column, multiplicity) with s decreasing and
     places the columns of ``dense()``: the basis vector (s, m, alpha) is
-    column start + alpha * (2s + 1) + (s - m).
+    column start + alpha * (2s + 1) + (s - m).  The paths alpha are numbered
+    as in ``couple_factor``: spin s stacks its paths from the last site's
+    parent spin s - 1/2 before those from s + 1/2, each in its parent's order.
     """
 
     n_qubits: int
@@ -153,79 +158,67 @@ class SchurBasis:
         return matrix
 
 
-def _lift(block: np.ndarray, bit: int) -> np.ndarray:
-    """Tensor a new trailing site in |bit> onto every column."""
-    rows, cols = block.shape
-    out = np.zeros((2 * rows, cols))
-    out[bit::2] = block
-    return out
-
-
-def _cg_children(two_j: int) -> dict[int, list]:
-    """Clebsch-Gordan terms (Condon-Shortley) of coupling spin j = two_j/2 with one spin-1/2.
-
-    ``out[two_j_new][c]`` lists the (coefficient, new bit, parent column) terms
-    of column c of the child spin two_j_new/2: j + 1/2 always, j - 1/2 when
-    j > 0.  Column c of a spin j holds m = j - c.
-    """
-    d = two_j + 1
-    # the bit-0 term needs parent column c <= 2j, the bit-1 term c - 1 >= 0
-    out = {two_j + 1: [
-        [(np.sqrt((d - c) / d), 0, c)] * (c < d) + [(np.sqrt(c / d), 1, c - 1)] * (c > 0)
-        for c in range(d + 1)
-    ]}
-    if two_j > 0:
-        out[two_j - 1] = [
-            [(-np.sqrt((c + 1) / d), 0, c + 1), (np.sqrt((two_j - c) / d), 1, c)]
-            for c in range(two_j)
-        ]
-    return out
-
-
 @lru_cache(maxsize=None)
 def _coupling_terms(two_j: int) -> tuple:
-    """The terms of ``_cg_children(two_j)`` as slices: (two_j_new, bit, columns, parents, coef).
+    """Clebsch-Gordan terms (Condon-Shortley) of coupling spin j = two_j/2 with one spin-1/2.
 
-    The terms of one new bit touch a run of consecutive child columns, each
-    from the parent column a fixed offset away, so each is one broadcast
-    multiply-add of the coefficient column ``coef`` onto ``parents``.
+    Each term is (two_j_new, bit, columns, parents, coef): the child spin
+    two_j_new/2 (j + 1/2 always, j - 1/2 when j > 0) takes, on the new site in
+    |bit>, ``coef`` times the parent columns ``parents`` into its columns
+    ``columns``, one broadcast multiply-add.  Column c of a spin j holds
+    m = j - c.  With d = 2j + 1 and c the child column:
+
+    - j + 1/2: bit 0 maps columns 0..2j to parents 0..2j with sqrt((d - c)/d),
+      bit 1 maps columns 1..d to parents 0..2j with sqrt(c/d);
+    - j - 1/2: bit 0 maps columns 0..2j-1 to parents 1..2j with -sqrt((c + 1)/d),
+      bit 1 maps them to parents 0..2j-1 with sqrt((2j - c)/d).
     """
-    out = []
-    for two_j_new, columns in _cg_children(two_j).items():
-        for bit in (0, 1):
-            terms = [(c, src, coef) for c, col in enumerate(columns)
-                     for coef, b, src in col if b == bit]
-            first, last, src = terms[0][0], terms[-1][0], terms[0][1]
-            coef = np.array([coef for _c, _src, coef in terms])[:, None]
-            out.append((two_j_new, bit, slice(first, last + 1),
-                        slice(src, src + last + 1 - first), coef))
+    d = two_j + 1
+    c = np.arange(d + 1)[:, None]
+    out = [(d, 0, slice(0, d), slice(0, d), np.sqrt((d - c[:d]) / d)),
+           (d, 1, slice(1, d + 1), slice(0, d), np.sqrt(c[1:] / d))]
+    if two_j > 0:
+        out += [(two_j - 1, 0, slice(0, two_j), slice(1, d), -np.sqrt((c[:two_j] + 1) / d)),
+                (two_j - 1, 1, slice(0, two_j), slice(0, two_j), np.sqrt((two_j - c[:two_j]) / d))]
     return tuple(out)
+
+
+def _stacked_paths(counts: dict[int, int]) -> tuple[dict, dict]:
+    """Where the paths of each parent spin go when one more site is coupled.
+
+    ``counts`` maps 2j to the number of paths of spin j.  Each child spin
+    stacks its paths by parent spin, j increasing.  Returns the first path row
+    of every (2j, 2j_new) and the number of paths of every 2j_new.
+    """
+    start, sizes = {}, {}
+    for two_j in sorted(counts):
+        for two_j_new in (two_j + 1, two_j - 1)[: 1 + (two_j > 0)]:
+            start[two_j, two_j_new] = sizes.get(two_j_new, 0)
+            sizes[two_j_new] = start[two_j, two_j_new] + counts[two_j]
+    return start, sizes
 
 
 def couple_factor(factor: np.ndarray) -> dict[int, np.ndarray]:
     """Each spin sector's coefficients of a 2^N x r factor F, N >= 1, by coupling F itself.
 
     Splits off site 0, 1, ..., N-1 in turn and couples each onto every spin j
-    carried so far with the terms of ``_cg_children``.  After k sites
+    carried so far with the terms of ``_coupling_terms``.  After k sites
     ``carried[2j]`` has shape (multiplicity, 2j + 1, 2^(N-k) r): row alpha is a
     coupling path, column c holds m = j - c, and the last axis runs over the
     sites not yet coupled and the columns of F.  A step is two broadcast
     multiply-adds per (j, child spin), O(2^N r), on the real and imaginary
     parts at once, since every coefficient is real.  Returns {2s: block} with
     block[alpha, c, i] = <s, s - c, alpha| F e_i>: the coefficients in the
-    basis of ``build_schur_basis`` with the paths alpha in another order.
+    basis of ``build_schur_basis``, whose paths alpha are numbered alike.
     """
+    if np.ndim(factor) != 2:
+        raise ValidationError(f"factor needs 2 axes, got shape {np.shape(factor)}")
     fac = np.ascontiguousarray(factor, dtype=complex)
     n, r = qubit_count(fac.shape[0]), fac.shape[1]
     carried = {1: fac.view(float).reshape(1, 2, -1)}
     for _ in range(1, n):
         rest = next(iter(carried.values())).shape[2] // 2
-        # each new spin stacks its paths from j + 1/2 and from j - 1/2 parents, by parent spin
-        start, sizes = {}, {}
-        for two_j in sorted(carried):
-            for two_j_new in (two_j + 1, two_j - 1)[: 1 + (two_j > 0)]:
-                start[two_j, two_j_new] = sizes.get(two_j_new, 0)
-                sizes[two_j_new] = start[two_j, two_j_new] + len(carried[two_j])
+        start, sizes = _stacked_paths({two_j: len(block) for two_j, block in carried.items()})
         nxt = {two_j: np.zeros((size, two_j + 1, rest)) for two_j, size in sizes.items()}
         for two_j, block in carried.items():
             halves = block.reshape(len(block), two_j + 1, 2, rest)
@@ -238,39 +231,12 @@ def couple_factor(factor: np.ndarray) -> dict[int, np.ndarray]:
 
 
 def _dense_schur_basis(n_qubits: int) -> np.ndarray:
-    """Reference: the 2^N x 2^N basis built column by column on all 2^N rows."""
+    """Reference: the 2^N x 2^N basis as ``couple_factor`` of the identity, on all 2^N rows."""
     _check_cap(n_qubits, density_matrix_cap(), "density-matrix")
-    blocks: list[tuple[int, np.ndarray]] = [(1, np.eye(2))]
-    for _ in range(1, n_qubits):
-        nxt: list[tuple[int, np.ndarray]] = []
-        for two_j, block in blocks:
-            lifted = (_lift(block, 0), _lift(block, 1))
-            for two_j_new, columns in _cg_children(two_j).items():
-                child = np.zeros((2 * block.shape[0], len(columns)))
-                for c, terms in enumerate(columns):
-                    for coef, bit, src in terms:
-                        child[:, c] += coef * lifted[bit][:, src]
-                nxt.append((two_j_new, child))
-        blocks = nxt
-
-    by_two_j: dict[int, list[np.ndarray]] = {}
-    for two_j, block in blocks:
-        by_two_j.setdefault(two_j, []).append(block)
-
     dim = 2**n_qubits
-    matrix = np.empty((dim, dim))
-    col = 0
-    for two_j in sorted(by_two_j, reverse=True):
-        paths = by_two_j[two_j]
-        if len(paths) != multiplicity(n_qubits, two_j / 2):
-            raise ValidationError(f"sector s={two_j}/2 has {len(paths)} paths, "
-                                  f"expected {multiplicity(n_qubits, two_j / 2)}")
-        for block in paths:
-            for m_col in range(two_j + 1):
-                matrix[:, col] = block[:, m_col]
-                col += 1
-    if col != dim:
-        raise ValidationError(f"assembled {col} columns, expected {dim}")
+    blocks = couple_factor(np.eye(dim))
+    matrix = np.concatenate([blocks[two_s].real.reshape(-1, dim)
+                             for two_s in sorted(blocks, reverse=True)]).T
     matrix.flags.writeable = False
     return matrix
 
@@ -278,35 +244,23 @@ def _dense_schur_basis(n_qubits: int) -> np.ndarray:
 def _couple_site(paths: dict, pos: tuple, sizes: list) -> dict:
     """Couple one more spin-1/2 onto every path, all paths of one spin at once.
 
-    ``paths[two_j] = (keys, cols)``: ``cols[c]`` holds, one column per path,
-    the m = j - c vector restricted to its weight subspace, and ``keys``
-    orders the paths.  Weight-w rows of k sites move to rows ``pos[b][w + b]``
-    (new bit b) of the k + 1 site weight sets, whose sizes are ``sizes``.
-    The children of the path with key p get keys 2p (j + 1/2) and 2p + 1
-    (j - 1/2), which keeps the order of coupling every path in turn.
+    ``paths[two_j][c]`` holds, one column per path, the m = j - c vector
+    restricted to its weight subspace.  Weight-w rows of k sites move to rows
+    ``pos[b][w + b]`` (new bit b) of the k + 1 site weight sets, whose sizes
+    are ``sizes``.  The terms of ``_coupling_terms`` run column by column, and
+    each child spin stacks its paths as ``couple_factor`` does.
     """
     k = len(sizes) - 2
-    parts: dict[int, list] = {}
-    for two_j, (old_keys, old) in paths.items():
-        for two_j_new, columns in _cg_children(two_j).items():
+    start, counts = _stacked_paths({two_j: old[0].shape[1] for two_j, old in paths.items()})
+    nxt = {two_j: [np.zeros((sizes[(k + 1 - two_j) // 2 + c], count)) for c in range(two_j + 1)]
+           for two_j, count in counts.items()}
+    for two_j, old in paths.items():
+        for two_j_new, bit, columns, parents, coef in _coupling_terms(two_j):
             base = (k + 1 - two_j_new) // 2
-            cols = []
-            for c, terms in enumerate(columns):
-                col = np.zeros((sizes[base + c], len(old_keys)))
-                for coef, bit, src in terms:
-                    col[pos[bit][base + c]] = coef * old[src]
-                cols.append(col)
-            side = int(two_j_new < two_j)
-            parts.setdefault(two_j_new, []).append((2 * old_keys + side, cols))
-    nxt: dict = {}
-    for two_j_new in sorted(parts):
-        all_keys = np.concatenate([keys for keys, _cols in parts[two_j_new]])
-        order = np.argsort(all_keys, kind="stable")
-        merged = [
-            np.concatenate(cs, axis=1)[:, order]
-            for cs in zip(*(cols for _keys, cols in parts[two_j_new]))
-        ]
-        nxt[two_j_new] = (all_keys[order], merged)
+            alphas = slice(start[two_j, two_j_new], start[two_j, two_j_new] + old[0].shape[1])
+            for c, src, a in zip(range(columns.start, columns.stop),
+                                 range(parents.start, parents.stop), coef[:, 0]):
+                nxt[two_j_new][c][pos[bit][base + c], alphas] = a * old[src]
     return nxt
 
 
@@ -326,13 +280,14 @@ def build_schur_basis(n_qubits: int) -> SchurBasis:
 def _schur_basis(n_qubits: int) -> SchurBasis:
     """Construct the basis of ``build_schur_basis``.
 
-    Couples one site at a time like ``_dense_schur_basis``, but each basis
-    vector is carried only on the rows of its own weight, and every path of
-    one spin is coupled at once; the blocks equal the reference's columns
-    bit for bit.
+    Couples one site at a time with the terms of ``_coupling_terms``, as
+    ``couple_factor`` does, but carries each basis vector only on the rows of
+    its own weight, and couples every path of one spin at once; the blocks
+    equal the columns of ``_dense_schur_basis``, the coupled identity, bit
+    for bit.
     """
     rows = [np.array([0]), np.array([1])]
-    paths = {1: (np.array([0]), [np.ones((1, 1)), np.ones((1, 1))])}
+    paths = {1: [np.ones((1, 1)), np.ones((1, 1))]}
     for k in range(1, n_qubits):
         zeros = [2 * r for r in rows] + [np.array([], dtype=int)]
         ones = [np.array([], dtype=int)] + [2 * r + 1 for r in rows]
@@ -347,7 +302,7 @@ def _schur_basis(n_qubits: int) -> SchurBasis:
     sectors: list[tuple[int, int, int]] = []
     col = 0
     for two_j in sorted(paths, reverse=True):
-        n_paths = len(paths[two_j][0])
+        n_paths = paths[two_j][0].shape[1]
         if n_paths != multiplicity(n_qubits, two_j / 2):
             raise ValidationError(f"sector s={two_j}/2 has {n_paths} paths, "
                                   f"expected {multiplicity(n_qubits, two_j / 2)}")
@@ -358,7 +313,7 @@ def _schur_basis(n_qubits: int) -> SchurBasis:
     blocks = []
     for w in range(n_qubits + 1):
         two_m = n_qubits - 2 * w
-        block = np.concatenate([paths[two_s][1][(two_s - two_m) // 2]
+        block = np.concatenate([paths[two_s][(two_s - two_m) // 2]
                                 for two_s, _start, _mult in sectors if two_s >= abs(two_m)],
                                axis=1)
         block.flags.writeable = False

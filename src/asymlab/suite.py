@@ -832,10 +832,9 @@ def _oracle_polarized(rng) -> tuple[float, str]:
         rep = su2.su2_asymmetry(states.zero_state(n))
         worst = max(worst, abs(rep.delta_s - math.log(n + 1)))
         worst = max(worst, abs(rep.bound_sector_entropy - rep.delta_s))
-        if n < 7:
-            # the S_z blocks against the column-by-column reference build
-            blocks = su2.build_schur_basis(n).dense()
-            worst = max(worst, float(np.abs(blocks - su2._dense_schur_basis(n)).max()))
+        # the S_z blocks against the coupled identity on all 2^n rows
+        blocks = su2.build_schur_basis(n).dense()
+        worst = max(worst, float(np.abs(blocks - su2._dense_schur_basis(n)).max()))
     for n in (4, 6):
         # block-route twirled entropy against the eigensolve of the assembled twirl
         rho = states.random_density_matrix(n, rng)

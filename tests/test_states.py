@@ -60,12 +60,15 @@ def test_a_leading_axis_that_is_not_a_power_of_two_raises(length):
         lambda: apply_site_matrix(mat, PAULI["z"], 0),
         lambda: su2.global_rotation(mat, np.eye(2)),
         lambda: su2._gathered_moments(mat),
+        lambda: su2.couple_factor(mat),
         lambda: circuits._sandwich(mat, PAULI["x"], (0,)),
         lambda: clustering._support_mass_fractions(mat[None]),
     ]
     for call in calls:
         with pytest.raises(ValidationError, match="is not 2\\^N long"):
             call()
+    with pytest.raises(ValidationError, match="factor needs 2 axes"):
+        su2.couple_factor(np.ones(4))
 
 
 def test_density_matrix_validation():

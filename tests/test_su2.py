@@ -32,6 +32,7 @@ from asymlab.states import (
 )
 from asymlab.su2 import (
     HAAR_MAX_REFINEMENTS,
+    _coupling_terms,
     _dense_schur_basis,
     build_schur_basis,
     casimir_constraint_check,
@@ -133,6 +134,37 @@ def test_schur_columns_diagonalize_the_casimir():
             v = matrix[:, col]
             assert_allclose(s2 @ v, s * (s + 1.0) * v, atol=1e-10)
             assert_allclose(s_ops[2] @ v, m * v, atol=1e-10)
+
+
+def test_coupling_terms_are_orthogonal_condon_shortley_clebsch_gordan():
+    """The j (x) 1/2 table checked from first principles, not against a second table.
+
+    W maps (parent column p, new bit b) to (child spin J, child column c): it
+    is orthogonal, and J_- = j_- (x) 1 + 1 (x) sigma^- takes column c to
+    sqrt((J + M)(J - M + 1)) times column c + 1, M = J - c, with the positive
+    root; the m = J column's coefficient at parent m = j is positive
+    (Condon-Shortley).
+    """
+    for two_j in range(64):
+        d = two_j + 1
+        children = {}
+        for two_j_new, bit, columns, parents, coef in _coupling_terms(two_j):
+            child = children.setdefault(two_j_new, np.zeros((two_j_new + 1, d, 2)))
+            child[np.arange(columns.start, columns.stop),
+                  np.arange(parents.start, parents.stop), bit] = coef[:, 0]
+        w = np.concatenate([children[k].reshape(k + 1, 2 * d) for k in sorted(children)])
+        assert np.abs(w @ w.T - np.eye(2 * d)).max() <= 1e-14
+        p = np.arange(two_j)
+        lower = np.kron(np.diag(np.sqrt((two_j - p) * (p + 1.0)), -1), np.eye(2))
+        lower += np.kron(np.eye(d), [[0.0, 0.0], [1.0, 0.0]])
+        for two_j_new, child in children.items():
+            v = child.reshape(two_j_new + 1, 2 * d)
+            c = np.arange(two_j_new)
+            expected = np.vstack([np.sqrt((two_j_new - c) * (c + 1.0))[:, None] * v[1:],
+                                  np.zeros(2 * d)])
+            # the ladder coefficients reach (2j + 1)/2, so allow that many roundings
+            assert np.abs(v @ lower.T - expected).max() <= 1e-14 * d
+            assert child[0, 0].max() > 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 10])

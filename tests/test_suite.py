@@ -201,6 +201,27 @@ def test_schur_unitarity_catches_a_flipped_column_of_the_next_spin(monkeypatch):
     assert not all_passed(bound_suite(names=["schur-unitarity"]))
 
 
+def test_schur_unitarity_catches_a_flipped_coupling_term(monkeypatch):
+    # the basis and the dense reference read the one Clebsch-Gordan table, so
+    # a sign flipped in it (2j = 3, the j - 1/2 bit-1 term) leaves them equal
+    # and orthogonal: only the S_- ladder sees it
+    terms = suite.su2._coupling_terms
+
+    def flipped(two_j):
+        out = terms(two_j)
+        if two_j == 3:
+            two_j_new, bit, columns, parents, coef = out[3]
+            out = out[:3] + ((two_j_new, bit, columns, parents, -coef),)
+        return out
+
+    monkeypatch.setattr(suite.su2, "_coupling_terms", flipped)
+    suite.su2._schur_basis.cache_clear()
+    try:
+        assert not all_passed(bound_suite(names=["schur-unitarity"]))
+    finally:
+        suite.su2._schur_basis.cache_clear()
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8])
 def test_lowered_block_equals_dense_lowering_of_the_basis(n):
     basis = suite.su2.build_schur_basis(n)
