@@ -247,8 +247,10 @@ def _run_su2(cfg: ExperimentConfig) -> int:
     from . import su2
 
     state, _, crange = _state_and_range(cfg)
-    rep = su2.su2_asymmetry(state)
-    casimir = None if crange is None else su2.casimir_constraint_check(state, cfg.geometry, crange)
+    sectors = su2.spin_sectors(state)
+    rep = su2.su2_asymmetry(sectors)
+    casimir = (None if crange is None
+               else su2.casimir_constraint_check(sectors, cfg.geometry, crange))
 
     report = _in_base(rep.to_dict(), cfg.log_base)
     row = _report_row(report)

@@ -29,29 +29,36 @@ Its columns are grouped by total spin s in decreasing order; within a sector
 the coupling path index is the outer label and m runs from +s down to -s
 inside each path.
 
-Every kernel takes the factor route or the matrix route by the route rule of
-``states``.  A state with a factor (a pure state, or a factored rho) is read
-through ``couple_factor`` alone: ``su2_asymmetry`` and ``sector_distribution``
-take its blocks' entropies and column norms, and ``spin_moments`` reads every
-spin mean and second moment off the same blocks with the S_z weights and S_+
-ladder stencils of each spin (``_ladder_moments``), so no kernel applies a
-one-site operator to F.  A matrix-built rho goes through the basis, each
-weight block rotated once (``_rotated_blocks``), and its moments come from one
-gather of its entries (``_gathered_moments``).  Both entropy routes end in one
-block per spin s, whose ``states.block_entropy`` with 2s + 1 copies is that
-sector's share of the twirled entropy.  ``casimir_constraint_check`` reads
-the spin along the mean-spin direction n off the moment matrix of
-``spin_moments``, <S_n^2> = n^T M n, so no run turns a state;
-``zero_transverse_rotation``, which does (with u^{(x) N} applied site by
-site), is the reference the suites and tests hold that reading to.
+A state is read once, by ``spin_sectors``, which takes the factor route or
+the matrix route by the route rule of ``states`` and returns a
+``SpinSectors``: the twirled entropy S(twirl rho), the sector table p_{s,m}
+and every spin moment.  A state with a factor (a pure state, or a factored
+rho) is coupled once by ``couple_factor``.  Each spin block B_s gives its
+``states.block_entropy`` with 2s + 1 copies, the sector's share of the
+twirled entropy, and its spin-side matrix R_s = Tr_r B_s^dagger B_s,
+(2s + 1) x (2s + 1); then the block is dropped.  diag R_s is p_{s,m}, and
+R_s's diagonals at offsets 0, 1 and 2 give every spin mean and second moment
+against the S_z weights and S_+ ladder stencils of each spin
+(``_ladder_moments``), so no kernel applies a one-site operator to F.  A
+matrix-built rho goes through the basis, each weight block rotated once
+(``_rotated_blocks``), which gives the shares and the table, and its moments
+come from one gather of its entries (``_gathered_moments``).
+``su2_asymmetry``, ``sector_distribution``, ``spin_moments`` and
+``casimir_constraint_check`` each take a state or its ``SpinSectors``, so a
+run that needs two of them reads the state once.  ``casimir_constraint_check``
+reads the spin along the mean-spin direction n off the moment matrix,
+<S_n^2> = n^T M n, so no run turns a state; ``zero_transverse_rotation``,
+which does (with u^{(x) N} applied site by site), is the reference the suites
+and tests hold that reading to.
 ``su2_twirl`` divides each matrix-route block by 2s + 1 and rotates it back;
 it and ``su2_twirl_haar`` are references for tests and oracles, and with the
 suites they are the only callers of the basis besides matrix-built states.
 
 Every N >= 1 runs, odd N with half-integer spins.  Inside this module a spin
 is labelled by the integer 2s (``couple_factor``'s keys, ``SchurBasis.sectors``
-and ``segments``, the sector blocks), and m by 2m = N - 2w; public values stay
-in units of s: ``SectorTable.spins`` and the argument of ``multiplicity``.
+and ``segments``, the sector blocks and R_s), and m by 2m = N - 2w; public
+values stay in units of s: ``SectorTable.spins`` and the argument of
+``multiplicity``.
 """
 from __future__ import annotations
 
@@ -378,16 +385,37 @@ def _sector_blocks(frame: list[np.ndarray], basis: SchurBasis) -> dict:
     return {two_s: sum(ps) for two_s, ps in parts.items()}
 
 
-def _sectors(state: State) -> tuple[bool, dict, SectorTable]:
-    """(factored, {2s: block}, table): every spin sector of a state, by the route rule.
+@dataclass(frozen=True)
+class SpinSectors:
+    """One reading of a state's spin sectors, by ``spin_sectors``.
 
-    The factor route reads F through ``couple_factor``: the block of spin s is
-    the multiplicity x (2s + 1) r matrix [C_{s,m}]_m, and p_{s,m} the squared
-    norm of its m slice.  The matrix route reads rho in the Schur basis: the
-    ``_sector_blocks`` and the diagonals of the ``_rotated_blocks``.  Either
-    way the twirl holds 2s + 1 copies of X_s / (2s + 1), X_s the block, or
-    B B^dagger of the factor route's block B.
+    ``twirled_entropy`` is S(twirl rho) in nats, ``table`` the weights
+    p_{s,m} and ``moments`` the dict of ``spin_moments``.  S(rho) itself is
+    left to ``von_neumann_entropy(state)``: a matrix-built rho eigensolves it
+    whole, which only ``su2_asymmetry`` needs.
     """
+
+    state: State
+    twirled_entropy: float
+    table: SectorTable
+    moments: dict
+
+
+def spin_sectors(state: State | SpinSectors) -> SpinSectors:
+    """Every spin sector of a state, read once by the route rule; a reading is returned as is.
+
+    The factor route couples F once (``couple_factor``).  The block B_s of
+    spin s, multiplicity x (2s + 1) r, gives that sector's share of the
+    twirled entropy, the ``block_entropy`` of its smaller Gram matrix with
+    2s + 1 copies, and the spin-side matrix R_s = Tr_r B_s^dagger B_s,
+    (2s + 1) x (2s + 1), whose diagonal is p_{s,m} and whose diagonals give
+    the moments (``_ladder_moments``); the blocks are then dropped.  The
+    matrix route reads rho in the Schur basis: the shares of the
+    ``_sector_blocks``, p_{s,m} off the diagonals of the ``_rotated_blocks``,
+    and the moments gathered from rho's entries (``_gathered_moments``).
+    """
+    if isinstance(state, SpinSectors):
+        return state
     n = state.n_qubits
     if n < 1:
         raise ValidationError(f"SU(2) sectors need N >= 1 qubits, got {n}")
@@ -401,20 +429,24 @@ def _sectors(state: State) -> tuple[bool, dict, SectorTable]:
             weight = np.real(np.diagonal(part))
             for two_s, first, mult in basis.segments(w):
                 p_sm[two_s // 2, n - w] = weight[first : first + mult].sum()
-        return False, _sector_blocks(frame, basis), _checked_table(p_sm)
-    blocks = {}
-    for two_s, coeffs in couple_factor(fac).items():
-        # column c holds m = s - c, so p_{s, m} sits at index (N + 2s) / 2 - c
-        pairs = coeffs.view(float)
-        p_sm[two_s // 2, (n - two_s) // 2 : (n + two_s) // 2 + 1] = np.einsum(
-            "acx,acx->c", pairs, pairs)[::-1]
-        blocks[two_s] = coeffs.reshape(len(coeffs), -1)
-    return True, blocks, _checked_table(p_sm)
+        twirled = sum(block_entropy(block, copies=two_s + 1)
+                      for two_s, block in _sector_blocks(frame, basis).items())
+        moments = _gathered_moments(state.matrix)
+    else:
+        twirled, spin_side = 0.0, {}
+        for two_s, block in couple_factor(fac).items():
+            twirled += block_entropy(block.reshape(len(block), -1), True, two_s + 1)
+            spin_side[two_s] = r_s = np.tensordot(block.conj(), block, axes=((0, 2), (0, 2)))
+            # column c holds m = s - c, so p_{s, m} sits at index (N + 2s) / 2 - c
+            p_sm[two_s // 2, (n - two_s) // 2 : (n + two_s) // 2 + 1] = r_s.diagonal().real[::-1]
+        moments = _ladder_moments(spin_side)
+    moments["s2"] = moments["sx2"] + moments["sy2"] + moments["sz2"]
+    return SpinSectors(state, twirled, _checked_table(p_sm), moments)
 
 
-def sector_distribution(state: State) -> SectorTable:
+def sector_distribution(state: State | SpinSectors) -> SectorTable:
     """Measured weights of every (s, m) pair for a pure or mixed state."""
-    return _sectors(state)[2]
+    return spin_sectors(state).table
 
 
 def su2_twirl(state: State) -> DensityMatrix:
@@ -485,25 +517,16 @@ class Su2AsymmetryReport:
         return data | {"bounds": bounds, "margins": margins}
 
 
-def su2_asymmetry(state: State) -> Su2AsymmetryReport:
+def su2_asymmetry(state: State | SpinSectors) -> Su2AsymmetryReport:
     """Asymmetry Delta S = S(twirl(rho)) - S(rho) for the full rotation group.
 
-    Both routes read the state once, in ``_sectors``, which also gives the
-    sector table, and neither forms the twirl or any 2^N x 2^N matrix:
-    S(twirl rho) = sum_s ``block_entropy`` of the sector block with 2s + 1
-    copies, the factor route's from the smaller Gram matrix of [C_{s,m}]_m.
+    S(twirl rho) and the sector table come from ``spin_sectors``, which forms
+    neither the twirl nor any 2^N x 2^N matrix, and S(rho) from
+    ``von_neumann_entropy`` of the state.
     """
-    factored, blocks, table = _sectors(state)
-    twirled = sum(
-        block_entropy(block, factored, two_s + 1) for two_s, block in blocks.items()
-    )
-    delta = twirled - von_neumann_entropy(state)
-    report = Su2AsymmetryReport(
-        n_sites=state.n_qubits,
-        delta_s=delta,
-        bound_sector_entropy=su2_shannon_rhs(table),
-        bound_support_dim=su2_support_bound(state.n_qubits),
-    )
+    sectors = spin_sectors(state)
+    n, delta = sectors.state.n_qubits, sectors.twirled_entropy - von_neumann_entropy(sectors.state)
+    report = Su2AsymmetryReport(n, delta, su2_shannon_rhs(sectors.table), su2_support_bound(n))
     if report.delta_s < -NEGATIVE_ASYMMETRY_TOL:
         raise ValidationError(f"asymmetry {report.delta_s!r} is negative beyond tolerance")
     return report
@@ -575,20 +598,17 @@ def su2_twirl_haar(state: State) -> DensityMatrix:
                           f"after {HAAR_MAX_REFINEMENTS} refinements")
 
 
-def spin_moments(state: State) -> dict:
+def spin_moments(state: State | SpinSectors) -> dict:
     """First and second moments of the collective spin S = sum_j sigma_j / 2.
 
     Keys: the means ``sx``, ``sy``, ``sz``, the entries M_ab = Re <S_a S_b> of
     the moment matrix (``sx2``, ``sy2``, ``sz2`` on the diagonal, ``sxy``,
-    ``sxz``, ``syz`` off it) and ``s2`` = tr M = <S^2>.  A state with a factor
-    F is read off the spin-sector blocks of ``couple_factor(F)``
+    ``sxz``, ``syz`` off it) and ``s2`` = tr M = <S^2>, as ``spin_sectors``
+    reads them: a state with a factor off its spin-side matrices R_s
     (``_ladder_moments``), a matrix-built rho off its entries
     (``_gathered_moments``); neither applies a local operator.
     """
-    fac = state.factor
-    out = _gathered_moments(state.matrix) if fac is None else _ladder_moments(couple_factor(fac))
-    out["s2"] = out["sx2"] + out["sy2"] + out["sz2"]
-    return out
+    return dict(spin_sectors(state).moments)
 
 
 @lru_cache(maxsize=None)
@@ -606,32 +626,30 @@ def _ladder_weights(two_s: int) -> np.ndarray:
     return np.stack([m, m * m, s * (s + 1) - m * m, a, a * (m + 0.5), a * np.roll(a, 1)])
 
 
-def _ladder_moments(blocks: dict) -> dict:
-    """The spin means and moment-matrix entries of rho = F F^dagger, off F's coupled blocks.
+def _ladder_moments(spin_side: dict) -> dict:
+    """The spin means and moment-matrix entries of a state, off its spin-side matrices R_s.
 
-    ``blocks`` is ``couple_factor(F)``: in the block of spin s column c holds
-    m = s - c, S_z scales it by m, and S_+ = S_x + i S_y moves it to column
-    c - 1 times a_c (``_ladder_weights``).  With the column norms N_c and
-    overlaps G1_c = <C_{c-1}, C_c> and G2_c = <C_{c-2}, C_c>, each summed over
-    the paths and the columns of F:
+    ``spin_side`` maps 2s to R_s, whose entry (c, d) is the overlap
+    <C_c, C_d> of the sector's columns c and d summed over the paths and the
+    columns of F (``spin_sectors``).  Column c holds m = s - c, S_z scales it
+    by m, and S_+ = S_x + i S_y moves it to column c - 1 times a_c
+    (``_ladder_weights``).  With the column norms N_c = R_s[c, c] and the
+    overlaps G1_c = R_s[c - 1, c] and G2_c = R_s[c - 2, c], the diagonals of
+    R_s at offsets 0, 1 and 2:
     <S_z> = sum m N_c, <S_z^2> = sum m^2 N_c, <S_x> + i <S_y> = sum a_c G1_c,
     M_xz + i M_yz = <S_+ S_z + S_z S_+> / 2 = sum a_c (m + 1/2) G1_c,
     <S_+^2> = M_xx - M_yy + 2i M_xy = sum a_c a_{c-1} G2_c and
-    M_xx + M_yy = <S^2 - S_z^2> = sum (s(s + 1) - m^2) N_c.  Each sum runs
-    over the real and imaginary views of a block, with no copy: O(2^N r).
+    M_xx + M_yy = <S^2 - S_z^2> = sum (s(s + 1) - m^2) N_c.
     """
-    # entry j: row j of _ladder_weights against Re and Im of the norms (real) and overlaps
-    real, imag = np.zeros(6), np.zeros(6)
-    for two_s, block in blocks.items():
-        pairs, re, im = block.view(float), block.real, block.imag
+    # entry j: row j of _ladder_weights against the diagonal of R_s at offset 0, 1 or 2,
+    # the offsets k <= 2s
+    sums = np.zeros(6, dtype=complex)
+    for two_s, r_s in spin_side.items():
         weights = _ladder_weights(two_s)
-        real[:3] += weights[:3] @ np.einsum("acx,acx->c", pairs, pairs)
-        # G_k over the columns c >= k, for k <= 2s
-        for k, rows in ((1, slice(3, 5)), (2, slice(5, 6)))[:two_s]:
-            real[rows] += weights[rows, k:] @ np.einsum("acx,acx->c", pairs[:, :-k], pairs[:, k:])
-            imag[rows] += weights[rows, k:] @ (np.einsum("aci,aci->c", re[:, :-k], im[:, k:])
-                                               - np.einsum("aci,aci->c", im[:, :-k], re[:, k:]))
-    (sz, sz2, transverse, sx, sxz, along), (*_, sy, syz, cross) = real.tolist(), imag.tolist()
+        for k, rows in ((0, slice(0, 3)), (1, slice(3, 5)), (2, slice(5, 6)))[: two_s + 1]:
+            sums[rows] += weights[rows, k:] @ np.diagonal(r_s, k)
+    real, imag = sums.real.tolist(), sums.imag.tolist()
+    (sz, sz2, transverse, sx, sxz, along), (*_, sy, syz, cross) = real, imag
     return {"sx": sx, "sy": sy, "sz": sz, "sx2": (transverse + along) / 2,
             "sy2": (transverse - along) / 2, "sz2": sz2, "sxy": cross / 2, "sxz": sxz, "syz": syz}
 
@@ -751,22 +769,22 @@ class CasimirReport:
 
 
 def casimir_constraint_check(
-    state: State, geometry: LatticeGeometry, clustering_range: int
+    state: State | SpinSectors, geometry: LatticeGeometry, clustering_range: int
 ) -> CasimirReport:
     """Check the collective-spin second-moment caps for a clustering state, in any frame.
 
     The main inequality is <S^2> - <S_n^2> <= c N, n = <S> / |<S>| the
     direction of the mean spin (z when |<S>| < ZERO_NORM), with
     <S_n^2> = n^T M n read off the moment matrix M_ab = Re <S_a S_b> of
-    ``spin_moments``, so the state is read once and never turned.  The
+    ``spin_sectors``, so the state is read once and never turned.  The
     precursor replaces <S_n^2> by the squared mean spin |<S>|^2 and is the
     stronger statement that actually requires clustering.
     """
-    if geometry.n_sites != state.n_qubits:
-        raise ValidationError(
-            f"geometry has {geometry.n_sites} sites, state has {state.n_qubits}"
-        )
-    moments = spin_moments(state)
+    sectors = spin_sectors(state)
+    if geometry.n_sites != sectors.state.n_qubits:
+        raise ValidationError(f"geometry has {geometry.n_sites} sites, "
+                              f"state has {sectors.state.n_qubits}")
+    moments = sectors.moments
     z_lambda = neighborhood_cardinality(geometry, clustering_range)
     c_lambda = C_LAMBDA_PREFACTOR * z_lambda
     bound = c_lambda * geometry.n_sites
@@ -777,7 +795,7 @@ def casimir_constraint_check(
     mean_sq = moments["sx"] ** 2 + moments["sy"] ** 2 + moments["sz"] ** 2
     precursor = moments["s2"] - mean_sq
     return CasimirReport(
-        n_sites=state.n_qubits,
+        n_sites=geometry.n_sites,
         clustering_range=clustering_range,
         c_lambda=c_lambda,
         bound=bound,

@@ -478,12 +478,10 @@ def _collective_moment_cap(rng, samples) -> tuple[float, str]:
         depth = 1 + k % 2
         circ = circuits.random_brickwork(geo, depth, rng)
         psi = circuits.apply_circuit(_random_product_input(n, rng), circ)
-        gauged, _ = su2.zero_transverse_rotation(psi)
-        moments = su2.spin_moments(gauged)
+        sectors = su2.spin_sectors(su2.zero_transverse_rotation(psi)[0])
+        moments = sectors.moments
         margin = min(margin, TRANSVERSE_TOL - max(abs(moments["sx"]), abs(moments["sy"])))
-        rep = su2.casimir_constraint_check(
-            gauged, geo, 2 * lattice.lightcone_range(depth)
-        )
+        rep = su2.casimir_constraint_check(sectors, geo, 2 * lattice.lightcone_range(depth))
         margin = min(margin, rep.bound - rep.lhs + MARGIN_TOL)
         margin = min(margin, rep.bound - rep.precursor_lhs + MARGIN_TOL)
     return margin, f"{total} gauged circuit states, n=4..8"
@@ -843,30 +841,29 @@ def _oracle_polarized(rng) -> tuple[float, str]:
         worst = max(worst, abs(su2.su2_asymmetry(rho).delta_s - dense))
     for n in (2, 4, 6, 8, 3, 5, 7):
         # a pure state and a rank-4 rho, each with its exact factor, against the same
-        # matrix without it: the coupling route against the basis route, Gram-matrix
-        # S(rho), every spin moment of the coupled blocks against the gather of rho's
-        # entries, <S^2> = sum_s p_s s(s+1) against the moments, and, at n = 2, 4 and
-        # 6, the rotated factor and, on each route, the frame-free Casimir lhs against
-        # <S^2> - <Sz^2> of the turned state (a dense gauge rotation from n = 7 on
-        # costs as much as the rest); odd n is drawn last, so the even-n inputs stay
-        # as they were
+        # matrix without it, one spin_sectors reading each: the coupling route against
+        # the basis route, Gram-matrix S(rho), every spin moment off the coupled R_s
+        # against the gather of rho's entries, <S^2> = sum_s p_s s(s+1) against the
+        # moments, and, at n = 2, 4 and 6, the rotated factor and, on each route, the
+        # frame-free Casimir lhs against <S^2> - <Sz^2> of the turned state (a dense
+        # gauge rotation from n = 7 on costs as much as the rest); odd n is drawn last,
+        # so the even-n inputs stay as they were
         a = rng.standard_normal((2**n, 4)) + 1j * rng.standard_normal((2**n, 4))
         factored = DensityMatrix.from_factor(a / np.linalg.norm(a))
         for state in (states.random_state(n, rng), factored):
             bare = DensityMatrix(state.matrix)
-            gap = su2.su2_asymmetry(state).delta_s - su2.su2_asymmetry(bare).delta_s
-            table = su2.sector_distribution(state)
-            spins = table.spins
+            coupled, basis = su2.spin_sectors(state), su2.spin_sectors(bare)
+            gap = su2.su2_asymmetry(coupled).delta_s - su2.su2_asymmetry(basis).delta_s
+            table, spins = coupled.table, coupled.table.spins
             casimir = float(np.sum(table.p_s * spins * (spins + 1)))
-            coupled, gathered = su2.spin_moments(state), su2.spin_moments(bare)
-            worst = max(worst, abs(gap), abs(casimir - coupled["s2"]),
-                        max(abs(coupled[k] - gathered[k]) for k in gathered),
-                        float(np.abs(table.p_sm - su2.sector_distribution(bare).p_sm).max()))
+            worst = max(worst, abs(gap), abs(casimir - coupled.moments["s2"]),
+                        max(abs(coupled.moments[k] - v) for k, v in basis.moments.items()),
+                        float(np.abs(table.p_sm - basis.table.p_sm).max()))
             if n in (2, 4, 6):
                 moved, dense = (su2.spin_moments(su2.zero_transverse_rotation(st)[0])
                                 for st in (state, bare))
                 worst = max(worst, max(abs(moved[k] - dense[k]) for k in dense))
-                for st, turned in ((state, moved), (bare, dense)):
+                for st, turned in ((coupled, moved), (basis, dense)):
                     lhs = su2.casimir_constraint_check(st, lattice.LatticeGeometry(1, n), 1).lhs
                     worst = max(worst, abs(lhs - (turned["s2"] - turned["sz2"])))
     return (

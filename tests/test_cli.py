@@ -1345,16 +1345,16 @@ def test_su2_runs_of_pure_and_factored_states_build_no_schur_basis(tmp_path, mon
 
 
 def test_su2_runs_read_the_moments_once_and_turn_no_state(tmp_path, monkeypatch):
-    """The Casimir check of an su2 or run op reads the moments once, in the state's own frame.
+    """An su2 or run op couples F once, for Delta S and the Casimir check, in the state's frame.
 
     No op turns the state or applies a local operator to it: the moments come
-    off the coupled sector blocks.
+    off the spin-side matrices R_s of the one ``spin_sectors`` reading.
     """
     calls = []
 
-    def spy(state, _kernel=su2.spin_moments):
-        calls.append(state.n_qubits)
-        return _kernel(state)
+    def spy(factor, _kernel=su2.couple_factor):
+        calls.append(states.qubit_count(factor.shape[0]))
+        return _kernel(factor)
 
     def refuse(state):
         raise AssertionError("zero_transverse_rotation called on the run path")
@@ -1362,7 +1362,7 @@ def test_su2_runs_read_the_moments_once_and_turn_no_state(tmp_path, monkeypatch)
     def refuse_local(arr, op, sites):
         raise AssertionError(f"apply_site_matrix called on sites {sites} on the run path")
 
-    monkeypatch.setattr(su2, "spin_moments", spy)
+    monkeypatch.setattr(su2, "couple_factor", spy)
     monkeypatch.setattr(su2, "zero_transverse_rotation", refuse)
     _replace_everywhere(monkeypatch, states.apply_site_matrix, refuse_local)
     argv = ["su2", "--state", "random:3", "--n", "8", "--clustering-range", "2",

@@ -20,7 +20,6 @@ from asymlab.states import (
     StateVector,
     apply_site_matrix,
     basis_state,
-    block_entropy,
     density_matrix_cap,
     ghz_state,
     product_state,
@@ -692,8 +691,9 @@ def test_casimir_check_at_zero_and_antiparallel_mean_spin(n):
 def test_casimir_check_peaks_at_three_factors(monkeypatch):
     """On a rank-4 factor at N = 14 (1 MiB) the check allocates at most three copies of F.
 
-    Its peak is that of ``couple_factor``, which holds the blocks of k and of
-    k + 1 coupled sites; the moments are then read off the blocks in place.
+    Its peak is that of the one ``couple_factor`` of ``spin_sectors``, which
+    holds the blocks of k and of k + 1 coupled sites; each block then leaves
+    only its entropy share and its (2s + 1) x (2s + 1) R_s, the moments' source.
     """
     monkeypatch.delenv("ASYMLAB_MAX_QUBITS", raising=False)
     n = 14
@@ -811,11 +811,13 @@ def test_asymmetry_transforms_each_state_once(monkeypatch):
         assert calls == [route]
 
 
-@pytest.mark.parametrize("n, rank", [(16, 1), (14, 4)])
+@pytest.mark.parametrize("n, rank", [(16, 1), (14, 4), (10, 1000)])
 def test_coupling_route_peaks_at_a_few_factors(n, rank):
-    """su2_asymmetry of a pure or rank-4 state holds a few copies of F (1 MiB here) at most.
+    """su2_asymmetry of a pure or rank-r state holds a few copies of F (1 MiB, 16 MB) at most.
 
-    rho would take 2^N / r times F, and the basis is never built.
+    rho would take 2^N / r times F, and the basis is never built.  At r = 1000
+    the spin-side Gram B_s^dagger B_s of the top spin alone would be 1.8 GiB:
+    each entropy comes from the smaller Gram and only R_s = Tr_r of it is kept.
     """
     rng = np.random.default_rng(900 + n)
     state = random_state(n, rng) if rank == 1 else random_density_matrix(n, rng, rank=rank)
@@ -856,24 +858,53 @@ def test_coupling_takes_odd_n_and_the_sector_routes_run_it():
         assert table.p_sm[-1, -1] == pytest.approx(1.0, abs=1e-15)
 
 
+def _singlets(n: int) -> StateVector:
+    """Two-site singlets on sites (0, 1), (2, 3), ..., with |0> on the last site at odd N."""
+    singlet = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
+    amps = np.ones(1)
+    for _ in range(n // 2):
+        amps = np.kron(amps, singlet)
+    return StateVector(np.kron(amps, [1.0, 0.0]) if n % 2 else amps)
+
+
+@pytest.mark.parametrize("n", [16, 15])
+def test_singlet_products_read_their_exact_anchors(n):
+    """Singlets are all spin 0: Delta S = 0, p_0 = 1 and every moment 0.
+
+    With one |0> site added (odd N) the state is all spin 1/2 at m = +1/2:
+    Delta S = ln 2, <S_z> = 1/2 and <S_a^2> = 1/4 for each axis, so <S^2> = 3/4.
+    """
+    sectors = su2.spin_sectors(_singlets(n))
+    odd = n % 2
+    p_sm = np.zeros_like(sectors.table.p_sm)
+    # row 0 holds the least spin, s = 0 or 1/2; column N/2 + m its projection m = s
+    p_sm[0, (n + odd) // 2] = 1.0
+    assert_allclose(sectors.table.p_sm, p_sm, rtol=0, atol=1e-12)
+    assert_allclose(su2_asymmetry(sectors).delta_s, odd * math.log(2), rtol=0, atol=1e-12)
+    quarter = odd / 4
+    moments = {"sx": 0, "sy": 0, "sz": odd / 2, "sx2": quarter, "sy2": quarter, "sz2": quarter,
+               "sxy": 0, "sxz": 0, "syz": 0, "s2": 3 * quarter}
+    assert sectors.moments.keys() == moments.keys()
+    for key, value in moments.items():
+        assert_allclose(sectors.moments[key], value, rtol=0, atol=1e-12, err_msg=key)
+
+
 def test_coupling_matches_the_basis_route_at_n11():
-    """Twirled entropy and p_{s,m} of F against those of rho without its factor.
+    """Twirled entropy, p_{s,m} and every moment of F against those of rho without its factor.
 
     ``test_factor_route_matches_matrix_route`` compares whole readings up to
     N = 10; here the matrix-built S(rho) would eigensolve 2^11 x 2^11, so only
-    the twirled side is compared.
+    the ``spin_sectors`` readings are compared: the moments off R_s against
+    the gather of rho's entries.
     """
     n = 11
     rng = np.random.default_rng(1100 + n)
     for state in (random_state(n, rng), random_density_matrix(n, rng, rank=4)):
-        routes = []
-        for st in (state, DensityMatrix(state.matrix)):
-            factored, blocks, table = su2._sectors(st)
-            twirled = sum(block_entropy(b, factored, two_s + 1) for two_s, b in blocks.items())
-            routes.append((twirled, table.p_sm))
-        (coupled, p_coupled), (basis, p_basis) = routes
-        assert_allclose(coupled, basis, rtol=0, atol=1e-12)
-        assert_allclose(p_coupled, p_basis, rtol=0, atol=1e-14)
+        coupled, basis = su2.spin_sectors(state), su2.spin_sectors(DensityMatrix(state.matrix))
+        assert_allclose(coupled.twirled_entropy, basis.twirled_entropy, rtol=0, atol=1e-12)
+        assert_allclose(coupled.table.p_sm, basis.table.p_sm, rtol=0, atol=1e-14)
+        for key, value in basis.moments.items():
+            assert_allclose(coupled.moments[key], value, rtol=0, atol=1e-12, err_msg=key)
 
 
 def _pauli_moments(fac: np.ndarray) -> dict:
