@@ -297,10 +297,11 @@ def validate_config(data: dict) -> ExperimentConfig:
         if key != "experiment" and key not in _EXPERIMENT_KEYS[experiment]:
             raise ConfigError(f"{experiment} takes no {key!r}")
 
+    # the schema takes an integral float such as 4.0 as an integer; it is read as one
     geometry = None
     if "geometry" in data:
         geometry = LatticeGeometry(
-            data["geometry"]["dimension"], data["geometry"]["linear_size"]
+            int(data["geometry"]["dimension"]), int(data["geometry"]["linear_size"])
         )
 
     state_spec = data.get("state_spec")
@@ -318,7 +319,7 @@ def validate_config(data: dict) -> ExperimentConfig:
         samples=None if experiment == "oracle-suite" else float(data.get("samples", 1.0)),
         output=data.get("output", "."),
         log_base=data.get("log_base", "e"),
-        clustering_range=data.get("clustering_range"),
+        clustering_range=None if "clustering_range" not in data else int(data["clustering_range"]),
         tolerance=float(data.get("tolerance", CORRELATOR_TOL)),
         hash=config_hash(data),
     )

@@ -17,13 +17,14 @@ applied two ways:
   ``couple_factor`` of the 2^N x 2^N identity.
 
 Every basis vector has a definite S_z = m, so it lies inside one Hamming-weight
-subspace w = N/2 - m.  The basis is stored that way: for each w, the sorted
-basis indices ``rows[w]`` of weight w and one real orthogonal
-C(N, w) x C(N, w) block ``blocks[w]`` whose columns are the (s, alpha) with
-s >= |m|, s decreasing, alpha (the coupling path) increasing.  At N = 12 the
-blocks hold 22 MB against 134 MB for the 2^N x 2^N matrix.  The basis is a
-function of N alone, so ``build_schur_basis`` builds it once per N in a
-process, within the density-matrix cap, and every caller reads N off the state.
+subspace w = N/2 - m.  The basis is stored per spin, as the coupling builds
+it: the sorted basis indices ``rows[w]`` of each weight w, and for each spin
+s and column c (m = s - c) one real C(N, w) x n_s array ``paths[2s][c]``
+whose column alpha (the coupling path) is the vector (s, m, alpha) on
+``rows[w]``.  At N = 12 the arrays hold 22 MB against 134 MB for the
+2^N x 2^N matrix.  The basis is a function of N alone, so
+``build_schur_basis`` builds it once per N in a process, within the
+density-matrix cap, and every caller reads N off the state.
 ``SchurBasis.dense()`` assembles the full matrix for tests and oracles only.
 Its columns are grouped by total spin s in decreasing order; within a sector
 the coupling path index is the outer label and m runs from +s down to -s
@@ -40,8 +41,9 @@ twirled entropy, and its spin-side matrix R_s = Tr_r B_s^dagger B_s,
 R_s's diagonals at offsets 0, 1 and 2 give every spin mean and second moment
 against the S_z weights and S_+ ladder stencils of each spin
 (``_ladder_moments``), so no kernel applies a one-site operator to F.  A
-matrix-built rho goes through the basis, each weight block rotated once
-(``_rotated_blocks``), which gives the shares and the table, and its moments
+matrix-built rho goes through the basis spin by spin too: ``_spin_parts``
+gives each spin's parts V^T rho_ww V, one per m, whose traces are p_{s,m}
+and whose sum is the multiplicity block that gives the share; its moments
 come from one gather of its entries (``_gathered_moments``).
 ``su2_asymmetry``, ``sector_distribution``, ``spin_moments`` and
 ``casimir_constraint_check`` each take a state or its ``SpinSectors``, so a
@@ -50,21 +52,23 @@ reads the spin along the mean-spin direction n off the moment matrix,
 <S_n^2> = n^T M n, so no run turns a state; ``zero_transverse_rotation``,
 which does (with u^{(x) N} applied site by site), is the reference the suites
 and tests hold that reading to.
-``su2_twirl`` divides each matrix-route block by 2s + 1 and rotates it back;
+``su2_twirl`` divides each multiplicity block by 2s + 1 and rotates it back;
 it and ``su2_twirl_haar`` are references for tests and oracles, and with the
 suites they are the only callers of the basis besides matrix-built states.
 
 Every N >= 1 runs, odd N with half-integer spins.  Inside this module a spin
-is labelled by the integer 2s (``couple_factor``'s keys, ``SchurBasis.sectors``
-and ``segments``, the sector blocks and R_s), and m by 2m = N - 2w; public
+is labelled by the integer 2s (the keys of ``couple_factor``,
+``SchurBasis.paths``, ``_spin_parts`` and R_s), and m by 2m = N - 2w; public
 values stay in units of s: ``SectorTable.spins`` and the argument of
 ``multiplicity``.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -117,51 +121,35 @@ def multiplicity(n_qubits: int, s: float) -> int:
 
 @dataclass(frozen=True)
 class SchurBasis:
-    """Orthogonal basis adapted to the total-spin decomposition, by S_z block.
+    """Orthogonal basis adapted to the total-spin decomposition, by spin.
 
-    ``rows[w]`` holds the sorted basis indices with w one-bits (2m = N - 2w)
-    and ``blocks[w]`` the real orthogonal block whose column j is the basis
-    vector restricted to those rows; ``segments(w)`` names its columns.
-    ``sectors`` lists (2s, start_column, multiplicity) with s decreasing and
-    places the columns of ``dense()``: the basis vector (s, m, alpha) is
-    column start + alpha * (2s + 1) + (s - m).  The paths alpha are numbered
-    as in ``couple_factor``: spin s stacks its paths from the last site's
-    parent spin s - 1/2 before those from s + 1/2, each in its parent's order.
+    ``rows[w]`` holds the sorted basis indices with w one-bits (2m = N - 2w).
+    ``paths[2s][c]``, 2s decreasing in the mapping, is the C(N, w) x n_s real
+    array whose column alpha is the basis vector (s, m = s - c, alpha)
+    restricted to ``rows[w]``, w = N/2 - m, n_s = ``multiplicity(N, s)``.  The
+    paths alpha are numbered as in ``couple_factor``: spin s stacks its paths
+    from the last site's parent spin s - 1/2 before those from s + 1/2, each in
+    its parent's order.  The mapping, its tuples and every array are read-only.
     """
 
     n_qubits: int
     rows: tuple[np.ndarray, ...]
-    blocks: tuple[np.ndarray, ...]
-    sectors: tuple[tuple[int, int, int], ...]
-
-    def segments(self, w: int) -> list[tuple[int, int, int]]:
-        """(2s, first_column, multiplicity) of each spin in ``blocks[w]``, s decreasing.
-
-        Spin s starts at the same column, sum of the multiplicities above s,
-        in every block that holds it.
-        """
-        two_m = self.n_qubits - 2 * w
-        out = []
-        offset = 0
-        for two_s, _start, mult in self.sectors:
-            if two_s < abs(two_m):
-                break
-            out.append((two_s, offset, mult))
-            offset += mult
-        return out
+    paths: Mapping[int, tuple[np.ndarray, ...]]
 
     def dense(self) -> np.ndarray:
-        """The 2^N x 2^N basis matrix in ``sectors`` column order (tests and oracles only)."""
+        """The 2^N x 2^N basis matrix (tests and oracles only).
+
+        Spins run s decreasing; spin s takes n_s (2s + 1) columns from its
+        start, and (s, s - c, alpha) is column start + alpha (2s + 1) + c.
+        """
         dim = 2**self.n_qubits
-        starts = {two_s: start for two_s, start, _mult in self.sectors}
         matrix = np.zeros((dim, dim))
-        for w, (rows, block) in enumerate(zip(self.rows, self.blocks)):
-            two_m = self.n_qubits - 2 * w
-            cols = np.concatenate([
-                starts[two_s] + np.arange(mult) * (two_s + 1) + (two_s - two_m) // 2
-                for two_s, _offset, mult in self.segments(w)
-            ])
-            matrix[np.ix_(rows, cols)] = block
+        start = 0
+        for two_s, columns in self.paths.items():
+            alphas = start + (two_s + 1) * np.arange(columns[0].shape[1])
+            for c, vectors in enumerate(columns):
+                matrix[np.ix_(self.rows[(self.n_qubits - two_s) // 2 + c], alphas + c)] = vectors
+            start += (two_s + 1) * alphas.size
         return matrix
 
 
@@ -272,7 +260,7 @@ def _couple_site(paths: dict, pos: tuple, sizes: list) -> dict:
 
 
 def build_schur_basis(n_qubits: int) -> SchurBasis:
-    """The spin-adapted basis of N >= 1 qubits, one S_z block per weight.
+    """The spin-adapted basis of N >= 1 qubits, per spin and S_z (``SchurBasis``).
 
     The N >= 1 check and the density-matrix cap run on every call; the basis
     itself is built once per N (``_schur_basis``) and then shared, read-only.
@@ -289,9 +277,9 @@ def _schur_basis(n_qubits: int) -> SchurBasis:
 
     Couples one site at a time with the terms of ``_coupling_terms``, as
     ``couple_factor`` does, but carries each basis vector only on the rows of
-    its own weight, and couples every path of one spin at once; the blocks
-    equal the columns of ``_dense_schur_basis``, the coupled identity, bit
-    for bit.
+    its own weight, and couples every path of one spin at once; the arrays
+    are kept as they come out, and equal the columns of
+    ``_dense_schur_basis``, the coupled identity, bit for bit.
     """
     rows = [np.array([0]), np.array([1])]
     paths = {1: [np.ones((1, 1)), np.ones((1, 1))]}
@@ -306,27 +294,16 @@ def _schur_basis(n_qubits: int) -> SchurBasis:
         paths = _couple_site(paths, pos, [len(r) for r in new_rows])
         rows = new_rows
 
-    sectors: list[tuple[int, int, int]] = []
-    col = 0
-    for two_j in sorted(paths, reverse=True):
-        n_paths = paths[two_j][0].shape[1]
-        if n_paths != multiplicity(n_qubits, two_j / 2):
-            raise ValidationError(f"sector s={two_j}/2 has {n_paths} paths, "
+    for two_j, columns in paths.items():
+        if columns[0].shape[1] != multiplicity(n_qubits, two_j / 2):
+            raise ValidationError(f"sector s={two_j}/2 has {columns[0].shape[1]} paths, "
                                   f"expected {multiplicity(n_qubits, two_j / 2)}")
-        sectors.append((two_j, col, n_paths))
-        col += n_paths * (two_j + 1)
-    if col != 2**n_qubits:
-        raise ValidationError(f"assembled {col} columns, expected {2**n_qubits}")
-    blocks = []
-    for w in range(n_qubits + 1):
-        two_m = n_qubits - 2 * w
-        block = np.concatenate([paths[two_s][(two_s - two_m) // 2]
-                                for two_s, _start, _mult in sectors if two_s >= abs(two_m)],
-                               axis=1)
-        block.flags.writeable = False
-        rows[w].flags.writeable = False
-        blocks.append(block)
-    return SchurBasis(n_qubits, tuple(rows), tuple(blocks), tuple(sectors))
+        for part in columns:
+            part.flags.writeable = False
+    for part in rows:
+        part.flags.writeable = False
+    return SchurBasis(n_qubits, tuple(rows), MappingProxyType(
+        {two_j: tuple(paths[two_j]) for two_j in sorted(paths, reverse=True)}))
 
 
 @dataclass(frozen=True)
@@ -351,17 +328,19 @@ class SectorTable:
         return self.p_sm.sum(axis=1)
 
 
-def _rotated_blocks(rho: np.ndarray, basis: SchurBasis) -> list[np.ndarray]:
-    """R_w = B_w^T rho_ww B_w, rho in the Schur basis on each weight w.
+def _spin_parts(rho: np.ndarray, basis: SchurBasis) -> dict[int, list[np.ndarray]]:
+    """{2s: [V_c^T rho_ww V_c for c = 0..2s]}, V_c = ``basis.paths[2s][c]`` on weight w.
 
-    The twirl keeps only these weight-diagonal blocks.
+    The twirl keeps only these parts: the trace of part c is p_{s, s - c},
+    and their sum is spin s's multiplicity block.
     """
-    out = []
-    for rows, block in zip(basis.rows, basis.blocks):
-        # the blocks are real: real products avoid a complex copy of each block
-        sub = rho[np.ix_(rows, rows)]
-        out.append(block.T @ sub.real @ block + 1j * (block.T @ sub.imag @ block))
-    return out
+    # each weight's real and imaginary parts, contiguous and taken once: the basis is
+    # real, and BLAS would copy a strided view for every spin
+    subs = [(sub.real.copy(), sub.imag.copy())
+            for sub in (rho[np.ix_(rows, rows)] for rows in basis.rows)]
+    return {two_s: [v.T @ re @ v + 1j * (v.T @ im @ v)
+                    for v, (re, im) in zip(columns, subs[(basis.n_qubits - two_s) // 2 :])]
+            for two_s, columns in basis.paths.items()}
 
 
 def _checked_table(p_sm: np.ndarray) -> SectorTable:
@@ -371,18 +350,6 @@ def _checked_table(p_sm: np.ndarray) -> SectorTable:
     if abs(total - 1.0) > UNIT_SUM_TOL:
         raise ValidationError(f"sector weights sum to {total!r}, not 1 within {UNIT_SUM_TOL}")
     return SectorTable(p_sm)
-
-
-def _sector_blocks(frame: list[np.ndarray], basis: SchurBasis) -> dict:
-    """sum_m R_w[(s, .), (s, .)] of the ``_rotated_blocks``: {2s: multiplicity block}.
-
-    The twirl holds 2s + 1 copies of each block divided by 2s + 1.
-    """
-    parts: dict[int, list] = {}
-    for w, block in enumerate(frame):
-        for two_s, first, mult in basis.segments(w):
-            parts.setdefault(two_s, []).append(block[first : first + mult, first : first + mult])
-    return {two_s: sum(ps) for two_s, ps in parts.items()}
 
 
 @dataclass(frozen=True)
@@ -410,9 +377,10 @@ def spin_sectors(state: State | SpinSectors) -> SpinSectors:
     2s + 1 copies, and the spin-side matrix R_s = Tr_r B_s^dagger B_s,
     (2s + 1) x (2s + 1), whose diagonal is p_{s,m} and whose diagonals give
     the moments (``_ladder_moments``); the blocks are then dropped.  The
-    matrix route reads rho in the Schur basis: the shares of the
-    ``_sector_blocks``, p_{s,m} off the diagonals of the ``_rotated_blocks``,
-    and the moments gathered from rho's entries (``_gathered_moments``).
+    matrix route reads rho in the Schur basis, per spin too: the parts
+    V_c^T rho_ww V_c of ``_spin_parts`` sum to the multiplicity block, whose
+    ``block_entropy`` with 2s + 1 copies is the share, and their traces are
+    p_{s,m}; the moments are gathered from rho's entries (``_gathered_moments``).
     """
     if isinstance(state, SpinSectors):
         return state
@@ -421,25 +389,22 @@ def spin_sectors(state: State | SpinSectors) -> SpinSectors:
         raise ValidationError(f"SU(2) sectors need N >= 1 qubits, got {n}")
     # row 2s // 2 holds spin s, column N/2 + m = (N + 2m) / 2 its projection m
     p_sm = np.zeros((n // 2 + 1, n + 1))
-    fac = state.factor
+    fac, twirled, spin_side = state.factor, 0.0, {}
     if fac is None:
-        basis = build_schur_basis(n)
-        frame = _rotated_blocks(state.matrix, basis)
-        for w, part in enumerate(frame):
-            weight = np.real(np.diagonal(part))
-            for two_s, first, mult in basis.segments(w):
-                p_sm[two_s // 2, n - w] = weight[first : first + mult].sum()
-        twirled = sum(block_entropy(block, copies=two_s + 1)
-                      for two_s, block in _sector_blocks(frame, basis).items())
-        moments = _gathered_moments(state.matrix)
+        spins = _spin_parts(state.matrix, build_schur_basis(n))
     else:
-        twirled, spin_side = 0.0, {}
-        for two_s, block in couple_factor(fac).items():
-            twirled += block_entropy(block.reshape(len(block), -1), True, two_s + 1)
-            spin_side[two_s] = r_s = np.tensordot(block.conj(), block, axes=((0, 2), (0, 2)))
-            # column c holds m = s - c, so p_{s, m} sits at index (N + 2s) / 2 - c
-            p_sm[two_s // 2, (n - two_s) // 2 : (n + two_s) // 2 + 1] = r_s.diagonal().real[::-1]
-        moments = _ladder_moments(spin_side)
+        spins = couple_factor(fac)
+    for two_s, spin in spins.items():
+        if fac is None:
+            twirled += block_entropy(sum(spin), copies=two_s + 1)
+            weights = [np.trace(part).real for part in spin]
+        else:
+            twirled += block_entropy(spin.reshape(len(spin), -1), True, two_s + 1)
+            spin_side[two_s] = r_s = np.tensordot(spin.conj(), spin, axes=((0, 2), (0, 2)))
+            weights = r_s.diagonal().real
+        # column c holds m = s - c, so p_{s, m} sits at index (N + 2s) / 2 - c
+        p_sm[two_s // 2, (n - two_s) // 2 : (n + two_s) // 2 + 1] = weights[::-1]
+    moments = _gathered_moments(state.matrix) if fac is None else _ladder_moments(spin_side)
     moments["s2"] = moments["sx2"] + moments["sy2"] + moments["sz2"]
     return SpinSectors(state, twirled, _checked_table(p_sm), moments)
 
@@ -453,20 +418,23 @@ def su2_twirl(state: State) -> DensityMatrix:
     """Average over all global single-qubit rotations u^{(x) N}.
 
     In the Schur basis this zeroes inter-sector blocks and replaces each
-    sector block by delta_{m m'} times the m-averaged multiplicity block.
-    The result is assembled as B_w D_w B_w^T on each weight-diagonal block;
-    blocks between different weights are zero.
+    sector block by delta_{m m'} times the m-averaged multiplicity block D_s.
+    The result is assembled as sum_s V D_s V^T on each weight-diagonal block,
+    V the spin's columns on that weight; blocks between different weights are
+    zero.
     """
-    basis = build_schur_basis(state.n_qubits)
-    sums = _sector_blocks(_rotated_blocks(state.matrix, basis), basis)
+    n = state.n_qubits
+    basis = build_schur_basis(n)
+    means = {two_s: sum(parts) / (two_s + 1)
+             for two_s, parts in _spin_parts(state.matrix, basis).items()}
     out = np.zeros((state.dim,) * 2, dtype=complex)
-    for w, (rows, block) in enumerate(zip(basis.rows, basis.blocks)):
-        twirled = np.zeros((len(rows),) * 2, dtype=complex)
-        for two_s, first, mult in basis.segments(w):
-            twirled[first : first + mult, first : first + mult] = sums[two_s] / (two_s + 1)
-        out[np.ix_(rows, rows)] = (
-            block @ twirled.real @ block.T + 1j * (block @ twirled.imag @ block.T)
-        )
+    for w, rows in enumerate(basis.rows):
+        # every spin's columns on weight w side by side, V, and V D with D the spins' means
+        held = [(columns[w - (n - two_s) // 2], means[two_s])
+                for two_s, columns in basis.paths.items() if two_s >= abs(n - 2 * w)]
+        right = np.concatenate([v for v, _mean in held], axis=1)
+        left = np.concatenate([v @ mean for v, mean in held], axis=1)
+        out[np.ix_(rows, rows)] = left.real @ right.T + 1j * (left.imag @ right.T)
     return DensityMatrix(out)
 
 

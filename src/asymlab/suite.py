@@ -85,10 +85,10 @@ def _random_state_or_matrix(n: int, rng, pure: bool) -> State:
     return states.random_state(n, rng) if pure else states.random_density_matrix(n, rng)
 
 
-def _lowered_block(basis: su2.SchurBasis, w: int) -> np.ndarray:
-    """S_- applied to the columns of ``blocks[w]``, on the rows of weight w + 1.
+def _lowered_block(basis: su2.SchurBasis, w: int, vectors: np.ndarray) -> np.ndarray:
+    """S_- applied to ``vectors``, columns on the rows of weight w, on the rows of weight w + 1.
 
-    Row t is the sum of the block's rows t with one set bit cleared, added in
+    Row t is the sum of the vectors' rows t with one set bit cleared, added in
     ascending bit order: the order of one scatter-add per site, so the result
     is the same to the bit, gathered through a (C(N, w+1), w+1) index table.
     Needs the rows sorted and partitioned by weight.
@@ -97,48 +97,50 @@ def _lowered_block(basis: su2.SchurBasis, w: int) -> np.ndarray:
     set_bits = np.nonzero((targets[:, None] >> np.arange(basis.n_qubits)) & 1)[1]
     cleared = targets[:, None] ^ (1 << set_bits.reshape(targets.size, w + 1))
     src = np.searchsorted(basis.rows[w], cleared)
-    block = basis.blocks[w]
-    lowered = block[src[:, 0]]
+    lowered = vectors[src[:, 0]]
     for k in range(1, w + 1):
-        lowered += block[src[:, k]]
+        lowered += vectors[src[:, k]]
     return lowered
 
 
 def _schur_block_defect(basis: su2.SchurBasis) -> float:
-    """Largest deviation of the S_z blocks from an orthogonal Schur transform.
+    """Largest deviation of the per-spin columns from an orthogonal Schur transform.
 
-    The rows must partition 0..2^N-1 by weight and every block be square
-    (exact; a failure counts as 1).  Each block must have B_w^T B_w = I, and
-    the lowering operator S_- = sum_j sigma^-_j must take column (s, m, alpha)
-    of block w to sqrt((s+m)(s-m+1)) = sqrt((2s+2m)(2s-2m+2)/4) times column
-    (s, m-1, alpha) of block w+1, the Condon-Shortley ladder that fixes every
+    The rows must partition 0..2^N-1 by weight, and the columns of every spin
+    on weight w must fill a square block B_w (exact; a failure counts as 1).
+    Each B_w must have B_w^T B_w = I, and the lowering operator
+    S_- = sum_j sigma^-_j must take column c of spin s (m = s - c) to
+    sqrt((s+m)(s-m+1)) = sqrt((2s - c)(c + 1)) times its column c + 1, and
+    its last column to zero: the Condon-Shortley ladder that fixes every
     column's sign.
     """
     n = basis.n_qubits
     weights = states.bit_weights(n)
+    on_weight: list[list[np.ndarray]] = [[] for _ in basis.rows]
+    for two_s, columns in basis.paths.items():
+        for c, vectors in enumerate(columns):
+            on_weight[(n - two_s) // 2 + c].append(vectors)
+    blocks = [np.concatenate(parts, axis=1) for parts in on_weight]
     rows_ok = np.array_equal(np.sort(np.concatenate(basis.rows)), np.arange(2**n)) and all(
         np.all(weights[rows] == w) and block.shape == (rows.size, rows.size)
-        for w, (rows, block) in enumerate(zip(basis.rows, basis.blocks))
+        for w, (rows, block) in enumerate(zip(basis.rows, blocks))
     )
     if not rows_ok:
         return 1.0
     worst = 0.0
-    for block in basis.blocks:
+    for block in blocks:
         # B_w^T B_w - I, the identity taken off the fresh product in place
         gram = block.T @ block
         gram[np.diag_indices_from(gram)] -= 1.0
         worst = max(worst, float(np.abs(gram).max()))
-    for w in range(n):
-        lowered = _lowered_block(basis, w)
-        two_m = n - 2 * w
-        coef = np.concatenate([
-            np.full(mult, math.sqrt((two_s + two_m) * (two_s - two_m + 2) / 4))
-            for two_s, _first, mult in basis.segments(w)
-        ])
-        # columns past the first ``common`` must lower to zero: they keep S_- B_w as it is
-        common = min(lowered.shape)
-        lowered[:, :common] -= basis.blocks[w + 1][:, :common] * coef[:common]
-        worst = max(worst, float(np.abs(lowered).max()))
+    for two_s, columns in basis.paths.items():
+        base = (n - two_s) // 2
+        # the top spin's last column sits on weight N, with nothing to lower onto
+        for c, vectors in enumerate(columns[: n - base]):
+            lowered = _lowered_block(basis, base + c, vectors)
+            if c < two_s:
+                lowered -= columns[c + 1] * math.sqrt((two_s - c) * (c + 1))
+            worst = max(worst, float(np.abs(lowered).max()))
     return worst
 
 
@@ -830,7 +832,7 @@ def _oracle_polarized(rng) -> tuple[float, str]:
         rep = su2.su2_asymmetry(states.zero_state(n))
         worst = max(worst, abs(rep.delta_s - math.log(n + 1)))
         worst = max(worst, abs(rep.bound_sector_entropy - rep.delta_s))
-        # the S_z blocks against the coupled identity on all 2^n rows
+        # the per-spin basis against the coupled identity on all 2^n rows
         blocks = su2.build_schur_basis(n).dense()
         worst = max(worst, float(np.abs(blocks - su2._dense_schur_basis(n)).max()))
     for n in (4, 6):

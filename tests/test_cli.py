@@ -291,6 +291,31 @@ def test_u1_run_on_ghz(tmp_path):
     assert report["all_bounds_hold"] is True
 
 
+@pytest.mark.parametrize("experiment, kind, as_float", [
+    ("su2-asymmetry", "random", lambda data: data["geometry"].update(linear_size=4.0)),
+    ("u1-asymmetry", "ghz", lambda data: data["geometry"].update(dimension=1.0)),
+    ("su2-asymmetry", "random", lambda data: data.update(clustering_range=1.0)),
+], ids=["linear_size", "dimension", "clustering_range"])
+def test_integral_floats_run_as_their_integers(tmp_path, experiment, kind, as_float):
+    """Draft-07 takes 4.0 as an integer, so the config runs and writes as the integer one."""
+    outputs = []
+    for name in ("int", "float"):
+        data = {"experiment": experiment, "geometry": {"dimension": 1, "linear_size": 4},
+                "state_spec": {"kind": kind}, "clustering_range": 1,
+                "output": str(tmp_path / name)}
+        if name == "float":
+            as_float(data)
+        assert main(["run", _write(tmp_path / f"{name}.json", data)]) == 0
+        header, *rows = (tmp_path / name / "results.csv").read_text().splitlines()
+        report = _read_report(tmp_path / name)
+        assert report.pop("config_hash")
+        # every column but the last, config_hash; json.dumps tells 1.0 from 1
+        outputs.append(([header] + [row.rsplit(",", 1)[0] for row in rows],
+                        json.dumps(report)))
+    assert header.endswith(",config_hash")
+    assert outputs[1] == outputs[0]
+
+
 def test_su2_command_named_state(tmp_path):
     out = tmp_path / "out"
     code = main(

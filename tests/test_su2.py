@@ -57,10 +57,19 @@ def _rotate_all(psi: StateVector, u: np.ndarray) -> StateVector:
     return StateVector(amps)
 
 
+def _dense_sectors(basis) -> list[tuple[int, int, int]]:
+    """(2s, start, multiplicity) of each spin's columns in ``basis.dense()``, s decreasing."""
+    out, start = [], 0
+    for two_s, columns in basis.paths.items():
+        out.append((two_s, start, columns[0].shape[1]))
+        start += (two_s + 1) * columns[0].shape[1]
+    return out
+
+
 def _column_spins(basis) -> list[tuple[float, float]]:
     """(s, m) of every column of ``basis.dense()``: column start + alpha (2s+1) + (s - m)."""
     spins = {}
-    for two_s, start, mult in basis.sectors:
+    for two_s, start, mult in _dense_sectors(basis):
         for alpha in range(mult):
             for c in range(two_s + 1):
                 spins[start + alpha * (two_s + 1) + c] = (two_s / 2, two_s / 2 - c)
@@ -103,8 +112,8 @@ def test_schur_basis_two_qubits_is_triplet_singlet():
     basis = build_schur_basis(2)
     matrix = basis.dense()
     # one triplet (columns 0..2 hold m = 1, 0, -1), then one singlet
-    assert basis.sectors == ((2, 0, 1), (0, 3, 1))
-    starts = {two_s: start for two_s, start, _mult in basis.sectors}
+    assert _dense_sectors(basis) == [(2, 0, 1), (0, 3, 1)]
+    starts = {two_s: start for two_s, start, _mult in _dense_sectors(basis)}
     v = matrix[:, starts[0]]
     expected = np.zeros(4)
     expected[1], expected[2] = 1.0, -1.0
@@ -173,20 +182,27 @@ def test_block_basis_equals_dense_reference(n):
     assert np.array_equal(np.sort(np.concatenate(basis.rows)), np.arange(2**n))
     weights = [bin(int(r)).count("1") for r in np.concatenate(basis.rows)]
     assert weights == sorted(weights)
-    for w, (rows, block) in enumerate(zip(basis.rows, basis.blocks)):
-        assert rows.size == math.comb(n, w)
-        assert block.shape == (rows.size, rows.size)
-        assert [two_s / 2 for two_s, _first, mult in basis.segments(w)
-                for _ in range(mult)] == sorted(
-            (s for s, m in _column_spins(basis) if m == n / 2 - w), reverse=True
-        )
+    assert [rows.size for rows in basis.rows] == [math.comb(n, w) for w in range(n + 1)]
+    assert list(basis.paths) == list(range(n, -1, -2))
+    for two_s, columns in basis.paths.items():
+        assert len(columns) == two_s + 1
+        for c, vectors in enumerate(columns):
+            # column c holds m = s - c, on the rows of weight w = N/2 - m
+            w = (n - two_s) // 2 + c
+            assert vectors.shape == (math.comb(n, w), multiplicity(n, two_s / 2))
 
 
 def test_schur_basis_is_built_once_per_n_and_capped_on_every_call(monkeypatch):
     basis = build_schur_basis(6)
     assert build_schur_basis(6) is basis
-    for part in basis.rows + basis.blocks:
+    for part in basis.rows + sum(basis.paths.values(), ()):
         assert not part.flags.writeable
+    assert isinstance(basis.rows, tuple)
+    assert all(isinstance(columns, tuple) for columns in basis.paths.values())
+    with pytest.raises(TypeError):
+        basis.paths[6] = ()
+    with pytest.raises(TypeError):
+        del basis.paths[6]
     monkeypatch.setenv("ASYMLAB_MAX_QUBITS", "4")
     with pytest.raises(ResourceError):
         build_schur_basis(6)
@@ -196,8 +212,8 @@ def test_schur_basis_is_built_once_per_n_and_capped_on_every_call(monkeypatch):
 def test_block_basis_takes_odd_n_with_half_integer_spins():
     for n in (1, 3, 5):
         basis = build_schur_basis(n)
-        assert [two_s for two_s, _start, _mult in basis.sectors] == list(range(n, 0, -2))
-        assert [mult for _two_s, _start, mult in basis.sectors] == [
+        assert list(basis.paths) == list(range(n, 0, -2))
+        assert [columns[0].shape[1] for columns in basis.paths.values()] == [
             multiplicity(n, two_s / 2) for two_s in range(n, 0, -2)]
 
 
@@ -216,7 +232,7 @@ def _dense_twirl(rho: np.ndarray, basis) -> np.ndarray:
     matrix = basis.dense()
     rot = matrix.T @ rho @ matrix
     out = np.zeros_like(rot)
-    for two_s, start, mult in basis.sectors:
+    for two_s, start, mult in _dense_sectors(basis):
         width = two_s + 1
         size = mult * width
         r = rot[start : start + size, start : start + size].reshape(mult, width, mult, width)
@@ -796,7 +812,7 @@ def test_rank_one_factor_matches_its_statevector(n):
 def test_asymmetry_transforms_each_state_once(monkeypatch):
     """One coupling of F for a state with a factor, one rotation of rho for one without."""
     calls = []
-    for name in ("couple_factor", "_rotated_blocks"):
+    for name in ("couple_factor", "_spin_parts"):
         def spy(arr, *rest, _name=name, _kernel=getattr(su2, name)):
             calls.append(_name)
             return _kernel(arr, *rest)
@@ -805,10 +821,25 @@ def test_asymmetry_transforms_each_state_once(monkeypatch):
     rng = np.random.default_rng(61)
     rho = random_density_matrix(4, rng, rank=2)
     for state, route in ((random_state(4, rng), "couple_factor"), (rho, "couple_factor"),
-                         (DensityMatrix(rho.matrix), "_rotated_blocks")):
+                         (DensityMatrix(rho.matrix), "_spin_parts")):
         calls.clear()
         su2_asymmetry(state)
         assert calls == [route]
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_matrix_route_multiplicity_blocks_equal_the_coupled_factor(n):
+    """sum_m V^T rho_ww V of each spin equals B_s B_s^dagger of ``couple_factor(F)``.
+
+    Entry by entry: entropies and tables would not see the paths alpha permuted.
+    """
+    rho = random_density_matrix(n, np.random.default_rng(700 + n), rank=3)
+    coupled = su2.couple_factor(rho.factor)
+    parts = su2._spin_parts(rho.matrix, build_schur_basis(n))
+    assert list(parts) == sorted(coupled, reverse=True)
+    for two_s, block in coupled.items():
+        flat = block.reshape(len(block), -1)
+        assert np.abs(sum(parts[two_s]) - flat @ flat.conj().T).max() <= 1e-15
 
 
 @pytest.mark.parametrize("n, rank", [(16, 1), (14, 4), (10, 1000)])

@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import math
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -169,19 +170,21 @@ def _mutated_basis_builder(monkeypatch, mutate):
 
     def build(n):
         basis = original(n)
-        rows, blocks = list(basis.rows), list(basis.blocks)
-        mutate(rows, blocks, n // 2)
-        return dataclasses.replace(basis, rows=tuple(rows), blocks=tuple(blocks))
+        rows = list(basis.rows)
+        paths = {two_s: list(columns) for two_s, columns in basis.paths.items()}
+        mutate(rows, paths, n)
+        return dataclasses.replace(basis, rows=tuple(rows), paths=MappingProxyType(
+            {two_s: tuple(columns) for two_s, columns in paths.items()}))
 
     monkeypatch.setattr(suite.su2, "build_schur_basis", build)
 
 
 def test_schur_unitarity_catches_a_flipped_column(monkeypatch):
     # still orthogonal: only the S_- ladder sees the sign
-    def flip(rows, blocks, half):
-        block = blocks[half].copy()
-        block[:, 0] *= -1.0  # the s = N/2, m = 0 column
-        blocks[half] = block
+    def flip(rows, paths, n):
+        vectors = paths[n][n // 2].copy()
+        vectors[:, 0] *= -1.0  # the s = N/2, m = 0 column
+        paths[n][n // 2] = vectors
 
     _mutated_basis_builder(monkeypatch, flip)
     assert not all_passed(bound_suite(names=["schur-unitarity"]))
@@ -190,12 +193,12 @@ def test_schur_unitarity_catches_a_flipped_column(monkeypatch):
 
 
 def test_schur_unitarity_catches_a_flipped_column_of_the_next_spin(monkeypatch):
-    # column 1 of the m = 0 block is (s = N/2 - 1, m = 0): its sign breaks the
-    # ladder from m = 1 at every N >= 4, and the block stays orthogonal
-    def flip(rows, blocks, half):
-        block = blocks[half].copy()
-        block[:, 1] *= -1.0
-        blocks[half] = block
+    # path 0 of (s = N/2 - 1, m = 0): its sign breaks the ladder from m = 1 at
+    # every N >= 4, and the weight-N/2 block stays orthogonal
+    def flip(rows, paths, n):
+        vectors = paths[n - 2][n // 2 - 1].copy()
+        vectors[:, 0] *= -1.0
+        paths[n - 2][n // 2 - 1] = vectors
 
     _mutated_basis_builder(monkeypatch, flip)
     assert not all_passed(bound_suite(names=["schur-unitarity"]))
@@ -231,21 +234,25 @@ def test_lowered_block_equals_dense_lowering_of_the_basis(n):
         free = np.flatnonzero(((np.arange(dim) >> j) & 1) == 0)
         lowering[free | (1 << j), free] = 1.0
     lowered = lowering @ basis.dense()
-    starts = {two_s: start for two_s, start, _mult in basis.sectors}
-    for w in range(n):
-        two_m = n - 2 * w
-        cols = np.concatenate([
-            starts[two_s] + np.arange(mult) * (two_s + 1) + (two_s - two_m) // 2
-            for two_s, _offset, mult in basis.segments(w)
-        ])
-        expected = lowered[np.ix_(basis.rows[w + 1], cols)]
-        np.testing.assert_allclose(suite._lowered_block(basis, w), expected, rtol=0, atol=1e-13)
+    start = 0  # spin s's first column in dense(); (s, s - c, alpha) is start + alpha (2s+1) + c
+    for two_s, columns in basis.paths.items():
+        alphas = start + (two_s + 1) * np.arange(columns[0].shape[1])
+        for c, vectors in enumerate(columns):
+            w = (n - two_s) // 2 + c
+            if w < n:
+                expected = lowered[np.ix_(basis.rows[w + 1], alphas + c)]
+                np.testing.assert_allclose(suite._lowered_block(basis, w, vectors), expected,
+                                           rtol=0, atol=1e-13)
+        start += (two_s + 1) * alphas.size
 
 
 def test_schur_unitarity_catches_a_dropped_row(monkeypatch):
-    def drop(rows, blocks, half):
-        rows[half] = rows[half][1:]
-        blocks[half] = blocks[half][1:]
+    def drop(rows, paths, n):
+        rows[n // 2] = rows[n // 2][1:]
+        for two_s, columns in paths.items():
+            c = n // 2 - (n - two_s) // 2
+            if 0 <= c <= two_s:
+                columns[c] = columns[c][1:]
 
     _mutated_basis_builder(monkeypatch, drop)
     results = bound_suite(names=["schur-unitarity"])
