@@ -344,24 +344,22 @@ def brickwork_layer_pairs(geometry: LatticeGeometry, layer_index: int) -> list[t
     return _axis_pairs(geometry, axis, offset)
 
 
+def _brickwork(geometry: LatticeGeometry, depth: int, rng, draw_gate) -> BrickworkCircuit:
+    """Depth-``depth`` brickwork of ``draw_gate(rng)`` gates, drawn layer by layer, pair by pair."""
+    rng = np.random.default_rng(rng)
+    layers = (tuple(Gate(p, draw_gate(rng)) for p in brickwork_layer_pairs(geometry, t))
+              for t in range(depth))
+    return BrickworkCircuit(geometry.n_sites, tuple(layers))
+
+
 def random_brickwork(geometry: LatticeGeometry, depth: int, rng) -> BrickworkCircuit:
     """Depth-``depth`` brickwork of Haar-random nearest-neighbor gates."""
-    rng = np.random.default_rng(rng)
-    layers = []
-    for t in range(depth):
-        pairs = brickwork_layer_pairs(geometry, t)
-        layers.append(tuple(Gate(p, haar_unitary(4, rng)) for p in pairs))
-    return BrickworkCircuit(geometry.n_sites, tuple(layers))
+    return _brickwork(geometry, depth, rng, lambda gen: haar_unitary(4, gen))
 
 
 def random_charge_conserving_brickwork(geometry: LatticeGeometry, depth: int, rng) -> BrickworkCircuit:
     """Brickwork whose every gate commutes with the total charge."""
-    rng = np.random.default_rng(rng)
-    layers = []
-    for t in range(depth):
-        pairs = brickwork_layer_pairs(geometry, t)
-        layers.append(tuple(Gate(p, charge_conserving_gate(rng)) for p in pairs))
-    return BrickworkCircuit(geometry.n_sites, tuple(layers))
+    return _brickwork(geometry, depth, rng, charge_conserving_gate)
 
 
 def _complex_to_pairs(mat: np.ndarray) -> list[list[float]]:

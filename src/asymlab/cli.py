@@ -145,6 +145,21 @@ def _write_artifacts(cfg: ExperimentConfig, rows: list[dict], payload: dict, ok:
     return EXIT_OK if ok else EXIT_INVARIANT
 
 
+def _check_output(path) -> None:
+    """Refuse, before the run, an output directory that cannot take the artifacts.
+
+    ``path`` need not exist, but its nearest existing ancestor (``path`` itself,
+    if it exists) must be a directory, and no artifact's name in it may be one.
+    """
+    out = Path(path)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"cannot write output {path}: {existing} is not a directory")
+    for name in ("results.csv", "report.json", "plot.gp"):
+        if (out / name).is_dir():
+            raise ConfigError(f"cannot write output {path}: {out / name} is a directory")
+
+
 def _state_and_range(cfg: ExperimentConfig):
     """(state, circuit or None, clustering range) of a single-state config.
 
@@ -348,6 +363,8 @@ def _run_suite(cfg: ExperimentConfig, write: bool) -> int:
 
 def run_experiment(cfg: ExperimentConfig, write: bool = True) -> int:
     """Run ``cfg`` and write its artifacts; a verification battery writes them only if ``write``."""
+    if write or cfg.experiment not in SUITE_EXPERIMENTS:
+        _check_output(cfg.output)
     if cfg.experiment in SUITE_EXPERIMENTS:
         return _run_suite(cfg, write)
     if cfg.experiment in SWEEP_EXPERIMENTS:

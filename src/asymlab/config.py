@@ -367,6 +367,20 @@ def load_config(path) -> ExperimentConfig:
     return validate_config(read_json(path, "config"))
 
 
+def _unit_vector(vec: np.ndarray) -> np.ndarray | None:
+    """``vec`` / |vec| for finite entries, or None when |vec| < ZERO_NORM.
+
+    A power of two, which rounds no normal value, first brings the largest real
+    or imaginary part into [0.5, 1): the norm cannot overflow, and the quotient
+    keeps every bit of the unscaled one.
+    """
+    parts = np.ascontiguousarray(vec, dtype=complex).view(np.float64)
+    exponent = np.frexp(np.abs(parts).max())[1]
+    scaled = np.ldexp(parts, -exponent).view(complex)
+    norm = np.linalg.norm(scaled)
+    return None if np.ldexp(norm, exponent) < ZERO_NORM else scaled / norm
+
+
 def _product_from_amplitudes(amplitudes, n: int) -> states.StateVector:
     if not isinstance(amplitudes, list):
         raise ConfigError(f"product state amplitudes must be a list, got {amplitudes!r}")
@@ -376,11 +390,10 @@ def _product_from_amplitudes(amplitudes, n: int) -> states.StateVector:
         )
     locals_ = []
     for pair in amplitudes:
-        vec = states.complex_from_pairs(pair, "product state site")
-        norm = np.linalg.norm(vec)
-        if norm < ZERO_NORM:
+        unit = _unit_vector(states.complex_from_pairs(pair, "product state site"))
+        if unit is None:
             raise ConfigError("product state has a zero local vector")
-        locals_.append(vec / norm)
+        locals_.append(unit)
     return states.product_state(locals_)
 
 
@@ -437,12 +450,12 @@ def _load_vector(path, n: int) -> states.StateVector:
         raise ConfigError(
             f"state file {path} holds {vec.size} amplitudes, need {2**n} for {n} sites"
         )
-    norm = np.linalg.norm(vec)
-    if not np.isfinite(norm):
+    if not np.all(np.isfinite(vec)):
         raise ConfigError(f"state file {path} holds a NaN or infinite amplitude")
-    if norm < ZERO_NORM:
+    unit = _unit_vector(vec)
+    if unit is None:
         raise ConfigError(f"state file {path} holds a zero vector")
-    return states.StateVector(vec / norm)
+    return states.StateVector(unit)
 
 
 def build_state(spec: dict, n: int, seed: int):

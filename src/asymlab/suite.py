@@ -9,6 +9,13 @@ bound checks, the draw scale) that returns only its margin, tolerance included,
 and a detail line; its name and seed salt come from its place in the suite's
 ordered ``(name, check)`` table and its pass/fail from ``tolerances.holds``
 (margin >= 0, > 0 for massey-strict).
+
+A property that holds for either symmetry group is one private body, and the
+U(1) row and the SU(2) row each call it with their group's twirl and asymmetry
+functions; rows that draw the same inputs share one generator of them.  Every
+row keeps its own function, sizes, draw count, tolerance and detail line.  A
+check is recognised by its first parameter being ``rng``, so no helper takes
+``rng`` first: the shared bodies and generators take it last.
 """
 
 from __future__ import annotations
@@ -144,6 +151,70 @@ def _schur_block_defect(basis: su2.SchurBasis) -> float:
     return worst
 
 
+# ---------------- bodies that twin rows share ----------------
+
+
+def _idempotence_gap(twirl, inputs) -> float:
+    """Largest entry of G(G(rho)) - G(rho) over ``inputs``, G the group's ``twirl``."""
+    worst = 0.0
+    for state in inputs:
+        once = twirl(state)
+        worst = max(worst, float(np.abs(twirl(once).matrix - once.matrix).max()))
+    return worst
+
+
+def _fixed_point_margin(twirl, asymmetry, sizes, draws: int, rng) -> float:
+    """Zero ``asymmetry`` on every twirled rho; positive on each rho the ``twirl`` moves.
+
+    ``draws`` random density matrices at each of ``sizes`` qubits.
+    """
+    margin = math.inf
+    for n in sizes:
+        for _ in range(draws):
+            rho = states.random_density_matrix(n, rng)
+            sym = twirl(rho)
+            margin = min(margin, ZERO_ASYMMETRY - asymmetry(sym).delta_s)
+            moved = float(np.abs(sym.matrix - rho.matrix).max())
+            if moved > SYMMETRY_BREAK_MIN:
+                margin = min(margin, asymmetry(rho).delta_s - ZERO_ASYMMETRY)
+    return margin
+
+
+def _dense_twirl_gap(twirl, asymmetry, rho: DensityMatrix) -> float:
+    """|Delta S of the sector route - (S(twirl rho) - S(rho)) by eigensolves of the dense twirl|."""
+    dense = states.von_neumann_entropy(twirl(rho)) - states.von_neumann_entropy(rho)
+    return abs(asymmetry(rho).delta_s - dense)
+
+
+def _pure_then_mixed(sizes, rng):
+    """A random pure state, then a random density matrix, at each of ``sizes`` qubits."""
+    for n in sizes:
+        yield states.random_state(n, rng)
+        yield states.random_density_matrix(n, rng)
+
+
+def _globally_rotated(samples, rng):
+    """Yield (rho, Haar u, u^{(x) N} rho u^{(x) N dagger}) for random rho at n = 2 and 4."""
+    for n in (2, 4):
+        for _ in range(_count(5, samples)):
+            rho = states.random_density_matrix(n, rng)
+            umat = circuits.haar_unitary(2, rng)
+            yield rho, umat, DensityMatrix(su2.global_rotation(rho.matrix, umat))
+
+
+def _spread_circuits(samples, rng):
+    """Yield (geometry, depth, circuit, its spread) for brickworks on the 8-ring and 3x3 torus.
+
+    A generator, so that whatever its caller draws for a circuit comes right
+    after that circuit's own draws.
+    """
+    for geo in (lattice.LatticeGeometry(1, 8), lattice.LatticeGeometry(2, 3)):
+        for depth in (1, 2, 3):
+            for _ in range(_count(3, samples)):
+                circ = circuits.random_brickwork(geo, depth, rng)
+                yield geo, depth, circ, clustering.operator_spreading_range(circ, geo)
+
+
 # ---------------- lattice ----------------
 
 
@@ -183,15 +254,9 @@ def _ball_growth_saturation(rng, samples) -> tuple[float, str]:
 
 
 def _spreading_within_lightcone(rng, samples) -> tuple[float, str]:
-    margin = math.inf
-    tested = 0
-    for geo in (lattice.LatticeGeometry(1, 8), lattice.LatticeGeometry(2, 3)):
-        for depth in (1, 2, 3):
-            for _ in range(_count(3, samples)):
-                circ = circuits.random_brickwork(geo, depth, rng)
-                spread = clustering.operator_spreading_range(circ, geo)
-                margin = min(margin, lattice.lightcone_range(depth) - spread + INTEGER_SLACK)
-                tested += 1
+    margin, tested = math.inf, 0
+    for tested, (_, depth, _, spread) in enumerate(_spread_circuits(samples, rng), 1):
+        margin = min(margin, lattice.lightcone_range(depth) - spread + INTEGER_SLACK)
     return margin, f"{tested} circuits"
 
 
@@ -331,26 +396,13 @@ def _circuit_bound_chain(rng, samples) -> tuple[float, str]:
 
 
 def _charge_twirl_idempotent(rng, samples) -> tuple[float, str]:
-    worst = 0.0
-    for n in (2, 3, 4, 5):
-        rho = states.random_density_matrix(n, rng)
-        once = u1.u1_twirl(rho)
-        twice = u1.u1_twirl(once)
-        worst = max(worst, float(np.abs(twice.matrix - once.matrix).max()))
-    return EXACT_TOL - worst, "n=2..5"
+    mixed = (states.random_density_matrix(n, rng) for n in (2, 3, 4, 5))
+    return EXACT_TOL - _idempotence_gap(u1.u1_twirl, mixed), "n=2..5"
 
 
 def _charge_fixed_point_iff(rng, samples) -> tuple[float, str]:
     """Zero asymmetry exactly on twirl-fixed states, positive otherwise."""
-    margin = math.inf
-    for n in (2, 3, 4):
-        for _ in range(_count(10, samples)):
-            rho = states.random_density_matrix(n, rng)
-            sym = u1.u1_twirl(rho)
-            margin = min(margin, ZERO_ASYMMETRY - u1.u1_asymmetry(sym).delta_s)
-            moved = float(np.abs(sym.matrix - rho.matrix).max())
-            if moved > SYMMETRY_BREAK_MIN:
-                margin = min(margin, u1.u1_asymmetry(rho).delta_s - ZERO_ASYMMETRY)
+    margin = _fixed_point_margin(u1.u1_twirl, u1.u1_asymmetry, (2, 3, 4), _count(10, samples), rng)
     return margin, "both implications"
 
 
@@ -395,29 +447,16 @@ def _sector_dimension_identity(rng, samples) -> tuple[float, str]:
 
 
 def _rotation_twirl_idempotent(rng, samples) -> tuple[float, str]:
-    worst = 0.0
-    for n in (2, 4, 6):
-        for state in (
-            states.random_state(n, rng),
-            states.random_density_matrix(n, rng),
-        ):
-            once = su2.su2_twirl(state)
-            twice = su2.su2_twirl(once)
-            worst = max(worst, float(np.abs(twice.matrix - once.matrix).max()))
-    return IDENTITY_TOL - worst, "n=2,4,6"
+    inputs = _pure_then_mixed((2, 4, 6), rng)
+    return IDENTITY_TOL - _idempotence_gap(su2.su2_twirl, inputs), "n=2,4,6"
 
 
 def _rotation_twirl_covariance(rng, samples) -> tuple[float, str]:
     worst = 0.0
-    for n in (2, 4):
-        for _ in range(_count(5, samples)):
-            rho = states.random_density_matrix(n, rng)
-            umat = circuits.haar_unitary(2, rng)
-            rotated = DensityMatrix(su2.global_rotation(rho.matrix, umat))
-            left = su2.su2_twirl(rotated)
-            twirled = su2.su2_twirl(rho).matrix
-            right = DensityMatrix(su2.global_rotation(twirled, umat))
-            worst = max(worst, float(np.abs(left.matrix - right.matrix).max()))
+    for rho, umat, rotated in _globally_rotated(samples, rng):
+        left = su2.su2_twirl(rotated)
+        right = DensityMatrix(su2.global_rotation(su2.su2_twirl(rho).matrix, umat))
+        worst = max(worst, float(np.abs(left.matrix - right.matrix).max()))
     return ROTATION_COVARIANCE_TOL - worst, "global rotations"
 
 
@@ -445,27 +484,15 @@ def _sector_entropy_bound(rng, samples) -> tuple[float, str]:
 
 def _twirl_quadrature_match(rng, samples) -> tuple[float, str]:
     worst = 0.0
-    for n in (2, 4, 6):
-        for state in (
-            states.random_state(n, rng),
-            states.random_density_matrix(n, rng),
-        ):
-            exact = su2.su2_twirl(state)
-            quad = su2.su2_twirl_haar(state)
-            worst = max(worst, float(np.abs(exact.matrix - quad.matrix).max()))
+    for state in _pure_then_mixed((2, 4, 6), rng):
+        exact = su2.su2_twirl(state)
+        quad = su2.su2_twirl_haar(state)
+        worst = max(worst, float(np.abs(exact.matrix - quad.matrix).max()))
     return HAAR_MATCH_TOL - worst, "6 states, n<=6: Schur twirl vs Euler quadrature"
 
 
 def _rotation_fixed_point_iff(rng, samples) -> tuple[float, str]:
-    margin = math.inf
-    for n in (2, 4):
-        for _ in range(_count(5, samples)):
-            rho = states.random_density_matrix(n, rng)
-            sym = su2.su2_twirl(rho)
-            margin = min(margin, ZERO_ASYMMETRY - su2.su2_asymmetry(sym).delta_s)
-            moved = float(np.abs(sym.matrix - rho.matrix).max())
-            if moved > SYMMETRY_BREAK_MIN:
-                margin = min(margin, su2.su2_asymmetry(rho).delta_s - ZERO_ASYMMETRY)
+    margin = _fixed_point_margin(su2.su2_twirl, su2.su2_asymmetry, (2, 4), _count(5, samples), rng)
     return margin, "both implications"
 
 
@@ -491,14 +518,8 @@ def _collective_moment_cap(rng, samples) -> tuple[float, str]:
 
 def _global_rotation_invariance(rng, samples) -> tuple[float, str]:
     worst = 0.0
-    for n in (2, 4):
-        for _ in range(_count(5, samples)):
-            rho = states.random_density_matrix(n, rng)
-            base = su2.su2_asymmetry(rho).delta_s
-            umat = circuits.haar_unitary(2, rng)
-            moved = DensityMatrix(su2.global_rotation(rho.matrix, umat))
-            rotated = su2.su2_asymmetry(moved).delta_s
-            worst = max(worst, abs(rotated - base))
+    for rho, _, moved in _globally_rotated(samples, rng):
+        worst = max(worst, abs(su2.su2_asymmetry(moved).delta_s - su2.su2_asymmetry(rho).delta_s))
     return ENTROPY_MATCH_TOL - worst, "asymmetry is gauge-blind"
 
 
@@ -578,19 +599,11 @@ def _product_state_clustering(rng, samples) -> tuple[float, str]:
 
 def _range_vs_spreading(rng, samples) -> tuple[float, str]:
     """Correlations reach at most twice the measured operator spread."""
-    margin = math.inf
-    tested = 0
-    for geo in (lattice.LatticeGeometry(1, 8), lattice.LatticeGeometry(2, 3)):
-        for depth in (1, 2, 3):
-            for _ in range(_count(3, samples)):
-                circ = circuits.random_brickwork(geo, depth, rng)
-                spread = clustering.operator_spreading_range(circ, geo)
-                psi = circuits.apply_circuit(
-                    _random_product_input(geo.n_sites, rng), circ
-                )
-                rep = clustering.verify_cluster_property(psi, geo, 2 * spread, MARGIN_TOL)
-                margin = min(margin, 2 * spread - rep.effective_range + INTEGER_SLACK)
-                tested += 1
+    margin, tested = math.inf, 0
+    for tested, (geo, _, circ, spread) in enumerate(_spread_circuits(samples, rng), 1):
+        psi = circuits.apply_circuit(_random_product_input(geo.n_sites, rng), circ)
+        rep = clustering.verify_cluster_property(psi, geo, 2 * spread, MARGIN_TOL)
+        margin = min(margin, 2 * spread - rep.effective_range + INTEGER_SLACK)
     return margin, f"{tested} circuits"
 
 
@@ -838,9 +851,7 @@ def _oracle_polarized(rng) -> tuple[float, str]:
     for n in (4, 6):
         # block-route twirled entropy against the eigensolve of the assembled twirl
         rho = states.random_density_matrix(n, rng)
-        dense = states.von_neumann_entropy(su2.su2_twirl(rho))
-        dense -= states.von_neumann_entropy(rho)
-        worst = max(worst, abs(su2.su2_asymmetry(rho).delta_s - dense))
+        worst = max(worst, _dense_twirl_gap(su2.su2_twirl, su2.su2_asymmetry, rho))
     for n in (2, 4, 6, 8, 3, 5, 7):
         # a pure state and a rank-4 rho, each with its exact factor, against the same
         # matrix without it, one spin_sectors reading each: the coupling route against
@@ -884,8 +895,7 @@ def _oracle_charge_eigenstate(rng) -> tuple[float, str]:
     for n in (4, 6):
         factored = states.random_density_matrix(n, rng, rank=4)
         for rho in (factored, DensityMatrix(factored.matrix)):
-            dense = states.von_neumann_entropy(u1.u1_twirl(rho)) - states.von_neumann_entropy(rho)
-            worst = max(worst, abs(u1.u1_asymmetry(rho).delta_s - dense))
+            worst = max(worst, _dense_twirl_gap(u1.u1_twirl, u1.u1_asymmetry, rho))
     return EXACT_TOL - worst, "z dicke states; sector vs dense twirl"
 
 

@@ -627,6 +627,29 @@ def _dicke_n_min_above_n_max(tmp_path, monkeypatch):
     return ["dicke", "--n-min", "100", "--n-max", "10", "--output", str(tmp_path / "out")]
 
 
+def _not_run(*args, **kwargs):
+    raise AssertionError("ran before its output path was checked")
+
+
+def _kink_output_is_a_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "build_state", _not_run)
+    (tmp_path / "taken").write_text("")
+    return ["kink", "--n-min", "10", "--n-max", "100", "--points", "2",
+            "--output", str(tmp_path / "taken")]
+
+
+def _su2_output_under_a_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "build_state", _not_run)
+    (tmp_path / "taken").write_text("")
+    return ["su2", "--state", "ghz", "--n", "4", "--output", str(tmp_path / "taken" / "sub")]
+
+
+def _verify_output_results_csv_is_a_directory(tmp_path, monkeypatch):
+    monkeypatch.setattr(suite, "bound_suite", _not_run)
+    (tmp_path / "out" / "results.csv").mkdir(parents=True)
+    return ["verify", "bound-suite", "--samples", "0.1", "--output", str(tmp_path / "out")]
+
+
 # the message each of these cases must name
 _MALFORMED_MESSAGES = {
     _kink_sweep_without_sweep: "requires a 'sweep' list",
@@ -639,6 +662,9 @@ _MALFORMED_MESSAGES = {
     _state_file_npy_zero: "zero vector",
     _dicke_n_min_above_n_max: "exceeds --n-max",
     _oracle_suite_config_with_samples: "oracle-suite takes no 'samples'",
+    _kink_output_is_a_file: "taken is not a directory",
+    _su2_output_under_a_file: "taken is not a directory",
+    _verify_output_results_csv_is_a_directory: "results.csv is a directory",
 }
 
 
@@ -691,6 +717,38 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, ma
     err = capsys.readouterr().err
     assert err.endswith("\n") and err.count("\n") == 1
     assert _MALFORMED_MESSAGES.get(make_argv, "") in err
+
+
+def _su2_state_file_run(tmp_path, amplitudes, out):
+    path = _write(tmp_path / f"{out}.json", amplitudes)
+    return ["su2", "--state", path, "--n", "2", "--output", str(tmp_path / out)]
+
+
+def _u1_product_run(tmp_path, site, out):
+    cfg = {"experiment": "u1-asymmetry", "geometry": {"dimension": 1, "linear_size": 2},
+           "state_spec": {"kind": "product", "amplitudes": [site, [[0.6, 0], [0, 0.8]]]},
+           "output": str(tmp_path / out)}
+    return ["run", _write(tmp_path / f"{out}.json", cfg)]
+
+
+@pytest.mark.parametrize("make_argv, amplitudes, scale", [
+    (_su2_state_file_run, [[1, 0], [1, 0], [0, 0], [0, 0]], 1e308),
+    (_su2_state_file_run, [[3, 0], [0, 4], [1, -1], [0, 2]], 2.0**1020),
+    (_u1_product_run, [[1, 0], [1, 0]], 1e308),
+    (_u1_product_run, [[3, 0], [0, -4]], 2.0**1020),
+], ids=["state-file-1e308", "state-file-2^1020", "product-site-1e308", "product-site-2^1020"])
+def test_amplitudes_whose_norm_overflows_run_as_their_unit_scale_twin(
+    tmp_path, make_argv, amplitudes, scale
+):
+    """Finite amplitudes whose squared norm overflows give the unit-scale twin's results.csv."""
+    big = [[re * scale, im * scale] for re, im in amplitudes]
+    assert main(make_argv(tmp_path, amplitudes, "unit")) == 0
+    assert main(make_argv(tmp_path, big, "big")) == 0
+    unit_csv, big_csv = ((tmp_path / out / "results.csv").read_text().splitlines()
+                         for out in ("unit", "big"))
+    # config_hash is the last column
+    assert [line.rsplit(",", 1)[0] for line in big_csv] == [
+        line.rsplit(",", 1)[0] for line in unit_csv]
 
 
 _TORUS_ARGV = ["clustering", "--circuit", "never-read.json"]

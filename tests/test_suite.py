@@ -158,6 +158,28 @@ def test_mutated_closed_form_is_caught(monkeypatch):
     assert not all_passed(results)
 
 
+@pytest.mark.parametrize("group, twirl_name, failing", [
+    ("u1", "u1_twirl", {"pure-state-saturation", "charge-twirl-idempotent",
+                        "charge-fixed-point-iff", "charge-eigenstate-null-asymmetry"}),
+    ("su2", "su2_twirl", {"rotation-twirl-idempotent", "twirl-quadrature-match",
+                          "rotation-fixed-point-iff", "polarized-rotation-asymmetry"}),
+], ids=["u1", "su2"])
+def test_half_twirl_fails_exactly_the_rows_that_read_that_twirl(
+    monkeypatch, group, twirl_name, failing
+):
+    """rho -> (rho + G(rho))/2 is covariant, but neither idempotent nor fixed on its outputs.
+
+    The rows whose bodies both groups share must each read the twirl they are
+    handed: a body that reads a fixed group's twirl misses one of the two patches.
+    """
+    module = getattr(suite, group)
+    twirl = getattr(module, twirl_name)
+    monkeypatch.setattr(module, twirl_name, lambda state: suite.DensityMatrix(
+        (state.matrix + twirl(state).matrix) / 2))
+    results = bound_suite(seed=0, samples=0.1) + oracle_suite(seed=0)
+    assert {r.name for r in results if not r.passed} == failing
+
+
 def test_mutated_lightcone_is_caught(monkeypatch):
     # halving the certified spread makes depth-2 circuits look range-1
     monkeypatch.setattr(suite.lattice, "lightcone_range", lambda d: max(0, d - 1))
