@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import json
 import math
 from types import MappingProxyType
 
@@ -66,6 +67,8 @@ def test_every_check_function_runs_in_exactly_one_table():
     assert len(defined) == 31 + 13
     assert set(tabled) == defined
     assert len(tabled) == len(defined)
+    # a check yields its margin terms and the runner folds them: no check folds its own
+    assert all(inspect.isgeneratorfunction(fn) for fn in tabled)
 
 
 def test_check_that_raises_is_a_failed_result(monkeypatch):
@@ -178,6 +181,35 @@ def test_half_twirl_fails_exactly_the_rows_that_read_that_twirl(
         (state.matrix + twirl(state).matrix) / 2))
     results = bound_suite(seed=0, samples=0.1) + oracle_suite(seed=0)
     assert {r.name for r in results if not r.passed} == failing
+
+
+@pytest.mark.parametrize("group, asymmetry_name, failing", [
+    ("u1", "u1_asymmetry", {"asymmetry-log-cap", "circuit-bound-chain", "charge-fixed-point-iff",
+                            "symmetric-channel-monotone", "charge-eigenstate-null-asymmetry"}),
+    ("su2", "su2_asymmetry", {"sector-entropy-bound", "rotation-fixed-point-iff",
+                              "global-rotation-invariance", "polarized-rotation-asymmetry"}),
+], ids=["u1", "su2"])
+def test_nan_asymmetry_fails_exactly_the_rows_that_read_it(
+    monkeypatch, tmp_path, group, asymmetry_name, failing
+):
+    """A NaN term makes its check's margin NaN, which fails: no fold may drop it."""
+    module = getattr(suite, group)
+    asymmetry = getattr(module, asymmetry_name)
+    monkeypatch.setattr(module, asymmetry_name, lambda *args, **kwargs: dataclasses.replace(
+        asymmetry(*args, **kwargs), delta_s=math.nan))
+    results = bound_suite(seed=0, samples=0.1) + oracle_suite(seed=0)
+    assert {r.name for r in results if not r.passed} == failing
+    assert all(math.isnan(r.margin) for r in results if not r.passed)
+    if group == "u1":
+        from asymlab.cli import main
+
+        out = tmp_path / "out"
+        assert main(["verify", "oracle-suite", "--output", str(out)]) == 4
+        report = json.loads((out / "report.json").read_text())
+        (failed,) = [c for c in report["checks"] if not c["passed"]]
+        assert failed["name"] == "charge-eigenstate-null-asymmetry"
+        assert failed["margin"] is None
+        assert "charge-eigenstate-null-asymmetry,false,nan," in (out / "results.csv").read_text()
 
 
 def test_mutated_lightcone_is_caught(monkeypatch):
