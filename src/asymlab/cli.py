@@ -24,10 +24,13 @@ from pathlib import Path
 # After numpy's import and after every threaded call, an idle OpenBLAS worker
 # busy-waits 2**OPENBLAS_THREAD_TIMEOUT TSC cycles before it sleeps: 2**28 by
 # default, about 0.13 s at 2 GHz, so an op kept a second core spinning through
-# its pure-Python work.  2**24 (about 8 ms) still spans back-to-back BLAS calls.
+# its pure-Python work.  4 is the floor of OpenBLAS's range (2**4 cycles), so a
+# worker sleeps as soon as its call returns; the suites' hundreds of small
+# threaded calls then burn no CPU between them, and their results are the
+# same, since the split of each call's work does not depend on the timeout.
 # OpenBLAS reads the variable once, when numpy loads it, so this must come
 # first; the thread count is untouched and a value already set wins.
-OPENBLAS_IDLE_TIMEOUT = "24"
+OPENBLAS_IDLE_TIMEOUT = "4"
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", OPENBLAS_IDLE_TIMEOUT)
 
 import numpy as np  # noqa: E402  (after the OpenBLAS setting above)

@@ -78,7 +78,7 @@ def connected_correlator(
     t = _pair_tensor(state, site_i, site_j)
     value = float(_connected_correlators(t, op_i[None], op_j[None])[0, 0])
     cap = 2.0 * np.linalg.norm(op_i, 2) * np.linalg.norm(op_j, 2)
-    if abs(value) > cap + MARGIN_TOL:
+    if not abs(value) <= cap + MARGIN_TOL:  # a NaN fails too
         raise ValidationError(f"correlator {value!r} exceeds the operator-norm cap {cap!r}")
     return value
 
@@ -127,6 +127,9 @@ def verify_cluster_property(
             d = distance(geometry, i, j)
             t = _pair_tensor(state, i, j)
             worst = float(np.max(np.abs(_connected_correlators(t, PAULI_STACK, PAULI_STACK))))
+            # the builtin max below would drop a NaN and pass the scan
+            if not np.isfinite(worst):
+                raise ValidationError(f"connected correlator at sites {i}, {j} is {worst!r}")
             by_distance[d] = max(by_distance.get(d, 0.0), worst)
     max_violation = max(
         (v for d, v in by_distance.items() if d > claimed_range), default=0.0
@@ -158,8 +161,9 @@ def _support_mass_fractions(operators: np.ndarray) -> np.ndarray:
     """
     n = qubit_count(operators.shape[-1])
     total = _squared_norms(operators)
-    if np.any(total <= 0.0):
-        raise ValidationError("operator is identically zero")
+    # a NaN or infinite norm fails here, before the spread's builtin max drops it
+    if not np.all(np.isfinite(total) & (total > 0.0)):
+        raise ValidationError("operator is identically zero or not finite")
     fractions = np.empty((operators.shape[0], n))
     for k in range(n):
         left, right = 2**k, 2 ** (n - 1 - k)

@@ -43,10 +43,10 @@ class ChargeDistribution:
     N-sized array; a one-block input takes exactly the unblocked sums.  Each
     block's sums of p, q p and (q - mean)^2 p are numpy's pairwise sums over
     products formed in one block-sized scratch buffer.  They call no BLAS,
-    so no BLAS thread pool is woken to spin through the calls that follow;
-    under the CLI's idle policy (``OPENBLAS_THREAD_TIMEOUT`` =
-    ``cli.OPENBLAS_IDLE_TIMEOUT``) a woken pool would spin about 8 ms, not
-    0.13 s.  Their rounding error grows like the log of the block length.
+    so no BLAS thread pool is woken by them; under the CLI's idle policy
+    (``OPENBLAS_THREAD_TIMEOUT`` = ``cli.OPENBLAS_IDLE_TIMEOUT``) a woken pool
+    sleeps as soon as its call returns, and without it spins about 0.13 s.
+    Their rounding error grows like the log of the block length.
     """
 
     probs: np.ndarray

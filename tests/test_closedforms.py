@@ -44,6 +44,7 @@ from asymlab.closedforms import (
     tanh_sinh,
 )
 from asymlab.errors import ValidationError
+from asymlab.tolerances import ENTROPY_MATCH_TOL, IDENTITY_TOL
 from asymlab.u1 import charge_distribution, shannon_entropy
 
 
@@ -337,6 +338,15 @@ def test_binomial_distribution_matches_exact_products(n, x):
     big = exact >= 1e-14
     assert np.all(np.abs(got[big] - exact[big]) <= 4 * n * np.finfo(float).eps * exact[big])
     assert np.all(got[~big] < 2e-14)
+
+
+@pytest.mark.parametrize("n", [16, 64, 256, 1024, 4096, 10000])
+def test_product_tree_matches_the_binomial_at_the_fit_sizes(n):
+    """The oracle's product fit reads the binomial; the tree stays gated at its sizes."""
+    tree = poisson_binomial(np.full(n, 0.5))
+    binom = binomial_distribution(n, 0.5)
+    assert np.abs(tree.probs - binom.probs).max() <= IDENTITY_TOL
+    assert abs(shannon_entropy(tree) - shannon_entropy(binom)) <= ENTROPY_MATCH_TOL
 
 
 def test_product_charge_state_matches_poisson_binomial():

@@ -36,6 +36,7 @@ from asymlab.states import (
     product_state,
     random_density_matrix,
     random_state,
+    zero_state,
 )
 from asymlab.tolerances import IMAGINARY_TOL
 from asymlab.u1 import charge_distribution
@@ -169,6 +170,16 @@ def test_cluster_report_distance_profile_is_sorted_and_complete():
     assert max(dists) == geo.diameter
 
 
+def test_nan_correlator_fails_the_cluster_scan(monkeypatch):
+    """The scan's builtin max dropped a NaN: |0^6> passed with an all-zero profile."""
+    monkeypatch.setattr(clustering, "_connected_correlators",
+                        lambda t, ops_i, ops_j: np.full((len(ops_i), len(ops_j)), np.nan))
+    with pytest.raises(ValidationError, match="nan"):
+        verify_cluster_property(zero_state(6), LatticeGeometry(1, 6), 1)
+    with pytest.raises(ValidationError, match="nan"):
+        connected_correlator(zero_state(6), 0, 3)
+
+
 def test_verify_cluster_property_validation():
     geo = LatticeGeometry(1, 5)
     with pytest.raises(ValidationError):
@@ -277,6 +288,26 @@ def test_spreading_applies_each_cone_gate_once_per_seed(monkeypatch):
         assert all(gates > 0 for gates, _ in per_seed)
         for gates, applied in per_seed:
             assert applied == gates + 3, (geo, gates, applied)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_operator_fails_the_spread(monkeypatch, bad):
+    """A NaN weight fraction is never above threshold, so the spread dropped its sites."""
+    geo = LatticeGeometry(1, 6)
+    circ = random_brickwork(geo, 2, np.random.default_rng(4))
+
+    def spoiled(conjugate):
+        def wrapped(*args, **kwargs):
+            out = conjugate(*args, **kwargs).copy()
+            out[:, 0, 0] = bad
+            return out
+        return wrapped
+
+    for name in ("heisenberg_conjugate", "conjugate_by"):
+        monkeypatch.setattr(clustering, name, spoiled(getattr(clustering, name)))
+    for route in (operator_spreading_range, _dense_spreading_range):
+        with pytest.raises(ValidationError, match="not finite"):
+            route(circ, geo)
 
 
 def test_operator_spreading_rejects_large_systems(monkeypatch):

@@ -130,7 +130,7 @@ def test_oracle_suite_passes_and_is_deterministic():
 def test_scaling_fit_margin_binds_on_every_fit(monkeypatch):
     # a flat product-state distribution has slope ~1, not 1/2: only the product fit fails
     monkeypatch.setattr(
-        suite.closedforms, "poisson_binomial", lambda x: suite.u1.flat_distribution(len(x) + 1)
+        suite.closedforms, "binomial_distribution", lambda n, x: suite.u1.flat_distribution(n + 1)
     )
     fits = {r.name: r for r in oracle_suite(seed=0)}["scaling-fit-examples"]
     assert fits.margin < 0
@@ -210,6 +210,31 @@ def test_nan_asymmetry_fails_exactly_the_rows_that_read_it(
         assert failed["name"] == "charge-eigenstate-null-asymmetry"
         assert failed["margin"] is None
         assert "charge-eigenstate-null-asymmetry,false,nan," in (out / "results.csv").read_text()
+
+
+def test_nan_asymmetry_shows_in_the_circuit_bound_chain_detail(monkeypatch):
+    """The detail's slack fold kept the builtin min, which read a NaN link as inf."""
+    asymmetry = suite.u1.u1_asymmetry
+    monkeypatch.setattr(suite.u1, "u1_asymmetry", lambda *args, **kwargs: dataclasses.replace(
+        asymmetry(*args, **kwargs), delta_s=math.nan))
+    (row,) = bound_suite(seed=0, samples=0.1, names=["circuit-bound-chain"])
+    assert not row.passed
+    assert math.isnan(row.margin)
+    assert "clustering cap nan" in row.detail, row.detail
+
+
+def test_nan_correlator_fails_the_rows_that_scan(monkeypatch):
+    """The scan's builtin max dropped a NaN correlator, and its rows passed."""
+    monkeypatch.setattr(suite.clustering, "_connected_correlators",
+                        lambda t, ops_i, ops_j: np.full((len(ops_i), len(ops_j)), np.nan))
+    # the first three passed while the scan's builtin max dropped the NaN
+    scans = {"circuit-bound-chain", "product-state-clustering", "range-vs-spreading",
+             "correlator-norm-cap", "negative-controls-flagged"}
+    results = bound_suite(seed=0, samples=0.1, names=scans) + [
+        r for r in oracle_suite(seed=0) if not r.passed]
+    assert [r.name for r in results[len(scans):]] == ["charge-correlator-examples"]
+    assert not any(r.passed for r in results)
+    assert all("raised ValidationError" in r.detail for r in results)
 
 
 def test_mutated_lightcone_is_caught(monkeypatch):
