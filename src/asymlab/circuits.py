@@ -4,9 +4,13 @@ Gates act on explicit site tuples; a two-site gate matrix is indexed with the
 first listed site as the more significant bit, so rows/columns run over
 (00, 01, 10, 11).  Every gate and Kraus operator is applied through
 ``states.apply_site_matrix``, which contracts the gate into the (2,)*N view of
-the array.  Heisenberg conjugation applies the gates to the identity once to
-get the circuit unitary U, applies a local operator A to U's rows the same
-way, and forms U^dagger (A U) with one dense product.
+the array.  One gate loop, ``_apply_gates``, applies a circuit's gates to the
+rows of an array: of a state's factor F, of rho and then of the transpose
+(U rho U^dagger, conjugated gates on the second pass), and of the identity
+for the circuit unitary U.  ``site_layer(n, u)`` is the one-layer circuit
+u^{(x) N}, so every turn of a state by a global rotation goes through
+``apply_circuit`` too.  Heisenberg conjugation applies a local operator A to
+U's rows the same way and forms U^dagger (A U) with one dense product.
 """
 from __future__ import annotations
 
@@ -99,36 +103,42 @@ def _sandwich(mat: np.ndarray, op: np.ndarray, sites: tuple[int, ...]) -> np.nda
     return apply_site_matrix(left.T, op.conj(), sites).T
 
 
+def _apply_gates(arr: np.ndarray, circuit: BrickworkCircuit, conjugate=False) -> np.ndarray:
+    """Every gate of the circuit in order, or its complex conjugate, applied to axis 0 of ``arr``."""
+    for layer in circuit.layers:
+        for gate in layer:
+            op = gate.matrix.conj() if conjugate else gate.matrix
+            arr = apply_site_matrix(arr, op, gate.sites)
+    return arr
+
+
 def apply_circuit(state: State, circuit: BrickworkCircuit) -> State:
     """Apply every layer in order; returns the same kind of state.
 
     A state with a factor F has each gate applied to the rows of F, so it
-    stays factored (a pure state stays pure); a state without one has each
-    gate sandwiched around rho.
+    stays factored (a pure state stays pure).  A state without one gets
+    U rho U^dagger in two passes: every gate acts on the rows of rho, then
+    every conjugated gate on the rows of the transpose; rho comes back
+    C-contiguous.
     """
     if state.n_qubits != circuit.n_qubits:
         raise ValidationError(
             f"state has {state.n_qubits} qubits, circuit has {circuit.n_qubits}"
         )
-    gates = [gate for layer in circuit.layers for gate in layer]
-    fac = state.factor
-    if fac is None:
-        mat = state.matrix
-        for gate in gates:
-            mat = _sandwich(mat, gate.matrix, gate.sites)
-        return DensityMatrix(mat)
-    for gate in gates:
-        fac = apply_site_matrix(fac, gate.matrix, gate.sites)
-    return state.with_factor(fac)
+    if state.factor is None:
+        turned = _apply_gates(_apply_gates(state.matrix, circuit).T, circuit, conjugate=True)
+        return DensityMatrix(np.ascontiguousarray(turned.T))
+    return state.with_factor(_apply_gates(state.factor, circuit))
 
 
 def circuit_unitary(circuit: BrickworkCircuit) -> np.ndarray:
     """The 2^N x 2^N circuit unitary U, every gate applied to the identity."""
-    u = np.eye(2**circuit.n_qubits, dtype=complex)
-    for layer in circuit.layers:
-        for gate in layer:
-            u = apply_site_matrix(u, gate.matrix, gate.sites)
-    return u
+    return _apply_gates(np.eye(2**circuit.n_qubits, dtype=complex), circuit)
+
+
+def site_layer(n_qubits: int, u) -> BrickworkCircuit:
+    """One layer with the single-site unitary u on every site: u^{(x) N}."""
+    return BrickworkCircuit(n_qubits, (tuple(Gate((j,), u) for j in range(n_qubits)),))
 
 
 def conjugate_by(operator: np.ndarray, sites, u: np.ndarray) -> np.ndarray:

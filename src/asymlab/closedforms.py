@@ -154,10 +154,9 @@ def dicke_state(n: int, k: int, axis: str = "z") -> StateVector:
         return state
     if axis != "x":
         raise ValidationError(f"axis must be 'z' or 'x', got {axis!r}")
-    from .circuits import BrickworkCircuit, Gate, apply_circuit, hadamard_gate
+    from .circuits import apply_circuit, hadamard_gate, site_layer
 
-    layer = tuple(Gate((j,), hadamard_gate()) for j in range(n))
-    return apply_circuit(state, BrickworkCircuit(n, (layer,)))
+    return apply_circuit(state, site_layer(n, hadamard_gate()))
 
 
 def dicke_x_coefficients(n: int, k: int) -> np.ndarray:

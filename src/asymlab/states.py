@@ -27,16 +27,17 @@ Route rule: a kernel takes at most two routes, chosen by ``state.factor is
 None``.  The factor route reads only F and forms no 2^N x 2^N matrix, so a
 factored state stays factored through ``von_neumann_entropy``,
 ``u1.charge_distribution``, ``u1.u1_asymmetry``, ``reduced_density_matrix``,
-``circuits.apply_circuit``, ``su2.spin_sectors`` and
-``su2.zero_transverse_rotation``; the matrix route reads rho.  Every SU(2)
-reading (``su2_asymmetry``, ``sector_distribution``, ``spin_moments``,
-``casimir_constraint_check``) is one ``su2.spin_sectors`` of the state: F is
-coupled once into spin sectors, with no Schur basis, and each sector leaves
-its entropy share and its (2s + 1) x (2s + 1) spin-side matrix R_s, off which
-the sector table and the moments are read.  So the Casimir check reads F
-unturned and applies no local operator, and a run that also needs Delta S
-couples F no second time; only the reference ``zero_transverse_rotation``
-turns F, site by site.  Both routes of an entropy end in ``block_entropy``:
+``circuits.apply_circuit`` (and so ``su2.zero_transverse_rotation``, which
+turns states through it) and ``su2.spin_sectors``; the matrix route reads
+rho.  Every SU(2) reading (``su2_asymmetry``, ``sector_distribution``,
+``spin_moments``, ``casimir_constraint_check``) is one ``su2.spin_sectors``
+of the state: F is coupled once into spin sectors, with no Schur basis, and
+each sector leaves its entropy share and its (2s + 1) x (2s + 1) spin-side
+matrix R_s, off which the sector table and the moments are read.  So the
+Casimir check reads F unturned and applies no local operator, and a run that
+also needs Delta S couples F no second time; only the reference
+``zero_transverse_rotation`` turns F, with ``circuits.apply_circuit`` of one
+``circuits.site_layer``.  Both routes of an entropy end in ``block_entropy``:
 of F or rho, of the charge blocks of the U(1) twirl, or of the spin-sector
 blocks of the SU(2) twirl.  Operations that need rho itself (the twirls,
 channels, ``DensityMatrix.purity``) read ``matrix``, of a pure state too,

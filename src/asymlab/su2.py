@@ -50,11 +50,14 @@ come from one gather of its entries (``_gathered_moments``).
 run that needs two of them reads the state once.  ``casimir_constraint_check``
 reads the spin along the mean-spin direction n off the moment matrix,
 <S_n^2> = n^T M n, so no run turns a state; ``zero_transverse_rotation``,
-which does (with u^{(x) N} applied site by site), is the reference the suites
-and tests hold that reading to.
+which does, is the reference the suites and tests hold that reading to.  It
+takes a state or its reading, turns the state by u^{(x) N} with
+``circuits.apply_circuit`` of one ``circuits.site_layer``, and returns the
+turned state's reading, so it reads each state once.
 ``su2_twirl`` divides each multiplicity block by 2s + 1 and rotates it back;
-it and ``su2_twirl_haar`` are references for tests and oracles, and with the
-suites they are the only callers of the basis besides matrix-built states.
+it and ``su2_twirl_haar``, which turns rho the same way at each quadrature
+node, are references for tests and oracles, and with the suites they are the
+only callers of the basis besides matrix-built states.
 
 Every N >= 1 runs, odd N with half-integer spins.  Inside this module a spin
 is labelled by the integer 2s (the keys of ``couple_factor``,
@@ -73,6 +76,7 @@ from types import MappingProxyType
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .circuits import apply_circuit, site_layer
 from .errors import ValidationError
 from .lattice import LatticeGeometry, neighborhood_cardinality
 from .states import (
@@ -82,7 +86,6 @@ from .states import (
     DensityMatrix,
     State,
     _check_cap,
-    apply_site_matrix,
     bit_weights,
     block_entropy,
     density_matrix_cap,
@@ -500,24 +503,6 @@ def su2_asymmetry(state: State | SpinSectors) -> Su2AsymmetryReport:
     return report
 
 
-def _rotate_rows(arr: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """u^{(x) N} applied to axis 0 of ``arr``: amplitudes, or the rows of a matrix or factor."""
-    for site in range(qubit_count(arr.shape[0])):
-        arr = apply_site_matrix(arr, u, site)
-    return arr
-
-
-def global_rotation(arr: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Apply u^{(x) N}: to amplitudes, or as u^{(x) N} M u^{(x) N dagger} to a matrix.
-
-    A matrix has u applied to all of its rows, then to all of its columns.
-    """
-    arr = _rotate_rows(arr, u)
-    if arr.ndim == 1:
-        return arr
-    return np.ascontiguousarray(_rotate_rows(arr.T, u.conj()).T)
-
-
 def _dephasing_mask(n: int, k: int) -> np.ndarray:
     """Mask Phi_k whose product with rho averages R_z(alpha)^{(x) N} rho R_z(alpha)^{(x) N dagger}.
 
@@ -541,6 +526,8 @@ def su2_twirl_haar(state: State) -> DensityMatrix:
     gamma sum and the alpha sum are each an elementwise product with the mask Phi_k
     of ``_dephasing_mask``, so one level is the same finite sum taken as
     sum_beta (w_beta / 2) Phi_k o (R_y(beta)^{(x) N} (Phi_k o rho) R_y(beta)^{(x) N T}).
+    Phi_k o rho is Hermitian with unit trace, and each node turns it with
+    ``circuits.apply_circuit`` of one ``site_layer``.
     """
     n = state.n_qubits
     rho = state.matrix
@@ -549,13 +536,13 @@ def su2_twirl_haar(state: State) -> DensityMatrix:
     n_beta = n + 2
     for _ in range(HAAR_MAX_REFINEMENTS):
         mask = _dephasing_mask(n, k)
-        dephased = mask * rho
+        dephased = DensityMatrix(mask * rho)
         nodes, gl_weights = leggauss(n_beta)
         acc = np.zeros_like(rho)
         for beta, w in zip(np.arccos(nodes), gl_weights):
             cb, sb = np.cos(beta / 2.0), np.sin(beta / 2.0)
             ry = np.array([[cb, -sb], [sb, cb]])
-            acc += (w / 2.0) * global_rotation(dephased, ry)
+            acc += (w / 2.0) * apply_circuit(dephased, site_layer(n, ry)).matrix
         acc *= mask
         if previous is not None and float(np.max(np.abs(acc - previous))) <= HAAR_QUADRATURE_TOL:
             return DensityMatrix(acc)
@@ -664,43 +651,49 @@ def _gathered_moments(rho: np.ndarray) -> dict:
 
 
 def _mean_spin_axis(moments: dict) -> np.ndarray:
-    """The unit vector n = <S> / |<S>| of ``spin_moments``, or z when |<S>| < ZERO_NORM."""
+    """The unit vector n = <S> / |<S>| of ``spin_moments``, or z when |<S>| < ZERO_NORM.
+
+    A mean with a NaN or infinite component has no direction: ValidationError.
+    """
     mean = np.array([moments["sx"], moments["sy"], moments["sz"]])
     norm = float(np.linalg.norm(mean))
+    if not np.isfinite(norm):
+        raise ValidationError(f"mean spin {mean.tolist()} is not finite")
     return mean / norm if norm >= ZERO_NORM else np.array([0.0, 0.0, 1.0])
 
 
-def zero_transverse_rotation(state: State):
+def zero_transverse_rotation(state: State | SpinSectors) -> tuple[SpinSectors, np.ndarray]:
     """Rotate so the mean collective spin points along +z.
 
-    Returns (rotated_state, u) where u is the single-site unitary applied to
-    every qubit.  A state with vanishing mean spin is returned unchanged with
-    u = identity.  On the factor route only F is rotated, F' = u^{(x) N} F, and
-    a density matrix comes back as ``DensityMatrix.from_factor(F')``.  No
-    kernel needs the turned state (``casimir_constraint_check`` reads the
-    mean-spin frame off the moment matrix); the suites and tests turn states
-    with it to check that reading.
+    The axis is read off the given reading, or off one ``spin_sectors`` of a
+    given state, and every site is turned by the same single-site unitary u
+    with ``circuits.apply_circuit`` of ``circuits.site_layer``, so a factored
+    state stays factored.  Returns (turned, u): ``turned`` is the reading of
+    the turned state that the post-turn check read, and ``turned.state`` the
+    state.  A state with vanishing mean spin comes back as its own reading
+    with u = identity.  No kernel needs the turned state
+    (``casimir_constraint_check`` reads the mean-spin frame off the moment
+    matrix); the suites and tests turn states with it to check that reading.
     """
-    vhat = _mean_spin_axis(spin_moments(state))
+    sectors = spin_sectors(state)
+    vhat = _mean_spin_axis(sectors.moments)
     axis = np.cross(vhat, [0.0, 0.0, 1.0])
     axis_norm = float(np.linalg.norm(axis))
     if axis_norm < ZERO_NORM:
         if vhat[2] > 0.0:
-            return state, np.eye(2, dtype=complex)
+            return sectors, np.eye(2, dtype=complex)
         axis, angle = np.array([1.0, 0.0, 0.0]), np.pi
     else:
         axis = axis / axis_norm
         angle = float(np.arccos(np.clip(vhat[2], -1.0, 1.0)))
     gen = axis[0] * PAULI_X + axis[1] * PAULI_Y + axis[2] * PAULI_Z
     u = np.cos(angle / 2.0) * np.eye(2) - 1j * np.sin(angle / 2.0) * gen
-    if state.factor is None:
-        rotated = DensityMatrix(global_rotation(state.matrix, u))
-    else:
-        rotated = state.with_factor(_rotate_rows(state.factor, u))
-    check = spin_moments(rotated)
-    if max(abs(check["sx"]), abs(check["sy"])) > TRANSVERSE_TOL or check["sz"] < -TRANSVERSE_TOL:
+    turned = spin_sectors(apply_circuit(sectors.state, site_layer(sectors.state.n_qubits, u)))
+    check = turned.moments
+    # np.max keeps a NaN, which then fails the test
+    if not np.max([abs(check["sx"]), abs(check["sy"]), -check["sz"]]) <= TRANSVERSE_TOL:
         raise ValidationError("gauge rotation failed to null the transverse spin")
-    return rotated, u
+    return turned, u
 
 
 @dataclass(frozen=True)

@@ -192,12 +192,15 @@ def _pure_then_mixed(sizes, rng):
 
 
 def _globally_rotated(samples, rng):
-    """Yield (rho, Haar u, u^{(x) N} rho u^{(x) N dagger}) for random rho at n = 2 and 4."""
+    """Yield (rho, u^{(x) N} as a site layer, u^{(x) N} rho u^{(x) N dagger}) for Haar u.
+
+    rho is a random density matrix at n = 2 and 4.
+    """
     for n in (2, 4):
         for _ in range(_count(5, samples)):
             rho = states.random_density_matrix(n, rng)
-            umat = circuits.haar_unitary(2, rng)
-            yield rho, umat, DensityMatrix(su2.global_rotation(rho.matrix, umat))
+            layer = circuits.site_layer(n, circuits.haar_unitary(2, rng))
+            yield rho, layer, circuits.apply_circuit(rho, layer)
 
 
 def _spread_circuits(samples, rng):
@@ -442,9 +445,9 @@ def _rotation_twirl_idempotent(rng, samples) -> Generator[float, None, str]:
 
 
 def _rotation_twirl_covariance(rng, samples) -> Generator[float, None, str]:
-    for rho, umat, rotated in _globally_rotated(samples, rng):
+    for rho, layer, rotated in _globally_rotated(samples, rng):
         left = su2.su2_twirl(rotated)
-        right = DensityMatrix(su2.global_rotation(su2.su2_twirl(rho).matrix, umat))
+        right = circuits.apply_circuit(su2.su2_twirl(rho), layer)
         yield ROTATION_COVARIANCE_TOL - np.abs(left.matrix - right.matrix).max()
     return "global rotations"
 
@@ -493,7 +496,7 @@ def _collective_moment_cap(rng, samples) -> Generator[float, None, str]:
         depth = 1 + k % 2
         circ = circuits.random_brickwork(geo, depth, rng)
         psi = circuits.apply_circuit(_random_product_input(n, rng), circ)
-        sectors = su2.spin_sectors(su2.zero_transverse_rotation(psi)[0])
+        sectors = su2.zero_transverse_rotation(psi)[0]
         yield from (TRANSVERSE_TOL - abs(sectors.moments[axis]) for axis in ("sx", "sy"))
         rep = su2.casimir_constraint_check(sectors, geo, 2 * lattice.lightcone_range(depth))
         yield rep.bound - rep.lhs + MARGIN_TOL
@@ -501,7 +504,7 @@ def _collective_moment_cap(rng, samples) -> Generator[float, None, str]:
     return f"{total} gauged circuit states, n=4..8"
 
 
-def _global_rotation_invariance(rng, samples) -> Generator[float, None, str]:
+def _rotation_invariance(rng, samples) -> Generator[float, None, str]:
     for rho, _, moved in _globally_rotated(samples, rng):
         gap = su2.su2_asymmetry(moved).delta_s - su2.su2_asymmetry(rho).delta_s
         yield ENTROPY_MATCH_TOL - abs(gap)
@@ -649,7 +652,7 @@ _BOUND_CHECKS = (
     ("twirl-quadrature-match", _twirl_quadrature_match),
     ("rotation-fixed-point-iff", _rotation_fixed_point_iff),
     ("collective-moment-cap", _collective_moment_cap),
-    ("global-rotation-invariance", _global_rotation_invariance),
+    ("global-rotation-invariance", _rotation_invariance),
     ("krawtchouk-recurrence-accuracy", _krawtchouk_recurrence_accuracy),
     ("closed-form-vs-statevector", _closed_form_vs_statevector),
     ("bernoulli-entropy-maximum", _bernoulli_entropy_maximum),
@@ -849,7 +852,7 @@ def _oracle_polarized(rng) -> Generator[float, None, str]:
             yield EXACT_TOL - np.abs(table.p_sm - basis.table.p_sm).max()
             if n in (2, 4, 6):
                 moved, dense = (su2.spin_moments(su2.zero_transverse_rotation(st)[0])
-                                for st in (state, bare))
+                                for st in (coupled, basis))
                 yield from (EXACT_TOL - abs(moved[k] - dense[k]) for k in dense)
                 for st, turned in ((coupled, moved), (basis, dense)):
                     lhs = su2.casimir_constraint_check(st, lattice.LatticeGeometry(1, n), 1).lhs

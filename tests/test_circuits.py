@@ -29,7 +29,14 @@ from asymlab.circuits import (
 )
 from asymlab.errors import ValidationError
 from asymlab.lattice import LatticeGeometry
-from asymlab.states import DensityMatrix, StateVector, ghz_state, plus_state, zero_state
+from asymlab.states import (
+    DensityMatrix,
+    StateVector,
+    ghz_state,
+    plus_state,
+    random_density_matrix,
+    zero_state,
+)
 from asymlab.u1 import charge_distribution
 
 
@@ -83,6 +90,30 @@ def test_apply_circuit_density_matrix_matches_statevector():
     out_rho = apply_circuit(DensityMatrix(psi.matrix), circ)
     expected = np.outer(out_vec.amplitudes, out_vec.amplitudes.conj())
     assert_allclose(out_rho.matrix, expected, atol=1e-12)
+
+
+def test_matrix_route_is_u_rho_u_dagger_on_the_torus():
+    """Rows of rho, then rows of the transpose, against U rho U^dagger of ``circuit_unitary``.
+
+    On the 3x3 torus a brickwork is followed by one layer of wrap gates along
+    each axis, each gate listing the larger site first.
+    """
+    rng = np.random.default_rng(33)
+    geo = LatticeGeometry(2, 3)
+    wraps = (
+        tuple(Gate((geo.site_index((2, y)), geo.site_index((0, y))), haar_unitary(4, rng))
+              for y in range(3)),
+        tuple(Gate((geo.site_index((x, 2)), geo.site_index((x, 0))), haar_unitary(4, rng))
+              for x in range(3)),
+    )
+    circ = BrickworkCircuit(9, random_brickwork(geo, 4, rng).layers + wraps)
+    circ.assert_nearest_neighbor(geo)
+    rho = random_density_matrix(9, rng)
+    assert rho.factor is None
+    u = circuit_unitary(circ)
+    out = apply_circuit(rho, circ)
+    assert out.factor is None
+    assert_allclose(out.matrix, u @ rho.matrix @ u.conj().T, rtol=0, atol=1e-13)
 
 
 def test_swap_layer_permutes_sites():

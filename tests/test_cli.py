@@ -1321,6 +1321,15 @@ def test_mixed_su2_run_never_touches_a_dense_matrix(tmp_path, monkeypatch):
     assert _read_report(tmp_path / "out")["casimir"] is not None
 
 
+def test_console_entry_point_is_declared_and_runs_without_an_install():
+    """pyproject.toml names ``asymlab.cli:main``, which exits 2 on a missing config."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"asymlab": "asymlab.cli:main"}
+    assert main(["run", "/nonexistent.json"]) == 2
+
+
 def test_console_entry_point_installed():
     # editable install exposes the asymlab executable
     import shutil

@@ -58,7 +58,7 @@ def test_a_leading_axis_that_is_not_a_power_of_two_raises(length):
         lambda: DensityMatrix(mat),
         lambda: apply_site_matrix(vec, PAULI["x"], 0),
         lambda: apply_site_matrix(mat, PAULI["z"], 0),
-        lambda: su2.global_rotation(mat, np.eye(2)),
+        lambda: circuits._apply_gates(mat, circuits.site_layer(2, PAULI["x"])),
         lambda: su2._gathered_moments(mat),
         lambda: su2.couple_factor(mat),
         lambda: circuits._sandwich(mat, PAULI["x"], (0,)),

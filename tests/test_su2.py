@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -7,7 +8,7 @@ from numpy.polynomial.legendre import leggauss
 from numpy.testing import assert_allclose
 
 from asymlab import su2
-from asymlab.circuits import apply_circuit, haar_unitary, random_brickwork
+from asymlab.circuits import apply_circuit, haar_unitary, random_brickwork, site_layer
 from asymlab.closedforms import dicke_state
 from asymlab.clustering import variance_bound_check, verify_cluster_property
 from asymlab.errors import ResourceError, ValidationError
@@ -22,6 +23,7 @@ from asymlab.states import (
     basis_state,
     density_matrix_cap,
     ghz_state,
+    plus_state,
     product_state,
     random_density_matrix,
     random_state,
@@ -35,7 +37,6 @@ from asymlab.su2 import (
     _dense_schur_basis,
     build_schur_basis,
     casimir_constraint_check,
-    global_rotation,
     multiplicity,
     sector_distribution,
     spin_moments,
@@ -50,11 +51,9 @@ from asymlab.tolerances import HAAR_QUADRATURE_TOL
 from asymlab.u1 import charge_distribution, u1_asymmetry
 
 
-def _rotate_all(psi: StateVector, u: np.ndarray) -> StateVector:
-    amps = psi.amplitudes
-    for site in range(psi.n_qubits):
-        amps = apply_site_matrix(amps, u, site)
-    return StateVector(amps)
+def _turn(state, u: np.ndarray):
+    """u^{(x) N} applied to a state, by ``apply_circuit`` of one ``site_layer``."""
+    return apply_circuit(state, site_layer(state.n_qubits, u))
 
 
 def _dense_sectors(basis) -> list[tuple[int, int, int]]:
@@ -337,9 +336,9 @@ def test_factored_mixed_route_forms_no_dense_rho():
     def su2_chain():
         rho = random_density_matrix(n, np.random.default_rng(10), rank=4)
         su2_asymmetry(rho)
-        gauged, _u = zero_transverse_rotation(rho)
-        casimir_constraint_check(gauged, geo, 2)
-        return rho, gauged
+        turned, _u = zero_transverse_rotation(rho)
+        casimir_constraint_check(turned, geo, 2)
+        return rho, turned.state
 
     (rho, gauged), peak = _peak_bytes(su2_chain)
     assert peak < cap
@@ -427,7 +426,7 @@ def _per_node_haar_twirl(rho: DensityMatrix) -> np.ndarray:
             for alpha in angles:
                 for gamma in angles:
                     u = _euler_unitary(alpha, beta, gamma)
-                    acc += (w / 2.0 / k / k) * global_rotation(rho.matrix, u)
+                    acc += (w / 2.0 / k / k) * _turn(rho, u).matrix
         if previous is not None and np.max(np.abs(acc - previous)) <= HAAR_QUADRATURE_TOL:
             return acc
         previous = acc
@@ -481,7 +480,7 @@ def test_asymmetry_invariant_under_global_rotation():
     base = su2_asymmetry(psi).delta_s
     for _ in range(3):
         u = haar_unitary(2, rng)
-        rotated = su2_asymmetry(_rotate_all(psi, u)).delta_s
+        rotated = su2_asymmetry(_turn(psi, u)).delta_s
         assert_allclose(rotated, base, atol=1e-9)
 
 
@@ -617,9 +616,9 @@ def test_rotated_density_matrix_is_c_contiguous():
     rng = np.random.default_rng(53)
     rho = random_density_matrix(4, rng, rank=2)
     u = haar_unitary(2, rng)
-    assert global_rotation(rho.matrix, u).flags.c_contiguous
+    assert _turn(DensityMatrix(rho.matrix), u).matrix.flags.c_contiguous
     plus_x = np.array([[0.5, 0.5], [0.5, 0.5]])
-    gauged, _ = zero_transverse_rotation(product_state([plus_x] * 4))
+    gauged = zero_transverse_rotation(product_state([plus_x] * 4))[0].state
     assert isinstance(gauged, DensityMatrix)
     assert gauged.matrix.flags.c_contiguous
 
@@ -644,9 +643,45 @@ def test_zero_transverse_rotation_turns_a_spin_along_minus_z_by_pi_about_x():
         assert_allclose(spin_moments(state)["sz"], -n / 2, atol=1e-12)
         gauged, u = zero_transverse_rotation(state)
         assert_allclose(u, -1j * PAULI_X, rtol=0, atol=1e-15)
-        assert (gauged.factor is None) == (state.factor is None)
+        assert (gauged.state.factor is None) == (state.factor is None)
         mom = spin_moments(gauged)
         assert_allclose([mom["sx"], mom["sy"], mom["sz"]], [0.0, 0.0, n / 2], atol=1e-12)
+
+
+def test_zero_transverse_rotation_turns_a_reading_and_returns_the_turned_reading():
+    """Given a reading, it reads only the turned state; the check read is the one returned."""
+    rng = np.random.default_rng(49)
+    for state in (random_state(3, rng), random_density_matrix(4, rng, rank=2),
+                  random_density_matrix(3, rng)):
+        sectors = su2.spin_sectors(state)
+        turned, u = zero_transverse_rotation(sectors)
+        assert_allclose(turned.state.diagonal(), _turn(state, u).diagonal(), rtol=0, atol=1e-14)
+        assert turned.moments == su2.spin_sectors(turned.state).moments
+        for key, value in zero_transverse_rotation(state)[0].moments.items():
+            assert turned.moments[key] == value, key
+    aligned = su2.spin_sectors(zero_state(3))
+    assert zero_transverse_rotation(aligned)[0] is aligned
+
+
+def test_zero_transverse_rotation_refuses_nan_moments(monkeypatch):
+    """A NaN mean spin has no axis, and a NaN moment after the turn fails the post-turn check."""
+    sectors = su2.spin_sectors(plus_state(4))
+    nan = dict.fromkeys(sectors.moments, math.nan)
+    for moments in (nan, {**sectors.moments, "sy": math.inf}):
+        with pytest.raises(ValidationError, match="not finite"):
+            zero_transverse_rotation(dataclasses.replace(sectors, moments=moments))
+    with pytest.raises(ValidationError, match="not finite"):
+        casimir_constraint_check(dataclasses.replace(sectors, moments=nan),
+                                 LatticeGeometry(1, 4), 1)
+    read = su2.spin_sectors
+
+    def nan_once_turned(state):
+        reading = read(state)
+        return reading if state is sectors else dataclasses.replace(reading, moments=nan)
+
+    monkeypatch.setattr(su2, "spin_sectors", nan_once_turned)
+    with pytest.raises(ValidationError, match="failed to null"):
+        zero_transverse_rotation(sectors)
 
 
 def test_global_rotation_of_a_vector_is_the_kronecker_power():
@@ -657,14 +692,14 @@ def test_global_rotation_of_a_vector_is_the_kronecker_power():
         power = np.ones((1, 1), dtype=complex)
         for _ in range(n):
             power = np.kron(power, u)
-        rotated = global_rotation(psi, u)
+        rotated = _turn(StateVector(psi), u).amplitudes
         assert rotated.shape == psi.shape
         assert_allclose(rotated, power @ psi, rtol=0, atol=1e-14)
 
 
 def test_casimir_check_of_an_ungauged_state_gives_the_gauged_report():
     geo = LatticeGeometry(1, 4)
-    psi = _rotate_all(zero_state(4), np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))
+    psi = _turn(zero_state(4), np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))
     gauged, _u = zero_transverse_rotation(psi)
     rep, ref = (casimir_constraint_check(state, geo, 1) for state in (psi, gauged))
     assert_allclose([rep.lhs, rep.precursor_lhs], [ref.lhs, ref.precursor_lhs], rtol=0, atol=1e-12)
@@ -681,10 +716,8 @@ def test_casimir_check_is_blind_to_a_global_rotation(n):
     for state in (random_state(n, rng), random_density_matrix(n, rng, rank=4),
                   random_density_matrix(n, rng)):
         u = haar_unitary(2, rng)
-        if state.factor is None:
-            moved = DensityMatrix(global_rotation(state.matrix, u))
-        else:
-            moved = state.with_factor(su2._rotate_rows(state.factor, u))
+        moved = _turn(state, u)
+        assert (moved.factor is None) == (state.factor is None)
         base, turned = (casimir_constraint_check(st, geo, 1) for st in (state, moved))
         assert_allclose([turned.lhs, turned.precursor_lhs], [base.lhs, base.precursor_lhs],
                         rtol=0, atol=1e-12)
@@ -745,19 +778,22 @@ def test_ghz_passes_main_but_fails_precursor_at_zero_range():
 
 
 def test_rotated_factor_matches_dense_global_rotation():
+    """``apply_circuit`` of a site layer: the factor route against the matrix route."""
     rng = np.random.default_rng(59)
     for n in (2, 4, 6, 8):
         rho = random_density_matrix(n, rng, rank=3)
         u = haar_unitary(2, rng)
-        fac = su2._rotate_rows(rho.factor, u)
-        dense = global_rotation(rho.matrix, u)
-        assert np.max(np.abs(fac @ fac.conj().T - dense)) <= 1e-14
+        fac = _turn(rho, u).factor
+        dense = _turn(DensityMatrix(rho.matrix), u)
+        assert dense.factor is None
+        assert np.max(np.abs(fac @ fac.conj().T - dense.matrix)) <= 1e-14
         # the gauge rotation turns the factor and keeps it
         gauged, g = zero_transverse_rotation(rho)
-        assert gauged.factor is not None
-        assert np.max(np.abs(gauged.matrix - global_rotation(rho.matrix, g))) <= 1e-14
+        assert gauged.state.factor is not None
+        turned = _turn(DensityMatrix(rho.matrix), g)
+        assert np.max(np.abs(gauged.state.matrix - turned.matrix)) <= 1e-14
         bare, g_bare = zero_transverse_rotation(DensityMatrix(rho.matrix))
-        assert bare.factor is None
+        assert bare.state.factor is None
         assert_allclose(g, g_bare, atol=1e-14)
         moments = spin_moments(gauged)
         for key, value in spin_moments(bare).items():
@@ -775,7 +811,7 @@ def _su2_readings(state) -> dict:
     out = {f"moment {k}": v for k, v in spin_moments(state).items()}
     gauged, u = zero_transverse_rotation(state)
     out["gauge u"] = u
-    out["gauged rho"] = gauged.matrix
+    out["gauged rho"] = gauged.state.matrix
     rep = su2_asymmetry(state)
     out["delta_s"] = rep.delta_s
     out["sector bound"] = rep.bound_sector_entropy
@@ -970,7 +1006,7 @@ def test_factored_kernels_run_above_the_density_matrix_cap(monkeypatch):
     assert pair.shape == (4, 4) and abs(np.trace(pair) - 1.0) <= 1e-12
     out = apply_circuit(rho, random_brickwork(LatticeGeometry(1, n), 1, np.random.default_rng(15)))
     assert_allclose(von_neumann_entropy(out), von_neumann_entropy(rho), rtol=0, atol=1e-12)
-    for state in (rho, gauged, out):
+    for state in (rho, gauged.state, out):
         assert state.factor is not None and "matrix" not in vars(state)
         with pytest.raises(ResourceError, match="density-matrix cap of 12"):
             state.matrix
