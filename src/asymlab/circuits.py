@@ -11,6 +11,8 @@ for the circuit unitary U.  ``site_layer(n, u)`` is the one-layer circuit
 u^{(x) N}, so every turn of a state by a global rotation goes through
 ``apply_circuit`` too.  Heisenberg conjugation applies a local operator A to
 U's rows the same way and forms U^dagger (A U) with one dense product.
+Brickwork bonds and the nearest-neighbor test ask ``lattice`` for the torus:
+its neighbor rule, its distance and its size check.
 """
 from __future__ import annotations
 
@@ -87,10 +89,7 @@ class BrickworkCircuit:
 
     def assert_nearest_neighbor(self, geometry: LatticeGeometry):
         """Require every two-site gate to couple lattice neighbors."""
-        if geometry.n_sites != self.n_qubits:
-            raise ValidationError(
-                f"geometry has {geometry.n_sites} sites, circuit has {self.n_qubits}"
-            )
+        geometry.check_size(self.n_qubits, "circuit")
         for layer in self.layers:
             for gate in layer:
                 if len(gate.sites) == 2 and distance(geometry, *gate.sites) != 1:
@@ -330,16 +329,12 @@ def random_diagonal_phase_channel(site: int, p: float, rng) -> KrausChannel:
 
 def _axis_pairs(geometry: LatticeGeometry, axis: int, offset: int) -> list[tuple[int, int]]:
     """Disjoint nearest-neighbor pairs along one axis at the given parity offset."""
-    m = geometry.linear_size
     pairs: list[tuple[int, int]] = []
     used: set[int] = set()
     for site in range(geometry.n_sites):
-        coords = list(geometry.coordinates(site))
-        if coords[axis] % 2 != offset % 2:
+        if geometry.coordinates(site)[axis] % 2 != offset % 2:
             continue
-        partner = list(coords)
-        partner[axis] = (coords[axis] + 1) % m
-        j = geometry.site_index(partner)
+        j = geometry.neighbor(site, axis)
         if site == j or site in used or j in used:
             continue
         used.update((site, j))

@@ -45,7 +45,6 @@ from .config import (
     SWEEP_POINTS_MAX,
     ExperimentConfig,
     build_state,
-    circuit_depth_range,
     dicke_half_filling,
     load_config,
     read_json,
@@ -167,12 +166,12 @@ def _state_and_range(cfg: ExperimentConfig):
     """(state, circuit or None, clustering range) of a single-state config.
 
     The range is the config's ``clustering_range``; without one, a circuit state
-    claims ``circuit_depth_range`` and any other state claims none.
+    claims ``lattice.clustering_range`` of its depth and any other state claims none.
     """
     state, circuit = build_state(cfg.state_spec, cfg.geometry.n_sites, cfg.seed)
     crange = cfg.clustering_range
     if crange is None and circuit is not None:
-        crange = circuit_depth_range(circuit)
+        crange = lattice.clustering_range(circuit.depth)
     return state, circuit, crange
 
 

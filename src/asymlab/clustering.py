@@ -3,7 +3,8 @@
 A state clusters at range Lambda when every connected two-point correlator of
 single-site observables vanishes beyond that graph distance.  The scan runs
 over the full Pauli basis at both sites, not only the charge, so symmetric
-long-range order cannot hide.
+long-range order cannot hide.  Distances and the size check come from
+``lattice``, one distance row per site.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from .circuits import (
     conjugate_by,
     heisenberg_conjugate,
 )
-from .lattice import LatticeGeometry, distance
+from .lattice import LatticeGeometry
 from .states import (
     PAULI,
     State,
@@ -114,17 +115,15 @@ def verify_cluster_property(
     tol: float = CORRELATOR_TOL,
 ) -> ClusterReport:
     """Scan all site pairs and all nine Pauli pairs against a claimed range."""
-    if geometry.n_sites != state.n_qubits:
-        raise ValidationError(
-            f"geometry has {geometry.n_sites} sites, state has {state.n_qubits}"
-        )
+    geometry.check_size(state.n_qubits)
     if claimed_range < 0:
         raise ValidationError(f"claimed range must be >= 0, got {claimed_range}")
     n = state.n_qubits
     by_distance: dict[int, float] = {}
     for i in range(n):
+        row = geometry.all_distances(i)
         for j in range(i + 1, n):
-            d = distance(geometry, i, j)
+            d = int(row[j])
             t = _pair_tensor(state, i, j)
             worst = float(np.max(np.abs(_connected_correlators(t, PAULI_STACK, PAULI_STACK))))
             # the builtin max below would drop a NaN and pass the scan
@@ -175,8 +174,7 @@ def _support_mass_fractions(operators: np.ndarray) -> np.ndarray:
 
 def _check_spreading_inputs(circuit: BrickworkCircuit, geometry: LatticeGeometry) -> int:
     n = circuit.n_qubits
-    if geometry.n_sites != n:
-        raise ValidationError(f"geometry has {geometry.n_sites} sites, circuit has {n}")
+    geometry.check_size(n, "circuit")
     cap = density_matrix_cap()
     if n > cap:
         raise ResourceError(
@@ -195,7 +193,8 @@ def _seed_spread(
     """
     fractions = _support_mass_fractions(evolved)
     reached = np.flatnonzero(np.any(fractions > SPREAD_THRESHOLD, axis=0))
-    return max((distance(geometry, seed, sites[i]) for i in reached), default=0)
+    row = geometry.all_distances(seed)
+    return max((int(row[sites[i]]) for i in reached), default=0)
 
 
 def operator_spreading_range(circuit: BrickworkCircuit, geometry: LatticeGeometry) -> int:
@@ -260,10 +259,7 @@ def variance_bound_check(
     state: State, geometry: LatticeGeometry, clustering_range: int
 ) -> VarianceCheck:
     """Compare the measured charge variance against the clustering cap."""
-    if geometry.n_sites != state.n_qubits:
-        raise ValidationError(
-            f"geometry has {geometry.n_sites} sites, state has {state.n_qubits}"
-        )
+    geometry.check_size(state.n_qubits)
     dist = charge_distribution(state)
     bound = clustering_variance_bound(geometry, clustering_range)
     return VarianceCheck(

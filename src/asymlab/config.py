@@ -34,7 +34,7 @@ from importlib import resources
 import numpy as np
 
 from . import closedforms, states
-from .circuits import BrickworkCircuit, apply_circuit, circuit_from_dict
+from .circuits import apply_circuit, circuit_from_dict
 from .errors import ConfigError, ResourceError
 from .lattice import LatticeGeometry
 from .tolerances import CORRELATOR_TOL, RATIO_INTEGER_TOL, ZERO_NORM
@@ -446,7 +446,9 @@ def _load_vector(path, n: int) -> states.StateVector:
         raise ConfigError(f"cannot read state file {path}: {exc}") from exc
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise ConfigError(f"state file {path} is malformed: {exc}") from exc
-    if vec.ndim != 1 or vec.size != 2**n:
+    if vec.ndim != 1:
+        raise ConfigError(f"state file {path} holds an array of shape {vec.shape}, not a vector")
+    if vec.size != 2**n:
         raise ConfigError(
             f"state file {path} holds {vec.size} amplitudes, need {2**n} for {n} sites"
         )
@@ -508,18 +510,12 @@ def build_state(spec: dict, n: int, seed: int):
     raise ConfigError(f"unknown state_spec kind {kind!r}")
 
 
-def circuit_depth_range(circuit: BrickworkCircuit) -> int:
-    """Default claimed clustering range for a circuit state: twice its depth."""
-    return 2 * circuit.depth
-
-
 __all__ = [
     "NAMED_STATES",
     "SWEEP_POINTS_MAX",
     "ExperimentConfig",
     "build_state",
     "canonical_json",
-    "circuit_depth_range",
     "config_hash",
     "dicke_excitations",
     "dicke_half_filling",

@@ -1,10 +1,14 @@
-"""Periodic hypercubic lattice geometry.
+"""Periodic hypercubic lattice geometry: the one module that knows the torus.
 
 Sites live on a ``dimension``-dimensional torus with ``linear_size`` sites per
 axis and are addressed by a flat index obtained from row-major flattening of
 the coordinate tuple.  All distances are graph distances of the
 nearest-neighbor graph, i.e. sums over axes of the wrapped one-dimensional
-distance.
+distance, and all come from one kernel (``LatticeGeometry.all_distances``).
+Every other module asks this one for the torus: the distance, the neighbor one
+step up an axis (``LatticeGeometry.neighbor``), whether an N-qubit object fits
+the geometry (``LatticeGeometry.check_size``) and the range Lambda = 2D at
+which a depth-D circuit's output clusters (``clustering_range``).
 """
 from __future__ import annotations
 
@@ -72,6 +76,17 @@ class LatticeGeometry:
         if not 0 <= site < self.n_sites:
             raise ValidationError(f"site {site} outside [0, {self.n_sites})")
 
+    def check_size(self, n: int, holder: str = "state"):
+        """Require an ``n``-qubit state (or circuit, ...) to have one qubit per site."""
+        if n != self.n_sites:
+            raise ValidationError(f"geometry has {self.n_sites} sites, {holder} has {n}")
+
+    def neighbor(self, site: int, axis: int) -> int:
+        """The site one step up ``axis`` from ``site``, wrapping around the torus."""
+        coords = list(self.coordinates(site))
+        coords[axis] = (coords[axis] + 1) % self.linear_size
+        return self.site_index(coords)
+
     def _axis_distances(self, site: int) -> np.ndarray:
         """Per-axis wrapped distances from ``site`` to every site, shape (dimension, n_sites)."""
         m = self.linear_size
@@ -92,14 +107,8 @@ class LatticeGeometry:
 
 def distance(geometry: LatticeGeometry, i: int, j: int) -> int:
     """Graph distance between sites ``i`` and ``j`` on the torus."""
-    geometry._check_site(i)
     geometry._check_site(j)
-    m = geometry.linear_size
-    total = 0
-    for a, b in zip(geometry.coordinates(i), geometry.coordinates(j)):
-        d = abs(a - b)
-        total += min(d, m - d)
-    return total
+    return int(geometry.all_distances(i)[j])
 
 
 def ball(geometry: LatticeGeometry, center: int, radius: int) -> np.ndarray:
@@ -127,3 +136,13 @@ def lightcone_range(depth: int) -> int:
     if depth < 0:
         raise ValidationError(f"depth must be >= 0, got {depth}")
     return depth
+
+
+def clustering_range(depth: int) -> int:
+    """Range Lambda = 2D at which the output of a depth-``depth`` circuit on a product input clusters.
+
+    Two operators a distance beyond twice the light-cone radius have disjoint
+    backward cones, so their connected correlator vanishes on a product input.
+    """
+    # read through the module global, so a patched lightcone_range moves every Lambda too
+    return 2 * lightcone_range(depth)

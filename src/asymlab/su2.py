@@ -742,9 +742,7 @@ def casimir_constraint_check(
     stronger statement that actually requires clustering.
     """
     sectors = spin_sectors(state)
-    if geometry.n_sites != sectors.state.n_qubits:
-        raise ValidationError(f"geometry has {geometry.n_sites} sites, "
-                              f"state has {sectors.state.n_qubits}")
+    geometry.check_size(sectors.state.n_qubits)
     moments = sectors.moments
     z_lambda = neighborhood_cardinality(geometry, clustering_range)
     c_lambda = C_LAMBDA_PREFACTOR * z_lambda

@@ -370,7 +370,7 @@ def _circuit_bound_chain(rng, samples) -> Generator[float, None, str]:
         depth = 1 + k % 3
         circ = circuits.random_brickwork(geo, depth, rng)
         psi = circuits.apply_circuit(_random_product_input(geo.n_sites, rng), circ)
-        lam = 2 * lattice.lightcone_range(depth)
+        lam = lattice.clustering_range(depth)
         cluster = clustering.verify_cluster_property(psi, geo, lam, tol=MARGIN_TOL)
         var = clustering.variance_bound_check(psi, geo, lam)
         margins = u1.u1_asymmetry(psi, geo, clustering_range=lam).margins()
@@ -498,7 +498,7 @@ def _collective_moment_cap(rng, samples) -> Generator[float, None, str]:
         psi = circuits.apply_circuit(_random_product_input(n, rng), circ)
         sectors = su2.zero_transverse_rotation(psi)[0]
         yield from (TRANSVERSE_TOL - abs(sectors.moments[axis]) for axis in ("sx", "sy"))
-        rep = su2.casimir_constraint_check(sectors, geo, 2 * lattice.lightcone_range(depth))
+        rep = su2.casimir_constraint_check(sectors, geo, lattice.clustering_range(depth))
         yield rep.bound - rep.lhs + MARGIN_TOL
         yield rep.bound - rep.precursor_lhs + MARGIN_TOL
     return f"{total} gauged circuit states, n=4..8"

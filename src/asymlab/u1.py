@@ -236,10 +236,7 @@ def report_from_distribution(
     if clustering_range is not None:
         if geometry is None:
             raise ValidationError("clustering_range needs a lattice geometry")
-        if geometry.n_sites != n_sites:
-            raise ValidationError(
-                f"geometry has {geometry.n_sites} sites, state has {n_sites}"
-            )
+        geometry.check_size(n_sites)
         sigma_cap = clustering_variance_bound(geometry, clustering_range)
         bound_cluster = massey_bound(sigma_cap)
     return AsymmetryReport(

@@ -236,6 +236,33 @@ def test_brickwork_layer_pairs_cover_disjoint_edges():
         assert len(flat) == len(set(flat))
 
 
+def _reference_layer_pairs(dimension, m, layer):
+    """Brickwork pairs by the coordinate wrap itself: on the parity sublattice of the
+    layer's axis, each site is paired with its +1 neighbor mod m, in site order."""
+    axis, offset = (layer // 2) % dimension, layer % 2
+    shape = (m,) * dimension
+    pairs, used = [], set()
+    for site in range(m**dimension):
+        coords = list(np.unravel_index(site, shape))
+        if coords[axis] % 2 != offset:
+            continue
+        coords[axis] = (coords[axis] + 1) % m
+        j = int(np.ravel_multi_index(coords, shape))
+        if site != j and site not in used and j not in used:
+            used.update((site, j))
+            pairs.append((site, j))
+    return pairs
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+@pytest.mark.parametrize("m", range(1, 7))
+def test_brickwork_layer_pairs_pin_the_coordinate_wrap(dimension, m):
+    # the pair order fixes the draw order of every seeded brickwork
+    geo = LatticeGeometry(dimension, m)
+    for layer in range(2 * dimension + 2):
+        assert brickwork_layer_pairs(geo, layer) == _reference_layer_pairs(dimension, m, layer)
+
+
 def test_random_brickwork_respects_geometry():
     rng = np.random.default_rng(5)
     geo = LatticeGeometry(2, 3)

@@ -623,6 +623,10 @@ def _state_file_npy_zero(tmp_path, monkeypatch):
     return _su2_state_file(tmp_path, "state.npy", np.zeros(4))
 
 
+def _state_file_npy_matrix(tmp_path, monkeypatch):
+    return _su2_state_file(tmp_path, "state.npy", np.ones((2, 2)))
+
+
 def _dicke_n_min_above_n_max(tmp_path, monkeypatch):
     return ["dicke", "--n-min", "100", "--n-max", "10", "--output", str(tmp_path / "out")]
 
@@ -660,6 +664,7 @@ _MALFORMED_MESSAGES = {
     _u1_bernoulli_list_too_short: "bernoulli x lists 2 sites",
     _u1_product_with_a_zero_site: "zero local vector",
     _state_file_npy_zero: "zero vector",
+    _state_file_npy_matrix: "holds an array of shape (2, 2), not a vector",
     _dicke_n_min_above_n_max: "exceeds --n-max",
     _oracle_suite_config_with_samples: "oracle-suite takes no 'samples'",
     _kink_output_is_a_file: "taken is not a directory",

@@ -11,13 +11,12 @@ from asymlab import closedforms, config
 from asymlab.circuits import random_brickwork, save_circuit
 from asymlab.config import (
     build_state,
-    circuit_depth_range,
     config_hash,
     load_config,
     validate_config,
 )
 from asymlab.errors import ConfigError, ResourceError
-from asymlab.lattice import LatticeGeometry
+from asymlab.lattice import LatticeGeometry, clustering_range
 from asymlab.states import DensityMatrix, StateVector, ghz_state
 from asymlab.u1 import charge_distribution, u1_asymmetry
 
@@ -253,7 +252,7 @@ def test_build_state_circuit_applies_to_input(tmp_path):
     state, loaded = build_state(spec, 4, 0)
     assert loaded is not None
     assert loaded.depth == 2
-    assert circuit_depth_range(loaded) == 4
+    assert clustering_range(loaded.depth) == 4
     # wrong system size is a config error
     with pytest.raises(ConfigError):
         build_state(spec, 6, 0)
